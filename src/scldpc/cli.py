@@ -17,11 +17,11 @@ from pathlib import Path
 from . import baselines, pipeline
 from .alist import export_code_alist
 from .cpo import cpo_optimize
-from .cycles import count_ugast_3330, girth_check
+from .cycles import count_ugast_3330, count_ugast_3330_for, girth_check
 from .gast import gast_scan, remove_gast
 from .gf import FieldGF
-from .overlap import count_partition_choices, realize_mask, solve_optimal_overlap
-from .qc import build_ab_powers, code_from_json, code_to_json, couple, label_edges
+from .overlap import realize_mask, solve_optimal_overlap
+from .qc import build_ab_powers, code_from_json, code_to_json, couple, label_edges, protograph_of
 
 
 def _emit(payload, out: str | None) -> None:
@@ -43,7 +43,7 @@ def _cmd_oo_solve(args) -> None:
             "F_star": sol.f_star,
             "alpha": sol.alpha,
             "optima": [v.as_list() for v in sol.optima],
-            "N_choices": count_partition_choices(sol.optima[0], args.kappa, sol.alpha),
+            "N_choices": sol.n_choices,
         },
         args.out,
     )
@@ -67,11 +67,9 @@ def _cmd_count(args) -> None:
     if args.what == "ugast3330":
         value = count_ugast_3330(code)
     else:
-        from .cycles import build_window
-
-        win = build_window(code.proto, code.mask)
-        fs, fd = win.structural_counts6()
-        value = code.L * fs + (code.L - 1) * fd
+        # at p = 1 every protograph 6-cycle is active
+        pg = protograph_of(code)
+        value = count_ugast_3330_for(pg.proto, pg.mask, pg.L)
     _emit({"what": args.what, "count": value, "girth": girth_check(code)}, args.out)
 
 

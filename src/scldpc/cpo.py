@@ -125,13 +125,17 @@ def cpo_optimize(
     """Minimize the lifted (3,3,3,0) count by re-powering circulants.
 
     ``budget`` caps candidate evaluations; the search also stops once the
-    count reaches ``target``.  Deterministic for fixed arguments.  Requires
-    gamma = 3 and an array-based start (kappa <= p, p prime).
+    count reaches ``target``.  The candidate pool starts at the ``top_b``
+    most-loaded circulants and widens by ``top_b`` on a plateau.
+    Deterministic for fixed arguments.  Requires gamma = 3 and an
+    array-based start (kappa <= p, p prime).
     """
     if proto.gamma != 3:
         raise ValueError("the optimizer is defined for column weight 3")
     if proto.kappa > proto.p or not is_prime(proto.p):
         raise ValueError("array-based initialization needs kappa <= p with p prime")
+    if top_b < 1:
+        raise ValueError(f"top_b must be at least 1, got {top_b}")
     g, k, p = proto.gamma, proto.kappa, proto.p
 
     ab = np.array([[(i * j) % p for j in range(k)] for i in range(g)], dtype=np.int64)

@@ -7,18 +7,19 @@ memory-1 coupled protograph spans at most two consecutive replicas, all
 counting happens on a two-replica window with multiplicities (L, L-1) rather
 than on the full L-long chain.
 
-The window's 4- and 6-cycles are stored as numpy coefficient rows over the
-gamma*kappa circulant positions, so re-evaluating activity after a power
-change is a vectorized column update.  Generic matrices get the same row-pair
-and row-triple enumeration through :func:`enumerate_cycles`.
+One row-pair/row-triple enumerator serves every consumer: generic matrices
+(:func:`enumerate_cycles`), the census and girth test, hand-built Tanner
+graphs, and the optimizer's window, which stores its 4- and 6-cycles as numpy
+coefficient rows over the gamma*kappa circulant positions so re-evaluating
+activity after a power change is a vectorized column update.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional, Sequence
+from itertools import chain, combinations
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -71,47 +72,63 @@ def _row_supports(matrix) -> list[set[int]]:
     return [set(np.flatnonzero(arr[r]).tolist()) for r in range(arr.shape[0])]
 
 
-def enumerate_cycles(matrix, length: int) -> list[ProtoCycle]:
-    """Every simple cycle of the requested length (4 or 6), each once.
+def _row_triples(rows: Sequence[set[int]]) -> Iterator[tuple]:
+    """Row triples r1<r2<r3 whose pairwise column overlaps are all nonempty.
 
-    4-cycles: for each row pair, every unordered pair of shared columns.
-    6-cycles: for each row triple r1<r2<r3, every choice of distinct columns
-    (a, b, c) with a shared by (r1,r2), b by (r1,r3), c by (r2,r3); the column
+    Yields (r1, r2, r3, s12, s13, s23) with sij = rows[ri] & rows[rj].  This
+    and the two enumerators below are the only row-pair/row-triple loops.
+    """
+    for r1, r2, r3 in combinations(range(len(rows)), 3):
+        s12 = rows[r1] & rows[r2]
+        if not s12:
+            continue
+        s13 = rows[r1] & rows[r3]
+        if not s13:
+            continue
+        s23 = rows[r2] & rows[r3]
+        if not s23:
+            continue
+        yield r1, r2, r3, s12, s13, s23
+
+
+def _six_cycles(rows: Sequence[set[int]]) -> Iterator[tuple[int, ...]]:
+    """Every 6-cycle once, as (r1, r2, r3, a, b, c).
+
+    The cycle visits (r1,a) (r1,b) (r3,b) (r3,c) (r2,c) (r2,a): a is shared
+    by rows (r1,r2), b by (r1,r3), c by (r2,r3), all distinct.  The column
     triple is recoverable from the cycle, so each cycle appears exactly once.
     """
+    for r1, r2, r3, s12, s13, s23 in _row_triples(rows):
+        for a in sorted(s12):
+            for b in sorted(s13):
+                if b == a:
+                    continue
+                for c in sorted(s23):
+                    if c != a and c != b:
+                        yield r1, r2, r3, a, b, c
+
+
+def _four_cycles(rows: Sequence[set[int]]) -> Iterator[tuple[int, ...]]:
+    """Every 4-cycle once, as (r1, r2, a, b) with r1<r2 and a<b shared."""
+    for r1, r2 in combinations(range(len(rows)), 2):
+        for a, b in combinations(sorted(rows[r1] & rows[r2]), 2):
+            yield r1, r2, a, b
+
+
+def enumerate_cycles(matrix, length: int) -> list[ProtoCycle]:
+    """Every simple cycle of the requested length (4 or 6), each once."""
     rows = _row_supports(matrix)
-    out: list[ProtoCycle] = []
     if length == 4:
-        for r1, r2 in combinations(range(len(rows)), 2):
-            shared = sorted(rows[r1] & rows[r2])
-            for a, b in combinations(shared, 2):
-                out.append(ProtoCycle(entries=((r1, a), (r1, b), (r2, b), (r2, a))))
-    elif length == 6:
-        for r1, r2, r3 in combinations(range(len(rows)), 3):
-            s12 = rows[r1] & rows[r2]
-            if not s12:
-                continue
-            s13 = rows[r1] & rows[r3]
-            if not s13:
-                continue
-            s23 = rows[r2] & rows[r3]
-            if not s23:
-                continue
-            for a in sorted(s12):
-                for b in sorted(s13):
-                    if b == a:
-                        continue
-                    for c in sorted(s23):
-                        if c == a or c == b:
-                            continue
-                        out.append(
-                            ProtoCycle(
-                                entries=((r1, a), (r1, b), (r3, b), (r3, c), (r2, c), (r2, a))
-                            )
-                        )
-    else:
-        raise ValueError(f"unsupported cycle length {length}")
-    return out
+        return [
+            ProtoCycle(entries=((r1, a), (r1, b), (r2, b), (r2, a)))
+            for r1, r2, a, b in _four_cycles(rows)
+        ]
+    if length == 6:
+        return [
+            ProtoCycle(entries=((r1, a), (r1, b), (r3, b), (r3, c), (r2, c), (r2, a)))
+            for r1, r2, r3, a, b, c in _six_cycles(rows)
+        ]
+    raise ValueError(f"unsupported cycle length {length}")
 
 
 def lift_count(cycle: ProtoCycle, proto: ProtoMatrix) -> tuple[bool, int]:
@@ -142,16 +159,21 @@ def _window_row_support(mask: PartitionMask, block: int, i: int) -> set[int]:
     return cols
 
 
+def _window_rows(mask: PartitionMask) -> list[set[int]]:
+    """Column supports of the 3*gamma window rows, block-major."""
+    return [_window_row_support(mask, b, i) for b in range(3) for i in range(mask.gamma)]
+
+
 class TwoReplicaWindow:
-    """Cycle tables of the two-replica coupled protograph.
+    """Cycle tables of the two-replica coupled protograph, for the optimizer.
 
     Rows are indexed (block, local) with 3 blocks of gamma rows; columns run
-    over 2*kappa, the first kappa belonging to replica 1.  For both 4- and
-    6-cycles the window stores:
+    over 2*kappa, the first kappa belonging to replica 1.  The window stores
 
-      coef:  (n, gamma*kappa) alternating-sum coefficients per circulant
-      inc:   (n, gamma*kappa) visit multiplicities per circulant
-      span:  SPAN_R1 / SPAN_R2 / SPAN_DUAL
+      coef6, coef4:  (n, gamma*kappa) alternating-sum coefficients per circulant
+      inc6:          (n, gamma*kappa) 6-cycle visit multiplicities per circulant
+      span6:         SPAN_R1 / SPAN_R2 / SPAN_DUAL per 6-cycle
+      pos6_rows, pos6_cols:  (n, 6) window positions of each 6-cycle
 
     Activity of every cycle under a flat power vector f is (coef @ f) % p == 0.
     """
@@ -165,104 +187,34 @@ class TwoReplicaWindow:
         self.kappa = proto.kappa
         self.p = proto.p
         self.n_entries = self.gamma * self.kappa
-        self._rows = [
-            _window_row_support(mask, b, i) for b in range(3) for i in range(self.gamma)
-        ]
-        self._build(length=6)
-        self._build(length=4)
+        self._build(_window_rows(mask))
 
-    # -- construction -----------------------------------------------------
+    def _coef(self, pos_rows: np.ndarray, pos_cols: np.ndarray):
+        """Signed and unsigned per-circulant visit counts of each cycle."""
+        n, width = pos_rows.shape
+        ids = (pos_rows % self.gamma) * self.kappa + pos_cols % self.kappa
+        cells = (ids + self.n_entries * np.arange(n)[:, None]).ravel()
+        signs = np.tile([1, -1], n * width // 2)
+        size = n * self.n_entries
+        coef = np.bincount(cells, weights=signs, minlength=size).astype(np.int16)
+        inc = np.bincount(cells, minlength=size).astype(np.int8)
+        return coef.reshape(n, self.n_entries), inc.reshape(n, self.n_entries)
 
-    def _positions_to_arrays(self, pos_rows, pos_cols):
-        """Vectorized (rows, cols) position lists -> entry ids and spans."""
-        g, k = self.gamma, self.kappa
-        ids = (np.mod(pos_rows, g)) * k + np.mod(pos_cols, k)
-        in_r1 = (pos_cols < k).all(axis=1)
-        in_r2 = (pos_cols >= k).all(axis=1)
-        span = np.full(pos_rows.shape[0], SPAN_DUAL, dtype=np.int8)
-        span[in_r1] = SPAN_R1
-        span[in_r2] = SPAN_R2
-        return ids, span
+    def _build(self, rows: list[set[int]]) -> None:
+        # (r1, r2, r3, a, b, c) -> visiting order (r1,a) (r1,b) (r3,b) (r3,c) (r2,c) (r2,a)
+        six = np.fromiter(chain.from_iterable(_six_cycles(rows)), dtype=np.int64).reshape(-1, 6)
+        self.pos6_rows, self.pos6_cols = six[:, [0, 0, 2, 2, 1, 1]], six[:, [3, 4, 4, 5, 5, 3]]
+        self.coef6, self.inc6 = self._coef(self.pos6_rows, self.pos6_cols)
+        self.coef6_byentry = np.ascontiguousarray(self.coef6.T)
+        k = self.kappa
+        self.span6 = np.full(six.shape[0], SPAN_DUAL, dtype=np.int8)
+        self.span6[(self.pos6_cols < k).all(axis=1)] = SPAN_R1
+        self.span6[(self.pos6_cols >= k).all(axis=1)] = SPAN_R2
 
-    def _accumulate(self, ids, signs):
-        n = ids.shape[0]
-        coef = np.zeros((n, self.n_entries), dtype=np.int16)
-        inc = np.zeros((n, self.n_entries), dtype=np.int8)
-        rows_idx = np.repeat(np.arange(n), ids.shape[1])
-        np.add.at(coef, (rows_idx, ids.ravel()), np.tile(signs, n))
-        np.add.at(inc, (rows_idx, ids.ravel()), 1)
-        return coef, inc
-
-    def _build(self, length: int) -> None:
-        g = self.gamma
-        rows = self._rows
-        pos_r_parts, pos_c_parts = [], []
-        if length == 6:
-            for r1, r2, r3 in combinations(range(3 * g), 3):
-                s12 = rows[r1] & rows[r2]
-                if not s12:
-                    continue
-                s13 = rows[r1] & rows[r3]
-                if not s13:
-                    continue
-                s23 = rows[r2] & rows[r3]
-                if not s23:
-                    continue
-                a = np.fromiter(sorted(s12), dtype=np.int64)
-                b = np.fromiter(sorted(s13), dtype=np.int64)
-                c = np.fromiter(sorted(s23), dtype=np.int64)
-                A, B, C = np.meshgrid(a, b, c, indexing="ij")
-                A, B, C = A.ravel(), B.ravel(), C.ravel()
-                ok = (A != B) & (A != C) & (B != C)
-                if not ok.any():
-                    continue
-                A, B, C = A[ok], B[ok], C[ok]
-                n = A.shape[0]
-                pr = np.empty((n, 6), dtype=np.int64)
-                pc = np.empty((n, 6), dtype=np.int64)
-                pr[:, 0] = r1; pc[:, 0] = A
-                pr[:, 1] = r1; pc[:, 1] = B
-                pr[:, 2] = r3; pc[:, 2] = B
-                pr[:, 3] = r3; pc[:, 3] = C
-                pr[:, 4] = r2; pc[:, 4] = C
-                pr[:, 5] = r2; pc[:, 5] = A
-                pos_r_parts.append(pr)
-                pos_c_parts.append(pc)
-            signs = np.array([1, -1, 1, -1, 1, -1], dtype=np.int16)
-        else:
-            for r1, r2 in combinations(range(3 * g), 2):
-                shared = sorted(rows[r1] & rows[r2])
-                if len(shared) < 2:
-                    continue
-                pairs = np.array(list(combinations(shared, 2)), dtype=np.int64)
-                n = pairs.shape[0]
-                pr = np.empty((n, 4), dtype=np.int64)
-                pc = np.empty((n, 4), dtype=np.int64)
-                pr[:, 0] = r1; pc[:, 0] = pairs[:, 0]
-                pr[:, 1] = r1; pc[:, 1] = pairs[:, 1]
-                pr[:, 2] = r2; pc[:, 2] = pairs[:, 1]
-                pr[:, 3] = r2; pc[:, 3] = pairs[:, 0]
-                pos_r_parts.append(pr)
-                pos_c_parts.append(pc)
-            signs = np.array([1, -1, 1, -1], dtype=np.int16)
-
-        if pos_r_parts:
-            pos_rows = np.concatenate(pos_r_parts)
-            pos_cols = np.concatenate(pos_c_parts)
-        else:
-            width = 6 if length == 6 else 4
-            pos_rows = np.empty((0, width), dtype=np.int64)
-            pos_cols = np.empty((0, width), dtype=np.int64)
-        ids, span = self._positions_to_arrays(pos_rows, pos_cols)
-        coef, inc = self._accumulate(ids, signs)
-        if length == 6:
-            self.pos6_rows, self.pos6_cols = pos_rows, pos_cols
-            self.coef6, self.inc6, self.span6 = coef, inc, span
-            self.coef6_byentry = np.ascontiguousarray(coef.T)
-        else:
-            self.pos4_rows, self.pos4_cols = pos_rows, pos_cols
-            self.coef4, self.inc4, self.span4 = coef, inc, span
-            self.coef4_byentry = np.ascontiguousarray(coef.T)
+        # (r1, r2, a, b) -> visiting order (r1,a) (r1,b) (r2,b) (r2,a)
+        four = np.fromiter(chain.from_iterable(_four_cycles(rows)), dtype=np.int64).reshape(-1, 4)
+        self.coef4, _ = self._coef(four[:, [0, 0, 1, 1]], four[:, [2, 3, 3, 2]])
+        self.coef4_byentry = np.ascontiguousarray(self.coef4.T)
 
     # -- evaluation --------------------------------------------------------
 
@@ -275,28 +227,8 @@ class TwoReplicaWindow:
     def balances4(self, flat: np.ndarray) -> np.ndarray:
         return (self.coef4 @ flat) % self.p
 
-    def active_counts(self, flat: np.ndarray) -> tuple[int, int]:
-        """(single-replica active pairs halved, two-replica active) 6-cycles.
-
-        Single-replica cycles come in R1/R2 mirror pairs with identical
-        circulant positions, so half the single-span count is the per-replica
-        number.
-        """
-        act = self.balances6(flat) == 0
-        singles = int(np.count_nonzero(act & (self.span6 != SPAN_DUAL)))
-        duals = int(np.count_nonzero(act & (self.span6 == SPAN_DUAL)))
-        assert singles % 2 == 0
-        return singles // 2, duals
-
     def has_active_4cycle(self, flat: np.ndarray) -> bool:
         return bool((self.balances4(flat) == 0).any())
-
-    def structural_counts6(self) -> tuple[int, int]:
-        """(per-replica, two-replica) 6-cycle counts ignoring powers."""
-        singles = int(np.count_nonzero(self.span6 != SPAN_DUAL))
-        duals = int(np.count_nonzero(self.span6 == SPAN_DUAL))
-        assert singles % 2 == 0
-        return singles // 2, duals
 
     def proto_cycles6(self) -> list[ProtoCycle]:
         """Window 6-cycles as tagged objects (test/reporting path)."""
@@ -340,26 +272,16 @@ def build_window(proto: ProtoMatrix, mask: PartitionMask) -> TwoReplicaWindow:
 def census_active_counts(proto: ProtoMatrix, mask: PartitionMask) -> tuple[int, int]:
     """(per-replica, two-replica) active 6-cycle counts of the window.
 
-    Census-only fast path: balances are evaluated inline per row triple
-    without materializing cycle tables.  Plain loops beat array machinery
-    here because the exhaustive partition searches score thousands of small
-    masks.
+    Balances are summed inline per row triple without materializing cycle
+    tables: the exhaustive partition searches score thousands of small masks
+    once each, where plain loops beat building a window.  Single-replica
+    cycles come in R1/R2 mirror pairs, so their count is halved.
     """
     g, k, p = proto.gamma, proto.kappa, proto.p
-    rows = [_window_row_support(mask, b, i) for b in range(3) for i in range(g)]
     f = [list(r) for r in proto.powers]
     singles = 0
     duals = 0
-    for r1, r2, r3 in combinations(range(3 * g), 3):
-        s12 = rows[r1] & rows[r2]
-        if not s12:
-            continue
-        s13 = rows[r1] & rows[r3]
-        if not s13:
-            continue
-        s23 = rows[r2] & rows[r3]
-        if not s23:
-            continue
+    for r1, r2, r3, s12, s13, s23 in _row_triples(_window_rows(mask)):
         f1, f2, f3 = f[r1 % g], f[r2 % g], f[r3 % g]
         for a in s12:
             fa = f1[a % k] - f2[a % k]
@@ -382,8 +304,21 @@ def census_active_counts(proto: ProtoMatrix, mask: PartitionMask) -> tuple[int, 
     return singles // 2, duals
 
 
+def _has_active_4cycle(proto: ProtoMatrix, mask: PartitionMask) -> bool:
+    """Whether some window 4-cycle balances to 0 mod p, i.e. survives the lift."""
+    g, k, p = proto.gamma, proto.kappa, proto.p
+    f = proto.powers
+    return any(
+        (f[r1 % g][a % k] - f[r1 % g][b % k] + f[r2 % g][b % k] - f[r2 % g][a % k]) % p == 0
+        for r1, r2, a, b in _four_cycles(_window_rows(mask))
+    )
+
+
 def count_ugast_3330_for(proto: ProtoMatrix, mask: PartitionMask, L: int) -> int:
-    """Census via the fast path, for (proto, mask) not yet wrapped in a code."""
+    """p times the active window 6-cycles weighted (L, L-1).
+
+    Unchecked: equals the (3,3,3,0) count only when no 4-cycle is active.
+    """
     fa_s, fa_d = census_active_counts(proto, mask)
     return (L * fa_s + (L - 1) * fa_d) * proto.p
 
@@ -394,21 +329,19 @@ def count_ugast_3330(code: SCCode) -> int:
     For codes of girth at least 6 (the only kind the optimizers produce)
     these are exactly the lifted 6-cycles, counted as p times the active
     window cycles weighted (L, L-1); the full lifted graph is never walked.
+    Codes with an active 4-cycle are refused.
     """
     if code.gamma != 3:
         raise ValueError("(3,3,3,0) counting requires column weight 3")
-    win = build_window(code.proto, code.mask)
-    flat = win.flat_powers(code.proto.powers)
-    fa_s, fa_d = win.active_counts(flat)
-    return (code.L * fa_s + (code.L - 1) * fa_d) * code.p
+    if _has_active_4cycle(code.proto, code.mask):
+        raise ValueError("(3,3,3,0) counting requires girth at least 6")
+    return count_ugast_3330_for(code.proto, code.mask, code.L)
 
 
 def girth_check(code: SCCode) -> float:
     """4 if the lift has an active 4-cycle, else 6 if an active 6-cycle, else inf."""
-    win = build_window(code.proto, code.mask)
-    flat = win.flat_powers(code.proto.powers)
-    if win.has_active_4cycle(flat):
+    if _has_active_4cycle(code.proto, code.mask):
         return 4
-    if (win.balances6(flat) == 0).any():
+    if any(census_active_counts(code.proto, code.mask)):
         return 6
     return math.inf

@@ -16,6 +16,7 @@ be enumerated outright; otherwise a brute-force candidate stream is used.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -23,7 +24,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .cycles import SPAN_R1, SPAN_R2, build_window
+from .cycles import SPAN_R1, SPAN_R2, _four_cycles, _six_cycles, build_window, girth_check
 from .gf import FieldGF
 from .qc import SCCode, apply_edge_changes
 
@@ -240,7 +241,6 @@ class RemovalBudget:
     n_co: int
     e_min: int
     e_mu: int
-    s_mu: Optional[int] = None
 
 
 def removal_budget(instance: GastInstance, gamma: int) -> RemovalBudget:
@@ -463,30 +463,15 @@ class RawTanner:
             return 1
         return self.labels[(row, col)]
 
+    def _rows(self) -> list[set[int]]:
+        return [self._row_adj[r] for r in sorted(self._row_adj)]
+
     def six_cycle_vn_sets(self) -> list[tuple[int, ...]]:
-        """Variable triples of all 6-cycles, via row-triple enumeration."""
-        rows = sorted(self._row_adj)
-        out: set[tuple[int, ...]] = set()
-        for r1, r2, r3 in itertools.combinations(rows, 3):
-            s12 = self._row_adj[r1] & self._row_adj[r2]
-            s13 = self._row_adj[r1] & self._row_adj[r3]
-            s23 = self._row_adj[r2] & self._row_adj[r3]
-            for a in s12:
-                for b in s13:
-                    if b == a:
-                        continue
-                    for c in s23:
-                        if c == a or c == b:
-                            continue
-                        out.add(tuple(sorted((a, b, c))))
-        return sorted(out)
+        """Variable triples of all 6-cycles."""
+        return sorted({tuple(sorted(cyc[3:])) for cyc in _six_cycles(self._rows())})
 
     def has_4cycle(self) -> bool:
-        rows = sorted(self._row_adj)
-        for r1, r2 in itertools.combinations(rows, 2):
-            if len(self._row_adj[r1] & self._row_adj[r2]) >= 2:
-                return True
-        return False
+        return next(_four_cycles(self._rows()), None) is not None
 
 
 def lifted_6cycle_vn_sets(code: SCCode) -> list[tuple[int, ...]]:
@@ -558,32 +543,6 @@ def _instance_from_topology(code: SCCode, top: UgastTopology) -> GastInstance:
     return GastInstance(topology=top, weights=weights)
 
 
-def _shared_cn_count(code: SCCode, subset: set[int], cand: int,
-                     row_cols: dict[int, set[int]]) -> int:
-    hits = 0
-    for r in code.column_rows(cand):
-        if r in row_cols and row_cols[r] & subset:
-            hits += 1
-    return hits
-
-
-def _sc_row_cols(code: SCCode, r: int) -> set[int]:
-    """Columns adjacent to lifted row r, from the circulant structure."""
-    cols: set[int] = set()
-    g, k, p = code.gamma, code.kappa, code.p
-    blk, u = divmod(r, p)
-    br, i = divmod(blk, g)
-    for rep in (br - 1, br):
-        if not 0 <= rep < code.L:
-            continue
-        for j in range(k):
-            if code.mask.assign[i][j] != br - rep:
-                continue
-            v = (u - code.proto.powers[i][j]) % p
-            cols.add((rep * k + j) * p + v)
-    return cols
-
-
 def gast_scan(
     code,
     field: Optional[FieldGF],
@@ -612,19 +571,9 @@ def gast_scan(
 
     if isinstance(code, SCCode):
         seeds = lifted_6cycle_vn_sets(code)
-        cols_cache: dict[int, set[int]] = {}
-
-        def cols_of(r: int) -> set[int]:
-            if r not in cols_cache:
-                cols_cache[r] = _sc_row_cols(code, r)
-            return cols_cache[r]
-
-        from .cycles import girth_check
-
         convert_bound = 1 if girth_check(code) >= 6 else code.gamma
     else:
         seeds = code.six_cycle_vn_sets()
-        cols_of = code.row_cols
         convert_bound = 1 if not code.has_4cycle() else code.gamma
 
     results: list[GastInstance] = []
@@ -636,12 +585,8 @@ def gast_scan(
             visited.add(fs)
             queue.append(fs)
 
-    col_cache: dict[int, list[int]] = {}
-
-    def rows_of(c: int) -> list[int]:
-        if c not in col_cache:
-            col_cache[c] = code.column_rows(c)
-        return col_cache[c]
+    rows_of = functools.cache(code.column_rows)
+    cols_of = functools.cache(code.row_cols)
 
     head = 0
     while head < len(queue):

@@ -126,19 +126,6 @@ class FieldGF:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self._inv[a]
 
-    def pow(self, a: int, e: int) -> int:
-        self._check(a)
-        if e < 0:
-            a, e = self.inv(a), -e
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self._mul[out][base]
-            base = self._mul[base][base]
-            e >>= 1
-        return out
-
     def nonzero_elements(self) -> range:
         return range(1, self.q)
 

@@ -311,7 +311,7 @@ class OOSolution:
     @property
     def n_choices(self) -> int:
         """Total number of masks realizing any optimal vector."""
-        return count_partition_choices(self.optima[0], self.kappa, alpha=self.alpha)
+        return sum(count_partition_choices(v, self.kappa) for v in self.optima)
 
 
 def solve_optimal_overlap(kappa: int, L: int) -> OOSolution:
@@ -334,15 +334,15 @@ def solve_optimal_overlap(kappa: int, L: int) -> OOSolution:
     return OOSolution(f_star=best, optima=tuple(optima), kappa=kappa, L=L)
 
 
-def count_partition_choices(vector: OverlapVector, kappa: int, alpha: int = 1) -> int:
-    """Number of masks realizing the vector, times the multiplicity alpha.
+def count_partition_choices(vector: OverlapVector, kappa: int) -> int:
+    """Number of masks realizing the vector.
 
     Product of seven binomials: place row 0's H0 columns, then row 1's split
     against row 0, then row 2's split against the four regions carved out by
     rows 0 and 1.
     """
     v = vector
-    prod = (
+    return (
         math.comb(kappa, v.r0)
         * math.comb(v.r0, v.o01)
         * math.comb(kappa - v.r0, v.r1 - v.o01)
@@ -351,7 +351,6 @@ def count_partition_choices(vector: OverlapVector, kappa: int, alpha: int = 1) -
         * math.comb(v.r1 - v.o01, v.o12 - v.o012)
         * math.comb(kappa - v.r0 - v.r1 + v.o01, v.r2 - v.o02 - v.o12 + v.o012)
     )
-    return alpha * prod
 
 
 def realize_mask(vector: OverlapVector, kappa: int, seed: int) -> PartitionMask:

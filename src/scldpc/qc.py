@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 from .gf import FieldGF
 
@@ -53,17 +53,12 @@ def _freeze(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class ProtoMatrix:
-    """gamma x kappa grid of circulant powers.
-
-    ``mask_zero[i][j]`` marks a zero circulant; underlying block codes here
-    never use zero circulants, so it defaults to all-False.
-    """
+    """gamma x kappa grid of circulant powers (no zero circulants)."""
 
     gamma: int
     kappa: int
     p: int
     powers: tuple[tuple[int, ...], ...]
-    mask_zero: tuple[tuple[bool, ...], ...] = field(default=())
 
     def __post_init__(self):
         if self.gamma < 1 or self.kappa < 1 or self.p < 1:
@@ -74,14 +69,6 @@ class ProtoMatrix:
             for f in row:
                 if not 0 <= f < self.p:
                     raise ValueError(f"circulant power {f} out of range [0, {self.p})")
-        if not self.mask_zero:
-            object.__setattr__(
-                self, "mask_zero", tuple((False,) * self.kappa for _ in range(self.gamma))
-            )
-        elif len(self.mask_zero) != self.gamma or any(
-            len(r) != self.kappa for r in self.mask_zero
-        ):
-            raise ValueError("mask_zero must be a gamma x kappa grid")
 
     def with_powers(self, powers: Sequence[Sequence[int]]) -> "ProtoMatrix":
         return replace(self, powers=_freeze(powers))
@@ -199,18 +186,19 @@ class SCCode:
         rows.sort()
         return rows
 
-    def entries(self) -> Iterator[tuple[int, int]]:
-        """All nonzero lifted (row, col) positions, column-major order."""
-        for c in range(self.n_cols):
-            for r in self.column_rows(c):
-                yield (r, c)
-
-    def row_adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n_rows)]
-        for c in range(self.n_cols):
-            for r in self.column_rows(c):
-                adj[r].append(c)
-        return adj
+    def row_cols(self, r: int) -> set[int]:
+        """Lifted column indices of the ones in row r."""
+        g, k, p = self.gamma, self.kappa, self.p
+        blk, u = divmod(r, p)
+        br, i = divmod(blk, g)
+        cols: set[int] = set()
+        for rep in (br - 1, br):
+            if not 0 <= rep < self.L:
+                continue
+            for j in range(k):
+                if self.mask.assign[i][j] == br - rep:
+                    cols.add((rep * k + j) * p + (u - self.proto.powers[i][j]) % p)
+        return cols
 
     def weight_of(self, row: int, col: int) -> int:
         """Edge weight at a nonzero entry (1 for unlabeled codes)."""

@@ -191,7 +191,7 @@ def test_criterion_8_partition_choice_count(acceptance_line):
         hist[measure_overlaps(PartitionMask(assign))] += 1
     assert sum(hist.values()) == 4096
     for vec in enumerate_valid_overlaps(kappa):
-        assert count_partition_choices(vec, kappa, alpha=1) == hist[vec]
+        assert count_partition_choices(vec, kappa) == hist[vec]
     acceptance_line(
         "8 partition choice count vs mask census", True, "all 2^12 masks binned"
     )

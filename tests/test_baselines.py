@@ -73,7 +73,7 @@ class TestMo:
         vecs = mo_admissible_vectors(7)
         v = vecs[0]
         masks = list(masks_for_vector(v, 7))
-        assert len(masks) == count_partition_choices(v, 7, alpha=1)
+        assert len(masks) == count_partition_choices(v, 7)
         assert all(measure_overlaps(m) == v for m in masks[:50])
 
     @pytest.mark.slow

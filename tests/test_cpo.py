@@ -115,3 +115,9 @@ class TestCpoOptimize:
         mask = PartitionMask.all_h0(2, 5)
         with pytest.raises(ValueError):
             cpo_optimize(proto, mask, 4)
+
+    @pytest.mark.parametrize("top_b", [0, -1])
+    def test_rejects_empty_candidate_pool(self, oo_setup, top_b):
+        proto, mask = oo_setup
+        with pytest.raises(ValueError, match="top_b"):
+            cpo_optimize(proto, mask, 30, budget=1_000, top_b=top_b)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scldpc.cpo import active_census
 from scldpc.cycles import (
     ProtoCycle,
     build_window,
@@ -168,8 +169,7 @@ class TestUgastCensus:
                 tuple(tuple(rng.randrange(2) for _ in range(7)) for _ in range(3))
             )
             win = build_window(proto, mask)
-            flat = win.flat_powers(proto.powers)
-            assert win.active_counts(flat) == census_active_counts(proto, mask)
+            assert active_census(win, proto.powers)[1:] == census_active_counts(proto, mask)
 
 
 class TestGirth:
@@ -200,12 +200,36 @@ class TestGirth:
         assert girth_check(code) == 4
         H = build_lifted_dense(3, 5, 5, powers, PartitionMask.all_h0(3, 5).assign, 2)
         assert dfs_count_cycles(H, 4) > 0
+        # p x (active 6-cycles) is not the (3,3,3,0) count once a 4-cycle is active
+        with pytest.raises(ValueError, match="girth"):
+            count_ugast_3330(code)
 
     def test_girth_above_6_when_no_active_6cycle(self):
         # kappa=2 protograph cannot host a 6-cycle at all
         proto = ProtoMatrix(gamma=3, kappa=2, p=5, powers=((0, 0), (0, 1), (0, 3)))
         code = couple(proto, PartitionMask(((0, 1), (0, 1), (0, 1))), 3)
         assert girth_check(code) == math.inf
+
+
+def _grid(kappa, hi):
+    row = st.lists(st.integers(0, hi), min_size=kappa, max_size=kappa)
+    return st.lists(row, min_size=3, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(lambda k: st.tuples(_grid(k, 4), _grid(k, 1))),
+    st.sampled_from([2, 3]),
+)
+def test_girth_check_matches_dfs(grids, L):
+    powers, assign = grids
+    proto = ProtoMatrix(gamma=3, kappa=len(powers[0]), p=5, powers=powers)
+    code = couple(proto, PartitionMask(assign), L)
+    H = build_lifted_dense(3, proto.kappa, 5, proto.powers, code.mask.assign, L)
+    girth = girth_check(code)
+    assert (girth == 4) == (dfs_count_cycles(H, 4) > 0)
+    if girth != 4:
+        assert (girth == 6) == (dfs_count_cycles(H, 6) > 0)
 
 
 class TestWindowDecomposition:
@@ -221,8 +245,7 @@ class TestWindowDecomposition:
             mask = PartitionMask(
                 tuple(tuple(rng.randrange(2) for _ in range(kappa)) for _ in range(3))
             )
-            win = build_window(proto1, mask)
-            fs, fd = win.structural_counts6()
+            fs, fd = census_active_counts(proto1, mask)
             H = build_lifted_dense(3, kappa, 1, proto1.powers, mask.assign, L)
             assert L * fs + (L - 1) * fd == dfs_count_cycles(H, 6)
 
@@ -232,8 +255,7 @@ class TestWindowDecomposition:
         for vec in sol.optima[:3]:
             mask = realize_mask(vec, kappa, seed=0)
             proto1 = ProtoMatrix(gamma=3, kappa=kappa, p=1, powers=((0,) * kappa,) * 3)
-            win = build_window(proto1, mask)
-            fs, fd = win.structural_counts6()
+            fs, fd = census_active_counts(proto1, mask)
             census = cycle6_census(vec, kappa, 4)
             assert (fs, fd) == (census.fs, census.fd)
 

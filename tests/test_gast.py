@@ -350,11 +350,12 @@ class TestScan:
         assert set(lifted_6cycle_vn_sets(small_code)) == expected
 
     def test_row_column_adjacency_inversion(self, small_code):
-        from scldpc.gast import _sc_row_cols
-
-        adj = small_code.row_adjacency()
-        for r in range(0, small_code.n_rows, 7):
-            assert _sc_row_cols(small_code, r) == set(adj[r])
+        adj = [set() for _ in range(small_code.n_rows)]
+        for c in range(small_code.n_cols):
+            for r in small_code.column_rows(c):
+                adj[r].add(c)
+        for r in range(small_code.n_rows):
+            assert small_code.row_cols(r) == adj[r]
 
     def test_ugast_target_count_equals_census(self, small_code):
         found = gast_scan(small_code, GF4, [(3, 3, 3, 0)], a_max=3)

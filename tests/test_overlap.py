@@ -204,7 +204,7 @@ class TestChoicesAndMasks:
     def test_forced_vector_has_one_choice(self):
         kappa = 4
         vec = OverlapVector(kappa, kappa, kappa, kappa, kappa, kappa, kappa)
-        assert count_partition_choices(vec, kappa, alpha=1) == 1
+        assert count_partition_choices(vec, kappa) == 1
 
     def test_choice_count_matches_mask_census_kappa4(self):
         # histogram all 2^12 masks by overlap vector; every bucket must equal
@@ -221,7 +221,7 @@ class TestChoicesAndMasks:
         assert sum(hist.values()) == 1 << (3 * kappa)
         for key, count in hist.items():
             vec = OverlapVector(*key)
-            assert count_partition_choices(vec, kappa, alpha=1) == count
+            assert count_partition_choices(vec, kappa) == count
 
     def test_realize_round_trip(self):
         kappa = 6
@@ -255,7 +255,7 @@ class TestChoicesAndMasks:
         sol = solve_optimal_overlap(7, 30)
         per_vector = [sum(1 for _ in masks_for_vector(v, 7)) for v in sol.optima]
         assert len(set(per_vector)) == 1
-        assert per_vector[0] == count_partition_choices(sol.optima[0], 7, alpha=1)
+        assert per_vector[0] == count_partition_choices(sol.optima[0], 7)
         assert sum(per_vector) == sol.n_choices
 
 

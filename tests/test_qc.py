@@ -254,4 +254,4 @@ class TestSerialization:
         assert lines[0] == f"{code.n_cols} {code.n_rows}"
         max_col, max_row = map(int, lines[1].split())
         assert max_col == 3
-        assert max_row == max(len(v) for v in code.row_adjacency())
+        assert max_row == max(len(code.row_cols(r)) for r in range(code.n_rows))
