@@ -3,7 +3,8 @@
 Subcommands mirror the library stages: oo-solve, cpo, count, baseline, gast,
 pipeline, table1, export-alist.  Every command that uses randomness takes a
 --seed flag; output is JSON on stdout unless --out is given.  The exhaustive
-searches honor the SCLDPC_WORKERS environment variable.
+searches honor the SCLDPC_WORKERS environment variable.  Invalid input is
+reported as one "scldpc: error: ..." line on stderr, with exit status 2.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def _cmd_gast(args) -> None:
     code = _load_code(args.code)
     field = FieldGF(args.q.bit_length() - 1)
     if field.q != args.q:
-        raise SystemExit(f"q must be a power of two, got {args.q}")
+        raise ValueError(f"q must be a power of two, got {args.q}")
     targets = _parse_targets(args.targets)
     found = gast_scan(code, field, targets, a_max=args.amax)
     if args.action == "scan":
@@ -255,7 +256,11 @@ def main(argv=None) -> int:
     s.set_defaults(func=_cmd_make_code)
 
     args = ap.parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except (ValueError, pipeline.PipelineError) as exc:
+        print(f"scldpc: error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

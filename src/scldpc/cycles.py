@@ -334,7 +334,9 @@ def count_ugast_3330(code: SCCode) -> int:
     if code.gamma != 3:
         raise ValueError("(3,3,3,0) counting requires column weight 3")
     if _has_active_4cycle(code.proto, code.mask):
-        raise ValueError("(3,3,3,0) counting requires girth at least 6")
+        raise ValueError(
+            "(3,3,3,0) counting requires girth at least 6, this code has girth 4"
+        )
     return count_ugast_3330_for(code.proto, code.mask, code.L)
 
 

@@ -5,8 +5,15 @@ unsatisfied check it touches has degree at most 2 and every variable node
 sees strictly more satisfied than unsatisfied checks.  Whether some value
 assignment achieves this is decided here by an exhaustive scan over
 (q-1)^a assignments, vectorized over the assignment axis.  That oracle is
-exact and replaces null-space machinery for the sizes this library targets
-(a <= 10, small q).
+exact and replaces null-space machinery for the sizes this library targets:
+it refuses more than 2^20 assignments (a <= 12 at q = 4, a <= 7 at q = 8,
+a <= 5 at q = 16) before allocating anything.
+
+Candidates in a code are found by growing variable-node subsets outward from
+6-cycles.  The last node of a full-size subset is added only if it already
+shares a majority of its checks with the subset, and each subset's label is
+read off its row hits, so a topology is built, and the oracle run, only for
+subsets whose label matches a target.
 
 Removal works on edges of degree-2 checks only.  When the unsatisfied checks
 are exactly the degree-1 checks, the number of weight changes needed has a
@@ -19,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
@@ -45,7 +53,8 @@ __all__ = [
     "lifted_6cycle_vn_sets",
 ]
 
-A_MAX_ORACLE = 10
+# largest (q-1)^a the oracle scans; a = 10 at q = 8 would be 282 M rows
+MAX_ORACLE_ASSIGNMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -141,25 +150,22 @@ class GastInstance:
         return replace(self, weights=merged, b=None, witness=None)
 
 
-_ASSIGN_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _assignments(a: int, q: int) -> np.ndarray:
     """All (q-1)^a nonzero assignments, lexicographic, shape (N, a)."""
-    key = (a, q)
-    if key not in _ASSIGN_CACHE:
-        grids = np.meshgrid(*([np.arange(1, q, dtype=np.uint8)] * a), indexing="ij")
-        _ASSIGN_CACHE[key] = np.stack([g.ravel() for g in grids], axis=1)
-    return _ASSIGN_CACHE[key]
+    grids = np.meshgrid(*([np.arange(1, q, dtype=np.uint8)] * a), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 class _Oracle:
     """Vectorized satisfiability scan for one topology over one field."""
 
     def __init__(self, topology: UgastTopology, field: FieldGF):
-        if topology.a > A_MAX_ORACLE:
+        n = (field.q - 1) ** topology.a
+        if n > MAX_ORACLE_ASSIGNMENTS:
             raise ValueError(
-                f"oracle capacity is a <= {A_MAX_ORACLE}, got a = {topology.a}"
+                f"oracle would scan (q-1)^a = {field.q - 1}^{topology.a} = {n} "
+                f"assignments, limit is {MAX_ORACLE_ASSIGNMENTS}"
             )
         self.top = topology
         self.field = field
@@ -518,19 +524,18 @@ def lifted_6cycle_vn_sets(code: SCCode) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _topology_from_vns(code: SCCode, vns: Sequence[int]) -> UgastTopology:
-    vn_list = sorted(vns)
-    index = {c: i for i, c in enumerate(vn_list)}
-    row_hits: dict[int, list[int]] = {}
-    for c in vn_list:
-        for r in code.column_rows(c):
-            row_hits.setdefault(r, []).append(index[c])
-    shared = [(r, tuple(sorted(vs))) for r, vs in sorted(row_hits.items()) if len(vs) >= 2]
+def _topology_from_rows(
+    gamma: int, subset: frozenset, row_members: dict[int, list[int]]
+) -> UgastTopology:
+    """Topology of a column subset from its row hits (row -> member columns)."""
+    vn_ids = tuple(sorted(subset))
+    index = {c: i for i, c in enumerate(vn_ids)}
+    shared = sorted((r, ms) for r, ms in row_members.items() if len(ms) >= 2)
     return UgastTopology(
-        gamma=code.gamma,
-        a=len(vn_list),
-        shared_cns=tuple(cn for _, cn in shared),
-        vn_ids=tuple(vn_list),
+        gamma=gamma,
+        a=len(vn_ids),
+        shared_cns=tuple(tuple(sorted(index[v] for v in ms)) for _, ms in shared),
+        vn_ids=vn_ids,
         cn_ids=tuple(r for r, _ in shared),
     )
 
@@ -554,10 +559,17 @@ def gast_scan(
     ``code`` is an SCCode or a RawTanner.  Subsets grow outward from 6-cycle
     seeds by adding variable nodes that share a check with the current set;
     growth is pruned once the per-node majority condition is unreachable
-    within ``a_max`` additions.  4-entry targets (a, d1, d2, d3) match
-    topologies only; 5-entry targets (a, b, d1, d2, d3) additionally require
-    an oracle witness with exactly b unsatisfied checks, which needs a
-    labeled code and a field.
+    within ``a_max`` additions.  A node that would complete a subset of
+    ``a_max`` nodes is added only if it shares at least floor(gamma/2)+1
+    checks with the subset: that set is never grown, so the node's shared
+    degree is final, and a set failing it can never be an absorbing set.
+
+    Each subset's label (a, d1, d2, d3), d2 > d3 and the majority condition
+    are read off its row hits in one pass; the topology is built, and the
+    oracle run, only when the label matches a target.  4-entry targets
+    (a, d1, d2, d3) match topologies only; 5-entry targets (a, b, d1, d2, d3)
+    additionally require an oracle witness with exactly b unsatisfied
+    checks, which needs a labeled code and a field.
     """
     targets = [tuple(t) for t in targets]
     if not targets:
@@ -592,44 +604,54 @@ def gast_scan(
     while head < len(queue):
         subset = queue[head]
         head += 1
-        top = _topology_from_vns(code, subset)
-        if top.is_ugast():
-            for t in targets:
-                if len(t) == 4 and top.label == t:
-                    results.append(_instance_from_topology(code, top))
-                    break
-                if len(t) == 5 and top.label == t[:1] + t[2:]:
-                    inst = _instance_from_topology(code, top)
-                    vals, ok, b_tot = gast_witnesses(top, inst.weights, field)
-                    hits = np.flatnonzero(ok & (b_tot == t[1]))
-                    if hits.size:
-                        w = tuple(int(x) for x in vals[hits[0]])
-                        results.append(replace(inst, b=int(t[1]), witness=w))
-                        break
-        if len(subset) >= a_max:
-            continue
-        remaining = a_max - len(subset)
-        deg_in = {v: 0 for v in subset}
-        row_members: dict[int, set[int]] = {}
+        a = len(subset)
+        row_members: dict[int, list[int]] = {}
         for v in subset:
             for r in rows_of(v):
-                row_members.setdefault(r, set()).add(v)
+                row_members.setdefault(r, []).append(v)
+        deg_in = dict.fromkeys(subset, 0)
+        d2 = d3 = 0
         for members in row_members.values():
             if len(members) >= 2:
+                if len(members) == 2:
+                    d2 += 1
+                else:
+                    d3 += 1
                 for v in members:
                     deg_in[v] += 1
+        least = min(deg_in.values())
+        if d2 > d3 and least >= need_majority:
+            label = (a, a * code.gamma - sum(deg_in.values()), d2, d3)
+            inst = None
+            for t in targets:
+                if (t if len(t) == 4 else t[:1] + t[2:]) != label:
+                    continue
+                if inst is None:
+                    top = _topology_from_rows(code.gamma, subset, row_members)
+                    inst = _instance_from_topology(code, top)
+                if len(t) == 4:
+                    results.append(inst)
+                    break
+                vals, ok, b_tot = gast_witnesses(top, inst.weights, field)
+                hits = np.flatnonzero(ok & (b_tot == t[1]))
+                if hits.size:
+                    w = tuple(int(x) for x in vals[hits[0]])
+                    results.append(replace(inst, b=int(t[1]), witness=w))
+                    break
+        if a >= a_max:
+            continue
+        remaining = a_max - a
         # each node needs >= need_majority shared checks; an added node can
         # convert at most convert_bound hanging checks of any existing node
-        worst = max(need_majority - d for d in deg_in.values())
-        if worst > remaining * convert_bound:
+        if need_majority - least > remaining * convert_bound:
             continue
-        cands: set[int] = set()
-        for r in row_members:
-            for c in cols_of(r):
-                if c not in subset:
-                    cands.add(c)
-        for c in sorted(cands):
-            nxt = frozenset(subset | {c})
+        # a candidate's shared degree is the number of its rows that hold a
+        # member; a set of a_max nodes is never grown, so for the last node
+        # that degree is final and must already reach the majority
+        shared_with = Counter(itertools.chain.from_iterable(map(cols_of, row_members)))
+        floor = need_majority if remaining == 1 else 1
+        for c in sorted(c for c, n in shared_with.items() if n >= floor and c not in subset):
+            nxt = subset | {c}
             if nxt not in visited:
                 visited.add(nxt)
                 queue.append(nxt)

@@ -150,3 +150,54 @@ def gf_mul_via_logs(a: int, b: int, exp: list[int], log: list[int], q: int) -> i
     if a == 0 or b == 0:
         return 0
     return exp[(log[a] + log[b]) % (q - 1)]
+
+
+def naive_ugast_subsets(col_adj, gamma: int, labels, a_max: int) -> set[tuple[int, ...]]:
+    """Every column subset an absorbing-set scan should report, by brute force.
+
+    A subset of 3..a_max columns qualifies when it is connected through
+    shared checks, contains the three columns of some 6-cycle, has more
+    degree-2 than degree->2 shared checks, gives every column more than
+    gamma/2 shared checks, and has its (a, d1, d2, d3) in ``labels``.
+    """
+    rows = [set(r) for r in col_adj]
+    wanted = {tuple(t) for t in labels}
+
+    def connected(cols) -> bool:
+        seen, todo = {cols[0]}, [cols[0]]
+        while todo:
+            u = todo.pop()
+            for v in cols:
+                if v not in seen and rows[u] & rows[v]:
+                    seen.add(v)
+                    todo.append(v)
+        return len(seen) == len(cols)
+
+    def has_hexagon(cols) -> bool:
+        for x, y, z in itertools.combinations(cols, 3):
+            for r1 in rows[x] & rows[y]:
+                for r2 in rows[y] & rows[z]:
+                    for r3 in rows[x] & rows[z]:
+                        if len({r1, r2, r3}) == 3:
+                            return True
+        return False
+
+    out = set()
+    for a in range(3, a_max + 1):
+        for cols in itertools.combinations(range(len(rows)), a):
+            hits: dict[int, int] = {}
+            for c in cols:
+                for r in rows[c]:
+                    hits[r] = hits.get(r, 0) + 1
+            shared = [n for n in hits.values() if n >= 2]
+            d2 = shared.count(2)
+            d3 = len(shared) - d2
+            degs = [sum(1 for r in rows[c] if hits[r] >= 2) for c in cols]
+            d1 = sum(gamma - d for d in degs)
+            if not d2 > d3 or any(2 * d <= gamma for d in degs):
+                continue
+            if (a, d1, d2, d3) not in wanted:
+                continue
+            if connected(cols) and has_hexagon(cols):
+                out.add(cols)
+    return out

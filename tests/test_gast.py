@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scldpc.gf import FieldGF
 from scldpc.gast import (
@@ -22,7 +23,10 @@ from scldpc.cycles import count_ugast_3330
 from scldpc.overlap import realize_mask, solve_optimal_overlap
 from scldpc.qc import build_ab_powers, couple, label_edges
 
+from oracles import naive_ugast_subsets
+
 GF4 = FieldGF(2)
+GF8 = FieldGF(3)
 
 
 def uniform_weights(top: UgastTopology, value: int = 1) -> dict:
@@ -171,12 +175,29 @@ class TestOracle:
             assert before == after
 
     def test_oracle_capacity_guard(self):
+        # 7^11 assignments over GF(8), far above the 2^20 limit
         edges = [(i, (i + 1) % 11) for i in range(11)] + [
             (i, (i + 2) % 11) for i in range(11)
         ]
         top = UgastTopology(gamma=4, a=11, shared_cns=tuple(tuple(sorted(e)) for e in edges))
         with pytest.raises(ValueError):
-            is_gast(top, uniform_weights(top), GF4)
+            is_gast(top, uniform_weights(top), GF8)
+
+    def test_assignment_limit_checked_before_allocation(self, monkeypatch):
+        edges = [(i, (i + 1) % 10) for i in range(10)] + [
+            (i, (i + 2) % 10) for i in range(10)
+        ]
+        top = UgastTopology(gamma=4, a=10, shared_cns=tuple(tuple(sorted(e)) for e in edges))
+        # a = 10 at q = 4 is 3^10 = 59 049 assignments: within the limit
+        assert is_gast(top, uniform_weights(top), GF4)[0]
+
+        def refuse(a, q):
+            raise AssertionError("assignment matrix built for a rejected request")
+
+        monkeypatch.setattr("scldpc.gast._assignments", refuse)
+        # a = 10 at q = 8 would be 7^10 = 282 M assignments
+        with pytest.raises(ValueError, match="assignments"):
+            is_gast(top, uniform_weights(top), GF8)
 
 
 class TestBudget:
@@ -385,6 +406,19 @@ class TestScan:
         assert len(found) == 1
         assert found[0].topology.vn_ids == (0, 1, 2, 3, 4, 5)
 
+    def test_code_and_raw_graph_scans_agree(self, small_code):
+        # the lifted-code path (closed-form seeds, girth from the census)
+        # must match the hand-built-graph path on the same Tanner graph
+        targets = [(3, 3, 3, 3, 0), (4, 2, 2, 5, 0)]
+        raw = RawTanner(
+            [small_code.column_rows(c) for c in range(small_code.n_cols)],
+            3,
+            labels=small_code.labels,
+        )
+        from_code = gast_scan(small_code, GF4, targets, a_max=4)
+        assert from_code
+        assert from_code == gast_scan(raw, GF4, targets, a_max=4)
+
     def test_gast_targets_carry_witness_and_b(self, small_code):
         found = gast_scan(small_code, GF4, [(3, 3, 3, 3, 0)], a_max=3)
         for inst in found:
@@ -405,3 +439,33 @@ class TestScan:
             assert all(
                 r.topology.vn_ids != inst.topology.vn_ids for r in refreshed
             )
+
+
+def _all_labels(gamma: int, a_max: int) -> list[tuple[int, int, int, int]]:
+    """Every (a, d1, d2, d3) with d2 > d3 that a subset of 3..a_max can have."""
+    out = []
+    for a in range(3, a_max + 1):
+        for d1 in range(a * gamma + 1):
+            for d3 in range(a * gamma // 3 + 1):
+                for d2 in range(d3 + 1, a * gamma // 2 + 1):
+                    out.append((a, d1, d2, d3))
+    return out
+
+
+@st.composite
+def _raw_graphs(draw):
+    n_rows = draw(st.integers(5, 9))
+    n_cols = draw(st.integers(6, 11))
+    col_rows = st.lists(st.integers(0, n_rows - 1), min_size=3, max_size=3, unique=True)
+    return draw(st.lists(col_rows, min_size=n_cols, max_size=n_cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_raw_graphs(), st.integers(3, 5))
+def test_scan_matches_brute_force(col_adj, a_max):
+    # 4-cycles allowed: dense random graphs exercise convert_bound = gamma
+    labels = _all_labels(3, a_max)
+    found = gast_scan(RawTanner(col_adj, 3), None, labels, a_max=a_max)
+    got = [inst.topology.vn_ids for inst in found]
+    assert len(got) == len(set(got))
+    assert set(got) == naive_ugast_subsets(col_adj, 3, labels, a_max)

@@ -188,3 +188,43 @@ class TestCli:
     def test_table1_command(self):
         res = run_cli("table1", "--L", "30", "--sizes", "7", "--methods", "uncoupled", "--json")
         assert json.loads(res.stdout)["counts"]["uncoupled"] == [8820]
+
+
+def _girth4_code_file(tmp_path):
+    from scldpc.qc import PartitionMask, ProtoMatrix, code_to_json, couple
+
+    powers = ((0, 0, 0, 0, 0), (0, 0, 1, 2, 3), (0, 2, 4, 1, 3))
+    proto = ProtoMatrix(gamma=3, kappa=5, p=5, powers=powers)
+    path = tmp_path / "girth4.json"
+    path.write_text(code_to_json(couple(proto, PartitionMask.all_h0(3, 5), 2)))
+    return str(path)
+
+
+class TestCliErrors:
+    def test_girth4_census_reports_girth_without_traceback(self, tmp_path, capsys):
+        from scldpc import cli
+
+        rc = cli.main(["count", "--what", "ugast3330", "--code", _girth4_code_file(tmp_path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("scldpc: error: ")
+        assert "girth 4" in err
+        assert "Traceback" not in err
+
+    def test_bad_field_size_reported(self, tmp_path, capsys):
+        from scldpc import cli
+
+        rc = cli.main(["gast", "scan", "--code", _girth4_code_file(tmp_path), "--q", "6"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err == "scldpc: error: q must be a power of two, got 6\n"
+
+    def test_pipeline_error_reported(self, capsys):
+        from scldpc import cli
+
+        rc = cli.main(["pipeline", "--kappa", "5", "--p", "7", "--L", "3"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err.startswith("scldpc: error: pipeline stage 'parameters' failed")
+        assert "kappa must equal p" in err
