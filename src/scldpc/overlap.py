@@ -15,11 +15,15 @@ Fs and Fd decompose into four terms each, one per placement of the cycle's
 check rows relative to H0/H1 (and, for the two-replica terms, per placement
 of its variable columns relative to the replicas).  Each term is a sum of
 products of position counts, with every product clamped at zero to discard
-degenerate choices.
+degenerate choices.  The term functions are plain arithmetic, so the same
+definitions score one vector in Python ints (``cycle6_census``) or a whole
+array of vectors in int64 numpy columns (the solver).  Nothing is cached.
 
 Minimizing F over all valid overlap vectors (subject to a balance constraint
-on r0+r1+r2) yields the optimal-overlap partitioning; a counting identity
-gives the number of masks realizing any given vector.
+on r0+r1+r2) yields the optimal-overlap partitioning.  The valid vectors are
+built one r0 slab at a time as a (7, n) array in the nested-loop order, and
+each slab is scored in one pass, so memory stays at one slab.  A counting
+identity gives the number of masks realizing any given vector.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .qc import PartitionMask
 
@@ -56,11 +61,22 @@ class OverlapConstraintError(ValueError):
     """An overlap vector violates one of its validity chains."""
 
 
-def _pos(x: int) -> int:
-    return x if x > 0 else 0
+def _pos(x):
+    """Clamp at zero, for an int or elementwise for an int64 array."""
+    return x * (x > 0)
 
 
-@lru_cache(maxsize=None)
+def _check_coupling_length(L: int) -> None:
+    if L < 2:
+        raise ValueError("coupling length L must be >= 2")
+
+
+def _check_exact_range(L: int, peak: int) -> None:
+    """Refuse L when totals up to L * peak (peak = largest Fs + Fd) may not fit int64."""
+    if L * max(peak, 1) > np.iinfo(np.int64).max:
+        raise ValueError(f"6-cycle totals at L={L} would leave the exact int64 range")
+
+
 def count_cycles_same_half(o01: int, o02: int, o12: int, o012: int) -> int:
     """6-cycles whose three linking columns are pairwise overlaps of one half.
 
@@ -77,7 +93,6 @@ def count_cycles_same_half(o01: int, o02: int, o12: int, o012: int) -> int:
     )
 
 
-@lru_cache(maxsize=1 << 16)
 def count_cycles_split_half(
     r0: int, r1: int, r2: int, o01: int, o02: int, o12: int, o012: int
 ) -> int:
@@ -106,7 +121,6 @@ def count_cycles_split_half(
     )
 
 
-@lru_cache(maxsize=1 << 16)
 def count_cycles_two_replica_band(
     kappa: int, r0: int, r1: int, r2: int, o01: int, o02: int, o12: int, o012: int
 ) -> int:
@@ -129,7 +143,6 @@ def count_cycles_two_replica_band(
     )
 
 
-@lru_cache(maxsize=1 << 16)
 def count_cycles_two_replica_corner(
     r0: int, r1: int, r2: int, o01: int, o02: int, o12: int, o012: int
 ) -> int:
@@ -171,18 +184,7 @@ class OverlapVector:
 
     def complement(self, kappa: int) -> "OverlapVector":
         """The same quantities measured on H1 instead of H0."""
-        return OverlapVector(
-            r0=kappa - self.r0,
-            r1=kappa - self.r1,
-            r2=kappa - self.r2,
-            o01=kappa - self.r0 - self.r1 + self.o01,
-            o02=kappa - self.r0 - self.r2 + self.o02,
-            o12=kappa - self.r1 - self.r2 + self.o12,
-            o012=kappa
-            - (self.r0 + self.r1 + self.r2)
-            + (self.o01 + self.o02 + self.o12)
-            - self.o012,
-        )
+        return OverlapVector(*_complement(kappa, *self.as_list()))
 
     def violated_chains(self, kappa: int) -> list[str]:
         """Names of validity chains this vector breaks (empty when valid)."""
@@ -243,36 +245,74 @@ class CycleCensus:
         return self.L * self.fs + (self.L - 1) * self.fd
 
 
+def _complement(kappa, r0, r1, r2, o01, o02, o12, o012) -> tuple:
+    """H1-side parameters from H0-side ones, for ints or int64 arrays alike."""
+    return (
+        kappa - r0,
+        kappa - r1,
+        kappa - r2,
+        kappa - r0 - r1 + o01,
+        kappa - r0 - r2 + o02,
+        kappa - r1 - r2 + o12,
+        kappa - (r0 + r1 + r2) + (o01 + o02 + o12) - o012,
+    )
+
+
+def _census_terms(kappa: int, v: Sequence, w: Sequence) -> tuple[tuple, tuple]:
+    """The four single- and four two-replica components of H0 ``v``, H1 ``w``.
+
+    ``v`` and ``w`` hold the seven parameters in field order, as ints or as
+    int64 columns of equal length.
+    """
+    single = (
+        count_cycles_same_half(*v[3:]),
+        count_cycles_same_half(*w[3:]),
+        count_cycles_split_half(*v),
+        count_cycles_split_half(*w),
+    )
+    cross = (
+        count_cycles_two_replica_band(kappa, *v),
+        count_cycles_two_replica_band(kappa, *w),
+        count_cycles_two_replica_corner(*v),
+        count_cycles_two_replica_corner(*w),
+    )
+    return single, cross
+
+
 def cycle6_census(vector: OverlapVector, kappa: int, L: int) -> CycleCensus:
     """Closed-form 6-cycle census of the coupled protograph.
 
     Single-replica and two-replica components are evaluated once with the H0
     parameters and once with their complements.  Raises when the vector
-    violates a validity chain, naming the chain.
+    violates a validity chain, naming the chain, when L < 2, or when the
+    total could leave the int64 range the solver computes in.
     """
+    _check_coupling_length(L)
     vector.validate(kappa)
-    comp = vector.complement(kappa)
-    v, w = vector, comp
-    single = (
-        count_cycles_same_half(v.o01, v.o02, v.o12, v.o012),
-        count_cycles_same_half(w.o01, w.o02, w.o12, w.o012),
-        count_cycles_split_half(v.r0, v.r1, v.r2, v.o01, v.o02, v.o12, v.o012),
-        count_cycles_split_half(w.r0, w.r1, w.r2, w.o01, w.o02, w.o12, w.o012),
-    )
-    cross = (
-        count_cycles_two_replica_band(kappa, v.r0, v.r1, v.r2, v.o01, v.o02, v.o12, v.o012),
-        count_cycles_two_replica_band(kappa, w.r0, w.r1, w.r2, w.o01, w.o02, w.o12, w.o012),
-        count_cycles_two_replica_corner(v.r0, v.r1, v.r2, v.o01, v.o02, v.o12, v.o012),
-        count_cycles_two_replica_corner(w.r0, w.r1, w.r2, w.o01, w.o02, w.o12, w.o012),
-    )
+    v = vector.as_list()
+    single, cross = _census_terms(kappa, v, _complement(kappa, *v))
+    _check_exact_range(L, sum(single) + sum(cross))
     return CycleCensus(single=single, cross=cross, L=L)
 
 
-def enumerate_valid_overlaps(kappa: int) -> Iterator[OverlapVector]:
-    """Yield every valid overlap vector exactly once.
+def _expand(cols: list, start: np.ndarray, stop: np.ndarray) -> list:
+    """Repeat each row once per value of a new column ranging over [start, stop).
 
-    Parameters are nested so each loop bound prunes using the values already
-    fixed; the balance constraint folds into the innermost range.
+    Rows keep their order and the new values ascend within each row, so the
+    result is the order of a loop nested one level deeper.
+    """
+    count = np.maximum(stop - start, 0)
+    row = np.repeat(np.arange(count.size), count)
+    offset = np.arange(row.size) - (np.cumsum(count) - count)[row]
+    return [c[row] for c in cols] + [start[row] + offset]
+
+
+def _overlap_slabs(kappa: int) -> Iterator[np.ndarray]:
+    """Yield the valid vectors of each r0 in turn, as (7, n) int64 arrays.
+
+    Columns are in field order, rows in the order of the nested loop over
+    r0, o01, r1, o012, o02, o12, r2, where each range prunes with the values
+    already fixed and the balance constraint folds into the range of r2.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
@@ -281,18 +321,26 @@ def enumerate_valid_overlaps(kappa: int) -> Iterator[OverlapVector]:
     bal_lo = (3 * kappa) // 2
     bal_hi = -((-3 * kappa) // 2)
     for r0 in range(kappa + 1):
-        for o01 in range(r0 + 1):
-            for r1 in range(o01, kappa - r0 + o01 + 1):
-                for o012 in range(o01 + 1):
-                    for o02 in range(o012, r0 - o01 + o012 + 1):
-                        for o12 in range(o012, r1 - o01 + o012 + 1):
-                            lo = max(o02 + o12 - o012, bal_lo - r0 - r1)
-                            hi = min(
-                                kappa - r0 - r1 + o01 + o02 + o12 - o012,
-                                bal_hi - r0 - r1,
-                            )
-                            for r2 in range(lo, hi + 1):
-                                yield OverlapVector(r0, r1, r2, o01, o02, o12, o012)
+        o01 = np.arange(r0 + 1, dtype=np.int64)
+        o01, r1 = _expand([o01], o01, o01 + kappa - r0 + 1)
+        o01, r1, o012 = _expand([o01, r1], np.zeros_like(o01), o01 + 1)
+        o01, r1, o012, o02 = _expand([o01, r1, o012], o012, o012 + r0 - o01 + 1)
+        o01, r1, o012, o02, o12 = _expand([o01, r1, o012, o02], o012, o012 + r1 - o01 + 1)
+        lo = np.maximum(o02 + o12 - o012, bal_lo - r0 - r1)
+        hi = np.minimum(kappa - r0 - r1 + o01 + o02 + o12 - o012, bal_hi - r0 - r1)
+        o01, r1, o012, o02, o12, r2 = _expand([o01, r1, o012, o02, o12], lo, hi + 1)
+        yield np.stack([np.full_like(r2, r0), r1, r2, o01, o02, o12, o012])
+
+
+def enumerate_valid_overlaps(kappa: int) -> Iterator[OverlapVector]:
+    """Yield every valid overlap vector exactly once.
+
+    Vectors come in the order of a loop nest over r0, o01, r1, o012, o02,
+    o12, r2, outermost first.
+    """
+    for slab in _overlap_slabs(kappa):
+        for row in slab.T.tolist():
+            yield OverlapVector(*row)
 
 
 @dataclass(frozen=True)
@@ -317,21 +365,29 @@ class OOSolution:
 def solve_optimal_overlap(kappa: int, L: int) -> OOSolution:
     """Minimize the protograph 6-cycle count over all valid overlap vectors.
 
-    Returns the minimum and every minimizer, sorted lexicographically.
+    Each r0 slab of valid vectors is scored at once: the census terms run on
+    the slab's int64 columns and their complements, and every vector reaching
+    the slab's minimum is kept.  Raises when L < 2, or when L times the
+    largest Fs + Fd could leave the int64 range.  Returns the minimum and
+    every minimizer, as Python ints, sorted lexicographically.
     """
     if kappa < 2:
         raise ValueError("kappa must be >= 2")
+    _check_coupling_length(L)
     best = None
-    optima: list[OverlapVector] = []
-    for vec in enumerate_valid_overlaps(kappa):
-        f = cycle6_census(vec, kappa, L).total
-        if best is None or f < best:
-            best = f
-            optima = [vec]
-        elif f == best:
-            optima.append(vec)
-    optima.sort()
-    return OOSolution(f_star=best, optima=tuple(optima), kappa=kappa, L=L)
+    optima: list[list[int]] = []
+    for slab in _overlap_slabs(kappa):
+        single, cross = _census_terms(kappa, slab, _complement(kappa, *slab))
+        fs, fd = sum(single), sum(cross)
+        _check_exact_range(L, int((fs + fd).max()))
+        f = L * fs + (L - 1) * fd
+        low = int(f.min())
+        if best is None or low < best:
+            best, optima = low, []
+        if low == best:
+            optima.extend(slab[:, np.flatnonzero(f == low)].T.tolist())
+    vectors = tuple(sorted(OverlapVector(*row) for row in optima))
+    return OOSolution(f_star=best, optima=vectors, kappa=kappa, L=L)
 
 
 def count_partition_choices(vector: OverlapVector, kappa: int) -> int:

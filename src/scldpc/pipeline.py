@@ -46,6 +46,8 @@ class DesignConfig:
     optimum_index: int = 0
 
     def __post_init__(self):
+        if self.L < 2:
+            raise ValueError("coupling length L must be >= 2")
         if self.field_lam < 2:
             raise ValueError("code design requires a field with q >= 4")
 

@@ -1,7 +1,10 @@
 """Independent reference implementations used only to check the library.
 
 Everything here is deliberately naive: DFS walks, exhaustive filters, dense
-matrices.  None of it shares code with the library paths under test.
+matrices, nested loops.  None of it shares code with the library paths under
+test, with one exception: the overlap-solver references score vectors one at
+a time with the scalar ``cycle6_census``, whose formulas the DFS counts pin
+on their own, so they check the solver's enumeration and selection.
 """
 
 from __future__ import annotations
@@ -9,6 +12,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from scldpc.overlap import OverlapVector, cycle6_census
 
 
 def dfs_count_cycles(matrix, length: int) -> int:
@@ -98,6 +103,41 @@ def naive_overlap_filter(kappa: int) -> list[tuple[int, ...]]:
             continue
         out.append((r0, r1, r2, o01, o02, o12, o012))
     return out
+
+
+def loop_valid_overlaps(kappa: int):
+    """Valid overlap 7-tuples from a nested loop, in the solver's vector order.
+
+    Each loop bound prunes with the parameters already fixed; the balance
+    constraint folds into the innermost range.
+    """
+    bal_lo = (3 * kappa) // 2
+    bal_hi = -((-3 * kappa) // 2)
+    for r0 in range(kappa + 1):
+        for o01 in range(r0 + 1):
+            for r1 in range(o01, kappa - r0 + o01 + 1):
+                for o012 in range(o01 + 1):
+                    for o02 in range(o012, r0 - o01 + o012 + 1):
+                        for o12 in range(o012, r1 - o01 + o012 + 1):
+                            lo = max(o02 + o12 - o012, bal_lo - r0 - r1)
+                            hi = min(
+                                kappa - r0 - r1 + o01 + o02 + o12 - o012,
+                                bal_hi - r0 - r1,
+                            )
+                            for r2 in range(lo, hi + 1):
+                                yield (r0, r1, r2, o01, o02, o12, o012)
+
+
+def scalar_optima(vectors, kappa: int, L: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Minimum census total over 7-tuples, one scalar census each, and its sorted minimizers."""
+    totals = {tuple(v): cycle6_census(OverlapVector(*v), kappa, L).total for v in vectors}
+    best = min(totals.values())
+    return best, sorted(v for v, f in totals.items() if f == best)
+
+
+def naive_solve_overlap(kappa: int, L: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Optimal-overlap minimum and optima over every vector of the brute-force filter."""
+    return scalar_optima(naive_overlap_filter(kappa), kappa, L)
 
 
 def build_lifted_dense(gamma: int, kappa: int, p: int, powers, mask, L: int):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,6 +8,9 @@ from scldpc.overlap import (
     OverlapConstraintError,
     OverlapVector,
     count_cycles_same_half,
+    count_cycles_split_half,
+    count_cycles_two_replica_band,
+    count_cycles_two_replica_corner,
     count_partition_choices,
     cycle6_census,
     enumerate_valid_overlaps,
@@ -16,7 +20,14 @@ from scldpc.overlap import (
 )
 from scldpc.qc import PartitionMask
 
-from oracles import build_lifted_dense, dfs_count_cycles, naive_overlap_filter
+from oracles import (
+    build_lifted_dense,
+    dfs_count_cycles,
+    loop_valid_overlaps,
+    naive_overlap_filter,
+    naive_solve_overlap,
+    scalar_optima,
+)
 
 
 def coupled_protograph_dense(mask: PartitionMask, kappa: int, L: int):
@@ -165,6 +176,17 @@ class TestEnumeration:
         naive = set(naive_overlap_filter(4))
         assert mine == naive
 
+    @pytest.mark.parametrize("kappa", range(1, 14))
+    def test_matches_nested_loop_in_order(self, kappa):
+        mine = [tuple(v.as_list()) for v in enumerate_valid_overlaps(kappa)]
+        assert mine == list(loop_valid_overlaps(kappa))
+
+    def test_kappa_above_limit_rejected(self):
+        with pytest.raises(ValueError, match="kappa above 64"):
+            next(enumerate_valid_overlaps(65))
+        with pytest.raises(ValueError, match="kappa above 64"):
+            solve_optimal_overlap(65, 2)
+
 
 class TestSolve:
     def test_example_optimum(self):
@@ -178,6 +200,45 @@ class TestSolve:
         for vec in sol.optima:
             census = cycle6_census(vec, 7, 2)
             assert sol.f_star == 2 * census.fs + census.fd
+
+    @pytest.mark.parametrize("kappa", range(2, 7))
+    def test_matches_naive_solve(self, kappa):
+        for L in (2, 3, 30):
+            sol = solve_optimal_overlap(kappa, L)
+            f_star, optima = naive_solve_overlap(kappa, L)
+            assert sol.f_star == f_star
+            assert [tuple(v.as_list()) for v in sol.optima] == optima
+
+    def test_pinned_kappa23(self):
+        sol = solve_optimal_overlap(23, 20)
+        assert (sol.f_star, sol.alpha) == (47334, 12)
+
+    def test_pinned_kappa31(self):
+        sol = solve_optimal_overlap(31, 20)
+        assert (sol.f_star, sol.alpha) == (122960, 12)
+        assert [v.as_list() for v in sol.optima[:2]] == [
+            [15, 15, 16, 7, 0, 8, 0],
+            [15, 15, 16, 7, 8, 0, 0],
+        ]
+
+    def test_results_are_python_ints(self, capsys):
+        from scldpc import cli
+
+        sol = solve_optimal_overlap(13, 10)
+        assert type(sol.f_star) is int
+        assert all(type(x) is int for v in sol.optima for x in v.as_list())
+        assert type(count_cycles_same_half(3, 2, 2, 1)) is int
+        assert type(count_cycles_split_half(3, 4, 3, 0, 1, 2, 0)) is int
+        assert type(count_cycles_two_replica_band(7, 3, 4, 3, 0, 1, 2, 0)) is int
+        assert type(count_cycles_two_replica_corner(3, 4, 3, 0, 1, 2, 0)) is int
+        assert cli.main(["oo-solve", "--kappa", "13", "--L", "10"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert json.loads(json.dumps(payload)) == {
+            "F_star": sol.f_star,
+            "alpha": sol.alpha,
+            "optima": [v.as_list() for v in sol.optima],
+            "N_choices": sol.n_choices,
+        }
 
     @pytest.mark.slow
     def test_matches_mask_level_bruteforce_kappa4(self):
@@ -198,6 +259,47 @@ class TestSolve:
             val = dfs_count_cycles(H, 6)
             best = val if best is None else min(best, val)
         assert best == solve_optimal_overlap(kappa, L).f_star
+
+
+class TestCouplingLength:
+    @pytest.mark.parametrize("L", [0, -3, 1])
+    def test_short_coupling_rejected(self, L):
+        with pytest.raises(ValueError, match="coupling length L must be >= 2"):
+            solve_optimal_overlap(7, L)
+        with pytest.raises(ValueError, match="coupling length L must be >= 2"):
+            cycle6_census(OverlapVector(3, 4, 3, 0, 1, 2, 0), 7, L)
+
+    def test_long_coupling_stays_exact(self):
+        # L * max(Fs + Fd) is 7.22e18 at kappa=21, just inside int64
+        L = 10**15
+        sol = solve_optimal_overlap(21, L)
+        assert sol.f_star == cycle6_census(sol.optima[0], 21, L).total
+        # once L exceeds every Fd, both minimize Fs + Fd and then maximize Fd
+        assert sol.optima == solve_optimal_overlap(21, 2 * 10**6).optima
+
+    def test_int64_overflow_rejected(self):
+        # L * max(Fs + Fd) is 9.24e18 at kappa=22, past int64
+        with pytest.raises(ValueError, match="int64"):
+            solve_optimal_overlap(22, 10**15)
+        vec = OverlapVector(3, 4, 3, 0, 1, 2, 0)  # Fs + Fd = 40
+        assert cycle6_census(vec, 7, 10**17).total == 10**17 * 10 + (10**17 - 1) * 30
+        with pytest.raises(ValueError, match="int64"):
+            cycle6_census(vec, 7, 10**18)
+
+    def test_cli_reports_short_coupling(self, capsys):
+        from scldpc import cli
+
+        rc = cli.main(["oo-solve", "--kappa", "7", "--L", "0"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == "scldpc: error: coupling length L must be >= 2\n"
+
+    def test_design_config_rejects_short_coupling(self):
+        from scldpc.pipeline import DesignConfig
+
+        with pytest.raises(ValueError, match="coupling length L must be >= 2"):
+            DesignConfig(kappa=7, p=7, L=0)
 
 
 class TestChoicesAndMasks:
@@ -257,6 +359,15 @@ class TestChoicesAndMasks:
         assert len(set(per_vector)) == 1
         assert per_vector[0] == count_partition_choices(sol.optima[0], 7)
         assert sum(per_vector) == sol.n_choices
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=2, max_value=11), st.integers(min_value=2, max_value=40))
+def test_solve_matches_loop_scalar_minimum(kappa, L):
+    sol = solve_optimal_overlap(kappa, L)
+    f_star, optima = scalar_optima(loop_valid_overlaps(kappa), kappa, L)
+    assert sol.f_star == f_star
+    assert [tuple(v.as_list()) for v in sol.optima] == optima
 
 
 @settings(max_examples=30, deadline=None)
