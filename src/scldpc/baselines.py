@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -27,16 +26,7 @@ __all__ = [
     "MoSearchResult",
     "mo_search",
     "mo_best",
-    "worker_count",
 ]
-
-
-def worker_count() -> int:
-    """Worker count for the exhaustive searches, from SCLDPC_WORKERS."""
-    try:
-        return max(1, int(os.environ.get("SCLDPC_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def cv_mask(zeta: Sequence[int], kappa: int) -> PartitionMask:
@@ -50,15 +40,7 @@ def cv_mask(zeta: Sequence[int], kappa: int) -> PartitionMask:
     )
 
 
-def _score_cv(args) -> tuple[int, tuple[int, ...]]:
-    proto, zeta, L = args
-    mask = cv_mask(zeta, proto.kappa)
-    return count_ugast_3330_for(proto, mask, L), tuple(zeta)
-
-
-def cv_exhaustive_best(
-    proto: ProtoMatrix, L: int, workers: Optional[int] = None
-) -> tuple[tuple[int, ...], int]:
+def cv_exhaustive_best(proto: ProtoMatrix, L: int) -> tuple[tuple[int, ...], int]:
     """Best ascending cutting vector by exhaustive search.
 
     Returns (zeta, lifted (3,3,3,0) count).  Ties break toward the
@@ -66,17 +48,10 @@ def cv_exhaustive_best(
     """
     if proto.gamma != 3:
         raise ValueError("baselines are defined for column weight 3")
-    zetas = list(itertools.combinations_with_replacement(range(proto.kappa + 1), 3))
-    jobs = [(proto, z, L) for z in zetas]
-    workers = worker_count() if workers is None else workers
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_score_cv, jobs, chunksize=32))
-    else:
-        results = [_score_cv(j) for j in jobs]
-    count, zeta = min(results)
+    count, zeta = min(
+        (count_ugast_3330_for(proto, cv_mask(zeta, proto.kappa), L), zeta)
+        for zeta in itertools.combinations_with_replacement(range(proto.kappa + 1), 3)
+    )
     return zeta, count
 
 

@@ -2,9 +2,8 @@
 
 Subcommands mirror the library stages: oo-solve, cpo, count, baseline, gast,
 pipeline, table1, export-alist.  Every command that uses randomness takes a
---seed flag; output is JSON on stdout unless --out is given.  The exhaustive
-searches honor the SCLDPC_WORKERS environment variable.  Invalid input is
-reported as one "scldpc: error: ..." line on stderr, with exit status 2.
+--seed flag; output is JSON on stdout unless --out is given.  Invalid input
+is reported as one "scldpc: error: ..." line on stderr, with exit status 2.
 """
 
 from __future__ import annotations

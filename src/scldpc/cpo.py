@@ -18,9 +18,14 @@ from typing import Optional
 import numpy as np
 
 from .cycles import SPAN_DUAL, TwoReplicaWindow, build_window
-from .qc import PartitionMask, ProtoMatrix, is_prime
+from .qc import PartitionMask, ProtoMatrix, _check_coupling_length, is_prime
 
 __all__ = ["CpoResult", "active_census", "cpo_optimize"]
+
+# the candidate pool starts at the TOP_B most-loaded circulants and widens
+# by TOP_B on a plateau; PAIR_SAMPLES random pair moves are tried per width
+TOP_B = 3
+PAIR_SAMPLES = 40
 
 
 def active_census(
@@ -65,7 +70,11 @@ class CpoResult:
 
 
 class _State:
-    """Mutable descent state over one window."""
+    """Mutable descent state over one window.
+
+    ``b4`` and ``b6`` are the window cycles' balances mod p under ``flat``;
+    ``moved`` is the one update rule for a change of one entry's power.
+    """
 
     def __init__(self, window: TwoReplicaWindow, flat: np.ndarray, L: int):
         self.win = window
@@ -83,32 +92,31 @@ class _State:
         duals = int(np.count_nonzero(act & self.dual))
         return (self.L * (singles // 2) + (self.L - 1) * duals) * self.p
 
+    def moved(self, b: np.ndarray, coef_byentry: np.ndarray, e: int, v: int) -> np.ndarray:
+        """Balances ``b`` after entry e moves from its current power to v."""
+        return (b + coef_byentry[e] * (int(v) - int(self.flat[e]))) % self.p
+
     def try_changes(self, changes: list[tuple[int, int]]) -> Optional[int]:
-        """Score after setting entry e to power v; None if a 4-cycle activates."""
-        nb4 = self.b4
-        nb6 = self.b6
+        """Score after setting entry e to power v; None if a 4-cycle activates.
+
+        The 4-cycle balances are checked first, so a rejected move never
+        touches the larger 6-cycle table.
+        """
+        b4 = self.b4
         for e, v in changes:
-            d = int(v) - int(self.flat[e])
-            if d == 0:
-                continue
-            nb4 = nb4 + self.win.coef4_byentry[e] * d
-            nb6 = nb6 + self.win.coef6_byentry[e] * d
-        if ((nb4 % self.p) == 0).any():
+            b4 = self.moved(b4, self.win.coef4_byentry, e, v)
+        if not b4.all():
             return None
-        return self._score(nb6 % self.p)
+        b6 = self.b6
+        for e, v in changes:
+            b6 = self.moved(b6, self.win.coef6_byentry, e, v)
+        return self._score(b6)
 
     def apply(self, changes: list[tuple[int, int]]) -> None:
         for e, v in changes:
-            d = int(v) - int(self.flat[e])
-            self.b4 = (self.b4 + self.win.coef4_byentry[e] * d) % self.p
-            self.b6 = (self.b6 + self.win.coef6_byentry[e] * d) % self.p
+            self.b4 = self.moved(self.b4, self.win.coef4_byentry, e, v)
+            self.b6 = self.moved(self.b6, self.win.coef6_byentry, e, v)
             self.flat[e] = v
-        self.f_sc = self._score(self.b6)
-
-    def reset_from(self, flat: np.ndarray) -> None:
-        self.flat = flat.copy()
-        self.b6 = self.win.balances6(self.flat)
-        self.b4 = self.win.balances4(self.flat)
         self.f_sc = self._score(self.b6)
 
 
@@ -119,29 +127,26 @@ def cpo_optimize(
     budget: int = 100_000,
     seed: int = 0,
     target: int = 0,
-    top_b: int = 3,
-    pair_samples: int = 40,
 ) -> CpoResult:
     """Minimize the lifted (3,3,3,0) count by re-powering circulants.
 
     ``budget`` caps candidate evaluations; the search also stops once the
-    count reaches ``target``.  The candidate pool starts at the ``top_b``
-    most-loaded circulants and widens by ``top_b`` on a plateau.
-    Deterministic for fixed arguments.  Requires gamma = 3 and an
+    count reaches ``target``.  The candidate pool starts at the ``TOP_B``
+    most-loaded circulants and widens by ``TOP_B`` on a plateau.
+    Deterministic for fixed arguments.  Requires gamma = 3, L >= 2 and an
     array-based start (kappa <= p, p prime).
     """
     if proto.gamma != 3:
         raise ValueError("the optimizer is defined for column weight 3")
     if proto.kappa > proto.p or not is_prime(proto.p):
         raise ValueError("array-based initialization needs kappa <= p with p prime")
-    if top_b < 1:
-        raise ValueError(f"top_b must be at least 1, got {top_b}")
+    _check_coupling_length(L)
     g, k, p = proto.gamma, proto.kappa, proto.p
 
     ab = np.array([[(i * j) % p for j in range(k)] for i in range(g)], dtype=np.int64)
     window = build_window(proto, mask)
     state = _State(window, ab.reshape(-1), L)
-    if ((state.b4 % p) == 0).any():
+    if not state.b4.all():
         raise ValueError("initial powers activate a 4-cycle; cannot start")
 
     rng = random.Random(seed)
@@ -167,67 +172,55 @@ def cpo_optimize(
             best_flat = state.flat.copy()
             trace.append((evals, diff, state.f_sc))
 
+    def best_of(moves) -> Optional[tuple[int, tuple, list[tuple[int, int]]]]:
+        # best = (f_sc, lexicographic (row, col, power) key, changes)
+        nonlocal evals
+        best = None
+        for changes in moves:
+            if evals >= budget:
+                break
+            evals += 1
+            f = state.try_changes(changes)
+            if f is not None and f < state.f_sc:
+                key = tuple(sorted((e // k, e % k, v) for e, v in changes))
+                if best is None or (f, key) < best[:2]:
+                    best = (f, key, changes)
+        return best
+
+    def random_pairs(pool: list[int]):
+        for _ in range(PAIR_SAMPLES):
+            e1, e2 = rng.sample(pool, 2)
+            yield [(e1, rng.randrange(p)), (e2, rng.randrange(p))]
+
     while evals < budget and best_f > target:
         counts, _, _ = active_census(window, state.flat.reshape(g, k))
         order = sorted(range(n_entries), key=lambda e: (-counts.reshape(-1)[e], e))
-        width = top_b
+        width = TOP_B
         accepted = False
         while width <= n_entries and not accepted and evals < budget:
             pool = order[:width]
-            # best = (f_sc, lexicographic (row, col, power) key, changes)
-            best_move: Optional[tuple[int, tuple, list[tuple[int, int]]]] = None
-            for e in pool:
-                cur = int(state.flat[e])
-                for v in range(p):
-                    if v == cur:
-                        continue
-                    evals += 1
-                    f = state.try_changes([(e, v)])
-                    if f is not None and f < state.f_sc:
-                        key = ((e // k, e % k, v),)
-                        if best_move is None or (f, key) < (best_move[0], best_move[1]):
-                            best_move = (f, key, [(e, v)])
-                    if evals >= budget:
-                        break
-                if evals >= budget:
-                    break
+            best_move = best_of([(e, v)] for e in pool for v in range(p) if v != state.flat[e])
             if best_move is None and len(pool) >= 2:
-                for _ in range(pair_samples):
-                    if evals >= budget:
-                        break
-                    e1, e2 = rng.sample(pool, 2)
-                    v1 = rng.randrange(p)
-                    v2 = rng.randrange(p)
-                    evals += 1
-                    f = state.try_changes([(e1, v1), (e2, v2)])
-                    if f is not None and f < state.f_sc:
-                        key = tuple(sorted([(e1 // k, e1 % k, v1), (e2 // k, e2 % k, v2)]))
-                        if best_move is None or (f, key) < (best_move[0], best_move[1]):
-                            best_move = (f, key, [(e1, v1), (e2, v2)])
+                best_move = best_of(random_pairs(pool))
             if best_move is not None:
                 state.apply(best_move[2])
                 record_if_best()
                 accepted = True
             else:
-                width += top_b
+                width += TOP_B
         if not accepted and evals < budget and best_f > target:
             # plateau everywhere: random walk over a few entries, keeping
             # every 4-cycle inactive, then resume the descent from there
             restarts += 1
-            flat = state.flat.copy()
-            b4 = window.balances4(flat)
             for _ in range(1 + rng.randrange(2 * g)):
                 e = rng.randrange(n_entries)
-                values = [v for v in range(p) if v != flat[e]]
+                values = [v for v in range(p) if v != state.flat[e]]
                 rng.shuffle(values)
                 for v in values:
                     evals += 1
-                    nb4 = (b4 + window.coef4_byentry[e] * (v - int(flat[e]))) % p
-                    if not (nb4 == 0).any():
-                        b4 = nb4
-                        flat[e] = v
+                    if state.moved(state.b4, window.coef4_byentry, e, v).all():
+                        state.apply([(e, v)])
                         break
-            state.reset_from(flat)
 
     powers = tuple(tuple(int(x) for x in best_flat[i * k : (i + 1) * k]) for i in range(g))
     return CpoResult(

@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .qc import PartitionMask, ProtoMatrix, SCCode
+from .qc import PartitionMask, ProtoMatrix, SCCode, _check_coupling_length
 
 __all__ = [
     "ProtoCycle",
@@ -318,7 +318,9 @@ def count_ugast_3330_for(proto: ProtoMatrix, mask: PartitionMask, L: int) -> int
     """p times the active window 6-cycles weighted (L, L-1).
 
     Unchecked: equals the (3,3,3,0) count only when no 4-cycle is active.
+    Raises when L < 2.
     """
+    _check_coupling_length(L)
     fa_s, fa_d = census_active_counts(proto, mask)
     return (L * fa_s + (L - 1) * fa_d) * proto.p
 

@@ -55,6 +55,8 @@ __all__ = [
 
 # largest (q-1)^a the oracle scans; a = 10 at q = 8 would be 282 M rows
 MAX_ORACLE_ASSIGNMENTS = 2**20
+# largest change set the brute-force removal stream tries
+MAX_CHANGES = 2
 
 
 @dataclass(frozen=True)
@@ -240,16 +242,15 @@ def is_gast(
 class RemovalBudget:
     """Topological removal parameters for instances with b = d1."""
 
+    gamma: int
     g: int
-    b_vm: int
     d1_vm: int
     a_vm: int
     n_co: int
-    e_min: int
     e_mu: int
 
 
-def removal_budget(instance: GastInstance, gamma: int) -> RemovalBudget:
+def removal_budget(instance: GastInstance) -> RemovalBudget:
     """Budget for the closed-form candidate enumeration.
 
     Requires b = d1 (every unsatisfied check is a degree-1 check) and that
@@ -261,7 +262,7 @@ def removal_budget(instance: GastInstance, gamma: int) -> RemovalBudget:
         raise ValueError(
             "closed-form removal budget needs b = d1; use the generic remover"
         )
-    g = (gamma - 1) // 2
+    g = (top.gamma - 1) // 2
     deg1 = top.deg1_per_vn
     d1_vm = max(deg1)
     vm_nodes = [v for v, d in enumerate(deg1) if d == d1_vm]
@@ -278,19 +279,17 @@ def removal_budget(instance: GastInstance, gamma: int) -> RemovalBudget:
         for cn in top.shared_cns
         if len(cn) == 2 and cn[0] in vm_set and cn[1] in vm_set
     )
-    e_mu = g - d1_vm + 1
     return RemovalBudget(
+        gamma=top.gamma,
         g=g,
-        b_vm=d1_vm,
         d1_vm=d1_vm,
         a_vm=len(vm_nodes),
         n_co=n_co,
-        e_min=e_mu,
-        e_mu=e_mu,
+        e_mu=g - d1_vm + 1,
     )
 
 
-def count_candidate_sets(budget: RemovalBudget, gamma: int, q: int) -> int:
+def count_candidate_sets(budget: RemovalBudget, q: int) -> int:
     """Number of minimum-cardinality candidate weight-change sets.
 
     General case: pick one maximally-loaded node, e_mu of its degree-2
@@ -298,6 +297,7 @@ def count_candidate_sets(budget: RemovalBudget, gamma: int, q: int) -> int:
     edge.  When a single change suffices, sets reachable from two such nodes
     through a shared check are counted once.
     """
+    gamma = budget.gamma
     if budget.d1_vm != budget.g:
         return budget.a_vm * math.comb(gamma - budget.d1_vm, budget.e_mu) * (
             2 * (q - 2)
@@ -317,9 +317,7 @@ def enumerate_candidate_sets(
     count_candidate_sets(...) distinct sets, in deterministic order.
     """
     top = instance.topology
-    deg1 = top.deg1_per_vn
-    d1_vm = max(deg1)
-    vm_nodes = [v for v, d in enumerate(deg1) if d == d1_vm]
+    vm_nodes = [v for v, d in enumerate(top.deg1_per_vn) if d == budget.d1_vm]
     seen: set = set()
     for v in vm_nodes:
         cns = [
@@ -354,9 +352,9 @@ class RemovalOutcome:
 
 
 def _generic_candidates(
-    instance: GastInstance, field: FieldGF, max_changes: int
+    instance: GastInstance, field: FieldGF
 ) -> Iterator[tuple[tuple[int, int, int], ...]]:
-    """All change sets on degree-2 check edges up to the given cardinality."""
+    """All change sets on degree-2 check edges of up to MAX_CHANGES changes."""
     top = instance.topology
     edges = [
         (c, v)
@@ -364,7 +362,7 @@ def _generic_candidates(
         if len(cn) == 2
         for v in sorted(cn)
     ]
-    for size in range(1, max_changes + 1):
+    for size in range(1, MAX_CHANGES + 1):
         for edge_set in itertools.combinations(edges, size):
             if len({c for c, _ in edge_set}) != size:
                 continue
@@ -376,12 +374,7 @@ def _generic_candidates(
                 yield tuple(sorted(combo))
 
 
-def remove_gast_weights(
-    instance: GastInstance,
-    field: FieldGF,
-    gamma: Optional[int] = None,
-    max_changes: int = 2,
-) -> RemovalOutcome:
+def remove_gast_weights(instance: GastInstance, field: FieldGF) -> RemovalOutcome:
     """Remove the absorbing set by reweighting edges of the instance alone.
 
     Tries candidates in stream order and returns the first set under which
@@ -389,16 +382,15 @@ def remove_gast_weights(
     stream when b = d1 and the budget assumptions hold, otherwise the generic
     brute-force stream.
     """
-    gamma = instance.topology.gamma if gamma is None else gamma
     ok, _ = is_gast(instance.topology, instance.weights, field)
     if not ok:
         return RemovalOutcome(success=True, changes=(), instance=instance)
     stream: Iterator[tuple[tuple[int, int, int], ...]]
     try:
-        budget = removal_budget(instance, gamma)
+        budget = removal_budget(instance)
         stream = enumerate_candidate_sets(instance, budget, field)
     except ValueError:
-        stream = _generic_candidates(instance, field, max_changes)
+        stream = _generic_candidates(instance, field)
     tried = 0
     for changes in stream:
         tried += 1
@@ -412,7 +404,7 @@ def remove_gast_weights(
 
 
 def remove_gast(
-    code: SCCode, instance: GastInstance, field: FieldGF, max_changes: int = 2
+    code: SCCode, instance: GastInstance, field: FieldGF
 ) -> tuple[RemovalOutcome, SCCode]:
     """Config-level removal applied back to the lifted code's edge weights.
 
@@ -422,8 +414,7 @@ def remove_gast(
     top = instance.topology
     if top.vn_ids is None or top.cn_ids is None:
         raise ValueError("instance is not tied to lifted code coordinates")
-    outcome = remove_gast_weights(instance, field, gamma=code.gamma,
-                                  max_changes=max_changes)
+    outcome = remove_gast_weights(instance, field)
     if not outcome.success or not outcome.changes:
         return outcome, code
     lifted = [

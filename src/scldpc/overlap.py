@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .qc import PartitionMask
+from .qc import PartitionMask, _check_coupling_length
 
 __all__ = [
     "OverlapVector",
@@ -64,11 +64,6 @@ class OverlapConstraintError(ValueError):
 def _pos(x):
     """Clamp at zero, for an int or elementwise for an int64 array."""
     return x * (x > 0)
-
-
-def _check_coupling_length(L: int) -> None:
-    if L < 2:
-        raise ValueError("coupling length L must be >= 2")
 
 
 def _check_exact_range(L: int, peak: int) -> None:
@@ -175,12 +170,6 @@ class OverlapVector:
 
     def as_list(self) -> list[int]:
         return [self.r0, self.r1, self.r2, self.o01, self.o02, self.o12, self.o012]
-
-    @classmethod
-    def from_seq(cls, seq: Sequence[int]) -> "OverlapVector":
-        if len(seq) != 7:
-            raise ValueError("overlap vector needs exactly 7 entries")
-        return cls(*(int(x) for x in seq))
 
     def complement(self, kappa: int) -> "OverlapVector":
         """The same quantities measured on H1 instead of H0."""
@@ -312,7 +301,8 @@ def _overlap_slabs(kappa: int) -> Iterator[np.ndarray]:
 
     Columns are in field order, rows in the order of the nested loop over
     r0, o01, r1, o012, o02, o12, r2, where each range prunes with the values
-    already fixed and the balance constraint folds into the range of r2.
+    already fixed and the balance constraint folds into the ranges of o12
+    and r2.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
@@ -325,7 +315,10 @@ def _overlap_slabs(kappa: int) -> Iterator[np.ndarray]:
         o01, r1 = _expand([o01], o01, o01 + kappa - r0 + 1)
         o01, r1, o012 = _expand([o01, r1], np.zeros_like(o01), o01 + 1)
         o01, r1, o012, o02 = _expand([o01, r1, o012], o012, o012 + r0 - o01 + 1)
-        o01, r1, o012, o02, o12 = _expand([o01, r1, o012, o02], o012, o012 + r1 - o01 + 1)
+        # o12 is clipped to the values that leave r2 a nonempty range
+        o12_lo = np.maximum(o012, bal_lo - kappa - o01 - o02 + o012)
+        o12_hi = np.minimum(o012 + r1 - o01, bal_hi - r0 - r1 - o02 + o012)
+        o01, r1, o012, o02, o12 = _expand([o01, r1, o012, o02], o12_lo, o12_hi + 1)
         lo = np.maximum(o02 + o12 - o012, bal_lo - r0 - r1)
         hi = np.minimum(kappa - r0 - r1 + o01 + o02 + o12 - o012, bal_hi - r0 - r1)
         o01, r1, o012, o02, o12, r2 = _expand([o01, r1, o012, o02, o12], lo, hi + 1)

@@ -22,7 +22,9 @@ from .cycles import count_ugast_3330, count_ugast_3330_for, girth_check
 from .gast import gast_scan, remove_gast
 from .gf import FieldGF
 from .overlap import realize_mask, solve_optimal_overlap
-from .qc import PartitionMask, build_ab_powers, code_from_json, code_to_json, couple, label_edges
+from .qc import (
+    PartitionMask, _check_coupling_length, build_ab_powers, code_to_json, couple, label_edges
+)
 
 __all__ = ["DesignConfig", "DesignReport", "PipelineError", "run_pipeline", "table1_report"]
 
@@ -40,14 +42,12 @@ class DesignConfig:
     seed_cpo: int = 0
     cpo_budget: int = 100_000
     cpo_target: int = 0
-    cpo_top_b: int = 3
     gast_targets: tuple = ((4, 2, 2, 5, 0),)
     gast_a_max: int = 5
     optimum_index: int = 0
 
     def __post_init__(self):
-        if self.L < 2:
-            raise ValueError("coupling length L must be >= 2")
+        _check_coupling_length(self.L)
         if self.field_lam < 2:
             raise ValueError("code design requires a field with q >= 4")
 
@@ -132,7 +132,6 @@ def run_pipeline(config: DesignConfig, out_dir: Optional[str] = None) -> DesignR
             budget=config.cpo_budget,
             seed=config.seed_cpo,
             target=config.cpo_target,
-            top_b=config.cpo_top_b,
         )
         report.f_sc_initial = cpo.f_sc_initial
         report.f_sc_final = cpo.f_sc
@@ -175,7 +174,7 @@ def run_pipeline(config: DesignConfig, out_dir: Optional[str] = None) -> DesignR
         (out / "report.txt").write_text(report.summary() + "\n")
         (out / "code.json").write_text(report.code_json)
         buf = io.StringIO()
-        export_code_alist(code_from_json(report.code_json), buf)
+        export_code_alist(code, buf)
         (out / "code.alist").write_text(buf.getvalue())
     return report
 

@@ -47,6 +47,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_coupling_length(L: int) -> None:
+    if L < 2:
+        raise ValueError("coupling length L must be >= 2")
+
+
 def _freeze(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in r) for r in rows)
 
@@ -141,16 +146,12 @@ class SCCode:
     proto: ProtoMatrix
     mask: PartitionMask
     L: int
-    m: int = 1
     labels: Optional[dict] = None
     field_lam: Optional[int] = None
     label_seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.m != 1:
-            raise ValueError("only memory m=1 coupling is supported")
-        if self.L < 2:
-            raise ValueError("coupling length L must be >= 2")
+        _check_coupling_length(self.L)
         if self.mask.gamma != self.proto.gamma or self.mask.kappa != self.proto.kappa:
             raise ValueError("mask shape does not match protograph shape")
 
@@ -201,10 +202,16 @@ class SCCode:
         return cols
 
     def weight_of(self, row: int, col: int) -> int:
-        """Edge weight at a nonzero entry (1 for unlabeled codes)."""
+        """Edge weight at a nonzero entry (1 for unlabeled codes).
+
+        Raises ValueError when a labelled code has no label at the entry.
+        """
         if self.labels is None:
             return 1
-        return self.labels[(row, col)]
+        try:
+            return self.labels[(row, col)]
+        except KeyError:
+            raise ValueError(f"labelled code has no label at entry ({row}, {col})") from None
 
     def to_dense(self, binary: bool = True):
         """Dense numpy matrix; guarded, intended for small oracle checks."""
@@ -221,8 +228,6 @@ class SCCode:
 
 def couple(proto: ProtoMatrix, mask: PartitionMask, L: int) -> SCCode:
     """Couple the partitioned block code L times (memory 1)."""
-    if L < 2:
-        raise ValueError("coupling length L must be >= 2")
     if L * proto.kappa * proto.p > MAX_LIFTED_COLS:
         raise ValueError(
             f"lifted code would have {L * proto.kappa * proto.p} columns, "
@@ -286,7 +291,7 @@ def code_to_json(code: SCCode) -> str:
         "kappa": code.kappa,
         "p": code.p,
         "L": code.L,
-        "m": code.m,
+        "m": 1,
         "powers": [list(r) for r in code.proto.powers],
         "mask": [list(r) for r in code.mask.assign],
         "field_lam": code.field_lam,
@@ -299,20 +304,40 @@ def code_to_json(code: SCCode) -> str:
 
 
 def code_from_json(text: str) -> SCCode:
+    """Rebuild a code written by ``code_to_json``.
+
+    Refuses a memory other than 1, a label list that does not hold one label
+    per nonzero entry, and a weight outside the field.
+    """
     d = json.loads(text)
-    proto = ProtoMatrix(
-        gamma=d["gamma"], kappa=d["kappa"], p=d["p"], powers=_freeze(d["powers"])
-    )
-    mask = PartitionMask(_freeze(d["mask"]))
-    labels = None
-    if d.get("labels") is not None:
-        labels = {(r, c): w for r, c, w in d["labels"]}
-    return SCCode(
-        proto=proto,
-        mask=mask,
+    if d.get("m", 1) != 1:
+        raise ValueError("only memory m=1 coupling is supported")
+    labels = d.get("labels")
+    if labels is not None:
+        labels = {(r, c): w for r, c, w in labels}
+    code = SCCode(
+        proto=ProtoMatrix(
+            gamma=d["gamma"], kappa=d["kappa"], p=d["p"], powers=_freeze(d["powers"])
+        ),
+        mask=PartitionMask(_freeze(d["mask"])),
         L=d["L"],
-        m=d.get("m", 1),
         labels=labels,
         field_lam=d.get("field_lam"),
         label_seed=d.get("label_seed"),
     )
+    if labels is None:
+        return code
+    # one pass: the entry count, then the weights; placement is checked
+    # where a weight is read (SCCode.weight_of)
+    if len(labels) != code.n_cols * code.gamma:
+        raise ValueError(
+            f"label list holds {len(labels)} distinct entries, "
+            f"the code has {code.n_cols * code.gamma}"
+        )
+    if code.field_lam is None:
+        raise ValueError("a labelled code needs field_lam")
+    q = 1 << code.field_lam
+    bad = [w for w in labels.values() if not 0 < w < q]
+    if bad:
+        raise ValueError(f"label weight {bad[0]} outside 1..{q - 1}")
+    return code

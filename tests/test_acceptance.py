@@ -201,10 +201,10 @@ def test_criterion_9_candidate_set_counts(acceptance_line):
     top7, top8 = example_7_9_9_13(), example_8_0_0_16()
     inst7 = GastInstance(topology=top7, weights={(c, v): 1 for c, cn in enumerate(top7.shared_cns) for v in cn})
     inst8 = GastInstance(topology=top8, weights={(c, v): 1 for c, cn in enumerate(top8.shared_cns) for v in cn})
-    bud7 = removal_budget(inst7, gamma=5)
-    bud8 = removal_budget(inst8, gamma=4)
-    closed = all(count_candidate_sets(bud7, 5, q) == 16 * (q - 2) for q in (4, 8, 16)) and all(
-        count_candidate_sets(bud8, 4, q) == 192 * (q - 2) ** 2 for q in (4, 8)
+    bud7 = removal_budget(inst7)
+    bud8 = removal_budget(inst8)
+    closed = all(count_candidate_sets(bud7, q) == 16 * (q - 2) for q in (4, 8, 16)) and all(
+        count_candidate_sets(bud8, q) == 192 * (q - 2) ** 2 for q in (4, 8)
     )
     n7 = sum(1 for _ in enumerate_candidate_sets(inst7, bud7, GF4))
     n8 = sum(1 for _ in enumerate_candidate_sets(inst8, bud8, GF4))
@@ -219,14 +219,14 @@ def test_criterion_9_candidate_set_counts(acceptance_line):
 def test_criterion_10_removal_soundness(acceptance_line):
     instances = synthesize_instances(50, seed=123)
     sound = 0
-    for inst, gamma in instances:
-        out = remove_gast_weights(inst, GF4, gamma=gamma)
+    for inst in instances:
+        out = remove_gast_weights(inst, GF4)
         if out.success:
             still, _ = is_gast(out.instance.topology, out.instance.weights, GF4)
             assert not still
             sound += 1
         else:
-            bud = removal_budget(inst, gamma)
+            bud = removal_budget(inst)
             for changes in enumerate_candidate_sets(inst, bud, GF4):
                 trial = inst.with_weights({(c, v): w for c, v, w in changes})
                 assert is_gast(trial.topology, trial.weights, GF4)[0]

@@ -6,9 +6,11 @@ from scldpc.baselines import (
     masks_for_vector,
     mo_admissible_vectors,
     mo_best,
+    mo_search,
 )
 from scldpc.cycles import count_ugast_3330_for
 from scldpc.overlap import count_partition_choices, measure_overlaps
+from scldpc.pipeline import table1_report
 from scldpc.qc import PartitionMask, build_ab_powers
 
 
@@ -47,19 +49,22 @@ class TestCvSearch:
         assert count == 3290
         assert count == count_ugast_3330_for(proto, cv_mask(zeta, 7), 30)
 
-    def test_parallel_workers_agree(self):
-        proto = build_ab_powers(3, 7)
-        assert cv_exhaustive_best(proto, 30, workers=2) == cv_exhaustive_best(
-            proto, 30, workers=1
-        )
 
-    def test_worker_count_env(self, monkeypatch):
-        from scldpc.baselines import worker_count
+class TestCouplingLength:
+    SEARCHES = {
+        "census": lambda L: count_ugast_3330_for(
+            build_ab_powers(3, 7), PartitionMask.all_h0(3, 7), L
+        ),
+        "cv": lambda L: cv_exhaustive_best(build_ab_powers(3, 7), L),
+        "mo": lambda L: mo_search(build_ab_powers(3, 7), L),
+        "table1": lambda L: table1_report(L, [7]),
+    }
 
-        monkeypatch.setenv("SCLDPC_WORKERS", "5")
-        assert worker_count() == 5
-        monkeypatch.setenv("SCLDPC_WORKERS", "bogus")
-        assert worker_count() == 1
+    @pytest.mark.parametrize("L", [1, 0, -5])
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    def test_short_coupling_rejected(self, search, L):
+        with pytest.raises(ValueError, match="coupling length L must be >= 2"):
+            self.SEARCHES[search](L)
 
 
 class TestMo:

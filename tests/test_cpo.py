@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -116,8 +119,26 @@ class TestCpoOptimize:
         with pytest.raises(ValueError):
             cpo_optimize(proto, mask, 4)
 
-    @pytest.mark.parametrize("top_b", [0, -1])
-    def test_rejects_empty_candidate_pool(self, oo_setup, top_b):
+    @pytest.mark.parametrize("L", [1, 0, -5])
+    def test_rejects_short_coupling(self, oo_setup, L):
         proto, mask = oo_setup
-        with pytest.raises(ValueError, match="top_b"):
-            cpo_optimize(proto, mask, 30, budget=1_000, top_b=top_b)
+        with pytest.raises(ValueError, match="coupling length L must be >= 2"):
+            cpo_optimize(proto, mask, L, budget=200)
+
+    @pytest.mark.parametrize(
+        "budget, seed, restarts, n_trace, digest",
+        [
+            (5000, 1, 5, 7, "4670fbe143713634fabfcd05a066ac1db29ff90077afc7698b8a993adb3585c5"),
+            # more walks; a walk that leaves the balances stale changes this run
+            (20000, 0, 20, 6, "ea97e63dd9b14cd4b59658254d23041aeb3735477c60bd454928008879f648ad"),
+        ],
+        ids=["seed1", "seed0"],
+    )
+    def test_pinned_runs_with_restarts(self, oo_setup, budget, seed, restarts, n_trace, digest):
+        # the digest pins powers, trace, evals and restarts
+        proto, mask = oo_setup
+        res = cpo_optimize(proto, mask, 30, budget=budget, seed=seed)
+        assert (res.f_sc_initial, res.f_sc, res.evals) == (2058, 203, budget)
+        assert (res.restarts, len(res.trace)) == (restarts, n_trace)
+        got = hashlib.sha256(json.dumps(res.as_dict(), sort_keys=True).encode()).hexdigest()
+        assert got == digest

@@ -203,27 +203,27 @@ class TestOracle:
 class TestBudget:
     def test_example_gamma5(self):
         inst = GastInstance(topology=example_7_9_9_13(), weights=uniform_weights(example_7_9_9_13()))
-        bud = removal_budget(inst, gamma=5)
-        assert (bud.g, bud.d1_vm, bud.a_vm, bud.n_co) == (2, 2, 3, 1)
-        assert bud.e_min == bud.e_mu == 1
+        bud = removal_budget(inst)
+        assert (bud.gamma, bud.g, bud.d1_vm, bud.a_vm, bud.n_co) == (5, 2, 2, 3, 1)
+        assert bud.e_mu == 1
 
     def test_example_gamma4(self):
         inst = GastInstance(topology=example_8_0_0_16(), weights=uniform_weights(example_8_0_0_16()))
-        bud = removal_budget(inst, gamma=4)
-        assert (bud.g, bud.d1_vm, bud.a_vm) == (1, 0, 8)
-        assert bud.e_min == bud.e_mu == 2
+        bud = removal_budget(inst)
+        assert (bud.gamma, bud.g, bud.d1_vm, bud.a_vm) == (4, 1, 0, 8)
+        assert bud.e_mu == 2
 
     def test_loaded_node_at_bound_means_single_change(self):
         # hexagon: g = 1, every VN has one hanging check, so e_mu = 1
         inst = GastInstance(topology=hexagon(), weights=uniform_weights(hexagon()))
-        bud = removal_budget(inst, gamma=3)
+        bud = removal_budget(inst)
         assert bud.d1_vm == bud.g == 1
         assert bud.e_mu == 1
 
     def test_b_not_equal_d1_refused(self):
         inst = GastInstance(topology=hexagon(), weights=uniform_weights(hexagon()), b=4)
         with pytest.raises(ValueError, match="generic"):
-            removal_budget(inst, gamma=3)
+            removal_budget(inst)
 
 
 class TestCandidateSets:
@@ -231,33 +231,33 @@ class TestCandidateSets:
         inst7 = GastInstance(
             topology=example_7_9_9_13(), weights=uniform_weights(example_7_9_9_13())
         )
-        bud7 = removal_budget(inst7, gamma=5)
+        bud7 = removal_budget(inst7)
         for q in (4, 8, 16):
-            assert count_candidate_sets(bud7, 5, q) == 16 * (q - 2)
+            assert count_candidate_sets(bud7, q) == 16 * (q - 2)
         inst8 = GastInstance(
             topology=example_8_0_0_16(), weights=uniform_weights(example_8_0_0_16())
         )
-        bud8 = removal_budget(inst8, gamma=4)
+        bud8 = removal_budget(inst8)
         for q in (4, 8):
-            assert count_candidate_sets(bud8, 4, q) == 192 * (q - 2) ** 2
+            assert count_candidate_sets(bud8, q) == 192 * (q - 2) ** 2
 
     def test_q2_has_no_candidates(self):
         inst = GastInstance(topology=hexagon(), weights=uniform_weights(hexagon()))
-        bud = removal_budget(inst, gamma=3)
-        assert count_candidate_sets(bud, 3, 2) == 0
+        bud = removal_budget(inst)
+        assert count_candidate_sets(bud, 2) == 0
 
     def test_enumeration_length_matches_count(self):
-        for top, gamma in ((example_7_9_9_13(), 5), (example_8_0_0_16(), 4)):
+        for top in (example_7_9_9_13(), example_8_0_0_16()):
             inst = GastInstance(topology=top, weights=uniform_weights(top))
-            bud = removal_budget(inst, gamma=gamma)
+            bud = removal_budget(inst)
             sets = list(enumerate_candidate_sets(inst, bud, GF4))
-            assert len(sets) == count_candidate_sets(bud, gamma, 4)
+            assert len(sets) == count_candidate_sets(bud, 4)
             assert len(set(sets)) == len(sets)
 
     def test_enumerated_sets_touch_only_degree2_checks(self):
         top = example_7_9_9_13()
         inst = GastInstance(topology=top, weights=uniform_weights(top))
-        bud = removal_budget(inst, gamma=5)
+        bud = removal_budget(inst)
         for changes in enumerate_candidate_sets(inst, bud, GF4):
             cns = [c for c, _, _ in changes]
             assert len(set(cns)) == len(cns)  # no shared check inside a set
@@ -300,25 +300,19 @@ class TestRemoval:
         if out.success:
             assert not is_gast(top, out.instance.weights, GF4)[0]
         else:
-            bud = removal_budget(inst, gamma=3)
+            bud = removal_budget(inst)
             for changes in enumerate_candidate_sets(inst, bud, GF4):
                 trial = inst.with_weights({(c, v): w for c, v, w in changes})
                 assert is_gast(trial.topology, trial.weights, GF4)[0]
 
 
-def synthesize_instances(n: int, seed: int) -> list[tuple[GastInstance, int]]:
+def synthesize_instances(n: int, seed: int) -> list[GastInstance]:
     """Random weighted instances (with witnesses) across the shape corpus."""
-    shapes = [
-        (hexagon, 3),
-        (k4_minus_edge, 3),
-        (prism, 3),
-        (example_8_0_0_16, 4),
-        (example_7_9_9_13, 5),
-    ]
+    shapes = [hexagon, k4_minus_edge, prism, example_8_0_0_16, example_7_9_9_13]
     rng = random.Random(seed)
     out = []
     while len(out) < n:
-        mk, gamma = shapes[rng.randrange(len(shapes))]
+        mk = shapes[rng.randrange(len(shapes))]
         top = mk()
         weights = {
             (c, v): rng.randrange(1, 4)
@@ -326,20 +320,20 @@ def synthesize_instances(n: int, seed: int) -> list[tuple[GastInstance, int]]:
             for v in cn
         }
         if is_gast(top, weights, GF4)[0]:
-            out.append((GastInstance(topology=top, weights=weights), gamma))
+            out.append(GastInstance(topology=top, weights=weights))
     return out
 
 
 @pytest.mark.slow
 def test_removal_soundness_on_synthesized_corpus():
     instances = synthesize_instances(50, seed=123)
-    for inst, gamma in instances:
-        out = remove_gast_weights(inst, GF4, gamma=gamma)
+    for inst in instances:
+        out = remove_gast_weights(inst, GF4)
         if out.success:
             assert not is_gast(out.instance.topology, out.instance.weights, GF4)[0]
         else:
             # every candidate must provably fail
-            bud = removal_budget(inst, gamma)
+            bud = removal_budget(inst)
             for changes in enumerate_candidate_sets(inst, bud, GF4):
                 trial = inst.with_weights({(c, v): w for c, v, w in changes})
                 assert is_gast(trial.topology, trial.weights, GF4)[0]

@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from scldpc.cycles import count_ugast_3330
+from scldpc.gast import gast_scan
+from scldpc.gf import FieldGF
 from scldpc.pipeline import (
     DesignConfig,
     PipelineError,
@@ -190,6 +193,20 @@ class TestCli:
         assert json.loads(res.stdout)["counts"]["uncoupled"] == [8820]
 
 
+SCAN_TARGET = (3, 3, 3, 3, 0)
+
+
+def _labelled_code_file(tmp_path):
+    from scldpc.qc import build_ab_powers, code_to_json, couple, label_edges
+    from scldpc.overlap import realize_mask, solve_optimal_overlap
+
+    mask = realize_mask(solve_optimal_overlap(5, 3).optima[0], 5, 1)
+    code = label_edges(couple(build_ab_powers(3, 5), mask, 3), FieldGF(2), seed=1)
+    path = tmp_path / "labelled.json"
+    path.write_text(code_to_json(code))
+    return str(path)
+
+
 def _girth4_code_file(tmp_path):
     from scldpc.qc import PartitionMask, ProtoMatrix, code_to_json, couple
 
@@ -219,6 +236,82 @@ class TestCliErrors:
         out, err = capsys.readouterr()
         assert rc == 2
         assert err == "scldpc: error: q must be a power of two, got 6\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["baseline", "--method", "cv", "--kappa", "7", "--L", "1"],
+            ["baseline", "--method", "mo", "--kappa", "7", "--L", "1"],
+            ["table1", "--L", "1", "--sizes", "7"],
+            ["cpo", "--L", "1", "--budget", "200"],
+        ],
+        ids=["cv", "mo", "table1", "cpo"],
+    )
+    def test_short_coupling_reported(self, tmp_path, capsys, argv):
+        from scldpc import cli
+
+        if argv[0] == "cpo":
+            argv = argv + ["--code", _labelled_code_file(tmp_path)]
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == "scldpc: error: coupling length L must be >= 2\n"
+
+    def test_cpo_zero_length_means_code_length(self, tmp_path, capsys):
+        from scldpc import cli
+
+        path = _labelled_code_file(tmp_path)
+        outputs = []
+        for extra in (["--L", "0"], ["--L", "3"]):
+            assert cli.main(["cpo", "--code", path, "--budget", "300", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("dropped", "label list holds 220 distinct entries, the code has 225"),
+            ("extra", "label list holds 226 distinct entries, the code has 225"),
+            ("out-of-field", "label weight 4 outside 1..3"),
+            ("zero", "label weight 0 outside 1..3"),
+            ("misplaced", "labelled code has no label at entry"),
+            ("no-field", "a labelled code needs field_lam"),
+        ],
+        ids=["dropped", "extra", "out-of-field", "zero", "misplaced", "no-field"],
+    )
+    def test_malformed_labels_reported(self, tmp_path, capsys, fault, message):
+        from scldpc import cli
+
+        payload = json.loads(Path(_labelled_code_file(tmp_path)).read_text())
+        code = code_from_json(json.dumps(payload))
+        labels = payload["labels"]
+
+        def stray_row(col):
+            return min(set(range(code.n_rows)) - set(code.column_rows(col)))
+
+        if fault == "dropped":
+            del labels[-5:]
+        elif fault == "extra":
+            labels.append([stray_row(0), 0, 1])
+        elif fault in ("out-of-field", "zero"):
+            labels[7][2] = 4 if fault == "out-of-field" else 0
+        elif fault == "no-field":
+            payload["field_lam"] = None
+        else:
+            # move the label of an edge of the first instance the scan finds
+            top = gast_scan(code, FieldGF(2), [SCAN_TARGET], a_max=3)[0].topology
+            row, col = top.cn_ids[0], top.vn_ids[top.shared_cns[0][0]]
+            labels[labels.index([row, col, code.labels[(row, col)]])] = [stray_row(col), col, 1]
+            message += f" ({row}, {col})"
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(payload))
+        argv = ["gast", "scan", "--code", str(path), "--targets", str(SCAN_TARGET), "--amax", "3"]
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"scldpc: error: {message}\n"
 
     def test_pipeline_error_reported(self, capsys):
         from scldpc import cli

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from scldpc.alist import export_code_alist, read_alist
 from scldpc.gf import FieldGF
 from scldpc.qc import (
     PartitionMask,
-    SCCode,
     apply_edge_changes,
     build_ab_powers,
     code_from_json,
@@ -132,8 +132,11 @@ class TestCoupling:
 
     def test_memory_other_than_one_refused(self):
         proto = build_ab_powers(3, 5)
-        with pytest.raises(ValueError):
-            SCCode(proto=proto, mask=PartitionMask.all_h0(3, 5), L=3, m=2)
+        payload = json.loads(code_to_json(couple(proto, PartitionMask.all_h0(3, 5), 3)))
+        assert payload["m"] == 1
+        payload["m"] = 2
+        with pytest.raises(ValueError, match="m=1"):
+            code_from_json(json.dumps(payload))
 
 
 class TestProtograph:
