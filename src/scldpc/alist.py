@@ -1,4 +1,4 @@
-"""Read and write sparse binary parity-check matrices in alist text format.
+"""Sparse binary parity-check matrices in alist text format.
 
 Layout: line 1 is "N M" (columns, rows), line 2 the maximum column and row
 degrees, then the per-column and per-row degree lists, then one adjacency
@@ -10,28 +10,7 @@ from __future__ import annotations
 
 from typing import TextIO
 
-__all__ = ["write_alist", "read_alist", "export_code_alist"]
-
-
-def write_alist(out: TextIO, col_adj: list[list[int]], n_rows: int) -> None:
-    """Write the matrix given by per-column row lists (0-indexed)."""
-    n_cols = len(col_adj)
-    row_adj: list[list[int]] = [[] for _ in range(n_rows)]
-    for c, rows in enumerate(col_adj):
-        for r in rows:
-            if not 0 <= r < n_rows:
-                raise ValueError(f"row index {r} out of range")
-            row_adj[r].append(c)
-    col_degs = [len(rows) for rows in col_adj]
-    row_degs = [len(cols) for cols in row_adj]
-    out.write(f"{n_cols} {n_rows}\n")
-    out.write(f"{max(col_degs, default=0)} {max(row_degs, default=0)}\n")
-    out.write(" ".join(map(str, col_degs)) + "\n")
-    out.write(" ".join(map(str, row_degs)) + "\n")
-    for rows in col_adj:
-        out.write(" ".join(str(r + 1) for r in sorted(rows)) + "\n")
-    for cols in row_adj:
-        out.write(" ".join(str(c + 1) for c in sorted(cols)) + "\n")
+__all__ = ["read_alist", "export_code_alist"]
 
 
 def read_alist(inp: TextIO) -> tuple[list[list[int]], int]:
@@ -75,6 +54,14 @@ def read_alist(inp: TextIO) -> tuple[list[list[int]], int]:
 
 
 def export_code_alist(code, out: TextIO) -> None:
-    """Write the lifted binary matrix of an SC code."""
-    col_adj = [code.column_rows(c) for c in range(code.n_cols)]
-    write_alist(out, col_adj, code.n_rows)
+    """Write the lifted binary matrix of an SC code, read off its edge array."""
+    edges = code.edges
+    row_degs = [len(cols) for cols in edges.row_lists]
+    out.write(f"{code.n_cols} {code.n_rows}\n")
+    out.write(f"{edges.gamma} {max(row_degs, default=0)}\n")
+    out.write(" ".join([str(edges.gamma)] * code.n_cols) + "\n")
+    out.write(" ".join(map(str, row_degs)) + "\n")
+    for rows in (edges.rows + 1).tolist():
+        out.write(" ".join(map(str, rows)) + "\n")
+    for cols in edges.row_lists:
+        out.write(" ".join(str(c + 1) for c in cols) + "\n")

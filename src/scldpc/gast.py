@@ -34,7 +34,7 @@ import numpy as np
 
 from .cycles import SPAN_R1, SPAN_R2, _four_cycles, _six_cycles, build_window, girth_check
 from .gf import FieldGF
-from .qc import SCCode, apply_edge_changes
+from .qc import SCCode, TannerEdges, TannerGraph, apply_edge_changes
 
 __all__ = [
     "UgastTopology",
@@ -426,49 +426,24 @@ def remove_gast(
 # -- scanning a lifted code ------------------------------------------------
 
 
-class RawTanner:
+class RawTanner(TannerGraph):
     """A hand-built regular Tanner graph, usable by :func:`gast_scan`.
 
     ``col_adj`` lists the check rows of each variable column; every column
-    must have exactly gamma rows.  Optional ``labels`` maps (row, col) to a
-    weight, defaulting to 1.
+    must have exactly gamma distinct rows.  Optional ``labels`` holds one
+    weight per edge as bytes, column by column with each column's rows
+    ascending (the order of ``edges``); without it every weight is 1.
     """
 
     def __init__(self, col_adj: Sequence[Sequence[int]], gamma: int,
-                 labels: Optional[dict] = None):
-        self.gamma = gamma
-        self._col_adj = [sorted(rows) for rows in col_adj]
-        for c, rows in enumerate(self._col_adj):
+                 labels: Optional[bytes] = None):
+        for c, rows in enumerate(col_adj):
             if len(rows) != gamma or len(set(rows)) != gamma:
                 raise ValueError(f"column {c} must touch exactly gamma distinct rows")
-        self.n_cols = len(self._col_adj)
-        self.n_rows = 1 + max((r for rows in self._col_adj for r in rows), default=0)
+        rows = np.sort(np.array(col_adj, dtype=np.int64).reshape(len(col_adj), gamma), axis=1)
+        self.gamma = gamma
+        self.edges = TannerEdges(rows, 1 + int(rows.max(initial=0)))
         self.labels = labels
-        self._row_adj: dict[int, set[int]] = {}
-        for c, rows in enumerate(self._col_adj):
-            for r in rows:
-                self._row_adj.setdefault(r, set()).add(c)
-
-    def column_rows(self, c: int) -> list[int]:
-        return list(self._col_adj[c])
-
-    def row_cols(self, r: int) -> set[int]:
-        return self._row_adj.get(r, set())
-
-    def weight_of(self, row: int, col: int) -> int:
-        if self.labels is None:
-            return 1
-        return self.labels[(row, col)]
-
-    def _rows(self) -> list[set[int]]:
-        return [self._row_adj[r] for r in sorted(self._row_adj)]
-
-    def six_cycle_vn_sets(self) -> list[tuple[int, ...]]:
-        """Variable triples of all 6-cycles."""
-        return sorted({tuple(sorted(cyc[3:])) for cyc in _six_cycles(self._rows())})
-
-    def has_4cycle(self) -> bool:
-        return next(_four_cycles(self._rows()), None) is not None
 
 
 def lifted_6cycle_vn_sets(code: SCCode) -> list[tuple[int, ...]]:
@@ -547,13 +522,16 @@ def gast_scan(
 ) -> list[GastInstance]:
     """Find absorbing-set instances matching the target labels.
 
-    ``code`` is an SCCode or a RawTanner.  Subsets grow outward from 6-cycle
-    seeds by adding variable nodes that share a check with the current set;
-    growth is pruned once the per-node majority condition is unreachable
-    within ``a_max`` additions.  A node that would complete a subset of
-    ``a_max`` nodes is added only if it shares at least floor(gamma/2)+1
-    checks with the subset: that set is never grown, so the node's shared
-    degree is final, and a set failing it can never be an absorbing set.
+    ``code`` is an SCCode or a RawTanner; both are read through their edge
+    array, taken once as Python lists.  Subsets grow outward from 6-cycle
+    seeds by adding variable nodes that share a check with the current set,
+    up to ``a_max`` nodes, an upper bound clamped to the largest target size
+    (a larger subset can never match).  Growth is pruned once the per-node
+    majority condition is unreachable within the remaining additions.  A
+    node that would complete a subset of that size is added only if it
+    shares at least floor(gamma/2)+1 checks with the subset: that set is
+    never grown, so the node's shared degree is final, and a set failing it
+    can never be an absorbing set.
 
     Each subset's label (a, d1, d2, d3), d2 > d3 and the majority condition
     are read off its row hits in one pass; the topology is built, and the
@@ -570,14 +548,17 @@ def gast_scan(
     need_oracle = any(len(t) == 5 for t in targets)
     if need_oracle and field is None:
         raise ValueError("5-entry targets need a field for the oracle")
+    # a subset larger than every target can never match
+    a_max = min(a_max, max(t[0] for t in targets))
     need_majority = math.floor(code.gamma / 2) + 1
 
     if isinstance(code, SCCode):
         seeds = lifted_6cycle_vn_sets(code)
         convert_bound = 1 if girth_check(code) >= 6 else code.gamma
     else:
-        seeds = code.six_cycle_vn_sets()
-        convert_bound = 1 if not code.has_4cycle() else code.gamma
+        rows = [set(cols) for cols in code.edges.row_lists if cols]
+        seeds = sorted({tuple(sorted(cyc[3:])) for cyc in _six_cycles(rows)})
+        convert_bound = 1 if next(_four_cycles(rows), None) is None else code.gamma
 
     results: list[GastInstance] = []
     visited: set[frozenset] = set()
@@ -588,8 +569,8 @@ def gast_scan(
             visited.add(fs)
             queue.append(fs)
 
-    rows_of = functools.cache(code.column_rows)
-    cols_of = functools.cache(code.row_cols)
+    rows_of = code.edges.columns
+    cols_of = code.edges.row_lists
 
     head = 0
     while head < len(queue):
@@ -598,7 +579,7 @@ def gast_scan(
         a = len(subset)
         row_members: dict[int, list[int]] = {}
         for v in subset:
-            for r in rows_of(v):
+            for r in rows_of[v]:
                 row_members.setdefault(r, []).append(v)
         deg_in = dict.fromkeys(subset, 0)
         d2 = d3 = 0
@@ -639,7 +620,7 @@ def gast_scan(
         # a candidate's shared degree is the number of its rows that hold a
         # member; a set of a_max nodes is never grown, so for the last node
         # that degree is final and must already reach the majority
-        shared_with = Counter(itertools.chain.from_iterable(map(cols_of, row_members)))
+        shared_with = Counter(itertools.chain.from_iterable(map(cols_of.__getitem__, row_members)))
         floor = need_majority if remaining == 1 else 1
         for c in sorted(c for c, n in shared_with.items() if n >= floor and c not in subset):
             nxt = subset | {c}

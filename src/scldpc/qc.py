@@ -6,16 +6,23 @@ one unit to the left.  Partitioning splits the grid into two disjoint halves
 H0/H1 (memory 1); coupling repeats [H0; H1] L times along a diagonal band,
 giving a lifted binary matrix of size (L+1)*gamma*p x L*kappa*p.
 
-Codes are immutable values.  The lifted matrix is never materialized densely;
-columns are generated on demand from (powers, mask, L).
+Codes are immutable values.  The lifted matrix is stored as one edge array,
+:class:`TannerEdges`: an (n_cols, gamma) array of check rows, ascending in
+each column, built once in numpy from (powers, mask, L) and shared by every
+labelled copy of the code.  Edge labels are bytes in the same column-major
+order, and every reader (column and row adjacency, weights, the dense
+matrix, JSON, alist) goes through that array.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .gf import FieldGF
 
@@ -23,6 +30,7 @@ __all__ = [
     "ProtoMatrix",
     "PartitionMask",
     "SCCode",
+    "TannerEdges",
     "build_ab_powers",
     "couple",
     "protograph_of",
@@ -66,6 +74,7 @@ class ProtoMatrix:
     powers: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "powers", _freeze(self.powers))
         if self.gamma < 1 or self.kappa < 1 or self.p < 1:
             raise ValueError("gamma, kappa, p must be positive")
         if len(self.powers) != self.gamma or any(len(r) != self.kappa for r in self.powers):
@@ -76,7 +85,7 @@ class ProtoMatrix:
                     raise ValueError(f"circulant power {f} out of range [0, {self.p})")
 
     def with_powers(self, powers: Sequence[Sequence[int]]) -> "ProtoMatrix":
-        return replace(self, powers=_freeze(powers))
+        return replace(self, powers=powers)
 
 
 def build_ab_powers(gamma: int, p: int) -> ProtoMatrix:
@@ -130,23 +139,80 @@ class PartitionMask:
             )
         )
 
-    def h0_row_population(self, i: int) -> int:
-        return self.assign[i].count(0)
+
+class TannerEdges:
+    """Edge array of a Tanner graph whose columns all have gamma check rows.
+
+    ``rows`` is an (n_cols, gamma) integer array, ascending in each column;
+    edge ``c * gamma + k`` joins column c to row ``rows[c, k]``, and edge
+    labels are stored in that order.  The Python-list views used by the
+    absorbing-set scan, and the row-side (CSR) inverse, are built once, on
+    first use.
+    """
+
+    def __init__(self, rows: np.ndarray, n_rows: int):
+        # shared by every labelled copy of a code, so never written
+        rows.setflags(write=False)
+        self.rows = rows
+        self.n_rows = n_rows
+        self.gamma = rows.shape[1]
+
+    @functools.cached_property
+    def columns(self) -> list[list[int]]:
+        """Check rows of every column, ascending."""
+        return self.rows.tolist()
+
+    @functools.cached_property
+    def row_lists(self) -> list[list[int]]:
+        """Columns of every row, ascending: the CSR inverse of ``rows``."""
+        flat = self.rows.ravel()
+        cols = (np.argsort(flat, kind="stable") // self.gamma).tolist()
+        ends = np.bincount(flat, minlength=self.n_rows).cumsum().tolist()
+        return [cols[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+    def index(self, row: int, col: int) -> int:
+        """Position of the edge (row, col) in the column-major edge order."""
+        rows = self.columns[col] if 0 <= col < len(self.columns) else ()
+        if row in rows:
+            return col * self.gamma + rows.index(row)
+        raise ValueError(f"({row}, {col}) is not a nonzero entry of the code")
+
+
+class TannerGraph:
+    """Readers shared by every graph that holds ``edges`` and ``labels``.
+
+    ``labels`` is None (every weight is 1) or bytes holding one nonzero
+    GF(q) weight per edge, in the order of ``edges``.
+    """
+
+    def column_rows(self, c: int) -> list[int]:
+        """Lifted row indices of the gamma ones in column c, ascending."""
+        return self.edges.rows[c].tolist()
+
+    def row_cols(self, r: int) -> list[int]:
+        """Lifted column indices of the ones in row r, ascending."""
+        return list(self.edges.row_lists[r])
+
+    def weight_of(self, row: int, col: int) -> int:
+        """Edge weight at a nonzero entry (1 for unlabeled graphs)."""
+        i = self.edges.index(row, col)
+        return 1 if self.labels is None else self.labels[i]
 
 
 @dataclass(frozen=True)
-class SCCode:
+class SCCode(TannerGraph):
     """A spatially-coupled code: partitioned block code repeated L times.
 
-    ``labels`` maps lifted (row, col) entries to nonzero GF(q) weights; it is
-    None for unlabeled (binary) codes.  ``field_lam`` records the field degree
-    and ``label_seed`` the RNG seed used for labeling, for reproducibility.
+    ``labels`` holds one nonzero GF(q) weight per lifted edge, as bytes in
+    the column-major order of ``edges``; it is None for unlabeled (binary)
+    codes.  ``field_lam`` records the field degree and ``label_seed`` the
+    RNG seed used for labeling, for reproducibility.
     """
 
     proto: ProtoMatrix
     mask: PartitionMask
     L: int
-    labels: Optional[dict] = None
+    labels: Optional[bytes] = None
     field_lam: Optional[int] = None
     label_seed: Optional[int] = None
 
@@ -175,55 +241,34 @@ class SCCode:
     def n_cols(self) -> int:
         return self.L * self.kappa * self.p
 
-    def column_rows(self, c: int) -> list[int]:
-        """Lifted row indices of the gamma ones in column c, ascending."""
-        g, k, p = self.gamma, self.kappa, self.p
-        r, rem = divmod(c, k * p)
-        j, v = divmod(rem, p)
-        rows = []
-        for i in range(g):
-            blk = (r + self.mask.assign[i][j]) * g + i
-            rows.append(blk * p + (v + self.proto.powers[i][j]) % p)
-        rows.sort()
-        return rows
+    @functools.cached_property
+    def edges(self) -> TannerEdges:
+        """The lifted edge array, shared with every labelled copy of this code."""
+        return _coupled_edges(self.proto, self.mask, self.L)
 
-    def row_cols(self, r: int) -> set[int]:
-        """Lifted column indices of the ones in row r."""
-        g, k, p = self.gamma, self.kappa, self.p
-        blk, u = divmod(r, p)
-        br, i = divmod(blk, g)
-        cols: set[int] = set()
-        for rep in (br - 1, br):
-            if not 0 <= rep < self.L:
-                continue
-            for j in range(k):
-                if self.mask.assign[i][j] == br - rep:
-                    cols.add((rep * k + j) * p + (u - self.proto.powers[i][j]) % p)
-        return cols
-
-    def weight_of(self, row: int, col: int) -> int:
-        """Edge weight at a nonzero entry (1 for unlabeled codes).
-
-        Raises ValueError when a labelled code has no label at the entry.
-        """
-        if self.labels is None:
-            return 1
-        try:
-            return self.labels[(row, col)]
-        except KeyError:
-            raise ValueError(f"labelled code has no label at entry ({row}, {col})") from None
-
-    def to_dense(self, binary: bool = True):
-        """Dense numpy matrix; guarded, intended for small oracle checks."""
-        import numpy as np
-
+    def to_dense(self) -> np.ndarray:
+        """Dense binary matrix; guarded, intended for small oracle checks."""
         if self.n_rows * self.n_cols > 1_000_000:
             raise ValueError("dense materialization refused above 10^6 cells")
         out = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
-        for c in range(self.n_cols):
-            for r in self.column_rows(c):
-                out[r, c] = 1 if binary or self.labels is None else self.labels[(r, c)]
+        out[self.edges.rows, np.arange(self.n_cols)[:, None]] = 1
         return out
+
+
+@functools.lru_cache(maxsize=4)
+def _coupled_edges(proto: ProtoMatrix, mask: PartitionMask, L: int) -> TannerEdges:
+    """Edge array of the coupled code; its labelled copies share one build.
+
+    Column (r*kappa + j)*p + v meets, for each i, row
+    ((r + mask[i][j])*gamma + i)*p + (v + f[i][j]) mod p.
+    """
+    g, k, p = proto.gamma, proto.kappa, proto.p
+    f = np.array(proto.powers, dtype=np.int64).T[None, :, None, :]
+    m = np.array(mask.assign, dtype=np.int64).T[None, :, None, :]
+    r = np.arange(L)[:, None, None, None]
+    v = np.arange(p)[None, None, :, None]
+    rows = ((r + m) * g + np.arange(g)) * p + (v + f) % p
+    return TannerEdges(np.sort(rows.reshape(L * k * p, g), axis=1), (L + 1) * g * p)
 
 
 def couple(proto: ProtoMatrix, mask: PartitionMask, L: int) -> SCCode:
@@ -257,10 +302,7 @@ def label_edges(code: SCCode, field: FieldGF, seed: int) -> SCCode:
     if field.q < 4:
         raise ValueError("edge labeling requires q >= 4")
     rng = random.Random(seed)
-    labels = {}
-    for c in range(code.n_cols):
-        for r in code.column_rows(c):
-            labels[(r, c)] = rng.randrange(1, field.q)
+    labels = bytes(rng.randrange(1, field.q) for _ in range(code.n_cols * code.gamma))
     return replace(code, labels=labels, field_lam=field.lam, label_seed=seed)
 
 
@@ -270,22 +312,28 @@ def apply_edge_changes(
     """Return a copy of the code with the listed (row, col, weight) replaced.
 
     Topology is unchanged; every target must be an existing nonzero entry and
-    every new weight must be nonzero.
+    every new weight a nonzero element of the code's field.
     """
     if code.labels is None:
         raise ValueError("cannot change edge weights of an unlabeled code")
-    new_labels = dict(code.labels)
+    q = 1 << code.field_lam
+    new_labels = bytearray(code.labels)
     for row, col, w in changes:
-        if (row, col) not in new_labels:
-            raise ValueError(f"({row}, {col}) is not a nonzero entry of the code")
-        if w == 0:
-            raise ValueError("edge weights must be nonzero")
-        new_labels[(row, col)] = int(w)
-    return replace(code, labels=new_labels)
+        i = code.edges.index(row, col)
+        if not 0 < w < q:
+            raise ValueError(f"edge weight {w} outside 1..{q - 1}")
+        new_labels[i] = w
+    return replace(code, labels=bytes(new_labels))
 
 
 def code_to_json(code: SCCode) -> str:
     """Serialize everything needed to rebuild the code bit-exactly."""
+    labels = None
+    if code.labels is not None:
+        rows = code.edges.rows.ravel()
+        cols = np.arange(rows.size) // code.gamma
+        weights = np.frombuffer(code.labels, dtype=np.uint8)
+        labels = np.stack((rows, cols, weights), axis=1)[np.lexsort((cols, rows))].tolist()
     payload = {
         "gamma": code.gamma,
         "kappa": code.kappa,
@@ -296,9 +344,7 @@ def code_to_json(code: SCCode) -> str:
         "mask": [list(r) for r in code.mask.assign],
         "field_lam": code.field_lam,
         "label_seed": code.label_seed,
-        "labels": None
-        if code.labels is None
-        else [[r, c, w] for (r, c), w in sorted(code.labels.items())],
+        "labels": labels,
     }
     return json.dumps(payload, sort_keys=True)
 
@@ -306,38 +352,54 @@ def code_to_json(code: SCCode) -> str:
 def code_from_json(text: str) -> SCCode:
     """Rebuild a code written by ``code_to_json``.
 
-    Refuses a memory other than 1, a label list that does not hold one label
-    per nonzero entry, and a weight outside the field.
+    Refuses a memory other than 1, a label list that does not hold exactly
+    one label per nonzero entry (a wrong count, a repeated entry, or an
+    entry off the code's edges), and a weight outside the field.
     """
     d = json.loads(text)
     if d.get("m", 1) != 1:
         raise ValueError("only memory m=1 coupling is supported")
-    labels = d.get("labels")
-    if labels is not None:
-        labels = {(r, c): w for r, c, w in labels}
     code = SCCode(
-        proto=ProtoMatrix(
-            gamma=d["gamma"], kappa=d["kappa"], p=d["p"], powers=_freeze(d["powers"])
-        ),
-        mask=PartitionMask(_freeze(d["mask"])),
+        proto=ProtoMatrix(gamma=d["gamma"], kappa=d["kappa"], p=d["p"], powers=d["powers"]),
+        mask=PartitionMask(d["mask"]),
         L=d["L"],
-        labels=labels,
         field_lam=d.get("field_lam"),
         label_seed=d.get("label_seed"),
     )
-    if labels is None:
+    if d.get("labels") is None:
         return code
-    # one pass: the entry count, then the weights; placement is checked
-    # where a weight is read (SCCode.weight_of)
-    if len(labels) != code.n_cols * code.gamma:
-        raise ValueError(
-            f"label list holds {len(labels)} distinct entries, "
-            f"the code has {code.n_cols * code.gamma}"
-        )
+    return replace(code, labels=_aligned_labels(code, d["labels"]))
+
+
+def _aligned_labels(code: SCCode, entries: list) -> bytes:
+    """Weights of a [row, col, weight] list in edge order, after checking it."""
+    n = code.n_cols * code.gamma
+    try:
+        table = np.array(entries, dtype=np.int64).reshape(len(entries), 3)
+    except OverflowError:
+        raise ValueError("label list holds an integer outside the 64-bit range") from None
+    pairs, first, counts = np.unique(table[:, :2], axis=0, return_index=True, return_counts=True)
+    if len(pairs) != n:
+        raise ValueError(f"label list holds {len(pairs)} distinct entries, the code has {n}")
+    if counts.max() > 1:
+        r, c = pairs[np.argmax(counts > 1)].tolist()
+        raise ValueError(f"label list repeats entry ({r}, {c})")
     if code.field_lam is None:
         raise ValueError("a labelled code needs field_lam")
     q = 1 << code.field_lam
-    bad = [w for w in labels.values() if not 0 < w < q]
-    if bad:
+    weights = table[:, 2]
+    bad = weights[(weights < 1) | (weights >= q)]
+    if bad.size:
         raise ValueError(f"label weight {bad[0]} outside 1..{q - 1}")
-    return code
+    # the pairs are distinct and as many as the edges, so they are the edge
+    # set exactly when every one of them is an edge
+    rows, cols = pairs[:, 0], pairs[:, 1]
+    inside = (cols >= 0) & (cols < code.n_cols)
+    hit = code.edges.rows[np.where(inside, cols, 0)] == rows[:, None]
+    on_edge = inside & hit.any(axis=1)
+    if not on_edge.all():
+        r, c = pairs[np.argmin(on_edge)].tolist()
+        raise ValueError(f"label at ({r}, {c}) is not a nonzero entry of the code")
+    out = np.empty(n, dtype=np.uint8)
+    out[cols * code.gamma + hit.argmax(axis=1)] = weights[first]
+    return out.tobytes()

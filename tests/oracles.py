@@ -192,6 +192,17 @@ def gf_mul_via_logs(a: int, b: int, exp: list[int], log: list[int], q: int) -> i
     return exp[(log[a] + log[b]) % (q - 1)]
 
 
+def all_ugast_labels(gamma: int, a_max: int) -> list[tuple[int, int, int, int]]:
+    """Every (a, d1, d2, d3) with d2 > d3 that a subset of 3..a_max can have."""
+    out = []
+    for a in range(3, a_max + 1):
+        for d1 in range(a * gamma + 1):
+            for d3 in range(a * gamma // 3 + 1):
+                for d2 in range(d3 + 1, a * gamma // 2 + 1):
+                    out.append((a, d1, d2, d3))
+    return out
+
+
 def naive_ugast_subsets(col_adj, gamma: int, labels, a_max: int) -> set[tuple[int, ...]]:
     """Every column subset an absorbing-set scan should report, by brute force.
 
@@ -241,3 +252,19 @@ def naive_ugast_subsets(col_adj, gamma: int, labels, a_max: int) -> set[tuple[in
             if connected(cols) and has_hexagon(cols):
                 out.add(cols)
     return out
+
+
+def naive_column_rows(code, c: int) -> list[int]:
+    """Lifted rows of column c by the coupling formula, one circulant at a time.
+
+    Column (r*kappa + j)*p + v meets, for each row group i, the row
+    ((r + mask[i][j])*gamma + i)*p + (v + f[i][j]) mod p.
+    """
+    g, k, p = code.gamma, code.kappa, code.p
+    r, rem = divmod(c, k * p)
+    j, v = divmod(rem, p)
+    rows = []
+    for i in range(g):
+        blk = (r + code.mask.assign[i][j]) * g + i
+        rows.append(blk * p + (v + code.proto.powers[i][j]) % p)
+    return sorted(rows)

@@ -25,7 +25,7 @@ class TestCvMask:
 
     def test_row_populations(self):
         mask = cv_mask([2, 4, 6], 7)
-        assert [mask.h0_row_population(i) for i in range(3)] == [2, 4, 6]
+        assert [row.count(0) for row in mask.assign] == [2, 4, 6]
 
     def test_non_ascending_rejected(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from scldpc.cycles import count_ugast_3330
 from scldpc.overlap import realize_mask, solve_optimal_overlap
 from scldpc.qc import build_ab_powers, couple, label_edges
 
-from oracles import naive_ugast_subsets
+from oracles import all_ugast_labels, naive_ugast_subsets
 
 GF4 = FieldGF(2)
 GF8 = FieldGF(3)
@@ -370,7 +370,7 @@ class TestScan:
             for r in small_code.column_rows(c):
                 adj[r].add(c)
         for r in range(small_code.n_rows):
-            assert small_code.row_cols(r) == adj[r]
+            assert small_code.row_cols(r) == sorted(adj[r])
 
     def test_ugast_target_count_equals_census(self, small_code):
         found = gast_scan(small_code, GF4, [(3, 3, 3, 0)], a_max=3)
@@ -413,6 +413,13 @@ class TestScan:
         assert from_code
         assert from_code == gast_scan(raw, GF4, targets, a_max=4)
 
+    def test_depth_beyond_largest_target_changes_nothing(self, small_code):
+        # a_max is an upper bound: subsets larger than every target never match
+        targets = [(3, 3, 3, 3, 0), (4, 2, 2, 5, 0), (4, 2, 5, 0), (4, 4, 4, 0)]
+        at_target = gast_scan(small_code, GF4, targets, a_max=4)
+        assert {inst.topology.a for inst in at_target} == {3, 4}
+        assert gast_scan(small_code, GF4, targets, a_max=6) == at_target
+
     def test_gast_targets_carry_witness_and_b(self, small_code):
         found = gast_scan(small_code, GF4, [(3, 3, 3, 3, 0)], a_max=3)
         for inst in found:
@@ -435,17 +442,6 @@ class TestScan:
             )
 
 
-def _all_labels(gamma: int, a_max: int) -> list[tuple[int, int, int, int]]:
-    """Every (a, d1, d2, d3) with d2 > d3 that a subset of 3..a_max can have."""
-    out = []
-    for a in range(3, a_max + 1):
-        for d1 in range(a * gamma + 1):
-            for d3 in range(a * gamma // 3 + 1):
-                for d2 in range(d3 + 1, a * gamma // 2 + 1):
-                    out.append((a, d1, d2, d3))
-    return out
-
-
 @st.composite
 def _raw_graphs(draw):
     n_rows = draw(st.integers(5, 9))
@@ -458,7 +454,7 @@ def _raw_graphs(draw):
 @given(_raw_graphs(), st.integers(3, 5))
 def test_scan_matches_brute_force(col_adj, a_max):
     # 4-cycles allowed: dense random graphs exercise convert_bound = gamma
-    labels = _all_labels(3, a_max)
+    labels = all_ugast_labels(3, a_max)
     found = gast_scan(RawTanner(col_adj, 3), None, labels, a_max=a_max)
     got = [inst.topology.vn_ids for inst in found]
     assert len(got) == len(set(got))

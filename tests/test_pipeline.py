@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from scldpc.cycles import count_ugast_3330
-from scldpc.gast import gast_scan
 from scldpc.gf import FieldGF
 from scldpc.pipeline import (
     DesignConfig,
@@ -67,6 +67,25 @@ class TestRunPipeline:
         assert count_ugast_3330(code) == small_report.ugast_3330
         alist = (tmp_path / "code.alist").read_text().split()
         assert int(alist[0]) == code.n_cols and int(alist[1]) == code.n_rows
+
+
+def test_pinned_design_outputs(tmp_path):
+    # the files a design at fixed seeds writes; any change to labeling, JSON,
+    # alist, scan or removal that moves a byte shows here
+    config = DesignConfig(
+        kappa=13, p=13, L=10, cpo_budget=20_000, seed_partition=1, seed_labels=1,
+        seed_cpo=1, gast_targets=((4, 2, 2, 5, 0),), gast_a_max=4,
+    )
+    run_pipeline(config, out_dir=str(tmp_path))
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("code.json", "code.alist", "report.json")
+    }
+    assert digests == {
+        "code.json": "dbec29fe5a075cc0c9991dc99cd405946bb37c2c4bc39bf8880124b4fc4a76bf",
+        "code.alist": "c06c0491490ae7fe857068399ade6ef9fa7139a3361edfebeaa73753b63d6554",
+        "report.json": "c51af042dfd63abdf32b09dc11378e3606174b9ff56ea5a8013ef7ca51e97ee2",
+    }
 
 
 @pytest.mark.slow
@@ -273,12 +292,17 @@ class TestCliErrors:
         [
             ("dropped", "label list holds 220 distinct entries, the code has 225"),
             ("extra", "label list holds 226 distinct entries, the code has 225"),
+            ("duplicated", "label list repeats entry"),
             ("out-of-field", "label weight 4 outside 1..3"),
             ("zero", "label weight 0 outside 1..3"),
-            ("misplaced", "labelled code has no label at entry"),
+            ("misplaced", "label at"),
             ("no-field", "a labelled code needs field_lam"),
+            ("overflow", "label list holds an integer outside the 64-bit range"),
         ],
-        ids=["dropped", "extra", "out-of-field", "zero", "misplaced", "no-field"],
+        ids=[
+            "dropped", "extra", "duplicated", "out-of-field", "zero", "misplaced", "no-field",
+            "overflow",
+        ],
     )
     def test_malformed_labels_reported(self, tmp_path, capsys, fault, message):
         from scldpc import cli
@@ -294,24 +318,41 @@ class TestCliErrors:
             del labels[-5:]
         elif fault == "extra":
             labels.append([stray_row(0), 0, 1])
+        elif fault == "duplicated":
+            # the same entry twice, with another weight the second time
+            row, col, w = labels[7]
+            labels.append([row, col, 1 + w % 3])
+            message += f" ({row}, {col})"
         elif fault in ("out-of-field", "zero"):
             labels[7][2] = 4 if fault == "out-of-field" else 0
         elif fault == "no-field":
             payload["field_lam"] = None
+        elif fault == "overflow":
+            labels[7][2] = 2**70
         else:
-            # move the label of an edge of the first instance the scan finds
-            top = gast_scan(code, FieldGF(2), [SCAN_TARGET], a_max=3)[0].topology
-            row, col = top.cn_ids[0], top.vn_ids[top.shared_cns[0][0]]
-            labels[labels.index([row, col, code.labels[(row, col)]])] = [stray_row(col), col, 1]
-            message += f" ({row}, {col})"
+            # same count, one label moved off its entry onto a zero of its column
+            row, col, w = labels[7]
+            labels[7] = [stray_row(col), col, w]
+            message += f" ({stray_row(col)}, {col}) is not a nonzero entry of the code"
         path = tmp_path / "code.json"
         path.write_text(json.dumps(payload))
-        argv = ["gast", "scan", "--code", str(path), "--targets", str(SCAN_TARGET), "--amax", "3"]
-        rc = cli.main(argv)
-        out, err = capsys.readouterr()
-        assert rc == 2
-        assert out == ""
-        assert err == f"scldpc: error: {message}\n"
+        with pytest.raises(ValueError) as err:
+            code_from_json(path.read_text())
+        assert str(err.value) == message
+        # every command that reads a code file refuses it the same way
+        for argv in (
+            ["gast", "scan", "--targets", str(SCAN_TARGET), "--amax", "3"],
+            ["count", "--what", "ugast3330"],
+            ["count", "--what", "cycles6"],
+            ["export-alist", "--out", str(tmp_path / "code.alist")],
+            ["cpo", "--budget", "100"],
+        ):
+            rc = cli.main(argv + ["--code", str(path)])
+            out, err = capsys.readouterr()
+            assert rc == 2
+            assert out == ""
+            assert err == f"scldpc: error: {message}\n"
+        assert not (tmp_path / "code.alist").exists()
 
     def test_pipeline_error_reported(self, capsys):
         from scldpc import cli

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scldpc.alist import export_code_alist, read_alist
+from scldpc.gast import RawTanner, gast_scan
 from scldpc.gf import FieldGF
 from scldpc.qc import (
     PartitionMask,
+    ProtoMatrix,
     apply_edge_changes,
     build_ab_powers,
     code_from_json,
@@ -18,7 +21,7 @@ from scldpc.qc import (
     protograph_of,
 )
 
-from oracles import build_lifted_dense, dfs_count_cycles
+from oracles import all_ugast_labels, build_lifted_dense, dfs_count_cycles, naive_column_rows
 
 
 def random_mask(gamma, kappa, seed):
@@ -165,7 +168,7 @@ class TestLabels:
 
     def test_labels_nonzero_and_in_field(self):
         labeled = label_edges(self.code, self.gf, seed=11)
-        assert set(labeled.labels.values()) <= {1, 2, 3}
+        assert set(labeled.labels) <= {1, 2, 3}
         assert len(labeled.labels) == self.code.n_cols * 3
 
     def test_same_seed_identical(self):
@@ -180,7 +183,7 @@ class TestLabels:
         proto = build_ab_powers(3, 13)
         code = couple(proto, PartitionMask.all_h0(3, 13), 20)
         labeled = label_edges(code, self.gf, seed=0)
-        values = list(labeled.labels.values())
+        values = list(labeled.labels)
         assert len(values) >= 10_000
         for v in (1, 2, 3):
             share = values.count(v) / len(values)
@@ -200,23 +203,31 @@ class TestEdgeChanges:
         assert apply_edge_changes(self.code, []).labels == self.code.labels
 
     def test_change_then_inverse_restores(self):
-        (r, c) = next(iter(self.code.labels))
-        old = self.code.labels[(r, c)]
+        r, c = self.code.column_rows(4)[1], 4
+        old = self.code.weight_of(r, c)
         new = 1 if old != 1 else 2
         changed = apply_edge_changes(self.code, [(r, c, new)])
-        assert changed.labels[(r, c)] == new
+        assert changed.weight_of(r, c) == new
+        assert sum(a != b for a, b in zip(changed.labels, self.code.labels)) == 1
         restored = apply_edge_changes(changed, [(r, c, old)])
         assert restored.labels == self.code.labels
 
     def test_zero_weight_rejected(self):
-        (r, c) = next(iter(self.code.labels))
+        r, c = self.code.column_rows(0)[0], 0
         with pytest.raises(ValueError):
             apply_edge_changes(self.code, [(r, c, 0)])
+
+    def test_out_of_field_weight_rejected(self):
+        # GF(4) here: a weight of 4 or more would write a code.json that no longer loads
+        r, c = self.code.column_rows(0)[0], 0
+        for w in (4, 7, 300, -1):
+            with pytest.raises(ValueError, match="outside 1..3"):
+                apply_edge_changes(self.code, [(r, c, w)])
 
     def test_zero_entry_rejected(self):
         zero_pos = None
         for r in range(self.code.n_rows):
-            if (r, 0) not in self.code.labels:
+            if r not in self.code.column_rows(0):
                 zero_pos = (r, 0)
                 break
         with pytest.raises(ValueError):
@@ -258,3 +269,32 @@ class TestSerialization:
         max_col, max_row = map(int, lines[1].split())
         assert max_col == 3
         assert max_row == max(len(code.row_cols(r)) for r in range(code.n_rows))
+
+
+@st.composite
+def _coupled_codes(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    kappa = draw(st.integers(1, p))
+
+    def grid(top):
+        row = st.lists(st.integers(0, top), min_size=kappa, max_size=kappa)
+        return st.lists(row, min_size=3, max_size=3)
+
+    proto = ProtoMatrix(gamma=3, kappa=kappa, p=p, powers=draw(grid(p - 1)))
+    code = couple(proto, PartitionMask(draw(grid(1))), draw(st.sampled_from([2, 3])))
+    return label_edges(code, FieldGF(2), seed=draw(st.integers(0, 9)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coupled_codes())
+def test_edge_array_matches_coupling_formula(code):
+    # girth-4 draws included: the scan's 4-cycle bound must agree on both paths
+    columns = [naive_column_rows(code, c) for c in range(code.n_cols)]
+    assert code.edges.rows.tolist() == columns
+    for r in range(code.n_rows):
+        assert code.row_cols(r) == [c for c in range(code.n_cols) if r in columns[c]]
+    targets = [(3, 3, 3, 3, 0), (4, 2, 2, 5, 0)] + all_ugast_labels(3, 4)
+    raw = RawTanner(columns, 3, labels=code.labels)
+    assert gast_scan(raw, FieldGF(2), targets, a_max=4) == gast_scan(
+        code, FieldGF(2), targets, a_max=4
+    )
