@@ -10,8 +10,9 @@ than on the full L-long chain.
 One row-pair/row-triple enumerator serves every consumer: generic matrices
 (:func:`enumerate_cycles`), the census and girth test, hand-built Tanner
 graphs, and the optimizer's window, which stores its 4- and 6-cycles as numpy
-coefficient rows over the gamma*kappa circulant positions so re-evaluating
-activity after a power change is a vectorized column update.
+coefficient rows over the gamma*kappa circulant positions, plus a sparse
+per-circulant index of the cycles each power moves, so a batch of power
+changes is scored over the touched cycles only.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "enumerate_cycles",
     "lift_count",
     "TwoReplicaWindow",
+    "EntryCycles",
     "build_window",
     "census_active_counts",
     "count_ugast_3330",
@@ -164,18 +166,52 @@ def _window_rows(mask: PartitionMask) -> list[set[int]]:
     return [_window_row_support(mask, b, i) for b in range(3) for i in range(mask.gamma)]
 
 
+@dataclass(frozen=True)
+class EntryCycles:
+    """The window cycles whose balance each circulant's power moves (CSR).
+
+    Circulant e touches the cycle ids ``cycles[ptr[e]:ptr[e + 1]]``
+    (ascending) with the nonzero alternating-sum coefficients at the same
+    positions of ``coefs``; a circulant that a cycle visits with opposite
+    signs cancels and is not listed.
+    """
+
+    ptr: np.ndarray
+    cycles: np.ndarray
+    coefs: np.ndarray
+
+    @classmethod
+    def of(cls, coef: np.ndarray) -> "EntryCycles":
+        """Index of an (n_cycles, n_entries) coefficient table."""
+        ents, cycles = np.nonzero(coef.T)
+        counts = np.bincount(ents, minlength=coef.shape[1])
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        return cls(ptr, cycles, coef[cycles, ents].astype(np.int64))
+
+    def gather(self, ents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(position in ``ents``, cycle id, coefficient) of every touched cycle."""
+        starts = self.ptr[ents]
+        lens = self.ptr[ents + 1] - starts
+        rows = np.repeat(np.arange(len(ents)), lens)
+        pos = np.arange(len(rows)) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        return rows, self.cycles[pos], self.coefs[pos]
+
+
 class TwoReplicaWindow:
     """Cycle tables of the two-replica coupled protograph, for the optimizer.
 
     Rows are indexed (block, local) with 3 blocks of gamma rows; columns run
     over 2*kappa, the first kappa belonging to replica 1.  The window stores
 
-      coef6, coef4:  (n, gamma*kappa) alternating-sum coefficients per circulant
-      inc6:          (n, gamma*kappa) 6-cycle visit multiplicities per circulant
-      span6:         SPAN_R1 / SPAN_R2 / SPAN_DUAL per 6-cycle
+      coef6, coef4:    (n, gamma*kappa) alternating-sum coefficients per circulant
+      touch6, touch4:  the same coefficients as an :class:`EntryCycles` index
+                       over the circulants, for updates after a power change
+      inc6:            (n, gamma*kappa) 6-cycle visit multiplicities per circulant
+      span6:           SPAN_R1 / SPAN_R2 / SPAN_DUAL per 6-cycle
       pos6_rows, pos6_cols:  (n, 6) window positions of each 6-cycle
 
-    Activity of every cycle under a flat power vector f is (coef @ f) % p == 0.
+    Circulants are numbered row-major, e = row * kappa + col.  Activity of
+    every cycle under a flat power vector f is (coef @ f) % p == 0.
     """
 
     def __init__(self, proto: ProtoMatrix, mask: PartitionMask):
@@ -205,7 +241,7 @@ class TwoReplicaWindow:
         six = np.fromiter(chain.from_iterable(_six_cycles(rows)), dtype=np.int64).reshape(-1, 6)
         self.pos6_rows, self.pos6_cols = six[:, [0, 0, 2, 2, 1, 1]], six[:, [3, 4, 4, 5, 5, 3]]
         self.coef6, self.inc6 = self._coef(self.pos6_rows, self.pos6_cols)
-        self.coef6_byentry = np.ascontiguousarray(self.coef6.T)
+        self.touch6 = EntryCycles.of(self.coef6)
         k = self.kappa
         self.span6 = np.full(six.shape[0], SPAN_DUAL, dtype=np.int8)
         self.span6[(self.pos6_cols < k).all(axis=1)] = SPAN_R1
@@ -214,7 +250,7 @@ class TwoReplicaWindow:
         # (r1, r2, a, b) -> visiting order (r1,a) (r1,b) (r2,b) (r2,a)
         four = np.fromiter(chain.from_iterable(_four_cycles(rows)), dtype=np.int64).reshape(-1, 4)
         self.coef4, _ = self._coef(four[:, [0, 0, 1, 1]], four[:, [2, 3, 3, 2]])
-        self.coef4_byentry = np.ascontiguousarray(self.coef4.T)
+        self.touch4 = EntryCycles.of(self.coef4)
 
     # -- evaluation --------------------------------------------------------
 

@@ -10,9 +10,12 @@ on their own, so they check the solver's enumeration and selection.
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 
+from scldpc.cpo import PAIR_SAMPLES, TOP_B, CpoResult
+from scldpc.cycles import SPAN_DUAL, build_window
 from scldpc.overlap import OverlapVector, cycle6_census
 
 
@@ -268,3 +271,106 @@ def naive_column_rows(code, c: int) -> list[int]:
         blk = (r + code.mask.assign[i][j]) * g + i
         rows.append(blk * p + (v + code.proto.powers[i][j]) % p)
     return sorted(rows)
+
+
+def serial_cpo_optimize(proto, mask, L: int, budget: int, seed: int, target: int = 0) -> CpoResult:
+    """The circulant power optimizer scoring one candidate at a time.
+
+    Every candidate move recomputes all window balances from dense
+    per-circulant coefficient rows, and the load ranking recounts every
+    active cycle; the moves, their order, the rng draws, the evaluation
+    count and the (f, sorted (row, col, power)) tie-break define what the
+    library's batched optimizer must reproduce.
+    """
+    g, k, p = proto.gamma, proto.kappa, proto.p
+    window = build_window(proto, mask)
+    col4, col6 = window.coef4.T.astype(np.int64), window.coef6.T.astype(np.int64)
+    dual = window.span6 == SPAN_DUAL
+    n_entries = g * k
+    flat = np.asarray(proto.powers, dtype=np.int64).reshape(-1)
+    b4, b6 = window.coef4 @ flat % p, window.coef6 @ flat % p
+    if not b4.all():
+        raise ValueError("initial powers activate a 4-cycle; cannot start")
+
+    def score(b6) -> int:
+        act = b6 == 0
+        singles, duals = int(np.count_nonzero(act & ~dual)), int(np.count_nonzero(act & dual))
+        return (L * (singles // 2) + (L - 1) * duals) * p
+
+    def moved(b, cols, changes):
+        for e, v in changes:
+            b = (b + cols[e] * (v - int(flat[e]))) % p
+        return b
+
+    rng = random.Random(seed)
+    f_sc = score(b6)
+    best_flat, best_f, f_initial = flat.copy(), f_sc, f_sc
+    trace = []
+    evals = restarts = 0
+
+    def best_of(moves):
+        nonlocal evals
+        best = None
+        for changes in moves:
+            if evals >= budget:
+                break
+            evals += 1
+            if not moved(b4, col4, changes).all():
+                continue
+            f = score(moved(b6, col6, changes))
+            if f < f_sc:
+                key = tuple(sorted((e // k, e % k, v) for e, v in changes))
+                if best is None or (f, key) < best[:2]:
+                    best = (f, key, changes)
+        return best
+
+    def random_pairs(pool):
+        for _ in range(PAIR_SAMPLES):
+            e1, e2 = rng.sample(pool, 2)
+            yield [(e1, rng.randrange(p)), (e2, rng.randrange(p))]
+
+    def apply(changes):
+        nonlocal b4, b6, f_sc
+        b4, b6 = moved(b4, col4, changes), moved(b6, col6, changes)
+        for e, v in changes:
+            flat[e] = v
+        f_sc = score(b6)
+
+    while evals < budget and best_f > target:
+        act = b6 == 0
+        counts = (np.where(dual, 2, 1) * act) @ window.inc6.astype(np.int64)
+        order = sorted(range(n_entries), key=lambda e: (-counts[e], e))
+        width = TOP_B
+        accepted = False
+        while width <= n_entries and not accepted and evals < budget:
+            pool = order[:width]
+            best_move = best_of([(e, v)] for e in pool for v in range(p) if v != flat[e])
+            if best_move is None and len(pool) >= 2:
+                best_move = best_of(random_pairs(pool))
+            if best_move is not None:
+                apply(best_move[2])
+                if f_sc < best_f:
+                    diff = tuple(
+                        (e // k, e % k, int(flat[e]))
+                        for e in range(n_entries)
+                        if flat[e] != best_flat[e]
+                    )
+                    best_f, best_flat = f_sc, flat.copy()
+                    trace.append((evals, diff, f_sc))
+                accepted = True
+            else:
+                width += TOP_B
+        if not accepted and evals < budget and best_f > target:
+            restarts += 1
+            for _ in range(1 + rng.randrange(2 * g)):
+                e = rng.randrange(n_entries)
+                values = [v for v in range(p) if v != flat[e]]
+                rng.shuffle(values)
+                for v in values:
+                    evals += 1
+                    if moved(b4, col4, [(e, v)]).all():
+                        apply([(e, v)])
+                        break
+
+    powers = tuple(tuple(int(x) for x in best_flat[i * k : (i + 1) * k]) for i in range(g))
+    return CpoResult(powers, best_f, f_initial, tuple(trace), evals, restarts)

@@ -1,9 +1,14 @@
+import functools
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import serial_cpo_optimize
 from scldpc.baselines import cv_exhaustive_best, cv_mask
 from scldpc.cpo import active_census, cpo_optimize
 from scldpc.cycles import build_window, count_ugast_3330_for
@@ -11,12 +16,18 @@ from scldpc.overlap import realize_mask, solve_optimal_overlap
 from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers
 
 
+@functools.lru_cache(maxsize=None)
+def _oo_mask(kappa: int, L: int) -> PartitionMask:
+    return realize_mask(solve_optimal_overlap(kappa, L).optima[0], kappa, seed=1)
+
+
+def _digest(res) -> str:
+    return hashlib.sha256(json.dumps(res.as_dict(), sort_keys=True).encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def oo_setup():
-    proto = build_ab_powers(3, 7)
-    sol = solve_optimal_overlap(7, 30)
-    mask = realize_mask(sol.optima[0], 7, seed=1)
-    return proto, mask
+    return build_ab_powers(3, 7), _oo_mask(7, 30)
 
 
 class TestActiveCensus:
@@ -125,20 +136,87 @@ class TestCpoOptimize:
         with pytest.raises(ValueError, match="coupling length L must be >= 2"):
             cpo_optimize(proto, mask, L, budget=200)
 
-    @pytest.mark.parametrize(
-        "budget, seed, restarts, n_trace, digest",
-        [
-            (5000, 1, 5, 7, "4670fbe143713634fabfcd05a066ac1db29ff90077afc7698b8a993adb3585c5"),
-            # more walks; a walk that leaves the balances stale changes this run
-            (20000, 0, 20, 6, "ea97e63dd9b14cd4b59658254d23041aeb3735477c60bd454928008879f648ad"),
-        ],
-        ids=["seed1", "seed0"],
-    )
-    def test_pinned_runs_with_restarts(self, oo_setup, budget, seed, restarts, n_trace, digest):
-        # the digest pins powers, trace, evals and restarts
+    def test_starts_from_given_powers(self, oo_setup):
         proto, mask = oo_setup
-        res = cpo_optimize(proto, mask, 30, budget=budget, seed=seed)
-        assert (res.f_sc_initial, res.f_sc, res.evals) == (2058, 203, budget)
+        tuned = proto.with_powers(cpo_optimize(proto, mask, 30, budget=2000, seed=1).powers)
+        assert tuned.powers != proto.powers
+        res = cpo_optimize(tuned, mask, 30, budget=0)
+        assert res.powers == tuned.powers
+        assert res.f_sc == res.f_sc_initial == count_ugast_3330_for(tuned, mask, 30)
+
+    def test_rejects_start_with_active_4cycle(self):
+        powers = ((0, 0, 0, 0, 0), (0, 0, 1, 2, 3), (0, 2, 4, 1, 3))
+        proto = ProtoMatrix(gamma=3, kappa=5, p=5, powers=powers)
+        with pytest.raises(ValueError, match="initial powers activate a 4-cycle"):
+            cpo_optimize(proto, PartitionMask.all_h0(3, 5), 2, budget=10)
+
+    @pytest.mark.parametrize("budget", [-1, -5])
+    def test_rejects_negative_budget(self, oo_setup, budget):
+        proto, mask = oo_setup
+        with pytest.raises(ValueError, match=f"CPO budget must be >= 0, got {budget}"):
+            cpo_optimize(proto, mask, 30, budget=budget)
+
+    @pytest.mark.parametrize(
+        "kappa, L, budget, seed, counts, restarts, n_trace, digest",
+        [
+            (7, 30, 5000, 1, (2058, 203), 5, 7,
+             "4670fbe143713634fabfcd05a066ac1db29ff90077afc7698b8a993adb3585c5"),
+            # more walks; a walk that leaves the balances stale changes this run
+            (7, 30, 20000, 0, (2058, 203), 20, 6,
+             "ea97e63dd9b14cd4b59658254d23041aeb3735477c60bd454928008879f648ad"),
+            (13, 10, 20000, 1, (4537, 1963), 4, 7,
+             "287627028e6fddcf3d850deed2e24c76828c38716370a075dccf5008e8fe2c84"),
+            (19, 20, 20000, 1, (29165, 16131), 1, 15,
+             "1ad51999641334793622ae1eb8e4a90295df5d80043053835b904c257d7540e6"),
+            (31, 20, 20000, 1, (130200, 89652), 0, 21,
+             "30d9fd93f707f9b1a205e2effce18fbca3905d7cc28031f77c041e431ae5080b"),
+        ],
+        ids=["seed1", "seed0", "k13", "k19", "k31"],
+    )
+    def test_pinned_runs_with_restarts(
+        self, kappa, L, budget, seed, counts, restarts, n_trace, digest
+    ):
+        # the digest pins powers, trace, evals and restarts; every run ends
+        # by spending its budget, part of the way through a batch
+        proto, mask = build_ab_powers(3, kappa), _oo_mask(kappa, L)
+        res = cpo_optimize(proto, mask, L, budget=budget, seed=seed)
+        assert (res.f_sc_initial, res.f_sc, res.evals) == (*counts, budget)
         assert (res.restarts, len(res.trace)) == (restarts, n_trace)
-        got = hashlib.sha256(json.dumps(res.as_dict(), sort_keys=True).encode()).hexdigest()
-        assert got == digest
+        assert _digest(res) == digest
+
+
+@st.composite
+def _cpo_problems(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    kappa = draw(st.integers(1, p))
+    bits = st.lists(st.integers(0, 1), min_size=kappa, max_size=kappa)
+    mask = PartitionMask(tuple(draw(st.lists(bits, min_size=3, max_size=3))))
+    if draw(st.booleans()):
+        powers = tuple(tuple(i * j % p for j in range(kappa)) for i in range(3))
+    else:
+        row = st.lists(st.integers(0, p - 1), min_size=kappa, max_size=kappa)
+        powers = tuple(draw(st.lists(row, min_size=3, max_size=3)))
+    proto = ProtoMatrix(gamma=3, kappa=kappa, p=p, powers=powers)
+    return proto, mask, draw(st.integers(2, 30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _cpo_problems(),
+    st.integers(0, 2500),
+    st.integers(0, 2**16),
+    st.sampled_from([0, 0, 0, 100]),
+)
+def test_batched_matches_serial(problem, budget, seed, target):
+    # the budget stops most runs part of the way through an entry's powers
+    # or a pair batch, and lets about a quarter of those near kappa = p
+    # reach a plateau walk; random powers may start on an active 4-cycle
+    proto, mask, L = problem
+    try:
+        want = serial_cpo_optimize(proto, mask, L, budget, seed, target)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            cpo_optimize(proto, mask, L, budget=budget, seed=seed, target=target)
+        return
+    got = cpo_optimize(proto, mask, L, budget=budget, seed=seed, target=target)
+    assert got.as_dict() == want.as_dict()

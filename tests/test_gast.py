@@ -459,3 +459,28 @@ def test_scan_matches_brute_force(col_adj, a_max):
     got = [inst.topology.vn_ids for inst in found]
     assert len(got) == len(set(got))
     assert set(got) == naive_ugast_subsets(col_adj, 3, labels, a_max)
+
+
+@st.composite
+def _gamma4_graphs(draw):
+    """Column weight 4: dense random graphs, or girth-6 ones taken as column
+    subsets of the array-based code with p = 5 (rows (i, v + i*j mod 5))."""
+    if draw(st.booleans()):
+        n_rows = draw(st.integers(6, 10))
+        col_rows = st.lists(st.integers(0, n_rows - 1), min_size=4, max_size=4, unique=True)
+        return draw(st.lists(col_rows, min_size=6, max_size=10))
+    cols = draw(st.lists(st.integers(0, 24), min_size=6, max_size=11, unique=True))
+    return [[i * 5 + (c % 5 + i * (c // 5)) % 5 for i in range(4)] for c in cols]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gamma4_graphs(), st.integers(3, 5))
+def test_scan_matches_brute_force_gamma4(col_adj, a_max):
+    # at gamma = 4 a member needs 3 shared checks, so a subset one node short
+    # of a_max whose weakest member shares one check is pruned unless an added
+    # node may convert two of its checks, which only a 4-cycle allows
+    labels = all_ugast_labels(4, a_max)
+    found = gast_scan(RawTanner(col_adj, 4), None, labels, a_max=a_max)
+    got = [inst.topology.vn_ids for inst in found]
+    assert len(got) == len(set(got))
+    assert set(got) == naive_ugast_subsets(col_adj, 4, labels, a_max)

@@ -167,6 +167,26 @@ class TestCli:
         payload = json.loads(res.stdout)
         assert payload["f_sc"] <= payload["f_sc_initial"]
 
+    def test_cpo_starts_from_code_powers(self, tmp_path, capsys):
+        # a pipeline-written code holds optimized powers, not array-based ones
+        from scldpc import cli
+        from scldpc.qc import build_ab_powers
+
+        out_dir = tmp_path / "run"
+        argv = ["pipeline", "--kappa", "7", "--L", "30", "--budget", "2000", "--seed-cpo", "1"]
+        assert cli.main([*argv, "--targets", "", "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        code_path = str(out_dir / "code.json")
+        assert cli.main(["cpo", "--code", code_path, "--budget", "0"]) == 0
+        cpo = json.loads(capsys.readouterr().out)
+        assert cli.main(["count", "--what", "ugast3330", "--code", code_path]) == 0
+        count = json.loads(capsys.readouterr().out)["count"]
+        powers = json.loads(Path(code_path).read_text())["powers"]
+        assert powers != [list(r) for r in build_ab_powers(3, 7).powers]
+        assert cpo["powers"] == powers
+        assert cpo["f_sc_initial"] == cpo["f_sc"] == count == 203
+        assert (cpo["evals"], cpo["trace"]) == (0, [])
+
     def test_baseline_command(self):
         res = run_cli("baseline", "--method", "cv", "--kappa", "7", "--L", "30")
         assert json.loads(res.stdout)["count"] == 3290
@@ -276,6 +296,25 @@ class TestCliErrors:
         assert rc == 2
         assert out == ""
         assert err == "scldpc: error: coupling length L must be >= 2\n"
+
+    def test_negative_cpo_budget_reported(self, tmp_path, capsys):
+        from scldpc import cli
+
+        rc = cli.main(["cpo", "--code", _labelled_code_file(tmp_path), "--budget", "-5"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == "scldpc: error: CPO budget must be >= 0, got -5\n"
+
+    def test_girth4_cpo_reported(self, tmp_path, capsys):
+        # the optimizer starts from the file's powers, which here close a 4-cycle
+        from scldpc import cli
+
+        rc = cli.main(["cpo", "--code", _girth4_code_file(tmp_path), "--budget", "10"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == "scldpc: error: initial powers activate a 4-cycle; cannot start\n"
 
     def test_cpo_zero_length_means_code_length(self, tmp_path, capsys):
         from scldpc import cli
