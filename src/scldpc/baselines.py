@@ -13,7 +13,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .cycles import count_ugast_3330_for
+import numpy as np
+
+from .cycles import union_census
 from .overlap import OverlapVector, enumerate_valid_overlaps
 from .qc import PartitionMask, ProtoMatrix
 
@@ -44,15 +46,17 @@ def cv_exhaustive_best(proto: ProtoMatrix, L: int) -> tuple[tuple[int, ...], int
     """Best ascending cutting vector by exhaustive search.
 
     Returns (zeta, lifted (3,3,3,0) count).  Ties break toward the
-    lexicographically smallest vector.
+    lexicographically smallest vector.  All C(kappa+3, 3) masks are scored in
+    one batch against the census table of the union window.
     """
     if proto.gamma != 3:
         raise ValueError("baselines are defined for column weight 3")
-    count, zeta = min(
-        (count_ugast_3330_for(proto, cv_mask(zeta, proto.kappa), L), zeta)
-        for zeta in itertools.combinations_with_replacement(range(proto.kappa + 1), 3)
-    )
-    return zeta, count
+    zetas = np.array(list(itertools.combinations_with_replacement(range(proto.kappa + 1), 3)))
+    # circulant (i, j) goes to H1 iff j >= zeta[i], as in cv_mask
+    grids = np.arange(proto.kappa) >= zetas[:, :, None]
+    counts = union_census(proto).lifted_counts(grids, L)
+    best = min(range(len(counts)), key=counts.__getitem__)
+    return tuple(zetas[best].tolist()), counts[best]
 
 
 def mo_admissible_vectors(kappa: int) -> list[OverlapVector]:
@@ -79,6 +83,9 @@ def mo_admissible_vectors(kappa: int) -> list[OverlapVector]:
 
 PATTERNS = tuple(itertools.product((0, 1), repeat=3))
 
+# masks drawn from the search's stream per call of the batched census
+MO_CHUNK = 1024
+
 
 def pattern_counts(vector: OverlapVector, kappa: int) -> dict[tuple[int, int, int], int]:
     """Column-pattern multiset of any mask realizing the vector.
@@ -102,40 +109,45 @@ def pattern_counts(vector: OverlapVector, kappa: int) -> dict[tuple[int, int, in
     return counts
 
 
-def _masks_from_counts(
+def _arrangements_from_counts(
     counts: dict, kappa: int, fixed: dict[int, tuple[int, int, int]]
-) -> Iterator[PartitionMask]:
+) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """Column patterns, one per column, of every mask with these pattern counts."""
     remaining = dict(counts)
     for col, pat in fixed.items():
         if remaining.get(pat, 0) <= 0:
             return
         remaining[pat] -= 1
-    free_cols = [c for c in range(kappa) if c not in fixed]
+    cols: list = [fixed.get(c) for c in range(kappa)]
     classes = [(pat, remaining[pat]) for pat in PATTERNS if remaining[pat] > 0]
 
-    def rec(idx: int, pool: tuple, assigned: dict):
-        if idx == len(classes):
-            cols_pat = dict(fixed)
-            cols_pat.update(assigned)
-            yield PartitionMask(
-                tuple(tuple(cols_pat[c][i] for c in range(kappa)) for i in range(3))
-            )
-            return
+    def rec(idx: int, pool: tuple):
         pat, cnt = classes[idx]
         if idx == len(classes) - 1:
             # last class takes everything left
-            yield from rec(idx + 1, (), {**assigned, **{c: pat for c in pool}})
+            for c in pool:
+                cols[c] = pat
+            yield tuple(cols)
             return
         for chosen in itertools.combinations(pool, cnt):
-            rest = tuple(c for c in pool if c not in chosen)
-            yield from rec(idx + 1, rest, {**assigned, **{c: pat for c in chosen}})
+            for c in chosen:
+                cols[c] = pat
+            yield from rec(idx + 1, tuple(c for c in pool if c not in chosen))
 
-    yield from rec(0, tuple(free_cols), {})
+    if classes:
+        yield from rec(0, tuple(c for c in range(kappa) if c not in fixed))
+    else:
+        yield tuple(cols)
+
+
+def _mask_of(arrangement: Sequence[tuple[int, int, int]]) -> PartitionMask:
+    return PartitionMask(tuple(zip(*arrangement)))
 
 
 def masks_for_vector(vector: OverlapVector, kappa: int) -> Iterator[PartitionMask]:
     """Every mask realizing the overlap vector, in deterministic order."""
-    yield from _masks_from_counts(pattern_counts(vector, kappa), kappa, {})
+    for arrangement in _arrangements_from_counts(pattern_counts(vector, kappa), kappa, {}):
+        yield _mask_of(arrangement)
 
 
 def _constrained_mask_count(counts: dict, fixed_patterns: Sequence[tuple]) -> int:
@@ -195,7 +207,8 @@ def mo_search(
     realization space by up to p(p-1) without losing any census value.  When
     the reduced space still exceeds ``max_masks`` the search falls back to a
     seeded uniform sample of pattern shuffles and the result is flagged
-    non-exhaustive.
+    non-exhaustive.  Masks stream in chunks against one census table of the
+    union window; the first mask with the least count wins.
     """
     if proto.gamma != 3:
         raise ValueError("baselines are defined for column weight 3")
@@ -220,17 +233,35 @@ def mo_search(
         plans.append((vec, counts, fixed, n))
         total += n
 
-    best: Optional[tuple[int, PartitionMask]] = None
-    scored = 0
-    if max_masks is None or total <= max_masks:
-        for _, counts, fixed, _ in plans:
-            for mask in _masks_from_counts(counts, kappa, fixed):
-                count = count_ugast_3330_for(proto, mask, L)
-                scored += 1
-                if best is None or count < best[0]:
-                    best = (count, mask)
-        return MoSearchResult(best[1], best[0], exhaustive=True, masks_scored=scored)
+    exhaustive = max_masks is None or total <= max_masks
+    if exhaustive:
+        arrangements = itertools.chain.from_iterable(
+            _arrangements_from_counts(counts, kappa, fixed) for _, counts, fixed, _ in plans
+        )
+    else:
+        arrangements = _sampled_arrangements(plans, max_masks, seed)
 
+    table = union_census(proto)
+    best: Optional[tuple[int, tuple]] = None
+    scored = 0
+    while chunk := list(itertools.islice(arrangements, MO_CHUNK)):
+        # (mask, column, row) patterns -> (mask, row, column) grids
+        counts = table.lifted_counts(np.array(chunk, dtype=np.uint8).transpose(0, 2, 1), L)
+        i = min(range(len(counts)), key=counts.__getitem__)
+        if best is None or counts[i] < best[0]:
+            best = (counts[i], chunk[i])
+        scored += len(chunk)
+    return MoSearchResult(_mask_of(best[1]), best[0], exhaustive=exhaustive, masks_scored=scored)
+
+
+def _sampled_arrangements(
+    plans: list, max_masks: int, seed: int
+) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """Seeded uniform pattern shuffles, about ``max_masks`` over all vectors.
+
+    Each shuffle is repaired to carry the vector's anchor patterns at their
+    pinned columns; a shuffle that cannot be repaired is skipped.
+    """
     rng = random.Random(seed)
     per_vec = max(1, max_masks // len(plans))
     for _, counts, fixed, _ in plans:
@@ -252,16 +283,8 @@ def mo_search(
                         ok = False
                         break
                     arrangement[col], arrangement[swap] = arrangement[swap], arrangement[col]
-            if not ok:
-                continue
-            mask = PartitionMask(
-                tuple(tuple(arrangement[c][i] for c in range(kappa)) for i in range(3))
-            )
-            count = count_ugast_3330_for(proto, mask, L)
-            scored += 1
-            if best is None or count < best[0]:
-                best = (count, mask)
-    return MoSearchResult(best[1], best[0], exhaustive=False, masks_scored=scored)
+            if ok:
+                yield tuple(arrangement)
 
 
 def mo_best(proto: ProtoMatrix, L: int) -> tuple[PartitionMask, int]:

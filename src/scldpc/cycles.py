@@ -13,6 +13,12 @@ graphs, and the optimizer's window, which stores its 4- and 6-cycles as numpy
 coefficient rows over the gamma*kappa circulant positions, plus a sparse
 per-circulant index of the cycles each power moves, so a batch of power
 changes is scored over the touched cycles only.
+
+The (3,3,3,0) census has one path, :class:`CensusTable`: the active window
+6-cycles kept as bit conditions on the partition mask, built once and scored
+against a whole batch of masks in numpy.  A partition search builds it on the
+union window, where every circulant may sit in H0 or H1; a single mask uses
+its own window.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ __all__ = [
     "TwoReplicaWindow",
     "EntryCycles",
     "build_window",
+    "CensusTable",
+    "union_census",
     "census_active_counts",
     "count_ugast_3330",
     "count_ugast_3330_for",
@@ -305,39 +313,125 @@ def build_window(proto: ProtoMatrix, mask: PartitionMask) -> TwoReplicaWindow:
     return TwoReplicaWindow(proto, mask)
 
 
+def _union_rows(gamma: int, kappa: int) -> list[set[int]]:
+    """Window rows when every circulant may sit in H0 or H1 (block-major)."""
+    r1, both, r2 = set(range(kappa)), set(range(2 * kappa)), set(range(kappa, 2 * kappa))
+    return [r1] * gamma + [both] * gamma + [r2] * gamma
+
+
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """(n, m) 0/1 rows as (n, ceil(m / 64)) little-endian 64-bit words."""
+    n, m = bits.shape
+    out = np.zeros((n, 8 * -(-m // 64)), dtype=np.uint8)
+    out[:, : -(-m // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+# mask-by-condition cells tested at once: 256 kB of uint64 temporaries
+SCORE_CELLS = 1 << 15
+
+
+@dataclass(frozen=True)
+class CensusTable:
+    """Active window 6-cycles as bit conditions on a partition mask.
+
+    A window cycle's balance reads the powers at (row mod gamma, col mod
+    kappa), so whether it is active does not depend on the mask; the mask only
+    decides whether the cycle exists.  Its entry in window row block b and
+    replica t is circulant (row mod gamma, col mod kappa), which must sit in
+    H_{b-t}.  Each active cycle is kept as that condition: the mask bits
+    under ``care`` equal ``value`` (1 = H1), packed into 64-bit words over
+    the gamma*kappa circulants (row-major, e = row * kappa + col).
+
+    The first ``n_single`` rows are single-replica cycles.  These come as
+    R1/R2 mirror pairs with one condition, so only the R1 cycle is kept and
+    stands for the pair.  The other rows are two-replica cycles.
+    """
+
+    gamma: int
+    kappa: int
+    p: int
+    care: np.ndarray
+    value: np.ndarray
+    n_single: int
+
+    @classmethod
+    def of_rows(cls, proto: ProtoMatrix, rows: Sequence[set[int]]) -> "CensusTable":
+        """Table of the active 6-cycles among window rows ``rows``."""
+        g, k, p = proto.gamma, proto.kappa, proto.p
+        f = np.asarray(proto.powers, dtype=np.int64)
+        words = -(-g * k // 64)
+        singles, duals = [], []
+        for r1, r2, r3, s12, s13, s23 in _row_triples(rows):
+            a, b, c = (np.array(sorted(s), dtype=np.int64) for s in (s12, s13, s23))
+            # balance of (r1,a) (r1,b) (r3,b) (r3,c) (r2,c) (r2,a), split by column
+            fa = f[r1 % g, a % k] - f[r2 % g, a % k]
+            fb = f[r3 % g, b % k] - f[r1 % g, b % k]
+            fc = f[r2 % g, c % k] - f[r3 % g, c % k]
+            # active: fa + fb = -fc mod p; only the bool array is three-dimensional
+            keep = ((fa[:, None] + fb) % p)[:, :, None] == -fc % p
+            keep &= (a[:, None] != b)[:, :, None]
+            keep &= (a[:, None] != c)[:, None, :]
+            keep &= b[:, None] != c
+            ia, ib, ic = np.nonzero(keep)
+            a, b, c = a[ia], b[ib], c[ic]
+            # on[s]: the circulants the cycle needs in H_s, one bit each
+            on = np.zeros((2, len(a), words), dtype=np.uint64)
+            for r, col in ((r1, a), (r1, b), (r3, b), (r3, c), (r2, c), (r2, a)):
+                e = (r % g) * k + col % k
+                bit = np.uint64(1) << (e % 64).astype(np.uint64)
+                on[r // g - col // k, np.arange(len(a)), e // 64] |= bit
+            # a cycle needing one circulant on both sides never exists
+            ok = ~(on[0] & on[1]).any(axis=1)
+            in_r1 = (a < k) & (b < k) & (c < k)
+            in_r2 = (a >= k) & (b >= k) & (c >= k)
+            singles.append(on[:, ok & in_r1])
+            duals.append(on[:, ok & ~in_r1 & ~in_r2])
+        on = np.concatenate([np.empty((2, 0, words), np.uint64), *singles, *duals], axis=1)
+        return cls(g, k, p, on[0] | on[1], on[1], sum(s.shape[1] for s in singles))
+
+    def active_counts(self, assign) -> np.ndarray:
+        """(n, 2) per-replica and two-replica active counts of n masks.
+
+        ``assign`` holds the masks' 0/1 grids, shape (n, gamma, kappa).
+        """
+        grids = np.asarray(assign, dtype=np.uint8).reshape(-1, self.gamma * self.kappa)
+        x = _pack_bits(grids)
+        out = np.empty((len(x), 2), dtype=np.int64)
+        step = max(1, SCORE_CELLS // max(1, len(self.care)))
+        for lo in range(0, len(x), step):
+            chunk = x[lo : lo + step, None, :]
+            hit = (chunk[..., 0] & self.care[:, 0]) == self.value[:, 0]
+            for w in range(1, x.shape[1]):
+                hit &= (chunk[..., w] & self.care[:, w]) == self.value[:, w]
+            out[lo : lo + step, 0] = np.count_nonzero(hit[:, : self.n_single], axis=1)
+            out[lo : lo + step, 1] = np.count_nonzero(hit[:, self.n_single :], axis=1)
+        return out
+
+    def lifted_counts(self, assign, L: int) -> list[int]:
+        """p times the active counts weighted (L, L-1), one Python int per mask."""
+        _check_coupling_length(L)
+        return [(L * s + (L - 1) * d) * self.p for s, d in self.active_counts(assign).tolist()]
+
+
+def union_census(proto: ProtoMatrix) -> CensusTable:
+    """Census table valid for every mask of the protograph's shape."""
+    return CensusTable.of_rows(proto, _union_rows(proto.gamma, proto.kappa))
+
+
+def _mask_census(proto: ProtoMatrix, mask: PartitionMask) -> CensusTable:
+    """Census table of one mask's own window."""
+    return CensusTable.of_rows(proto, _window_rows(mask))
+
+
 def census_active_counts(proto: ProtoMatrix, mask: PartitionMask) -> tuple[int, int]:
     """(per-replica, two-replica) active 6-cycle counts of the window.
 
-    Balances are summed inline per row triple without materializing cycle
-    tables: the exhaustive partition searches score thousands of small masks
-    once each, where plain loops beat building a window.  Single-replica
-    cycles come in R1/R2 mirror pairs, so their count is halved.
+    Scores the one mask against the table of its own window; a
+    single-replica cycle counts once for its R1/R2 mirror pair.
     """
-    g, k, p = proto.gamma, proto.kappa, proto.p
-    f = [list(r) for r in proto.powers]
-    singles = 0
-    duals = 0
-    for r1, r2, r3, s12, s13, s23 in _row_triples(_window_rows(mask)):
-        f1, f2, f3 = f[r1 % g], f[r2 % g], f[r3 % g]
-        for a in s12:
-            fa = f1[a % k] - f2[a % k]
-            a_r1 = a < k
-            for b in s13:
-                if b == a:
-                    continue
-                fab = fa - f1[b % k] + f3[b % k]
-                ab_r1 = a_r1 and b < k
-                ab_r2 = (not a_r1) and b >= k
-                for c in s23:
-                    if c == a or c == b:
-                        continue
-                    if (fab - f3[c % k] + f2[c % k]) % p == 0:
-                        if (ab_r1 and c < k) or (ab_r2 and c >= k):
-                            singles += 1
-                        else:
-                            duals += 1
-    assert singles % 2 == 0
-    return singles // 2, duals
+    fs, fd = _mask_census(proto, mask).active_counts([mask.assign])[0]
+    return int(fs), int(fd)
 
 
 def _has_active_4cycle(proto: ProtoMatrix, mask: PartitionMask) -> bool:
@@ -356,9 +450,7 @@ def count_ugast_3330_for(proto: ProtoMatrix, mask: PartitionMask, L: int) -> int
     Unchecked: equals the (3,3,3,0) count only when no 4-cycle is active.
     Raises when L < 2.
     """
-    _check_coupling_length(L)
-    fa_s, fa_d = census_active_counts(proto, mask)
-    return (L * fa_s + (L - 1) * fa_d) * proto.p
+    return _mask_census(proto, mask).lifted_counts([mask.assign], L)[0]
 
 
 def count_ugast_3330(code: SCCode) -> int:

@@ -273,6 +273,42 @@ def naive_column_rows(code, c: int) -> list[int]:
     return sorted(rows)
 
 
+def loop_census_active_counts(proto, mask) -> tuple[int, int]:
+    """(per-replica, two-replica) active window 6-cycles, one cycle at a time.
+
+    The window's rows are 3 blocks of gamma; row (b, i) holds replica t's
+    column t*kappa + j when circulant (i, j) sits in H_{b-t}.  Every row
+    triple and every distinct column triple shared pairwise along it is one
+    6-cycle; it is active when its alternating power sum vanishes mod p, and
+    single-replica cycles, which come in R1/R2 mirror pairs, are halved.
+    """
+    g, k, p = proto.gamma, proto.kappa, proto.p
+    f = proto.powers
+    rows = [
+        {t * k + j for t in (0, 1) for j in range(k) if b - t == mask.assign[i][j]}
+        for b in range(3)
+        for i in range(g)
+    ]
+    singles = duals = 0
+    for r1, r2, r3 in itertools.combinations(range(3 * g), 3):
+        for a in rows[r1] & rows[r2]:
+            for b in rows[r1] & rows[r3]:
+                for c in rows[r2] & rows[r3]:
+                    if len({a, b, c}) < 3:
+                        continue
+                    bal = (
+                        f[r1 % g][a % k] - f[r1 % g][b % k] + f[r3 % g][b % k]
+                        - f[r3 % g][c % k] + f[r2 % g][c % k] - f[r2 % g][a % k]
+                    )
+                    if bal % p == 0:
+                        if max(a, b, c) < k or min(a, b, c) >= k:
+                            singles += 1
+                        else:
+                            duals += 1
+    assert singles % 2 == 0
+    return singles // 2, duals
+
+
 def serial_cpo_optimize(proto, mask, L: int, budget: int, seed: int, target: int = 0) -> CpoResult:
     """The circulant power optimizer scoring one candidate at a time.
 

@@ -1,17 +1,28 @@
+import itertools
+import json
+
 import pytest
 
 from scldpc.baselines import (
     cv_exhaustive_best,
     cv_mask,
+    MoSearchResult,
     masks_for_vector,
     mo_admissible_vectors,
     mo_best,
     mo_search,
 )
-from scldpc.cycles import count_ugast_3330_for
+from scldpc.cycles import count_ugast_3330_for, union_census
 from scldpc.overlap import count_partition_choices, measure_overlaps
 from scldpc.pipeline import table1_report
-from scldpc.qc import PartitionMask, build_ab_powers
+from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers
+
+from oracles import loop_census_active_counts
+
+
+def oracle_count(proto, mask, L):
+    fs, fd = loop_census_active_counts(proto, mask)
+    return (L * fs + (L - 1) * fd) * proto.p
 
 
 class TestCvMask:
@@ -48,6 +59,42 @@ class TestCvSearch:
         zeta, count = cv_exhaustive_best(proto, 30)
         assert count == 3290
         assert count == count_ugast_3330_for(proto, cv_mask(zeta, 7), 30)
+
+    @pytest.mark.parametrize("kappa", [7, 11])
+    def test_every_cutting_vector_matches_oracle(self, kappa):
+        proto = build_ab_powers(3, kappa)
+        zetas = list(itertools.combinations_with_replacement(range(kappa + 1), 3))
+        masks = [cv_mask(z, kappa) for z in zetas]
+        batched = union_census(proto).lifted_counts([m.assign for m in masks], 30)
+        assert batched == [oracle_count(proto, m, 30) for m in masks]
+        # ties break toward the lexicographically smallest vector
+        count, zeta = min(zip(batched, zetas))
+        assert cv_exhaustive_best(proto, 30) == (zeta, count)
+
+    @pytest.mark.parametrize(
+        "kappa,zeta,count",
+        [
+            (7, (1, 3, 5), 3290),
+            (11, (2, 6, 8), 14872),
+            (13, (2, 6, 9), 25233),
+            (17, (4, 8, 13), 59024),
+        ],
+    )
+    def test_pinned_best_vectors(self, kappa, zeta, count):
+        assert cv_exhaustive_best(build_ab_powers(3, kappa), 30) == (zeta, count)
+
+    def test_counts_are_exact_python_ints(self):
+        table = table1_report(30, [7], ("uncoupled", "cv"))
+        assert json.loads(json.dumps(table))["counts"] == {"uncoupled": [8820], "cv": [3290]}
+
+
+class TestColumnWeight:
+    @pytest.mark.parametrize("search", [cv_exhaustive_best, mo_search])
+    def test_gamma_other_than_3_rejected(self, search):
+        powers = [[(i * j) % 5 for j in range(5)] for i in range(4)]
+        proto = ProtoMatrix(gamma=4, kappa=5, p=5, powers=powers)
+        with pytest.raises(ValueError, match="column weight 3"):
+            search(proto, 30)
 
 
 class TestCouplingLength:
@@ -101,6 +148,21 @@ class TestMo:
         oo = cpo_optimize(proto, mask, 30, budget=100_000, seed=0).f_sc
         assert oo <= mo <= cv <= uncoupled
 
+    def test_pinned_exhaustive_kappa7(self):
+        res = mo_search(build_ab_powers(3, 7), 30)
+        mask = ((0, 0, 1, 1, 1, 0, 1), (0, 1, 1, 0, 0, 1, 1), (1, 0, 0, 0, 1, 1, 0))
+        assert res == MoSearchResult(PartitionMask(mask), 609, exhaustive=True, masks_scored=1080)
+
+    def test_pinned_sampled_kappa11(self):
+        res = mo_search(build_ab_powers(3, 11), 30, max_masks=2000, seed=0)
+        mask = (
+            (0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0),
+            (0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1),
+            (1, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1),
+        )
+        assert res == MoSearchResult(PartitionMask(mask), 3861, exhaustive=False, masks_scored=1971)
+        assert res.count == oracle_count(build_ab_powers(3, 11), res.mask, 30)
+
     @pytest.mark.long
     def test_exhaustive_kappa11(self):
         # published value comes from a differently-specified search; this run
@@ -112,6 +174,14 @@ class TestMo:
         res = mo_search(proto, 30)
         assert res.exhaustive
         assert count_ugast_3330_for(proto, res.mask, 30) == res.count
+        mask = (
+            (0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0),
+            (0, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1),
+            (1, 1, 1, 0, 0, 1, 0, 1, 0, 0, 1),
+        )
+        assert res == MoSearchResult(
+            PartitionMask(mask), 3828, exhaustive=True, masks_scored=136080
+        )
         assert measure_overlaps(res.mask) in mo_admissible_vectors(11)
         print(
             f"minimum-overlap at kappa=11: got {res.count} (exhaustive), published 3850"

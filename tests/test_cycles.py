@@ -5,20 +5,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scldpc import cycles
 from scldpc.cpo import active_census
 from scldpc.cycles import (
     ProtoCycle,
     build_window,
     census_active_counts,
     count_ugast_3330,
+    count_ugast_3330_for,
     enumerate_cycles,
     girth_check,
     lift_count,
+    union_census,
 )
 from scldpc.overlap import cycle6_census, realize_mask, solve_optimal_overlap
 from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers, couple
 
-from oracles import build_lifted_dense, dfs_count_cycles
+from oracles import build_lifted_dense, dfs_count_cycles, loop_census_active_counts
 
 
 def random_binary_matrix(rows, cols, density, seed):
@@ -230,6 +233,71 @@ def test_girth_check_matches_dfs(grids, L):
     assert (girth == 4) == (dfs_count_cycles(H, 4) > 0)
     if girth != 4:
         assert (girth == 6) == (dfs_count_cycles(H, 6) > 0)
+
+
+@st.composite
+def census_batches(draw):
+    """A random protograph and a batch of its masks, with repeats."""
+    gamma = draw(st.sampled_from([3, 4]))
+    kappa = draw(st.integers(2, 8))
+    p = draw(st.sampled_from([1, 5, 7]))
+    grid = lambda hi: st.lists(  # noqa: E731
+        st.lists(st.integers(0, hi), min_size=kappa, max_size=kappa),
+        min_size=gamma,
+        max_size=gamma,
+    )
+    proto = ProtoMatrix(gamma=gamma, kappa=kappa, p=p, powers=draw(grid(p - 1)))
+    distinct = draw(st.lists(grid(1), min_size=1, max_size=4))
+    batch = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=8))
+    return proto, [PartitionMask(m) for m in batch], draw(st.randoms(use_true_random=False))
+
+
+class TestBatchedCensus:
+    @settings(max_examples=60, deadline=None)
+    @given(census_batches())
+    def test_matches_loop_and_ignores_batch_mates(self, case):
+        proto, masks, rnd = case
+        table = union_census(proto)
+        counts = [tuple(c) for c in table.active_counts([m.assign for m in masks]).tolist()]
+        for mask, got in zip(masks, counts):
+            assert got == loop_census_active_counts(proto, mask)
+            assert got == census_active_counts(proto, mask)
+        # a mask scores the same alone and anywhere in a shuffled batch
+        order = list(range(len(masks)))
+        rnd.shuffle(order)
+        shuffled = table.active_counts([masks[i].assign for i in order]).tolist()
+        for pos, i in enumerate(order):
+            assert tuple(shuffled[pos]) == counts[i]
+            assert tuple(table.active_counts([masks[i].assign])[0]) == counts[i]
+
+    def test_masks_wider_than_one_word(self):
+        # 3 x 23 = 69 circulants: two 64-bit words per mask
+        proto = build_ab_powers(3, 23)
+        rng = random.Random(3)
+        masks = [
+            PartitionMask(tuple(tuple(rng.randrange(2) for _ in range(23)) for _ in range(3)))
+            for _ in range(3)
+        ]
+        batched = union_census(proto).active_counts([m.assign for m in masks]).tolist()
+        assert [tuple(c) for c in batched] == [loop_census_active_counts(proto, m) for m in masks]
+
+    def test_chunking_does_not_change_counts(self, monkeypatch):
+        proto = build_ab_powers(3, 7)
+        rng = random.Random(4)
+        grids = [[[rng.randrange(2) for _ in range(7)] for _ in range(3)] for _ in range(50)]
+        whole = union_census(proto).active_counts(grids).tolist()
+        monkeypatch.setattr(cycles, "SCORE_CELLS", 1)
+        assert union_census(proto).active_counts(grids).tolist() == whole
+
+    def test_lifted_count_is_exact_at_huge_L(self):
+        proto = build_ab_powers(3, 7)
+        mask = realize_mask(solve_optimal_overlap(7, 30).optima[0], 7, seed=1)
+        L = 10**18
+        fs, fd = loop_census_active_counts(proto, mask)
+        got = count_ugast_3330_for(proto, mask, L)
+        assert type(got) is int
+        assert got == (L * fs + (L - 1) * fd) * 7
+        assert union_census(proto).lifted_counts([mask.assign], L) == [got]
 
 
 class TestWindowDecomposition:
