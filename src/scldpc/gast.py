@@ -4,16 +4,21 @@ A subset of variable nodes with nonzero GF(q) values is absorbing when every
 unsatisfied check it touches has degree at most 2 and every variable node
 sees strictly more satisfied than unsatisfied checks.  Whether some value
 assignment achieves this is decided here by an exhaustive scan over
-(q-1)^a assignments, vectorized over the assignment axis.  That oracle is
+(q-1)^a assignments, vectorized over the assignment axis and, in the scan,
+over the translates of a subset under the lift shift.  That oracle is
 exact and replaces null-space machinery for the sizes this library targets:
 it refuses more than 2^20 assignments (a <= 12 at q = 4, a <= 7 at q = 8,
 a <= 5 at q = 16) before allocating anything.
 
 Candidates in a code are found by growing variable-node subsets outward from
-6-cycles.  The last node of a full-size subset is added only if it already
-shares a majority of its checks with the subset, and each subset's label is
-read off its row hits, so a topology is built, and the oracle run, only for
-subsets whose label matches a target.
+6-cycles.  Shifting every offset by one inside every circulant maps the
+lifted graph onto itself, so one subset per shift orbit is grown.  The last
+node of a full-size subset is added only if it already shares a majority of
+its checks with the subset, and each subset's label is read off its row
+hits.  Only an orbit whose label matches a target is expanded to its
+distinct translates; their weights are read from the label bytes and all of
+them are tested in one batched oracle pass, and a topology is built only
+for a hit.
 
 Removal works on edges of degree-2 checks only.  When the unsatisfied checks
 are exactly the degree-1 checks, the number of weight changes needed has a
@@ -32,7 +37,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .cycles import SPAN_R1, SPAN_R2, _four_cycles, _six_cycles, build_window, girth_check
+from .cycles import SPAN_R1, SPAN_R2, _four_cycles, _has_active_4cycle, _six_cycles, build_window
 from .gf import FieldGF
 from .qc import SCCode, TannerEdges, TannerGraph, apply_edge_changes
 
@@ -55,6 +60,8 @@ __all__ = [
 
 # largest (q-1)^a the oracle scans; a = 10 at q = 8 would be 282 M rows
 MAX_ORACLE_ASSIGNMENTS = 2**20
+# translates x assignments scanned at once when the scan tests an orbit
+ORACLE_BATCH_ROWS = MAX_ORACLE_ASSIGNMENTS
 # largest change set the brute-force removal stream tries
 MAX_CHANGES = 2
 
@@ -159,65 +166,75 @@ def _assignments(a: int, q: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-class _Oracle:
-    """Vectorized satisfiability scan for one topology over one field."""
+@functools.lru_cache(maxsize=8)
+def _flat_mul_table(field: FieldGF) -> np.ndarray:
+    """The field's multiplication table, flat: entry w * q + x holds w * x."""
+    return np.asarray(field.mul_table_rows(), dtype=np.uint8).ravel()
 
-    def __init__(self, topology: UgastTopology, field: FieldGF):
-        n = (field.q - 1) ** topology.a
-        if n > MAX_ORACLE_ASSIGNMENTS:
-            raise ValueError(
-                f"oracle would scan (q-1)^a = {field.q - 1}^{topology.a} = {n} "
-                f"assignments, limit is {MAX_ORACLE_ASSIGNMENTS}"
-            )
-        self.top = topology
-        self.field = field
-        self.mul = np.asarray(field.mul_table_rows(), dtype=np.uint8)
-        self.vals = _assignments(topology.a, field.q)
-        n_cns = len(topology.shared_cns)
-        self.inc = np.zeros((n_cns, topology.a), dtype=np.uint8)
-        for c, cn in enumerate(topology.shared_cns):
-            for v in cn:
-                self.inc[c, v] = 1
-        self.deg3_cols = np.array(
-            [c for c, cn in enumerate(topology.shared_cns) if len(cn) > 2], dtype=np.int64
+
+def _assignment_count(a: int, q: int) -> int:
+    """(q-1)^a, refused above MAX_ORACLE_ASSIGNMENTS before anything is built."""
+    n = (q - 1) ** a
+    if n > MAX_ORACLE_ASSIGNMENTS:
+        raise ValueError(
+            f"oracle would scan (q-1)^a = {q - 1}^{a} = {n} "
+            f"assignments, limit is {MAX_ORACLE_ASSIGNMENTS}"
         )
-        self.d1_per_vn = np.array(topology.deg1_per_vn, dtype=np.int64)
+    return n
 
-    def _syndromes(self, weights: dict) -> np.ndarray:
-        """(N, n_cns) check sums over all assignments."""
-        n = self.vals.shape[0]
-        syn = np.zeros((n, len(self.top.shared_cns)), dtype=np.uint8)
-        for c, cn in enumerate(self.top.shared_cns):
-            acc = np.zeros(n, dtype=np.uint8)
-            for v in cn:
-                w = weights[(c, v)]
-                acc ^= self.mul[w][self.vals[:, v]]
-            syn[:, c] = acc
-        return syn
 
-    def scan(self, weights: dict) -> tuple[np.ndarray, np.ndarray]:
-        """(valid mask over assignments, unsatisfied-check totals incl. degree-1)."""
-        for (c, v), w in weights.items():
-            if not 0 < w < self.field.q:
-                raise ValueError(f"edge weight {w} out of GF({self.field.q}) nonzero range")
-        unsat = self._syndromes(weights) != 0
-        ok = np.ones(unsat.shape[0], dtype=bool)
-        if self.deg3_cols.size:
-            ok &= ~unsat[:, self.deg3_cols].any(axis=1)
-        sat_counts = (~unsat).astype(np.int64) @ self.inc
-        unsat_counts = unsat.astype(np.int64) @ self.inc + self.d1_per_vn
-        ok &= (sat_counts > unsat_counts).all(axis=1)
-        b_totals = unsat.sum(axis=1) + int(self.d1_per_vn.sum())
-        return ok, b_totals
+def _oracle_pass(
+    gamma: int,
+    checks: list[list[int]],
+    weights: np.ndarray,
+    perm: np.ndarray,
+    field: FieldGF,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(valid, unsatisfied totals incl. degree-1), each (translates, assignments).
+
+    ``checks`` lists the nodes of each shared check; edges are numbered
+    check by check in that order, and ``weights`` is (translates, edges).
+    ``perm[t, i]`` is the column of the assignment table that node i of
+    translate t reads, so the table stays lexicographic in each
+    translate's own node order.
+    """
+    m, a = perm.shape
+    nodes = [i for members in checks for i in members]
+    # every edge's weight times its node's value: (edges, translates, assignments);
+    # a q <= 256 table index w * q + x fits 16 bits
+    values = _assignments(a, field.q).T[perm.T[nodes]]
+    products = _flat_mul_table(field)[weights.T[:, :, None].astype(np.uint16) * field.q + values]
+    good = np.empty((len(checks),) + values.shape[1:], dtype=bool)
+    e = 0
+    for c, members in enumerate(checks):
+        np.equal(np.bitwise_xor.reduce(products[e : e + len(members)], axis=0), 0, out=good[c])
+        e += len(members)
+    ok = good[[c for c, members in enumerate(checks) if len(members) > 2]].all(axis=0)
+    # satisfied > unsatisfied + hanging at a node of gamma checks
+    for i in range(a):
+        mine = [c for c, members in enumerate(checks) if i in members]
+        ok &= 2 * good[mine].sum(axis=0, dtype=np.int8) > gamma
+    return ok, gamma * a - e + len(checks) - good.sum(axis=0)
 
 
 def gast_witnesses(
     topology: UgastTopology, weights: dict, field: FieldGF
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(assignment matrix, valid mask, unsatisfied totals) of the full scan."""
-    oracle = _Oracle(topology, field)
-    ok, b_totals = oracle.scan(weights)
-    return oracle.vals, ok, b_totals
+    _assignment_count(topology.a, field.q)
+    for w in weights.values():
+        if not 0 < w < field.q:
+            raise ValueError(f"edge weight {w} out of GF({field.q}) nonzero range")
+    cns = topology.shared_cns
+    edge_weights = [[weights[(c, v)] for c, cn in enumerate(cns) for v in cn]]
+    ok, b = _oracle_pass(
+        topology.gamma,
+        [list(cn) for cn in cns],
+        np.array(edge_weights, dtype=np.uint8),
+        np.arange(topology.a)[None],
+        field,
+    )
+    return _assignments(topology.a, field.q), ok[0], b[0]
 
 
 def is_gast(
@@ -432,8 +449,12 @@ class RawTanner(TannerGraph):
     ``col_adj`` lists the check rows of each variable column; every column
     must have exactly gamma distinct rows.  Optional ``labels`` holds one
     weight per edge as bytes, column by column with each column's rows
-    ascending (the order of ``edges``); without it every weight is 1.
+    ascending (the order of ``edges``); without it every weight is 1.  The
+    graph has no lift, so its shift is the identity (p = 1).
     """
+
+    p = 1
+    field_lam = None
 
     def __init__(self, col_adj: Sequence[Sequence[int]], gamma: int,
                  labels: Optional[bytes] = None):
@@ -446,12 +467,36 @@ class RawTanner(TannerGraph):
         self.labels = labels
 
 
-def lifted_6cycle_vn_sets(code: SCCode) -> list[tuple[int, ...]]:
-    """Variable-node triples of every 6-cycle in the lifted graph.
+def _shift(x, s: int, p: int):
+    """sigma^s of lifted rows or columns: offset + s mod p inside each block."""
+    return x - x % p + (x + s) % p
 
-    Active window cycles are expanded across replica shifts (L for
-    one-replica spans, L-1 for two-replica) and across the p lift offsets;
-    the full lifted graph is never searched.
+
+def _canonical(cols: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The smallest sorted tuple among the translates of ascending ``cols``.
+
+    Its first entry is offset 0 of the lowest block the set touches, so only
+    the shifts that take a member of that block to offset 0 are tried.
+    """
+    if p == 1:
+        return cols
+    end = cols[0] - cols[0] % p + p
+    best = None
+    for c in cols:
+        if c >= end:
+            break
+        t = tuple(sorted([_shift(x, -c % p, p) for x in cols]))
+        if best is None or t < best:
+            best = t
+    return best
+
+
+def _6cycle_orbits(code: SCCode) -> set[tuple[int, ...]]:
+    """Canonical variable-node triples of the lifted 6-cycles, one per orbit.
+
+    Each active window cycle is walked once per replica shift (L for
+    one-replica spans, L-1 for two-replica) at lift offset 0; the other
+    p - 1 offsets are its translates.
     """
     win = build_window(code.proto, code.mask)
     flat = win.flat_powers(code.proto.powers)
@@ -465,33 +510,38 @@ def lifted_6cycle_vn_sets(code: SCCode) -> list[tuple[int, ...]]:
             continue  # mirror of an R1 cycle under replica shift
         pr = win.pos6_rows[idx]
         pc = win.pos6_cols[idx]
-        shifts = range(L) if span == SPAN_R1 else range(L - 1)
         # walk the cycle once symbolically: v_{e+1} = v_e + f(pos_2e) - f(pos_2e+1)
         deltas = []
-        for e in range(3):
+        for e in range(2):
             r_a, c_a = int(pr[2 * e]), int(pc[2 * e])
             r_b, c_b = int(pr[2 * e + 1]), int(pc[2 * e + 1])
             deltas.append(powers[r_a % g][c_a % k] - powers[r_b % g][c_b % k])
         cols = [int(pc[0]), int(pc[1]), int(pc[3])]  # distinct column positions
-        for r in shifts:
-            groups = [r + c // k for c in cols]
-            for s in range(p):
-                # lift offsets of the three variable nodes along the walk
-                v0 = s
-                v1 = (s + deltas[0]) % p
-                v2 = (v1 + deltas[1]) % p
-                offs = [v0, v1, v2]
-                vns = tuple(
-                    sorted(
-                        (groups[t] * k + cols[t] % k) * p + offs[t] for t in range(3)
-                    )
-                )
-                out.add(vns)
-    return sorted(out)
+        offs = [0, deltas[0] % p, (deltas[0] + deltas[1]) % p]
+        for r in range(L) if span == SPAN_R1 else range(L - 1):
+            vns = sorted(((r + c // k) * k + c % k) * p + o for c, o in zip(cols, offs))
+            out.add(_canonical(tuple(vns), p))
+    return out
+
+
+def lifted_6cycle_vn_sets(code: SCCode) -> list[tuple[int, ...]]:
+    """Variable-node triples of every 6-cycle in the lifted graph.
+
+    The orbits of the window walk, each expanded over the p lift offsets;
+    the full lifted graph is never searched.
+    """
+    p = code.p
+    return sorted(
+        {
+            tuple(sorted(_shift(c, s, p) for c in rep))
+            for rep in _6cycle_orbits(code)
+            for s in range(p)
+        }
+    )
 
 
 def _topology_from_rows(
-    gamma: int, subset: frozenset, row_members: dict[int, list[int]]
+    gamma: int, subset: Sequence[int], row_members: dict[int, list[int]]
 ) -> UgastTopology:
     """Topology of a column subset from its row hits (row -> member columns)."""
     vn_ids = tuple(sorted(subset))
@@ -506,12 +556,94 @@ def _topology_from_rows(
     )
 
 
-def _instance_from_topology(code: SCCode, top: UgastTopology) -> GastInstance:
+def _instance_from_topology(code, top: UgastTopology) -> GastInstance:
     weights = {}
     for c, cn in enumerate(top.shared_cns):
         for v in cn:
             weights[(c, v)] = code.weight_of(top.cn_ids[c], top.vn_ids[v])
     return GastInstance(topology=top, weights=weights)
+
+
+def _orbit_witnesses(
+    gamma: int,
+    checks: list[list[int]],
+    weights: np.ndarray,
+    perm: np.ndarray,
+    field: FieldGF,
+    bs: Sequence[int],
+) -> list[Optional[tuple[int, tuple[int, ...]]]]:
+    """Per translate, (b, witness) of the first b in ``bs`` that has a witness.
+
+    The arguments are those of :func:`_oracle_pass`.  Translates x
+    assignments are scanned in batches of at most ``ORACLE_BATCH_ROWS``
+    rows.
+    """
+    m, a = perm.shape
+    n = _assignment_count(a, field.q)
+    vals = _assignments(a, field.q)
+    out: list = []
+    step = max(1, ORACLE_BATCH_ROWS // n)
+    for lo in range(0, m, step):
+        ok, b = _oracle_pass(gamma, checks, weights[lo : lo + step], perm[lo : lo + step], field)
+        found: list = [None] * len(ok)
+        for bt in bs:
+            match = ok & (b == bt)
+            first = match.argmax(axis=1)
+            for t in np.flatnonzero(match.any(axis=1)).tolist():
+                if found[t] is None:
+                    found[t] = (bt, tuple(vals[first[t]].tolist()))
+        out += found
+    return out
+
+
+def _orbit_instances(
+    code,
+    rep: tuple[int, ...],
+    row_members: dict[int, list[int]],
+    matching: list[tuple],
+    field: Optional[FieldGF],
+    labels: Optional[np.ndarray],
+) -> list[GastInstance]:
+    """The instances among the distinct translates of a label-matched subset.
+
+    Per translate, the first target of ``matching`` (in list order) that
+    holds wins.  A 4-entry target holds for every translate; the 5-entry
+    targets before it are decided for all translates in one oracle pass.
+    """
+    p, gamma = code.p, code.gamma
+    shared = sorted((r, ms) for r, ms in row_members.items() if len(ms) >= 2)
+    cols = np.array(rep)
+    moved = _shift(cols, np.arange(p)[:, None], p)
+    order = np.argsort(moved, axis=1)
+    vn = np.take_along_axis(moved, order, axis=1)
+    # the shifts fixing the set are the multiples of its period, which divides p
+    same = (vn[1:] == vn[0]).all(axis=1)
+    shifts = np.arange(1 + int(same.argmax()) if same.any() else p)
+    lead = list(itertools.takewhile(lambda t: len(t) == 5, matching))
+    witnesses: list = [None] * len(shifts)
+    if lead:
+        index = {v: i for i, v in enumerate(rep)}
+        checks = [[index[v] for v in ms] for _, ms in shared]
+        if labels is None:
+            weights = np.ones((len(shifts), sum(map(len, checks))), dtype=np.uint8)
+        else:
+            s = shifts[:, None]
+            e_rows = _shift(np.array([r for r, ms in shared for _ in ms]), s, p)
+            e_cols = _shift(np.array([v for _, ms in shared for v in ms]), s, p)
+            k = (code.edges.rows[e_cols] == e_rows[..., None]).argmax(axis=2)
+            weights = labels[e_cols * gamma + k]
+        perm = np.argsort(order[shifts], axis=1)
+        witnesses = _orbit_witnesses(gamma, checks, weights, perm, field, [t[1] for t in lead])
+    out = []
+    for s, hit in zip(shifts.tolist(), witnesses):
+        if hit is None and len(lead) == len(matching):
+            continue
+        members = {_shift(r, s, p): [_shift(v, s, p) for v in ms] for r, ms in shared}
+        inst = _instance_from_topology(code, _topology_from_rows(gamma, vn[s].tolist(), members))
+        if hit is not None:
+            inst = replace(inst, b=int(hit[0]), witness=hit[1])
+        out.append(inst)
+    return out
 
 
 def gast_scan(
@@ -523,51 +655,74 @@ def gast_scan(
     """Find absorbing-set instances matching the target labels.
 
     ``code`` is an SCCode or a RawTanner; both are read through their edge
-    array, taken once as Python lists.  Subsets grow outward from 6-cycle
-    seeds by adding variable nodes that share a check with the current set,
-    up to ``a_max`` nodes, an upper bound clamped to the largest target size
-    (a larger subset can never match).  Growth is pruned once the per-node
-    majority condition is unreachable within the remaining additions.  A
-    node that would complete a subset of that size is added only if it
-    shares at least floor(gamma/2)+1 checks with the subset: that set is
-    never grown, so the node's shared degree is final, and a set failing it
-    can never be an absorbing set.
+    array, taken once as Python lists.  The lifted graph is invariant under
+    the shift sigma that adds 1 mod p to the offset of every row and column
+    inside its circulant block, and so are pruning, the majority floor and
+    every label; a RawTanner has p = 1.  So only one subset per sigma-orbit
+    is grown: the canonical one, the smallest of its translates as a sorted
+    tuple.
+
+    Subsets grow outward from the 6-cycle orbits by adding variable nodes
+    that share a check with the current set, up to ``a_max`` nodes, an
+    upper bound clamped to the largest target size (a larger subset can
+    never match), and each child is put into canonical form before it is
+    looked up among the subsets already seen.  Growth is pruned once the
+    per-node majority condition is unreachable within the remaining
+    additions.  A node that would complete a subset of that size is added
+    only if it shares at least floor(gamma/2)+1 checks with the subset: that
+    set is never grown, so the node's shared degree is final, and a set
+    failing it can never be an absorbing set.
 
     Each subset's label (a, d1, d2, d3), d2 > d3 and the majority condition
-    are read off its row hits in one pass; the topology is built, and the
-    oracle run, only when the label matches a target.  4-entry targets
+    are read off its row hits in one pass.  A subset whose label matches a
+    target is expanded to its distinct translates.  4-entry targets
     (a, d1, d2, d3) match topologies only; 5-entry targets (a, b, d1, d2, d3)
     additionally require an oracle witness with exactly b unsatisfied
-    checks, which needs a labeled code and a field.
+    checks, which needs a field, and are decided for all translates in one
+    batched oracle pass over the weights read from the label bytes.  Per
+    translate the first target in list order wins, and the witness is the
+    lexicographically first valid assignment in the translate's own sorted
+    ``vn_ids`` order.  Topologies and instances are built only for hits.  A
+    labelled code whose field differs from ``field`` is refused.
     """
     targets = [tuple(t) for t in targets]
     if not targets:
         return []
     if any(len(t) not in (4, 5) for t in targets):
         raise ValueError("targets must be 4-tuples (UGAST) or 5-tuples (GAST)")
-    need_oracle = any(len(t) == 5 for t in targets)
-    if need_oracle and field is None:
+    if any(len(t) == 5 for t in targets) and field is None:
         raise ValueError("5-entry targets need a field for the oracle")
+    labels = None
+    if code.labels is not None and field is not None:
+        if code.field_lam is not None and code.field_lam != field.lam:
+            raise ValueError(
+                f"code is labelled over GF({1 << code.field_lam}), "
+                f"the scan field is GF({field.q})"
+            )
+        labels = np.frombuffer(code.labels, dtype=np.uint8)
+        bad = labels[(labels == 0) | (labels >= field.q)]
+        if bad.size:
+            raise ValueError(f"edge weight {bad[0]} out of GF({field.q}) nonzero range")
+    by_label: dict[tuple, list[tuple]] = {}
+    for t in targets:
+        by_label.setdefault(t if len(t) == 4 else t[:1] + t[2:], []).append(t)
     # a subset larger than every target can never match
     a_max = min(a_max, max(t[0] for t in targets))
-    need_majority = math.floor(code.gamma / 2) + 1
+    gamma, p = code.gamma, code.p
+    need_majority = math.floor(gamma / 2) + 1
 
     if isinstance(code, SCCode):
-        seeds = lifted_6cycle_vn_sets(code)
-        convert_bound = 1 if girth_check(code) >= 6 else code.gamma
+        seeds = _6cycle_orbits(code)
+        has4 = _has_active_4cycle(code.proto, code.mask)
     else:
         rows = [set(cols) for cols in code.edges.row_lists if cols]
-        seeds = sorted({tuple(sorted(cyc[3:])) for cyc in _six_cycles(rows)})
-        convert_bound = 1 if next(_four_cycles(rows), None) is None else code.gamma
+        seeds = {tuple(sorted(cyc[3:])) for cyc in _six_cycles(rows)}
+        has4 = next(_four_cycles(rows), None) is not None
+    convert_bound = gamma if has4 else 1
 
     results: list[GastInstance] = []
-    visited: set[frozenset] = set()
-    queue: list[frozenset] = []
-    for s in seeds:
-        fs = frozenset(s)
-        if fs not in visited:
-            visited.add(fs)
-            queue.append(fs)
+    queue: list[tuple[int, ...]] = sorted(seeds)
+    visited = set(queue)
 
     rows_of = code.edges.columns
     cols_of = code.edges.row_lists
@@ -593,23 +748,9 @@ def gast_scan(
                     deg_in[v] += 1
         least = min(deg_in.values())
         if d2 > d3 and least >= need_majority:
-            label = (a, a * code.gamma - sum(deg_in.values()), d2, d3)
-            inst = None
-            for t in targets:
-                if (t if len(t) == 4 else t[:1] + t[2:]) != label:
-                    continue
-                if inst is None:
-                    top = _topology_from_rows(code.gamma, subset, row_members)
-                    inst = _instance_from_topology(code, top)
-                if len(t) == 4:
-                    results.append(inst)
-                    break
-                vals, ok, b_tot = gast_witnesses(top, inst.weights, field)
-                hits = np.flatnonzero(ok & (b_tot == t[1]))
-                if hits.size:
-                    w = tuple(int(x) for x in vals[hits[0]])
-                    results.append(replace(inst, b=int(t[1]), witness=w))
-                    break
+            matching = by_label.get((a, a * gamma - sum(deg_in.values()), d2, d3))
+            if matching:
+                results += _orbit_instances(code, subset, row_members, matching, field, labels)
         if a >= a_max:
             continue
         remaining = a_max - a
@@ -622,10 +763,11 @@ def gast_scan(
         # that degree is final and must already reach the majority
         shared_with = Counter(itertools.chain.from_iterable(map(cols_of.__getitem__, row_members)))
         floor = need_majority if remaining == 1 else 1
-        for c in sorted(c for c, n in shared_with.items() if n >= floor and c not in subset):
-            nxt = subset | {c}
-            if nxt not in visited:
-                visited.add(nxt)
-                queue.append(nxt)
+        for c, n in shared_with.items():
+            if n >= floor and c not in deg_in:
+                nxt = _canonical(tuple(sorted(subset + (c,))), p)
+                if nxt not in visited:
+                    visited.add(nxt)
+                    queue.append(nxt)
     results.sort(key=lambda inst: inst.topology.vn_ids)
     return results

@@ -410,3 +410,143 @@ def serial_cpo_optimize(proto, mask, L: int, budget: int, seed: int, target: int
 
     powers = tuple(tuple(int(x) for x in best_flat[i * k : (i + 1) * k]) for i in range(g))
     return CpoResult(powers, best_f, f_initial, tuple(trace), evals, restarts)
+
+
+def exhaustive_witnesses(topology, weights: dict, field):
+    """(assignment matrix, valid mask, unsatisfied totals) of one topology.
+
+    Every check sum over all (q-1)^a lexicographic assignments is built as
+    an (N, checks) table, and the per-node satisfied and unsatisfied counts
+    come from a matrix product with the check incidence.
+    """
+    q, a = field.q, topology.a
+    mul = np.asarray(field.mul_table_rows(), dtype=np.uint8)
+    vals = np.array(list(itertools.product(range(1, q), repeat=a)), dtype=np.uint8)
+    cns = topology.shared_cns
+    syn = np.zeros((vals.shape[0], len(cns)), dtype=np.uint8)
+    inc = np.zeros((len(cns), a), dtype=np.int64)
+    for c, cn in enumerate(cns):
+        for v in cn:
+            syn[:, c] ^= mul[weights[(c, v)]][vals[:, v]]
+            inc[c, v] = 1
+    unsat = syn != 0
+    ok = ~unsat[:, [c for c, cn in enumerate(cns) if len(cn) > 2]].any(axis=1)
+    d1 = np.array(topology.deg1_per_vn, dtype=np.int64)
+    ok &= ((~unsat).astype(np.int64) @ inc > unsat.astype(np.int64) @ inc + d1).all(axis=1)
+    return vals, ok, unsat.sum(axis=1) + int(d1.sum())
+
+
+def serial_gast_scan(code, field, targets, a_max: int = 8) -> list:
+    """The absorbing-set scan growing and matching every subset on its own.
+
+    Seeds are the column triples of every 6-cycle, walked on the lifted
+    graph's own adjacency; each subset reached is grown, labelled and, on a
+    label match, tested target by target (in list order) with the
+    per-topology oracle ``exhaustive_witnesses``, the first target that
+    holds winning.  No lift symmetry is used.  The library's orbit scan must
+    return exactly this list: subsets, checks, weights, b and witnesses.
+    """
+    from collections import Counter
+    from dataclasses import replace
+
+    from scldpc.gast import GastInstance, UgastTopology
+
+    targets = [tuple(t) for t in targets]
+    if not targets:
+        return []
+    a_max = min(a_max, max(t[0] for t in targets))
+    gamma = code.gamma
+    need_majority = gamma // 2 + 1
+    rows_of = [[int(r) for r in rows] for rows in code.edges.rows]
+    cols_of: list[list[int]] = [[] for _ in range(code.edges.n_rows)]
+    for c, rows in enumerate(rows_of):
+        for r in rows:
+            cols_of[r].append(c)
+    row_sets = [set(rows) for rows in rows_of]
+
+    # a 4-cycle: two columns sharing two rows
+    has4 = any(
+        len(set(cols_of[r1]) & set(cols_of[r2])) >= 2
+        for rows in rows_of
+        for r1, r2 in itertools.combinations(rows, 2)
+    )
+    convert_bound = gamma if has4 else 1
+    # a 6-cycle: columns x, y, z with x, y on r1, x, z on r2, and y, z on a third row
+    seeds = set()
+    for x, rows in enumerate(rows_of):
+        for r1, r2 in itertools.permutations(rows, 2):
+            for y in cols_of[r1]:
+                for z in cols_of[r2]:
+                    if len({x, y, z}) == 3 and (row_sets[y] & row_sets[z]) - {r1, r2}:
+                        seeds.add(frozenset((x, y, z)))
+
+    def weight(r: int, c: int) -> int:
+        return 1 if code.labels is None else code.labels[c * gamma + rows_of[c].index(r)]
+
+    results = []
+    visited = set(seeds)
+    queue = sorted(seeds, key=sorted)
+    head = 0
+    while head < len(queue):
+        subset = queue[head]
+        head += 1
+        a = len(subset)
+        row_members: dict[int, list[int]] = {}
+        for v in subset:
+            for r in rows_of[v]:
+                row_members.setdefault(r, []).append(v)
+        deg_in = dict.fromkeys(subset, 0)
+        d2 = d3 = 0
+        for members in row_members.values():
+            if len(members) >= 2:
+                d2 += len(members) == 2
+                d3 += len(members) > 2
+                for v in members:
+                    deg_in[v] += 1
+        least = min(deg_in.values())
+        if d2 > d3 and least >= need_majority:
+            label = (a, a * gamma - sum(deg_in.values()), d2, d3)
+            inst = None
+            for t in targets:
+                if (t if len(t) == 4 else t[:1] + t[2:]) != label:
+                    continue
+                if inst is None:
+                    vn_ids = tuple(sorted(subset))
+                    index = {c: i for i, c in enumerate(vn_ids)}
+                    shared = sorted((r, ms) for r, ms in row_members.items() if len(ms) >= 2)
+                    top = UgastTopology(
+                        gamma=gamma,
+                        a=a,
+                        shared_cns=tuple(tuple(sorted(index[v] for v in ms)) for _, ms in shared),
+                        vn_ids=vn_ids,
+                        cn_ids=tuple(r for r, _ in shared),
+                    )
+                    weights = {
+                        (c, v): weight(top.cn_ids[c], vn_ids[v])
+                        for c, cn in enumerate(top.shared_cns)
+                        for v in cn
+                    }
+                    inst = GastInstance(topology=top, weights=weights)
+                if len(t) == 4:
+                    results.append(inst)
+                    break
+                vals, ok, b_tot = exhaustive_witnesses(top, weights, field)
+                hits = np.flatnonzero(ok & (b_tot == t[1]))
+                if hits.size:
+                    witness = tuple(int(x) for x in vals[hits[0]])
+                    results.append(replace(inst, b=int(t[1]), witness=witness))
+                    break
+        if a >= a_max:
+            continue
+        remaining = a_max - a
+        if need_majority - least > remaining * convert_bound:
+            continue
+        shared_with = Counter(c for r in row_members for c in cols_of[r])
+        floor = need_majority if remaining == 1 else 1
+        for c in sorted(c for c, n in shared_with.items() if n >= floor and c not in subset):
+            nxt = subset | {c}
+            if nxt not in visited:
+                visited.add(nxt)
+                queue.append(nxt)
+    results.sort(key=lambda inst: inst.topology.vn_ids)
+    return results

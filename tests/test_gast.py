@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scldpc.gf import FieldGF
 from scldpc.gast import (
@@ -21,9 +21,9 @@ from scldpc.gast import (
 )
 from scldpc.cycles import count_ugast_3330
 from scldpc.overlap import realize_mask, solve_optimal_overlap
-from scldpc.qc import build_ab_powers, couple, label_edges
+from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers, couple, label_edges
 
-from oracles import all_ugast_labels, naive_ugast_subsets
+from oracles import all_ugast_labels, exhaustive_witnesses, naive_ugast_subsets, serial_gast_scan
 
 GF4 = FieldGF(2)
 GF8 = FieldGF(3)
@@ -200,6 +200,38 @@ class TestOracle:
             is_gast(top, uniform_weights(top), GF8)
 
 
+def five_with_triple_check() -> UgastTopology:
+    """The (5, 4, 4, 1) shape: a degree-3 check that must be satisfied."""
+    return UgastTopology(
+        gamma=3, a=5, shared_cns=((0, 1, 2), (0, 3), (1, 4), (2, 3), (3, 4))
+    )
+
+
+def pair_and_loner() -> UgastTopology:
+    """One shared check and a node with none: never absorbing."""
+    return UgastTopology(gamma=3, a=3, shared_cns=((0, 1),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(
+        [hexagon, k4_minus_edge, prism, five_with_triple_check, example_7_9_9_13, pair_and_loner]
+    ),
+    st.sampled_from([1, 2, 3, 4]),
+    st.randoms(use_true_random=False),
+)
+def test_oracle_matches_reference(shape, lam, rng):
+    # assignment table, valid mask and b totals, element by element
+    top, field = shape(), FieldGF(lam)
+    if (field.q - 1) ** top.a > 2**14:
+        field = GF4
+    weights = {(c, v): rng.randrange(1, field.q) for c, cn in enumerate(top.shared_cns) for v in cn}
+    got = gast_witnesses(top, weights, field)
+    want = exhaustive_witnesses(top, weights, field)
+    for g, w in zip(got, want):
+        assert g.tolist() == w.tolist()
+
+
 class TestBudget:
     def test_example_gamma5(self):
         inst = GastInstance(topology=example_7_9_9_13(), weights=uniform_weights(example_7_9_9_13()))
@@ -339,13 +371,17 @@ def test_removal_soundness_on_synthesized_corpus():
                 assert is_gast(trial.topology, trial.weights, GF4)[0]
 
 
-@pytest.fixture(scope="module")
-def small_code():
+def _small_code():
     proto = build_ab_powers(3, 5)
     sol = solve_optimal_overlap(5, 3)
     mask = realize_mask(sol.optima[0], 5, seed=0)
     code = couple(proto, mask, 3)
     return label_edges(code, GF4, seed=2)
+
+
+@pytest.fixture(scope="module")
+def small_code():
+    return _small_code()
 
 
 class TestScan:
@@ -484,3 +520,135 @@ def test_scan_matches_brute_force_gamma4(col_adj, a_max):
     got = [inst.topology.vn_ids for inst in found]
     assert len(got) == len(set(got))
     assert set(got) == naive_ugast_subsets(col_adj, 4, labels, a_max)
+
+
+# every unlabeled label present in small_code up to a = 5, each with all its
+# b in [d1, d1 + d2] after the 4-entry target
+MIXED_TARGETS = [
+    t
+    for a, d1, d2, d3 in [(3, 3, 3, 0), (4, 2, 5, 0), (5, 3, 6, 0), (5, 4, 4, 1), (5, 2, 5, 1)]
+    for t in [(a, b, d1, d2, d3) for b in range(d1 + d2, d1 - 1, -1)] + [(a, d1, d2, d3)]
+]
+
+
+def _short_period_case():
+    """A p = 6 girth-4 code whose (6, 4, 4, 2) subsets are fixed by a shift."""
+    proto = ProtoMatrix(gamma=3, kappa=3, p=6, powers=((5, 0, 1), (0, 4, 1), (3, 3, 1)))
+    mask = PartitionMask(((0, 0, 1), (1, 1, 1), (0, 0, 0)))
+    code = label_edges(couple(proto, mask, 2), GF4, seed=1)
+    return code, GF4, [(6, b, 4, 4, 2) for b in range(4, 9)] + [(6, 4, 4, 2)], 6
+
+
+SHORT_PERIOD_CASE = _short_period_case()
+
+
+def _bridged_triangles() -> RawTanner:
+    """Two 6-cycles joined by one check, all weights 1: scaling one triangle
+    against the other satisfies the bridge (b = 4) or not (b = 5)."""
+    checks = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3)]
+    col_adj = [[r for r, cn in enumerate(checks) if v in cn] for v in range(6)]
+    for v, hanging in ((1, 7), (2, 8), (4, 9), (5, 10)):
+        col_adj[v].append(hanging)
+    return RawTanner(col_adj, 3, labels=bytes([1] * 18))
+
+
+TWO_B_CASE = (_bridged_triangles(), GF4, [(6, 5, 4, 7, 0), (6, 4, 4, 7, 0)], 6)
+MIXED_CASE = (_small_code(), GF4, MIXED_TARGETS, 5)
+
+
+class TestOrbitOracle:
+    def test_over_limit_orbit_refused(self, small_code):
+        # 63^4 assignments per translate of a (4, 2, 5, 0) orbit over GF(64)
+        gf64 = FieldGF(6)
+        code = label_edges(small_code, gf64, seed=2)
+        with pytest.raises(ValueError) as err:
+            gast_scan(code, gf64, [(4, 2, 2, 5, 0)], a_max=4)
+        assert str(err.value) == (
+            "oracle would scan (q-1)^a = 63^4 = 15752961 assignments, limit is 1048576"
+        )
+        # a 4-entry target listed first wins every translate, so no oracle runs
+        found = gast_scan(code, gf64, [(4, 2, 5, 0), (4, 2, 2, 5, 0)], a_max=4)
+        assert len(found) == 25 and all(inst.b is None for inst in found)
+
+    def test_batch_cap_does_not_change_results(self, small_code, monkeypatch):
+        full = gast_scan(small_code, GF4, MIXED_TARGETS, a_max=5)
+        assert full == serial_gast_scan(small_code, GF4, MIXED_TARGETS, a_max=5)
+        assert sum(inst.b is not None for inst in full) > 0
+        monkeypatch.setattr("scldpc.gast.ORACLE_BATCH_ROWS", 1)
+        assert gast_scan(small_code, GF4, MIXED_TARGETS, a_max=5) == full
+
+    def test_short_period_orbit_reported_once(self):
+        # each of these (6, 4, 4, 2) subsets is two translates of a 6-cycle,
+        # fixed by the shift by 3, so its orbit has 3 members, not 6
+        code, _, targets, _ = SHORT_PERIOD_CASE
+        found = gast_scan(code, GF4, targets, a_max=6)
+        assert found == serial_gast_scan(code, GF4, targets, a_max=6)
+        vn_sets = [inst.topology.vn_ids for inst in found]
+        assert len(vn_sets) == len(set(vn_sets)) == 6
+        for vns in vn_sets:
+            assert {c - c % 6 + (c + 3) % 6 for c in vns} == set(vns)
+
+    def test_first_listed_b_wins(self):
+        graph, _, targets, _ = TWO_B_CASE
+        for order in (targets, targets[::-1]):
+            (inst,) = gast_scan(graph, GF4, order, a_max=6)
+            assert inst.b == order[0][1]
+            assert inst.topology.vn_ids == tuple(range(6))
+
+    def test_field_mismatch_refused(self, small_code):
+        with pytest.raises(ValueError, match=r"labelled over GF\(4\), the scan field is GF\(8\)"):
+            gast_scan(small_code, GF8, [(3, 3, 3, 0)], a_max=3)
+
+    def test_raw_labels_outside_field_refused(self, small_code):
+        raw = RawTanner(small_code.edges.rows.tolist(), 3, labels=small_code.labels)
+        with pytest.raises(ValueError, match="out of GF\\(2\\) nonzero range"):
+            gast_scan(raw, FieldGF(1), [(3, 3, 3, 3, 0)], a_max=3)
+
+
+@st.composite
+def _orbit_scan_cases(draw):
+    """A coupled gamma = 3 code with random powers and mask (girth 4
+    allowed) labelled over GF(4) or GF(8), and targets that list 4- and
+    5-entry versions of one unlabeled label in random order.  p is prime or
+    composite and may be at most a_max."""
+    p = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 9]))
+    kappa = draw(st.integers(2, p))
+
+    def grid(top):
+        row = st.lists(st.integers(0, top), min_size=kappa, max_size=kappa)
+        return st.lists(row, min_size=3, max_size=3)
+
+    proto = ProtoMatrix(gamma=3, kappa=kappa, p=p, powers=draw(grid(p - 1)))
+    code = couple(proto, PartitionMask(draw(grid(1))), draw(st.sampled_from([2, 3])))
+    field = FieldGF(draw(st.sampled_from([2, 3])))
+    code = label_edges(code, field, seed=draw(st.integers(0, 9)))
+    # a subset fixed by a shorter shift holds two translates of a 6-cycle, so
+    # it needs a >= 6; depth grows only on smaller codes and fields, which
+    # bounds the serial reference's time
+    deepest = 6 if kappa * p <= 12 and field.q == 4 else 5 if kappa * p <= 30 else 4
+    a_max = draw(st.integers(3, deepest))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    targets = []
+    for a, d1, d2, d3 in all_ugast_labels(3, a_max):
+        options = [(a, d1, d2, d3)] + [(a, b, d1, d2, d3) for b in range(d1, d1 + d2 + 1)]
+        rng.shuffle(options)
+        targets += options[: rng.randrange(len(options) + 1)]
+    rng.shuffle(targets)
+    return code, field, targets, a_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(_orbit_scan_cases())
+# random draws rarely reach a subset fixed by a shorter shift or one with
+# witnesses for two b, and reach translates whose witness depends on their
+# own node order only sometimes
+@example(SHORT_PERIOD_CASE)
+@example(TWO_B_CASE)
+@example(MIXED_CASE)
+def test_orbit_scan_matches_serial_scan(case):
+    # subsets, checks, weights, b and witnesses, in order, on both paths
+    code, field, targets, a_max = case
+    want = serial_gast_scan(code, field, targets, a_max=a_max)
+    assert gast_scan(code, field, targets, a_max=a_max) == want
+    raw = RawTanner(code.edges.rows.tolist(), 3, labels=code.labels)
+    assert gast_scan(raw, field, targets, a_max=a_max) == want

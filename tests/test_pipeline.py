@@ -297,6 +297,25 @@ class TestCliErrors:
         assert out == ""
         assert err == "scldpc: error: coupling length L must be >= 2\n"
 
+    @pytest.mark.parametrize("q", [4, 16])
+    @pytest.mark.parametrize("action", ["scan", "remove"])
+    def test_field_mismatch_reported(self, tmp_path, capsys, action, q):
+        # the scan reads the label bytes directly, so a code labelled over
+        # another field is refused before any weight is read
+        from scldpc import cli
+
+        path = tmp_path / "code8.json"
+        argv = ["make-code", "--kappa", "5", "--L", "3", "--field-lam", "3", "--out", str(path)]
+        assert cli.main(argv) == 0
+        rc = cli.main(
+            ["gast", action, "--code", str(path), "--q", str(q),
+             "--targets", str(SCAN_TARGET), "--amax", "3"]
+        )
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"scldpc: error: code is labelled over GF(8), the scan field is GF({q})\n"
+
     def test_negative_cpo_budget_reported(self, tmp_path, capsys):
         from scldpc import cli
 
