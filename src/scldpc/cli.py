@@ -54,7 +54,7 @@ def _cmd_cpo(args) -> None:
     res = cpo_optimize(
         code.proto,
         code.mask,
-        args.L if args.L else code.L,
+        code.L if args.L is None else args.L,
         budget=args.budget,
         seed=args.seed,
         target=args.target,
@@ -188,7 +188,7 @@ def main(argv=None) -> int:
 
     s = sub.add_parser("cpo", help="run the circulant power optimizer on a code")
     s.add_argument("--code", required=True)
-    s.add_argument("--L", type=int, default=0)
+    s.add_argument("--L", type=int)
     s.add_argument("--budget", type=int, default=100_000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--target", type=int, default=0)

@@ -9,11 +9,14 @@ the candidate pool widens; once exhausted, a short feasible random walk
 perturbs a few entries and the descent resumes, with the best state ever
 seen retained.
 
-Candidates are scored in batches: all alternative powers of one pool entry
-at once, then the random pair moves of a pool at once.  A batch reads only
-the window cycles its entries touch (the window's sparse per-circulant
-index), checks the 4-cycle balances first, and scores the survivors as the
-current active counts plus their change over the touched 6-cycles.
+Candidates are read from a move table built once per state.  Every window
+coefficient is +-1, so a cycle that circulant e touches with balance b is
+active under e -> v for exactly one power, v = f[e] - b*a (mod p); one
+bincount over the window's per-circulant index then gives, for every
+circulant at every power, the f_sc after the move and the 4-cycles it
+activates.  Widening the pool and the plateau walk only read the table.  A
+pair move adds its two single-move changes and corrects them over the
+cycles both circulants touch, which a per-pair index lists.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cycles import SPAN_DUAL, EntryCycles, TwoReplicaWindow, build_window
+from .cycles import SPAN_DUAL, SPAN_R1, EntryCycles, TwoReplicaWindow, build_window
 from .qc import PartitionMask, ProtoMatrix, _check_coupling_length, is_prime
 
 __all__ = ["CpoResult", "active_census", "cpo_optimize"]
@@ -80,83 +83,108 @@ class CpoResult:
 
 
 class _State:
-    """Mutable descent state over one window.
+    """Mutable descent state over one window, with its move table.
 
-    ``b4`` and ``b6`` are the window cycles' balances mod p under ``flat``,
-    ``singles`` and ``duals`` the active one- and two-replica 6-cycles.  A
-    batch of moves is given as (m, width) arrays: move i sets entry
-    ``ents[i, j]`` to power ``vals[i, j]`` for every j.
+    ``b4`` and ``b6`` are the window cycles' balances mod p under ``flat``.
+    The move table, rebuilt once per state, holds for every circulant e and
+    power v the f_sc after e -> v (``f_after``) and the number of window
+    4-cycles that move activates (``hits4``); both are (gamma*kappa, p).
     """
 
     def __init__(self, window: TwoReplicaWindow, flat: np.ndarray, L: int):
         self.win = window
-        self.L = L
         self.p = window.p
+        self.n = window.n_entries
         self.flat = flat.copy()
         self.b6 = window.balances6(self.flat)
         self.b4 = window.balances4(self.flat)
-        self.dual = window.span6 == SPAN_DUAL
-        self._count()
+        # an active cycle's share of f_sc / p: an R2 cycle moves with its R1
+        # mirror (same circulants and balance), so R1 stands for the pair
+        span = window.span6
+        self.w6 = np.where(span == SPAN_DUAL, L - 1, np.where(span == SPAN_R1, L, 0))
+        scored = self.w6 > 0
+        self.movers6 = self._movers(window.touch6, scored)
+        self.movers4 = self._movers(window.touch4)
+        self.pairs6 = window.touch6.pairs(scored)
+        self.pairs4 = window.touch4.pairs()
+        self._refresh()
 
-    def _count(self) -> None:
-        act = self.b6 == 0
-        self.duals = int(np.count_nonzero(act & self.dual))
-        self.singles = int(np.count_nonzero(act)) - self.duals
-        self.f_sc = self._score(self.singles, self.duals)
+    def _movers(self, index: EntryCycles, scored: Optional[np.ndarray] = None):
+        """(circulant, cycle, coefficient) of every (scored) cycle a circulant touches."""
+        ents = index.keys()
+        keep = slice(None) if scored is None else scored[index.cycles]
+        return ents[keep], index.cycles[keep], index.coefs[keep]
 
-    def _score(self, singles, duals):
-        return (self.L * (singles // 2) + (self.L - 1) * duals) * self.p
+    def _cells(self, movers, b: np.ndarray) -> np.ndarray:
+        # a window coefficient a is +-1, so under e -> v the cycle is active
+        # exactly at v = f[e] - b / a = f[e] - b * a (mod p)
+        ents, cycles, coefs = movers
+        return ents * self.p + (self.flat[ents] - b[cycles] * coefs) % self.p
 
-    def _moved(
-        self,
-        b: np.ndarray,
-        coef: np.ndarray,
-        index: EntryCycles,
-        ents: np.ndarray,
-        vals: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(move, cycle, new balance) once per cycle a move touches."""
-        deltas = vals - self.flat[ents]
-        width = ents.shape[1]
-        parts = []
-        for j in range(width):
-            rows, cycles, cf = index.gather(ents[:, j])
-            change = cf * deltas[rows, j]
-            for o in range(width):
-                if o != j:
-                    change += coef[cycles, ents[rows, o]] * deltas[rows, o]
-            if j:
-                # a cycle that an earlier entry of the move touches was listed there
-                keep = (coef[cycles[:, None], ents[rows, :j]] == 0).all(axis=1)
-                rows, cycles, change = rows[keep], cycles[keep], change[keep]
-            parts.append((rows, cycles, change))
-        rows, cycles, change = (np.concatenate(x) for x in zip(*parts))
-        return rows, cycles, (b[cycles] + change) % self.p
+    def _refresh(self) -> None:
+        """f_sc and the move table of the current balances."""
+        self.f_sc = self.p * int(self.w6 @ (self.b6 == 0))
+        size = self.n * self.p
+        weights = self.w6[self.movers6[1]]
+        gain = np.bincount(self._cells(self.movers6, self.b6), weights, size).astype(np.int64)
+        gain = gain.reshape(self.n, self.p)
+        # the current power's cell holds the cycles active now
+        now = gain[np.arange(self.n), self.flat]
+        self.f_after = self.f_sc + self.p * (gain - now[:, None])
+        self.hits4 = np.bincount(self._cells(self.movers4, self.b4), minlength=size)
+        self.hits4 = self.hits4.reshape(self.n, self.p)
 
-    def valid(self, ents: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """Which moves keep every window 4-cycle inactive."""
-        rows, _, new = self._moved(self.b4, self.win.coef4, self.win.touch4, ents, vals)
-        return np.bincount(rows[new == 0], minlength=len(ents)) == 0
+    def best_single(self, ents: np.ndarray, counts: np.ndarray) -> Optional[list[tuple[int, int]]]:
+        """Best improving move [(e, v)] among the first ``counts[i]`` powers
+        other than the current one of each circulant ``ents[i]``; ties go to
+        the lowest (e, v)."""
+        v = np.arange(self.p)
+        cur = self.flat[ents][:, None]
+        f = self.f_after[ents]
+        take = (v != cur) & (v - (v > cur) < counts[:, None])
+        take &= (self.hits4[ents] == 0) & (f < self.f_sc)
+        if not take.any():
+            return None
+        scores = np.full((self.n, self.p), self.f_sc)
+        scores[ents] = np.where(take, f, self.f_sc)
+        return [divmod(int(np.argmin(scores)), self.p)]
 
-    def score(self, ents: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """f_sc after each move (moves assumed valid)."""
-        rows, cycles, new = self._moved(self.b6, self.win.coef6, self.win.touch6, ents, vals)
-        gained = (new == 0).astype(np.int64) - (self.b6[cycles] == 0)
-        dual = self.dual[cycles]
-        d_duals = np.bincount(rows, weights=gained * dual, minlength=len(ents)).astype(np.int64)
-        d_singles = np.bincount(rows, weights=gained * ~dual, minlength=len(ents)).astype(np.int64)
-        return self._score(self.singles + d_singles, self.duals + d_duals)
+    def _shared(self, index: EntryCycles, b, lo, hi, d_lo, d_hi):
+        """(pair, cycle, correction) over the cycles both circulants of a
+        pair touch: joint activity minus each single move's, plus the old."""
+        rows, cycles, coefs = index.gather(lo * self.n + hi)
+        b = b[cycles]
+        s_lo = b + coefs[:, 0] * d_lo[rows]
+        s_hi = b + coefs[:, 1] * d_hi[rows]
+        s_both = s_lo + s_hi - b
+        p = self.p
+        fix = (s_both % p == 0).astype(np.int64) - (s_lo % p == 0) - (s_hi % p == 0) + (b == 0)
+        return rows, cycles, fix
+
+    def pair_moves(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(f_sc after, 4-cycles activated) of each move (e1, e2, v1, v2), e1 != e2."""
+        e1, e2, v1, v2 = pairs.T
+        f = self.f_after[e1, v1] + self.f_after[e2, v2] - self.f_sc
+        hits = self.hits4[e1, v1] + self.hits4[e2, v2]
+        swap = e1 > e2
+        lo, hi = np.where(swap, e2, e1), np.where(swap, e1, e2)
+        d1, d2 = v1 - self.flat[e1], v2 - self.flat[e2]
+        d_lo, d_hi = np.where(swap, d2, d1), np.where(swap, d1, d2)
+        m = len(pairs)
+        rows, cycles, fix = self._shared(self.pairs6, self.b6, lo, hi, d_lo, d_hi)
+        f = f + self.p * np.bincount(rows, fix * self.w6[cycles], m).astype(np.int64)
+        rows, _, fix = self._shared(self.pairs4, self.b4, lo, hi, d_lo, d_hi)
+        return f, hits + np.bincount(rows, fix, m).astype(np.int64)
 
     def apply(self, changes: list[tuple[int, int]]) -> None:
-        ents, vals = np.array(changes, dtype=np.int64).T[:, None]
-        for b, coef, index in (
-            (self.b4, self.win.coef4, self.win.touch4),
-            (self.b6, self.win.coef6, self.win.touch6),
-        ):
-            _, cycles, new = self._moved(b, coef, index, ents, vals)
-            b[cycles] = new
-        self.flat[ents[0]] = vals[0]
-        self._count()
+        # balances are linear in the powers, so entries update one at a time
+        for e, v in changes:
+            for b, index in ((self.b4, self.win.touch4), (self.b6, self.win.touch6)):
+                span = slice(index.ptr[e], index.ptr[e + 1])
+                cycles = index.cycles[span]
+                b[cycles] = (b[cycles] + index.coefs[span] * (v - self.flat[e])) % self.p
+            self.flat[e] = v
+        self._refresh()
 
 
 def cpo_optimize(
@@ -222,19 +250,15 @@ def cpo_optimize(
         evals += n
         return n
 
-    def best_of(ents: np.ndarray, vals: np.ndarray) -> Optional[tuple[int, tuple, list]]:
-        # best improving move as (f_sc, sorted (row, col, power) key, changes)
-        ok = state.valid(ents, vals)
-        ents, vals = ents[ok], vals[ok]
-        f = state.score(ents, vals)
-        if not f.size or f.min() >= state.f_sc:
+    def best_pair(pairs: np.ndarray) -> Optional[list[tuple[int, int]]]:
+        # best improving pair move by (f_sc, sorted (row, col, power) changes)
+        f, hits = state.pair_moves(pairs)
+        f = np.where(hits == 0, f, state.f_sc)
+        f_best = int(f.min(initial=state.f_sc))
+        if f_best >= state.f_sc:
             return None
-        f_best = int(f.min())
-        moves = (list(zip(ents[i].tolist(), vals[i].tolist())) for i in np.flatnonzero(f == f_best))
-        return min((f_best, tuple(sorted((e // k, e % k, v) for e, v in ch)), ch) for ch in moves)
-
-    def entry_moves(e: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return np.full((len(values), 1), e), values[:, None]
+        moves = ([(e1, v1), (e2, v2)] for e1, e2, v1, v2 in pairs[f == f_best].tolist())
+        return min((tuple(sorted((e // k, e % k, v) for e, v in ch)), ch) for ch in moves)[1]
 
     while evals < budget and best_f > target:
         order = np.argsort(-_loads(window, state.b6 == 0), kind="stable").tolist()
@@ -246,14 +270,10 @@ def cpo_optimize(
             # the entries of a narrower pool have no improving single move:
             # the state has not changed since, so only their evaluations count
             spend((p - 1) * scored)
-            best_move = None
-            for e in pool[scored:]:
-                values = np.flatnonzero(np.arange(p) != state.flat[e])[: spend(p - 1)]
-                if not values.size:
-                    break
-                move = best_of(*entry_moves(e, values))
-                if move is not None and (best_move is None or move[:2] < best_move[:2]):
-                    best_move = move
+            fresh = np.array(pool[scored:], dtype=np.int64)
+            # each entry scores its first p - 1 powers until the budget ends
+            counts = spend((p - 1) * len(fresh)) - (p - 1) * np.arange(len(fresh))
+            best_move = state.best_single(fresh, counts.clip(0, p - 1))
             scored = width
             if best_move is None and len(pool) >= 2:
                 # all pairs are drawn even when the budget ends inside the
@@ -263,9 +283,9 @@ def cpo_optimize(
                     for _ in range(PAIR_SAMPLES)
                 ]
                 pairs = np.array(pairs[: spend(PAIR_SAMPLES)], dtype=np.int64).reshape(-1, 4)
-                best_move = best_of(pairs[:, :2], pairs[:, 2:])
+                best_move = best_pair(pairs)
             if best_move is not None:
-                state.apply(best_move[2])
+                state.apply(best_move)
                 record_if_best()
                 accepted = True
             else:
@@ -278,7 +298,7 @@ def cpo_optimize(
                 e = rng.randrange(n_entries)
                 values = [v for v in range(p) if v != state.flat[e]]
                 rng.shuffle(values)
-                hits = np.flatnonzero(state.valid(*entry_moves(e, np.array(values))))
+                hits = np.flatnonzero(state.hits4[e, values] == 0)
                 if hits.size:
                     evals += int(hits[0]) + 1
                     state.apply([(e, values[hits[0]])])

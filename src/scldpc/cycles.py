@@ -11,8 +11,9 @@ One row-pair/row-triple enumerator serves every consumer: generic matrices
 (:func:`enumerate_cycles`), the census and girth test, hand-built Tanner
 graphs, and the optimizer's window, which stores its 4- and 6-cycles as numpy
 coefficient rows over the gamma*kappa circulant positions, plus a sparse
-per-circulant index of the cycles each power moves, so a batch of power
-changes is scored over the touched cycles only.
+per-circulant index of the cycles each power moves; the optimizer tabulates
+every single power change from that index at once, and builds a per-pair
+index of the cycles two circulants share for its pair moves.
 
 The (3,3,3,0) census has one path, :class:`CensusTable`: the active window
 6-cycles kept as bit conditions on the partition mask, built once and scored
@@ -174,14 +175,24 @@ def _window_rows(mask: PartitionMask) -> list[set[int]]:
     return [_window_row_support(mask, b, i) for b in range(3) for i in range(mask.gamma)]
 
 
+def _csr(keys: np.ndarray, n_keys: int, cycles: np.ndarray, coefs: np.ndarray):
+    """(ptr, cycles, coefs) grouped by key, each key's cycle ids ascending."""
+    order = np.lexsort((cycles, keys))
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_keys))))
+    return ptr, cycles[order], coefs[order]
+
+
 @dataclass(frozen=True)
 class EntryCycles:
-    """The window cycles whose balance each circulant's power moves (CSR).
+    """The window cycles whose balance a circulant's power moves (CSR).
 
-    Circulant e touches the cycle ids ``cycles[ptr[e]:ptr[e + 1]]``
-    (ascending) with the nonzero alternating-sum coefficients at the same
-    positions of ``coefs``; a circulant that a cycle visits with opposite
-    signs cancels and is not listed.
+    Key k lists the cycle ids ``cycles[ptr[k]:ptr[k + 1]]`` (ascending) with
+    their nonzero alternating-sum coefficients at the same rows of
+    ``coefs``; a circulant that a cycle visits with opposite signs cancels
+    and is not listed.  :meth:`of` keys by circulant e, with one coefficient
+    per row.  :meth:`pairs` keys by circulant pair ``lo * n + hi`` (lo < hi,
+    n circulants) and lists the cycles both circulants touch, with the
+    (lo, hi) coefficients per row.
     """
 
     ptr: np.ndarray
@@ -190,17 +201,43 @@ class EntryCycles:
 
     @classmethod
     def of(cls, coef: np.ndarray) -> "EntryCycles":
-        """Index of an (n_cycles, n_entries) coefficient table."""
-        ents, cycles = np.nonzero(coef.T)
-        counts = np.bincount(ents, minlength=coef.shape[1])
-        ptr = np.concatenate(([0], np.cumsum(counts)))
-        return cls(ptr, cycles, coef[cycles, ents].astype(np.int64))
+        """Per-circulant index of an (n_cycles, n_entries) coefficient table."""
+        cycles, ents = np.nonzero(coef)
+        return cls(*_csr(ents, coef.shape[1], cycles, coef[cycles, ents]))
 
-    def gather(self, ents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(position in ``ents``, cycle id, coefficient) of every touched cycle."""
-        starts = self.ptr[ents]
-        lens = self.ptr[ents + 1] - starts
-        rows = np.repeat(np.arange(len(ents)), lens)
+    def keys(self) -> np.ndarray:
+        """The key of every listed cycle, in listing order."""
+        return np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr))
+
+    def pairs(self, keep: Optional[np.ndarray] = None) -> "EntryCycles":
+        """Per-circulant-pair index of a per-circulant one.
+
+        Only the cycles under the boolean ``keep`` (by cycle id) are listed
+        when it is given.
+        """
+        n = len(self.ptr) - 1
+        ents, cycles, coefs = self.keys(), self.cycles, self.coefs
+        if keep is not None:
+            kept = keep[cycles]
+            ents, cycles, coefs = ents[kept], cycles[kept], coefs[kept]
+        # by cycle, then circulant: a cycle's circulants sit next to each
+        # other, ascending, at most six of them
+        order = np.lexsort((ents, cycles))
+        ents, cycles, coefs = ents[order], cycles[order], coefs[order]
+        lo, hi = [], []
+        for gap in range(1, 6):
+            same = np.flatnonzero(cycles[gap:] == cycles[:-gap])
+            lo.append(same)
+            hi.append(same + gap)
+        lo, hi = np.concatenate(lo), np.concatenate(hi)
+        pair_coefs = np.stack([coefs[lo], coefs[hi]], axis=1)
+        return EntryCycles(*_csr(ents[lo] * n + ents[hi], n * n, cycles[lo], pair_coefs))
+
+    def gather(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(position in ``keys``, cycle id, coefficients) of every listed cycle."""
+        starts = self.ptr[keys]
+        lens = self.ptr[keys + 1] - starts
+        rows = np.repeat(np.arange(len(keys)), lens)
         pos = np.arange(len(rows)) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
         return rows, self.cycles[pos], self.coefs[pos]
 
@@ -213,13 +250,18 @@ class TwoReplicaWindow:
 
       coef6, coef4:    (n, gamma*kappa) alternating-sum coefficients per circulant
       touch6, touch4:  the same coefficients as an :class:`EntryCycles` index
-                       over the circulants, for updates after a power change
+                       over the circulants, for the optimizer's move table
+                       and its updates after a power change
       inc6:            (n, gamma*kappa) 6-cycle visit multiplicities per circulant
       span6:           SPAN_R1 / SPAN_R2 / SPAN_DUAL per 6-cycle
       pos6_rows, pos6_cols:  (n, 6) window positions of each 6-cycle
 
     Circulants are numbered row-major, e = row * kappa + col.  Activity of
-    every cycle under a flat power vector f is (coef @ f) % p == 0.
+    every cycle under a flat power vector f is (coef @ f) % p == 0.  Every
+    coefficient is 0 or +-1: no window row holds both copies j and j + kappa
+    of a circulant column, so a cycle meets a circulant at most once per
+    sign.  Each SPAN_R2 cycle is a SPAN_R1 cycle shifted by one replica,
+    with the same coefficient row.
     """
 
     def __init__(self, proto: ProtoMatrix, mask: PartitionMask):

@@ -1,17 +1,18 @@
 import functools
 import hashlib
+import itertools
 import json
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import serial_cpo_optimize
 from scldpc.baselines import cv_exhaustive_best, cv_mask
-from scldpc.cpo import active_census, cpo_optimize
-from scldpc.cycles import build_window, count_ugast_3330_for
+from scldpc.cpo import _State, active_census, cpo_optimize
+from scldpc.cycles import SPAN_DUAL, build_window, count_ugast_3330_for
 from scldpc.overlap import realize_mask, solve_optimal_overlap
 from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers
 
@@ -200,6 +201,12 @@ def _cpo_problems(draw):
     return proto, mask, draw(st.integers(2, 30))
 
 
+def _ab_problem(p, assign, L):
+    kappa = len(assign[0])
+    powers = tuple(tuple(i * j % p for j in range(kappa)) for i in range(3))
+    return ProtoMatrix(gamma=3, kappa=kappa, p=p, powers=powers), PartitionMask(assign), L
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     _cpo_problems(),
@@ -207,6 +214,15 @@ def _cpo_problems(draw):
     st.integers(0, 2**16),
     st.sampled_from([0, 0, 0, 100]),
 )
+# p = 2 allows kappa <= 2, whose window has 4-cycles but no 6-cycle: the
+# start is checked and scored, and no move improves on 0
+@example(_ab_problem(2, ((0, 0), (0, 0), (0, 1)), 5), 500, 7, 0)
+# p = 3: 9 plateau walks and about 1 100 pair draws
+@example(_ab_problem(3, ((0, 1, 0), (1, 1, 0), (1, 1, 0)), 2), 1488, 5871, 0)
+# pairs sharing a 6-cycle and a 4-cycle, whose joint change decides the run
+@example(_ab_problem(5, ((0, 1, 0, 1, 1), (1, 1, 0, 0, 1), (0, 1, 1, 0, 1)), 27), 937, 13399, 0)
+# improving pair draws that keep one entry at its current power
+@example(_ab_problem(5, ((1, 0, 1, 0), (1, 1, 1, 0), (1, 0, 1, 1)), 6), 1811, 5906, 0)
 def test_batched_matches_serial(problem, budget, seed, target):
     # the budget stops most runs part of the way through an entry's powers
     # or a pair batch, and lets about a quarter of those near kappa = p
@@ -220,3 +236,67 @@ def test_batched_matches_serial(problem, budget, seed, target):
         return
     got = cpo_optimize(proto, mask, L, budget=budget, seed=seed, target=target)
     assert got.as_dict() == want.as_dict()
+
+
+@st.composite
+def _table_states(draw):
+    # a state the optimizer can reach: array-based powers, then random
+    # single moves that keep every window 4-cycle inactive
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    kappa = draw(st.integers(1, p))
+    bits = st.lists(st.integers(0, 1), min_size=kappa, max_size=kappa)
+    proto, mask, L = _ab_problem(p, tuple(draw(st.lists(bits, min_size=3, max_size=3))), 0)
+    window = build_window(proto, mask)
+    flat = window.flat_powers(proto.powers)
+    moves = st.tuples(st.integers(0, 3 * kappa - 1), st.integers(0, p - 1))
+    for e, v in draw(st.lists(moves, max_size=12)):
+        trial = flat.copy()
+        trial[e] = v
+        if not window.has_active_4cycle(trial):
+            flat = trial
+    # at p = 2 the array-based powers of rows 0 and 2 agree
+    assume(not window.has_active_4cycle(flat))
+    return window, flat, draw(st.integers(2, 30))
+
+
+def _dense_moves(window, flat, L, moves):
+    """(f_sc, active 4-cycles) after each move, recomputed from every cycle.
+
+    Row i of ``moves`` sets circulant moves[i, 0] to power moves[i, 1],
+    moves[i, 2] to moves[i, 3], and so on.
+    """
+    trials = np.repeat(flat[None, :], len(moves), axis=0)
+    rows = np.arange(len(moves))
+    for e, v in zip(moves[:, 0::2].T, moves[:, 1::2].T):
+        trials[rows, e] = v
+    act = (trials @ window.coef6.T.astype(np.int64)) % window.p == 0
+    duals = np.count_nonzero(act & (window.span6 == SPAN_DUAL), axis=1)
+    singles = np.count_nonzero(act, axis=1) - duals
+    hits = np.count_nonzero((trials @ window.coef4.T.astype(np.int64)) % window.p == 0, axis=1)
+    return (L * (singles // 2) + (L - 1) * duals) * window.p, hits
+
+
+@settings(max_examples=80, deadline=None)
+@given(_table_states())
+def test_move_table_matches_dense_recompute(case):
+    # every cell, including the current power and moves the search never
+    # reaches; then every pair of circulants that shares a cycle, both ways
+    window, flat, L = case
+    p, n = window.p, window.n_entries
+    state = _State(window, flat, L)
+    singles = np.array(list(itertools.product(range(n), range(p))), dtype=np.int64).reshape(-1, 2)
+    f, hits = _dense_moves(window, flat, L, singles)
+    assert (state.f_after.ravel() == f).all()
+    assert (state.hits4.ravel() == hits).all()
+    assert (state.f_after[np.arange(n), flat] == state.f_sc).all()
+
+    touched = np.concatenate([window.coef6, window.coef4]) != 0
+    for e1, e2 in itertools.permutations(range(n), 2):
+        if not (touched[:, e1] & touched[:, e2]).any():
+            continue
+        v1, v2 = np.divmod(np.arange(p * p), p)
+        pairs = np.stack([np.full(p * p, e1), np.full(p * p, e2), v1, v2], axis=1)
+        f, hits = state.pair_moves(pairs)
+        want_f, want_hits = _dense_moves(window, flat, L, pairs[:, [0, 2, 1, 3]])
+        assert (f == want_f).all()
+        assert (hits == want_hits).all()

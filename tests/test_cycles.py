@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scldpc import cycles
 from scldpc.cpo import active_census
 from scldpc.cycles import (
+    SPAN_R1,
+    SPAN_R2,
     ProtoCycle,
     build_window,
     census_active_counts,
@@ -364,3 +366,29 @@ class TestWindowDecomposition:
         assert dual_tags["d_mid21"] == census.cross[1]
         assert dual_tags["d_top"] == census.cross[2]
         assert dual_tags["d_bot"] == census.cross[3]
+
+
+_grids = st.integers(2, 4).flatmap(
+    lambda g: st.integers(1, 7).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(0, 1), min_size=k, max_size=k), min_size=g, max_size=g
+        )
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grids)
+def test_window_coefficients_are_units_and_mirrored(assign):
+    # the optimizer's move table rests on both.  No window row holds both
+    # copies j and j + kappa of a circulant column, so a cycle meets each
+    # circulant at most once per sign: every coefficient is 0 or +-1, its own
+    # inverse mod p.  And each R2 cycle is an R1 cycle shifted by one
+    # replica, with the same coefficient row.
+    g, k = len(assign), len(assign[0])
+    proto = ProtoMatrix(gamma=g, kappa=k, p=1, powers=((0,) * k,) * g)
+    win = build_window(proto, PartitionMask(tuple(map(tuple, assign))))
+    assert set(np.unique(win.coef6).tolist()) <= {-1, 0, 1}
+    assert set(np.unique(win.coef4).tolist()) <= {-1, 0, 1}
+    r1 = sorted(map(tuple, win.coef6[win.span6 == SPAN_R1].tolist()))
+    assert r1 == sorted(map(tuple, win.coef6[win.span6 == SPAN_R2].tolist()))

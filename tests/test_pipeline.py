@@ -283,8 +283,10 @@ class TestCliErrors:
             ["baseline", "--method", "mo", "--kappa", "7", "--L", "1"],
             ["table1", "--L", "1", "--sizes", "7"],
             ["cpo", "--L", "1", "--budget", "200"],
+            # 0 is a given L, not "use the code's own"
+            ["cpo", "--L", "0", "--budget", "200"],
         ],
-        ids=["cv", "mo", "table1", "cpo"],
+        ids=["cv", "mo", "table1", "cpo", "cpo-L0"],
     )
     def test_short_coupling_reported(self, tmp_path, capsys, argv):
         from scldpc import cli
@@ -335,12 +337,13 @@ class TestCliErrors:
         assert out == ""
         assert err == "scldpc: error: initial powers activate a 4-cycle; cannot start\n"
 
-    def test_cpo_zero_length_means_code_length(self, tmp_path, capsys):
+    def test_cpo_omitted_length_means_code_length(self, tmp_path, capsys):
+        # the code file's L is 3; a given --L 0 is refused (test_short_coupling_reported)
         from scldpc import cli
 
         path = _labelled_code_file(tmp_path)
         outputs = []
-        for extra in (["--L", "0"], ["--L", "3"]):
+        for extra in ([], ["--L", "3"]):
             assert cli.main(["cpo", "--code", path, "--budget", "300", *extra]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
