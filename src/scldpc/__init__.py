@@ -25,7 +25,6 @@ from .overlap import (
     count_partition_choices,
     cycle6_census,
     enumerate_valid_overlaps,
-    measure_overlaps,
     realize_mask,
     solve_optimal_overlap,
 )
@@ -35,9 +34,7 @@ from .cycles import (
     census_active_counts,
     count_ugast_3330,
     count_ugast_3330_for,
-    enumerate_cycles,
     girth_check,
-    lift_count,
 )
 from .cpo import CpoResult, active_census, cpo_optimize
 from .baselines import cv_exhaustive_best, cv_mask, mo_best

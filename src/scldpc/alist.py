@@ -10,11 +10,18 @@ from __future__ import annotations
 
 from typing import TextIO
 
+import numpy as np
+
 __all__ = ["read_alist", "export_code_alist"]
 
 
 def read_alist(inp: TextIO) -> tuple[list[list[int]], int]:
-    """Parse an alist file; returns (per-column row lists 0-indexed, n_rows)."""
+    """Parse an alist file; returns (per-column row lists 0-indexed, n_rows).
+
+    Both adjacency blocks are checked: every index in range, no line that
+    repeats an index or misses its listed degree, and the row block holding
+    exactly the edges of the column block.
+    """
     tokens = inp.read().split()
     pos = 0
 
@@ -26,42 +33,53 @@ def read_alist(inp: TextIO) -> tuple[list[list[int]], int]:
         pos += k
         return vals
 
+    def line(kind: str, i: int, degree: int, bound: int) -> list[int]:
+        nonlocal pos
+        entries = take(degree)
+        # some writers pad adjacency lines with zeros up to the max degree
+        while pos < len(tokens) and tokens[pos] == "0":
+            pos += 1
+        if any(not 0 < e <= bound for e in entries):
+            raise ValueError(f"{kind} {i} has an index out of range or misses its degree")
+        if len(set(entries)) != degree:
+            raise ValueError(f"{kind} {i} repeats an index")
+        return sorted(e - 1 for e in entries)
+
     n_cols, n_rows = take(2)
     take(2)  # max degrees, informational
     col_degs = take(n_cols)
     row_degs = take(n_rows)
-    col_adj: list[list[int]] = []
-    for c in range(n_cols):
-        entries = take(col_degs[c])
-        # some writers pad adjacency lines with zeros up to the max degree
-        while pos < len(tokens) and tokens[pos] == "0":
-            pos += 1
-        rows = sorted(e - 1 for e in entries if e > 0)
-        if len(rows) != col_degs[c]:
-            raise ValueError(f"column {c} degree mismatch")
-        if any(not 0 <= r < n_rows for r in rows):
-            raise ValueError(f"column {c} has a row index out of range")
-        col_adj.append(rows)
-    for r in range(n_rows):
-        entries = take(row_degs[r])
-        while pos < len(tokens) and tokens[pos] == "0":
-            pos += 1
-        cols = sorted(e - 1 for e in entries if e > 0)
-        for c in cols:
-            if r not in col_adj[c]:
-                raise ValueError("row and column adjacency lists disagree")
+    col_adj = [line("column", c, col_degs[c], n_rows) for c in range(n_cols)]
+    # both blocks as sorted row * n_cols + col keys, compact for large files
+    by_rows = np.fromiter(
+        (r * n_cols + c for r in range(n_rows) for c in line("row", r, row_degs[r], n_cols)),
+        dtype=np.int64,
+    )
+    by_cols = np.fromiter(
+        (r * n_cols + c for c, rows in enumerate(col_adj) for r in rows), dtype=np.int64
+    )
+    by_cols.sort()
+    if not np.array_equal(by_cols, by_rows):
+        r, c = divmod(int(np.setxor1d(by_cols, by_rows)[0]), n_cols)
+        raise ValueError(f"row and column adjacency lists disagree at ({r}, {c})")
     return col_adj, n_rows
 
 
 def export_code_alist(code, out: TextIO) -> None:
-    """Write the lifted binary matrix of an SC code, read off its edge array."""
+    """Write the lifted binary matrix of an SC code, read off its edge array.
+
+    The column block formats the edge array in one pass, gamma fields a
+    line; the row block does the same over the row-major (CSR) edge order.
+    """
     edges = code.edges
-    row_degs = [len(cols) for cols in edges.row_lists]
+    order, ptr = edges.row_order
+    row_degs = np.diff(ptr).tolist()
     out.write(f"{code.n_cols} {code.n_rows}\n")
     out.write(f"{edges.gamma} {max(row_degs, default=0)}\n")
     out.write(" ".join([str(edges.gamma)] * code.n_cols) + "\n")
     out.write(" ".join(map(str, row_degs)) + "\n")
-    for rows in (edges.rows + 1).tolist():
-        out.write(" ".join(map(str, rows)) + "\n")
-    for cols in edges.row_lists:
-        out.write(" ".join(str(c + 1) for c in cols) + "\n")
+    col_line = " ".join(["%d"] * edges.gamma) + "\n"
+    out.write(col_line * code.n_cols % tuple((edges.rows + 1).ravel().tolist()))
+    row_line = {d: " ".join(["%d"] * d) + "\n" for d in set(row_degs)}
+    rows_fmt = "".join([row_line[d] for d in row_degs])
+    out.write(rows_fmt % tuple((order // edges.gamma + 1).tolist()))

@@ -7,9 +7,9 @@ memory-1 coupled protograph spans at most two consecutive replicas, all
 counting happens on a two-replica window with multiplicities (L, L-1) rather
 than on the full L-long chain.
 
-One row-pair/row-triple enumerator serves every consumer: generic matrices
-(:func:`enumerate_cycles`), the census and girth test, hand-built Tanner
-graphs, and the optimizer's window, which stores its 4- and 6-cycles as numpy
+One row-pair/row-triple enumerator serves every consumer: the census and
+girth test, the absorbing-set scan of hand-built Tanner graphs, and the
+optimizer's window, which stores its 4- and 6-cycles as numpy
 coefficient rows over the gamma*kappa circulant positions, plus a sparse
 per-circulant index of the cycles each power moves; the optimizer tabulates
 every single power change from that index at once, and builds a per-pair
@@ -35,8 +35,6 @@ from .qc import PartitionMask, ProtoMatrix, SCCode, _check_coupling_length
 
 __all__ = [
     "ProtoCycle",
-    "enumerate_cycles",
-    "lift_count",
     "TwoReplicaWindow",
     "EntryCycles",
     "build_window",
@@ -68,19 +66,6 @@ class ProtoCycle:
     @property
     def length(self) -> int:
         return len(self.entries)
-
-    def power_balance(self, powers: Sequence[Sequence[int]], gamma: int, kappa: int, p: int) -> int:
-        """Alternating sum of circulant powers along the cycle, mod p."""
-        total = 0
-        for idx, (r, c) in enumerate(self.entries):
-            f = powers[r % gamma][c % kappa]
-            total += f if idx % 2 == 0 else -f
-        return total % p
-
-
-def _row_supports(matrix) -> list[set[int]]:
-    arr = np.asarray(matrix)
-    return [set(np.flatnonzero(arr[r]).tolist()) for r in range(arr.shape[0])]
 
 
 def _row_triples(rows: Sequence[set[int]]) -> Iterator[tuple]:
@@ -124,35 +109,6 @@ def _four_cycles(rows: Sequence[set[int]]) -> Iterator[tuple[int, ...]]:
     for r1, r2 in combinations(range(len(rows)), 2):
         for a, b in combinations(sorted(rows[r1] & rows[r2]), 2):
             yield r1, r2, a, b
-
-
-def enumerate_cycles(matrix, length: int) -> list[ProtoCycle]:
-    """Every simple cycle of the requested length (4 or 6), each once."""
-    rows = _row_supports(matrix)
-    if length == 4:
-        return [
-            ProtoCycle(entries=((r1, a), (r1, b), (r2, b), (r2, a)))
-            for r1, r2, a, b in _four_cycles(rows)
-        ]
-    if length == 6:
-        return [
-            ProtoCycle(entries=((r1, a), (r1, b), (r3, b), (r3, c), (r2, c), (r2, a)))
-            for r1, r2, r3, a, b, c in _six_cycles(rows)
-        ]
-    raise ValueError(f"unsupported cycle length {length}")
-
-
-def lift_count(cycle: ProtoCycle, proto: ProtoMatrix) -> tuple[bool, int]:
-    """How the cycle lifts: (active, beta).
-
-    Active cycles (balance 0 mod p) lift to p cycles of the same length and
-    beta is 1.  Otherwise the lifted walk closes only after beta >= 2
-    traversals, giving p/beta cycles of beta times the length; beta divides p.
-    """
-    d = cycle.power_balance(proto.powers, proto.gamma, proto.kappa, proto.p)
-    if d == 0:
-        return True, 1
-    return False, proto.p // math.gcd(proto.p, d)
 
 
 def _window_row_support(mask: PartitionMask, block: int, i: int) -> set[int]:

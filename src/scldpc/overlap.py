@@ -51,7 +51,6 @@ __all__ = [
     "OOSolution",
     "count_partition_choices",
     "realize_mask",
-    "measure_overlaps",
 ]
 
 MAX_KAPPA = 64
@@ -425,19 +424,3 @@ def realize_mask(vector: OverlapVector, kappa: int, seed: int) -> PartitionMask:
     row2 |= set(rng.sample(only1, v.o12 - v.o012))
     row2 |= set(rng.sample(neither, v.r2 - v.o02 - v.o12 + v.o012))
     return PartitionMask.from_h0_support(3, kappa, [row0, row1, row2])
-
-
-def measure_overlaps(mask: PartitionMask) -> OverlapVector:
-    """Read the overlap vector off a gamma=3 mask."""
-    if mask.gamma != 3:
-        raise ValueError("overlap vectors are defined for gamma = 3")
-    rows = [set(j for j in range(mask.kappa) if mask.assign[i][j] == 0) for i in range(3)]
-    return OverlapVector(
-        r0=len(rows[0]),
-        r1=len(rows[1]),
-        r2=len(rows[2]),
-        o01=len(rows[0] & rows[1]),
-        o02=len(rows[0] & rows[2]),
-        o12=len(rows[1] & rows[2]),
-        o012=len(rows[0] & rows[1] & rows[2]),
-    )

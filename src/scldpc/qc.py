@@ -43,6 +43,9 @@ __all__ = [
 # Guard against accidental huge constructions (number of lifted columns).
 MAX_LIFTED_COLS = 2_000_000
 
+# Mersenne Twister words drawn per chunk by label_edges (4 bytes each).
+LABEL_WORDS = 1 << 16
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -145,8 +148,8 @@ class TannerEdges:
 
     ``rows`` is an (n_cols, gamma) integer array, ascending in each column;
     edge ``c * gamma + k`` joins column c to row ``rows[c, k]``, and edge
-    labels are stored in that order.  The Python-list views used by the
-    absorbing-set scan, and the row-side (CSR) inverse, are built once, on
+    labels are stored in that order.  The row-major (CSR) edge order, and
+    the Python-list views used by the absorbing-set scan, are built once, on
     first use.
     """
 
@@ -163,12 +166,23 @@ class TannerEdges:
         return self.rows.tolist()
 
     @functools.cached_property
+    def row_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, ptr): edge ids sorted by row, then column, and row pointers.
+
+        Row r holds the edges ``order[ptr[r]:ptr[r + 1]]``, columns ascending.
+        """
+        flat = self.rows.ravel()
+        order = np.argsort(flat, kind="stable")
+        ptr = np.concatenate(([0], np.bincount(flat, minlength=self.n_rows).cumsum()))
+        return order, ptr
+
+    @functools.cached_property
     def row_lists(self) -> list[list[int]]:
         """Columns of every row, ascending: the CSR inverse of ``rows``."""
-        flat = self.rows.ravel()
-        cols = (np.argsort(flat, kind="stable") // self.gamma).tolist()
-        ends = np.bincount(flat, minlength=self.n_rows).cumsum().tolist()
-        return [cols[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        order, ptr = self.row_order
+        cols = (order // self.gamma).tolist()
+        ptr = ptr.tolist()
+        return [cols[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
     def index(self, row: int, col: int) -> int:
         """Position of the edge (row, col) in the column-major edge order."""
@@ -295,14 +309,28 @@ def protograph_of(code: SCCode) -> SCCode:
 def label_edges(code: SCCode, field: FieldGF, seed: int) -> SCCode:
     """Draw a nonzero GF(q) weight independently for every lifted entry.
 
-    Weights are drawn per entry rather than per circulant, which maximizes
-    label diversity for later absorbing-set removal.  Deterministic given the
-    seed: entries are visited in column-major order.
+    The weights are exactly those of one ``randrange(1, q)`` per entry from
+    ``random.Random(seed)``, entries in column-major (edge) order.  They are
+    taken from the generator in bulk: ``randrange(1, q)`` is 1 plus the top
+    lambda bits of the first 32-bit Mersenne Twister word whose top bits are
+    below q - 1, and word i of ``getrandbits(32 * m)`` is the generator's
+    i-th word, little-endian.  Words are drawn at most ``LABEL_WORDS`` at a
+    time; the words drawn past the last label are discarded with the
+    generator, which is local.
     """
     if field.q < 4:
         raise ValueError("edge labeling requires q >= 4")
+    n, q = code.n_cols * code.gamma, field.q
     rng = random.Random(seed)
-    labels = bytes(rng.randrange(1, field.q) for _ in range(code.n_cols * code.gamma))
+    chunks, have = [], 0
+    while have < n:
+        # at worst (q = 4) three words in four are accepted
+        m = min(LABEL_WORDS, (n - have) * 3 // 2 + 32)
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+        words = words >> (32 - field.lam)
+        chunks.append((words[words < q - 1] + 1).astype(np.uint8))
+        have += chunks[-1].size
+    labels = np.concatenate(chunks)[:n].tobytes()
     return replace(code, labels=labels, field_lam=field.lam, label_seed=seed)
 
 
@@ -327,13 +355,11 @@ def apply_edge_changes(
 
 
 def code_to_json(code: SCCode) -> str:
-    """Serialize everything needed to rebuild the code bit-exactly."""
-    labels = None
-    if code.labels is not None:
-        rows = code.edges.rows.ravel()
-        cols = np.arange(rows.size) // code.gamma
-        weights = np.frombuffer(code.labels, dtype=np.uint8)
-        labels = np.stack((rows, cols, weights), axis=1)[np.lexsort((cols, rows))].tolist()
+    """Serialize everything needed to rebuild the code bit-exactly.
+
+    Labels are [row, col, weight] triples sorted by row, then column: the
+    row-major edge order, formatted in one pass and spliced into the header.
+    """
     payload = {
         "gamma": code.gamma,
         "kappa": code.kappa,
@@ -344,9 +370,18 @@ def code_to_json(code: SCCode) -> str:
         "mask": [list(r) for r in code.mask.assign],
         "field_lam": code.field_lam,
         "label_seed": code.label_seed,
-        "labels": labels,
+        "labels": None,
     }
-    return json.dumps(payload, sort_keys=True)
+    text = json.dumps(payload, sort_keys=True)
+    if code.labels is None:
+        return text
+    edges = code.edges
+    order, _ = edges.row_order
+    weights = np.frombuffer(code.labels, dtype=np.uint8)
+    table = np.stack((edges.rows.ravel()[order], order // edges.gamma, weights[order]), axis=1)
+    labels = "[" + ", ".join(["[%d, %d, %d]"] * len(order)) % tuple(table.ravel().tolist()) + "]"
+    # every other value is a number, a list or null, so the key occurs once
+    return text.replace('"labels": null', '"labels": ' + labels, 1)
 
 
 def code_from_json(text: str) -> SCCode:

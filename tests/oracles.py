@@ -2,20 +2,26 @@
 
 Everything here is deliberately naive: DFS walks, exhaustive filters, dense
 matrices, nested loops.  None of it shares code with the library paths under
-test, with one exception: the overlap-solver references score vectors one at
-a time with the scalar ``cycle6_census``, whose formulas the DFS counts pin
-on their own, so they check the solver's enumeration and selection.
+test, with two exceptions.  The overlap-solver references score vectors one
+at a time with the scalar ``cycle6_census``, whose formulas the DFS counts pin
+on their own, so they check the solver's enumeration and selection.  And
+``enumerate_cycles`` wraps the library's one row-pair/row-triple enumerator
+for generic matrices, so the DFS counts that pin it pin the library's
+enumerator too.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import math
 import random
+from dataclasses import replace
 
 import numpy as np
 
 from scldpc.cpo import PAIR_SAMPLES, TOP_B, CpoResult
-from scldpc.cycles import SPAN_DUAL, build_window
+from scldpc.cycles import SPAN_DUAL, ProtoCycle, _four_cycles, _six_cycles, build_window
 from scldpc.overlap import OverlapVector, cycle6_census
 
 
@@ -81,6 +87,57 @@ def dfs_cycle_edge_sets(matrix, length: int) -> set[frozenset]:
     for s in range(m + n):
         walk(s, s, 0, [s])
     return found
+
+
+def enumerate_cycles(matrix, length: int) -> list[ProtoCycle]:
+    """Every simple cycle of the requested length (4 or 6), each once."""
+    arr = np.asarray(matrix)
+    rows = [set(np.flatnonzero(arr[r]).tolist()) for r in range(arr.shape[0])]
+    if length == 4:
+        return [
+            ProtoCycle(entries=((r1, a), (r1, b), (r2, b), (r2, a)))
+            for r1, r2, a, b in _four_cycles(rows)
+        ]
+    if length == 6:
+        return [
+            ProtoCycle(entries=((r1, a), (r1, b), (r3, b), (r3, c), (r2, c), (r2, a)))
+            for r1, r2, r3, a, b, c in _six_cycles(rows)
+        ]
+    raise ValueError(f"unsupported cycle length {length}")
+
+
+def lift_count(cycle: ProtoCycle, proto) -> tuple[bool, int]:
+    """How the cycle lifts: (active, beta).
+
+    The balance is the alternating sum of circulant powers along the cycle,
+    mod p.  Active cycles (balance 0) lift to p cycles of the same length and
+    beta is 1.  Otherwise the lifted walk closes only after beta >= 2
+    traversals, giving p/beta cycles of beta times the length; beta divides p.
+    """
+    d = 0
+    for idx, (r, c) in enumerate(cycle.entries):
+        f = proto.powers[r % proto.gamma][c % proto.kappa]
+        d += f if idx % 2 == 0 else -f
+    d %= proto.p
+    if d == 0:
+        return True, 1
+    return False, proto.p // math.gcd(proto.p, d)
+
+
+def measure_overlaps(mask) -> OverlapVector:
+    """Read the overlap vector off a gamma=3 mask."""
+    if mask.gamma != 3:
+        raise ValueError("overlap vectors are defined for gamma = 3")
+    rows = [set(j for j in range(mask.kappa) if mask.assign[i][j] == 0) for i in range(3)]
+    return OverlapVector(
+        r0=len(rows[0]),
+        r1=len(rows[1]),
+        r2=len(rows[2]),
+        o01=len(rows[0] & rows[1]),
+        o02=len(rows[0] & rows[2]),
+        o12=len(rows[1] & rows[2]),
+        o012=len(rows[0] & rows[1] & rows[2]),
+    )
 
 
 def naive_overlap_filter(kappa: int) -> list[tuple[int, ...]]:
@@ -271,6 +328,56 @@ def naive_column_rows(code, c: int) -> list[int]:
         blk = (r + code.mask.assign[i][j]) * g + i
         rows.append(blk * p + (v + code.proto.powers[i][j]) % p)
     return sorted(rows)
+
+
+def serial_label_edges(code, field, seed: int):
+    """One ``randrange(1, q)`` per lifted entry, in column-major order."""
+    if field.q < 4:
+        raise ValueError("edge labeling requires q >= 4")
+    rng = random.Random(seed)
+    labels = bytes(rng.randrange(1, field.q) for _ in range(code.n_cols * code.gamma))
+    return replace(code, labels=labels, field_lam=field.lam, label_seed=seed)
+
+
+def serial_code_to_json(code) -> str:
+    """``code_to_json`` by one ``json.dumps`` of a lexsorted label table."""
+    labels = None
+    if code.labels is not None:
+        rows = code.edges.rows.ravel()
+        cols = np.arange(rows.size) // code.gamma
+        weights = np.frombuffer(code.labels, dtype=np.uint8)
+        labels = np.stack((rows, cols, weights), axis=1)[np.lexsort((cols, rows))].tolist()
+    payload = {
+        "gamma": code.gamma,
+        "kappa": code.kappa,
+        "p": code.p,
+        "L": code.L,
+        "m": 1,
+        "powers": [list(r) for r in code.proto.powers],
+        "mask": [list(r) for r in code.mask.assign],
+        "field_lam": code.field_lam,
+        "label_seed": code.label_seed,
+        "labels": labels,
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
+def serial_export_code_alist(code, out) -> None:
+    """``export_code_alist`` one line at a time, rows gathered by a column loop."""
+    columns = code.edges.rows.tolist()
+    row_lists: list[list[int]] = [[] for _ in range(code.n_rows)]
+    for c, rows in enumerate(columns):
+        for r in rows:
+            row_lists[r].append(c)
+    row_degs = [len(cols) for cols in row_lists]
+    out.write(f"{code.n_cols} {code.n_rows}\n")
+    out.write(f"{code.gamma} {max(row_degs, default=0)}\n")
+    out.write(" ".join([str(code.gamma)] * code.n_cols) + "\n")
+    out.write(" ".join(map(str, row_degs)) + "\n")
+    for rows in columns:
+        out.write(" ".join(str(r + 1) for r in rows) + "\n")
+    for cols in row_lists:
+        out.write(" ".join(str(c + 1) for c in cols) + "\n")
 
 
 def loop_census_active_counts(proto, mask) -> tuple[int, int]:

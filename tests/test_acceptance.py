@@ -14,8 +14,6 @@ from scldpc.cycles import (
     build_window,
     count_ugast_3330,
     count_ugast_3330_for,
-    enumerate_cycles,
-    lift_count,
 )
 from scldpc.gf import FieldGF
 from scldpc.gast import (
@@ -31,14 +29,19 @@ from scldpc.overlap import (
     count_partition_choices,
     cycle6_census,
     enumerate_valid_overlaps,
-    measure_overlaps,
     realize_mask,
     solve_optimal_overlap,
 )
 from scldpc.pipeline import DesignConfig, run_pipeline
 from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers, couple
 
-from oracles import build_lifted_dense, dfs_count_cycles
+from oracles import (
+    build_lifted_dense,
+    dfs_count_cycles,
+    enumerate_cycles,
+    lift_count,
+    measure_overlaps,
+)
 from test_gast import example_7_9_9_13, example_8_0_0_16, synthesize_instances
 
 GF4 = FieldGF(2)

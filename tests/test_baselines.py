@@ -13,11 +13,11 @@ from scldpc.baselines import (
     mo_search,
 )
 from scldpc.cycles import count_ugast_3330_for, union_census
-from scldpc.overlap import count_partition_choices, measure_overlaps
+from scldpc.overlap import count_partition_choices
 from scldpc.pipeline import table1_report
 from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers
 
-from oracles import loop_census_active_counts
+from oracles import loop_census_active_counts, measure_overlaps
 
 
 def oracle_count(proto, mask, L):
@@ -168,7 +168,6 @@ class TestMo:
         # published value comes from a differently-specified search; this run
         # reports drift rather than force-fitting (13/17 run in acceptance)
         from scldpc.baselines import mo_search
-        from scldpc.overlap import measure_overlaps
 
         proto = build_ab_powers(3, 11)
         res = mo_search(proto, 30)

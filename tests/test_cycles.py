@@ -15,15 +15,19 @@ from scldpc.cycles import (
     census_active_counts,
     count_ugast_3330,
     count_ugast_3330_for,
-    enumerate_cycles,
     girth_check,
-    lift_count,
     union_census,
 )
 from scldpc.overlap import cycle6_census, realize_mask, solve_optimal_overlap
 from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers, couple
 
-from oracles import build_lifted_dense, dfs_count_cycles, loop_census_active_counts
+from oracles import (
+    build_lifted_dense,
+    dfs_count_cycles,
+    enumerate_cycles,
+    lift_count,
+    loop_census_active_counts,
+)
 
 
 def random_binary_matrix(rows, cols, density, seed):

@@ -23,7 +23,13 @@ from scldpc.cycles import count_ugast_3330
 from scldpc.overlap import realize_mask, solve_optimal_overlap
 from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers, couple, label_edges
 
-from oracles import all_ugast_labels, exhaustive_witnesses, naive_ugast_subsets, serial_gast_scan
+from oracles import (
+    all_ugast_labels,
+    enumerate_cycles,
+    exhaustive_witnesses,
+    naive_ugast_subsets,
+    serial_gast_scan,
+)
 
 GF4 = FieldGF(2)
 GF8 = FieldGF(3)
@@ -391,8 +397,6 @@ class TestScan:
     def test_6cycle_seeds_match_direct_enumeration(self, small_code):
         # independent path: enumerate 6-cycles on the dense lifted matrix and
         # collect their variable-node (column) triples
-        from scldpc.cycles import enumerate_cycles
-
         H = small_code.to_dense()
         expected = set()
         for cyc in enumerate_cycles(H, 6):

@@ -14,7 +14,6 @@ from scldpc.overlap import (
     count_partition_choices,
     cycle6_census,
     enumerate_valid_overlaps,
-    measure_overlaps,
     realize_mask,
     solve_optimal_overlap,
 )
@@ -24,6 +23,7 @@ from oracles import (
     build_lifted_dense,
     dfs_count_cycles,
     loop_valid_overlaps,
+    measure_overlaps,
     naive_overlap_filter,
     naive_solve_overlap,
     scalar_optima,

@@ -21,7 +21,20 @@ from scldpc.qc import (
     protograph_of,
 )
 
-from oracles import all_ugast_labels, build_lifted_dense, dfs_count_cycles, naive_column_rows
+from scldpc import qc
+
+from oracles import (
+    all_ugast_labels,
+    build_lifted_dense,
+    dfs_count_cycles,
+    naive_column_rows,
+    serial_code_to_json,
+    serial_export_code_alist,
+    serial_label_edges,
+)
+
+# random.seed takes |seed|, and splits a seed past 32 bits into several key words
+LABEL_SEEDS = [0, 1, -7, 2**70]
 
 
 def random_mask(gamma, kappa, seed):
@@ -193,6 +206,16 @@ class TestLabels:
         with pytest.raises(ValueError):
             label_edges(self.code, FieldGF(1), seed=0)
 
+    @pytest.mark.parametrize("lam", range(2, 9))
+    def test_bulk_draw_crosses_chunk_boundaries(self, monkeypatch, lam):
+        # a few words per chunk, so dozens of chunks end mid-stream
+        monkeypatch.setattr(qc, "LABEL_WORDS", 5)
+        field = FieldGF(lam)
+        for seed in LABEL_SEEDS:
+            assert label_edges(self.code, field, seed) == serial_label_edges(
+                self.code, field, seed
+            )
+
 
 class TestEdgeChanges:
     def setup_method(self):
@@ -259,6 +282,36 @@ class TestSerialization:
         assert n_rows == code.n_rows
         assert col_adj == [code.column_rows(c) for c in range(code.n_cols)]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a row line names column 3 of 2
+            ("2 2\n1 1\n1 1\n1 1\n1\n2\n3\n2\n", "row 0 has an index out of range"),
+            # the row block leaves out the edge (0, 1) that column 1 holds
+            ("2 2\n1 1\n1 1\n1 0\n1\n1\n1\n", r"disagree at \(0, 1\)"),
+            # row 0 lists column 1 twice
+            ("2 1\n1 2\n1 1\n2\n1\n1\n1 1\n", "row 0 repeats an index"),
+            # a negative entry in a row line
+            ("2 1\n1 2\n1 1\n2\n1\n1\n1 -3\n", "row 0 has an index out of range"),
+            # the column side is held to the same rule
+            ("1 1\n2 1\n2\n1\n1 1\n1\n", "column 0 repeats an index"),
+        ],
+        ids=[
+            "column-past-end",
+            "missing-edge",
+            "repeated-column",
+            "negative-entry",
+            "column-repeats-row",
+        ],
+    )
+    def test_malformed_adjacency_refused(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            read_alist(io.StringIO(text))
+
+    def test_alist_zero_padding_tolerated(self):
+        text = "2 2\n1 2\n1 1\n2 0\n1 0\n1 0\n1 2\n0 0\n"
+        assert read_alist(io.StringIO(text)) == ([[0], [0]], 2)
+
     def test_alist_header_layout(self):
         proto = build_ab_powers(3, 5)
         code = couple(proto, random_mask(3, 5, 8), 2)
@@ -272,7 +325,7 @@ class TestSerialization:
 
 
 @st.composite
-def _coupled_codes(draw):
+def _coupled_codes(draw, labelled=True):
     p = draw(st.sampled_from([2, 3, 5, 7]))
     kappa = draw(st.integers(1, p))
 
@@ -282,7 +335,28 @@ def _coupled_codes(draw):
 
     proto = ProtoMatrix(gamma=3, kappa=kappa, p=p, powers=draw(grid(p - 1)))
     code = couple(proto, PartitionMask(draw(grid(1))), draw(st.sampled_from([2, 3])))
+    if not labelled:
+        return code
     return label_edges(code, FieldGF(2), seed=draw(st.integers(0, 9)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _coupled_codes(labelled=False),
+    st.one_of(st.none(), st.integers(2, 8)),
+    st.sampled_from(LABEL_SEEDS),
+)
+def test_output_kernels_match_serial_references(code, lam, seed):
+    if lam is not None:
+        field = FieldGF(lam)
+        labelled = label_edges(code, field, seed)
+        assert labelled == serial_label_edges(code, field, seed)
+        code = labelled
+    assert code_to_json(code) == serial_code_to_json(code)
+    fast, slow = io.StringIO(), io.StringIO()
+    export_code_alist(code, fast)
+    serial_export_code_alist(code, slow)
+    assert fast.getvalue() == slow.getvalue()
 
 
 @settings(max_examples=60, deadline=None)
