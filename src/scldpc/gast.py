@@ -394,13 +394,18 @@ def _generic_candidates(
 def remove_gast_weights(instance: GastInstance, field: FieldGF) -> RemovalOutcome:
     """Remove the absorbing set by reweighting edges of the instance alone.
 
+    An instance without a witness is first checked with the oracle, and one
+    that is no absorbing set succeeds with no changes.  An instance that
+    carries a witness, as every instance from :func:`gast_scan` does, is
+    taken as proven: ``GastInstance.with_weights`` clears the witness, so a
+    witness always belongs to the instance's current weights.
+
     Tries candidates in stream order and returns the first set under which
     the oracle finds no witness on the same topology.  Uses the closed-form
     stream when b = d1 and the budget assumptions hold, otherwise the generic
     brute-force stream.
     """
-    ok, _ = is_gast(instance.topology, instance.weights, field)
-    if not ok:
+    if instance.witness is None and not is_gast(instance.topology, instance.weights, field)[0]:
         return RemovalOutcome(success=True, changes=(), instance=instance)
     stream: Iterator[tuple[tuple[int, int, int], ...]]
     try:

@@ -21,17 +21,22 @@ array of vectors in int64 numpy columns (the solver).  Nothing is cached.
 
 Minimizing F over all valid overlap vectors (subject to a balance constraint
 on r0+r1+r2) yields the optimal-overlap partitioning.  The valid vectors are
-built one r0 slab at a time as a (7, n) array in the nested-loop order, and
-each slab is scored in one pass, so memory stays at one slab.  A counting
-identity gives the number of masks realizing any given vector.
+built one r0 slab at a time as a (7, n) array in the nested-loop order.  The
+census is invariant under the six row permutations and the swap of halves,
+so the solver builds only representatives of these 12 symmetries (about a
+tenth of the vectors at odd kappa, a fifth at even kappa), scores them in
+chunks of at most ``SOLVE_VECTORS``, and expands the optimal ones to their
+orbits; memory stays at one slab plus one chunk.  A counting identity gives
+the number of masks realizing any given vector.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,6 +59,9 @@ __all__ = [
 ]
 
 MAX_KAPPA = 64
+
+# overlap vectors the solver scores in one pass: 128 kB per int64 column
+SOLVE_VECTORS = 1 << 14
 
 
 class OverlapConstraintError(ValueError):
@@ -295,13 +303,21 @@ def _expand(cols: list, start: np.ndarray, stop: np.ndarray) -> list:
     return [c[row] for c in cols] + [start[row] + offset]
 
 
-def _overlap_slabs(kappa: int) -> Iterator[np.ndarray]:
+def _overlap_slabs(kappa: int, canonical: bool = False) -> Iterator[np.ndarray]:
     """Yield the valid vectors of each r0 in turn, as (7, n) int64 arrays.
 
     Columns are in field order, rows in the order of the nested loop over
     r0, o01, r1, o012, o02, o12, r2, where each range prunes with the values
     already fixed and the balance constraint folds into the ranges of o12
     and r2.
+
+    With ``canonical``, only representatives of the census symmetries are
+    kept (see :func:`_orbit_union`), at least one per orbit: vectors with
+    r0 <= r1 <= r2 and, since the swap of halves maps the row sum s to
+    3 kappa - s and, on sorted rows, r0 + r2 to 2 kappa - r0 - r2, only
+    s = floor(3 kappa / 2) at odd kappa and r0 + r2 <= kappa at even kappa.
+    The row sum is then fixed, so r2 = s - r0 - r1 and every rule is a bound
+    on r0 or r1.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
@@ -309,9 +325,21 @@ def _overlap_slabs(kappa: int) -> Iterator[np.ndarray]:
         raise ValueError(f"kappa above {MAX_KAPPA} not supported")
     bal_lo = (3 * kappa) // 2
     bal_hi = -((-3 * kappa) // 2)
-    for r0 in range(kappa + 1):
+    r0_stop = kappa + 1
+    if canonical:
+        # one row sum s = bal_lo: r0 <= r1 <= r2 = s - r0 - r1 bounds r0 by
+        # s // 3 and r1 by (s - r0) // 2, and at even kappa r0 + r2 <= kappa
+        # is r1 >= s - kappa
+        bal_hi = bal_lo
+        r0_stop = bal_lo // 3 + 1
+        r1_floor = bal_lo - kappa if kappa % 2 == 0 else 0
+    for r0 in range(r0_stop):
         o01 = np.arange(r0 + 1, dtype=np.int64)
-        o01, r1 = _expand([o01], o01, o01 + kappa - r0 + 1)
+        r1_lo, r1_hi = o01, o01 + kappa - r0
+        if canonical:
+            r1_lo = np.maximum(o01, max(r0, r1_floor))
+            r1_hi = np.minimum(r1_hi, (bal_lo - r0) // 2)
+        o01, r1 = _expand([o01], r1_lo, r1_hi + 1)
         o01, r1, o012 = _expand([o01, r1], np.zeros_like(o01), o01 + 1)
         o01, r1, o012, o02 = _expand([o01, r1, o012], o012, o012 + r0 - o01 + 1)
         # o12 is clipped to the values that leave r2 a nonempty range
@@ -322,6 +350,42 @@ def _overlap_slabs(kappa: int) -> Iterator[np.ndarray]:
         hi = np.minimum(kappa - r0 - r1 + o01 + o02 + o12 - o012, bal_hi - r0 - r1)
         o01, r1, o012, o02, o12, r2 = _expand([o01, r1, o012, o02, o12], lo, hi + 1)
         yield np.stack([np.full_like(r2, r0), r1, r2, o01, o02, o12, o012])
+
+
+# field indices of each row permutation's image: rows (a, b, c) become rows
+# (0, 1, 2), and the overlap of rows i and j sits at field 2 + i + j
+_ROW_PERMS = np.array(
+    [[a, b, c, 2 + a + b, 2 + a + c, 2 + b + c, 6] for a, b, c in itertools.permutations(range(3))]
+)
+
+
+def _orbit_union(kappa: int, vectors: np.ndarray) -> np.ndarray:
+    """Every image of (7, n) vectors under the 12 census symmetries.
+
+    The symmetries are the six row permutations, each with or without the
+    swap of halves (:func:`_complement`); the census is invariant under
+    them, and each maps valid vectors to valid vectors.  Returns the
+    distinct images as (m, 7) rows, sorted as :class:`OverlapVector` sorts.
+    """
+    both = np.stack([vectors, np.stack(_complement(kappa, *vectors))])
+    images = both[:, _ROW_PERMS]  # (2, 6, 7, n)
+    return np.unique(images.transpose(0, 1, 3, 2).reshape(-1, 7), axis=0)
+
+
+def _chunked(slabs: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """Regroup (7, n) slabs into (7, m) chunks of at most ``size`` vectors."""
+    held: list[np.ndarray] = []
+    room = size
+    for slab in slabs:
+        while slab.shape[1]:
+            part, slab = slab[:, :room], slab[:, room:]
+            held.append(part)
+            room -= part.shape[1]
+            if not room:
+                yield np.concatenate(held, axis=1)
+                held, room = [], size
+    if held:
+        yield np.concatenate(held, axis=1)
 
 
 def enumerate_valid_overlaps(kappa: int) -> Iterator[OverlapVector]:
@@ -357,19 +421,21 @@ class OOSolution:
 def solve_optimal_overlap(kappa: int, L: int) -> OOSolution:
     """Minimize the protograph 6-cycle count over all valid overlap vectors.
 
-    Each r0 slab of valid vectors is scored at once: the census terms run on
-    the slab's int64 columns and their complements, and every vector reaching
-    the slab's minimum is kept.  Raises when L < 2, or when L times the
-    largest Fs + Fd could leave the int64 range.  Returns the minimum and
-    every minimizer, as Python ints, sorted lexicographically.
+    The census is invariant under the six row permutations and the swap of
+    halves, so only the canonical vectors are scored, in chunks of at most
+    ``SOLVE_VECTORS``: the census terms run on a chunk's int64 columns and
+    their complements.  Every canonical vector reaching the minimum is
+    expanded to its orbit.  Raises when L < 2, or when L times the largest
+    Fs + Fd could leave the int64 range.  Returns the minimum and every
+    minimizer, as Python ints, sorted lexicographically.
     """
     if kappa < 2:
         raise ValueError("kappa must be >= 2")
     _check_coupling_length(L)
     best = None
-    optima: list[list[int]] = []
-    for slab in _overlap_slabs(kappa):
-        single, cross = _census_terms(kappa, slab, _complement(kappa, *slab))
+    optima: list[np.ndarray] = []
+    for chunk in _chunked(_overlap_slabs(kappa, canonical=True), SOLVE_VECTORS):
+        single, cross = _census_terms(kappa, chunk, _complement(kappa, *chunk))
         fs, fd = sum(single), sum(cross)
         _check_exact_range(L, int((fs + fd).max()))
         f = L * fs + (L - 1) * fd
@@ -377,8 +443,9 @@ def solve_optimal_overlap(kappa: int, L: int) -> OOSolution:
         if best is None or low < best:
             best, optima = low, []
         if low == best:
-            optima.extend(slab[:, np.flatnonzero(f == low)].T.tolist())
-    vectors = tuple(sorted(OverlapVector(*row) for row in optima))
+            optima.append(chunk[:, f == low])
+    rows = _orbit_union(kappa, np.concatenate(optima, axis=1)).tolist()
+    vectors = tuple(OverlapVector(*row) for row in rows)
     return OOSolution(f_star=best, optima=vectors, kappa=kappa, L=L)
 
 

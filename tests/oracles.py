@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: DFS walks, exhaustive filters, dense
 matrices, nested loops.  None of it shares code with the library paths under
-test, with two exceptions.  The overlap-solver references score vectors one
+test, with three exceptions.  The overlap-solver references score vectors one
 at a time with the scalar ``cycle6_census``, whose formulas the DFS counts pin
-on their own, so they check the solver's enumeration and selection.  And
+on their own, so they check the solver's enumeration and selection;
+``serial_solve_optimal_overlap`` scores the library's full enumeration with
+its census terms, so it checks the solver's symmetry reduction.  And
 ``enumerate_cycles`` wraps the library's one row-pair/row-triple enumerator
 for generic matrices, so the DFS counts that pin it pin the library's
 enumerator too.
@@ -22,7 +24,16 @@ import numpy as np
 
 from scldpc.cpo import PAIR_SAMPLES, TOP_B, CpoResult
 from scldpc.cycles import SPAN_DUAL, ProtoCycle, _four_cycles, _six_cycles, build_window
-from scldpc.overlap import OverlapVector, cycle6_census
+from scldpc.overlap import (
+    OOSolution,
+    OverlapVector,
+    _census_terms,
+    _check_exact_range,
+    _complement,
+    _overlap_slabs,
+    cycle6_census,
+)
+from scldpc.qc import _check_coupling_length
 
 
 def dfs_count_cycles(matrix, length: int) -> int:
@@ -198,6 +209,32 @@ def scalar_optima(vectors, kappa: int, L: int) -> tuple[int, list[tuple[int, ...
 def naive_solve_overlap(kappa: int, L: int) -> tuple[int, list[tuple[int, ...]]]:
     """Optimal-overlap minimum and optima over every vector of the brute-force filter."""
     return scalar_optima(naive_overlap_filter(kappa), kappa, L)
+
+
+def serial_solve_optimal_overlap(kappa: int, L: int) -> OOSolution:
+    """The optimal-overlap solve over every valid vector, one r0 slab per numpy pass.
+
+    No symmetry is used: each slab's int64 columns and their complements go
+    through the census terms, and every vector reaching the running minimum
+    is kept.
+    """
+    if kappa < 2:
+        raise ValueError("kappa must be >= 2")
+    _check_coupling_length(L)
+    best = None
+    optima: list[list[int]] = []
+    for slab in _overlap_slabs(kappa):
+        single, cross = _census_terms(kappa, slab, _complement(kappa, *slab))
+        fs, fd = sum(single), sum(cross)
+        _check_exact_range(L, int((fs + fd).max()))
+        f = L * fs + (L - 1) * fd
+        low = int(f.min())
+        if best is None or low < best:
+            best, optima = low, []
+        if low == best:
+            optima.extend(slab[:, np.flatnonzero(f == low)].T.tolist())
+    vectors = tuple(sorted(OverlapVector(*row) for row in optima))
+    return OOSolution(f_star=best, optima=vectors, kappa=kappa, L=L)
 
 
 def build_lifted_dense(gamma: int, kappa: int, p: int, powers, mask, L: int):

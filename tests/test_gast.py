@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -342,6 +343,32 @@ class TestRemoval:
             for changes in enumerate_candidate_sets(inst, bud, GF4):
                 trial = inst.with_weights({(c, v): w for c, v, w in changes})
                 assert is_gast(trial.topology, trial.weights, GF4)[0]
+
+
+def test_witnessed_instance_skips_the_first_oracle_call(monkeypatch):
+    # a witness proves the instance's current weights, so removal starts at
+    # the candidates; the outcome is the one the oracle re-check gives
+    import scldpc.gast as gast_module
+
+    calls = []
+
+    def counting_is_gast(topology, weights, field):
+        calls.append(1)
+        return is_gast(topology, weights, field)
+
+    monkeypatch.setattr(gast_module, "is_gast", counting_is_gast)
+    for inst in synthesize_instances(12, seed=7):
+        witnessed = replace(inst, witness=is_gast(inst.topology, inst.weights, GF4)[1])
+        calls.clear()
+        plain = remove_gast_weights(inst, GF4)
+        unchecked = len(calls) - 1
+        calls.clear()
+        out = remove_gast_weights(witnessed, GF4)
+        assert len(calls) == unchecked
+        assert (out.success, out.changes, out.tried) == (plain.success, plain.changes, plain.tried)
+        assert out.instance.weights == plain.instance.weights
+    # with_weights drops the witness, so a changed instance is checked again
+    assert witnessed.with_weights({}).witness is None
 
 
 def synthesize_instances(n: int, seed: int) -> list[GastInstance]:

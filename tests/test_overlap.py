@@ -1,9 +1,12 @@
+import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scldpc import overlap
 from scldpc.overlap import (
     OverlapConstraintError,
     OverlapVector,
@@ -27,6 +30,7 @@ from oracles import (
     naive_overlap_filter,
     naive_solve_overlap,
     scalar_optima,
+    serial_solve_optimal_overlap,
 )
 
 
@@ -259,6 +263,106 @@ class TestSolve:
             val = dfs_count_cycles(H, 6)
             best = val if best is None else min(best, val)
         assert best == solve_optimal_overlap(kappa, L).f_star
+
+
+class TestSymmetrySolve:
+    @pytest.mark.parametrize(
+        "kappa", [*range(2, 25), *(pytest.param(k, marks=pytest.mark.long) for k in range(25, 41))]
+    )
+    def test_matches_serial_solve(self, kappa):
+        for L in (2, 3, 30):
+            assert solve_optimal_overlap(kappa, L) == serial_solve_optimal_overlap(kappa, L)
+
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_chunk_size_does_not_matter(self, monkeypatch, size):
+        # a chunk of 1 scores each representative alone; 7 splits slabs
+        # across chunks and packs several slabs into one
+        expected = {(k, L): solve_optimal_overlap(k, L) for k in range(2, 11) for L in (2, 30)}
+        monkeypatch.setattr(overlap, "SOLVE_VECTORS", size)
+        for (k, L), sol in expected.items():
+            assert solve_optimal_overlap(k, L) == sol
+
+    def test_int64_threshold_pinned(self):
+        # the representatives' largest Fs + Fd is the largest over all vectors
+        L = 1_277_475_351_364_927
+        assert solve_optimal_overlap(21, L).f_star == serial_solve_optimal_overlap(21, L).f_star
+        for solve in (solve_optimal_overlap, serial_solve_optimal_overlap):
+            with pytest.raises(ValueError, match="int64"):
+                solve(21, L + 1)
+
+    @pytest.mark.parametrize("kappa", range(1, 15))
+    def test_canonical_slabs_filter_the_full_set(self, kappa):
+        # sorted rows; one row sum at odd kappa, r0 + r2 <= kappa at even kappa
+        def kept(v):
+            if not v.r0 <= v.r1 <= v.r2:
+                return False
+            if kappa % 2:
+                return v.r0 + v.r1 + v.r2 == (3 * kappa) // 2
+            return v.r0 + v.r2 <= kappa
+
+        canonical = np.concatenate(list(overlap._overlap_slabs(kappa, canonical=True)), axis=1)
+        expected = [v.as_list() for v in enumerate_valid_overlaps(kappa) if kept(v)]
+        assert canonical.T.tolist() == expected
+
+    @pytest.mark.parametrize("kappa", range(1, 15))
+    def test_orbits_of_representatives_cover_each_vector_once(self, kappa):
+        full = sorted(v.as_list() for v in enumerate_valid_overlaps(kappa))
+        canonical = np.concatenate(list(overlap._overlap_slabs(kappa, canonical=True)), axis=1)
+        assert overlap._orbit_union(kappa, canonical).tolist() == full
+
+    @pytest.mark.parametrize("kappa", [4, 7, 8])
+    def test_orbit_helper_returns_each_orbit_once(self, kappa):
+        # orbits partition the valid vectors: each vector's images are
+        # distinct, sorted, include it, and have that same orbit
+        vectors = [v.as_list() for v in enumerate_valid_overlaps(kappa)]
+        orbit = {}
+        for v in vectors:
+            images = overlap._orbit_union(kappa, np.array(v)[:, None]).tolist()
+            assert v in images
+            assert images == sorted(images)
+            assert len({tuple(x) for x in images}) == len(images) <= 12
+            orbit[tuple(v)] = images
+        for images in orbit.values():
+            for w in images:
+                assert orbit[tuple(w)] == images
+        # a union over several vectors holds each orbit once
+        pair = np.array(vectors[:2] + vectors[:2]).T
+        union = {tuple(x) for v in vectors[:2] for x in orbit[tuple(v)]}
+        assert overlap._orbit_union(kappa, pair).tolist() == sorted(map(list, union))
+
+
+@st.composite
+def random_valid_vectors(draw):
+    """A balanced random mask's H0 overlap vector, with its 12 symmetric masks' vectors."""
+    kappa = draw(st.integers(min_value=2, max_value=64))
+    total = draw(st.sampled_from([(3 * kappa) // 2, -((-3 * kappa) // 2)]))
+    rng = draw(st.randoms(use_true_random=False))
+    cells = rng.sample(range(3 * kappa), total)
+    h0 = [{c % kappa for c in cells if c // kappa == i} for i in range(3)]
+    h1 = [set(range(kappa)) - rows for rows in h0]
+    images = [
+        measure_overlaps(PartitionMask.from_h0_support(3, kappa, [half[i] for i in perm]))
+        for half in (h0, h1)
+        for perm in itertools.permutations(range(3))
+    ]
+    return kappa, images
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_valid_vectors(), st.integers(min_value=2, max_value=50))
+def test_census_is_invariant_under_row_and_half_symmetries(drawn, L):
+    # images are measured on permuted-row and swapped-half masks, not taken
+    # from the library's symmetry table
+    kappa, images = drawn
+    census = []
+    for vec in images:
+        vec.validate(kappa)
+        c = cycle6_census(vec, kappa, L)
+        census.append((c.fs, c.fd))
+    assert len(set(census)) == 1
+    vector = np.array(images[0].as_list())[:, None]
+    orbit = overlap._orbit_union(kappa, vector).tolist()
+    assert orbit == sorted(map(list, {tuple(v.as_list()) for v in images}))
 
 
 class TestCouplingLength:
