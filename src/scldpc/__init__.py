@@ -29,14 +29,13 @@ from .overlap import (
     solve_optimal_overlap,
 )
 from .cycles import (
-    ProtoCycle,
     build_window,
     census_active_counts,
     count_ugast_3330,
     count_ugast_3330_for,
     girth_check,
 )
-from .cpo import CpoResult, active_census, cpo_optimize
+from .cpo import CpoResult, cpo_optimize
 from .baselines import cv_exhaustive_best, cv_mask, mo_best
 from .gast import (
     GastInstance,

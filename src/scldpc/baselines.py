@@ -24,7 +24,6 @@ __all__ = [
     "cv_exhaustive_best",
     "mo_admissible_vectors",
     "pattern_counts",
-    "masks_for_vector",
     "MoSearchResult",
     "mo_search",
     "mo_best",
@@ -142,12 +141,6 @@ def _arrangements_from_counts(
 
 def _mask_of(arrangement: Sequence[tuple[int, int, int]]) -> PartitionMask:
     return PartitionMask(tuple(zip(*arrangement)))
-
-
-def masks_for_vector(vector: OverlapVector, kappa: int) -> Iterator[PartitionMask]:
-    """Every mask realizing the overlap vector, in deterministic order."""
-    for arrangement in _arrangements_from_counts(pattern_counts(vector, kappa), kappa, {}):
-        yield _mask_of(arrangement)
 
 
 def _constrained_mask_count(counts: dict, fixed_patterns: Sequence[tuple]) -> int:

@@ -21,7 +21,10 @@ from .cycles import count_ugast_3330, count_ugast_3330_for, girth_check
 from .gast import gast_scan, remove_gast
 from .gf import FieldGF
 from .overlap import realize_mask, solve_optimal_overlap
-from .qc import build_ab_powers, code_from_json, code_to_json, couple, label_edges, protograph_of
+from .qc import (
+    apply_edge_changes, build_ab_powers, code_from_json, code_to_json, couple, label_edges,
+    protograph_of,
+)
 
 
 def _emit(payload, out: str | None) -> None:
@@ -87,8 +90,10 @@ def _cmd_baseline(args) -> None:
 
 
 def _parse_targets(text: str) -> list[tuple]:
-    parsed = ast.literal_eval(f"[{text}]")
-    return [tuple(t) for t in parsed]
+    try:
+        return [tuple(t) for t in ast.literal_eval(f"[{text}]")]
+    except (SyntaxError, TypeError, ValueError):
+        raise ValueError(f"--targets must be a comma-separated list of tuples, got {text!r}") from None
 
 
 def _cmd_gast(args) -> None:
@@ -111,9 +116,10 @@ def _cmd_gast(args) -> None:
             args.out,
         )
         return
-    applied = []
+    applied, changes = [], []
     for inst in found:
-        outcome, code = remove_gast(code, inst, field)
+        outcome, lifted = remove_gast(inst, field)
+        changes += lifted
         applied.append(
             {
                 "label": list(inst.label),
@@ -122,6 +128,8 @@ def _cmd_gast(args) -> None:
                 "changes": [list(c) for c in outcome.changes or ()],
             }
         )
+    if changes:
+        code = apply_edge_changes(code, changes)
     _emit({"results": applied, "code": json.loads(code_to_json(code))}, args.out)
 
 

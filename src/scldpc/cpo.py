@@ -30,7 +30,7 @@ import numpy as np
 from .cycles import SPAN_DUAL, SPAN_R1, EntryCycles, TwoReplicaWindow, build_window
 from .qc import PartitionMask, ProtoMatrix, _check_coupling_length, is_prime
 
-__all__ = ["CpoResult", "active_census", "cpo_optimize"]
+__all__ = ["CpoResult", "cpo_optimize"]
 
 # the candidate pool starts at the TOP_B most-loaded circulants and widens
 # by TOP_B on a plateau; PAIR_SAMPLES random pair moves are tried per width
@@ -42,21 +42,6 @@ def _loads(window: TwoReplicaWindow, act: np.ndarray) -> np.ndarray:
     """Per-circulant visits of the active 6-cycles ``act``, two-replica ones counted twice."""
     weights = np.where(window.span6[act] == SPAN_DUAL, 2, 1)
     return weights @ window.inc6[act]
-
-
-def active_census(
-    window: TwoReplicaWindow, powers
-) -> tuple[np.ndarray, int, int]:
-    """Weighted active-cycle count per circulant, plus (Fa_s, Fa_d).
-
-    Each active one-replica cycle adds 1 at every window position it visits,
-    each active two-replica cycle adds 2; positions are folded onto their
-    gamma x kappa circulants.
-    """
-    act = window.balances6(window.flat_powers(powers)) == 0
-    duals = int(np.count_nonzero(act & (window.span6 == SPAN_DUAL)))
-    singles = int(np.count_nonzero(act)) - duals
-    return _loads(window, act).reshape(window.gamma, window.kappa), singles // 2, duals
 
 
 @dataclass(frozen=True)

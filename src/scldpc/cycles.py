@@ -34,7 +34,6 @@ import numpy as np
 from .qc import PartitionMask, ProtoMatrix, SCCode, _check_coupling_length
 
 __all__ = [
-    "ProtoCycle",
     "TwoReplicaWindow",
     "EntryCycles",
     "build_window",
@@ -47,25 +46,6 @@ __all__ = [
 ]
 
 SPAN_R1, SPAN_R2, SPAN_DUAL = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class ProtoCycle:
-    """A simple cycle given by its entry positions in visiting order.
-
-    Entries alternate: consecutive positions share a row, then a column, and
-    the last shares a column with the first.  ``span`` is 1 or 2 for cycles of
-    a coupled protograph (replicas touched), None for generic matrices.
-    ``case`` tags window cycles by check/variable placement (s0..s3, d0..d3).
-    """
-
-    entries: tuple[tuple[int, int], ...]
-    span: Optional[int] = None
-    case: Optional[str] = None
-
-    @property
-    def length(self) -> int:
-        return len(self.entries)
 
 
 def _row_triples(rows: Sequence[set[int]]) -> Iterator[tuple]:
@@ -268,43 +248,6 @@ class TwoReplicaWindow:
 
     def balances4(self, flat: np.ndarray) -> np.ndarray:
         return (self.coef4 @ flat) % self.p
-
-    def has_active_4cycle(self, flat: np.ndarray) -> bool:
-        return bool((self.balances4(flat) == 0).any())
-
-    def proto_cycles6(self) -> list[ProtoCycle]:
-        """Window 6-cycles as tagged objects (test/reporting path)."""
-        out = []
-        g = self.gamma
-        k = self.kappa
-        for idx in range(self.pos6_rows.shape[0]):
-            pr = self.pos6_rows[idx]
-            pc = self.pos6_cols[idx]
-            span = int(self.span6[idx])
-            blocks = [int(r) // g for r in set(pr.tolist())]
-            if span != SPAN_DUAL:
-                # the replica's H0 rows are block 0 (R1) or block 1 (R2)
-                h0_block = 0 if span == SPAN_R1 else 1
-                n_h0 = sum(1 for b in blocks if b == h0_block)
-                case = {3: "s0", 2: "s2", 1: "s3", 0: "s1"}[n_h0]
-            else:
-                n_top = sum(1 for b in blocks if b == 0)
-                n_bot = sum(1 for b in blocks if b == 2)
-                if n_top == 1:
-                    case = "d_top"
-                elif n_bot == 1:
-                    case = "d_bot"
-                else:
-                    vns_r1 = len({c for c in pc.tolist() if c < k})
-                    case = "d_mid21" if vns_r1 == 2 else "d_mid12"
-            out.append(
-                ProtoCycle(
-                    entries=tuple((int(r), int(c)) for r, c in zip(pr, pc)),
-                    span=1 if span != SPAN_DUAL else 2,
-                    case=case,
-                )
-            )
-        return out
 
 
 def build_window(proto: ProtoMatrix, mask: PartitionMask) -> TwoReplicaWindow:

@@ -16,14 +16,16 @@ lifted graph onto itself, so one subset per shift orbit is grown.  The last
 node of a full-size subset is added only if it already shares a majority of
 its checks with the subset, and each subset's label is read off its row
 hits.  Only an orbit whose label matches a target is expanded to its
-distinct translates; their weights are read from the label bytes and all of
-them are tested in one batched oracle pass, and a topology is built only
-for a hit.
+distinct translates; their weights are gathered from the label bytes once,
+all of them are tested in one batched oracle pass, and each hit reads its
+topology and weights off that gather.
 
 Removal works on edges of degree-2 checks only.  When the unsatisfied checks
 are exactly the degree-1 checks, the number of weight changes needed has a
 closed-form topological bound and the minimum-cardinality candidate sets can
 be enumerated outright; otherwise a brute-force candidate stream is used.
+Removal returns lifted (row, col, weight) changes; a caller collects them and
+writes the code once.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from .cycles import SPAN_R1, SPAN_R2, _four_cycles, _has_active_4cycle, _six_cycles, build_window
 from .gf import FieldGF
-from .qc import SCCode, TannerEdges, TannerGraph, apply_edge_changes
+from .qc import SCCode, TannerEdges
 
 __all__ = [
     "UgastTopology",
@@ -426,29 +428,26 @@ def remove_gast_weights(instance: GastInstance, field: FieldGF) -> RemovalOutcom
 
 
 def remove_gast(
-    code: SCCode, instance: GastInstance, field: FieldGF
-) -> tuple[RemovalOutcome, SCCode]:
-    """Config-level removal applied back to the lifted code's edge weights.
+    instance: GastInstance, field: FieldGF
+) -> tuple[RemovalOutcome, list[tuple[int, int, int]]]:
+    """Config-level removal lifted to the code's coordinates.
 
     The instance must carry lifted row/column ids.  Returns the outcome and
-    the (possibly unchanged) code.
+    its changes as lifted (row, col, weight) triples, empty when nothing
+    changes; :func:`scldpc.qc.apply_edge_changes` writes them into a code.
     """
     top = instance.topology
     if top.vn_ids is None or top.cn_ids is None:
         raise ValueError("instance is not tied to lifted code coordinates")
     outcome = remove_gast_weights(instance, field)
-    if not outcome.success or not outcome.changes:
-        return outcome, code
-    lifted = [
-        (top.cn_ids[c], top.vn_ids[v], w) for c, v, w in outcome.changes
-    ]
-    return outcome, apply_edge_changes(code, lifted)
+    lifted = [(top.cn_ids[c], top.vn_ids[v], w) for c, v, w in outcome.changes or ()]
+    return outcome, lifted
 
 
 # -- scanning a lifted code ------------------------------------------------
 
 
-class RawTanner(TannerGraph):
+class RawTanner:
     """A hand-built regular Tanner graph, usable by :func:`gast_scan`.
 
     ``col_adj`` lists the check rows of each variable column; every column
@@ -545,30 +544,6 @@ def lifted_6cycle_vn_sets(code: SCCode) -> list[tuple[int, ...]]:
     )
 
 
-def _topology_from_rows(
-    gamma: int, subset: Sequence[int], row_members: dict[int, list[int]]
-) -> UgastTopology:
-    """Topology of a column subset from its row hits (row -> member columns)."""
-    vn_ids = tuple(sorted(subset))
-    index = {c: i for i, c in enumerate(vn_ids)}
-    shared = sorted((r, ms) for r, ms in row_members.items() if len(ms) >= 2)
-    return UgastTopology(
-        gamma=gamma,
-        a=len(vn_ids),
-        shared_cns=tuple(tuple(sorted(index[v] for v in ms)) for _, ms in shared),
-        vn_ids=vn_ids,
-        cn_ids=tuple(r for r, _ in shared),
-    )
-
-
-def _instance_from_topology(code, top: UgastTopology) -> GastInstance:
-    weights = {}
-    for c, cn in enumerate(top.shared_cns):
-        for v in cn:
-            weights[(c, v)] = code.weight_of(top.cn_ids[c], top.vn_ids[v])
-    return GastInstance(topology=top, weights=weights)
-
-
 def _orbit_witnesses(
     gamma: int,
     checks: list[list[int]],
@@ -607,13 +582,15 @@ def _orbit_instances(
     row_members: dict[int, list[int]],
     matching: list[tuple],
     field: Optional[FieldGF],
-    labels: Optional[np.ndarray],
 ) -> list[GastInstance]:
     """The instances among the distinct translates of a label-matched subset.
 
-    Per translate, the first target of ``matching`` (in list order) that
-    holds wins.  A 4-entry target holds for every translate; the 5-entry
-    targets before it are decided for all translates in one oracle pass.
+    The translates' edge weights are gathered from the code's labels once
+    (all ones on an unlabelled graph); the oracle tests that array and each
+    hit's instance reads its weights from it.  Per translate, the first
+    target of ``matching`` (in list order) that holds wins.  A 4-entry
+    target holds for every translate; the 5-entry targets before it are
+    decided for all translates in one oracle pass.
     """
     p, gamma = code.p, code.gamma
     shared = sorted((r, ms) for r, ms in row_members.items() if len(ms) >= 2)
@@ -623,28 +600,45 @@ def _orbit_instances(
     vn = np.take_along_axis(moved, order, axis=1)
     # the shifts fixing the set are the multiples of its period, which divides p
     same = (vn[1:] == vn[0]).all(axis=1)
-    shifts = np.arange(1 + int(same.argmax()) if same.any() else p)
+    shifts = np.arange(1 + int(same.argmax()) if same.any() else p)[:, None]
+    index = {v: i for i, v in enumerate(rep)}
+    checks = [[index[v] for v in ms] for _, ms in shared]
+    e_cols = _shift(np.array([v for _, ms in shared for v in ms]), shifts, p)
+    if code.labels is None:
+        weights = np.ones(e_cols.shape, dtype=np.uint8)
+    else:
+        e_rows = _shift(np.array([r for r, ms in shared for _ in ms]), shifts, p)
+        k = (code.edges.rows[e_cols] == e_rows[..., None]).argmax(axis=2)
+        weights = np.frombuffer(code.labels, dtype=np.uint8)[e_cols * gamma + k]
+    # node i of the representative is node perm[t, i] of translate t
+    perm = np.argsort(order[: len(shifts)], axis=1)
     lead = list(itertools.takewhile(lambda t: len(t) == 5, matching))
     witnesses: list = [None] * len(shifts)
     if lead:
-        index = {v: i for i, v in enumerate(rep)}
-        checks = [[index[v] for v in ms] for _, ms in shared]
-        if labels is None:
-            weights = np.ones((len(shifts), sum(map(len, checks))), dtype=np.uint8)
-        else:
-            s = shifts[:, None]
-            e_rows = _shift(np.array([r for r, ms in shared for _ in ms]), s, p)
-            e_cols = _shift(np.array([v for _, ms in shared for v in ms]), s, p)
-            k = (code.edges.rows[e_cols] == e_rows[..., None]).argmax(axis=2)
-            weights = labels[e_cols * gamma + k]
-        perm = np.argsort(order[shifts], axis=1)
         witnesses = _orbit_witnesses(gamma, checks, weights, perm, field, [t[1] for t in lead])
+    # each translate's checks in ascending row order
+    rows = _shift(np.array([r for r, _ in shared]), shifts, p)
+    row_order = np.argsort(rows, axis=1)
+    cn_ids = np.take_along_axis(rows, row_order, axis=1)
+    starts = np.cumsum([0] + [len(ms) for ms in checks]).tolist()
     out = []
-    for s, hit in zip(shifts.tolist(), witnesses):
+    for t, hit in enumerate(witnesses):
         if hit is None and len(lead) == len(matching):
             continue
-        members = {_shift(r, s, p): [_shift(v, s, p) for v in ms] for r, ms in shared}
-        inst = _instance_from_topology(code, _topology_from_rows(gamma, vn[s].tolist(), members))
+        node, w = perm[t].tolist(), weights[t].tolist()
+        shared_cns, edge_weights = [], {}
+        for c, j in enumerate(row_order[t].tolist()):
+            edges = sorted((node[i], w[e]) for e, i in enumerate(checks[j], starts[j]))
+            shared_cns.append(tuple(v for v, _ in edges))
+            edge_weights.update(((c, v), x) for v, x in edges)
+        top = UgastTopology(
+            gamma=gamma,
+            a=len(rep),
+            shared_cns=tuple(shared_cns),
+            vn_ids=tuple(vn[t].tolist()),
+            cn_ids=tuple(cn_ids[t].tolist()),
+        )
+        inst = GastInstance(topology=top, weights=edge_weights)
         if hit is not None:
             inst = replace(inst, b=int(hit[0]), witness=hit[1])
         out.append(inst)
@@ -684,20 +678,24 @@ def gast_scan(
     (a, d1, d2, d3) match topologies only; 5-entry targets (a, b, d1, d2, d3)
     additionally require an oracle witness with exactly b unsatisfied
     checks, which needs a field, and are decided for all translates in one
-    batched oracle pass over the weights read from the label bytes.  Per
+    batched oracle pass over the weights gathered from the label bytes.  Per
     translate the first target in list order wins, and the witness is the
     lexicographically first valid assignment in the translate's own sorted
-    ``vn_ids`` order.  Topologies and instances are built only for hits.  A
-    labelled code whose field differs from ``field`` is refused.
+    ``vn_ids`` order.  Instances are built only for hits, read off the
+    representative's checks and the gathered weights.  A target entry that
+    is not a non-negative int, and a labelled code whose field differs from
+    ``field``, are refused.
     """
     targets = [tuple(t) for t in targets]
     if not targets:
         return []
     if any(len(t) not in (4, 5) for t in targets):
         raise ValueError("targets must be 4-tuples (UGAST) or 5-tuples (GAST)")
+    for t in targets:
+        if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in t):
+            raise ValueError(f"target entries must be non-negative integers, got {t}")
     if any(len(t) == 5 for t in targets) and field is None:
         raise ValueError("5-entry targets need a field for the oracle")
-    labels = None
     if code.labels is not None and field is not None:
         if code.field_lam is not None and code.field_lam != field.lam:
             raise ValueError(
@@ -755,7 +753,7 @@ def gast_scan(
         if d2 > d3 and least >= need_majority:
             matching = by_label.get((a, a * gamma - sum(deg_in.values()), d2, d3))
             if matching:
-                results += _orbit_instances(code, subset, row_members, matching, field, labels)
+                results += _orbit_instances(code, subset, row_members, matching, field)
         if a >= a_max:
             continue
         remaining = a_max - a

@@ -2,14 +2,16 @@
 
 Field elements are integers in [0, 2^m - 1]; bit i of an element is the
 coefficient of x^i in the polynomial basis.  Addition is XOR, multiplication
-is carry-less polynomial multiplication reduced by an irreducible polynomial.
-Full multiplication and inverse tables are built at construction, so fields
-are cheap to query and safe to share between threads once built.
+is carry-less polynomial multiplication reduced by the smallest irreducible
+polynomial of degree m, so a field is fixed by m alone (as ``code.json``
+records it).  Full multiplication and inverse tables are built at
+construction, so fields are cheap to query and safe to share between threads
+once built.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 __all__ = ["FieldGF", "smallest_irreducible_poly"]
 
@@ -74,18 +76,12 @@ class FieldGF:
     binary cases (no alternative nonzero weights) can be exercised.
     """
 
-    def __init__(self, lam: int, poly: Optional[int] = None):
+    def __init__(self, lam: int):
         if not 1 <= lam <= _MAX_LAMBDA:
             raise ValueError(f"field degree must be in [1, {_MAX_LAMBDA}], got {lam}")
-        if poly is None:
-            poly = smallest_irreducible_poly(lam)
-        if poly.bit_length() - 1 != lam:
-            raise ValueError(f"reduction polynomial 0b{poly:b} does not have degree {lam}")
-        if not _is_irreducible(poly):
-            raise ValueError(f"reduction polynomial 0b{poly:b} is reducible")
         self.lam = lam
         self.q = 1 << lam
-        self.poly = poly
+        self.poly = smallest_irreducible_poly(lam)
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -98,13 +94,7 @@ class FieldGF:
                 self._mul[a][b] = prod
                 self._mul[b][a] = prod
         for a in range(1, q):
-            row = self._mul[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    self._inv[a] = b
-                    break
-            else:
-                raise AssertionError(f"element {a} has no inverse; tables are corrupt")
+            self._inv[a] = self._mul[a].index(1)
 
     def _check(self, *elems: int) -> None:
         for e in elems:
@@ -140,7 +130,7 @@ class FieldGF:
         return f"FieldGF(lam={self.lam}, q={self.q}, poly=0b{self.poly:b})"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FieldGF) and (self.lam, self.poly) == (other.lam, other.poly)
+        return isinstance(other, FieldGF) and self.lam == other.lam
 
     def __hash__(self) -> int:
-        return hash((self.lam, self.poly))
+        return hash(self.lam)

@@ -23,7 +23,8 @@ from .gast import gast_scan, remove_gast
 from .gf import FieldGF
 from .overlap import realize_mask, solve_optimal_overlap
 from .qc import (
-    PartitionMask, _check_coupling_length, build_ab_powers, code_to_json, couple, label_edges
+    PartitionMask, _check_coupling_length, apply_edge_changes, build_ab_powers, code_to_json,
+    couple, label_edges,
 )
 
 __all__ = ["DesignConfig", "DesignReport", "PipelineError", "run_pipeline", "table1_report"]
@@ -151,19 +152,13 @@ def run_pipeline(config: DesignConfig, out_dir: Optional[str] = None) -> DesignR
         stage = "absorbing-set-removal"
         found = gast_scan(code, fld, config.gast_targets, a_max=config.gast_a_max)
         report.gasts_found = len(found)
-        removed = 0
-        changes: list[list[int]] = []
-        for inst in found:
-            outcome, code = remove_gast(code, inst, fld)
-            if outcome.success:
-                removed += 1
-                if outcome.changes:
-                    top = inst.topology
-                    for c, v, w in outcome.changes:
-                        changes.append([top.cn_ids[c], top.vn_ids[v], w])
-        report.gasts_removed = removed
-        report.gasts_remaining = len(found) - removed
-        report.edge_changes = changes
+        removals = [remove_gast(inst, fld) for inst in found]
+        changes = [change for _, lifted in removals for change in lifted]
+        if changes:
+            code = apply_edge_changes(code, changes)
+        report.gasts_removed = sum(outcome.success for outcome, _ in removals)
+        report.gasts_remaining = len(found) - report.gasts_removed
+        report.edge_changes = [list(change) for change in changes]
         report.code_json = code_to_json(code)
     except Exception as exc:  # noqa: BLE001 - abort with stage context
         raise PipelineError(stage, exc, partial=json.loads(report.to_json())) from exc
@@ -184,13 +179,12 @@ def table1_report(
     L: int,
     sizes: Sequence[int],
     methods: Sequence[str] = ("uncoupled", "cv"),
-    cpo_budget: int = 100_000,
-    cpo_seed: int = 0,
 ) -> dict:
     """(3,3,3,0) counts per design technique at each kappa = p.
 
     ``methods`` selects rows from uncoupled / cv / mo / oo-cpo; mo and oo-cpo
-    can take minutes at the larger sizes.
+    can take minutes at the larger sizes.  oo-cpo runs ``cpo_optimize`` at
+    its default budget and seed.
     """
     sizes = tuple(sizes)
     if not set(sizes) <= set(TABLE_SIZES):
@@ -215,7 +209,7 @@ def table1_report(
             else:
                 sol = solve_optimal_overlap(kp, L)
                 mask = realize_mask(sol.optima[0], kp, seed=1)
-                res = cpo_optimize(proto, mask, L, budget=cpo_budget, seed=cpo_seed)
+                res = cpo_optimize(proto, mask, L)
                 row.append(res.f_sc)
         table["counts"][method] = row
     return table

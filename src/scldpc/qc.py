@@ -10,8 +10,8 @@ Codes are immutable values.  The lifted matrix is stored as one edge array,
 :class:`TannerEdges`: an (n_cols, gamma) array of check rows, ascending in
 each column, built once in numpy from (powers, mask, L) and shared by every
 labelled copy of the code.  Edge labels are bytes in the same column-major
-order, and every reader (column and row adjacency, weights, the dense
-matrix, JSON, alist) goes through that array.
+order, and every reader (column and row adjacency, weights, JSON, alist)
+goes through that array.
 """
 
 from __future__ import annotations
@@ -192,29 +192,8 @@ class TannerEdges:
         raise ValueError(f"({row}, {col}) is not a nonzero entry of the code")
 
 
-class TannerGraph:
-    """Readers shared by every graph that holds ``edges`` and ``labels``.
-
-    ``labels`` is None (every weight is 1) or bytes holding one nonzero
-    GF(q) weight per edge, in the order of ``edges``.
-    """
-
-    def column_rows(self, c: int) -> list[int]:
-        """Lifted row indices of the gamma ones in column c, ascending."""
-        return self.edges.rows[c].tolist()
-
-    def row_cols(self, r: int) -> list[int]:
-        """Lifted column indices of the ones in row r, ascending."""
-        return list(self.edges.row_lists[r])
-
-    def weight_of(self, row: int, col: int) -> int:
-        """Edge weight at a nonzero entry (1 for unlabeled graphs)."""
-        i = self.edges.index(row, col)
-        return 1 if self.labels is None else self.labels[i]
-
-
 @dataclass(frozen=True)
-class SCCode(TannerGraph):
+class SCCode:
     """A spatially-coupled code: partitioned block code repeated L times.
 
     ``labels`` holds one nonzero GF(q) weight per lifted edge, as bytes in
@@ -260,13 +239,9 @@ class SCCode(TannerGraph):
         """The lifted edge array, shared with every labelled copy of this code."""
         return _coupled_edges(self.proto, self.mask, self.L)
 
-    def to_dense(self) -> np.ndarray:
-        """Dense binary matrix; guarded, intended for small oracle checks."""
-        if self.n_rows * self.n_cols > 1_000_000:
-            raise ValueError("dense materialization refused above 10^6 cells")
-        out = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
-        out[self.edges.rows, np.arange(self.n_cols)[:, None]] = 1
-        return out
+    def column_rows(self, c: int) -> list[int]:
+        """Lifted row indices of the gamma ones in column c, ascending."""
+        return self.edges.rows[c].tolist()
 
 
 @functools.lru_cache(maxsize=4)

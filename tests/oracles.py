@@ -10,6 +10,11 @@ its census terms, so it checks the solver's symmetry reduction.  And
 ``enumerate_cycles`` wraps the library's one row-pair/row-triple enumerator
 for generic matrices, so the DFS counts that pin it pin the library's
 enumerator too.
+
+The section after the references holds helpers that only the tests use: a
+cycle object with its window tag, the per-circulant census, the window
+4-cycle test and the mask generator of one overlap vector.  They read the
+library's own tables.
 """
 
 from __future__ import annotations
@@ -18,12 +23,16 @@ import itertools
 import json
 import math
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional
 
 import numpy as np
 
-from scldpc.cpo import PAIR_SAMPLES, TOP_B, CpoResult
-from scldpc.cycles import SPAN_DUAL, ProtoCycle, _four_cycles, _six_cycles, build_window
+from scldpc.baselines import _arrangements_from_counts, _mask_of, pattern_counts
+from scldpc.cpo import PAIR_SAMPLES, TOP_B, CpoResult, _loads
+from scldpc.cycles import (
+    SPAN_DUAL, SPAN_R1, TwoReplicaWindow, _four_cycles, _six_cycles, build_window
+)
 from scldpc.overlap import (
     OOSolution,
     OverlapVector,
@@ -33,7 +42,26 @@ from scldpc.overlap import (
     _overlap_slabs,
     cycle6_census,
 )
-from scldpc.qc import _check_coupling_length
+from scldpc.qc import PartitionMask, _check_coupling_length
+
+
+@dataclass(frozen=True)
+class ProtoCycle:
+    """A simple cycle given by its entry positions in visiting order.
+
+    Entries alternate: consecutive positions share a row, then a column, and
+    the last shares a column with the first.  ``span`` is 1 or 2 for cycles of
+    a coupled protograph (replicas touched), None for generic matrices.
+    ``case`` tags window cycles by check/variable placement (s0..s3, d0..d3).
+    """
+
+    entries: tuple[tuple[int, int], ...]
+    span: Optional[int] = None
+    case: Optional[str] = None
+
+    @property
+    def length(self) -> int:
+        return len(self.entries)
 
 
 def dfs_count_cycles(matrix, length: int) -> int:
@@ -694,3 +722,65 @@ def serial_gast_scan(code, field, targets, a_max: int = 8) -> list:
                 queue.append(nxt)
     results.sort(key=lambda inst: inst.topology.vn_ids)
     return results
+
+
+# -- helpers only the tests use -----------------------------------------------
+
+
+def proto_cycles6(window: TwoReplicaWindow) -> list[ProtoCycle]:
+    """The window's 6-cycles as tagged objects, in window order."""
+    out = []
+    g = window.gamma
+    k = window.kappa
+    for idx in range(window.pos6_rows.shape[0]):
+        pr = window.pos6_rows[idx]
+        pc = window.pos6_cols[idx]
+        span = int(window.span6[idx])
+        blocks = [int(r) // g for r in set(pr.tolist())]
+        if span != SPAN_DUAL:
+            # the replica's H0 rows are block 0 (R1) or block 1 (R2)
+            h0_block = 0 if span == SPAN_R1 else 1
+            n_h0 = sum(1 for b in blocks if b == h0_block)
+            case = {3: "s0", 2: "s2", 1: "s3", 0: "s1"}[n_h0]
+        else:
+            n_top = sum(1 for b in blocks if b == 0)
+            n_bot = sum(1 for b in blocks if b == 2)
+            if n_top == 1:
+                case = "d_top"
+            elif n_bot == 1:
+                case = "d_bot"
+            else:
+                vns_r1 = len({c for c in pc.tolist() if c < k})
+                case = "d_mid21" if vns_r1 == 2 else "d_mid12"
+        out.append(
+            ProtoCycle(
+                entries=tuple((int(r), int(c)) for r, c in zip(pr, pc)),
+                span=1 if span != SPAN_DUAL else 2,
+                case=case,
+            )
+        )
+    return out
+
+
+def has_active_4cycle(window: TwoReplicaWindow, flat: np.ndarray) -> bool:
+    """Whether some window 4-cycle balances to 0 mod p under the flat powers."""
+    return bool((window.balances4(flat) == 0).any())
+
+
+def active_census(window: TwoReplicaWindow, powers) -> tuple[np.ndarray, int, int]:
+    """Weighted active-cycle count per circulant, plus (Fa_s, Fa_d).
+
+    Each active one-replica cycle adds 1 at every window position it visits,
+    each active two-replica cycle adds 2; positions are folded onto their
+    gamma x kappa circulants.
+    """
+    act = window.balances6(window.flat_powers(powers)) == 0
+    duals = int(np.count_nonzero(act & (window.span6 == SPAN_DUAL)))
+    singles = int(np.count_nonzero(act)) - duals
+    return _loads(window, act).reshape(window.gamma, window.kappa), singles // 2, duals
+
+
+def masks_for_vector(vector: OverlapVector, kappa: int) -> Iterator[PartitionMask]:
+    """Every mask realizing the overlap vector, in deterministic order."""
+    for arrangement in _arrangements_from_counts(pattern_counts(vector, kappa), kappa, {}):
+        yield _mask_of(arrangement)

@@ -39,6 +39,7 @@ from oracles import (
     build_lifted_dense,
     dfs_count_cycles,
     enumerate_cycles,
+    has_active_4cycle,
     lift_count,
     measure_overlaps,
 )
@@ -134,11 +135,11 @@ def test_criterion_6_power_optimizer_end_to_end(acceptance_line):
     # girth stays at least 6 along every recorded state
     win = build_window(proto, mask)
     powers = [[(i * j) % 7 for j in range(7)] for i in range(3)]
-    girth_ok = not win.has_active_4cycle(win.flat_powers(powers))
+    girth_ok = not has_active_4cycle(win, win.flat_powers(powers))
     for _, changes, _ in res.trace:
         for i, j, v in changes:
             powers[i][j] = v
-        girth_ok &= not win.has_active_4cycle(win.flat_powers(powers))
+        girth_ok &= not has_active_4cycle(win, win.flat_powers(powers))
     hard = res.f_sc <= 609 and girth_ok
     soft = res.f_sc <= 203
     acceptance_line(

@@ -7,7 +7,6 @@ from scldpc.baselines import (
     cv_exhaustive_best,
     cv_mask,
     MoSearchResult,
-    masks_for_vector,
     mo_admissible_vectors,
     mo_best,
     mo_search,
@@ -17,7 +16,7 @@ from scldpc.overlap import count_partition_choices
 from scldpc.pipeline import table1_report
 from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers
 
-from oracles import loop_census_active_counts, measure_overlaps
+from oracles import loop_census_active_counts, masks_for_vector, measure_overlaps
 
 
 def oracle_count(proto, mask, L):

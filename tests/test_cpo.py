@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import serial_cpo_optimize
+from oracles import active_census, has_active_4cycle, serial_cpo_optimize
 from scldpc.baselines import cv_exhaustive_best, cv_mask
-from scldpc.cpo import _State, active_census, cpo_optimize
+from scldpc.cpo import _State, cpo_optimize
 from scldpc.cycles import SPAN_DUAL, build_window, count_ugast_3330_for
 from scldpc.overlap import realize_mask, solve_optimal_overlap
 from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers
@@ -110,8 +110,8 @@ class TestCpoOptimize:
             for i, j, v in changes:
                 powers[i][j] = v
             flat = win.flat_powers(powers)
-            assert not win.has_active_4cycle(flat)
-        assert not win.has_active_4cycle(win.flat_powers(res.powers))
+            assert not has_active_4cycle(win, flat)
+        assert not has_active_4cycle(win, win.flat_powers(res.powers))
 
     def test_target_stops_early(self, oo_setup):
         proto, mask = oo_setup
@@ -252,10 +252,10 @@ def _table_states(draw):
     for e, v in draw(st.lists(moves, max_size=12)):
         trial = flat.copy()
         trial[e] = v
-        if not window.has_active_4cycle(trial):
+        if not has_active_4cycle(window, trial):
             flat = trial
     # at p = 2 the array-based powers of rows 0 and 2 agree
-    assume(not window.has_active_4cycle(flat))
+    assume(not has_active_4cycle(window, flat))
     return window, flat, draw(st.integers(2, 30))
 
 

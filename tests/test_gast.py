@@ -22,10 +22,13 @@ from scldpc.gast import (
 )
 from scldpc.cycles import count_ugast_3330
 from scldpc.overlap import realize_mask, solve_optimal_overlap
-from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers, couple, label_edges
+from scldpc.qc import (
+    PartitionMask, ProtoMatrix, apply_edge_changes, build_ab_powers, couple, label_edges
+)
 
 from oracles import (
     all_ugast_labels,
+    build_lifted_dense,
     enumerate_cycles,
     exhaustive_witnesses,
     naive_ugast_subsets,
@@ -345,6 +348,13 @@ class TestRemoval:
                 assert is_gast(trial.topology, trial.weights, GF4)[0]
 
 
+def test_remove_refuses_instance_without_lifted_ids():
+    top = hexagon()
+    inst = GastInstance(topology=top, weights=uniform_weights(top))
+    with pytest.raises(ValueError, match="not tied to lifted code coordinates"):
+        remove_gast(inst, GF4)
+
+
 def test_witnessed_instance_skips_the_first_oracle_call(monkeypatch):
     # a witness proves the instance's current weights, so removal starts at
     # the candidates; the outcome is the one the oracle re-check gives
@@ -424,7 +434,8 @@ class TestScan:
     def test_6cycle_seeds_match_direct_enumeration(self, small_code):
         # independent path: enumerate 6-cycles on the dense lifted matrix and
         # collect their variable-node (column) triples
-        H = small_code.to_dense()
+        code = small_code
+        H = build_lifted_dense(3, code.kappa, code.p, code.proto.powers, code.mask.assign, code.L)
         expected = set()
         for cyc in enumerate_cycles(H, 6):
             cols = tuple(sorted({c for _, c in cyc.entries}))
@@ -437,7 +448,7 @@ class TestScan:
             for r in small_code.column_rows(c):
                 adj[r].add(c)
         for r in range(small_code.n_rows):
-            assert small_code.row_cols(r) == sorted(adj[r])
+            assert small_code.edges.row_lists[r] == sorted(adj[r])
 
     def test_ugast_target_count_equals_census(self, small_code):
         found = gast_scan(small_code, GF4, [(3, 3, 3, 0)], a_max=3)
@@ -487,6 +498,29 @@ class TestScan:
         assert {inst.topology.a for inst in at_target} == {3, 4}
         assert gast_scan(small_code, GF4, targets, a_max=6) == at_target
 
+    def test_unfielded_scan_reads_the_code_labels(self, small_code):
+        # no oracle runs without a field, yet every hit carries the weights
+        # gathered from the code's labels, one per edge of its shared checks
+        found = gast_scan(small_code, None, [(3, 3, 3, 0)], a_max=3)
+        assert len(found) == count_ugast_3330(small_code)
+        assert found == serial_gast_scan(small_code, None, [(3, 3, 3, 0)], a_max=3)
+        edges = small_code.edges
+        for inst in found:
+            top = inst.topology
+            assert list(inst.weights) == [(c, v) for c, cn in enumerate(top.shared_cns) for v in cn]
+            for (c, v), w in inst.weights.items():
+                assert w == small_code.labels[edges.index(top.cn_ids[c], top.vn_ids[v])]
+        assert {w for inst in found for w in inst.weights.values()} == {1, 2, 3}
+
+    @pytest.mark.parametrize(
+        "target",
+        [(4, 2, 2, 5, 0.5), (4, 2, 2, 5, -1), (4, 2, 2, 5, True), (4, 2, "5", 0)],
+        ids=["float", "negative", "bool", "str"],
+    )
+    def test_target_entries_must_be_non_negative_ints(self, small_code, target):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            gast_scan(small_code, GF4, [(3, 3, 3, 3, 0), target], a_max=4)
+
     def test_gast_targets_carry_witness_and_b(self, small_code):
         found = gast_scan(small_code, GF4, [(3, 3, 3, 3, 0)], a_max=3)
         for inst in found:
@@ -499,10 +533,10 @@ class TestScan:
         found = gast_scan(small_code, GF4, [(3, 3, 3, 3, 0)], a_max=3)
         if not found:
             pytest.skip("no labeled hexagon present under this seed")
-        code = small_code
         inst = found[0]
-        outcome, code = remove_gast(code, inst, GF4)
+        outcome, lifted = remove_gast(inst, GF4)
         if outcome.success and outcome.changes:
+            code = apply_edge_changes(small_code, lifted)
             refreshed = gast_scan(code, GF4, [(3, 3, 3, 3, 0)], a_max=3)
             assert all(
                 r.topology.vn_ids != inst.topology.vn_ids for r in refreshed

@@ -26,6 +26,7 @@ from oracles import (
     build_lifted_dense,
     dfs_count_cycles,
     loop_valid_overlaps,
+    masks_for_vector,
     measure_overlaps,
     naive_overlap_filter,
     naive_solve_overlap,
@@ -456,8 +457,6 @@ class TestChoicesAndMasks:
     def test_optima_realization_census_at_kappa7(self):
         # every optimal vector realizes the same number of masks, and the
         # total matches alpha times the per-vector binomial product
-        from scldpc.baselines import masks_for_vector
-
         sol = solve_optimal_overlap(7, 30)
         per_vector = [sum(1 for _ in masks_for_vector(v, 7)) for v in sol.optima]
         assert len(set(per_vector)) == 1

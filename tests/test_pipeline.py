@@ -103,7 +103,7 @@ class TestTable:
         assert table["counts"]["cv"] == [3290]
 
     def test_oo_cpo_column_at_kappa7(self):
-        table = table1_report(30, sizes=(7,), methods=("oo-cpo",), cpo_budget=100_000)
+        table = table1_report(30, sizes=(7,), methods=("oo-cpo",))
         assert table["counts"]["oo-cpo"][0] <= 609
 
     def test_bad_size_rejected(self):
@@ -414,6 +414,35 @@ class TestCliErrors:
             assert out == ""
             assert err == f"scldpc: error: {message}\n"
         assert not (tmp_path / "code.alist").exists()
+
+    @pytest.mark.parametrize("command", ["scan", "pipeline"])
+    @pytest.mark.parametrize(
+        "targets, message",
+        [
+            ("5", "--targets must be a comma-separated list of tuples, got '5'"),
+            ("(4,2", "--targets must be a comma-separated list of tuples, got '(4,2'"),
+            ("a", "--targets must be a comma-separated list of tuples, got 'a'"),
+            ("(4,2,2,5,0.5)", "target entries must be non-negative integers, got (4, 2, 2, 5, 0.5)"),
+            ("(4,2,2,5,-1)", "target entries must be non-negative integers, got (4, 2, 2, 5, -1)"),
+        ],
+        ids=["bare-int", "unclosed", "name", "float", "negative"],
+    )
+    def test_malformed_targets_reported(self, tmp_path, capsys, command, targets, message):
+        # a target the scan cannot match is refused, not scanned for nothing
+        from scldpc import cli
+
+        if command == "scan":
+            argv = ["gast", "scan", "--code", _labelled_code_file(tmp_path)]
+        else:
+            argv = ["pipeline", "--kappa", "5", "--L", "3", "--budget", "200"]
+        rc = cli.main(argv + ["--targets", targets, "--amax", "4"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        if command == "pipeline" and "entries" in message:
+            # the entries are checked where the scan starts
+            message = f"pipeline stage 'absorbing-set-removal' failed: {message}"
+        assert err == f"scldpc: error: {message}\n"
 
     def test_pipeline_error_reported(self, capsys):
         from scldpc import cli

@@ -37,6 +37,13 @@ from oracles import (
 LABEL_SEEDS = [0, 1, -7, 2**70]
 
 
+def dense(code):
+    """The code's lifted 0/1 matrix, scattered from its edge array."""
+    H = np.zeros((code.n_rows, code.n_cols), dtype=np.int8)
+    H[code.edges.rows, np.arange(code.n_cols)[:, None]] = 1
+    return H
+
+
 def random_mask(gamma, kappa, seed):
     import random
 
@@ -88,13 +95,13 @@ class TestCoupling:
         mask = random_mask(3, 5, 7)
         code = couple(proto, mask, 3)
         H = build_lifted_dense(3, 5, 5, proto.powers, mask.assign, 3)
-        assert np.array_equal(code.to_dense(), H)
+        assert np.array_equal(dense(code), H)
 
     def test_two_replicas_overlap_in_middle_rows(self):
         proto = build_ab_powers(3, 5)
         mask = random_mask(3, 5, 3)
         code = couple(proto, mask, 2)
-        H = code.to_dense()
+        H = dense(code)
         gp = 3 * 5
         # replica 1 never reaches the last block-row, replica 2 never the first
         assert not H[2 * gp :, : 5 * 5].any()
@@ -106,7 +113,7 @@ class TestCoupling:
         mask = random_mask(3, 5, 9)
         L = 4
         code = couple(proto, mask, L)
-        H = code.to_dense()
+        H = dense(code)
         gp, kp = 3 * 5, 5 * 5
         first = H[: 2 * gp, :kp]
         for r in range(1, L):
@@ -165,7 +172,7 @@ class TestProtograph:
     def test_all_h0_mask_is_block_diagonal(self):
         proto = build_ab_powers(3, 5)
         bp = protograph_of(couple(proto, PartitionMask.all_h0(3, 5), 3))
-        H = bp.to_dense()
+        H = dense(bp)
         for r in range(3):
             blk = H[r * 3 : (r + 1) * 3, r * 5 : (r + 1) * 5]
             assert blk.all()
@@ -227,10 +234,11 @@ class TestEdgeChanges:
 
     def test_change_then_inverse_restores(self):
         r, c = self.code.column_rows(4)[1], 4
-        old = self.code.weight_of(r, c)
+        i = self.code.edges.index(r, c)
+        old = self.code.labels[i]
         new = 1 if old != 1 else 2
         changed = apply_edge_changes(self.code, [(r, c, new)])
-        assert changed.weight_of(r, c) == new
+        assert changed.labels[i] == new
         assert sum(a != b for a, b in zip(changed.labels, self.code.labels)) == 1
         restored = apply_edge_changes(changed, [(r, c, old)])
         assert restored.labels == self.code.labels
@@ -321,7 +329,7 @@ class TestSerialization:
         assert lines[0] == f"{code.n_cols} {code.n_rows}"
         max_col, max_row = map(int, lines[1].split())
         assert max_col == 3
-        assert max_row == max(len(code.row_cols(r)) for r in range(code.n_rows))
+        assert max_row == max(map(len, code.edges.row_lists))
 
 
 @st.composite
@@ -366,7 +374,7 @@ def test_edge_array_matches_coupling_formula(code):
     columns = [naive_column_rows(code, c) for c in range(code.n_cols)]
     assert code.edges.rows.tolist() == columns
     for r in range(code.n_rows):
-        assert code.row_cols(r) == [c for c in range(code.n_cols) if r in columns[c]]
+        assert code.edges.row_lists[r] == [c for c in range(code.n_cols) if r in columns[c]]
     targets = [(3, 3, 3, 3, 0), (4, 2, 2, 5, 0)] + all_ugast_labels(3, 4)
     raw = RawTanner(columns, 3, labels=code.labels)
     assert gast_scan(raw, FieldGF(2), targets, a_max=4) == gast_scan(
