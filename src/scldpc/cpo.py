@@ -17,11 +17,19 @@ circulant at every power, the f_sc after the move and the 4-cycles it
 activates.  Widening the pool and the plateau walk only read the table.  A
 pair move adds its two single-move changes and corrects them over the
 cycles both circulants touch, which a per-pair index lists.
+
+Each state is handled in one pass.  One masked argmin over the table gives
+every circulant's best improving single move, and so the first pool width
+that holds one.  The widths before it are walked in integer evaluation
+counts; their pair batches are drawn up front and scored in one call, the
+first improving batch wins, and the random stream and the count go back to
+its end.  The random draws are those of ``random.Random(seed)``, read off
+its 32-bit words in bulk (:class:`~scldpc.words.WordStream`).
 """
 
 from __future__ import annotations
 
-import random
+import bisect
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +37,7 @@ import numpy as np
 
 from .cycles import SPAN_DUAL, SPAN_R1, EntryCycles, TwoReplicaWindow, build_window
 from .qc import PartitionMask, ProtoMatrix, _check_coupling_length, is_prime
+from .words import WordStream
 
 __all__ = ["CpoResult", "cpo_optimize"]
 
@@ -119,7 +128,16 @@ class _State:
         self.hits4 = np.bincount(self._cells(self.movers4, self.b4), minlength=size)
         self.hits4 = self.hits4.reshape(self.n, self.p)
 
-    def best_single(self, ents: np.ndarray, counts: np.ndarray) -> Optional[list[tuple[int, int]]]:
+    def best_singles(self) -> tuple[np.ndarray, np.ndarray]:
+        """(f_sc after, power) of every circulant's best improving single
+        move, ties to the lowest power; f_sc after is f_sc where none is."""
+        scores = np.where((self.hits4 == 0) & (self.f_after < self.f_sc), self.f_after, self.f_sc)
+        v = scores.argmin(axis=1)
+        return scores[np.arange(self.n), v], v
+
+    def clipped_single(
+        self, ents: np.ndarray, counts: np.ndarray
+    ) -> Optional[list[tuple[int, int]]]:
         """Best improving move [(e, v)] among the first ``counts[i]`` powers
         other than the current one of each circulant ``ents[i]``; ties go to
         the lowest (e, v)."""
@@ -172,6 +190,12 @@ class _State:
         self._refresh()
 
 
+def _best_pair(pairs: np.ndarray, f: np.ndarray, k: int) -> list[tuple[int, int]]:
+    """The pair move (e1, e2, v1, v2) of lowest (f, sorted (row, col, power) changes)."""
+    moves = ([(e1, v1), (e2, v2)] for e1, e2, v1, v2 in pairs[f == f.min()].tolist())
+    return min((tuple(sorted((e // k, e % k, v) for e, v in ch)), ch) for ch in moves)[1]
+
+
 def cpo_optimize(
     proto: ProtoMatrix,
     mask: PartitionMask,
@@ -187,9 +211,14 @@ def cpo_optimize(
     walk that starts within the budget finishes its steps, so ``evals`` may
     end a few above it); the search also stops once the count reaches
     ``target``.  The candidate pool starts at the ``TOP_B`` most-loaded
-    circulants and widens by ``TOP_B`` on a plateau; the best move is the
-    lowest (count, sorted (row, col, power) changes).  Deterministic for
-    fixed arguments.  Requires gamma = 3, L >= 2, kappa <= p with p prime,
+    circulants and widens by ``TOP_B`` on a plateau; each width scores every
+    single move of its pool, (p - 1) per circulant, then ``PAIR_SAMPLES``
+    random pairs, and the best move is the lowest (count, sorted (row, col,
+    power) changes).  The state is scored once however many widths it takes;
+    the evaluation count, the trace and the random stream are those of
+    scoring the widths one after another, with ``random.Random(seed)``'s
+    ``sample``, ``randrange`` and ``shuffle``.  Deterministic for fixed
+    arguments.  Requires gamma = 3, L >= 2, kappa <= p with p prime,
     budget >= 0 and start powers that keep every window 4-cycle inactive.
     """
     if proto.gamma != 3:
@@ -206,7 +235,7 @@ def cpo_optimize(
     if not state.b4.all():
         raise ValueError("initial powers activate a 4-cycle; cannot start")
 
-    rng = random.Random(seed)
+    words = WordStream(seed)
     n_entries = g * k
     best_flat = state.flat.copy()
     best_f = state.f_sc
@@ -228,61 +257,76 @@ def cpo_optimize(
             best_flat = state.flat.copy()
             trace.append((evals, diff, state.f_sc))
 
-    def spend(n: int) -> int:
-        # evaluations left for the next n candidates
-        nonlocal evals
-        n = min(n, budget - evals)
-        evals += n
-        return n
-
-    def best_pair(pairs: np.ndarray) -> Optional[list[tuple[int, int]]]:
-        # best improving pair move by (f_sc, sorted (row, col, power) changes)
-        f, hits = state.pair_moves(pairs)
-        f = np.where(hits == 0, f, state.f_sc)
-        f_best = int(f.min(initial=state.f_sc))
-        if f_best >= state.f_sc:
-            return None
-        moves = ([(e1, v1), (e2, v2)] for e1, e2, v1, v2 in pairs[f == f_best].tolist())
-        return min((tuple(sorted((e // k, e % k, v) for e, v in ch)), ch) for ch in moves)[1]
-
     while evals < budget and best_f > target:
+        # a state's words are replayed only within it
+        words.drop_consumed()
         order = np.argsort(-_loads(window, state.b6 == 0), kind="stable").tolist()
-        width = TOP_B
-        scored = 0
-        accepted = False
-        while width <= n_entries and not accepted and evals < budget:
+        f_single, v_single = state.best_singles()
+        ranked = np.flatnonzero(f_single[order] < state.f_sc)
+        # the first width whose pool holds an improving single move
+        single_at = TOP_B * (int(ranked[0]) // TOP_B + 1) if ranked.size else None
+
+        # Walk the widths in integer evals: each re-scores its whole pool's
+        # singles, (p - 1) per circulant, then draws PAIR_SAMPLES pairs from
+        # the pool and scores those the budget still covers.  The state does
+        # not change between widths, so the batches of every width before
+        # single_at are drawn up front and scored in one pass.
+        pairs: list[int] = []  # flattened (e1, e2, v1, v2)
+        batches: list[tuple[int, int, int]] = []  # (pairs, stream position, evals) at each end
+        clipped = single = None
+        for width in range(TOP_B, n_entries + 1, TOP_B):
+            if evals + (p - 1) * width > budget:
+                clipped = width
+                break
+            evals += (p - 1) * width
+            if width == single_at:
+                # the lowest (f_sc, circulant) among the pool's newest ones
+                e = min(order[width - TOP_B : width], key=lambda e: (f_single[e], e))
+                single = [(e, int(v_single[e]))]
+                break
             pool = order[:width]
-            # the entries of a narrower pool have no improving single move:
-            # the state has not changed since, so only their evaluations count
-            spend((p - 1) * scored)
-            fresh = np.array(pool[scored:], dtype=np.int64)
-            # each entry scores its first p - 1 powers until the budget ends
-            counts = spend((p - 1) * len(fresh)) - (p - 1) * np.arange(len(fresh))
-            best_move = state.best_single(fresh, counts.clip(0, p - 1))
-            scored = width
-            if best_move is None and len(pool) >= 2:
-                # all pairs are drawn even when the budget ends inside the
-                # batch: a spent budget ends the search, so the rng is done
-                pairs = [
-                    (*rng.sample(pool, 2), rng.randrange(p), rng.randrange(p))
-                    for _ in range(PAIR_SAMPLES)
-                ]
-                pairs = np.array(pairs[: spend(PAIR_SAMPLES)], dtype=np.int64).reshape(-1, 4)
-                best_move = best_pair(pairs)
-            if best_move is not None:
-                state.apply(best_move)
-                record_if_best()
-                accepted = True
-            else:
-                width += TOP_B
-        if not accepted and evals < budget and best_f > target:
+            drawn = min(PAIR_SAMPLES, budget - evals)
+            pairs += words.pairs(pool, p, drawn)
+            evals += drawn
+            batches.append((len(pairs) // 4, words.pos, evals))
+            if evals == budget:
+                break
+
+        move = None
+        if pairs:
+            batch = np.array(pairs, dtype=np.int64).reshape(-1, 4)
+            f, hits = state.pair_moves(batch)
+            f = np.where(hits == 0, f, state.f_sc)
+            better = np.flatnonzero(f < state.f_sc)
+            if better.size:
+                # the first width with an improving pair wins; the stream
+                # and evals go back to the end of its batch
+                ends = [end for end, _, _ in batches]
+                j = bisect.bisect_right(ends, int(better[0]))
+                _, words.pos, evals = batches[j]
+                start = ends[j - 1] if j else 0
+                move = _best_pair(batch[start : ends[j]], f[start : ends[j]], k)
+        if move is None and clipped is not None:
+            # the narrower pool has no improving single move, so only the
+            # width's newest circulants are scored, each up to the budget
+            fresh = np.array(order[clipped - TOP_B : clipped], dtype=np.int64)
+            left = budget - evals - (p - 1) * (clipped - TOP_B)
+            counts = (left - (p - 1) * np.arange(TOP_B)).clip(0, p - 1)
+            move = state.clipped_single(fresh, counts)
+            evals = budget
+        elif move is None:
+            move = single
+        if move is not None:
+            state.apply(move)
+            record_if_best()
+        elif evals < budget:
             # plateau everywhere: random walk over a few entries, keeping
             # every 4-cycle inactive, then resume the descent from there
             restarts += 1
-            for _ in range(1 + rng.randrange(2 * g)):
-                e = rng.randrange(n_entries)
+            for _ in range(1 + words.below(2 * g)):
+                e = words.below(n_entries)
                 values = [v for v in range(p) if v != state.flat[e]]
-                rng.shuffle(values)
+                words.shuffle(values)
                 hits = np.flatnonzero(state.hits4[e, values] == 0)
                 if hits.size:
                     evals += int(hits[0]) + 1

@@ -645,6 +645,17 @@ def _orbit_instances(
     return out
 
 
+def _check_targets(targets: Sequence[tuple]) -> list[tuple]:
+    """The targets as tuples; each must be 4 or 5 non-negative ints."""
+    targets = [tuple(t) for t in targets]
+    if any(len(t) not in (4, 5) for t in targets):
+        raise ValueError("targets must be 4-tuples (UGAST) or 5-tuples (GAST)")
+    for t in targets:
+        if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in t):
+            raise ValueError(f"target entries must be non-negative integers, got {t}")
+    return targets
+
+
 def gast_scan(
     code,
     field: Optional[FieldGF],
@@ -686,14 +697,9 @@ def gast_scan(
     is not a non-negative int, and a labelled code whose field differs from
     ``field``, are refused.
     """
-    targets = [tuple(t) for t in targets]
+    targets = _check_targets(targets)
     if not targets:
         return []
-    if any(len(t) not in (4, 5) for t in targets):
-        raise ValueError("targets must be 4-tuples (UGAST) or 5-tuples (GAST)")
-    for t in targets:
-        if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in t):
-            raise ValueError(f"target entries must be non-negative integers, got {t}")
     if any(len(t) == 5 for t in targets) and field is None:
         raise ValueError("5-entry targets need a field for the oracle")
     if code.labels is not None and field is not None:

@@ -19,7 +19,7 @@ from .alist import export_code_alist
 from .baselines import cv_exhaustive_best, mo_best
 from .cpo import cpo_optimize
 from .cycles import count_ugast_3330, count_ugast_3330_for
-from .gast import gast_scan, remove_gast
+from .gast import _check_targets, gast_scan, remove_gast
 from .gf import FieldGF
 from .overlap import realize_mask, solve_optimal_overlap
 from .qc import (
@@ -48,9 +48,14 @@ class DesignConfig:
     optimum_index: int = 0
 
     def __post_init__(self):
+        # refused here, before any stage runs, with the messages of the
+        # stages that would refuse them
         _check_coupling_length(self.L)
         if self.field_lam < 2:
             raise ValueError("code design requires a field with q >= 4")
+        if self.cpo_budget < 0:
+            raise ValueError(f"CPO budget must be >= 0, got {self.cpo_budget}")
+        _check_targets(self.gast_targets)
 
 
 class PipelineError(RuntimeError):

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .gf import FieldGF
+from .words import read_words
 
 __all__ = [
     "ProtoMatrix",
@@ -286,12 +287,11 @@ def label_edges(code: SCCode, field: FieldGF, seed: int) -> SCCode:
 
     The weights are exactly those of one ``randrange(1, q)`` per entry from
     ``random.Random(seed)``, entries in column-major (edge) order.  They are
-    taken from the generator in bulk: ``randrange(1, q)`` is 1 plus the top
-    lambda bits of the first 32-bit Mersenne Twister word whose top bits are
-    below q - 1, and word i of ``getrandbits(32 * m)`` is the generator's
-    i-th word, little-endian.  Words are drawn at most ``LABEL_WORDS`` at a
-    time; the words drawn past the last label are discarded with the
-    generator, which is local.
+    taken from the generator in bulk (``words.read_words``):
+    ``randrange(1, q)`` is 1 plus the top lambda bits of the first 32-bit
+    Mersenne Twister word whose top bits are below q - 1.  Words are drawn
+    at most ``LABEL_WORDS`` at a time; the words drawn past the last label
+    are discarded with the generator, which is local.
     """
     if field.q < 4:
         raise ValueError("edge labeling requires q >= 4")
@@ -301,8 +301,7 @@ def label_edges(code: SCCode, field: FieldGF, seed: int) -> SCCode:
     while have < n:
         # at worst (q = 4) three words in four are accepted
         m = min(LABEL_WORDS, (n - have) * 3 // 2 + 32)
-        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
-        words = words >> (32 - field.lam)
+        words = read_words(rng, m) >> (32 - field.lam)
         chunks.append((words[words < q - 1] + 1).astype(np.uint8))
         have += chunks[-1].size
     labels = np.concatenate(chunks)[:n].tobytes()

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 import re
 
 import numpy as np
@@ -15,6 +16,8 @@ from scldpc.cpo import _State, cpo_optimize
 from scldpc.cycles import SPAN_DUAL, build_window, count_ugast_3330_for
 from scldpc.overlap import realize_mask, solve_optimal_overlap
 from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers
+from scldpc import words
+from scldpc.words import WordStream
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,6 +226,23 @@ def _ab_problem(p, assign, L):
 @example(_ab_problem(5, ((0, 1, 0, 1, 1), (1, 1, 0, 0, 1), (0, 1, 1, 0, 1)), 27), 937, 13399, 0)
 # improving pair draws that keep one entry at its current power
 @example(_ab_problem(5, ((1, 0, 1, 0), (1, 1, 1, 0), (1, 0, 1, 1)), 6), 1811, 5906, 0)
+# a pair accepted at a width whose later widths' batches were drawn too: the
+# stream goes back to the end of the accepted batch
+@example(_ab_problem(5, ((1, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)), 19), 2102, 34829, 0)
+# the budget ends inside a later width's batch, whose evals are not charged
+# once an earlier batch wins
+@example(
+    _ab_problem(7, ((1, 1, 1, 1, 0, 1), (1, 1, 1, 0, 0, 1), (1, 0, 0, 0, 1, 0)), 13), 497, 10097, 0
+)
+# pools of 24 circulants, past sample's n <= 21 switch
+@example(
+    _ab_problem(
+        11, ((1, 0, 1, 1, 1, 1, 1, 1), (1, 0, 1, 0, 1, 0, 1, 0), (0, 1, 1, 0, 0, 1, 1, 0)), 13
+    ),
+    2056,
+    8730,
+    0,
+)
 def test_batched_matches_serial(problem, budget, seed, target):
     # the budget stops most runs part of the way through an entry's powers
     # or a pair batch, and lets about a quarter of those near kappa = p
@@ -236,6 +256,31 @@ def test_batched_matches_serial(problem, budget, seed, target):
         return
     got = cpo_optimize(proto, mask, L, budget=budget, seed=seed, target=target)
     assert got.as_dict() == want.as_dict()
+
+
+@pytest.mark.parametrize("block", [words.STREAM_WORDS, 7])
+def test_word_stream_matches_random(monkeypatch, block):
+    # the optimizer's draws, read off the generator's words, against the
+    # generator itself: sample(pool, 2) on both sides of its n <= 21 switch
+    # (at n = 2 the second index is randbelow(1), which still reads words),
+    # randrange(p) and shuffle; a 7-word buffer refills inside every batch
+    monkeypatch.setattr(words, "STREAM_WORDS", block)
+    for seed in range(30):
+        rng, stream = random.Random(seed), WordStream(seed)
+        for n in range(2, 65):
+            pool = list(range(100, 100 + n))
+            p = (2, 3, 5, 13, 31, 61)[n % 6]
+            want = []
+            for _ in range(5):
+                want += [*rng.sample(pool, 2), rng.randrange(p), rng.randrange(p)]
+            assert stream.pairs(pool, p, 5) == want
+        for p in range(1, 62):
+            assert stream.below(p) == rng.randrange(p)
+        for n in range(61):
+            want, got = list(range(n)), list(range(n))
+            rng.shuffle(want)
+            stream.shuffle(got)
+            assert got == want
 
 
 @st.composite

@@ -58,6 +58,25 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             DesignConfig(kappa=5, p=5, L=3, field_lam=1)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"gast_targets": ((4, 2, 2, 5, -1),)},
+             "target entries must be non-negative integers, got (4, 2, 2, 5, -1)"),
+            ({"gast_targets": ((4, 2, 2, True),)},
+             "target entries must be non-negative integers, got (4, 2, 2, True)"),
+            ({"gast_targets": ((4, 2, 2),)},
+             "targets must be 4-tuples (UGAST) or 5-tuples (GAST)"),
+            ({"cpo_budget": -1}, "CPO budget must be >= 0, got -1"),
+        ],
+        ids=["negative-entry", "bool-entry", "short-target", "negative-budget"],
+    )
+    def test_bad_config_refused_on_construction(self, fields, message):
+        # refused before any stage runs, with the message the stage would give
+        with pytest.raises(ValueError) as err:
+            DesignConfig(kappa=5, p=5, L=3, **fields)
+        assert str(err.value) == message
+
     def test_output_files(self, tmp_path, small_report):
         run_pipeline(SMALL, out_dir=str(tmp_path))
         report = json.loads((tmp_path / "report.json").read_text())
@@ -439,9 +458,6 @@ class TestCliErrors:
         out, err = capsys.readouterr()
         assert rc == 2
         assert out == ""
-        if command == "pipeline" and "entries" in message:
-            # the entries are checked where the scan starts
-            message = f"pipeline stage 'absorbing-set-removal' failed: {message}"
         assert err == f"scldpc: error: {message}\n"
 
     def test_pipeline_error_reported(self, capsys):
