@@ -7,26 +7,28 @@ memory-1 coupled protograph spans at most two consecutive replicas, all
 counting happens on a two-replica window with multiplicities (L, L-1) rather
 than on the full L-long chain.
 
-One row-pair/row-triple enumerator serves every consumer: the census and
-girth test, the absorbing-set scan of hand-built Tanner graphs, and the
-optimizer's window, which stores its 4- and 6-cycles as numpy
-coefficient rows over the gamma*kappa circulant positions, plus a sparse
-per-circulant index of the cycles each power moves; the optimizer tabulates
-every single power change from that index at once, and builds a per-pair
-index of the cycles two circulants share for its pair moves.
+One numpy enumerator serves every consumer: the census and girth test, the
+absorbing-set scan of hand-built Tanner graphs, and the optimizer's window.
+From a 0/1 incidence it lists the row pairs sharing columns, then expands row
+triples, (triple, a, b) pairs and the third column c in bounded chunks; given
+the powers, c comes from a sorted join on the power residue, so only active
+cycles are built.  The optimizer's window stores its 4- and 6-cycles as
+coefficient rows over the gamma*kappa circulants, plus a sparse index of the
+cycles each power (or pair of powers) moves.
 
-The (3,3,3,0) census has one path, :class:`CensusTable`: the active window
-6-cycles kept as bit conditions on the partition mask, built once and scored
-against a whole batch of masks in numpy.  A partition search builds it on the
-union window, where every circulant may sit in H0 or H1; a single mask uses
-its own window.
+The (3,3,3,0) census of many masks has one path, :class:`CensusTable`: the
+active window 6-cycles grouped by the at most six circulants they visit,
+each group holding its cycle counts per H0/H1 pattern of those circulants.
+A mask is scored by gathering its bits at every group and summing the counts
+they look up.  A partition search builds the table once on the union window,
+where every circulant may sit in H0 or H1: at kappa = 17 its 5 440 active
+cycles fall into 272 groups.  A single mask counts its own window directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -47,68 +49,166 @@ __all__ = [
 
 SPAN_R1, SPAN_R2, SPAN_DUAL = 0, 1, 2
 
+# (r1, r2, r3, a, b, c) -> visiting order (r1,a) (r1,b) (r3,b) (r3,c) (r2,c) (r2,a)
+SIX_ROWS, SIX_COLS = [0, 0, 2, 2, 1, 1], [3, 4, 4, 5, 5, 3]
+# (r1, r2, a, b) -> visiting order (r1,a) (r1,b) (r2,b) (r2,a)
+FOUR_ROWS, FOUR_COLS = [0, 0, 1, 1], [2, 3, 3, 2]
+# compare-exchange steps that sort 4 and 6 values
+SORTING_NETWORKS = {
+    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
+    6: ((0, 5), (1, 3), (2, 4), (1, 2), (3, 4), (0, 3), (2, 5), (0, 1), (2, 3), (4, 5), (1, 2), (3, 4)),
+}
 
-def _row_triples(rows: Sequence[set[int]]) -> Iterator[tuple]:
-    """Row triples r1<r2<r3 whose pairwise column overlaps are all nonempty.
+# cells one enumeration step holds: (row pair, row) or (triple, a, b) cells
+BUILD_CELLS = 1 << 11
+# mask-by-group cells scored at once
+SCORE_CELLS = 1 << 14
 
-    Yields (r1, r2, r3, s12, s13, s23) with sij = rows[ri] & rows[rj].  This
-    and the two enumerators below are the only row-pair/row-triple loops.
+GIRTH_4 = "(3,3,3,0) counting requires girth at least 6, this code has girth 4"
+
+
+def _spans(weights: np.ndarray) -> Iterator[slice]:
+    """Consecutive runs whose weights sum to at most BUILD_CELLS, or one item."""
+    ends, lo = np.cumsum(weights), 0
+    while lo < len(ends):
+        hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + BUILD_CELLS, "right"))
+        yield slice(lo, max(hi, lo + 1))
+        lo = max(hi, lo + 1)
+
+
+def _expand(lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, rank) of every cell when item i owns ``lens[i]`` consecutive cells."""
+    owner = np.repeat(np.arange(len(lens)), lens)
+    return owner, np.arange(len(owner)) - (np.cumsum(lens) - lens)[owner]
+
+
+def _equal_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs lo < hi of the equal entries of an ascending array."""
+    lo, hi, gap = [np.empty(0, np.intp)], [np.empty(0, np.intp)], 1
+    while (same := np.flatnonzero(keys[gap:] == keys[:-gap])).size:
+        lo.append(same)
+        hi.append(same + gap)
+        gap += 1
+    return np.concatenate(lo), np.concatenate(hi)
+
+
+def _row_pairs(inc: np.ndarray, powers=None) -> tuple[np.ndarray, ...]:
+    """Row pairs r1 < r2 that share a column, with their shared columns.
+
+    Returns the pair keys ``r1 * n_rows + r2`` ascending, CSR pointers, the
+    shared columns x, ascending within each pair, and their residues
+    F[r1, x] - F[r2, x] mod p under ``powers`` = (F, p) (all 0 without).
     """
-    for r1, r2, r3 in combinations(range(len(rows)), 3):
-        s12 = rows[r1] & rows[r2]
-        if not s12:
-            continue
-        s13 = rows[r1] & rows[r3]
-        if not s13:
-            continue
-        s23 = rows[r2] & rows[r3]
-        if not s23:
-            continue
-        yield r1, r2, r3, s12, s13, s23
+    cols, rows = np.nonzero(inc.T)
+    lo, hi = _equal_pairs(cols)
+    keys, shared = rows[lo] * inc.shape[0] + rows[hi], cols[lo]
+    res = np.zeros_like(shared)
+    if powers is not None:
+        f, p = powers
+        res = (f[rows[lo], shared] - f[rows[hi], shared]) % p
+    order = np.argsort(keys * inc.shape[1] + shared, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[first], np.append(first, len(keys)), shared[order], res[order]
 
 
-def _six_cycles(rows: Sequence[set[int]]) -> Iterator[tuple[int, ...]]:
-    """Every 6-cycle once, as (r1, r2, r3, a, b, c).
+def _six_cycle_chunks(inc: np.ndarray, powers=None) -> Iterator[np.ndarray]:
+    """Every 6-cycle of a 0/1 incidence once, in chunks of (r1, r2, r3, a, b, c) rows.
 
     The cycle visits (r1,a) (r1,b) (r3,b) (r3,c) (r2,c) (r2,a): a is shared
-    by rows (r1,r2), b by (r1,r3), c by (r2,r3), all distinct.  The column
-    triple is recoverable from the cycle, so each cycle appears exactly once.
+    by rows (r1,r2), b by (r1,r3), c by (r2,r3), all distinct, so each cycle
+    appears once.  Rows come ordered by (r1, r2, r3, a, b, c).  With
+    ``powers`` = (F, p), F the power at every incidence cell, only the active
+    cycles are listed: those whose alternating power sum vanishes mod p.
     """
-    for r1, r2, r3, s12, s13, s23 in _row_triples(rows):
-        for a in sorted(s12):
-            for b in sorted(s13):
-                if b == a:
-                    continue
-                for c in sorted(s23):
-                    if c != a and c != b:
-                        yield r1, r2, r3, a, b, c
+    n_rows, p = inc.shape[0], 1 if powers is None else powers[1]
+    pairs = _row_pairs(inc, powers)
+    keys, size = pairs[0], np.diff(pairs[1])
+    r1, r2 = np.divmod(keys, n_rows)
+    adj = np.zeros((n_rows, n_rows), dtype=bool)
+    adj[r1, r2] = True
+    for run in _spans(np.full(len(keys), n_rows)):
+        # row triples (r1, r2, r3), ascending, as their three pair ids
+        q12, r3 = np.nonzero(adj[r1[run]] & adj[r2[run]])
+        q12 += run.start
+        q13 = np.searchsorted(keys, r1[q12] * n_rows + r3)
+        q23 = np.searchsorted(keys, r2[q12] * n_rows + r3)
+        for part in _spans(size[q12] * size[q13]):
+            yield _six_run(pairs, n_rows, p, q12[part], q13[part], q23[part])
 
 
-def _four_cycles(rows: Sequence[set[int]]) -> Iterator[tuple[int, ...]]:
-    """Every 4-cycle once, as (r1, r2, a, b) with r1<r2 and a<b shared."""
-    for r1, r2 in combinations(range(len(rows)), 2):
-        for a, b in combinations(sorted(rows[r1] & rows[r2]), 2):
-            yield r1, r2, a, b
+def _six_run(pairs: tuple, n_rows: int, p: int, q12, q13, q23) -> np.ndarray:
+    """The 6-cycles of the row triples with pair ids (q12, q13, q23), in order."""
+    keys, ptr, shared, res = pairs
+    size = np.diff(ptr)
+    r1, r2 = np.divmod(keys[q12], n_rows)
+    r3 = keys[q13] % n_rows
+    # (triple, a, b) as entries of shared, a ascending, then b
+    n13 = size[q13]
+    t, rank = _expand(size[q12] * n13)
+    ia, ib = ptr[q12][t] + rank // n13[t], ptr[q13][t] + rank % n13[t]
+    keep = shared[ia] != shared[ib]
+    t, ia, ib = t[keep], ia[keep], ib[keep]
+    # each triple's c by residue, ascending within one: the cycle's power
+    # sum is res(a) - res(b) + res(c)
+    u, rank = _expand(size[q23])
+    ic = ptr[q23][u] + rank
+    ckey = u * p + res[ic]
+    order = np.argsort(ckey, kind="stable")
+    ckey, ic = ckey[order], ic[order]
+    want = t * p + (res[ib] - res[ia]) % p
+    lo = np.searchsorted(ckey, want)
+    j, rank = _expand(np.searchsorted(ckey, want, "right") - lo)
+    a, b, c = shared[ia[j]], shared[ib[j]], shared[ic[lo[j] + rank]]
+    keep = (c != a) & (c != b)
+    t = t[j[keep]]
+    return np.stack([r1[t], r2[t], r3[t], a[keep], b[keep], c[keep]], axis=1)
 
 
-def _window_row_support(mask: PartitionMask, block: int, i: int) -> set[int]:
-    """Columns of window row (block, i); window has 2*kappa columns."""
-    k = mask.kappa
-    cols: set[int] = set()
-    if block >= 1:
-        # H1 part of replica block-1
-        base = (block - 1) * k
-        cols |= {base + j for j in range(k) if mask.assign[i][j] == 1}
-    if block <= 1:
-        # H0 part of replica block
-        base = block * k
-        cols |= {base + j for j in range(k) if mask.assign[i][j] == 0}
-    return cols
+def _six_cycle_array(inc: np.ndarray, powers=None) -> np.ndarray:
+    """The rows of :func:`_six_cycle_chunks` in one array."""
+    return np.concatenate([np.empty((0, 6), dtype=np.intp), *_six_cycle_chunks(inc, powers)])
 
 
-def _window_rows(mask: PartitionMask) -> list[set[int]]:
-    """Column supports of the 3*gamma window rows, block-major."""
-    return [_window_row_support(mask, b, i) for b in range(3) for i in range(mask.gamma)]
+def _four_cycle_array(inc: np.ndarray, powers=None) -> np.ndarray:
+    """Every 4-cycle once, as (r1, r2, a, b) rows with r1<r2 and a<b shared.
+
+    Rows come ordered by (r1, r2, a, b); ``powers`` keeps the active ones, as
+    in :func:`_six_cycle_chunks`.
+    """
+    keys, ptr, shared, res = _row_pairs(inc, powers)
+    size = np.diff(ptr)
+    out = [np.empty((0, 4), dtype=np.intp)]
+    for run in _spans(size * size):
+        q, rank = _expand(size[run] ** 2)
+        ia, ib = np.divmod(rank, size[run][q])
+        ia, ib = ia + ptr[run][q], ib + ptr[run][q]
+        # a < b, and the power sum res(a) - res(b) vanishes
+        keep = (ia < ib) & (res[ia] == res[ib])
+        r1, r2 = np.divmod(keys[run][q[keep]], inc.shape[0])
+        out.append(np.stack([r1, r2, shared[ia[keep]], shared[ib[keep]]], axis=1))
+    return np.concatenate(out)
+
+
+def _window_incidence(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
+    """The 3*gamma window rows, block-major, over 2*kappa columns.
+
+    ``h0`` and ``h1`` (gamma, kappa) mark the circulants that may sit in H0
+    and in H1: row (b, i) holds replica t's column t*kappa + j when
+    circulant (i, j) may sit in H_{b-t}.
+    """
+    zero = np.zeros_like(h0)
+    return np.block([[h0, zero], [h1, h0], [zero, h1]])
+
+
+def _mask_incidence(mask: PartitionMask) -> np.ndarray:
+    h1 = np.asarray(mask.assign, dtype=bool)
+    return _window_incidence(~h1, h1)
+
+
+def _window_powers(proto: ProtoMatrix) -> tuple[np.ndarray, int]:
+    """(F, p) with F[r, c] = f[r mod gamma, c mod kappa] over the window."""
+    return np.tile(np.asarray(proto.powers, dtype=np.int64), (3, 2)), proto.p
 
 
 def _csr(keys: np.ndarray, n_keys: int, cycles: np.ndarray, coefs: np.ndarray):
@@ -160,12 +260,7 @@ class EntryCycles:
         # other, ascending, at most six of them
         order = np.lexsort((ents, cycles))
         ents, cycles, coefs = ents[order], cycles[order], coefs[order]
-        lo, hi = [], []
-        for gap in range(1, 6):
-            same = np.flatnonzero(cycles[gap:] == cycles[:-gap])
-            lo.append(same)
-            hi.append(same + gap)
-        lo, hi = np.concatenate(lo), np.concatenate(hi)
+        lo, hi = _equal_pairs(cycles)
         pair_coefs = np.stack([coefs[lo], coefs[hi]], axis=1)
         return EntryCycles(*_csr(ents[lo] * n + ents[hi], n * n, cycles[lo], pair_coefs))
 
@@ -209,7 +304,7 @@ class TwoReplicaWindow:
         self.kappa = proto.kappa
         self.p = proto.p
         self.n_entries = self.gamma * self.kappa
-        self._build(_window_rows(mask))
+        self._build(_mask_incidence(mask))
 
     def _coef(self, pos_rows: np.ndarray, pos_cols: np.ndarray):
         """Signed and unsigned per-circulant visit counts of each cycle."""
@@ -222,10 +317,9 @@ class TwoReplicaWindow:
         inc = np.bincount(cells, minlength=size).astype(np.int8)
         return coef.reshape(n, self.n_entries), inc.reshape(n, self.n_entries)
 
-    def _build(self, rows: list[set[int]]) -> None:
-        # (r1, r2, r3, a, b, c) -> visiting order (r1,a) (r1,b) (r3,b) (r3,c) (r2,c) (r2,a)
-        six = np.fromiter(chain.from_iterable(_six_cycles(rows)), dtype=np.int64).reshape(-1, 6)
-        self.pos6_rows, self.pos6_cols = six[:, [0, 0, 2, 2, 1, 1]], six[:, [3, 4, 4, 5, 5, 3]]
+    def _build(self, inc: np.ndarray) -> None:
+        six = _six_cycle_array(inc)
+        self.pos6_rows, self.pos6_cols = six[:, SIX_ROWS], six[:, SIX_COLS]
         self.coef6, self.inc6 = self._coef(self.pos6_rows, self.pos6_cols)
         self.touch6 = EntryCycles.of(self.coef6)
         k = self.kappa
@@ -233,9 +327,8 @@ class TwoReplicaWindow:
         self.span6[(self.pos6_cols < k).all(axis=1)] = SPAN_R1
         self.span6[(self.pos6_cols >= k).all(axis=1)] = SPAN_R2
 
-        # (r1, r2, a, b) -> visiting order (r1,a) (r1,b) (r2,b) (r2,a)
-        four = np.fromiter(chain.from_iterable(_four_cycles(rows)), dtype=np.int64).reshape(-1, 4)
-        self.coef4, _ = self._coef(four[:, [0, 0, 1, 1]], four[:, [2, 3, 3, 2]])
+        four = _four_cycle_array(inc)
+        self.coef4, _ = self._coef(four[:, FOUR_ROWS], four[:, FOUR_COLS])
         self.touch4 = EntryCycles.of(self.coef4)
 
     # -- evaluation --------------------------------------------------------
@@ -254,82 +347,91 @@ def build_window(proto: ProtoMatrix, mask: PartitionMask) -> TwoReplicaWindow:
     return TwoReplicaWindow(proto, mask)
 
 
-def _union_rows(gamma: int, kappa: int) -> list[set[int]]:
-    """Window rows when every circulant may sit in H0 or H1 (block-major)."""
-    r1, both, r2 = set(range(kappa)), set(range(2 * kappa)), set(range(kappa, 2 * kappa))
-    return [r1] * gamma + [both] * gamma + [r2] * gamma
+def _column_range(six: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least and the greatest column of every (r1, r2, r3, a, b, c) row."""
+    a, b, c = six[:, 3], six[:, 4], six[:, 5]
+    return np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
 
 
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """(n, m) 0/1 rows as (n, ceil(m / 64)) little-endian 64-bit words."""
-    n, m = bits.shape
-    out = np.zeros((n, 8 * -(-m // 64)), dtype=np.uint8)
-    out[:, : -(-m // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return out.view("<u8")
+def _conditions(cycles: np.ndarray, rows: list, cols: list, gamma: int, kappa: int):
+    """(needs, exists): what each window cycle needs of the mask.
 
-
-# mask-by-condition cells tested at once: 256 kB of uint64 temporaries
-SCORE_CELLS = 1 << 15
+    The cycles visit the positions (cycles[:, rows[i]], cycles[:, cols[i]]).
+    Position (r, c) is circulant e = (r mod gamma) * kappa + c mod kappa,
+    which must sit in H_s, s = r // gamma - c // kappa.  ``needs`` holds
+    2e + s per position, one array each, ascending across them for every
+    cycle.  A cycle that needs one circulant on both sides never exists.
+    """
+    r, c = np.arange(3 * gamma)[:, None], np.arange(2 * kappa)
+    table = (r % gamma * kappa + c % kappa) * 2 + r // gamma - c // kappa
+    needs = [table[cycles[:, i], cycles[:, j]] for i, j in zip(rows, cols)]
+    # numpy sorts many short rows slowly; a sorting network does not
+    for i, j in SORTING_NETWORKS[len(needs)]:
+        needs[i], needs[j] = np.minimum(needs[i], needs[j]), np.maximum(needs[i], needs[j])
+    # neighbours equal but for the side bit
+    clash = np.zeros(len(cycles), dtype=bool)
+    for lo, hi in zip(needs, needs[1:]):
+        clash |= (lo ^ hi) == 1
+    return needs, ~clash
 
 
 @dataclass(frozen=True)
 class CensusTable:
-    """Active window 6-cycles as bit conditions on a partition mask.
+    """Active window 6-cycles grouped by the circulants they need.
 
-    A window cycle's balance reads the powers at (row mod gamma, col mod
-    kappa), so whether it is active does not depend on the mask; the mask only
-    decides whether the cycle exists.  Its entry in window row block b and
-    replica t is circulant (row mod gamma, col mod kappa), which must sit in
-    H_{b-t}.  Each active cycle is kept as that condition: the mask bits
-    under ``care`` equal ``value`` (1 = H1), packed into 64-bit words over
-    the gamma*kappa circulants (row-major, e = row * kappa + col).
-
-    The first ``n_single`` rows are single-replica cycles.  These come as
-    R1/R2 mirror pairs with one condition, so only the R1 cycle is kept and
-    stands for the pair.  The other rows are two-replica cycles.
+    Whether a window cycle is active reads only the powers, so it does not
+    depend on the mask; the mask decides whether the cycle exists.  Its
+    entry in window row block b and replica t is circulant (row mod gamma,
+    col mod kappa), which must sit in H_{b-t}.  A group is the ascending
+    circulant ids (e = row * kappa + col) of its cycles' six entries, a
+    circulant met twice listed twice: one row of ``support``.  Entry
+    ``64 * g + x`` of ``counts`` counts group g's cycles that need
+    support[g, i] in H_{bit i of x}: single-replica ones in the low 32 bits,
+    two-replica ones above.  Single-replica cycles come as R1/R2 mirror
+    pairs with one condition, so only the R1 cycle is kept.
     """
 
     gamma: int
     kappa: int
     p: int
-    care: np.ndarray
-    value: np.ndarray
-    n_single: int
+    support: np.ndarray
+    counts: np.ndarray
 
     @classmethod
-    def of_rows(cls, proto: ProtoMatrix, rows: Sequence[set[int]]) -> "CensusTable":
-        """Table of the active 6-cycles among window rows ``rows``."""
-        g, k, p = proto.gamma, proto.kappa, proto.p
-        f = np.asarray(proto.powers, dtype=np.int64)
-        words = -(-g * k // 64)
-        singles, duals = [], []
-        for r1, r2, r3, s12, s13, s23 in _row_triples(rows):
-            a, b, c = (np.array(sorted(s), dtype=np.int64) for s in (s12, s13, s23))
-            # balance of (r1,a) (r1,b) (r3,b) (r3,c) (r2,c) (r2,a), split by column
-            fa = f[r1 % g, a % k] - f[r2 % g, a % k]
-            fb = f[r3 % g, b % k] - f[r1 % g, b % k]
-            fc = f[r2 % g, c % k] - f[r3 % g, c % k]
-            # active: fa + fb = -fc mod p; only the bool array is three-dimensional
-            keep = ((fa[:, None] + fb) % p)[:, :, None] == -fc % p
-            keep &= (a[:, None] != b)[:, :, None]
-            keep &= (a[:, None] != c)[:, None, :]
-            keep &= b[:, None] != c
-            ia, ib, ic = np.nonzero(keep)
-            a, b, c = a[ia], b[ib], c[ic]
-            # on[s]: the circulants the cycle needs in H_s, one bit each
-            on = np.zeros((2, len(a), words), dtype=np.uint64)
-            for r, col in ((r1, a), (r1, b), (r3, b), (r3, c), (r2, c), (r2, a)):
-                e = (r % g) * k + col % k
-                bit = np.uint64(1) << (e % 64).astype(np.uint64)
-                on[r // g - col // k, np.arange(len(a)), e // 64] |= bit
-            # a cycle needing one circulant on both sides never exists
-            ok = ~(on[0] & on[1]).any(axis=1)
-            in_r1 = (a < k) & (b < k) & (c < k)
-            in_r2 = (a >= k) & (b >= k) & (c >= k)
-            singles.append(on[:, ok & in_r1])
-            duals.append(on[:, ok & ~in_r1 & ~in_r2])
-        on = np.concatenate([np.empty((2, 0, words), np.uint64), *singles, *duals], axis=1)
-        return cls(g, k, p, on[0] | on[1], on[1], sum(s.shape[1] for s in singles))
+    def of_window(cls, proto: ProtoMatrix, inc: np.ndarray) -> "CensusTable":
+        """Table of the active 6-cycles of window incidence ``inc``.
+
+        Unchecked: its counts are (3,3,3,0) counts only where no 4-cycle is
+        active.
+        """
+        g, k, n = proto.gamma, proto.kappa, proto.gamma * proto.kappa
+        if n**6 >= 1 << 63:
+            raise ValueError("the census needs gamma * kappa < 1449")
+        parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, bool))]
+        for six in _six_cycle_chunks(inc, _window_powers(proto)):
+            first, last = _column_range(six)
+            needs, exists = _conditions(six, SIX_ROWS, SIX_COLS, g, k)
+            exists &= first < k
+            # the group as a base-n number, and the H0/H1 pattern
+            key, pattern = 0, 0
+            for i in range(6):
+                key = key * n + (needs[i] >> 1)
+                pattern = pattern + ((needs[i] & 1) << i)
+            parts.append((key[exists], pattern[exists], last[exists] >= k))
+        key, pattern, dual = map(np.concatenate, zip(*parts))
+        order = np.argsort(key, kind="stable")
+        new = np.ones(len(key), dtype=bool)
+        new[1:] = key[order[1:]] != key[order[:-1]]
+        cell = np.empty(len(key), dtype=np.int64)
+        cell[order] = 64 * (np.cumsum(new) - 1)
+        cell += pattern
+        counts = np.bincount(cell[dual], minlength=64 * np.count_nonzero(new))
+        counts <<= 32
+        counts |= np.bincount(cell[~dual], minlength=len(counts))
+        support, key = np.empty((np.count_nonzero(new), 6), dtype=np.int64), key[order[new]]
+        for i in range(5, -1, -1):
+            key, support[:, i] = np.divmod(key, n)
+        return cls(g, k, proto.p, support, counts)
 
     def active_counts(self, assign) -> np.ndarray:
         """(n, 2) per-replica and two-replica active counts of n masks.
@@ -337,16 +439,18 @@ class CensusTable:
         ``assign`` holds the masks' 0/1 grids, shape (n, gamma, kappa).
         """
         grids = np.asarray(assign, dtype=np.uint8).reshape(-1, self.gamma * self.kappa)
-        x = _pack_bits(grids)
-        out = np.empty((len(x), 2), dtype=np.int64)
-        step = max(1, SCORE_CELLS // max(1, len(self.care)))
-        for lo in range(0, len(x), step):
-            chunk = x[lo : lo + step, None, :]
-            hit = (chunk[..., 0] & self.care[:, 0]) == self.value[:, 0]
-            for w in range(1, x.shape[1]):
-                hit &= (chunk[..., w] & self.care[:, w]) == self.value[:, w]
-            out[lo : lo + step, 0] = np.count_nonzero(hit[:, : self.n_single], axis=1)
-            out[lo : lo + step, 1] = np.count_nonzero(hit[:, self.n_single :], axis=1)
+        # a row per circulant, so each group's gather copies whole rows
+        grids = np.ascontiguousarray(grids.T)
+        out = np.empty((grids.shape[1], 2), dtype=np.int64)
+        base = 64 * np.arange(len(self.support))[:, None]
+        step = max(1, SCORE_CELLS // max(1, len(self.support)))
+        for lo in range(0, grids.shape[1], step):
+            x = grids[:, lo : lo + step]
+            pattern = x[self.support[:, 0]]
+            for i in range(1, 6):
+                pattern |= x[self.support[:, i]] << i
+            total = self.counts[base + pattern].sum(axis=0)
+            out[lo : lo + step, 0], out[lo : lo + step, 1] = total & 0xFFFFFFFF, total >> 32
         return out
 
     def lifted_counts(self, assign, L: int) -> list[int]:
@@ -355,34 +459,39 @@ class CensusTable:
         return [(L * s + (L - 1) * d) * self.p for s, d in self.active_counts(assign).tolist()]
 
 
+def _has_active_4cycle(proto: ProtoMatrix, inc: np.ndarray) -> bool:
+    """Whether some mask realizes a window 4-cycle that survives the lift.
+
+    In one mask's own window every cycle is realized.
+    """
+    four = _four_cycle_array(inc, _window_powers(proto))
+    return bool(_conditions(four, FOUR_ROWS, FOUR_COLS, proto.gamma, proto.kappa)[1].any())
+
+
 def union_census(proto: ProtoMatrix) -> CensusTable:
-    """Census table valid for every mask of the protograph's shape."""
-    return CensusTable.of_rows(proto, _union_rows(proto.gamma, proto.kappa))
+    """Census table valid for every mask of the protograph's shape.
 
-
-def _mask_census(proto: ProtoMatrix, mask: PartitionMask) -> CensusTable:
-    """Census table of one mask's own window."""
-    return CensusTable.of_rows(proto, _window_rows(mask))
+    A protograph on which some mask realizes an active 4-cycle is refused.
+    """
+    every = np.ones((proto.gamma, proto.kappa), dtype=bool)
+    inc = _window_incidence(every, every)
+    if _has_active_4cycle(proto, inc):
+        raise ValueError(GIRTH_4)
+    return CensusTable.of_window(proto, inc)
 
 
 def census_active_counts(proto: ProtoMatrix, mask: PartitionMask) -> tuple[int, int]:
     """(per-replica, two-replica) active 6-cycle counts of the window.
 
-    Scores the one mask against the table of its own window; a
-    single-replica cycle counts once for its R1/R2 mirror pair.
+    A single-replica cycle counts once for its R1/R2 mirror pair.
     """
-    fs, fd = _mask_census(proto, mask).active_counts([mask.assign])[0]
-    return int(fs), int(fd)
-
-
-def _has_active_4cycle(proto: ProtoMatrix, mask: PartitionMask) -> bool:
-    """Whether some window 4-cycle balances to 0 mod p, i.e. survives the lift."""
-    g, k, p = proto.gamma, proto.kappa, proto.p
-    f = proto.powers
-    return any(
-        (f[r1 % g][a % k] - f[r1 % g][b % k] + f[r2 % g][b % k] - f[r2 % g][a % k]) % p == 0
-        for r1, r2, a, b in _four_cycles(_window_rows(mask))
-    )
+    k, r1, r2, total = proto.kappa, 0, 0, 0
+    for six in _six_cycle_chunks(_mask_incidence(mask), _window_powers(proto)):
+        first, last = _column_range(six)
+        r1 += int(np.count_nonzero(last < k))
+        r2 += int(np.count_nonzero(first >= k))
+        total += len(six)
+    return r1, total - r1 - r2
 
 
 def count_ugast_3330_for(proto: ProtoMatrix, mask: PartitionMask, L: int) -> int:
@@ -391,7 +500,9 @@ def count_ugast_3330_for(proto: ProtoMatrix, mask: PartitionMask, L: int) -> int
     Unchecked: equals the (3,3,3,0) count only when no 4-cycle is active.
     Raises when L < 2.
     """
-    return _mask_census(proto, mask).lifted_counts([mask.assign], L)[0]
+    _check_coupling_length(L)
+    fs, fd = census_active_counts(proto, mask)
+    return (L * fs + (L - 1) * fd) * proto.p
 
 
 def count_ugast_3330(code: SCCode) -> int:
@@ -404,16 +515,14 @@ def count_ugast_3330(code: SCCode) -> int:
     """
     if code.gamma != 3:
         raise ValueError("(3,3,3,0) counting requires column weight 3")
-    if _has_active_4cycle(code.proto, code.mask):
-        raise ValueError(
-            "(3,3,3,0) counting requires girth at least 6, this code has girth 4"
-        )
+    if _has_active_4cycle(code.proto, _mask_incidence(code.mask)):
+        raise ValueError(GIRTH_4)
     return count_ugast_3330_for(code.proto, code.mask, code.L)
 
 
 def girth_check(code: SCCode) -> float:
     """4 if the lift has an active 4-cycle, else 6 if an active 6-cycle, else inf."""
-    if _has_active_4cycle(code.proto, code.mask):
+    if _has_active_4cycle(code.proto, _mask_incidence(code.mask)):
         return 4
     if any(census_active_counts(code.proto, code.mask)):
         return 6

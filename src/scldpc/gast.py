@@ -39,7 +39,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .cycles import SPAN_R1, SPAN_R2, _four_cycles, _has_active_4cycle, _six_cycles, build_window
+from .cycles import SPAN_R1, SPAN_R2, _four_cycle_array, _has_active_4cycle, _mask_incidence
+from .cycles import _six_cycle_array, build_window
 from .gf import FieldGF
 from .qc import SCCode, TannerEdges
 
@@ -722,11 +723,12 @@ def gast_scan(
 
     if isinstance(code, SCCode):
         seeds = _6cycle_orbits(code)
-        has4 = _has_active_4cycle(code.proto, code.mask)
+        has4 = _has_active_4cycle(code.proto, _mask_incidence(code.mask))
     else:
-        rows = [set(cols) for cols in code.edges.row_lists if cols]
-        seeds = {tuple(sorted(cyc[3:])) for cyc in _six_cycles(rows)}
-        has4 = next(_four_cycles(rows), None) is not None
+        inc = np.zeros((code.edges.n_rows, len(code.edges.rows)), dtype=bool)
+        inc[code.edges.rows, np.arange(len(code.edges.rows))[:, None]] = True
+        seeds = set(map(tuple, np.sort(_six_cycle_array(inc)[:, 3:], axis=1).tolist()))
+        has4 = len(_four_cycle_array(inc)) > 0
     convert_bound = gamma if has4 else 1
 
     results: list[GastInstance] = []

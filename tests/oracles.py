@@ -2,14 +2,13 @@
 
 Everything here is deliberately naive: DFS walks, exhaustive filters, dense
 matrices, nested loops.  None of it shares code with the library paths under
-test, with three exceptions.  The overlap-solver references score vectors one
+test, with two exceptions.  The overlap-solver references score vectors one
 at a time with the scalar ``cycle6_census``, whose formulas the DFS counts pin
 on their own, so they check the solver's enumeration and selection;
 ``serial_solve_optimal_overlap`` scores the library's full enumeration with
-its census terms, so it checks the solver's symmetry reduction.  And
-``enumerate_cycles`` wraps the library's one row-pair/row-triple enumerator
-for generic matrices, so the DFS counts that pin it pin the library's
-enumerator too.
+its census terms, so it checks the solver's symmetry reduction.
+``enumerate_cycles`` runs the set-based row-triple loops kept here as the
+reference for the library's numpy cycle enumerator; the DFS counts pin them.
 
 The section after the references holds helpers that only the tests use: a
 cycle object with its window tag, the per-circulant census, the window
@@ -30,9 +29,7 @@ import numpy as np
 
 from scldpc.baselines import _arrangements_from_counts, _mask_of, pattern_counts
 from scldpc.cpo import PAIR_SAMPLES, TOP_B, CpoResult, _loads
-from scldpc.cycles import (
-    SPAN_DUAL, SPAN_R1, TwoReplicaWindow, _four_cycles, _six_cycles, build_window
-)
+from scldpc.cycles import SPAN_DUAL, SPAN_R1, TwoReplicaWindow, build_window
 from scldpc.overlap import (
     OOSolution,
     OverlapVector,
@@ -128,6 +125,47 @@ def dfs_cycle_edge_sets(matrix, length: int) -> set[frozenset]:
     return found
 
 
+def row_triples(rows) -> Iterator[tuple]:
+    """Row triples r1<r2<r3 whose pairwise column overlaps are all nonempty.
+
+    Yields (r1, r2, r3, s12, s13, s23) with sij = rows[ri] & rows[rj].
+    """
+    for r1, r2, r3 in itertools.combinations(range(len(rows)), 3):
+        s12 = rows[r1] & rows[r2]
+        if not s12:
+            continue
+        s13 = rows[r1] & rows[r3]
+        if not s13:
+            continue
+        s23 = rows[r2] & rows[r3]
+        if not s23:
+            continue
+        yield r1, r2, r3, s12, s13, s23
+
+
+def six_cycles(rows) -> Iterator[tuple[int, ...]]:
+    """Every 6-cycle of the row sets once, as (r1, r2, r3, a, b, c).
+
+    The cycle visits (r1,a) (r1,b) (r3,b) (r3,c) (r2,c) (r2,a): a is shared
+    by rows (r1,r2), b by (r1,r3), c by (r2,r3), all distinct.
+    """
+    for r1, r2, r3, s12, s13, s23 in row_triples(rows):
+        for a in sorted(s12):
+            for b in sorted(s13):
+                if b == a:
+                    continue
+                for c in sorted(s23):
+                    if c != a and c != b:
+                        yield r1, r2, r3, a, b, c
+
+
+def four_cycles(rows) -> Iterator[tuple[int, ...]]:
+    """Every 4-cycle of the row sets once, as (r1, r2, a, b) with r1<r2 and a<b shared."""
+    for r1, r2 in itertools.combinations(range(len(rows)), 2):
+        for a, b in itertools.combinations(sorted(rows[r1] & rows[r2]), 2):
+            yield r1, r2, a, b
+
+
 def enumerate_cycles(matrix, length: int) -> list[ProtoCycle]:
     """Every simple cycle of the requested length (4 or 6), each once."""
     arr = np.asarray(matrix)
@@ -135,12 +173,12 @@ def enumerate_cycles(matrix, length: int) -> list[ProtoCycle]:
     if length == 4:
         return [
             ProtoCycle(entries=((r1, a), (r1, b), (r2, b), (r2, a)))
-            for r1, r2, a, b in _four_cycles(rows)
+            for r1, r2, a, b in four_cycles(rows)
         ]
     if length == 6:
         return [
             ProtoCycle(entries=((r1, a), (r1, b), (r3, b), (r3, c), (r2, c), (r2, a)))
-            for r1, r2, r3, a, b, c in _six_cycles(rows)
+            for r1, r2, r3, a, b, c in six_cycles(rows)
         ]
     raise ValueError(f"unsupported cycle length {length}")
 
@@ -479,6 +517,32 @@ def loop_census_active_counts(proto, mask) -> tuple[int, int]:
                             duals += 1
     assert singles % 2 == 0
     return singles // 2, duals
+
+
+def union_active_4cycles(proto) -> int:
+    """Active 4-cycles of the union window that some mask realizes, one at a time.
+
+    Union window row (b, i) holds every column of the replicas t = b - 1 and
+    t = b that exist.  An entry in row block b and replica t needs its
+    circulant in H_{b-t}, so a cycle whose entries need one circulant on both
+    sides is realized by no mask.
+    """
+    g, k, p = proto.gamma, proto.kappa, proto.p
+    f = proto.powers
+    rows = [
+        {t * k + j for t in (b - 1, b) if t in (0, 1) for j in range(k)}
+        for b in range(3)
+        for _ in range(g)
+    ]
+    count = 0
+    for r1, r2, a, b in four_cycles(rows):
+        entries = ((r1, a), (r1, b), (r2, b), (r2, a))
+        bal = sum((-1) ** n * f[r % g][c % k] for n, (r, c) in enumerate(entries))
+        sides: dict = {}
+        realized = all(sides.setdefault((r % g, c % k), r // g - c // k) == r // g - c // k
+                       for r, c in entries)
+        count += realized and bal % p == 0
+    return count
 
 
 def serial_cpo_optimize(proto, mask, L: int, budget: int, seed: int, target: int = 0) -> CpoResult:

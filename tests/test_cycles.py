@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scldpc import cycles
+from scldpc.baselines import cv_exhaustive_best, cv_mask, mo_search
 from scldpc.cycles import (
     SPAN_R1,
     SPAN_R2,
+    CensusTable,
+    _four_cycle_array,
+    _six_cycle_array,
     build_window,
     census_active_counts,
     count_ugast_3330,
@@ -16,6 +20,7 @@ from scldpc.cycles import (
     girth_check,
     union_census,
 )
+from scldpc.gast import RawTanner
 from scldpc.overlap import cycle6_census, realize_mask, solve_optimal_overlap
 from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers, couple
 
@@ -25,9 +30,12 @@ from oracles import (
     build_lifted_dense,
     dfs_count_cycles,
     enumerate_cycles,
+    four_cycles,
     lift_count,
     loop_census_active_counts,
     proto_cycles6,
+    six_cycles,
+    union_active_4cycles,
 )
 
 
@@ -78,6 +86,71 @@ class TestEnumerateCycles:
         proto1 = ProtoMatrix(gamma=3, kappa=7, p=1, powers=((0,) * 7,) * 3)
         H = build_lifted_dense(3, 7, 1, proto1.powers, mask.assign, 30)
         assert len(enumerate_cycles(H, 6)) == 1170
+
+
+def _incidence(rows, n_cols):
+    inc = np.zeros((len(rows), n_cols), dtype=bool)
+    for r, cols in enumerate(rows):
+        inc[r, sorted(cols)] = True
+    return inc
+
+
+def _reference_arrays(rows, powers=None):
+    """The reference 6- and 4-cycles as arrays, the active ones under ``powers``."""
+    def active(pos_rows, pos_cols):
+        f, p = powers
+        return sum((-1) ** n * f[r, c] for n, (r, c) in enumerate(zip(pos_rows, pos_cols))) % p == 0
+
+    six = [c for c in six_cycles(rows) if powers is None or active(
+        [c[0], c[0], c[2], c[2], c[1], c[1]], [c[3], c[4], c[4], c[5], c[5], c[3]])]
+    four = [c for c in four_cycles(rows) if powers is None or active(
+        [c[0], c[0], c[1], c[1]], [c[2], c[3], c[3], c[2]])]
+    return np.array(six, dtype=np.intp).reshape(-1, 6), np.array(four, dtype=np.intp).reshape(-1, 4)
+
+
+@st.composite
+def _row_sets(draw):
+    """Random row sets, empty rows included, or the rows of a random RawTanner graph."""
+    if draw(st.booleans()):
+        n_cols = draw(st.integers(1, 10))
+        rows = draw(st.lists(st.sets(st.integers(0, n_cols - 1)), max_size=10))
+        return rows, n_cols
+    gamma = draw(st.sampled_from([3, 4]))
+    n_rows = draw(st.integers(gamma, 10))
+    col_rows = st.lists(st.integers(0, n_rows - 1), min_size=gamma, max_size=gamma, unique=True)
+    graph = RawTanner(draw(st.lists(col_rows, min_size=1, max_size=11)), gamma)
+    return [set(cols) for cols in graph.edges.row_lists], len(graph.edges.rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_sets(), st.integers(1, 7), st.randoms(use_true_random=False), st.sampled_from([1, 5, 1 << 14]))
+def test_array_enumerators_match_references(case, p, rnd, cells):
+    # rows, their order included, with and without the active-cycle join,
+    # at any enumeration chunk size
+    rows, n_cols = case
+    inc = _incidence(rows, n_cols)
+    powers = (np.array([[rnd.randrange(p) for _ in range(n_cols)] for _ in rows],
+                       dtype=np.int64).reshape(len(rows), n_cols), p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cycles, "BUILD_CELLS", cells)
+        for given_powers in (None, powers):
+            six, four = _reference_arrays(rows, given_powers)
+            assert _six_cycle_array(inc, given_powers).tolist() == six.tolist()
+            assert _four_cycle_array(inc, given_powers).tolist() == four.tolist()
+
+
+@pytest.mark.parametrize("cells", [3, 1 << 14])
+def test_array_enumerators_on_a_lifted_code(cells, monkeypatch):
+    # 45 check rows, 50 columns: many triple chunks at a small cap
+    proto = build_ab_powers(3, 5)
+    code = couple(proto, PartitionMask(((0, 0, 1, 1, 0), (1, 0, 0, 1, 1), (0, 1, 0, 1, 0))), 2)
+    rows = [set(cols) for cols in code.edges.row_lists]
+    inc = _incidence(rows, code.n_cols)
+    six, four = _reference_arrays(rows)
+    assert len(six) and len(four) == 0
+    monkeypatch.setattr(cycles, "BUILD_CELLS", cells)
+    assert _six_cycle_array(inc).tolist() == six.tolist()
+    assert _four_cycle_array(inc).tolist() == four.tolist()
 
 
 class TestLiftCount:
@@ -259,12 +332,25 @@ def census_batches(draw):
     return proto, [PartitionMask(m) for m in batch], draw(st.randoms(use_true_random=False))
 
 
+def unchecked_union_census(proto):
+    """The union-window table without the girth-4 refusal."""
+    every = np.ones((proto.gamma, proto.kappa), dtype=bool)
+    return CensusTable.of_window(proto, cycles._window_incidence(every, every))
+
+
 class TestBatchedCensus:
     @settings(max_examples=60, deadline=None)
     @given(census_batches())
     def test_matches_loop_and_ignores_batch_mates(self, case):
         proto, masks, rnd = case
-        table = union_census(proto)
+        # the counting itself holds on girth-4 protographs too, which
+        # union_census refuses
+        table = unchecked_union_census(proto)
+        if union_active_4cycles(proto):
+            with pytest.raises(ValueError, match="girth at least 6"):
+                union_census(proto)
+        else:
+            assert (union_census(proto).counts == table.counts).all()
         counts = [tuple(c) for c in table.active_counts([m.assign for m in masks]).tolist()]
         for mask, got in zip(masks, counts):
             assert got == loop_census_active_counts(proto, mask)
@@ -295,6 +381,56 @@ class TestBatchedCensus:
         whole = union_census(proto).active_counts(grids).tolist()
         monkeypatch.setattr(cycles, "SCORE_CELLS", 1)
         assert union_census(proto).active_counts(grids).tolist() == whole
+
+    @pytest.mark.parametrize("kappa", [23, 29])
+    def test_wide_protographs_match_loop(self, kappa):
+        # gamma * kappa > 64 circulants; the cv masks included
+        proto = build_ab_powers(3, kappa)
+        rng = random.Random(kappa)
+        masks = [
+            PartitionMask(tuple(tuple(rng.randrange(2) for _ in range(kappa)) for _ in range(3)))
+            for _ in range(2)
+        ] + [cv_mask(zeta, kappa) for zeta in ((0, kappa // 3, kappa), (5, 9, 17))]
+        got = union_census(proto).active_counts([m.assign for m in masks]).tolist()
+        assert [tuple(c) for c in got] == [loop_census_active_counts(proto, m) for m in masks]
+        assert [tuple(c) for c in got] == [census_active_counts(proto, m) for m in masks]
+
+    def test_build_and_score_caps_do_not_change_counts(self, monkeypatch):
+        proto = ProtoMatrix(
+            gamma=3, kappa=6, p=7, powers=((0, 1, 2, 3, 4, 5), (0, 2, 4, 6, 1, 3), (0, 3, 6, 2, 5, 1))
+        )
+        rng = random.Random(6)
+        masks = [
+            PartitionMask(tuple(tuple(rng.randrange(2) for _ in range(6)) for _ in range(3)))
+            for _ in range(20)
+        ]
+        grids = [m.assign for m in masks]
+        whole = unchecked_union_census(proto)
+        singles = [census_active_counts(proto, m) for m in masks]
+        win = build_window(proto, masks[0])
+        monkeypatch.setattr(cycles, "BUILD_CELLS", 1)
+        monkeypatch.setattr(cycles, "SCORE_CELLS", 1)
+        capped = unchecked_union_census(proto)
+        assert (capped.support == whole.support).all() and (capped.counts == whole.counts).all()
+        assert capped.active_counts(grids).tolist() == whole.active_counts(grids).tolist()
+        assert [census_active_counts(proto, m) for m in masks] == singles
+        capped_win = build_window(proto, masks[0])
+        assert (capped_win.coef6 == win.coef6).all() and (capped_win.coef4 == win.coef4).all()
+
+    def test_girth4_protograph_refused(self):
+        # two all-zero rows: every column pair of them closes an active
+        # 4-cycle; the CV search used to return ((0, 0, 0), 0) here
+        proto = ProtoMatrix(3, 7, 7, ((0,) * 7, (0,) * 7, tuple(range(7))))
+        assert union_active_4cycles(proto) == 210
+        for search in (union_census, lambda pr: cv_exhaustive_best(pr, 30),
+                       lambda pr: mo_search(pr, 30)):
+            with pytest.raises(ValueError, match="girth at least 6"):
+                search(proto)
+
+    def test_array_protographs_have_no_realizable_active_4cycle(self):
+        for kappa in (7, 11, 13, 17, 19):
+            assert union_active_4cycles(build_ab_powers(3, kappa)) == 0
+            union_census(build_ab_powers(3, kappa))
 
     def test_lifted_count_is_exact_at_huge_L(self):
         proto = build_ab_powers(3, 7)
