@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .qc import (
 
 
 def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=1, sort_keys=True)
+    text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -73,7 +74,9 @@ def _cmd_count(args) -> None:
         # at p = 1 every protograph 6-cycle is active
         pg = protograph_of(code)
         value = count_ugast_3330_for(pg.proto, pg.mask, pg.L)
-    _emit({"what": args.what, "count": value, "girth": girth_check(code)}, args.out)
+    # null when no 4- or 6-cycle survives the lift: longer cycles may remain
+    girth = girth_check(code)
+    _emit({"what": args.what, "count": value, "girth": None if girth == math.inf else girth}, args.out)
 
 
 def _cmd_baseline(args) -> None:

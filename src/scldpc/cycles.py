@@ -8,7 +8,8 @@ counting happens on a two-replica window with multiplicities (L, L-1) rather
 than on the full L-long chain.
 
 One numpy enumerator serves every consumer: the census and girth test, the
-absorbing-set scan of hand-built Tanner graphs, and the optimizer's window.
+absorbing-set scan's seeds (the active window 6-cycles of a coupled code,
+every 6-cycle of a hand-built Tanner graph), and the optimizer's window.
 From a 0/1 incidence it lists the row pairs sharing columns, then expands row
 triples, (triple, a, b) pairs and the third column c in bounded chunks; given
 the powers, c comes from a sorted join on the power residue, so only active

@@ -11,14 +11,17 @@ it refuses more than 2^20 assignments (a <= 12 at q = 4, a <= 7 at q = 8,
 a <= 5 at q = 16) before allocating anything.
 
 Candidates in a code are found by growing variable-node subsets outward from
-6-cycles.  Shifting every offset by one inside every circulant maps the
-lifted graph onto itself, so one subset per shift orbit is grown.  The last
-node of a full-size subset is added only if it already shares a majority of
-its checks with the subset, and each subset's label is read off its row
-hits.  Only an orbit whose label matches a target is expanded to its
-distinct translates; their weights are gathered from the label bytes once,
-all of them are tested in one batched oracle pass, and each hit reads its
-topology and weights off that gather.
+6-cycles.  The seeds come from the cycle enumerator of :mod:`scldpc.cycles`:
+for a coupled code, the active window 6-cycles that the census counts,
+lifted in numpy; for a hand-built graph, the 6-cycles of its own incidence.
+Shifting every offset by one inside every circulant maps the lifted graph
+onto itself, so one subset per shift orbit is grown.  The last node of a
+full-size subset is added only if it already shares a majority of its
+checks with the subset, and each subset's label is read off its row hits.
+Only an orbit whose label matches a target is expanded to its distinct
+translates; their weights are gathered from the label bytes once, all of
+them are tested in one batched oracle pass, and each hit reads its topology
+and weights off that gather.
 
 Removal works on edges of degree-2 checks only.  When the unsatisfied checks
 are exactly the degree-1 checks, the number of weight changes needed has a
@@ -39,8 +42,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .cycles import SPAN_R1, SPAN_R2, _four_cycle_array, _has_active_4cycle, _mask_incidence
-from .cycles import _six_cycle_array, build_window
+from .cycles import _column_range, _expand, _four_cycle_array, _has_active_4cycle, _mask_incidence
+from .cycles import _six_cycle_array, _window_powers
 from .gf import FieldGF
 from .qc import SCCode, TannerEdges
 
@@ -58,7 +61,6 @@ __all__ = [
     "remove_gast_weights",
     "RemovalOutcome",
     "gast_scan",
-    "lifted_6cycle_vn_sets",
 ]
 
 # largest (q-1)^a the oracle scans; a = 10 at q = 8 would be 282 M rows
@@ -496,53 +498,35 @@ def _canonical(cols: tuple[int, ...], p: int) -> tuple[int, ...]:
     return best
 
 
-def _6cycle_orbits(code: SCCode) -> set[tuple[int, ...]]:
-    """Canonical variable-node triples of the lifted 6-cycles, one per orbit.
+def _6cycle_orbits(code) -> tuple[set[tuple[int, ...]], bool]:
+    """Canonical variable-node triples of the 6-cycles, one per orbit, and
+    whether the graph has a (lifted) 4-cycle.
 
-    Each active window cycle is walked once per replica shift (L for
-    one-replica spans, L-1 for two-replica) at lift offset 0; the other
-    p - 1 offsets are its translates.
+    A RawTanner's cycles are enumerated on its own incidence.  An SCCode's
+    are its active window 6-cycles, the ones the census counts, lifted at
+    offset 0 of column a: the offsets of b and c follow the walk
+    (r1,a) (r1,b) (r3,b) (r3,c).  A cycle within replica 2 mirrors one within
+    replica 1, so only cycles whose least column lies in replica 1 are kept,
+    each placed at L replica shifts (L - 1 when it spans two replicas); the
+    other p - 1 offsets are its translates.
     """
-    win = build_window(code.proto, code.mask)
-    flat = win.flat_powers(code.proto.powers)
-    act = win.balances6(flat) == 0
-    g, k, p, L = code.gamma, code.kappa, code.p, code.L
-    powers = code.proto.powers
-    out: set[tuple[int, ...]] = set()
-    for idx in np.flatnonzero(act):
-        span = int(win.span6[idx])
-        if span == SPAN_R2:
-            continue  # mirror of an R1 cycle under replica shift
-        pr = win.pos6_rows[idx]
-        pc = win.pos6_cols[idx]
-        # walk the cycle once symbolically: v_{e+1} = v_e + f(pos_2e) - f(pos_2e+1)
-        deltas = []
-        for e in range(2):
-            r_a, c_a = int(pr[2 * e]), int(pc[2 * e])
-            r_b, c_b = int(pr[2 * e + 1]), int(pc[2 * e + 1])
-            deltas.append(powers[r_a % g][c_a % k] - powers[r_b % g][c_b % k])
-        cols = [int(pc[0]), int(pc[1]), int(pc[3])]  # distinct column positions
-        offs = [0, deltas[0] % p, (deltas[0] + deltas[1]) % p]
-        for r in range(L) if span == SPAN_R1 else range(L - 1):
-            vns = sorted(((r + c // k) * k + c % k) * p + o for c, o in zip(cols, offs))
-            out.add(_canonical(tuple(vns), p))
-    return out
-
-
-def lifted_6cycle_vn_sets(code: SCCode) -> list[tuple[int, ...]]:
-    """Variable-node triples of every 6-cycle in the lifted graph.
-
-    The orbits of the window walk, each expanded over the p lift offsets;
-    the full lifted graph is never searched.
-    """
-    p = code.p
-    return sorted(
-        {
-            tuple(sorted(_shift(c, s, p) for c in rep))
-            for rep in _6cycle_orbits(code)
-            for s in range(p)
-        }
-    )
+    if not isinstance(code, SCCode):
+        inc = np.zeros((code.edges.n_rows, len(code.edges.rows)), dtype=bool)
+        inc[code.edges.rows, np.arange(len(code.edges.rows))[:, None]] = True
+        vns = np.sort(_six_cycle_array(inc)[:, 3:], axis=1)
+        return set(map(tuple, vns.tolist())), len(_four_cycle_array(inc)) > 0
+    k, L = code.kappa, code.L
+    inc, (f, p) = _mask_incidence(code.mask), _window_powers(code.proto)
+    six = _six_cycle_array(inc, (f, p))
+    first, last = _column_range(six)
+    keep = first < k
+    r1, _, r3, a, b, c = six[keep].T
+    off_b = f[r1, a] - f[r1, b]
+    cols = np.stack([a * p, b * p + off_b % p, c * p + (off_b + f[r3, b] - f[r3, c]) % p], axis=1)
+    owner, shift = _expand(L - (last[keep] >= k))
+    vns = np.sort(cols[owner] + (shift * k * p)[:, None], axis=1)
+    seeds = {_canonical(t, p) for t in map(tuple, vns.tolist())}
+    return seeds, _has_active_4cycle(code.proto, inc)
 
 
 def _orbit_witnesses(
@@ -647,13 +631,15 @@ def _orbit_instances(
 
 
 def _check_targets(targets: Sequence[tuple]) -> list[tuple]:
-    """The targets as tuples; each must be 4 or 5 non-negative ints."""
+    """The targets as tuples; each must be 4 or 5 non-negative ints, a >= 3."""
     targets = [tuple(t) for t in targets]
     if any(len(t) not in (4, 5) for t in targets):
         raise ValueError("targets must be 4-tuples (UGAST) or 5-tuples (GAST)")
     for t in targets:
         if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in t):
             raise ValueError(f"target entries must be non-negative integers, got {t}")
+        if t[0] < 3:
+            raise ValueError(f"target size a must be >= 3, scan subsets grow from 6-cycles, got {t}")
     return targets
 
 
@@ -695,7 +681,8 @@ def gast_scan(
     lexicographically first valid assignment in the translate's own sorted
     ``vn_ids`` order.  Instances are built only for hits, read off the
     representative's checks and the gathered weights.  A target entry that
-    is not a non-negative int, and a labelled code whose field differs from
+    is not a non-negative int, a target with a < 3 (no subset grown from a
+    6-cycle is that small), and a labelled code whose field differs from
     ``field``, are refused.
     """
     targets = _check_targets(targets)
@@ -721,14 +708,7 @@ def gast_scan(
     gamma, p = code.gamma, code.p
     need_majority = math.floor(gamma / 2) + 1
 
-    if isinstance(code, SCCode):
-        seeds = _6cycle_orbits(code)
-        has4 = _has_active_4cycle(code.proto, _mask_incidence(code.mask))
-    else:
-        inc = np.zeros((code.edges.n_rows, len(code.edges.rows)), dtype=bool)
-        inc[code.edges.rows, np.arange(len(code.edges.rows))[:, None]] = True
-        seeds = set(map(tuple, np.sort(_six_cycle_array(inc)[:, 3:], axis=1).tolist()))
-        has4 = len(_four_cycle_array(inc)) > 0
+    seeds, has4 = _6cycle_orbits(code)
     convert_bound = gamma if has4 else 1
 
     results: list[GastInstance] = []

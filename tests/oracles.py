@@ -12,7 +12,8 @@ reference for the library's numpy cycle enumerator; the DFS counts pin them.
 
 The section after the references holds helpers that only the tests use: a
 cycle object with its window tag, the per-circulant census, the window
-4-cycle test and the mask generator of one overlap vector.  They read the
+4-cycle test, the mask generator of one overlap vector and the absorbing-set
+scan's 6-cycle seeds expanded over their translates.  They read the
 library's own tables.
 """
 
@@ -30,6 +31,7 @@ import numpy as np
 from scldpc.baselines import _arrangements_from_counts, _mask_of, pattern_counts
 from scldpc.cpo import PAIR_SAMPLES, TOP_B, CpoResult, _loads
 from scldpc.cycles import SPAN_DUAL, SPAN_R1, TwoReplicaWindow, build_window
+from scldpc.gast import _6cycle_orbits, _shift
 from scldpc.overlap import (
     OOSolution,
     OverlapVector,
@@ -789,6 +791,19 @@ def serial_gast_scan(code, field, targets, a_max: int = 8) -> list:
 
 
 # -- helpers only the tests use -----------------------------------------------
+
+
+def lifted_6cycle_vn_sets(code) -> list[tuple[int, ...]]:
+    """Variable-node triples of every lifted 6-cycle: the scan's seed orbits,
+    each expanded over the p lift offsets."""
+    p = code.p
+    return sorted(
+        {
+            tuple(sorted(_shift(c, s, p) for c in rep))
+            for rep in _6cycle_orbits(code)[0]
+            for s in range(p)
+        }
+    )
 
 
 def proto_cycles6(window: TwoReplicaWindow) -> list[ProtoCycle]:

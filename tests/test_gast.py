@@ -15,12 +15,11 @@ from scldpc.gast import (
     gast_scan,
     gast_witnesses,
     is_gast,
-    lifted_6cycle_vn_sets,
     remove_gast,
     remove_gast_weights,
     removal_budget,
 )
-from scldpc.cycles import count_ugast_3330
+from scldpc.cycles import count_ugast_3330, girth_check
 from scldpc.overlap import realize_mask, solve_optimal_overlap
 from scldpc.qc import (
     PartitionMask, ProtoMatrix, apply_edge_changes, build_ab_powers, couple, label_edges
@@ -31,6 +30,7 @@ from oracles import (
     build_lifted_dense,
     enumerate_cycles,
     exhaustive_witnesses,
+    lifted_6cycle_vn_sets,
     naive_ugast_subsets,
     serial_gast_scan,
 )
@@ -427,20 +427,45 @@ def small_code():
     return _small_code()
 
 
-class TestScan:
-    def test_6cycle_seed_count_matches_census(self, small_code):
-        assert len(lifted_6cycle_vn_sets(small_code)) == count_ugast_3330(small_code)
+@st.composite
+def _sc_codes(draw):
+    """A coupled gamma = 3 code with random powers and mask, girth 4 allowed:
+    kappa 2..6, p 1..7 (p != kappa and composite p included), L 2..4."""
+    kappa, p = draw(st.integers(2, 6)), draw(st.integers(1, 7))
 
-    def test_6cycle_seeds_match_direct_enumeration(self, small_code):
+    def grid(top):
+        row = st.lists(st.integers(0, top), min_size=kappa, max_size=kappa)
+        return st.lists(row, min_size=3, max_size=3)
+
+    proto = ProtoMatrix(gamma=3, kappa=kappa, p=p, powers=draw(grid(p - 1)))
+    return couple(proto, PartitionMask(draw(grid(1))), draw(st.integers(2, 4)))
+
+
+class TestScan:
+    # about one draw in twenty has girth >= 6
+    @settings(max_examples=300, deadline=None)
+    @given(_sc_codes())
+    @example(_small_code())
+    def test_6cycle_seed_count_matches_census(self, code):
+        if girth_check(code) == 4:
+            # the census refuses it: 6-cycles are not the (3,3,3,0) sets there
+            with pytest.raises(ValueError, match="girth 4"):
+                count_ugast_3330(code)
+        else:
+            assert len(lifted_6cycle_vn_sets(code)) == count_ugast_3330(code)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sc_codes())
+    @example(_small_code())
+    def test_6cycle_seeds_match_direct_enumeration(self, code):
         # independent path: enumerate 6-cycles on the dense lifted matrix and
         # collect their variable-node (column) triples
-        code = small_code
         H = build_lifted_dense(3, code.kappa, code.p, code.proto.powers, code.mask.assign, code.L)
         expected = set()
         for cyc in enumerate_cycles(H, 6):
             cols = tuple(sorted({c for _, c in cyc.entries}))
             expected.add(cols)
-        assert set(lifted_6cycle_vn_sets(small_code)) == expected
+        assert set(lifted_6cycle_vn_sets(code)) == expected
 
     def test_row_column_adjacency_inversion(self, small_code):
         adj = [set() for _ in range(small_code.n_rows)]
@@ -513,12 +538,20 @@ class TestScan:
         assert {w for inst in found for w in inst.weights.values()} == {1, 2, 3}
 
     @pytest.mark.parametrize(
-        "target",
-        [(4, 2, 2, 5, 0.5), (4, 2, 2, 5, -1), (4, 2, 2, 5, True), (4, 2, "5", 0)],
-        ids=["float", "negative", "bool", "str"],
+        "target, match",
+        [
+            ((4, 2, 2, 5, 0.5), "non-negative integers"),
+            ((4, 2, 2, 5, -1), "non-negative integers"),
+            ((4, 2, 2, 5, True), "non-negative integers"),
+            ((4, 2, "5", 0), "non-negative integers"),
+            ((2, 2, 2, 0), "size a must be >= 3"),
+            ((2, 2, 2, 2, 0), "size a must be >= 3"),
+            ((0, 0, 0, 0), "size a must be >= 3"),
+        ],
+        ids=["float", "negative", "bool", "str", "a2-ugast", "a2-gast", "a0"],
     )
-    def test_target_entries_must_be_non_negative_ints(self, small_code, target):
-        with pytest.raises(ValueError, match="non-negative integers"):
+    def test_target_entries_must_be_non_negative_ints(self, small_code, target, match):
+        with pytest.raises(ValueError, match=match):
             gast_scan(small_code, GF4, [(3, 3, 3, 3, 0), target], a_max=4)
 
     def test_gast_targets_carry_witness_and_b(self, small_code):

@@ -176,6 +176,23 @@ class TestCli:
         assert res.returncode == 0
         assert alist_path.read_text().split()[0] == str(code.n_cols)
 
+    @pytest.mark.parametrize("what", ["ugast3330", "cycles6"])
+    def test_count_without_short_cycles_prints_valid_json(self, tmp_path, capsys, what):
+        # no active 4- or 6-cycle: girth is null, never the non-JSON Infinity
+        from scldpc import cli
+        from scldpc.qc import PartitionMask, ProtoMatrix, code_to_json, couple
+
+        proto = ProtoMatrix(gamma=3, kappa=2, p=7, powers=((0, 0), (0, 1), (0, 3)))
+        path = tmp_path / "code.json"
+        path.write_text(code_to_json(couple(proto, PartitionMask.all_h0(3, 2), 2)))
+        assert cli.main(["count", "--what", what, "--code", str(path)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert payload == {"what": what, "count": 0, "girth": None}
+
     def test_cpo_command(self, tmp_path):
         code_path = tmp_path / "code.json"
         run_cli("make-code", "--kappa", "5", "--L", "3", "--out", str(code_path))
@@ -443,8 +460,12 @@ class TestCliErrors:
             ("a", "--targets must be a comma-separated list of tuples, got 'a'"),
             ("(4,2,2,5,0.5)", "target entries must be non-negative integers, got (4, 2, 2, 5, 0.5)"),
             ("(4,2,2,5,-1)", "target entries must be non-negative integers, got (4, 2, 2, 5, -1)"),
+            (
+                "(2,2,2,0)",
+                "target size a must be >= 3, scan subsets grow from 6-cycles, got (2, 2, 2, 0)",
+            ),
         ],
-        ids=["bare-int", "unclosed", "name", "float", "negative"],
+        ids=["bare-int", "unclosed", "name", "float", "negative", "a2"],
     )
     def test_malformed_targets_reported(self, tmp_path, capsys, command, targets, message):
         # a target the scan cannot match is refused, not scanned for nothing
