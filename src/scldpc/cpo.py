@@ -9,7 +9,9 @@ the candidate pool widens; once exhausted, a short feasible random walk
 perturbs a few entries and the descent resumes, with the best state ever
 seen retained.
 
-Candidates are read from a move table built once per state.  Every window
+Candidates are read from a move table built once per state.  The window
+keeps each cycle once, a single-replica one for its replica-shift pair
+(weight L) and a two-replica one with weight L - 1.  Every window
 coefficient is +-1, so a cycle that circulant e touches with balance b is
 active under e -> v for exactly one power, v = f[e] - b*a (mod p); one
 bincount over the window's per-circulant index then gives, for every
@@ -35,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cycles import SPAN_DUAL, SPAN_R1, EntryCycles, TwoReplicaWindow, build_window
+from .cycles import EntryCycles, TwoReplicaWindow, build_window
 from .qc import PartitionMask, ProtoMatrix, _check_coupling_length, is_prime
 from .words import WordStream
 
@@ -45,12 +47,6 @@ __all__ = ["CpoResult", "cpo_optimize"]
 # by TOP_B on a plateau; PAIR_SAMPLES random pair moves are tried per width
 TOP_B = 3
 PAIR_SAMPLES = 40
-
-
-def _loads(window: TwoReplicaWindow, act: np.ndarray) -> np.ndarray:
-    """Per-circulant visits of the active 6-cycles ``act``, two-replica ones counted twice."""
-    weights = np.where(window.span6[act] == SPAN_DUAL, 2, 1)
-    return weights @ window.inc6[act]
 
 
 @dataclass(frozen=True)
@@ -81,8 +77,9 @@ class _State:
 
     ``b4`` and ``b6`` are the window cycles' balances mod p under ``flat``.
     The move table, rebuilt once per state, holds for every circulant e and
-    power v the f_sc after e -> v (``f_after``) and the number of window
-    4-cycles that move activates (``hits4``); both are (gamma*kappa, p).
+    power v the f_sc after e -> v (``f_after``) and the number of kept
+    window 4-cycles that move activates (``hits4``, zero exactly when it
+    activates none of the window's); both are (gamma*kappa, p).
     """
 
     def __init__(self, window: TwoReplicaWindow, flat: np.ndarray, L: int):
@@ -90,24 +87,22 @@ class _State:
         self.p = window.p
         self.n = window.n_entries
         self.flat = flat.copy()
-        self.b6 = window.balances6(self.flat)
-        self.b4 = window.balances4(self.flat)
-        # an active cycle's share of f_sc / p: an R2 cycle moves with its R1
-        # mirror (same circulants and balance), so R1 stands for the pair
-        span = window.span6
-        self.w6 = np.where(span == SPAN_DUAL, L - 1, np.where(span == SPAN_R1, L, 0))
-        scored = self.w6 > 0
-        self.movers6 = self._movers(window.touch6, scored)
-        self.movers4 = self._movers(window.touch4)
-        self.pairs6 = window.touch6.pairs(scored)
+        # (circulant, cycle, coefficient) of every cycle a circulant moves
+        self.movers6, self.movers4 = (
+            (t.keys(), t.cycles, t.coefs) for t in (window.touch6, window.touch4)
+        )
+        self.b6 = self._balances(self.movers6, len(window.ids6))
+        self.b4 = self._balances(self.movers4, len(window.ids4))
+        # an active cycle's share of f_sc / p
+        self.w6 = np.where(window.dual6, L - 1, L)
+        self.pairs6 = window.touch6.pairs()
         self.pairs4 = window.touch4.pairs()
         self._refresh()
 
-    def _movers(self, index: EntryCycles, scored: Optional[np.ndarray] = None):
-        """(circulant, cycle, coefficient) of every (scored) cycle a circulant touches."""
-        ents = index.keys()
-        keep = slice(None) if scored is None else scored[index.cycles]
-        return ents[keep], index.cycles[keep], index.coefs[keep]
+    def _balances(self, movers, n_cycles: int) -> np.ndarray:
+        """The cycles' alternating power sums mod p."""
+        ents, cycles, coefs = movers
+        return np.bincount(cycles, coefs * self.flat[ents], n_cycles).astype(np.int64) % self.p
 
     def _cells(self, movers, b: np.ndarray) -> np.ndarray:
         # a window coefficient a is +-1, so under e -> v the cycle is active
@@ -260,7 +255,9 @@ def cpo_optimize(
     while evals < budget and best_f > target:
         # a state's words are replayed only within it
         words.drop_consumed()
-        order = np.argsort(-_loads(window, state.b6 == 0), kind="stable").tolist()
+        # circulants by their visits from active window 6-cycles, most first
+        loads = np.bincount(window.ids6[state.b6 == 0].ravel(), minlength=n_entries)
+        order = np.argsort(-loads, kind="stable").tolist()
         f_single, v_single = state.best_singles()
         ranked = np.flatnonzero(f_single[order] < state.f_sc)
         # the first width whose pool holds an improving single move

@@ -13,8 +13,10 @@ every 6-cycle of a hand-built Tanner graph), and the optimizer's window.
 From a 0/1 incidence it lists the row pairs sharing columns, then expands row
 triples, (triple, a, b) pairs and the third column c in bounded chunks; given
 the powers, c comes from a sorted join on the power residue, so only active
-cycles are built.  The optimizer's window stores its 4- and 6-cycles as
-coefficient rows over the gamma*kappa circulants, plus a sparse index of the
+cycles are built.  A cycle within replica 2 repeats one within replica 1, so
+every consumer keeps only the cycles whose least column lies in replica 1
+(:func:`_replica1`).  The optimizer's window stores each kept 4- and 6-cycle
+once, as the circulants it visits in walk order, plus a sparse index of the
 cycles each power (or pair of powers) moves.
 
 The (3,3,3,0) census of many masks has one path, :class:`CensusTable`: the
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -47,8 +49,6 @@ __all__ = [
     "count_ugast_3330_for",
     "girth_check",
 ]
-
-SPAN_R1, SPAN_R2, SPAN_DUAL = 0, 1, 2
 
 # (r1, r2, r3, a, b, c) -> visiting order (r1,a) (r1,b) (r3,b) (r3,c) (r2,c) (r2,a)
 SIX_ROWS, SIX_COLS = [0, 0, 2, 2, 1, 1], [3, 4, 4, 5, 5, 3]
@@ -212,6 +212,24 @@ def _window_powers(proto: ProtoMatrix) -> tuple[np.ndarray, int]:
     return np.tile(np.asarray(proto.powers, dtype=np.int64), (3, 2)), proto.p
 
 
+def _replica1(cycles: np.ndarray, kappa: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which cycles to keep, those whose least column lies in replica 1, and
+    which kept ones reach replica 2, as two masks over the rows.
+
+    ``cycles`` holds (rows..., columns...) rows, as the enumerators list
+    them.  A cycle within replica 2 is one within replica 1 shifted by one
+    replica, with the same circulants and conditions, so it is dropped.
+    """
+    # column by column: on these short rows numpy's row reductions take
+    # several times as long, and masks spare the census a copy of the rows
+    half = cycles.shape[1] // 2
+    first = last = cycles[:, half]
+    for i in range(half + 1, 2 * half):
+        first, last = np.minimum(first, cycles[:, i]), np.maximum(last, cycles[:, i])
+    kept = first < kappa
+    return kept, kept & (last >= kappa)
+
+
 def _csr(keys: np.ndarray, n_keys: int, cycles: np.ndarray, coefs: np.ndarray):
     """(ptr, cycles, coefs) grouped by key, each key's cycle ids ascending."""
     order = np.lexsort((cycles, keys))
@@ -237,26 +255,29 @@ class EntryCycles:
     coefs: np.ndarray
 
     @classmethod
-    def of(cls, coef: np.ndarray) -> "EntryCycles":
-        """Per-circulant index of an (n_cycles, n_entries) coefficient table."""
-        cycles, ents = np.nonzero(coef)
-        return cls(*_csr(ents, coef.shape[1], cycles, coef[cycles, ents]))
+    def of(cls, ids: np.ndarray, n: int) -> "EntryCycles":
+        """Per-circulant index of cycles given as the circulant ids (below
+        ``n``) they visit in walk order, with signs +1, -1, ... along it."""
+        m, width = ids.shape
+        # by cycle, then circulant: a circulant met twice sums its signs
+        cells = (np.arange(m)[:, None] * n + ids).ravel()
+        order = np.argsort(cells, kind="stable")
+        cells = cells[order]
+        new = np.diff(cells, prepend=-1) != 0
+        signs = np.tile([1, -1], m * width // 2)[order]
+        coefs = np.bincount(np.cumsum(new) - 1, signs).astype(np.int16)
+        kept = coefs != 0
+        cycles, ents = np.divmod(cells[new][kept], n)
+        return cls(*_csr(ents, n, cycles, coefs[kept]))
 
     def keys(self) -> np.ndarray:
         """The key of every listed cycle, in listing order."""
         return np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr))
 
-    def pairs(self, keep: Optional[np.ndarray] = None) -> "EntryCycles":
-        """Per-circulant-pair index of a per-circulant one.
-
-        Only the cycles under the boolean ``keep`` (by cycle id) are listed
-        when it is given.
-        """
+    def pairs(self) -> "EntryCycles":
+        """Per-circulant-pair index of a per-circulant one."""
         n = len(self.ptr) - 1
         ents, cycles, coefs = self.keys(), self.cycles, self.coefs
-        if keep is not None:
-            kept = keep[cycles]
-            ents, cycles, coefs = ents[kept], cycles[kept], coefs[kept]
         # by cycle, then circulant: a cycle's circulants sit next to each
         # other, ascending, at most six of them
         order = np.lexsort((ents, cycles))
@@ -275,83 +296,45 @@ class EntryCycles:
 
 
 class TwoReplicaWindow:
-    """Cycle tables of the two-replica coupled protograph, for the optimizer.
+    """The cycles of the two-replica coupled protograph, for the optimizer.
 
     Rows are indexed (block, local) with 3 blocks of gamma rows; columns run
-    over 2*kappa, the first kappa belonging to replica 1.  The window stores
+    over 2*kappa, the first kappa belonging to replica 1.  Only the cycles
+    whose least column lies in replica 1 are kept (:func:`_replica1`); each
+    is stored once, as the circulants it visits:
 
-      coef6, coef4:    (n, gamma*kappa) alternating-sum coefficients per circulant
-      touch6, touch4:  the same coefficients as an :class:`EntryCycles` index
-                       over the circulants, for the optimizer's move table
-                       and its updates after a power change
-      inc6:            (n, gamma*kappa) 6-cycle visit multiplicities per circulant
-      span6:           SPAN_R1 / SPAN_R2 / SPAN_DUAL per 6-cycle
-      pos6_rows, pos6_cols:  (n, 6) window positions of each 6-cycle
+      ids6, ids4:      (n, 6) and (n, 4) circulant ids in walk order, the
+                       alternating sum taking them +, -, +, ...
+      dual6:           whether each 6-cycle spans both replicas
+      touch6, touch4:  the same cycles as an :class:`EntryCycles` index over
+                       the circulants, for the optimizer's move table and
+                       its updates after a power change
 
-    Circulants are numbered row-major, e = row * kappa + col.  Activity of
-    every cycle under a flat power vector f is (coef @ f) % p == 0.  Every
-    coefficient is 0 or +-1: no window row holds both copies j and j + kappa
-    of a circulant column, so a cycle meets a circulant at most once per
-    sign.  Each SPAN_R2 cycle is a SPAN_R1 cycle shifted by one replica,
-    with the same coefficient row.
+    Circulants are numbered row-major, e = row * kappa + col, so position
+    (r, c) is circulant (r mod gamma) * kappa + c mod kappa.  Every indexed
+    coefficient is +-1: no window row holds both copies j and j + kappa of
+    a circulant column, so a cycle meets a circulant at most once per sign.
     """
 
     def __init__(self, proto: ProtoMatrix, mask: PartitionMask):
         if proto.gamma != mask.gamma or proto.kappa != mask.kappa:
             raise ValueError("protograph and mask shapes differ")
-        self.proto = proto
-        self.mask = mask
-        self.gamma = proto.gamma
-        self.kappa = proto.kappa
+        g, k = proto.gamma, proto.kappa
         self.p = proto.p
-        self.n_entries = self.gamma * self.kappa
-        self._build(_mask_incidence(mask))
-
-    def _coef(self, pos_rows: np.ndarray, pos_cols: np.ndarray):
-        """Signed and unsigned per-circulant visit counts of each cycle."""
-        n, width = pos_rows.shape
-        ids = (pos_rows % self.gamma) * self.kappa + pos_cols % self.kappa
-        cells = (ids + self.n_entries * np.arange(n)[:, None]).ravel()
-        signs = np.tile([1, -1], n * width // 2)
-        size = n * self.n_entries
-        coef = np.bincount(cells, weights=signs, minlength=size).astype(np.int16)
-        inc = np.bincount(cells, minlength=size).astype(np.int8)
-        return coef.reshape(n, self.n_entries), inc.reshape(n, self.n_entries)
-
-    def _build(self, inc: np.ndarray) -> None:
-        six = _six_cycle_array(inc)
-        self.pos6_rows, self.pos6_cols = six[:, SIX_ROWS], six[:, SIX_COLS]
-        self.coef6, self.inc6 = self._coef(self.pos6_rows, self.pos6_cols)
-        self.touch6 = EntryCycles.of(self.coef6)
-        k = self.kappa
-        self.span6 = np.full(six.shape[0], SPAN_DUAL, dtype=np.int8)
-        self.span6[(self.pos6_cols < k).all(axis=1)] = SPAN_R1
-        self.span6[(self.pos6_cols >= k).all(axis=1)] = SPAN_R2
-
-        four = _four_cycle_array(inc)
-        self.coef4, _ = self._coef(four[:, FOUR_ROWS], four[:, FOUR_COLS])
-        self.touch4 = EntryCycles.of(self.coef4)
-
-    # -- evaluation --------------------------------------------------------
-
-    def flat_powers(self, powers: Sequence[Sequence[int]]) -> np.ndarray:
-        return np.asarray(powers, dtype=np.int64).reshape(-1)
-
-    def balances6(self, flat: np.ndarray) -> np.ndarray:
-        return (self.coef6 @ flat) % self.p
-
-    def balances4(self, flat: np.ndarray) -> np.ndarray:
-        return (self.coef4 @ flat) % self.p
+        self.n_entries = g * k
+        inc = _mask_incidence(mask)
+        six, four = _six_cycle_array(inc), _four_cycle_array(inc)
+        kept, dual = _replica1(six, k)
+        six, self.dual6 = six[kept], dual[kept]
+        four = four[_replica1(four, k)[0]]
+        self.ids6 = six[:, SIX_ROWS] % g * k + six[:, SIX_COLS] % k
+        self.ids4 = four[:, FOUR_ROWS] % g * k + four[:, FOUR_COLS] % k
+        self.touch6 = EntryCycles.of(self.ids6, self.n_entries)
+        self.touch4 = EntryCycles.of(self.ids4, self.n_entries)
 
 
 def build_window(proto: ProtoMatrix, mask: PartitionMask) -> TwoReplicaWindow:
     return TwoReplicaWindow(proto, mask)
-
-
-def _column_range(six: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The least and the greatest column of every (r1, r2, r3, a, b, c) row."""
-    a, b, c = six[:, 3], six[:, 4], six[:, 5]
-    return np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
 
 
 def _conditions(cycles: np.ndarray, rows: list, cols: list, gamma: int, kappa: int):
@@ -410,15 +393,15 @@ class CensusTable:
             raise ValueError("the census needs gamma * kappa < 1449")
         parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, bool))]
         for six in _six_cycle_chunks(inc, _window_powers(proto)):
-            first, last = _column_range(six)
+            kept, dual = _replica1(six, k)
             needs, exists = _conditions(six, SIX_ROWS, SIX_COLS, g, k)
-            exists &= first < k
+            exists &= kept
             # the group as a base-n number, and the H0/H1 pattern
             key, pattern = 0, 0
             for i in range(6):
                 key = key * n + (needs[i] >> 1)
                 pattern = pattern + ((needs[i] & 1) << i)
-            parts.append((key[exists], pattern[exists], last[exists] >= k))
+            parts.append((key[exists], pattern[exists], dual[exists]))
         key, pattern, dual = map(np.concatenate, zip(*parts))
         order = np.argsort(key, kind="stable")
         new = np.ones(len(key), dtype=bool)
@@ -486,13 +469,12 @@ def census_active_counts(proto: ProtoMatrix, mask: PartitionMask) -> tuple[int, 
 
     A single-replica cycle counts once for its R1/R2 mirror pair.
     """
-    k, r1, r2, total = proto.kappa, 0, 0, 0
+    n_kept, n_dual = 0, 0
     for six in _six_cycle_chunks(_mask_incidence(mask), _window_powers(proto)):
-        first, last = _column_range(six)
-        r1 += int(np.count_nonzero(last < k))
-        r2 += int(np.count_nonzero(first >= k))
-        total += len(six)
-    return r1, total - r1 - r2
+        kept, dual = _replica1(six, proto.kappa)
+        n_kept += int(np.count_nonzero(kept))
+        n_dual += int(np.count_nonzero(dual))
+    return n_kept - n_dual, n_dual
 
 
 def count_ugast_3330_for(proto: ProtoMatrix, mask: PartitionMask, L: int) -> int:

@@ -42,7 +42,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .cycles import _column_range, _expand, _four_cycle_array, _has_active_4cycle, _mask_incidence
+from .cycles import _expand, _four_cycle_array, _has_active_4cycle, _mask_incidence, _replica1
 from .cycles import _six_cycle_array, _window_powers
 from .gf import FieldGF
 from .qc import SCCode, TannerEdges
@@ -518,12 +518,11 @@ def _6cycle_orbits(code) -> tuple[set[tuple[int, ...]], bool]:
     k, L = code.kappa, code.L
     inc, (f, p) = _mask_incidence(code.mask), _window_powers(code.proto)
     six = _six_cycle_array(inc, (f, p))
-    first, last = _column_range(six)
-    keep = first < k
-    r1, _, r3, a, b, c = six[keep].T
+    kept, dual = _replica1(six, k)
+    r1, _, r3, a, b, c = six[kept].T
     off_b = f[r1, a] - f[r1, b]
     cols = np.stack([a * p, b * p + off_b % p, c * p + (off_b + f[r3, b] - f[r3, c]) % p], axis=1)
-    owner, shift = _expand(L - (last[keep] >= k))
+    owner, shift = _expand(L - dual[kept])
     vns = np.sort(cols[owner] + (shift * k * p)[:, None], axis=1)
     seeds = {_canonical(t, p) for t in map(tuple, vns.tolist())}
     return seeds, _has_active_4cycle(code.proto, inc)
@@ -630,8 +629,11 @@ def _orbit_instances(
     return out
 
 
-def _check_targets(targets: Sequence[tuple]) -> list[tuple]:
-    """The targets as tuples; each must be 4 or 5 non-negative ints, a >= 3."""
+def _check_targets(targets: Sequence[tuple], a_max: int) -> list[tuple]:
+    """The targets as tuples; each must be 4 or 5 non-negative ints, a >= 3,
+    and the subset size bound ``a_max`` at least 3."""
+    if a_max < 3:
+        raise ValueError(f"a_max must be >= 3, scan subsets grow from 6-cycles, got {a_max}")
     targets = [tuple(t) for t in targets]
     if any(len(t) not in (4, 5) for t in targets):
         raise ValueError("targets must be 4-tuples (UGAST) or 5-tuples (GAST)")
@@ -681,11 +683,11 @@ def gast_scan(
     lexicographically first valid assignment in the translate's own sorted
     ``vn_ids`` order.  Instances are built only for hits, read off the
     representative's checks and the gathered weights.  A target entry that
-    is not a non-negative int, a target with a < 3 (no subset grown from a
-    6-cycle is that small), and a labelled code whose field differs from
-    ``field``, are refused.
+    is not a non-negative int, a target with a < 3 or an ``a_max`` below 3
+    (no subset grown from a 6-cycle is that small), and a labelled code
+    whose field differs from ``field``, are refused.
     """
-    targets = _check_targets(targets)
+    targets = _check_targets(targets, a_max)
     if not targets:
         return []
     if any(len(t) == 5 for t in targets) and field is None:

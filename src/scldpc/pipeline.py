@@ -55,7 +55,9 @@ class DesignConfig:
             raise ValueError("code design requires a field with q >= 4")
         if self.cpo_budget < 0:
             raise ValueError(f"CPO budget must be >= 0, got {self.cpo_budget}")
-        _check_targets(self.gast_targets)
+        _check_targets(self.gast_targets, self.gast_a_max)
+        if self.optimum_index < 0:
+            raise ValueError(f"optimum_index must be >= 0, got {self.optimum_index}")
 
 
 class PipelineError(RuntimeError):
@@ -123,6 +125,11 @@ def run_pipeline(config: DesignConfig, out_dir: Optional[str] = None) -> DesignR
         report.f_star = sol.f_star
         report.alpha = sol.alpha
         report.n_choices = sol.n_choices
+        if config.optimum_index >= len(sol.optima):
+            raise ValueError(
+                f"optimum_index {config.optimum_index} out of range: "
+                f"the solve found {len(sol.optima)} optimal vectors"
+            )
         vector = sol.optima[config.optimum_index]
         report.chosen_vector = vector.as_list()
 

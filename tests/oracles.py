@@ -13,8 +13,8 @@ reference for the library's numpy cycle enumerator; the DFS counts pin them.
 The section after the references holds helpers that only the tests use: a
 cycle object with its window tag, the per-circulant census, the window
 4-cycle test, the mask generator of one overlap vector and the absorbing-set
-scan's 6-cycle seeds expanded over their translates.  They read the
-library's own tables.
+scan's 6-cycle seeds expanded over their translates.  The window helpers
+read :class:`ReferenceWindow`, not the optimizer's window.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from scldpc.baselines import _arrangements_from_counts, _mask_of, pattern_counts
-from scldpc.cpo import PAIR_SAMPLES, TOP_B, CpoResult, _loads
-from scldpc.cycles import SPAN_DUAL, SPAN_R1, TwoReplicaWindow, build_window
+from scldpc.cpo import PAIR_SAMPLES, TOP_B, CpoResult
 from scldpc.gast import _6cycle_orbits, _shift
 from scldpc.overlap import (
     OOSolution,
@@ -547,18 +546,79 @@ def union_active_4cycles(proto) -> int:
     return count
 
 
+SPAN_R1, SPAN_R2, SPAN_DUAL = 0, 1, 2
+
+
+class ReferenceWindow:
+    """Every cycle of the two-replica window, mirrors included, as dense tables.
+
+    Row (b, i) of the 3*gamma window rows holds replica t's column
+    t*kappa + j when circulant (i, j) sits in H_{b-t}; the cycles come from
+    the set-based ``six_cycles`` and ``four_cycles`` over those rows.  Per
+    cycle, in enumeration order:
+
+      pos6_rows, pos6_cols: (n, 6) window positions in walk order
+      ids6, ids4:           circulant ids (r mod gamma) * kappa + c mod kappa
+                            of those positions, in walk order
+      span6, span4:         SPAN_R1 / SPAN_R2 / SPAN_DUAL
+      coef6, coef4:         (n, gamma*kappa) alternating-sum coefficients
+      inc6:                 (n, gamma*kappa) visits per circulant
+    """
+
+    def __init__(self, proto, mask):
+        g, k = proto.gamma, proto.kappa
+        self.gamma, self.kappa, self.p, self.n_entries = g, k, proto.p, g * k
+        rows = [
+            {t * k + j for t in (0, 1) for j in range(k) if b - t == mask.assign[i][j]}
+            for b in range(3)
+            for i in range(g)
+        ]
+        six = np.array(list(six_cycles(rows)), dtype=np.int64).reshape(-1, 6)
+        four = np.array(list(four_cycles(rows)), dtype=np.int64).reshape(-1, 4)
+        self.pos6_rows, self.pos6_cols = six[:, [0, 0, 2, 2, 1, 1]], six[:, [3, 4, 4, 5, 5, 3]]
+        pos4_rows, pos4_cols = four[:, [0, 0, 1, 1]], four[:, [2, 3, 3, 2]]
+        self.ids6 = self.pos6_rows % g * k + self.pos6_cols % k
+        self.ids4 = pos4_rows % g * k + pos4_cols % k
+        self.span6, self.span4 = self._spans(self.pos6_cols), self._spans(pos4_cols)
+        self.coef6, self.coef4 = self._coefs(self.ids6), self._coefs(self.ids4)
+        self.inc6 = np.zeros_like(self.coef6)
+        for n, row in enumerate(self.ids6.tolist()):
+            for e in row:
+                self.inc6[n, e] += 1
+
+    def _coefs(self, ids: np.ndarray) -> np.ndarray:
+        """Per cycle and circulant, the coefficient of the alternating sum."""
+        coef = np.zeros((len(ids), self.n_entries), dtype=np.int64)
+        for n, row in enumerate(ids.tolist()):
+            for i, e in enumerate(row):
+                coef[n, e] += (-1) ** i
+        return coef
+
+    def _spans(self, cols: np.ndarray) -> np.ndarray:
+        span = np.full(len(cols), SPAN_DUAL)
+        span[(cols < self.kappa).all(axis=1)] = SPAN_R1
+        span[(cols >= self.kappa).all(axis=1)] = SPAN_R2
+        return span
+
+    def balances6(self, flat) -> np.ndarray:
+        return self.coef6 @ np.ravel(flat) % self.p
+
+    def balances4(self, flat) -> np.ndarray:
+        return self.coef4 @ np.ravel(flat) % self.p
+
+
 def serial_cpo_optimize(proto, mask, L: int, budget: int, seed: int, target: int = 0) -> CpoResult:
     """The circulant power optimizer scoring one candidate at a time.
 
-    Every candidate move recomputes all window balances from dense
-    per-circulant coefficient rows, and the load ranking recounts every
-    active cycle; the moves, their order, the rng draws, the evaluation
-    count and the (f, sorted (row, col, power)) tie-break define what the
-    library's batched optimizer must reproduce.
+    Every candidate move recomputes all balances of the reference window,
+    mirrors included, from dense per-circulant coefficient rows, and the
+    load ranking recounts every active cycle; the moves, their order, the
+    rng draws, the evaluation count and the (f, sorted (row, col, power))
+    tie-break define what the library's batched optimizer must reproduce.
     """
     g, k, p = proto.gamma, proto.kappa, proto.p
-    window = build_window(proto, mask)
-    col4, col6 = window.coef4.T.astype(np.int64), window.coef6.T.astype(np.int64)
+    window = ReferenceWindow(proto, mask)
+    col4, col6 = window.coef4.T, window.coef6.T
     dual = window.span6 == SPAN_DUAL
     n_entries = g * k
     flat = np.asarray(proto.powers, dtype=np.int64).reshape(-1)
@@ -612,7 +672,7 @@ def serial_cpo_optimize(proto, mask, L: int, budget: int, seed: int, target: int
 
     while evals < budget and best_f > target:
         act = b6 == 0
-        counts = (np.where(dual, 2, 1) * act) @ window.inc6.astype(np.int64)
+        counts = (np.where(dual, 2, 1) * act) @ window.inc6
         order = sorted(range(n_entries), key=lambda e: (-counts[e], e))
         width = TOP_B
         accepted = False
@@ -806,7 +866,7 @@ def lifted_6cycle_vn_sets(code) -> list[tuple[int, ...]]:
     )
 
 
-def proto_cycles6(window: TwoReplicaWindow) -> list[ProtoCycle]:
+def proto_cycles6(window: ReferenceWindow) -> list[ProtoCycle]:
     """The window's 6-cycles as tagged objects, in window order."""
     out = []
     g = window.gamma
@@ -841,22 +901,24 @@ def proto_cycles6(window: TwoReplicaWindow) -> list[ProtoCycle]:
     return out
 
 
-def has_active_4cycle(window: TwoReplicaWindow, flat: np.ndarray) -> bool:
-    """Whether some window 4-cycle balances to 0 mod p under the flat powers."""
-    return bool((window.balances4(flat) == 0).any())
+def has_active_4cycle(window: ReferenceWindow, powers) -> bool:
+    """Whether some window 4-cycle balances to 0 mod p under the powers."""
+    return bool((window.balances4(powers) == 0).any())
 
 
-def active_census(window: TwoReplicaWindow, powers) -> tuple[np.ndarray, int, int]:
+def active_census(window: ReferenceWindow, powers) -> tuple[np.ndarray, int, int]:
     """Weighted active-cycle count per circulant, plus (Fa_s, Fa_d).
 
     Each active one-replica cycle adds 1 at every window position it visits,
     each active two-replica cycle adds 2; positions are folded onto their
     gamma x kappa circulants.
     """
-    act = window.balances6(window.flat_powers(powers)) == 0
-    duals = int(np.count_nonzero(act & (window.span6 == SPAN_DUAL)))
+    act = window.balances6(powers) == 0
+    dual = window.span6 == SPAN_DUAL
+    duals = int(np.count_nonzero(act & dual))
     singles = int(np.count_nonzero(act)) - duals
-    return _loads(window, act).reshape(window.gamma, window.kappa), singles // 2, duals
+    counts = (np.where(dual, 2, 1) * act) @ window.inc6
+    return counts.reshape(window.gamma, window.kappa), singles // 2, duals
 
 
 def masks_for_vector(vector: OverlapVector, kappa: int) -> Iterator[PartitionMask]:

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from scldpc import cycles
 from scldpc.baselines import cv_exhaustive_best, cv_mask, mo_search
 from scldpc.cycles import (
-    SPAN_R1,
-    SPAN_R2,
     CensusTable,
     _four_cycle_array,
     _six_cycle_array,
@@ -25,7 +23,11 @@ from scldpc.overlap import cycle6_census, realize_mask, solve_optimal_overlap
 from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers, couple
 
 from oracles import (
+    SPAN_DUAL,
+    SPAN_R1,
+    SPAN_R2,
     ProtoCycle,
+    ReferenceWindow,
     active_census,
     build_lifted_dense,
     dfs_count_cycles,
@@ -251,7 +253,7 @@ class TestUgastCensus:
             mask = PartitionMask(
                 tuple(tuple(rng.randrange(2) for _ in range(7)) for _ in range(3))
             )
-            win = build_window(proto, mask)
+            win = ReferenceWindow(proto, mask)
             assert active_census(win, proto.powers)[1:] == census_active_counts(proto, mask)
 
 
@@ -415,7 +417,8 @@ class TestBatchedCensus:
         assert capped.active_counts(grids).tolist() == whole.active_counts(grids).tolist()
         assert [census_active_counts(proto, m) for m in masks] == singles
         capped_win = build_window(proto, masks[0])
-        assert (capped_win.coef6 == win.coef6).all() and (capped_win.coef4 == win.coef4).all()
+        for name in ("ids6", "dual6", "ids4"):
+            assert (getattr(capped_win, name) == getattr(win, name)).all()
 
     def test_girth4_protograph_refused(self):
         # two all-zero rows: every column pair of them closes an active
@@ -478,7 +481,7 @@ class TestWindowDecomposition:
         mask = PartitionMask(
             tuple(tuple(rng.randrange(2) for _ in range(7)) for _ in range(3))
         )
-        win = build_window(proto, mask)
+        win = ReferenceWindow(proto, mask)
         cycles = proto_cycles6(win)
         assert len(cycles) == win.coef6.shape[0]
         singles = [c for c in cycles if c.span == 1]
@@ -492,7 +495,7 @@ class TestWindowDecomposition:
         vec = sol.optima[0]
         mask = realize_mask(vec, kappa, seed=2)
         proto1 = ProtoMatrix(gamma=3, kappa=kappa, p=1, powers=((0,) * kappa,) * 3)
-        win = build_window(proto1, mask)
+        win = ReferenceWindow(proto1, mask)
         census = cycle6_census(vec, kappa, 3)
         from collections import Counter
 
@@ -525,11 +528,22 @@ def test_window_coefficients_are_units_and_mirrored(assign):
     # copies j and j + kappa of a circulant column, so a cycle meets each
     # circulant at most once per sign: every coefficient is 0 or +-1, its own
     # inverse mod p.  And each R2 cycle is an R1 cycle shifted by one
-    # replica, with the same coefficient row.
+    # replica, with the same circulants in walk order, so the optimizer's
+    # window keeps exactly the R1 and two-replica cycles.
     g, k = len(assign), len(assign[0])
     proto = ProtoMatrix(gamma=g, kappa=k, p=1, powers=((0,) * k,) * g)
-    win = build_window(proto, PartitionMask(tuple(map(tuple, assign))))
-    assert set(np.unique(win.coef6).tolist()) <= {-1, 0, 1}
-    assert set(np.unique(win.coef4).tolist()) <= {-1, 0, 1}
-    r1 = sorted(map(tuple, win.coef6[win.span6 == SPAN_R1].tolist()))
-    assert r1 == sorted(map(tuple, win.coef6[win.span6 == SPAN_R2].tolist()))
+    mask = PartitionMask(tuple(map(tuple, assign)))
+    ref = ReferenceWindow(proto, mask)
+    assert set(np.unique(ref.coef6).tolist()) <= {-1, 0, 1}
+    assert set(np.unique(ref.coef4).tolist()) <= {-1, 0, 1}
+    for ids, span in ((ref.ids6, ref.span6), (ref.ids4, ref.span4)):
+        r1 = sorted(map(tuple, ids[span == SPAN_R1].tolist()))
+        assert r1 == sorted(map(tuple, ids[span == SPAN_R2].tolist()))
+
+    win = build_window(proto, mask)
+    kept = ref.span6 != SPAN_R2
+    want = zip(map(tuple, ref.ids6[kept].tolist()), (ref.span6[kept] == SPAN_DUAL).tolist())
+    assert sorted(zip(map(tuple, win.ids6.tolist()), win.dual6.tolist())) == sorted(want)
+    kept = ref.span4 != SPAN_R2
+    assert sorted(map(tuple, win.ids4.tolist())) == sorted(map(tuple, ref.ids4[kept].tolist()))
+    assert set(win.touch6.coefs.tolist()) <= {-1, 1} and set(win.touch4.coefs.tolist()) <= {-1, 1}

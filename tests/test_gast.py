@@ -538,21 +538,27 @@ class TestScan:
         assert {w for inst in found for w in inst.weights.values()} == {1, 2, 3}
 
     @pytest.mark.parametrize(
-        "target, match",
+        "target, a_max, match",
         [
-            ((4, 2, 2, 5, 0.5), "non-negative integers"),
-            ((4, 2, 2, 5, -1), "non-negative integers"),
-            ((4, 2, 2, 5, True), "non-negative integers"),
-            ((4, 2, "5", 0), "non-negative integers"),
-            ((2, 2, 2, 0), "size a must be >= 3"),
-            ((2, 2, 2, 2, 0), "size a must be >= 3"),
-            ((0, 0, 0, 0), "size a must be >= 3"),
+            ((4, 2, 2, 5, 0.5), 4, "non-negative integers"),
+            ((4, 2, 2, 5, -1), 4, "non-negative integers"),
+            ((4, 2, 2, 5, True), 4, "non-negative integers"),
+            ((4, 2, "5", 0), 4, "non-negative integers"),
+            ((2, 2, 2, 0), 4, "size a must be >= 3"),
+            ((2, 2, 2, 2, 0), 4, "size a must be >= 3"),
+            ((0, 0, 0, 0), 4, "size a must be >= 3"),
+            # an upper bound on subsets grown from 6-cycles, which the
+            # scan used to exceed
+            ((3, 3, 3, 3, 0), 2, r"a_max must be >= 3, scan subsets grow from 6-cycles, got 2"),
+            ((3, 3, 3, 3, 0), 0, r"a_max must be >= 3, scan subsets grow from 6-cycles, got 0"),
+            ((3, 3, 3, 3, 0), -5, r"a_max must be >= 3, scan subsets grow from 6-cycles, got -5"),
         ],
-        ids=["float", "negative", "bool", "str", "a2-ugast", "a2-gast", "a0"],
+        ids=["float", "negative", "bool", "str", "a2-ugast", "a2-gast", "a0", "amax2", "amax0",
+             "amax-5"],
     )
-    def test_target_entries_must_be_non_negative_ints(self, small_code, target, match):
+    def test_target_entries_must_be_non_negative_ints(self, small_code, target, a_max, match):
         with pytest.raises(ValueError, match=match):
-            gast_scan(small_code, GF4, [(3, 3, 3, 3, 0), target], a_max=4)
+            gast_scan(small_code, GF4, [(3, 3, 3, 3, 0), target], a_max=a_max)
 
     def test_gast_targets_carry_witness_and_b(self, small_code):
         found = gast_scan(small_code, GF4, [(3, 3, 3, 3, 0)], a_max=3)

@@ -68,14 +68,28 @@ class TestRunPipeline:
             ({"gast_targets": ((4, 2, 2),)},
              "targets must be 4-tuples (UGAST) or 5-tuples (GAST)"),
             ({"cpo_budget": -1}, "CPO budget must be >= 0, got -1"),
+            ({"gast_a_max": 2}, "a_max must be >= 3, scan subsets grow from 6-cycles, got 2"),
+            ({"gast_a_max": 0, "gast_targets": ()},
+             "a_max must be >= 3, scan subsets grow from 6-cycles, got 0"),
+            ({"optimum_index": -1}, "optimum_index must be >= 0, got -1"),
         ],
-        ids=["negative-entry", "bool-entry", "short-target", "negative-budget"],
+        ids=["negative-entry", "bool-entry", "short-target", "negative-budget", "amax2",
+             "amax0-no-targets", "negative-optimum-index"],
     )
     def test_bad_config_refused_on_construction(self, fields, message):
         # refused before any stage runs, with the message the stage would give
         with pytest.raises(ValueError) as err:
             DesignConfig(kappa=5, p=5, L=3, **fields)
         assert str(err.value) == message
+
+    def test_optimum_index_past_the_optima_refused(self):
+        # known only after the solve: 12 optimal vectors at kappa = 7, L = 30
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(DesignConfig(kappa=7, p=7, L=30, cpo_budget=0, optimum_index=12))
+        assert err.value.stage == "overlap-optimization"
+        assert str(err.value.__cause__) == (
+            "optimum_index 12 out of range: the solve found 12 optimal vectors"
+        )
 
     def test_output_files(self, tmp_path, small_report):
         run_pipeline(SMALL, out_dir=str(tmp_path))
@@ -476,6 +490,42 @@ class TestCliErrors:
         else:
             argv = ["pipeline", "--kappa", "5", "--L", "3", "--budget", "200"]
         rc = cli.main(argv + ["--targets", targets, "--amax", "4"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"scldpc: error: {message}\n"
+
+    @pytest.mark.parametrize("amax", ["2", "0", "-5"])
+    @pytest.mark.parametrize("command", ["scan", "remove", "pipeline"])
+    def test_small_amax_reported(self, tmp_path, capsys, command, amax):
+        # subsets grow from the three columns of a 6-cycle, so no bound below
+        # 3 can hold; the scan used to return 3-node instances regardless
+        from scldpc import cli
+
+        if command == "pipeline":
+            argv = ["pipeline", "--kappa", "5", "--L", "3", "--budget", "200"]
+        else:
+            argv = ["gast", command, "--code", _labelled_code_file(tmp_path)]
+        rc = cli.main(argv + ["--targets", "(3,3,3,3,0)", "--amax", amax])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        reason = f"a_max must be >= 3, scan subsets grow from 6-cycles, got {amax}"
+        assert err == f"scldpc: error: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "index, message",
+        [
+            ("-1", "optimum_index must be >= 0, got -1"),
+            ("99", "pipeline stage 'overlap-optimization' failed: "
+                   "optimum_index 99 out of range: the solve found 12 optimal vectors"),
+        ],
+        ids=["negative", "past-the-optima"],
+    )
+    def test_bad_optimum_index_reported(self, capsys, index, message):
+        from scldpc import cli
+
+        rc = cli.main(["pipeline", "--kappa", "7", "--L", "30", "--optimum-index", index])
         out, err = capsys.readouterr()
         assert rc == 2
         assert out == ""
