@@ -47,6 +47,7 @@ from .gast import (
     is_gast,
     remove_gast,
     remove_gast_weights,
+    remove_gasts,
     removal_budget,
 )
 from .pipeline import DesignConfig, DesignReport, run_pipeline, table1_report

@@ -19,7 +19,7 @@ from . import baselines, pipeline
 from .alist import export_code_alist
 from .cpo import cpo_optimize
 from .cycles import count_ugast_3330, count_ugast_3330_for, girth_check
-from .gast import gast_scan, remove_gast
+from .gast import gast_scan, remove_gasts
 from .gf import FieldGF
 from .overlap import realize_mask, solve_optimal_overlap
 from .qc import (
@@ -120,9 +120,8 @@ def _cmd_gast(args) -> None:
         )
         return
     applied, changes = [], []
-    for inst in found:
-        outcome, lifted = remove_gast(inst, field)
-        changes += lifted
+    for inst, outcome in zip(found, remove_gasts(found, field)):
+        changes += outcome.lifted_changes()
         applied.append(
             {
                 "label": list(inst.label),

@@ -231,8 +231,13 @@ def _replica1(cycles: np.ndarray, kappa: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _csr(keys: np.ndarray, n_keys: int, cycles: np.ndarray, coefs: np.ndarray):
-    """(ptr, cycles, coefs) grouped by key, each key's cycle ids ascending."""
-    order = np.lexsort((cycles, keys))
+    """(ptr, cycles, coefs) grouped by key, each key's cycle ids ascending.
+
+    Every (key, cycle) pair is listed once, so one sort of the packed key
+    ``key * n_cycles + cycle`` gives the (key, cycle) order.
+    """
+    n_cycles = int(cycles.max(initial=-1)) + 1
+    order = np.argsort(keys * n_cycles + cycles)
     ptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_keys))))
     return ptr, cycles[order], coefs[order]
 

@@ -3,12 +3,16 @@
 A subset of variable nodes with nonzero GF(q) values is absorbing when every
 unsatisfied check it touches has degree at most 2 and every variable node
 sees strictly more satisfied than unsatisfied checks.  Whether some value
-assignment achieves this is decided here by an exhaustive scan over
-(q-1)^a assignments, vectorized over the assignment axis and, in the scan,
-over the translates of a subset under the lift shift.  That oracle is
+assignment achieves this is decided here by an exhaustive scan over the
+lexicographic table of nonzero assignments, vectorized over the assignment
+axis and over many weightings of one check structure at once.  The check
+conditions are homogeneous and linear, so scaling an assignment by a nonzero
+constant changes neither its validity nor its unsatisfied count b; the scan
+and removal therefore read only the (q-1)^(a-1) assignments with x_0 = 1,
+which hold the lexicographically first witness of every b.  That oracle is
 exact and replaces null-space machinery for the sizes this library targets:
 it refuses more than 2^20 assignments (a <= 12 at q = 4, a <= 7 at q = 8,
-a <= 5 at q = 16) before allocating anything.
+a <= 5 at q = 16), counted over all (q-1)^a, before allocating anything.
 
 Candidates in a code are found by growing variable-node subsets outward from
 6-cycles.  The seeds come from the cycle enumerator of :mod:`scldpc.cycles`:
@@ -18,17 +22,20 @@ Shifting every offset by one inside every circulant maps the lifted graph
 onto itself, so one subset per shift orbit is grown.  The last node of a
 full-size subset is added only if it already shares a majority of its
 checks with the subset, and each subset's label is read off its row hits.
-Only an orbit whose label matches a target is expanded to its distinct
-translates; their weights are gathered from the label bytes once, all of
-them are tested in one batched oracle pass, and each hit reads its topology
-and weights off that gather.
+Growth does not depend on the weights: it emits the label-matched orbits,
+expanded to their distinct translates, into a family of arrays grouped by
+check structure.  A test of the family gathers the weights from the label
+bytes once, decides each group in one oracle pass and builds instances only
+for the hits.
 
 Removal works on edges of degree-2 checks only.  When the unsatisfied checks
 are exactly the degree-1 checks, the number of weight changes needed has a
 closed-form topological bound and the minimum-cardinality candidate sets can
 be enumerated outright; otherwise a brute-force candidate stream is used.
-Removal returns lifted (row, col, weight) changes; a caller collects them and
-writes the code once.
+All instances are removed together, in rounds that score every open
+instance's next candidates with one oracle pass per check structure.
+Removal returns (check, node, weight) changes, which an outcome lifts to
+(row, col, weight); a caller collects them and writes the code once.
 """
 
 from __future__ import annotations
@@ -59,16 +66,37 @@ __all__ = [
     "enumerate_candidate_sets",
     "remove_gast",
     "remove_gast_weights",
+    "remove_gasts",
     "RemovalOutcome",
     "gast_scan",
 ]
 
 # largest (q-1)^a the oracle scans; a = 10 at q = 8 would be 282 M rows
 MAX_ORACLE_ASSIGNMENTS = 2**20
-# translates x assignments scanned at once when the scan tests an orbit
+# weight rows x assignments scanned in one oracle pass
 ORACLE_BATCH_ROWS = MAX_ORACLE_ASSIGNMENTS
 # largest change set the brute-force removal stream tries
 MAX_CHANGES = 2
+
+
+@functools.lru_cache(maxsize=1024)
+def _check_shape(gamma: int, a: int, shared_cns: tuple[tuple[int, ...], ...]) -> None:
+    """Refuse shared checks a topology cannot have; a scan builds the same
+    few shapes thousands of times, so each is checked once."""
+    deg = [0] * a
+    for cn in shared_cns:
+        if len(cn) < 2:
+            raise ValueError("shared checks must have degree >= 2")
+        if len(set(cn)) != len(cn):
+            raise ValueError("a check cannot touch the same variable node twice")
+        if any(not 0 <= v < a for v in cn):
+            raise ValueError("check neighbor index out of range")
+        for v in cn:
+            deg[v] += 1
+    if any(d > gamma for d in deg):
+        raise ValueError(
+            "shared-check degrees exceed gamma for some variable node"
+        )
 
 
 @dataclass(frozen=True)
@@ -89,17 +117,7 @@ class UgastTopology:
     cn_ids: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        for cn in self.shared_cns:
-            if len(cn) < 2:
-                raise ValueError("shared checks must have degree >= 2")
-            if len(set(cn)) != len(cn):
-                raise ValueError("a check cannot touch the same variable node twice")
-            if any(not 0 <= v < self.a for v in cn):
-                raise ValueError("check neighbor index out of range")
-        if any(d < 0 for d in self.deg1_per_vn):
-            raise ValueError(
-                "shared-check degrees exceed gamma for some variable node"
-            )
+        _check_shape(self.gamma, self.a, tuple(map(tuple, self.shared_cns)))
 
     @property
     def shared_deg_per_vn(self) -> tuple[int, ...]:
@@ -188,26 +206,36 @@ def _assignment_count(a: int, q: int) -> int:
     return n
 
 
+def _edge_ends(checks: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """(node, check) of every edge, edges numbered check by check."""
+    return (
+        [i for members in checks for i in members],
+        [c for c, members in enumerate(checks) for _ in members],
+    )
+
+
 def _oracle_pass(
     gamma: int,
-    checks: list[list[int]],
+    checks: Sequence[Sequence[int]],
     weights: np.ndarray,
     perm: np.ndarray,
     field: FieldGF,
+    rows: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(valid, unsatisfied totals incl. degree-1), each (translates, assignments).
+    """(valid, unsatisfied totals incl. degree-1), each (translates, rows).
 
     ``checks`` lists the nodes of each shared check; edges are numbered
     check by check in that order, and ``weights`` is (translates, edges).
     ``perm[t, i]`` is the column of the assignment table that node i of
     translate t reads, so the table stays lexicographic in each
-    translate's own node order.
+    translate's own node order.  The first ``rows`` rows of the table are
+    scanned.
     """
     m, a = perm.shape
-    nodes = [i for members in checks for i in members]
-    # every edge's weight times its node's value: (edges, translates, assignments);
+    nodes, _ = _edge_ends(checks)
+    # every edge's weight times its node's value: (edges, translates, rows);
     # a q <= 256 table index w * q + x fits 16 bits
-    values = _assignments(a, field.q).T[perm.T[nodes]]
+    values = _assignments(a, field.q)[:rows].T[perm.T[nodes]]
     products = _flat_mul_table(field)[weights.T[:, :, None].astype(np.uint16) * field.q + values]
     good = np.empty((len(checks),) + values.shape[1:], dtype=bool)
     e = 0
@@ -222,22 +250,66 @@ def _oracle_pass(
     return ok, gamma * a - e + len(checks) - good.sum(axis=0)
 
 
-def gast_witnesses(
-    topology: UgastTopology, weights: dict, field: FieldGF
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(assignment matrix, valid mask, unsatisfied totals) of the full scan."""
-    _assignment_count(topology.a, field.q)
+def _first_witnesses(
+    gamma: int,
+    checks: Sequence[Sequence[int]],
+    weights: np.ndarray,
+    perm: np.ndarray,
+    field: FieldGF,
+    bs: Optional[Sequence[int]] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per translate, the index into ``bs`` of the first b that has a witness
+    (-1 for none) and that witness's row of the assignment table.
+
+    The other arguments are those of :func:`_oracle_pass`; with ``bs`` None
+    any valid assignment counts, as index 0.  Only the first (q-1)^(a-1)
+    rows, those with x_0 = 1, are scanned.  That is exact: the check
+    conditions are homogeneous and linear, so scaling an assignment by a
+    nonzero constant keeps it valid with the same b, and the
+    lexicographically first valid assignment of each b has x_0 = 1.  The
+    refusal still counts all (q-1)^a assignments.  Translates x rows are
+    scanned in batches of at most ``ORACLE_BATCH_ROWS``.
+    """
+    m, a = perm.shape
+    _assignment_count(a, field.q)
+    rows = (field.q - 1) ** (a - 1)
+    won = np.full(m, -1)
+    first = np.zeros(m, dtype=np.int64)
+    step = max(1, ORACLE_BATCH_ROWS // rows)
+    for lo in range(0, m, step):
+        ok, b = _oracle_pass(gamma, checks, weights[lo : lo + step], perm[lo : lo + step], field, rows)
+        # views: writing them writes won and first
+        won_part, first_part = won[lo : lo + step], first[lo : lo + step]
+        for i, bt in enumerate([None] if bs is None else bs):
+            match = ok if bt is None else ok & (b == bt)
+            new = (won_part < 0) & match.any(axis=1)
+            first_part[new] = match.argmax(axis=1)[new]
+            won_part[new] = i
+    return won, first
+
+
+def _edge_weights(topology: UgastTopology, weights: dict, field: FieldGF) -> np.ndarray:
+    """``weights`` as a (1, edges) array, edges check by check; every weight
+    must be a nonzero field element."""
     for w in weights.values():
         if not 0 < w < field.q:
             raise ValueError(f"edge weight {w} out of GF({field.q}) nonzero range")
     cns = topology.shared_cns
-    edge_weights = [[weights[(c, v)] for c, cn in enumerate(cns) for v in cn]]
+    return np.array([[weights[(c, v)] for c, cn in enumerate(cns) for v in cn]], dtype=np.uint8)
+
+
+def gast_witnesses(
+    topology: UgastTopology, weights: dict, field: FieldGF
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(assignment matrix, valid mask, unsatisfied totals) of the full scan."""
+    n = _assignment_count(topology.a, field.q)
     ok, b = _oracle_pass(
         topology.gamma,
-        [list(cn) for cn in cns],
-        np.array(edge_weights, dtype=np.uint8),
+        topology.shared_cns,
+        _edge_weights(topology, weights, field),
         np.arange(topology.a)[None],
         field,
+        n,
     )
     return _assignments(topology.a, field.q), ok[0], b[0]
 
@@ -249,15 +321,18 @@ def is_gast(
 
     A topology failing d2 > d3 or the majority condition is rejected before
     any scan.  Witness order is lexicographic over assignments, so results
-    are deterministic.
+    are deterministic; only the assignments with x_0 = 1 are scanned, which
+    holds that first witness (see :func:`_first_witnesses`).
     """
     if not topology.is_ugast():
         return False, None
-    vals, ok, _ = gast_witnesses(topology, weights, field)
-    idx = np.flatnonzero(ok)
-    if idx.size == 0:
+    edge_weights = _edge_weights(topology, weights, field)
+    won, first = _first_witnesses(
+        topology.gamma, topology.shared_cns, edge_weights, np.arange(topology.a)[None], field
+    )
+    if won[0] < 0:
         return False, None
-    return True, tuple(int(x) for x in vals[idx[0]])
+    return True, tuple(_assignments(topology.a, field.q)[first[0]].tolist())
 
 
 @dataclass(frozen=True)
@@ -372,6 +447,14 @@ class RemovalOutcome:
     instance: GastInstance
     tried: int = 0
 
+    def lifted_changes(self) -> list[tuple[int, int, int]]:
+        """The changes as lifted (row, col, weight) triples, empty when nothing
+        changes; :func:`scldpc.qc.apply_edge_changes` writes them into a code."""
+        top = self.instance.topology
+        if top.vn_ids is None or top.cn_ids is None:
+            raise ValueError("instance is not tied to lifted code coordinates")
+        return [(top.cn_ids[c], top.vn_ids[v], w) for c, v, w in self.changes or ()]
+
 
 def _generic_candidates(
     instance: GastInstance, field: FieldGF
@@ -396,8 +479,52 @@ def _generic_candidates(
                 yield tuple(sorted(combo))
 
 
-def remove_gast_weights(instance: GastInstance, field: FieldGF) -> RemovalOutcome:
-    """Remove the absorbing set by reweighting edges of the instance alone.
+def _candidate_stream(
+    instance: GastInstance, field: FieldGF
+) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """The closed-form stream when b = d1 and the budget assumptions hold,
+    otherwise the generic brute-force one."""
+    try:
+        budget = removal_budget(instance)
+    except ValueError:
+        return _generic_candidates(instance, field)
+    return enumerate_candidate_sets(instance, budget, field)
+
+
+def _score_round(
+    instances: Sequence[GastInstance], chunks: dict[int, list], field: FieldGF
+) -> dict[int, list[bool]]:
+    """Per instance ``i`` in ``chunks``, whether its topology is still an
+    absorbing set under each change set of ``chunks[i]``; one oracle pass
+    per check structure scores them all, and a topology failing d2 > d3 or
+    the majority condition is none under any weights."""
+    structures: dict[tuple, tuple[UgastTopology, list, list]] = {}
+    for i, chunk in chunks.items():
+        top, weights = instances[i].topology, instances[i].weights
+        _, rows, owners = structures.setdefault((top.gamma, top.a, top.shared_cns), (top, [], []))
+        edges = [(c, v) for c, cn in enumerate(top.shared_cns) for v in cn]
+        for changes in chunk:
+            changed = {(c, v): w for c, v, w in changes}
+            rows.append([changed.get(edge, weights[edge]) for edge in edges])
+            owners.append(i)
+    still: dict[int, list[bool]] = {i: [] for i in chunks}
+    for top, rows, owners in structures.values():
+        verdicts = [False] * len(rows)
+        if top.is_ugast():
+            weights = np.array(rows, dtype=np.int64)
+            bad = weights[(weights <= 0) | (weights >= field.q)]
+            if bad.size:
+                raise ValueError(f"edge weight {bad[0]} out of GF({field.q}) nonzero range")
+            perm = np.broadcast_to(np.arange(top.a), (len(rows), top.a))
+            won, _ = _first_witnesses(top.gamma, top.shared_cns, weights.astype(np.uint8), perm, field)
+            verdicts = (won >= 0).tolist()
+        for i, verdict in zip(owners, verdicts):
+            still[i].append(verdict)
+    return still
+
+
+def remove_gasts(instances: Sequence[GastInstance], field: FieldGF) -> list[RemovalOutcome]:
+    """Remove each absorbing set by reweighting edges of its instance alone.
 
     An instance without a witness is first checked with the oracle, and one
     that is no absorbing set succeeds with no changes.  An instance that
@@ -405,29 +532,63 @@ def remove_gast_weights(instance: GastInstance, field: FieldGF) -> RemovalOutcom
     taken as proven: ``GastInstance.with_weights`` clears the witness, so a
     witness always belongs to the instance's current weights.
 
-    Tries candidates in stream order and returns the first set under which
-    the oracle finds no witness on the same topology.  Uses the closed-form
-    stream when b = d1 and the budget assumptions hold, otherwise the generic
-    brute-force stream.
+    Each instance tries candidates in stream order and succeeds with the
+    first set under which the oracle finds no witness on the same topology;
+    it fails once its stream is used up.  The stream is the closed-form one
+    when b = d1 and the budget assumptions hold, otherwise the generic
+    brute-force one.  The work goes in rounds: every open instance takes
+    its check, or its next 1, 2, 4, ... candidates, and one oracle pass per
+    check structure scores the round, over the assignments with x_0 = 1.
+    The outcomes, ``tried`` included, are those of trying the candidates
+    one at a time.
     """
-    if instance.witness is None and not is_gast(instance.topology, instance.weights, field)[0]:
-        return RemovalOutcome(success=True, changes=(), instance=instance)
-    stream: Iterator[tuple[tuple[int, int, int], ...]]
-    try:
-        budget = removal_budget(instance)
-        stream = enumerate_candidate_sets(instance, budget, field)
-    except ValueError:
-        stream = _generic_candidates(instance, field)
-    tried = 0
-    for changes in stream:
-        tried += 1
-        candidate = instance.with_weights({(c, v): w for c, v, w in changes})
-        still, _ = is_gast(candidate.topology, candidate.weights, field)
-        if not still:
-            return RemovalOutcome(
-                success=True, changes=changes, instance=candidate, tried=tried
-            )
-    return RemovalOutcome(success=False, changes=None, instance=instance, tried=tried)
+    streams = [_candidate_stream(inst, field) for inst in instances]
+    # per instance: candidates tried, and the size of its next chunk, 0
+    # while its current weights are still to be checked
+    tried = [0] * len(instances)
+    size = [0 if inst.witness is None else 1 for inst in instances]
+    outcomes: list = [None] * len(instances)
+    pending = list(range(len(instances)))
+    while pending:
+        chunks = {
+            i: [()] if size[i] == 0 else list(itertools.islice(streams[i], size[i]))
+            for i in pending
+        }
+        still = _score_round(instances, chunks, field)
+        left = []
+        for i in pending:
+            inst, chunk = instances[i], chunks[i]
+            if False in still[i] and size[i] == 0:
+                outcomes[i] = RemovalOutcome(success=True, changes=(), instance=inst)
+            elif False in still[i]:
+                j = still[i].index(False)
+                outcomes[i] = RemovalOutcome(
+                    success=True,
+                    changes=chunk[j],
+                    instance=inst.with_weights({(c, v): w for c, v, w in chunk[j]}),
+                    tried=tried[i] + j + 1,
+                )
+            elif len(chunk) < size[i]:
+                outcomes[i] = RemovalOutcome(
+                    success=False, changes=None, instance=inst, tried=tried[i] + len(chunk)
+                )
+            else:
+                tried[i] += size[i]
+                size[i] = 2 * size[i] or 1
+                left.append(i)
+        pending = left
+    return outcomes
+
+
+def remove_gast_weights(instance: GastInstance, field: FieldGF) -> RemovalOutcome:
+    """Remove the absorbing set by reweighting edges of the instance alone.
+
+    The one-instance form of :func:`remove_gasts`, on the same path: the
+    check of an unwitnessed instance, then its candidates in rounds of 1, 2,
+    4, ... per oracle pass over the assignments with x_0 = 1; the outcome is
+    the one trying the candidates one at a time gives.
+    """
+    return remove_gasts([instance], field)[0]
 
 
 def remove_gast(
@@ -435,16 +596,15 @@ def remove_gast(
 ) -> tuple[RemovalOutcome, list[tuple[int, int, int]]]:
     """Config-level removal lifted to the code's coordinates.
 
-    The instance must carry lifted row/column ids.  Returns the outcome and
-    its changes as lifted (row, col, weight) triples, empty when nothing
-    changes; :func:`scldpc.qc.apply_edge_changes` writes them into a code.
+    The instance must carry lifted row/column ids.  Returns the outcome of
+    :func:`remove_gasts` for the one instance and its
+    :meth:`RemovalOutcome.lifted_changes`.
     """
     top = instance.topology
     if top.vn_ids is None or top.cn_ids is None:
         raise ValueError("instance is not tied to lifted code coordinates")
     outcome = remove_gast_weights(instance, field)
-    lifted = [(top.cn_ids[c], top.vn_ids[v], w) for c, v, w in outcome.changes or ()]
-    return outcome, lifted
+    return outcome, outcome.lifted_changes()
 
 
 # -- scanning a lifted code ------------------------------------------------
@@ -528,104 +688,186 @@ def _6cycle_orbits(code) -> tuple[set[tuple[int, ...]], bool]:
     return seeds, _has_active_4cycle(code.proto, inc)
 
 
-def _orbit_witnesses(
-    gamma: int,
-    checks: list[list[int]],
-    weights: np.ndarray,
-    perm: np.ndarray,
-    field: FieldGF,
-    bs: Sequence[int],
-) -> list[Optional[tuple[int, tuple[int, ...]]]]:
-    """Per translate, (b, witness) of the first b in ``bs`` that has a witness.
+@dataclass(frozen=True)
+class _Group:
+    """The label-matched subsets of a scan that share one check structure.
 
-    The arguments are those of :func:`_oracle_pass`.  Translates x
-    assignments are scanned in batches of at most ``ORACLE_BATCH_ROWS``
-    rows.
+    ``checks`` lists the nodes of each shared check, numbered in the orbit
+    representative's ascending column order, and ``matching`` the targets
+    of their label in list order.  Per translate (one row each): ``vn``
+    holds its columns ascending, ``perm[t, i]`` the position of node i in
+    ``vn[t]``, ``cn`` the row of each check, and ``edges`` the index of each
+    edge, check by check, into the code's label bytes.  None of it depends
+    on the weights.
     """
-    m, a = perm.shape
-    n = _assignment_count(a, field.q)
-    vals = _assignments(a, field.q)
-    out: list = []
-    step = max(1, ORACLE_BATCH_ROWS // n)
-    for lo in range(0, m, step):
-        ok, b = _oracle_pass(gamma, checks, weights[lo : lo + step], perm[lo : lo + step], field)
-        found: list = [None] * len(ok)
-        for bt in bs:
-            match = ok & (b == bt)
-            first = match.argmax(axis=1)
-            for t in np.flatnonzero(match.any(axis=1)).tolist():
-                if found[t] is None:
-                    found[t] = (bt, tuple(vals[first[t]].tolist()))
-        out += found
-    return out
+
+    gamma: int
+    checks: tuple[tuple[int, ...], ...]
+    matching: list[tuple]
+    vn: np.ndarray
+    perm: np.ndarray
+    cn: np.ndarray
+    edges: np.ndarray
 
 
-def _orbit_instances(
-    code,
-    rep: tuple[int, ...],
-    row_members: dict[int, list[int]],
-    matching: list[tuple],
-    field: Optional[FieldGF],
-) -> list[GastInstance]:
-    """The instances among the distinct translates of a label-matched subset.
-
-    The translates' edge weights are gathered from the code's labels once
-    (all ones on an unlabelled graph); the oracle tests that array and each
-    hit's instance reads its weights from it.  Per translate, the first
-    target of ``matching`` (in list order) that holds wins.  A 4-entry
-    target holds for every translate; the 5-entry targets before it are
-    decided for all translates in one oracle pass.
-    """
+def _group(code, checks, matching, reps: list, rows: list) -> _Group:
+    """The group of the orbit representatives ``reps``, expanded to their
+    distinct translates; ``rows[o]`` holds the row of each of ``checks`` in
+    representative o."""
     p, gamma = code.p, code.gamma
-    shared = sorted((r, ms) for r, ms in row_members.items() if len(ms) >= 2)
-    cols = np.array(rep)
-    moved = _shift(cols, np.arange(p)[:, None], p)
-    order = np.argsort(moved, axis=1)
-    vn = np.take_along_axis(moved, order, axis=1)
-    # the shifts fixing the set are the multiples of its period, which divides p
-    same = (vn[1:] == vn[0]).all(axis=1)
-    shifts = np.arange(1 + int(same.argmax()) if same.any() else p)[:, None]
-    index = {v: i for i, v in enumerate(rep)}
-    checks = [[index[v] for v in ms] for _, ms in shared]
-    e_cols = _shift(np.array([v for _, ms in shared for v in ms]), shifts, p)
-    if code.labels is None:
-        weights = np.ones(e_cols.shape, dtype=np.uint8)
-    else:
-        e_rows = _shift(np.array([r for r, ms in shared for _ in ms]), shifts, p)
-        k = (code.edges.rows[e_cols] == e_rows[..., None]).argmax(axis=2)
-        weights = np.frombuffer(code.labels, dtype=np.uint8)[e_cols * gamma + k]
-    # node i of the representative is node perm[t, i] of translate t
-    perm = np.argsort(order[: len(shifts)], axis=1)
-    lead = list(itertools.takewhile(lambda t: len(t) == 5, matching))
-    witnesses: list = [None] * len(shifts)
-    if lead:
-        witnesses = _orbit_witnesses(gamma, checks, weights, perm, field, [t[1] for t in lead])
-    # each translate's checks in ascending row order
-    rows = _shift(np.array([r for r, _ in shared]), shifts, p)
-    row_order = np.argsort(rows, axis=1)
-    cn_ids = np.take_along_axis(rows, row_order, axis=1)
-    starts = np.cumsum([0] + [len(ms) for ms in checks]).tolist()
-    out = []
-    for t, hit in enumerate(witnesses):
-        if hit is None and len(lead) == len(matching):
+    reps, rows = np.array(reps), np.array(rows)
+    shifts = np.arange(p)
+    moved = _shift(reps[:, None, :], shifts[:, None], p)
+    order = np.argsort(moved, axis=2)
+    vn = np.take_along_axis(moved, order, axis=2)
+    # the shifts fixing a set are the multiples of its period, which divides
+    # p; the last column stands for the shift by p
+    same = np.concatenate(
+        [(vn[:, 1:] == vn[:, :1]).all(axis=2), np.ones((len(reps), 1), dtype=bool)], axis=1
+    )
+    orbit, shift = np.nonzero(shifts < same.argmax(axis=1)[:, None] + 1)
+    cn = _shift(rows[orbit], shift[:, None], p)
+    nodes, owners = _edge_ends(checks)
+    e_cols = _shift(reps[orbit][:, nodes], shift[:, None], p)
+    e_rows = cn[:, owners]
+    k = (code.edges.rows[e_cols] == e_rows[..., None]).argmax(axis=2)
+    return _Group(
+        gamma=gamma,
+        checks=checks,
+        matching=matching,
+        vn=vn[orbit, shift],
+        # node i of the representative is node perm[t, i] of translate t
+        perm=np.argsort(order[orbit, shift], axis=1),
+        cn=cn,
+        edges=e_cols * gamma + k,
+    )
+
+
+def _grow_family(code, targets: list[tuple], a_max: int) -> list[_Group]:
+    """The subsets of ``code`` whose label matches a target, grouped by check
+    structure; ``targets`` is non-empty and checked.  See :func:`gast_scan`."""
+    by_label: dict[tuple, list[tuple]] = {}
+    for t in targets:
+        by_label.setdefault(t if len(t) == 4 else t[:1] + t[2:], []).append(t)
+    # a subset larger than every target can never match
+    a_max = min(a_max, max(t[0] for t in targets))
+    gamma, p = code.gamma, code.p
+    need_majority = math.floor(gamma / 2) + 1
+
+    seeds, has4 = _6cycle_orbits(code)
+    convert_bound = gamma if has4 else 1
+
+    # per check structure: its targets, the representatives and their rows
+    found: dict[tuple, tuple[list, list, list]] = {}
+    queue: list[tuple[int, ...]] = sorted(seeds)
+    visited = set(queue)
+
+    rows_of = code.edges.columns
+    cols_of = code.edges.row_lists
+
+    head = 0
+    while head < len(queue):
+        subset = queue[head]
+        head += 1
+        a = len(subset)
+        row_members: dict[int, list[int]] = {}
+        for v in subset:
+            for r in rows_of[v]:
+                row_members.setdefault(r, []).append(v)
+        deg_in = dict.fromkeys(subset, 0)
+        d2 = d3 = 0
+        for members in row_members.values():
+            if len(members) >= 2:
+                if len(members) == 2:
+                    d2 += 1
+                else:
+                    d3 += 1
+                for v in members:
+                    deg_in[v] += 1
+        least = min(deg_in.values())
+        if d2 > d3 and least >= need_majority:
+            matching = by_label.get((a, a * gamma - sum(deg_in.values()), d2, d3))
+            if matching:
+                index = {v: i for i, v in enumerate(subset)}
+                shared = sorted(
+                    (tuple(index[v] for v in ms), r) for r, ms in row_members.items() if len(ms) >= 2
+                )
+                _, reps, rows = found.setdefault(tuple(ms for ms, _ in shared), (matching, [], []))
+                reps.append(subset)
+                rows.append([r for _, r in shared])
+        if a >= a_max:
             continue
-        node, w = perm[t].tolist(), weights[t].tolist()
-        shared_cns, edge_weights = [], {}
-        for c, j in enumerate(row_order[t].tolist()):
-            edges = sorted((node[i], w[e]) for e, i in enumerate(checks[j], starts[j]))
-            shared_cns.append(tuple(v for v, _ in edges))
-            edge_weights.update(((c, v), x) for v, x in edges)
-        top = UgastTopology(
-            gamma=gamma,
-            a=len(rep),
-            shared_cns=tuple(shared_cns),
-            vn_ids=tuple(vn[t].tolist()),
-            cn_ids=tuple(cn_ids[t].tolist()),
+        remaining = a_max - a
+        # each node needs >= need_majority shared checks; an added node can
+        # convert at most convert_bound hanging checks of any existing node
+        if need_majority - least > remaining * convert_bound:
+            continue
+        # a candidate's shared degree is the number of its rows that hold a
+        # member; a set of a_max nodes is never grown, so for the last node
+        # that degree is final and must already reach the majority
+        shared_with = Counter(itertools.chain.from_iterable(map(cols_of.__getitem__, row_members)))
+        floor = need_majority if remaining == 1 else 1
+        for c, n in shared_with.items():
+            if n >= floor and c not in deg_in:
+                nxt = _canonical(tuple(sorted(subset + (c,))), p)
+                if nxt not in visited:
+                    visited.add(nxt)
+                    queue.append(nxt)
+    return [_group(code, checks, *entry) for checks, entry in found.items()]
+
+
+def _test_family(
+    family: list[_Group], labels: Optional[bytes], field: Optional[FieldGF]
+) -> list[GastInstance]:
+    """The instances of a grown family under the edge weights ``labels``
+    (the code's label bytes; None weighs every edge 1), by ``vn_ids``.
+
+    Per group, the weights are gathered once and one oracle pass decides
+    the 5-entry targets listed before its first 4-entry one, for every
+    translate.  Instances are built only for hits.
+    """
+    buf = None if labels is None else np.frombuffer(labels, dtype=np.uint8)
+    out = []
+    for g in family:
+        weights = np.ones(g.edges.shape, dtype=np.uint8) if buf is None else buf[g.edges]
+        lead = list(itertools.takewhile(lambda t: len(t) == 5, g.matching))
+        won = np.full(len(g.vn), -1)
+        if lead:
+            won, first = _first_witnesses(
+                g.gamma, g.checks, weights, g.perm, field, [t[1] for t in lead]
+            )
+        hits = np.flatnonzero(won >= 0) if len(lead) == len(g.matching) else np.arange(len(won))
+        if hits.size == 0:
+            continue
+        a = g.vn.shape[1]
+        witnesses = _assignments(a, field.q)[first[hits]].tolist() if lead else None
+        # each hit's checks in ascending row order, each check's nodes ascending
+        nodes, owners = _edge_ends(g.checks)
+        cn = g.cn[hits]
+        check = np.argsort(np.argsort(cn, axis=1), axis=1)[:, owners]
+        node = g.perm[hits][:, nodes]
+        order = np.argsort(check * a + node, axis=1)
+        check, node, w = (
+            np.take_along_axis(x, order, axis=1).tolist() for x in (check, node, weights[hits])
         )
-        inst = GastInstance(topology=top, weights=edge_weights)
-        if hit is not None:
-            inst = replace(inst, b=int(hit[0]), witness=hit[1])
-        out.append(inst)
+        vn, cn = g.vn[hits].tolist(), np.sort(cn, axis=1).tolist()
+        for h, t in enumerate(won[hits].tolist()):
+            shared: list[list[int]] = [[] for _ in g.checks]
+            for c, v in zip(check[h], node[h]):
+                shared[c].append(v)
+            top = UgastTopology(
+                gamma=g.gamma,
+                a=a,
+                shared_cns=tuple(map(tuple, shared)),
+                vn_ids=tuple(vn[h]),
+                cn_ids=tuple(cn[h]),
+            )
+            edge_weights = dict(zip(zip(check[h], node[h]), w[h]))
+            if t < 0:
+                out.append(GastInstance(topology=top, weights=edge_weights))
+            else:
+                out.append(GastInstance(top, edge_weights, b=lead[t][1], witness=tuple(witnesses[h])))
+    out.sort(key=lambda inst: inst.topology.vn_ids)
     return out
 
 
@@ -672,20 +914,23 @@ def gast_scan(
     set is never grown, so the node's shared degree is final, and a set
     failing it can never be an absorbing set.
 
-    Each subset's label (a, d1, d2, d3), d2 > d3 and the majority condition
-    are read off its row hits in one pass.  A subset whose label matches a
-    target is expanded to its distinct translates.  4-entry targets
-    (a, d1, d2, d3) match topologies only; 5-entry targets (a, b, d1, d2, d3)
-    additionally require an oracle witness with exactly b unsatisfied
-    checks, which needs a field, and are decided for all translates in one
-    batched oracle pass over the weights gathered from the label bytes.  Per
-    translate the first target in list order wins, and the witness is the
+    The scan runs in two steps.  Growth, which does not read the weights,
+    reads each subset's label (a, d1, d2, d3), d2 > d3 and the majority
+    condition off its row hits, and emits every subset whose label matches
+    a target, expanded to its distinct translates, into a family of arrays:
+    per check structure, each translate's columns, check rows, node order
+    and edge indices into the label bytes.  The test gathers the weights of
+    the family from the label bytes once.  4-entry targets (a, d1, d2, d3)
+    match topologies only; 5-entry targets (a, b, d1, d2, d3) additionally
+    require an oracle witness with exactly b unsatisfied checks, which
+    needs a field, and are decided for every translate of a check structure
+    in one oracle pass, over the assignments with x_0 = 1.  Per translate
+    the first target in list order wins, and the witness is the
     lexicographically first valid assignment in the translate's own sorted
-    ``vn_ids`` order.  Instances are built only for hits, read off the
-    representative's checks and the gathered weights.  A target entry that
-    is not a non-negative int, a target with a < 3 or an ``a_max`` below 3
-    (no subset grown from a 6-cycle is that small), and a labelled code
-    whose field differs from ``field``, are refused.
+    ``vn_ids`` order.  Instances are built only for hits.  A target entry
+    that is not a non-negative int, a target with a < 3 or an ``a_max``
+    below 3 (no subset grown from a 6-cycle is that small), and a labelled
+    code whose field differs from ``field``, are refused.
     """
     targets = _check_targets(targets, a_max)
     if not targets:
@@ -702,65 +947,4 @@ def gast_scan(
         bad = labels[(labels == 0) | (labels >= field.q)]
         if bad.size:
             raise ValueError(f"edge weight {bad[0]} out of GF({field.q}) nonzero range")
-    by_label: dict[tuple, list[tuple]] = {}
-    for t in targets:
-        by_label.setdefault(t if len(t) == 4 else t[:1] + t[2:], []).append(t)
-    # a subset larger than every target can never match
-    a_max = min(a_max, max(t[0] for t in targets))
-    gamma, p = code.gamma, code.p
-    need_majority = math.floor(gamma / 2) + 1
-
-    seeds, has4 = _6cycle_orbits(code)
-    convert_bound = gamma if has4 else 1
-
-    results: list[GastInstance] = []
-    queue: list[tuple[int, ...]] = sorted(seeds)
-    visited = set(queue)
-
-    rows_of = code.edges.columns
-    cols_of = code.edges.row_lists
-
-    head = 0
-    while head < len(queue):
-        subset = queue[head]
-        head += 1
-        a = len(subset)
-        row_members: dict[int, list[int]] = {}
-        for v in subset:
-            for r in rows_of[v]:
-                row_members.setdefault(r, []).append(v)
-        deg_in = dict.fromkeys(subset, 0)
-        d2 = d3 = 0
-        for members in row_members.values():
-            if len(members) >= 2:
-                if len(members) == 2:
-                    d2 += 1
-                else:
-                    d3 += 1
-                for v in members:
-                    deg_in[v] += 1
-        least = min(deg_in.values())
-        if d2 > d3 and least >= need_majority:
-            matching = by_label.get((a, a * gamma - sum(deg_in.values()), d2, d3))
-            if matching:
-                results += _orbit_instances(code, subset, row_members, matching, field)
-        if a >= a_max:
-            continue
-        remaining = a_max - a
-        # each node needs >= need_majority shared checks; an added node can
-        # convert at most convert_bound hanging checks of any existing node
-        if need_majority - least > remaining * convert_bound:
-            continue
-        # a candidate's shared degree is the number of its rows that hold a
-        # member; a set of a_max nodes is never grown, so for the last node
-        # that degree is final and must already reach the majority
-        shared_with = Counter(itertools.chain.from_iterable(map(cols_of.__getitem__, row_members)))
-        floor = need_majority if remaining == 1 else 1
-        for c, n in shared_with.items():
-            if n >= floor and c not in deg_in:
-                nxt = _canonical(tuple(sorted(subset + (c,))), p)
-                if nxt not in visited:
-                    visited.add(nxt)
-                    queue.append(nxt)
-    results.sort(key=lambda inst: inst.topology.vn_ids)
-    return results
+    return _test_family(_grow_family(code, targets, a_max), code.labels, field)

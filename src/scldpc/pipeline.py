@@ -19,7 +19,7 @@ from .alist import export_code_alist
 from .baselines import cv_exhaustive_best, mo_best
 from .cpo import cpo_optimize
 from .cycles import count_ugast_3330, count_ugast_3330_for
-from .gast import _check_targets, gast_scan, remove_gast
+from .gast import _check_targets, gast_scan, remove_gasts
 from .gf import FieldGF
 from .overlap import realize_mask, solve_optimal_overlap
 from .qc import (
@@ -164,11 +164,11 @@ def run_pipeline(config: DesignConfig, out_dir: Optional[str] = None) -> DesignR
         stage = "absorbing-set-removal"
         found = gast_scan(code, fld, config.gast_targets, a_max=config.gast_a_max)
         report.gasts_found = len(found)
-        removals = [remove_gast(inst, fld) for inst in found]
-        changes = [change for _, lifted in removals for change in lifted]
+        outcomes = remove_gasts(found, fld)
+        changes = [change for outcome in outcomes for change in outcome.lifted_changes()]
         if changes:
             code = apply_edge_changes(code, changes)
-        report.gasts_removed = sum(outcome.success for outcome, _ in removals)
+        report.gasts_removed = sum(outcome.success for outcome in outcomes)
         report.gasts_remaining = len(found) - report.gasts_removed
         report.edge_changes = [list(change) for change in changes]
         report.code_json = code_to_json(code)

@@ -734,6 +734,40 @@ def exhaustive_witnesses(topology, weights: dict, field):
     return vals, ok, unsat.sum(axis=1) + int(d1.sum())
 
 
+def serial_remove_gast_weights(instance, field):
+    """Removal trying one candidate at a time: the reference for the
+    library's batched ``remove_gasts``.
+
+    An instance without a witness is first checked, and one that is no
+    absorbing set succeeds with no changes.  Then every candidate of the
+    closed-form stream (b = d1 and the budget assumptions hold) or of the
+    generic one is checked on its own with ``exhaustive_witnesses``, and the
+    first under which the topology has no witness wins.
+    """
+    from scldpc.gast import (
+        RemovalOutcome, _generic_candidates, enumerate_candidate_sets, removal_budget
+    )
+
+    def absorbing(weights: dict) -> bool:
+        if not instance.topology.is_ugast():
+            return False
+        return bool(exhaustive_witnesses(instance.topology, weights, field)[1].any())
+
+    if instance.witness is None and not absorbing(instance.weights):
+        return RemovalOutcome(success=True, changes=(), instance=instance)
+    try:
+        stream = enumerate_candidate_sets(instance, removal_budget(instance), field)
+    except ValueError:
+        stream = _generic_candidates(instance, field)
+    tried = 0
+    for changes in stream:
+        tried += 1
+        candidate = instance.with_weights({(c, v): w for c, v, w in changes})
+        if not absorbing(candidate.weights):
+            return RemovalOutcome(success=True, changes=changes, instance=candidate, tried=tried)
+    return RemovalOutcome(success=False, changes=None, instance=instance, tried=tried)
+
+
 def serial_gast_scan(code, field, targets, a_max: int = 8) -> list:
     """The absorbing-set scan growing and matching every subset on its own.
 

@@ -2,8 +2,9 @@ import itertools
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from scldpc.gf import FieldGF
 from scldpc.gast import (
@@ -17,7 +18,11 @@ from scldpc.gast import (
     is_gast,
     remove_gast,
     remove_gast_weights,
+    remove_gasts,
     removal_budget,
+    _first_witnesses,
+    _grow_family,
+    _test_family,
 )
 from scldpc.cycles import count_ugast_3330, girth_check
 from scldpc.overlap import realize_mask, solve_optimal_overlap
@@ -33,6 +38,7 @@ from oracles import (
     lifted_6cycle_vn_sets,
     naive_ugast_subsets,
     serial_gast_scan,
+    serial_remove_gast_weights,
 )
 
 GF4 = FieldGF(2)
@@ -242,6 +248,79 @@ def test_oracle_matches_reference(shape, lam, rng):
         assert g.tolist() == w.tolist()
 
 
+@st.composite
+def _prefix_cases(draw):
+    """A random topology (gamma 3 or 4, shared checks of degree 2 or 3, no
+    node past gamma), weights over q in {4, 8, 16}, and the node order the
+    oracle reads it in.  a stays small enough for the reference's table.
+    Half the weightings are solved so that a random assignment satisfies
+    every check whose last weight comes out nonzero, so witnesses are
+    common and their x_1 is spread over the whole field."""
+    q = draw(st.sampled_from([4, 8, 16]))
+    field = FieldGF(q.bit_length() - 1)
+    a = draw(st.integers(2, {4: 7, 8: 4, 16: 3}[q]))
+    gamma = draw(st.sampled_from([3, 4]))
+    deg, checks = [0] * a, []
+    node_sets = st.lists(st.integers(0, a - 1), min_size=2, max_size=3, unique=True)
+    for members in draw(st.lists(node_sets, min_size=a, max_size=2 * a)):
+        if all(deg[v] < gamma for v in members):
+            checks.append(tuple(sorted(members)))
+            for v in members:
+                deg[v] += 1
+    top = UgastTopology(gamma=gamma, a=a, shared_cns=tuple(checks))
+    x = [draw(st.integers(1, q - 1)) for _ in range(a)]
+    solved = draw(st.booleans())
+    weights = {}
+    for c, cn in enumerate(checks):
+        total = 0
+        for v in cn[:-1]:
+            weights[(c, v)] = draw(st.integers(1, q - 1))
+            total ^= field.mul(weights[(c, v)], x[v])
+        last = field.mul(total, field.inv(x[cn[-1]]))
+        weights[(c, cn[-1])] = last if solved and last else draw(st.integers(1, q - 1))
+    return top, weights, field, draw(st.permutations(range(a)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_prefix_cases())
+# a node with no shared check (no witness at any b), and the scan target's
+# shape over GF(16)
+@example((pair_and_loner(), {(0, 0): 1, (0, 1): 2}, GF8, [2, 0, 1]))
+@example((k4_minus_edge(), uniform_weights(k4_minus_edge(), 3), FieldGF(4), [3, 1, 0, 2]))
+def test_prefix_oracle_matches_reference(case):
+    # the pass over the assignments with x_0 = 1 finds, for every b, the
+    # first valid assignment of the full exhaustive scan, in the node order
+    # perm gives (node i reads column perm[i] of the table)
+    top, weights, field, perm = case
+    moved = UgastTopology(
+        gamma=top.gamma, a=top.a,
+        shared_cns=tuple(tuple(perm[v] for v in cn) for cn in top.shared_cns),
+    )
+    vals, ok, b_tot = exhaustive_witnesses(
+        moved, {(c, perm[v]): w for (c, v), w in weights.items()}, field
+    )
+    edge_weights = np.array(
+        [[weights[(c, v)] for c, cn in enumerate(top.shared_cns) for v in cn]], dtype=np.uint8
+    )
+
+    def prefix_pass(bs):
+        won, first = _first_witnesses(
+            top.gamma, top.shared_cns, edge_weights, np.array([perm]), field, bs
+        )
+        return int(won[0]), int(first[0])
+
+    bs = list(range(top.gamma * top.a + 1))
+    for b in bs:
+        want = np.flatnonzero(ok & (b_tot == b))
+        won, first = prefix_pass([b])
+        assert (won, first) == ((0, int(want[0])) if want.size else (-1, 0))
+    # several b at once: the first listed b that has a witness wins
+    want = np.flatnonzero(ok)
+    smallest = [b for b in bs if (ok & (b_tot == b)).any()]
+    assert prefix_pass(bs)[0] == (bs.index(smallest[0]) if smallest else -1)
+    assert prefix_pass(None) == ((0, int(want[0])) if want.size else (-1, 0))
+
+
 class TestBudget:
     def test_example_gamma5(self):
         inst = GastInstance(topology=example_7_9_9_13(), weights=uniform_weights(example_7_9_9_13()))
@@ -357,24 +436,26 @@ def test_remove_refuses_instance_without_lifted_ids():
 
 def test_witnessed_instance_skips_the_first_oracle_call(monkeypatch):
     # a witness proves the instance's current weights, so removal starts at
-    # the candidates; the outcome is the one the oracle re-check gives
+    # the candidates: the oracle scores one weight row fewer, and the
+    # outcome is the one the check gives
     import scldpc.gast as gast_module
 
-    calls = []
+    rows = []
+    oracle_pass = gast_module._oracle_pass
 
-    def counting_is_gast(topology, weights, field):
-        calls.append(1)
-        return is_gast(topology, weights, field)
+    def counting_pass(gamma, checks, weights, perm, field, n):
+        rows.append(len(weights))
+        return oracle_pass(gamma, checks, weights, perm, field, n)
 
-    monkeypatch.setattr(gast_module, "is_gast", counting_is_gast)
+    monkeypatch.setattr(gast_module, "_oracle_pass", counting_pass)
     for inst in synthesize_instances(12, seed=7):
         witnessed = replace(inst, witness=is_gast(inst.topology, inst.weights, GF4)[1])
-        calls.clear()
+        rows.clear()
         plain = remove_gast_weights(inst, GF4)
-        unchecked = len(calls) - 1
-        calls.clear()
+        checked = sum(rows)
+        rows.clear()
         out = remove_gast_weights(witnessed, GF4)
-        assert len(calls) == unchecked
+        assert sum(rows) == checked - 1
         assert (out.success, out.changes, out.tried) == (plain.success, plain.changes, plain.tried)
         assert out.instance.weights == plain.instance.weights
     # with_weights drops the witness, so a changed instance is checked again
@@ -397,6 +478,65 @@ def synthesize_instances(n: int, seed: int) -> list[GastInstance]:
         if is_gast(top, weights, GF4)[0]:
             out.append(GastInstance(topology=top, weights=weights))
     return out
+
+
+def generic_instances(n_each: int, seed: int) -> list[GastInstance]:
+    """Random GASTs labelled b = d1 + 1, so removal takes the generic stream."""
+    rng = random.Random(seed)
+    out = []
+    for mk in (hexagon, k4_minus_edge, five_with_triple_check, prism):
+        top, found = mk(), 0
+        while found < n_each:
+            weights = {(c, v): rng.randrange(1, 4) for c, cn in enumerate(top.shared_cns) for v in cn}
+            if is_gast(top, weights, GF4)[0]:
+                out.append(GastInstance(topology=top, weights=weights, b=top.d1 + 1))
+                found += 1
+    return out
+
+
+def assert_removals_match_serial(instances, field) -> list:
+    """The batched removal's outcomes equal the serial loop's, one by one."""
+    got = remove_gasts(instances, field)
+    want = [serial_remove_gast_weights(inst, field) for inst in instances]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.success, g.changes, g.tried) == (w.success, w.changes, w.tried)
+        assert g.instance.weights == w.instance.weights
+    return want
+
+
+@pytest.mark.parametrize("max_changes", [2, 1])
+def test_batched_removal_matches_serial_loop(monkeypatch, max_changes):
+    # closed-form and generic streams, with and without witnesses, over
+    # rounds of up to 32 candidates; with one change per set some prisms
+    # use up the generic stream
+    monkeypatch.setattr("scldpc.gast.MAX_CHANGES", max_changes)
+    closed = synthesize_instances(30, seed=11)
+    generic = generic_instances(6, seed=5)
+    witnessed = [
+        replace(inst, witness=is_gast(inst.topology, inst.weights, GF4)[1])
+        for inst in closed[:10] + generic[::2]
+    ]
+    want = assert_removals_match_serial(closed + generic + witnessed, GF4)
+    assert max(w.tried for w in want) > 16
+    assert any(w.success for w in want)
+    if max_changes == 1:
+        assert any(not w.success and w.tried == 36 for w in want)
+    # over GF(2) no other weight exists, so every stream is empty
+    top = hexagon()
+    plain = GastInstance(topology=top, weights=uniform_weights(top))
+    want = assert_removals_match_serial([plain, replace(plain, witness=(1, 1, 1))], FieldGF(1))
+    assert [(w.success, w.tried) for w in want] == [(False, 0), (False, 0)]
+
+
+def test_batched_removal_matches_serial_loop_on_code():
+    # the CLI smoke case: every hexagon of the kappa = 7, L = 30 code
+    proto = build_ab_powers(3, 7)
+    mask = realize_mask(solve_optimal_overlap(7, 30).optima[0], 7, 1)
+    code = label_edges(couple(proto, mask, 30), GF4, 1)
+    found = gast_scan(code, GF4, [(3, 3, 3, 3, 0)], a_max=3)
+    assert len(found) == 678
+    assert_removals_match_serial(found, GF4)
 
 
 @pytest.mark.slow
@@ -756,3 +896,22 @@ def test_orbit_scan_matches_serial_scan(case):
     assert gast_scan(code, field, targets, a_max=a_max) == want
     raw = RawTanner(code.edges.rows.tolist(), 3, labels=code.labels)
     assert gast_scan(raw, field, targets, a_max=a_max) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(_orbit_scan_cases())
+@example(SHORT_PERIOD_CASE)
+@example(MIXED_CASE)
+def test_family_rescan_matches_fresh_scan(case):
+    # the grown family does not depend on the weights: tested against the
+    # labels of the code the removal wrote, it finds what a new scan finds
+    code, field, targets, a_max = case
+    assume(targets)
+    family = _grow_family(code, targets, a_max)
+    found = _test_family(family, code.labels, field)
+    assert found == gast_scan(code, field, targets, a_max=a_max)
+    outcomes = remove_gasts(found, field)
+    changed = apply_edge_changes(code, [c for out in outcomes for c in out.lifted_changes()])
+    assert _test_family(family, changed.labels, field) == gast_scan(
+        changed, field, targets, a_max=a_max
+    )
