@@ -12,6 +12,8 @@ from typing import TextIO
 
 import numpy as np
 
+from .qc import _decimal_rows
+
 __all__ = ["read_alist", "export_code_alist"]
 
 
@@ -68,8 +70,11 @@ def read_alist(inp: TextIO) -> tuple[list[list[int]], int]:
 def export_code_alist(code, out: TextIO) -> None:
     """Write the lifted binary matrix of an SC code, read off its edge array.
 
-    The column block formats the edge array in one pass, gamma fields a
-    line; the row block does the same over the row-major (CSR) edge order.
+    Both adjacency blocks are written by one numpy decimal-text kernel
+    (``qc._decimal_rows``).  The column block is the edge array, gamma
+    fields a line.  The row block is the row-major (CSR) edge order, one
+    field per entry: the space after each row's last entry becomes a line
+    break, and each degree-0 row is an empty line.
     """
     edges = code.edges
     order, ptr = edges.row_order
@@ -78,8 +83,12 @@ def export_code_alist(code, out: TextIO) -> None:
     out.write(f"{edges.gamma} {max(row_degs, default=0)}\n")
     out.write(" ".join([str(edges.gamma)] * code.n_cols) + "\n")
     out.write(" ".join(map(str, row_degs)) + "\n")
-    col_line = " ".join(["%d"] * edges.gamma) + "\n"
-    out.write(col_line * code.n_cols % tuple((edges.rows + 1).ravel().tolist()))
-    row_line = {d: " ".join(["%d"] * d) + "\n" for d in set(row_degs)}
-    rows_fmt = "".join([row_line[d] for d in row_degs])
-    out.write(rows_fmt % tuple((order // edges.gamma + 1).tolist()))
+    out.write(str(_decimal_rows(edges.rows + 1, [" "] * (edges.gamma - 1) + ["\n"]), "ascii"))
+    text = _decimal_rows(order[:, None] // edges.gamma + 1, [" "])
+    # the one space after each entry, in edge order
+    gaps = np.flatnonzero(text == ord(" "))
+    empty = ptr[1:] == ptr[:-1]
+    text[gaps[ptr[1:][~empty] - 1]] = ord("\n")
+    # an empty row's line goes where its entries would start
+    starts = np.concatenate(([0], gaps + 1))[ptr[:-1][empty]]
+    out.write(str(np.insert(text, starts, ord("\n")), "ascii"))

@@ -2,8 +2,9 @@
 
 Subcommands mirror the library stages: oo-solve, cpo, count, baseline, gast,
 pipeline, table1, export-alist.  Every command that uses randomness takes a
---seed flag; output is JSON on stdout unless --out is given.  Invalid input
-is reported as one "scldpc: error: ..." line on stderr, with exit status 2.
+--seed flag; output is JSON on stdout unless --out is given.  Invalid input,
+and a file that cannot be read or written, is reported as one
+"scldpc: error: ..." line on stderr, with exit status 2.
 """
 
 from __future__ import annotations
@@ -269,6 +270,11 @@ def main(argv=None) -> int:
         args.func(args)
     except (ValueError, pipeline.PipelineError) as exc:
         print(f"scldpc: error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # a --code that cannot be read, or an --out that cannot be written
+        where = f": {exc.filename}" if exc.filename is not None else ""
+        print(f"scldpc: error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 2
     return 0
 

@@ -332,7 +332,8 @@ def code_to_json(code: SCCode) -> str:
     """Serialize everything needed to rebuild the code bit-exactly.
 
     Labels are [row, col, weight] triples sorted by row, then column: the
-    row-major edge order, formatted in one pass and spliced into the header.
+    row-major edge order, written by one numpy decimal-text kernel
+    (``_decimal_rows``) and spliced into the header.
     """
     payload = {
         "gamma": code.gamma,
@@ -353,19 +354,70 @@ def code_to_json(code: SCCode) -> str:
     order, _ = edges.row_order
     weights = np.frombuffer(code.labels, dtype=np.uint8)
     table = np.stack((edges.rows.ravel()[order], order // edges.gamma, weights[order]), axis=1)
-    labels = "[" + ", ".join(["[%d, %d, %d]"] * len(order)) % tuple(table.ravel().tolist()) + "]"
     # every other value is a number, a list or null, so the key occurs once
-    return text.replace('"labels": null', '"labels": ' + labels, 1)
+    head, tail = text.split('"labels": null')
+    triples = _decimal_rows(table, (", ", ", ", "], ["))[: -len("], [")]
+    return "".join((head, '"labels": [[', str(triples, "ascii"), "]]", tail))
+
+
+def _decimal_rows(table: np.ndarray, after: Sequence[str]) -> np.ndarray:
+    """Decimal text of an (n, f) table of non-negative ints, row after row.
+
+    Field j of every row is followed by the fixed string ``after[j]``.  No
+    Python object is made per value: each field is cut into digits at its
+    own width, by repeated ``// 10`` in the narrowest unsigned dtype that
+    holds the table, and digits and glue bytes are written column by column
+    into an (n, width) byte array.  A leading-zero mask selects the bytes
+    kept.  The text is returned as a writable uint8 array of ASCII codes;
+    ``str(text, "ascii")`` decodes it without another copy.
+    """
+    n = table.shape[0]
+    fields = np.ascontiguousarray(table.T, dtype=np.min_scalar_type(int(table.max(initial=0))))
+    widths = [len(str(int(v.max(initial=0)))) for v in fields]
+    cells = np.empty((n, sum(widths) + len("".join(after))), dtype=np.uint8)
+    keep = np.ones(cells.shape, dtype=bool)
+    end = 0
+    for v, width, glue in zip(fields, widths, after):
+        end += width
+        # right to left; a leading zero has only zeros left of it, so v is 0 there
+        for k in range(end - 1, end - width, -1):
+            high = v // 10
+            cells[:, k] = v - high * 10 + ord("0")
+            v = high
+            keep[:, k - 1] = v > 0
+        cells[:, end - width] = v + ord("0")
+        for byte in glue.encode("ascii"):
+            cells[:, end] = byte
+            end += 1
+    return cells[keep]
 
 
 def code_from_json(text: str) -> SCCode:
     """Rebuild a code written by ``code_to_json``.
 
-    Refuses a memory other than 1, a label list that does not hold exactly
+    Refuses, with a ``ValueError`` that names the problem, a document that
+    is not a JSON object, a missing header key, a header value of the wrong
+    type, a memory other than 1, a label list that does not hold exactly
     one label per nonzero entry (a wrong count, a repeated entry, or an
     entry off the code's edges), and a weight outside the field.
     """
     d = json.loads(text)
+    if not isinstance(d, dict):
+        raise ValueError(f"code file must hold a JSON object, got {type(d).__name__}")
+    for key in ("gamma", "kappa", "p", "L", "powers", "mask"):
+        if key not in d:
+            raise ValueError(f"code file has no key {key!r}")
+    for key in ("gamma", "kappa", "p", "L", "field_lam", "label_seed"):
+        value = d.get(key)
+        # an unlabelled code has null field_lam and label_seed
+        if type(value) is not int and not (value is None and key in ("field_lam", "label_seed")):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    for key in ("powers", "mask"):
+        rows = d[key]
+        if not isinstance(rows, list) or any(
+            not isinstance(r, list) or any(type(x) is not int for x in r) for r in rows
+        ):
+            raise ValueError(f"{key} must be a list of integer lists")
     if d.get("m", 1) != 1:
         raise ValueError("only memory m=1 coupling is supported")
     code = SCCode(
@@ -387,6 +439,8 @@ def _aligned_labels(code: SCCode, entries: list) -> bytes:
         table = np.array(entries, dtype=np.int64).reshape(len(entries), 3)
     except OverflowError:
         raise ValueError("label list holds an integer outside the 64-bit range") from None
+    except (TypeError, ValueError):
+        raise ValueError("labels must be a list of [row, col, weight] integer triples") from None
     pairs, first, counts = np.unique(table[:, :2], axis=0, return_index=True, return_counts=True)
     if len(pairs) != n:
         raise ValueError(f"label list holds {len(pairs)} distinct entries, the code has {n}")

@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -409,10 +411,11 @@ class TestCliErrors:
             ("misplaced", "label at"),
             ("no-field", "a labelled code needs field_lam"),
             ("overflow", "label list holds an integer outside the 64-bit range"),
+            ("null-weight", "labels must be a list of [row, col, weight] integer triples"),
         ],
         ids=[
             "dropped", "extra", "duplicated", "out-of-field", "zero", "misplaced", "no-field",
-            "overflow",
+            "overflow", "null-weight",
         ],
     )
     def test_malformed_labels_reported(self, tmp_path, capsys, fault, message):
@@ -440,6 +443,8 @@ class TestCliErrors:
             payload["field_lam"] = None
         elif fault == "overflow":
             labels[7][2] = 2**70
+        elif fault == "null-weight":
+            labels[7][2] = None
         else:
             # same count, one label moved off its entry onto a zero of its column
             row, col, w = labels[7]
@@ -464,6 +469,65 @@ class TestCliErrors:
             assert out == ""
             assert err == f"scldpc: error: {message}\n"
         assert not (tmp_path / "code.alist").exists()
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("top-level-list", "code file must hold a JSON object, got list"),
+            ("missing-key", "code file has no key 'kappa'"),
+            ("string-header", "gamma must be an integer, got '3'"),
+            ("float-power", "powers must be a list of integer lists"),
+        ],
+        ids=["top-level-list", "missing-key", "string-header", "float-power"],
+    )
+    def test_malformed_code_document_reported(self, tmp_path, capsys, fault, message):
+        from scldpc import cli
+
+        payload = json.loads(Path(_labelled_code_file(tmp_path)).read_text())
+        if fault == "top-level-list":
+            payload = []
+        elif fault == "missing-key":
+            payload = {"gamma": 3}
+        elif fault == "string-header":
+            payload["gamma"] = "3"
+        else:
+            payload["powers"][1][2] = 2.5
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(payload))
+        rc = cli.main(["count", "--what", "cycles6", "--code", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"scldpc: error: {message}\n"
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_code_reported(self, tmp_path, capsys, kind):
+        from scldpc import cli
+
+        if kind == "missing":
+            path, reason = tmp_path / "absent.json", os.strerror(errno.ENOENT)
+        else:
+            path, reason = tmp_path, os.strerror(errno.EISDIR)
+        rc = cli.main(["count", "--what", "cycles6", "--code", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"scldpc: error: {reason}: {path}\n"
+
+    @pytest.mark.parametrize("command", ["export-alist", "oo-solve"])
+    def test_out_into_missing_directory_reported(self, tmp_path, capsys, command):
+        from scldpc import cli
+
+        target = tmp_path / "missing" / "out"
+        if command == "export-alist":
+            argv = ["export-alist", "--code", _labelled_code_file(tmp_path)]
+        else:
+            argv = ["oo-solve", "--kappa", "5", "--L", "3"]
+        rc = cli.main(argv + ["--out", str(target)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"scldpc: error: {os.strerror(errno.ENOENT)}: {target}\n"
 
     @pytest.mark.parametrize("command", ["scan", "pipeline"])
     @pytest.mark.parametrize(

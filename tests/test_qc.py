@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scldpc.alist import export_code_alist, read_alist
 from scldpc.gast import RawTanner, gast_scan
@@ -354,6 +354,10 @@ def _coupled_codes(draw, labelled=True):
     st.one_of(st.none(), st.integers(2, 8)),
     st.sampled_from(LABEL_SEEDS),
 )
+# kappa = 31, L = 20 has 19 220 columns, so column ids reach five digits
+@example(couple(build_ab_powers(3, 31), random_mask(3, 31, 1), 20), 2, 1)
+# an all-H0 mask leaves the last gamma * p rows without entries: empty lines
+@example(couple(build_ab_powers(3, 7), PartitionMask.all_h0(3, 7), 3), 2, 1)
 def test_output_kernels_match_serial_references(code, lam, seed):
     if lam is not None:
         field = FieldGF(lam)
@@ -365,6 +369,25 @@ def test_output_kernels_match_serial_references(code, lam, seed):
     export_code_alist(code, fast)
     serial_export_code_alist(code, slow)
     assert fast.getvalue() == slow.getvalue()
+
+
+# every digit-width boundary up to six digits, and the largest values of the
+# unsigned dtypes the kernel narrows a table to
+DECIMAL_BOUNDS = sorted(
+    {0, *(v for d in range(1, 6) for v in (10**d - 1, 10**d)), 255, 256, 2**16 - 1, 2**16,
+     2**32 - 1, 2**32}
+)
+
+
+@pytest.mark.parametrize("top", DECIMAL_BOUNDS)
+def test_decimal_rows_match_str(top):
+    values = [v for v in DECIMAL_BOUNDS if v <= top]
+    column = np.array(values, dtype=np.int64)[:, None]
+    assert str(qc._decimal_rows(column, ["\n"]), "ascii") == "".join(f"{v}\n" for v in values)
+    # fields of different widths, glue of different lengths, one of them empty
+    table = np.concatenate((column, column[::-1], np.full_like(column, 7)), axis=1)
+    expected = "".join(f"{a}, {b}{c}], [" for a, b, c in table.tolist())
+    assert str(qc._decimal_rows(table, (", ", "", "], [")), "ascii") == expected
 
 
 @settings(max_examples=60, deadline=None)
