@@ -26,6 +26,16 @@ A mask is scored by gathering its bits at every group and summing the counts
 they look up.  A partition search builds the table once on the union window,
 where every circulant may sit in H0 or H1: at kappa = 17 its 5 440 active
 cycles fall into 272 groups.  A single mask counts its own window directly.
+
+On an array-based protograph (kappa = p) the union window has a kappa-fold
+symmetry: shifting every column one place within its replica maps active
+cycles onto active cycles (:func:`_shift_order` tests when it does).  A
+cycle's column a, the one its two lowest rows share, moves under every
+nonzero shift, so each orbit has kappa members and exactly one with a at
+offset 0.  The enumerator then lists only those representatives, and the
+table is built from theirs by rotating its supports; the union-window
+4-cycle test lists the 4-cycles whose smaller column sits at offset 0, which
+meet every orbit.  Every other window takes the same code with no shift.
 """
 
 from __future__ import annotations
@@ -113,7 +123,35 @@ def _row_pairs(inc: np.ndarray, powers=None) -> tuple[np.ndarray, ...]:
     return keys[first], np.append(first, len(keys)), shared[order], res[order]
 
 
-def _six_cycle_chunks(inc: np.ndarray, powers=None) -> Iterator[np.ndarray]:
+def _offset0(pairs: tuple, s: int) -> tuple:
+    """:func:`_row_pairs` keeping only the shared columns x with x mod s = 0."""
+    if s == 1:
+        return pairs
+    keys, ptr, shared, res = pairs
+    keep = shared % s == 0
+    return keys, np.concatenate(([0], np.cumsum(keep)))[ptr], shared[keep], res[keep]
+
+
+def _shift_order(proto: ProtoMatrix, inc: np.ndarray) -> int:
+    """kappa when shifting every window column one place within its replica
+    maps the active cycles of ``inc`` onto active cycles, else 1.
+
+    It does when each incidence row is constant within a replica, so every
+    position stays in the window, and each power row is a cyclic arithmetic
+    progression mod p (f[i, j + 1 mod kappa] - f[i, j] = d_i for every j), so
+    each row's two visits add d_i and take it away again.  Array-based grids
+    with kappa = p are such; with kappa < p their rows wrap off the progression.
+    """
+    k = proto.kappa
+    blocks = inc.reshape(len(inc), 2, k)
+    if not (blocks == blocks[:, :, :1]).all():
+        return 1
+    f = np.asarray(proto.powers, dtype=np.int64)
+    steps = np.diff(f, axis=1, append=f[:, :1]) % proto.p
+    return k if (steps == steps[:, :1]).all() else 1
+
+
+def _six_cycle_chunks(inc: np.ndarray, powers=None, s: int = 1) -> Iterator[np.ndarray]:
     """Every 6-cycle of a 0/1 incidence once, in chunks of (r1, r2, r3, a, b, c) rows.
 
     The cycle visits (r1,a) (r1,b) (r3,b) (r3,c) (r2,c) (r2,a): a is shared
@@ -121,10 +159,12 @@ def _six_cycle_chunks(inc: np.ndarray, powers=None) -> Iterator[np.ndarray]:
     appears once.  Rows come ordered by (r1, r2, r3, a, b, c).  With
     ``powers`` = (F, p), F the power at every incidence cell, only the active
     cycles are listed: those whose alternating power sum vanishes mod p.
+    With ``s`` > 1 only the cycles with a mod s = 0 are listed.
     """
     n_rows, p = inc.shape[0], 1 if powers is None else powers[1]
     pairs = _row_pairs(inc, powers)
-    keys, size = pairs[0], np.diff(pairs[1])
+    a_pairs = _offset0(pairs, s)
+    keys, size, a_size = pairs[0], np.diff(pairs[1]), np.diff(a_pairs[1])
     r1, r2 = np.divmod(keys, n_rows)
     adj = np.zeros((n_rows, n_rows), dtype=bool)
     adj[r1, r2] = True
@@ -134,22 +174,25 @@ def _six_cycle_chunks(inc: np.ndarray, powers=None) -> Iterator[np.ndarray]:
         q12 += run.start
         q13 = np.searchsorted(keys, r1[q12] * n_rows + r3)
         q23 = np.searchsorted(keys, r2[q12] * n_rows + r3)
-        for part in _spans(size[q12] * size[q13]):
-            yield _six_run(pairs, n_rows, p, q12[part], q13[part], q23[part])
+        for part in _spans(a_size[q12] * size[q13]):
+            yield _six_run(pairs, a_pairs, n_rows, p, q12[part], q13[part], q23[part])
 
 
-def _six_run(pairs: tuple, n_rows: int, p: int, q12, q13, q23) -> np.ndarray:
-    """The 6-cycles of the row triples with pair ids (q12, q13, q23), in order."""
+def _six_run(pairs: tuple, a_pairs: tuple, n_rows: int, p: int, q12, q13, q23) -> np.ndarray:
+    """The 6-cycles of the row triples with pair ids (q12, q13, q23), in order,
+    their column a drawn from ``a_pairs``."""
     keys, ptr, shared, res = pairs
-    size = np.diff(ptr)
+    a_ptr, a_shared, a_res = a_pairs[1:]
+    size, a_size = np.diff(ptr), np.diff(a_ptr)
     r1, r2 = np.divmod(keys[q12], n_rows)
     r3 = keys[q13] % n_rows
-    # (triple, a, b) as entries of shared, a ascending, then b
+    # (triple, a, b), a ascending, then b
     n13 = size[q13]
-    t, rank = _expand(size[q12] * n13)
-    ia, ib = ptr[q12][t] + rank // n13[t], ptr[q13][t] + rank % n13[t]
-    keep = shared[ia] != shared[ib]
-    t, ia, ib = t[keep], ia[keep], ib[keep]
+    t, rank = _expand(a_size[q12] * n13)
+    ia, ib = a_ptr[q12][t] + rank // n13[t], ptr[q13][t] + rank % n13[t]
+    a, b = a_shared[ia], shared[ib]
+    keep = a != b
+    t, a, b = t[keep], a[keep], b[keep]
     # each triple's c by residue, ascending within one: the cycle's power
     # sum is res(a) - res(b) + res(c)
     u, rank = _expand(size[q23])
@@ -157,10 +200,10 @@ def _six_run(pairs: tuple, n_rows: int, p: int, q12, q13, q23) -> np.ndarray:
     ckey = u * p + res[ic]
     order = np.argsort(ckey, kind="stable")
     ckey, ic = ckey[order], ic[order]
-    want = t * p + (res[ib] - res[ia]) % p
+    want = t * p + (res[ib[keep]] - a_res[ia[keep]]) % p
     lo = np.searchsorted(ckey, want)
     j, rank = _expand(np.searchsorted(ckey, want, "right") - lo)
-    a, b, c = shared[ia[j]], shared[ib[j]], shared[ic[lo[j] + rank]]
+    a, b, c = a[j], b[j], shared[ic[lo[j] + rank]]
     keep = (c != a) & (c != b)
     t = t[j[keep]]
     return np.stack([r1[t], r2[t], r3[t], a[keep], b[keep], c[keep]], axis=1)
@@ -171,23 +214,25 @@ def _six_cycle_array(inc: np.ndarray, powers=None) -> np.ndarray:
     return np.concatenate([np.empty((0, 6), dtype=np.intp), *_six_cycle_chunks(inc, powers)])
 
 
-def _four_cycle_array(inc: np.ndarray, powers=None) -> np.ndarray:
+def _four_cycle_array(inc: np.ndarray, powers=None, s: int = 1) -> np.ndarray:
     """Every 4-cycle once, as (r1, r2, a, b) rows with r1<r2 and a<b shared.
 
     Rows come ordered by (r1, r2, a, b); ``powers`` keeps the active ones, as
-    in :func:`_six_cycle_chunks`.
+    in :func:`_six_cycle_chunks`, and ``s`` > 1 those with a mod s = 0.
     """
     keys, ptr, shared, res = _row_pairs(inc, powers)
-    size = np.diff(ptr)
+    a_ptr, a_shared, a_res = _offset0((keys, ptr, shared, res), s)[1:]
+    size, a_size = np.diff(ptr), np.diff(a_ptr)
     out = [np.empty((0, 4), dtype=np.intp)]
-    for run in _spans(size * size):
-        q, rank = _expand(size[run] ** 2)
+    for run in _spans(a_size * size):
+        q, rank = _expand(a_size[run] * size[run])
         ia, ib = np.divmod(rank, size[run][q])
-        ia, ib = ia + ptr[run][q], ib + ptr[run][q]
+        ia, ib = ia + a_ptr[run][q], ib + ptr[run][q]
+        a, b = a_shared[ia], shared[ib]
         # a < b, and the power sum res(a) - res(b) vanishes
-        keep = (ia < ib) & (res[ia] == res[ib])
+        keep = (a < b) & (a_res[ia] == res[ib])
         r1, r2 = np.divmod(keys[run][q[keep]], inc.shape[0])
-        out.append(np.stack([r1, r2, shared[ia[keep]], shared[ib[keep]]], axis=1))
+        out.append(np.stack([r1, r2, a[keep], b[keep]], axis=1))
     return np.concatenate(out)
 
 
@@ -342,6 +387,48 @@ def build_window(proto: ProtoMatrix, mask: PartitionMask) -> TwoReplicaWindow:
     return TwoReplicaWindow(proto, mask)
 
 
+def _sorted(needs: list) -> list:
+    """The arrays of ``needs`` sorted elementwise across them, in place."""
+    # numpy sorts many short rows slowly; a sorting network does not
+    for i, j in SORTING_NETWORKS[len(needs)]:
+        needs[i], needs[j] = np.minimum(needs[i], needs[j]), np.maximum(needs[i], needs[j])
+    return needs
+
+
+def _key(needs: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The circulants of six sorted ``needs`` arrays of 2e + side values as
+    one base-n number, and their H0/H1 pattern."""
+    key, pattern = 0, 0
+    for i in range(6):
+        key = key * n + (needs[i] >> 1)
+        pattern = pattern + ((needs[i] & 1) << i)
+    return key, pattern
+
+
+def _group(key: np.ndarray, pattern: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(support, cell): the distinct keys ascending as rows of six circulants,
+    and each item's ``64 * (support row) + pattern``."""
+    order = np.argsort(key, kind="stable")
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[order[1:]] != key[order[:-1]]
+    cell = np.empty(len(key), dtype=np.int64)
+    cell[order] = 64 * (np.cumsum(new) - 1)
+    cell += pattern
+    support, key = np.empty((np.count_nonzero(new), 6), dtype=np.int64), key[order[new]]
+    for i in range(5, -1, -1):
+        key, support[:, i] = np.divmod(key, n)
+    return support, cell
+
+
+def _counts(single: np.ndarray, dual: np.ndarray, n_groups: int) -> np.ndarray:
+    """Packed counts of the cells listed once per single-replica and once per
+    two-replica cycle."""
+    counts = np.bincount(dual, minlength=64 * n_groups)
+    counts <<= 32
+    counts |= np.bincount(single, minlength=len(counts))
+    return counts
+
+
 def _conditions(cycles: np.ndarray, rows: list, cols: list, gamma: int, kappa: int):
     """(needs, exists): what each window cycle needs of the mask.
 
@@ -353,10 +440,7 @@ def _conditions(cycles: np.ndarray, rows: list, cols: list, gamma: int, kappa: i
     """
     r, c = np.arange(3 * gamma)[:, None], np.arange(2 * kappa)
     table = (r % gamma * kappa + c % kappa) * 2 + r // gamma - c // kappa
-    needs = [table[cycles[:, i], cycles[:, j]] for i, j in zip(rows, cols)]
-    # numpy sorts many short rows slowly; a sorting network does not
-    for i, j in SORTING_NETWORKS[len(needs)]:
-        needs[i], needs[j] = np.minimum(needs[i], needs[j]), np.maximum(needs[i], needs[j])
+    needs = _sorted([table[cycles[:, i], cycles[:, j]] for i, j in zip(rows, cols)])
     # neighbours equal but for the side bit
     clash = np.zeros(len(cycles), dtype=bool)
     for lo, hi in zip(needs, needs[1:]):
@@ -378,6 +462,13 @@ class CensusTable:
     support[g, i] in H_{bit i of x}: single-replica ones in the low 32 bits,
     two-replica ones above.  Single-replica cycles come as R1/R2 mirror
     pairs with one condition, so only the R1 cycle is kept.
+
+    Where the window is shift-symmetric (:func:`_shift_order`), the
+    representatives' table is expanded by the kappa column shifts: a shift
+    keeps whether a cycle is active, kept and two-replica, and rotates the
+    circulants it needs within their rows, so the shifted cells, re-sorted
+    with their side bits and merged where supports meet, are the full
+    table's cells exactly.
     """
 
     gamma: int
@@ -388,7 +479,8 @@ class CensusTable:
 
     @classmethod
     def of_window(cls, proto: ProtoMatrix, inc: np.ndarray) -> "CensusTable":
-        """Table of the active 6-cycles of window incidence ``inc``.
+        """Table of the active 6-cycles of window incidence ``inc``, built on
+        column-shift orbit representatives where the window allows.
 
         Unchecked: its counts are (3,3,3,0) counts only where no 4-cycle is
         active.
@@ -396,30 +488,33 @@ class CensusTable:
         g, k, n = proto.gamma, proto.kappa, proto.gamma * proto.kappa
         if n**6 >= 1 << 63:
             raise ValueError("the census needs gamma * kappa < 1449")
+        s = _shift_order(proto, inc)
         parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, bool))]
-        for six in _six_cycle_chunks(inc, _window_powers(proto)):
+        for six in _six_cycle_chunks(inc, _window_powers(proto), s):
             kept, dual = _replica1(six, k)
             needs, exists = _conditions(six, SIX_ROWS, SIX_COLS, g, k)
             exists &= kept
-            # the group as a base-n number, and the H0/H1 pattern
-            key, pattern = 0, 0
-            for i in range(6):
-                key = key * n + (needs[i] >> 1)
-                pattern = pattern + ((needs[i] & 1) << i)
+            key, pattern = _key(needs, n)
             parts.append((key[exists], pattern[exists], dual[exists]))
         key, pattern, dual = map(np.concatenate, zip(*parts))
-        order = np.argsort(key, kind="stable")
-        new = np.ones(len(key), dtype=bool)
-        new[1:] = key[order[1:]] != key[order[:-1]]
-        cell = np.empty(len(key), dtype=np.int64)
-        cell[order] = 64 * (np.cumsum(new) - 1)
-        cell += pattern
-        counts = np.bincount(cell[dual], minlength=64 * np.count_nonzero(new))
-        counts <<= 32
-        counts |= np.bincount(cell[~dual], minlength=len(counts))
-        support, key = np.empty((np.count_nonzero(new), 6), dtype=np.int64), key[order[new]]
-        for i in range(5, -1, -1):
-            key, support[:, i] = np.divmod(key, n)
+        support, cell = _group(key, pattern, n)
+        counts = _counts(cell[~dual], cell[dual], len(support))
+        if s > 1:
+            # the table of every shift: rotate each nonzero cell's
+            # circulants by 0..s-1 columns within their row, re-sort the
+            # 2e + side values, and merge equal supports
+            cell = np.flatnonzero(counts)
+            group, pattern = np.divmod(cell, 64)
+            step = np.arange(s)[:, None]
+            needs = []
+            for i in range(6):
+                e = support[group, i]
+                col = e % k
+                needs.append(((e - col + (col + step) % k) * 2 + (pattern >> i & 1)).ravel())
+            support, rotated = _group(*_key(_sorted(needs), n), n)
+            many = np.tile(counts[cell], s)
+            single, dual = np.repeat(rotated, many & 0xFFFFFFFF), np.repeat(rotated, many >> 32)
+            counts = _counts(single, dual, len(support))
         return cls(g, k, proto.p, support, counts)
 
     def active_counts(self, assign) -> np.ndarray:
@@ -451,9 +546,12 @@ class CensusTable:
 def _has_active_4cycle(proto: ProtoMatrix, inc: np.ndarray) -> bool:
     """Whether some mask realizes a window 4-cycle that survives the lift.
 
-    In one mask's own window every cycle is realized.
+    In one mask's own window every cycle is realized.  On a shift-symmetric
+    window only the 4-cycles whose smaller column sits at offset 0 are
+    tested: shifting it there keeps it below the other, so every orbit has
+    one.
     """
-    four = _four_cycle_array(inc, _window_powers(proto))
+    four = _four_cycle_array(inc, _window_powers(proto), _shift_order(proto, inc))
     return bool(_conditions(four, FOUR_ROWS, FOUR_COLS, proto.gamma, proto.kappa)[1].any())
 
 
@@ -461,6 +559,9 @@ def union_census(proto: ProtoMatrix) -> CensusTable:
     """Census table valid for every mask of the protograph's shape.
 
     A protograph on which some mask realizes an active 4-cycle is refused.
+    On an array-based protograph (kappa = p), or any whose power rows are
+    cyclic progressions mod p, both the 4-cycle test and the table work on
+    column-shift orbit representatives, with identical results.
     """
     every = np.ones((proto.gamma, proto.kappa), dtype=bool)
     inc = _window_incidence(every, every)

@@ -17,6 +17,7 @@ goes through that array.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import random
 from dataclasses import dataclass, replace
@@ -399,7 +400,8 @@ def code_from_json(text: str) -> SCCode:
     is not a JSON object, a missing header key, a header value of the wrong
     type, a memory other than 1, a label list that does not hold exactly
     one label per nonzero entry (a wrong count, a repeated entry, or an
-    entry off the code's edges), and a weight outside the field.
+    entry off the code's edges), a label value that is not an integer (a
+    float or a boolean), and a weight outside the field.
     """
     d = json.loads(text)
     if not isinstance(d, dict):
@@ -441,6 +443,10 @@ def _aligned_labels(code: SCCode, entries: list) -> bytes:
         raise ValueError("label list holds an integer outside the 64-bit range") from None
     except (TypeError, ValueError):
         raise ValueError("labels must be a list of [row, col, weight] integer triples") from None
+    # numpy truncates a float and reads a boolean as 0 or 1
+    if set(map(type, itertools.chain.from_iterable(entries))) - {int}:
+        value = next(x for entry in entries for x in entry if type(x) is not int)
+        raise ValueError(f"label list holds a non-integer value {json.dumps(value)}")
     pairs, first, counts = np.unique(table[:, :2], axis=0, return_index=True, return_counts=True)
     if len(pairs) != n:
         raise ValueError(f"label list holds {len(pairs)} distinct entries, the code has {n}")

@@ -2,13 +2,15 @@
 
 Everything here is deliberately naive: DFS walks, exhaustive filters, dense
 matrices, nested loops.  None of it shares code with the library paths under
-test, with two exceptions.  The overlap-solver references score vectors one
+test, with three exceptions.  The overlap-solver references score vectors one
 at a time with the scalar ``cycle6_census``, whose formulas the DFS counts pin
 on their own, so they check the solver's enumeration and selection;
 ``serial_solve_optimal_overlap`` scores the library's full enumeration with
 its census terms, so it checks the solver's symmetry reduction.
-``enumerate_cycles`` runs the set-based row-triple loops kept here as the
-reference for the library's numpy cycle enumerator; the DFS counts pin them.
+``full_census_table`` tallies every cycle the library's enumerator lists
+in full, one at a time, so it checks the census table's build on shift-orbit
+representatives.  ``enumerate_cycles`` runs the set-based row-triple loops
+kept here as the reference for that enumerator; the DFS counts pin them.
 
 The section after the references holds helpers that only the tests use: a
 cycle object with its window tag, the per-circulant census, the window
@@ -28,8 +30,10 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from scldpc import cycles
 from scldpc.baselines import _arrangements_from_counts, _mask_of, pattern_counts
 from scldpc.cpo import PAIR_SAMPLES, TOP_B, CpoResult
+from scldpc.cycles import CensusTable
 from scldpc.gast import _6cycle_orbits, _shift
 from scldpc.overlap import (
     OOSolution,
@@ -544,6 +548,31 @@ def union_active_4cycles(proto) -> int:
                        for r, c in entries)
         count += realized and bal % p == 0
     return count
+
+
+
+def full_census_table(proto, inc) -> CensusTable:
+    """The census table of window incidence ``inc`` from every active 6-cycle.
+
+    Each active cycle of the library enumerator, listed in full (no shift
+    orbits), is kept when its least column lies in replica 1 and some mask
+    realizes it; its six (circulant, side) needs, sorted, give its group and
+    pattern, and the counts are tallied in a dict, one cycle at a time.
+    """
+    g, k = proto.gamma, proto.kappa
+    tally: dict = {}
+    for six in cycles._six_cycle_chunks(inc, cycles._window_powers(proto)):
+        kept, dual = cycles._replica1(six, k)
+        needs, exists = cycles._conditions(six, cycles.SIX_ROWS, cycles.SIX_COLS, g, k)
+        rows = np.stack(needs, axis=1)[exists & kept].tolist()
+        for row, two in zip(rows, dual[exists & kept].tolist()):
+            pattern = sum((v & 1) << i for i, v in enumerate(row))
+            cell = tally.setdefault(tuple(v >> 1 for v in row), [0] * 64)
+            cell[pattern] += 1 << 32 if two else 1
+    groups = sorted(tally)
+    support = np.array(groups, dtype=np.int64).reshape(-1, 6)
+    counts = np.array([c for grp in groups for c in tally[grp]], dtype=np.int64)
+    return CensusTable(g, k, proto.p, support, counts)
 
 
 SPAN_R1, SPAN_R2, SPAN_DUAL = 0, 1, 2

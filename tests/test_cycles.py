@@ -33,6 +33,8 @@ from oracles import (
     dfs_count_cycles,
     enumerate_cycles,
     four_cycles,
+    full_census_table,
+    has_active_4cycle,
     lift_count,
     loop_census_active_counts,
     proto_cycles6,
@@ -444,6 +446,73 @@ class TestBatchedCensus:
         assert type(got) is int
         assert got == (L * fs + (L - 1) * fd) * 7
         assert union_census(proto).lifted_counts([mask.assign], L) == [got]
+
+
+@st.composite
+def shift_cases(draw):
+    """A protograph, a row-constant mask of its shape, and the protograph's kind.
+
+    "symmetric" rows are f[i, j] = c_i + d_i * j mod p with d_i * kappa = 0
+    mod p, cyclic progressions that a column shift maps onto themselves
+    (composite kappa and p = 1 included); "array" grids f[i, j] = i * j mod p
+    with kappa < p wrap off the progression; "random" powers are anything.
+    """
+    gamma = draw(st.sampled_from([3, 4]))
+    kind = draw(st.sampled_from(["symmetric", "array", "random"]))
+    if kind == "array":
+        p = draw(st.sampled_from([5, 7, 11]))
+        kappa = draw(st.integers(2, p - 1))
+        powers = [[i * j % p for j in range(kappa)] for i in range(gamma)]
+    else:
+        kappa, p = draw(st.integers(2, 9)), draw(st.sampled_from([1, 2, 3, 5, 7]))
+        steps = [d for d in range(p) if d * kappa % p == 0] if kind == "symmetric" else None
+        powers = []
+        for _ in range(gamma):
+            if steps is None:
+                powers.append(draw(st.lists(st.integers(0, p - 1), min_size=kappa, max_size=kappa)))
+            else:
+                c, d = draw(st.integers(0, p - 1)), draw(st.sampled_from(steps))
+                powers.append([(c + d * j) % p for j in range(kappa)])
+    sides = draw(st.lists(st.integers(0, 1), min_size=gamma, max_size=gamma))
+    mask = PartitionMask(tuple((side,) * kappa for side in sides))
+    return ProtoMatrix(gamma, kappa, p, tuple(map(tuple, powers))), mask, kind
+
+
+class TestOrbitCensus:
+    @settings(max_examples=80, deadline=None)
+    @given(shift_cases())
+    def test_matches_full_enumeration(self, case):
+        proto, mask, kind = case
+        every = np.ones((proto.gamma, proto.kappa), dtype=bool)
+        inc = cycles._window_incidence(every, every)
+        s = cycles._shift_order(proto, inc)
+        assert s == {"symmetric": proto.kappa, "array": 1}.get(kind, s)
+        table = CensusTable.of_window(proto, inc)
+        ref = full_census_table(proto, inc)
+        assert np.array_equal(table.support, ref.support)
+        assert np.array_equal(table.counts, ref.counts)
+        # girth-4 verdicts, of the union window and of the mask's own
+        assert cycles._has_active_4cycle(proto, inc) == (union_active_4cycles(proto) > 0)
+        own = cycles._has_active_4cycle(proto, cycles._mask_incidence(mask))
+        assert own == has_active_4cycle(ReferenceWindow(proto, mask), proto.powers)
+        want = loop_census_active_counts(proto, mask)
+        assert tuple(table.active_counts([mask.assign])[0].tolist()) == want
+        assert census_active_counts(proto, mask) == want
+
+    @pytest.mark.parametrize("kappa", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_array_tables_match_full_enumeration(self, kappa):
+        proto = build_ab_powers(3, kappa)
+        every = np.ones((3, kappa), dtype=bool)
+        assert cycles._shift_order(proto, cycles._window_incidence(every, every)) == kappa
+        table = union_census(proto)
+        ref = full_census_table(proto, cycles._window_incidence(every, every))
+        assert np.array_equal(table.support, ref.support)
+        assert np.array_equal(table.counts, ref.counts)
+
+    def test_shift_order_needs_row_constant_incidence(self):
+        proto = build_ab_powers(3, 7)
+        assert cycles._shift_order(proto, cycles._mask_incidence(PartitionMask.all_h0(3, 7))) == 7
+        assert cycles._shift_order(proto, cycles._mask_incidence(cv_mask((0, 3, 5), 7))) == 1
 
 
 class TestWindowDecomposition:

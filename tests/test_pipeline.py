@@ -412,10 +412,13 @@ class TestCliErrors:
             ("no-field", "a labelled code needs field_lam"),
             ("overflow", "label list holds an integer outside the 64-bit range"),
             ("null-weight", "labels must be a list of [row, col, weight] integer triples"),
+            ("float-weight", "label list holds a non-integer value 1.5"),
+            ("boolean-weight", "label list holds a non-integer value true"),
+            ("float-row", "label list holds a non-integer value"),
         ],
         ids=[
             "dropped", "extra", "duplicated", "out-of-field", "zero", "misplaced", "no-field",
-            "overflow", "null-weight",
+            "overflow", "null-weight", "float-weight", "boolean-weight", "float-row",
         ],
     )
     def test_malformed_labels_reported(self, tmp_path, capsys, fault, message):
@@ -445,6 +448,11 @@ class TestCliErrors:
             labels[7][2] = 2**70
         elif fault == "null-weight":
             labels[7][2] = None
+        elif fault in ("float-weight", "boolean-weight"):
+            labels[7][2] = 1.5 if fault == "float-weight" else True
+        elif fault == "float-row":
+            labels[7][0] = float(labels[7][0])
+            message += f" {labels[7][0]}"
         else:
             # same count, one label moved off its entry onto a zero of its column
             row, col, w = labels[7]

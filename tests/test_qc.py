@@ -280,6 +280,20 @@ class TestSerialization:
         assert back == code
         assert code_to_json(back) == text
 
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [(2, 1.5, "1.5"), (2, True, "true"), (2, 1.0, "1.0"), (0, 0.0, "0.0"), (1, False, "false")],
+    )
+    def test_non_integer_label_refused(self, field, value, shown):
+        # numpy would load 1.5 and 1.0 as weight 1, true as 1 and a row 0.0 as 0
+        code = couple(build_ab_powers(3, 5), random_mask(3, 5, 8), 3)
+        code = label_edges(code, FieldGF(3), seed=9)
+        payload = json.loads(code_to_json(code))
+        first = next(i for i, (row, col, _) in enumerate(payload["labels"]) if (row, col) == (0, 0))
+        payload["labels"][first][field] = value
+        with pytest.raises(ValueError, match=f"^label list holds a non-integer value {shown}$"):
+            code_from_json(json.dumps(payload))
+
     def test_alist_round_trip(self):
         proto = build_ab_powers(3, 5)
         code = couple(proto, random_mask(3, 5, 8), 3)
