@@ -11,14 +11,16 @@ seen retained.
 
 Candidates are read from a move table built once per state.  The window
 keeps each cycle once, a single-replica one for its replica-shift pair
-(weight L) and a two-replica one with weight L - 1.  Every window
-coefficient is +-1, so a cycle that circulant e touches with balance b is
-active under e -> v for exactly one power, v = f[e] - b*a (mod p); one
-bincount over the window's per-circulant index then gives, for every
-circulant at every power, the f_sc after the move and the 4-cycles it
-activates.  Widening the pool and the plateau walk only read the table.  A
-pair move adds its two single-move changes and corrects them over the
-cycles both circulants touch, which a per-pair index lists.
+(weight L) and a two-replica one with weight L - 1, and the optimizer takes
+its 6-cycles, then its 4-cycles, as one cycle set.  Every window coefficient
+is +-1, so a cycle that circulant e moves with balance b is active under
+e -> v for exactly one power, v = f[e] - b*a (mod p); one integer bincount
+over the per-circulant mover index then gives, for every circulant at every
+power, the f_sc after the move and the 4-cycles it activates.  Widening the
+pool reads the table, and a plateau-walk step reads only its circulant's
+4-cycle row.  A pair move adds its two single-move changes and corrects
+them over the cycles both circulants visit, which one per-pair index lists
+for both cycle kinds.
 
 Each state is handled in one pass.  One masked argmin over the table gives
 every circulant's best improving single move, and so the first pool width
@@ -37,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cycles import EntryCycles, TwoReplicaWindow, build_window
+from .cycles import TwoReplicaWindow, build_window
 from .qc import PartitionMask, ProtoMatrix, _check_coupling_length, is_prime
 from .words import WordStream
 
@@ -47,6 +49,10 @@ __all__ = ["CpoResult", "cpo_optimize"]
 # by TOP_B on a plateau; PAIR_SAMPLES random pair moves are tried per width
 TOP_B = 3
 PAIR_SAMPLES = 40
+# pair keys below this sort as 16-bit integers, which numpy radix-sorts
+RADIX_KEYS = 1 << 16
+# the position pairs (i, j), i < j, of a 4- and a 6-cycle
+POSITION_PAIRS = {width: np.triu_indices(width, 1) for width in (4, 6)}
 
 
 @dataclass(frozen=True)
@@ -72,56 +78,121 @@ class CpoResult:
         }
 
 
+def _key_type(n_keys: int) -> type:
+    """The integer type for sort keys below ``n_keys``: 16 bits, which numpy
+    radix-sorts, where they fit."""
+    return np.uint16 if n_keys <= RADIX_KEYS else np.int64
+
+
 class _State:
     """Mutable descent state over one window, with its move table.
 
-    ``b4`` and ``b6`` are the window cycles' balances mod p under ``flat``.
-    The move table, rebuilt once per state, holds for every circulant e and
-    power v the f_sc after e -> v (``f_after``) and the number of kept
-    window 4-cycles that move activates (``hits4``, zero exactly when it
-    activates none of the window's); both are (gamma*kappa, p).
+    The window's 6-cycles, then its 4-cycles, form one cycle set, and ``b``
+    holds their balances (alternating power sums) mod p under ``flat``;
+    ``b6`` and ``b4`` are views of its two parts.  Two indexes over the set
+    are built once:
+
+      movers:  per circulant e, the cycles whose balance e's power moves,
+               cycle ids ascending (CSR ``ptr``, with ``cycles`` and
+               ``coefs``; ``ptr4`` marks where e's 4-cycles start).  One
+               sort of the (circulant, cycle) keys builds it.  A circulant
+               that a cycle visits twice, once with each sign, cancels and
+               is not listed (no mask window has one).
+      pairs:   per circulant pair ``lo * n + hi``, every position pair of
+               every cycle that visits both (CSR ``pair_ptr``), with each
+               position's net coefficient, 0 for a cancelled visit, and the
+               cycle's class.
+
+    A cycle's class is 0 for a single-replica 6-cycle (weight L), 1 for a
+    two-replica one (weight L - 1) and 2 for a 4-cycle.  Every coefficient
+    is +-1, so a cycle is active under e -> v exactly at v = f[e] - b * coef
+    (mod p).  Each mover keeps its cell ``base``, class * 2np + e * 2p +
+    f[e], plus p for coefficient +1, which :meth:`move` shifts with f[e];
+    the cell ``base - b * coef`` then lies in e's block [0, 2p).  One integer
+    bincount, folded over the two p-blocks, counts per class the cycles
+    each circulant activates at each power.  The move table holds, for every
+    circulant e and power v, the f_sc after e -> v (``f_after``) and the
+    number of kept window 4-cycles that move activates (``hits4``, zero
+    exactly when it activates none of the window's); both are
+    (gamma*kappa, p) and exact in int64 (see :func:`cpo_optimize`).
     """
 
     def __init__(self, window: TwoReplicaWindow, flat: np.ndarray, L: int):
-        self.win = window
-        self.p = window.p
-        self.n = window.n_entries
+        self.p, self.n, self.L = window.p, window.n_entries, L
+        p, n = self.p, self.n
         self.flat = flat.copy()
-        # (circulant, cycle, coefficient) of every cycle a circulant moves
-        self.movers6, self.movers4 = (
-            (t.keys(), t.cycles, t.coefs) for t in (window.touch6, window.touch4)
-        )
-        self.b6 = self._balances(self.movers6, len(window.ids6))
-        self.b4 = self._balances(self.movers4, len(window.ids4))
-        # an active cycle's share of f_sc / p
-        self.w6 = np.where(window.dual6, L - 1, L)
-        self.pairs6 = window.touch6.pairs()
-        self.pairs4 = window.touch4.pairs()
-        self._refresh()
+        self.dual6 = window.dual6
+        m6, m4 = len(window.ids6), len(window.ids4)
+        m = m6 + m4
+        kinds = np.concatenate([window.dual6, np.full(m4, 2)]).astype(np.int8)
+        # every visit, cycle by cycle: its circulant, cycle and sign
+        visits = np.concatenate([window.ids6.ravel(), window.ids4.ravel()])
+        cycles = np.concatenate([np.repeat(np.arange(m6), 6), np.repeat(np.arange(m6, m), 4)])
+        signs = np.concatenate([np.tile([1, -1], 3 * m6), np.tile([1, -1], 2 * m4)])
+        # cycles ascend, so a stable sort by circulant orders the keys; a
+        # key met twice, once with each sign, cancels
+        order = np.argsort(visits.astype(_key_type(n)), kind="stable")
+        keys = (visits * m + cycles)[order]
+        twice = np.zeros(len(keys) + 1, dtype=bool)
+        twice[1:-1] = keys[1:] == keys[:-1]
+        cancelled = twice[1:] | twice[:-1]
+        signs[order[cancelled]] = 0
+        kept, keys = order[~cancelled], keys[~cancelled]
+        ents, self.cycles, self.coefs = visits[kept], cycles[kept], signs[kept]
+        self.ptr = np.searchsorted(keys, np.arange(n + 1) * m)
+        self.ptr4 = np.searchsorted(keys, np.arange(n) * m + m6)
+        self.b = np.bincount(self.cycles, self.coefs * self.flat[ents], m).astype(np.int64) % p
+        self.b6, self.b4 = self.b[:m6], self.b[m6:]
+        first_cell = (kinds.astype(np.int64) * (2 * n * p))[self.cycles]
+        self.base = first_cell + ents * (2 * p) + self.flat[ents] + p * (self.coefs > 0)
+        self._index_pairs(visits * 4 + signs + 1, m6, m4, kinds)
+        # zero[t] says whether t = 0 mod p, for t in [0, 5p)
+        self.zero = (np.arange(5 * p) % p == 0).astype(np.int8)
+        self.refresh()
 
-    def _balances(self, movers, n_cycles: int) -> np.ndarray:
-        """The cycles' alternating power sums mod p."""
-        ents, cycles, coefs = movers
-        return np.bincount(cycles, coefs * self.flat[ents], n_cycles).astype(np.int64) % self.p
+    def _index_pairs(self, visits: np.ndarray, m6: int, m4: int, kinds: np.ndarray) -> None:
+        """The per-pair index, from every visit's 4 * circulant + net
+        coefficient + 1, cycle by cycle."""
+        n, lo, hi, cycles = self.n, [], [], []
+        visits = visits.astype(_key_type(n * n))
+        for width, first, count in ((6, 0, m6), (4, m6, m4)):
+            i, j = POSITION_PAIRS[width]
+            at = visits[6 * first : 6 * first + width * count].reshape(count, width).T
+            # the lower circulant's visit packs to the lower value
+            lo.append(np.minimum(at[i], at[j]).ravel())
+            hi.append(np.maximum(at[i], at[j]).ravel())
+            cycles.append(np.tile(np.arange(first, first + count), len(i)))
+        lo, hi = np.concatenate(lo), np.concatenate(hi)
+        keys = (lo >> 2) * n + (hi >> 2)
+        order = np.argsort(keys, kind="stable")
+        self.pair_ptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n * n))))
+        self.pair_cycles = np.concatenate(cycles)[order]
+        self.pair_lo = (lo[order] & 3).astype(np.int8) - 1
+        self.pair_hi = (hi[order] & 3).astype(np.int8) - 1
+        self.pair_kinds = kinds[self.pair_cycles]
 
-    def _cells(self, movers, b: np.ndarray) -> np.ndarray:
-        # a window coefficient a is +-1, so under e -> v the cycle is active
-        # exactly at v = f[e] - b / a = f[e] - b * a (mod p)
-        ents, cycles, coefs = movers
-        return ents * self.p + (self.flat[ents] - b[cycles] * coefs) % self.p
+    def _cells(self, span) -> np.ndarray:
+        return self.base[span] - self.b[self.cycles[span]] * self.coefs[span]
 
-    def _refresh(self) -> None:
+    def refresh(self) -> None:
         """f_sc and the move table of the current balances."""
-        self.f_sc = self.p * int(self.w6 @ (self.b6 == 0))
-        size = self.n * self.p
-        weights = self.w6[self.movers6[1]]
-        gain = np.bincount(self._cells(self.movers6, self.b6), weights, size).astype(np.int64)
-        gain = gain.reshape(self.n, self.p)
-        # the current power's cell holds the cycles active now
-        now = gain[np.arange(self.n), self.flat]
-        self.f_after = self.f_sc + self.p * (gain - now[:, None])
-        self.hits4 = np.bincount(self._cells(self.movers4, self.b4), minlength=size)
-        self.hits4 = self.hits4.reshape(self.n, self.p)
+        p, n, L = self.p, self.n, self.L
+        active = self.b6 == 0
+        # an active cycle weighs L, or L - 1 across both replicas
+        duals = int(np.count_nonzero(active & self.dual6))
+        self.f_sc = p * (L * int(np.count_nonzero(active)) - duals)
+        table = np.bincount(self._cells(slice(None)), minlength=6 * n * p).reshape(3, n, 2, p)
+        table = table[:, :, 0] + table[:, :, 1]
+        # f_sc, less the moved cycles active now, plus those active after the move
+        after = np.dot([p * L, p * (L - 1)], table[:2].reshape(2, -1)).reshape(n, p)
+        self.f_after = after - (after[np.arange(n), self.flat] - self.f_sc)[:, None]
+        self.hits4 = table[2]
+
+    def hits4_row(self, e: int) -> np.ndarray:
+        """``hits4[e]`` of the current balances, read off e's 4-cycle movers."""
+        cells = self._cells(slice(self.ptr4[e], self.ptr[e + 1])) - (2 * self.n + e) * 2 * self.p
+        row = np.bincount(cells, minlength=2 * self.p)
+        return row[: self.p] + row[self.p :]
 
     def best_singles(self) -> tuple[np.ndarray, np.ndarray]:
         """(f_sc after, power) of every circulant's best improving single
@@ -147,20 +218,14 @@ class _State:
         scores[ents] = np.where(take, f, self.f_sc)
         return [divmod(int(np.argmin(scores)), self.p)]
 
-    def _shared(self, index: EntryCycles, b, lo, hi, d_lo, d_hi):
-        """(pair, cycle, correction) over the cycles both circulants of a
-        pair touch: joint activity minus each single move's, plus the old."""
-        rows, cycles, coefs = index.gather(lo * self.n + hi)
-        b = b[cycles]
-        s_lo = b + coefs[:, 0] * d_lo[rows]
-        s_hi = b + coefs[:, 1] * d_hi[rows]
-        s_both = s_lo + s_hi - b
-        p = self.p
-        fix = (s_both % p == 0).astype(np.int64) - (s_lo % p == 0) - (s_hi % p == 0) + (b == 0)
-        return rows, cycles, fix
-
     def pair_moves(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(f_sc after, 4-cycles activated) of each move (e1, e2, v1, v2), e1 != e2."""
+        """(f_sc after, 4-cycles activated) of each move (e1, e2, v1, v2), e1 != e2.
+
+        A pair move adds its two single moves and corrects them over the
+        cycles both circulants visit: joint activity minus each single
+        move's, plus the old.
+        """
+        p, m = self.p, len(pairs)
         e1, e2, v1, v2 = pairs.T
         f = self.f_after[e1, v1] + self.f_after[e2, v2] - self.f_sc
         hits = self.hits4[e1, v1] + self.hits4[e2, v2]
@@ -168,21 +233,33 @@ class _State:
         lo, hi = np.where(swap, e2, e1), np.where(swap, e1, e2)
         d1, d2 = v1 - self.flat[e1], v2 - self.flat[e2]
         d_lo, d_hi = np.where(swap, d2, d1), np.where(swap, d1, d2)
-        m = len(pairs)
-        rows, cycles, fix = self._shared(self.pairs6, self.b6, lo, hi, d_lo, d_hi)
-        f = f + self.p * np.bincount(rows, fix * self.w6[cycles], m).astype(np.int64)
-        rows, _, fix = self._shared(self.pairs4, self.b4, lo, hi, d_lo, d_hi)
-        return f, hits + np.bincount(rows, fix, m).astype(np.int64)
+        starts = self.pair_ptr[lo * self.n + hi]
+        lens = self.pair_ptr[lo * self.n + hi + 1] - starts
+        rows = np.repeat(np.arange(m), lens)
+        at = np.arange(len(rows)) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        # balances offset by 2p: every sum below lies in [0, 5p)
+        t = self.b[self.pair_cycles[at]] + 2 * p
+        t_lo = t + self.pair_lo[at] * d_lo[rows]
+        t_hi = t + self.pair_hi[at] * d_hi[rows]
+        fix = self.zero[t_lo + t_hi - t] - self.zero[t_lo] - self.zero[t_hi] + self.zero[t]
+        fix = np.bincount(rows * 3 + self.pair_kinds[at], fix, 3 * m).astype(np.int64).reshape(m, 3)
+        f += p * (self.L * fix[:, 0] + (self.L - 1) * fix[:, 1])
+        return f, hits + fix[:, 2]
+
+    def move(self, e: int, v: int) -> None:
+        """Set circulant e to power v; the move table goes stale until :meth:`refresh`."""
+        span = slice(self.ptr[e], self.ptr[e + 1])
+        d = v - self.flat[e]
+        cycles = self.cycles[span]
+        # balances are linear in the powers
+        self.b[cycles] = (self.b[cycles] + self.coefs[span] * d) % self.p
+        self.base[span] += d
+        self.flat[e] = v
 
     def apply(self, changes: list[tuple[int, int]]) -> None:
-        # balances are linear in the powers, so entries update one at a time
         for e, v in changes:
-            for b, index in ((self.b4, self.win.touch4), (self.b6, self.win.touch6)):
-                span = slice(index.ptr[e], index.ptr[e + 1])
-                cycles = index.cycles[span]
-                b[cycles] = (b[cycles] + index.coefs[span] * (v - self.flat[e])) % self.p
-            self.flat[e] = v
-        self._refresh()
+            self.move(e, v)
+        self.refresh()
 
 
 def _best_pair(pairs: np.ndarray, f: np.ndarray, k: int) -> list[tuple[int, int]]:
@@ -215,6 +292,9 @@ def cpo_optimize(
     ``sample``, ``randrange`` and ``shuffle``.  Deterministic for fixed
     arguments.  Requires gamma = 3, L >= 2, kappa <= p with p prime,
     budget >= 0 and start powers that keep every window 4-cycle inactive.
+    Every count is exact in int64, which bounds L: 2 * p * L * m must stay
+    below 2**63, where m is the number of window 6-cycles kept (at least 1);
+    a larger L is refused before the descent starts.
     """
     if proto.gamma != 3:
         raise ValueError("the optimizer is defined for column weight 3")
@@ -226,6 +306,9 @@ def cpo_optimize(
     g, k, p = proto.gamma, proto.kappa, proto.p
 
     window = build_window(proto, mask)
+    # f_sc, the move table and every pair score stay within 2 p L (6-cycles)
+    if 2 * p * L * max(len(window.ids6), 1) > np.iinfo(np.int64).max:
+        raise ValueError(f"CPO counts at L={L} would leave the exact int64 range")
     state = _State(window, np.asarray(proto.powers, dtype=np.int64).reshape(-1), L)
     if not state.b4.all():
         raise ValueError("initial powers activate a 4-cycle; cannot start")
@@ -256,7 +339,8 @@ def cpo_optimize(
         # a state's words are replayed only within it
         words.drop_consumed()
         # circulants by their visits from active window 6-cycles, most first
-        loads = np.bincount(window.ids6[state.b6 == 0].ravel(), minlength=n_entries)
+        active = np.compress(state.b6 == 0, window.ids6, axis=0)
+        loads = np.bincount(active.ravel(), minlength=n_entries)
         order = np.argsort(-loads, kind="stable").tolist()
         f_single, v_single = state.best_singles()
         ranked = np.flatnonzero(f_single[order] < state.f_sc)
@@ -318,18 +402,20 @@ def cpo_optimize(
             record_if_best()
         elif evals < budget:
             # plateau everywhere: random walk over a few entries, keeping
-            # every 4-cycle inactive, then resume the descent from there
+            # every 4-cycle inactive, then resume the descent from there;
+            # a step reads only its circulant's 4-cycle row of the table
             restarts += 1
             for _ in range(1 + words.below(2 * g)):
                 e = words.below(n_entries)
                 values = [v for v in range(p) if v != state.flat[e]]
                 words.shuffle(values)
-                hits = np.flatnonzero(state.hits4[e, values] == 0)
+                hits = np.flatnonzero(state.hits4_row(e)[values] == 0)
                 if hits.size:
                     evals += int(hits[0]) + 1
-                    state.apply([(e, values[hits[0]])])
+                    state.move(e, values[hits[0]])
                 else:
                     evals += len(values)
+            state.refresh()
 
     powers = tuple(tuple(int(x) for x in best_flat[i * k : (i + 1) * k]) for i in range(g))
     return CpoResult(

@@ -16,8 +16,7 @@ the powers, c comes from a sorted join on the power residue, so only active
 cycles are built.  A cycle within replica 2 repeats one within replica 1, so
 every consumer keeps only the cycles whose least column lies in replica 1
 (:func:`_replica1`).  The optimizer's window stores each kept 4- and 6-cycle
-once, as the circulants it visits in walk order, plus a sparse index of the
-cycles each power (or pair of powers) moves.
+once, as the circulants it visits in walk order.
 
 The (3,3,3,0) census of many masks has one path, :class:`CensusTable`: the
 active window 6-cycles grouped by the at most six circulants they visit,
@@ -50,7 +49,6 @@ from .qc import PartitionMask, ProtoMatrix, SCCode, _check_coupling_length
 
 __all__ = [
     "TwoReplicaWindow",
-    "EntryCycles",
     "build_window",
     "CensusTable",
     "union_census",
@@ -275,76 +273,6 @@ def _replica1(cycles: np.ndarray, kappa: int) -> tuple[np.ndarray, np.ndarray]:
     return kept, kept & (last >= kappa)
 
 
-def _csr(keys: np.ndarray, n_keys: int, cycles: np.ndarray, coefs: np.ndarray):
-    """(ptr, cycles, coefs) grouped by key, each key's cycle ids ascending.
-
-    Every (key, cycle) pair is listed once, so one sort of the packed key
-    ``key * n_cycles + cycle`` gives the (key, cycle) order.
-    """
-    n_cycles = int(cycles.max(initial=-1)) + 1
-    order = np.argsort(keys * n_cycles + cycles)
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_keys))))
-    return ptr, cycles[order], coefs[order]
-
-
-@dataclass(frozen=True)
-class EntryCycles:
-    """The window cycles whose balance a circulant's power moves (CSR).
-
-    Key k lists the cycle ids ``cycles[ptr[k]:ptr[k + 1]]`` (ascending) with
-    their nonzero alternating-sum coefficients at the same rows of
-    ``coefs``; a circulant that a cycle visits with opposite signs cancels
-    and is not listed.  :meth:`of` keys by circulant e, with one coefficient
-    per row.  :meth:`pairs` keys by circulant pair ``lo * n + hi`` (lo < hi,
-    n circulants) and lists the cycles both circulants touch, with the
-    (lo, hi) coefficients per row.
-    """
-
-    ptr: np.ndarray
-    cycles: np.ndarray
-    coefs: np.ndarray
-
-    @classmethod
-    def of(cls, ids: np.ndarray, n: int) -> "EntryCycles":
-        """Per-circulant index of cycles given as the circulant ids (below
-        ``n``) they visit in walk order, with signs +1, -1, ... along it."""
-        m, width = ids.shape
-        # by cycle, then circulant: a circulant met twice sums its signs
-        cells = (np.arange(m)[:, None] * n + ids).ravel()
-        order = np.argsort(cells, kind="stable")
-        cells = cells[order]
-        new = np.diff(cells, prepend=-1) != 0
-        signs = np.tile([1, -1], m * width // 2)[order]
-        coefs = np.bincount(np.cumsum(new) - 1, signs).astype(np.int16)
-        kept = coefs != 0
-        cycles, ents = np.divmod(cells[new][kept], n)
-        return cls(*_csr(ents, n, cycles, coefs[kept]))
-
-    def keys(self) -> np.ndarray:
-        """The key of every listed cycle, in listing order."""
-        return np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr))
-
-    def pairs(self) -> "EntryCycles":
-        """Per-circulant-pair index of a per-circulant one."""
-        n = len(self.ptr) - 1
-        ents, cycles, coefs = self.keys(), self.cycles, self.coefs
-        # by cycle, then circulant: a cycle's circulants sit next to each
-        # other, ascending, at most six of them
-        order = np.lexsort((ents, cycles))
-        ents, cycles, coefs = ents[order], cycles[order], coefs[order]
-        lo, hi = _equal_pairs(cycles)
-        pair_coefs = np.stack([coefs[lo], coefs[hi]], axis=1)
-        return EntryCycles(*_csr(ents[lo] * n + ents[hi], n * n, cycles[lo], pair_coefs))
-
-    def gather(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(position in ``keys``, cycle id, coefficients) of every listed cycle."""
-        starts = self.ptr[keys]
-        lens = self.ptr[keys + 1] - starts
-        rows = np.repeat(np.arange(len(keys)), lens)
-        pos = np.arange(len(rows)) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-        return rows, self.cycles[pos], self.coefs[pos]
-
-
 class TwoReplicaWindow:
     """The cycles of the two-replica coupled protograph, for the optimizer.
 
@@ -353,17 +281,15 @@ class TwoReplicaWindow:
     whose least column lies in replica 1 are kept (:func:`_replica1`); each
     is stored once, as the circulants it visits:
 
-      ids6, ids4:      (n, 6) and (n, 4) circulant ids in walk order, the
-                       alternating sum taking them +, -, +, ...
-      dual6:           whether each 6-cycle spans both replicas
-      touch6, touch4:  the same cycles as an :class:`EntryCycles` index over
-                       the circulants, for the optimizer's move table and
-                       its updates after a power change
+      ids6, ids4:  (n, 6) and (n, 4) circulant ids in walk order, the
+                   alternating sum taking them +, -, +, ...
+      dual6:       whether each 6-cycle spans both replicas
 
-    Circulants are numbered row-major, e = row * kappa + col, so position
-    (r, c) is circulant (r mod gamma) * kappa + c mod kappa.  Every indexed
-    coefficient is +-1: no window row holds both copies j and j + kappa of
-    a circulant column, so a cycle meets a circulant at most once per sign.
+    The optimizer indexes these cycles itself, as one cycle set.  Circulants
+    are numbered row-major, e = row * kappa + col, so position (r, c) is
+    circulant (r mod gamma) * kappa + c mod kappa.  A cycle visits each
+    circulant at most once, since two visits would place it in H0 and in H1,
+    so every alternating-sum coefficient is +-1.
     """
 
     def __init__(self, proto: ProtoMatrix, mask: PartitionMask):
@@ -379,8 +305,6 @@ class TwoReplicaWindow:
         four = four[_replica1(four, k)[0]]
         self.ids6 = six[:, SIX_ROWS] % g * k + six[:, SIX_COLS] % k
         self.ids4 = four[:, FOUR_ROWS] % g * k + four[:, FOUR_COLS] % k
-        self.touch6 = EntryCycles.of(self.ids6, self.n_entries)
-        self.touch4 = EntryCycles.of(self.ids4, self.n_entries)
 
 
 def build_window(proto: ProtoMatrix, mask: PartitionMask) -> TwoReplicaWindow:

@@ -11,6 +11,9 @@ its census terms, so it checks the solver's symmetry reduction.
 in full, one at a time, so it checks the census table's build on shift-orbit
 representatives.  ``enumerate_cycles`` runs the set-based row-triple loops
 kept here as the reference for that enumerator; the DFS counts pin them.
+``EntryCycles`` is the optimizer's earlier per-circulant and per-pair cycle
+index, built one cycle kind at a time with sorts of its own; it is the
+reference for the index the optimizer builds over one cycle set.
 
 The section after the references holds helpers that only the tests use: a
 cycle object with its window tag, the per-circulant census, the window
@@ -33,7 +36,7 @@ import numpy as np
 from scldpc import cycles
 from scldpc.baselines import _arrangements_from_counts, _mask_of, pattern_counts
 from scldpc.cpo import PAIR_SAMPLES, TOP_B, CpoResult
-from scldpc.cycles import CensusTable
+from scldpc.cycles import CensusTable, _equal_pairs
 from scldpc.gast import _6cycle_orbits, _shift
 from scldpc.overlap import (
     OOSolution,
@@ -737,6 +740,69 @@ def serial_cpo_optimize(proto, mask, L: int, budget: int, seed: int, target: int
 
     powers = tuple(tuple(int(x) for x in best_flat[i * k : (i + 1) * k]) for i in range(g))
     return CpoResult(powers, best_f, f_initial, tuple(trace), evals, restarts)
+
+
+def _csr(keys: np.ndarray, n_keys: int, cycles: np.ndarray, coefs: np.ndarray):
+    """(ptr, cycles, coefs) grouped by key, each key's cycle ids ascending.
+
+    Every (key, cycle) pair is listed once, so one sort of the packed key
+    ``key * n_cycles + cycle`` gives the (key, cycle) order.
+    """
+    n_cycles = int(cycles.max(initial=-1)) + 1
+    order = np.argsort(keys * n_cycles + cycles)
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_keys))))
+    return ptr, cycles[order], coefs[order]
+
+
+@dataclass(frozen=True)
+class EntryCycles:
+    """The window cycles whose balance a circulant's power moves (CSR), one
+    cycle kind at a time: the reference for the optimizer's cycle indexes.
+
+    Key k lists the cycle ids ``cycles[ptr[k]:ptr[k + 1]]`` (ascending) with
+    their nonzero alternating-sum coefficients at the same rows of
+    ``coefs``; a circulant that a cycle visits with opposite signs cancels
+    and is not listed.  :meth:`of` keys by circulant e, with one coefficient
+    per row.  :meth:`pairs` keys by circulant pair ``lo * n + hi`` (lo < hi,
+    n circulants) and lists the cycles both circulants touch, with the
+    (lo, hi) coefficients per row.
+    """
+
+    ptr: np.ndarray
+    cycles: np.ndarray
+    coefs: np.ndarray
+
+    @classmethod
+    def of(cls, ids: np.ndarray, n: int) -> "EntryCycles":
+        """Per-circulant index of cycles given as the circulant ids (below
+        ``n``) they visit in walk order, with signs +1, -1, ... along it."""
+        m, width = ids.shape
+        # by cycle, then circulant: a circulant met twice sums its signs
+        cells = (np.arange(m)[:, None] * n + ids).ravel()
+        order = np.argsort(cells, kind="stable")
+        cells = cells[order]
+        new = np.diff(cells, prepend=-1) != 0
+        signs = np.tile([1, -1], m * width // 2)[order]
+        coefs = np.bincount(np.cumsum(new) - 1, signs).astype(np.int16)
+        kept = coefs != 0
+        cycles, ents = np.divmod(cells[new][kept], n)
+        return cls(*_csr(ents, n, cycles, coefs[kept]))
+
+    def keys(self) -> np.ndarray:
+        """The key of every listed cycle, in listing order."""
+        return np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr))
+
+    def pairs(self) -> "EntryCycles":
+        """Per-circulant-pair index of a per-circulant one."""
+        n = len(self.ptr) - 1
+        ents, cycles, coefs = self.keys(), self.cycles, self.coefs
+        # by cycle, then circulant: a cycle's circulants sit next to each
+        # other, ascending, at most six of them
+        order = np.lexsort((ents, cycles))
+        ents, cycles, coefs = ents[order], cycles[order], coefs[order]
+        lo, hi = _equal_pairs(cycles)
+        pair_coefs = np.stack([coefs[lo], coefs[hi]], axis=1)
+        return EntryCycles(*_csr(ents[lo] * n + ents[hi], n * n, cycles[lo], pair_coefs))
 
 
 def exhaustive_witnesses(topology, weights: dict, field):

@@ -4,6 +4,8 @@ import itertools
 import json
 import random
 import re
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     SPAN_DUAL,
+    EntryCycles,
     ReferenceWindow,
     active_census,
     has_active_4cycle,
@@ -22,7 +25,7 @@ from scldpc.cpo import _State, cpo_optimize
 from scldpc.cycles import build_window, count_ugast_3330_for
 from scldpc.overlap import realize_mask, solve_optimal_overlap
 from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers
-from scldpc import words
+from scldpc import cpo, words
 from scldpc.words import WordStream
 
 
@@ -192,6 +195,19 @@ class TestCpoOptimize:
         assert (res.restarts, len(res.trace)) == (restarts, n_trace)
         assert _digest(res) == digest
 
+    @pytest.mark.parametrize("kappa, budget, seed", [(7, 3000, 2), (11, 20000, 1)])
+    def test_largest_exact_coupling_matches_serial(self, kappa, budget, seed):
+        # the largest L whose counts stay exact in int64; summing float
+        # weights, the move table drifts from the serial count here
+        proto, mask = build_ab_powers(3, kappa), _oo_mask(kappa, 30)
+        m = max(len(build_window(proto, mask).ids6), 1)
+        L = np.iinfo(np.int64).max // (2 * proto.p * m)
+        got = cpo_optimize(proto, mask, L, budget=budget, seed=seed)
+        assert got.as_dict() == serial_cpo_optimize(proto, mask, L, budget, seed).as_dict()
+        refused = f"CPO counts at L={L + 1} would leave the exact int64 range"
+        with pytest.raises(ValueError, match=refused):
+            cpo_optimize(proto, mask, L + 1, budget=budget, seed=seed)
+
 
 @st.composite
 def _cpo_problems(draw):
@@ -352,3 +368,136 @@ def test_move_table_matches_dense_recompute(case):
         want_f, want_hits = _dense_moves(ref, flat, L, pairs[:, [0, 2, 1, 3]])
         assert (f == want_f).all()
         assert ((hits == 0) == (want_hits == 0)).all()
+
+
+@st.composite
+def _revisiting_windows(draw):
+    # no cycle of a mask window visits a circulant twice (the visits would
+    # put it in H0 and H1 at once), so these windows are built by hand: rows
+    # of distinct circulants, some of which copy one visit onto a position
+    # of the other sign, where the two cancel
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(6, 9))
+    ids = {}
+    for width in (6, 4):
+        rows = draw(st.lists(st.permutations(range(n)), max_size=8))
+        ids[width] = np.array([row[:width] for row in rows], dtype=np.int64).reshape(-1, width)
+        for row in ids[width]:
+            i, j = draw(st.integers(0, width - 1)), draw(st.integers(0, width // 2 - 1))
+            if draw(st.booleans()):
+                row[(i + 2 * j + 1) % width] = row[i]
+    m6 = len(ids[6])
+    dual6 = np.array(draw(st.lists(st.booleans(), min_size=m6, max_size=m6)), bool)
+    flat = np.array(draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)), np.int64)
+    window = SimpleNamespace(p=p, n_entries=n, ids6=ids[6], ids4=ids[4], dual6=dual6)
+    return window, flat, draw(st.integers(2, 30))
+
+
+def _coefficients(ids, n):
+    coef = np.zeros((len(ids), n), dtype=np.int64)
+    for c, row in enumerate(ids.tolist()):
+        for i, e in enumerate(row):
+            coef[c, e] += (-1) ** i
+    return coef
+
+
+def _listed(index, key, first):
+    """(first + cycle, coefficients) of one key of a reference index."""
+    at = slice(index.ptr[key], index.ptr[key + 1])
+    return [(first + c, a) for c, a in zip(index.cycles[at].tolist(), index.coefs[at].tolist())]
+
+
+def _ab_window(p, assign):
+    proto, mask, _ = _ab_problem(p, assign, 2)
+    return build_window(proto, mask), np.ravel(proto.powers), 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(_table_states().map(lambda case: (case[0], *case[2:])), _revisiting_windows()),
+    st.booleans(),
+)
+# no cycle at all; 4-cycles alone; a cancelled visit in each cycle kind
+@example(_ab_window(3, ((0,), (1,), (0,))), False)
+@example(_ab_window(3, ((0, 0), (0, 0), (0, 1))), True)
+@example(
+    (
+        SimpleNamespace(
+            p=5,
+            n_entries=6,
+            ids6=np.array([[0, 1, 2, 3, 4, 5], [3, 1, 2, 3, 4, 0]]),
+            ids4=np.array([[0, 2, 2, 4]]),
+            dual6=np.array([False, True]),
+        ),
+        np.array([0, 1, 2, 3, 4, 0]),
+        7,
+    ),
+    True,
+)
+def test_cycle_indexes_match_reference(case, int64_keys):
+    # the mover and pair indexes over one cycle set (6-cycles, then
+    # 4-cycles) against the per-kind reference; int64_keys sorts the keys
+    # as int64, as windows of more than 256 circulants do
+    window, flat, L = case
+    n, p, m6, m4 = window.n_entries, window.p, len(window.ids6), len(window.ids4)
+    with mock.patch.object(cpo, "RADIX_KEYS", 0 if int64_keys else cpo.RADIX_KEYS):
+        state = _State(window, flat, L)
+    touch = (EntryCycles.of(window.ids6, n), EntryCycles.of(window.ids4, n))
+    for e in range(n):
+        span = slice(state.ptr[e], state.ptr[e + 1])
+        got = list(zip(state.cycles[span].tolist(), state.coefs[span].tolist()))
+        assert got == _listed(touch[0], e, 0) + _listed(touch[1], e, m6)
+        assert state.ptr4[e] - state.ptr[e] == touch[0].ptr[e + 1] - touch[0].ptr[e]
+    coef = np.concatenate([_coefficients(window.ids6, n), _coefficients(window.ids4, n)])
+    assert (state.b == coef @ flat % p).all()
+
+    # every position pair once; the reference lists the cycles both
+    # circulants move, which are the entries with two nonzero coefficients
+    assert state.pair_ptr[-1] == 15 * m6 + 6 * m4
+    kinds = np.concatenate([window.dual6.astype(int), np.full(m4, 2)]).tolist()
+    columns = (state.pair_cycles, state.pair_lo, state.pair_hi, state.pair_kinds)
+    pairs = [index.pairs() for index in touch]
+    for lo, hi in itertools.combinations(range(n), 2):
+        key = lo * n + hi
+        at = slice(state.pair_ptr[key], state.pair_ptr[key + 1])
+        got = sorted(row for row in zip(*(a[at].tolist() for a in columns)) if row[1] and row[2])
+        listed = _listed(pairs[0], key, 0) + _listed(pairs[1], key, m6)
+        assert got == sorted((c, a, b, kinds[c]) for c, (a, b) in listed)
+
+    # a cancelled visit adds nothing to a pair move: every pair at every
+    # power against the balances recomputed from scratch.  The 4-cycle count
+    # covers those that either circulant moves, and holds where none is
+    # active before the move, as along every descent
+    e1, e2 = np.array(list(itertools.permutations(range(n), 2))).reshape(-1, 2).T
+    v1, v2 = np.divmod(np.arange(p * p), p)
+    v1, v2 = np.tile(v1, e1.size), np.tile(v2, e1.size)
+    moves = np.stack([e1.repeat(p * p), e2.repeat(p * p), v1, v2])
+    f, hits = state.pair_moves(moves.T)
+    trials = np.repeat(flat[None, :], moves.shape[1], axis=0)
+    rows = np.arange(moves.shape[1])
+    trials[rows, moves[0]], trials[rows, moves[1]] = moves[2], moves[3]
+    active = trials @ coef.T % p == 0
+    assert (f == p * (active[:, :m6] @ np.where(window.dual6, L - 1, L))).all()
+    moved = (coef[m6:, moves[0]] != 0) | (coef[m6:, moves[1]] != 0)
+    assert not state.b4.all() or (hits == (active[:, m6:] & moved.T).sum(axis=1)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_table_states(), st.lists(st.tuples(st.integers(0, 20), st.integers(0, 6)), max_size=8))
+def test_walk_rows_match_full_table(case, steps):
+    # a plateau walk reads one 4-cycle row per step and refreshes the table
+    # once at its end: each row against a table built from scratch
+    window, _, flat, L = case
+    n, p = window.n_entries, window.p
+    state = _State(window, flat, L)
+    for e, pick in steps:
+        e %= n
+        row = state.hits4_row(e)
+        assert (row == _State(window, state.flat, L).hits4[e]).all()
+        free = [v for v in range(p) if v != state.flat[e] and row[v] == 0]
+        if free:
+            state.move(e, free[pick % len(free)])
+    state.refresh()
+    fresh = _State(window, state.flat, L)
+    assert state.f_sc == fresh.f_sc
+    assert (state.f_after == fresh.f_after).all() and (state.hits4 == fresh.hits4).all()

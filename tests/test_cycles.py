@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from scldpc import cycles
 from scldpc.baselines import cv_exhaustive_best, cv_mask, mo_search
+from scldpc.cpo import _State
 from scldpc.cycles import (
     CensusTable,
     _four_cycle_array,
@@ -615,4 +616,9 @@ def test_window_coefficients_are_units_and_mirrored(assign):
     assert sorted(zip(map(tuple, win.ids6.tolist()), win.dual6.tolist())) == sorted(want)
     kept = ref.span4 != SPAN_R2
     assert sorted(map(tuple, win.ids4.tolist())) == sorted(map(tuple, ref.ids4[kept].tolist()))
-    assert set(win.touch6.coefs.tolist()) <= {-1, 1} and set(win.touch4.coefs.tolist()) <= {-1, 1}
+    # Nor does a cycle visit a circulant twice: its two visits would put
+    # the circulant in H0 and H1 at once.  So the optimizer's mover index
+    # keeps every visit, each with coefficient +-1
+    state = _State(win, np.zeros(g * k, dtype=np.int64), 2)
+    assert len(state.cycles) == win.ids6.size + win.ids4.size
+    assert set(state.coefs.tolist()) <= {-1, 1}

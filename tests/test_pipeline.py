@@ -351,6 +351,17 @@ class TestCliErrors:
         assert out == ""
         assert err == "scldpc: error: coupling length L must be >= 2\n"
 
+    def test_cpo_coupling_beyond_exact_range_reported(self, tmp_path, capsys):
+        # the optimizer's counts must stay exact in int64
+        from scldpc import cli
+
+        L = 10**17
+        rc = cli.main(["cpo", "--L", str(L), "--budget", "200", "--code", _labelled_code_file(tmp_path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"scldpc: error: CPO counts at L={L} would leave the exact int64 range\n"
+
     @pytest.mark.parametrize("q", [4, 16])
     @pytest.mark.parametrize("action", ["scan", "remove"])
     def test_field_mismatch_reported(self, tmp_path, capsys, action, q):
