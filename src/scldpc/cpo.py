@@ -115,6 +115,7 @@ class _State:
     number of kept window 4-cycles that move activates (``hits4``, zero
     exactly when it activates none of the window's); both are
     (gamma*kappa, p) and exact in int64 (see :func:`cpo_optimize`).
+    ``loads`` holds each circulant's visits from active 6-cycles.
     """
 
     def __init__(self, window: TwoReplicaWindow, flat: np.ndarray, L: int):
@@ -185,8 +186,12 @@ class _State:
         table = table[:, :, 0] + table[:, :, 1]
         # f_sc, less the moved cycles active now, plus those active after the move
         after = np.dot([p * L, p * (L - 1)], table[:2].reshape(2, -1)).reshape(n, p)
-        self.f_after = after - (after[np.arange(n), self.flat] - self.f_sc)[:, None]
+        now = (np.arange(n), self.flat)
+        self.f_after = after - (after[now] - self.f_sc)[:, None]
         self.hits4 = table[2]
+        # the active 6-cycles each circulant moves, which are its visits from
+        # active 6-cycles, as no mask window's cycle visits a circulant twice
+        self.loads = table[0][now] + table[1][now]
 
     def hits4_row(self, e: int) -> np.ndarray:
         """``hits4[e]`` of the current balances, read off e's 4-cycle movers."""
@@ -339,9 +344,7 @@ def cpo_optimize(
         # a state's words are replayed only within it
         words.drop_consumed()
         # circulants by their visits from active window 6-cycles, most first
-        active = np.compress(state.b6 == 0, window.ids6, axis=0)
-        loads = np.bincount(active.ravel(), minlength=n_entries)
-        order = np.argsort(-loads, kind="stable").tolist()
+        order = np.argsort(-state.loads, kind="stable").tolist()
         f_single, v_single = state.best_singles()
         ranked = np.flatnonzero(f_single[order] < state.f_sc)
         # the first width whose pool holds an improving single move

@@ -15,18 +15,15 @@ it refuses more than 2^20 assignments (a <= 12 at q = 4, a <= 7 at q = 8,
 a <= 5 at q = 16), counted over all (q-1)^a, before allocating anything.
 
 Candidates in a code are found by growing variable-node subsets outward from
-6-cycles.  The seeds come from the cycle enumerator of :mod:`scldpc.cycles`:
-for a coupled code, the active window 6-cycles that the census counts,
-lifted in numpy; for a hand-built graph, the 6-cycles of its own incidence.
+6-cycles: for a coupled code, the active window 6-cycles that the census
+counts, lifted in numpy; for a hand-built graph, those of its own incidence.
 Shifting every offset by one inside every circulant maps the lifted graph
-onto itself, so one subset per shift orbit is grown.  The last node of a
-full-size subset is added only if it already shares a majority of its
-checks with the subset, and each subset's label is read off its row hits.
-Growth does not depend on the weights: it emits the label-matched orbits,
-expanded to their distinct translates, into a family of arrays grouped by
-check structure.  A test of the family gathers the weights from the label
-bytes once, decides each group in one oracle pass and builds instances only
-for the hits.
+onto itself, so one subset per shift orbit is grown, one level of subsets
+per size as numpy arrays.  Growth does not depend on the weights: it emits
+the label-matched orbits, expanded to their distinct translates, into a
+family of arrays grouped by check structure.  A test of the family gathers
+the weights from the label bytes once, decides each group in one oracle
+pass and builds instances only for the hits.
 
 Removal works on edges of degree-2 checks only.  When the unsatisfied checks
 are exactly the degree-1 checks, the number of weight changes needed has a
@@ -43,7 +40,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
@@ -77,6 +73,8 @@ MAX_ORACLE_ASSIGNMENTS = 2**20
 ORACLE_BATCH_ROWS = MAX_ORACLE_ASSIGNMENTS
 # largest change set the brute-force removal stream tries
 MAX_CHANGES = 2
+# subset x row-degree cells one chunk of scan growth holds
+GROW_CELLS = 1 << 16
 
 
 @functools.lru_cache(maxsize=1024)
@@ -639,28 +637,51 @@ def _shift(x, s: int, p: int):
     return x - x % p + (x + s) % p
 
 
-def _canonical(cols: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """The smallest sorted tuple among the translates of ascending ``cols``.
+def _pack(rows: np.ndarray, n: int) -> np.ndarray:
+    """Rows of ints below ``n`` as int64 words, shape (..., words), that
+    compare as the rows do, lexicographically."""
+    bits = max(1, (n - 1).bit_length())
+    words = []
+    for lo in range(0, rows.shape[-1], 63 // bits):
+        word = np.zeros(rows.shape[:-1], dtype=np.int64)
+        for i in range(lo, min(lo + 63 // bits, rows.shape[-1])):
+            word = (word << bits) | rows[..., i]
+        words.append(word)
+    return np.stack(words, axis=-1)
 
-    Its first entry is offset 0 of the lowest block the set touches, so only
-    the shifts that take a member of that block to offset 0 are tried.
-    """
-    if p == 1:
+
+def _unique_rows(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``rows`` (ints below ``n``) ascending, and the
+    index among them of each row."""
+    keys = _pack(rows, n)
+    order = np.lexsort(keys.T[::-1])
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    which = np.empty(len(keys), dtype=np.intp)
+    which[order] = np.cumsum(new) - 1
+    return rows[order[new]], which
+
+
+def _canonical_rows(cols: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Per ascending row of ``cols`` (below ``n``), the smallest ascending
+    row among its translates.  Its first entry is offset 0 of the row's
+    lowest block, so only the shifts taking a member of that block, a prefix
+    of the row, to offset 0 are tried."""
+    if p == 1 or not len(cols):
         return cols
-    end = cols[0] - cols[0] % p + p
-    best = None
-    for c in cols:
-        if c >= end:
-            break
-        t = tuple(sorted([_shift(x, -c % p, p) for x in cols]))
-        if best is None or t < best:
-            best = t
-    return best
+    tried = cols < cols[:, :1] - cols[:, :1] % p + p
+    k = int(tried.sum(axis=1).max())
+    moved = np.sort(_shift(cols[:, None, :], -cols[:, :k, None] % p, p), axis=2)
+    keys, alive = _pack(moved, n), tried[:, :k]
+    for j in range(keys.shape[2]):
+        word = np.where(alive, keys[:, :, j], np.iinfo(np.int64).max)
+        alive &= word == word.min(axis=1, keepdims=True)
+    return moved[np.arange(len(cols)), alive.argmax(axis=1)]
 
 
-def _6cycle_orbits(code) -> tuple[set[tuple[int, ...]], bool]:
-    """Canonical variable-node triples of the 6-cycles, one per orbit, and
-    whether the graph has a (lifted) 4-cycle.
+def _6cycle_orbits(code) -> tuple[np.ndarray, bool]:
+    """Canonical variable-node triples of the 6-cycles, one row per orbit,
+    and whether the graph has a (lifted) 4-cycle.
 
     A RawTanner's cycles are enumerated on its own incidence.  An SCCode's
     are its active window 6-cycles, the ones the census counts, lifted at
@@ -670,11 +691,12 @@ def _6cycle_orbits(code) -> tuple[set[tuple[int, ...]], bool]:
     each placed at L replica shifts (L - 1 when it spans two replicas); the
     other p - 1 offsets are its translates.
     """
+    n = len(code.edges.rows)
     if not isinstance(code, SCCode):
-        inc = np.zeros((code.edges.n_rows, len(code.edges.rows)), dtype=bool)
-        inc[code.edges.rows, np.arange(len(code.edges.rows))[:, None]] = True
+        inc = np.zeros((code.edges.n_rows, n), dtype=bool)
+        inc[code.edges.rows, np.arange(n)[:, None]] = True
         vns = np.sort(_six_cycle_array(inc)[:, 3:], axis=1)
-        return set(map(tuple, vns.tolist())), len(_four_cycle_array(inc)) > 0
+        return _unique_rows(vns, n)[0], len(_four_cycle_array(inc)) > 0
     k, L = code.kappa, code.L
     inc, (f, p) = _mask_incidence(code.mask), _window_powers(code.proto)
     six = _six_cycle_array(inc, (f, p))
@@ -684,8 +706,7 @@ def _6cycle_orbits(code) -> tuple[set[tuple[int, ...]], bool]:
     cols = np.stack([a * p, b * p + off_b % p, c * p + (off_b + f[r3, b] - f[r3, c]) % p], axis=1)
     owner, shift = _expand(L - dual[kept])
     vns = np.sort(cols[owner] + (shift * k * p)[:, None], axis=1)
-    seeds = {_canonical(t, p) for t in map(tuple, vns.tolist())}
-    return seeds, _has_active_4cycle(code.proto, inc)
+    return _unique_rows(_canonical_rows(vns, p, n), n)[0], _has_active_4cycle(code.proto, inc)
 
 
 @dataclass(frozen=True)
@@ -710,37 +731,55 @@ class _Group:
     edges: np.ndarray
 
 
-def _group(code, checks, matching, reps: list, rows: list) -> _Group:
-    """The group of the orbit representatives ``reps``, expanded to their
-    distinct translates; ``rows[o]`` holds the row of each of ``checks`` in
-    representative o."""
-    p, gamma = code.p, code.gamma
-    reps, rows = np.array(reps), np.array(rows)
+def _emit(found: dict, code, matching: list, sub, hits, runs: tuple) -> None:
+    """Add the representatives ``sub[hits]``, all of one label, to ``found``:
+    per check structure, the arrays of a :class:`_Group` for their distinct
+    translates, read off the chunk's row-hit ``runs`` (see
+    :func:`_grow_family`)."""
+    at, hit, start, size, owner = runs
+    p, gamma, n_rows, a = code.p, code.gamma, code.edges.n_rows, sub.shape[1]
+    # each hit's shared checks, as node sets, ordered by node set, then row:
+    # the node sets in that order are its check structure
+    mine = np.zeros(len(sub), dtype=bool)
+    mine[hits] = True
+    runs = np.flatnonzero(mine[owner] & (size >= 2))
+    cell, rank = _expand(size[runs])
+    masks = np.add.reduceat(1 << at[start[runs][cell] + rank] % (a * gamma) // gamma,
+                            np.cumsum(size[runs]) - size[runs])
+    rows = hit[start[runs]] % n_rows
+    order = np.argsort((masks * n_rows + rows).reshape(len(hits), -1), axis=1)
+    runs, masks, rows = (np.take_along_axis(x.reshape(len(hits), -1), order, axis=1)
+                         for x in (runs, masks, rows))
+    shapes, which = _unique_rows(masks, 1 << a)
+    by_shape = np.argsort(which, kind="stable")
+    runs, rows, reps = runs[by_shape], rows[by_shape], sub[hits[by_shape]]
+    # each edge, check by check, as node * gamma + its slot in the node's rows
+    cell, rank = _expand(size[runs.ravel()])
+    place = (at[start[runs.ravel()][cell] + rank] % (a * gamma)).reshape(len(hits), -1)
     shifts = np.arange(p)
     moved = _shift(reps[:, None, :], shifts[:, None], p)
-    order = np.argsort(moved, axis=2)
-    vn = np.take_along_axis(moved, order, axis=2)
+    by_col = np.argsort(moved, axis=2)
+    vn = np.take_along_axis(moved, by_col, axis=2)
     # the shifts fixing a set are the multiples of its period, which divides
     # p; the last column stands for the shift by p
-    same = np.concatenate(
-        [(vn[:, 1:] == vn[:, :1]).all(axis=2), np.ones((len(reps), 1), dtype=bool)], axis=1
-    )
-    orbit, shift = np.nonzero(shifts < same.argmax(axis=1)[:, None] + 1)
-    cn = _shift(rows[orbit], shift[:, None], p)
-    nodes, owners = _edge_ends(checks)
-    e_cols = _shift(reps[orbit][:, nodes], shift[:, None], p)
-    e_rows = cn[:, owners]
-    k = (code.edges.rows[e_cols] == e_rows[..., None]).argmax(axis=2)
-    return _Group(
-        gamma=gamma,
-        checks=checks,
-        matching=matching,
-        vn=vn[orbit, shift],
+    same = np.concatenate([(vn[:, 1:] == vn[:, :1]).all(axis=2), np.ones((len(reps), 1), bool)], axis=1)
+    period = same.argmax(axis=1) + 1
+    orbit, shift = np.nonzero(shifts < period[:, None])
+    parts = (
+        vn[orbit, shift],
         # node i of the representative is node perm[t, i] of translate t
-        perm=np.argsort(order[orbit, shift], axis=1),
-        cn=cn,
-        edges=e_cols * gamma + k,
+        np.argsort(by_col[orbit, shift], axis=1),
+        _shift(rows[orbit], shift[:, None], p),
+        # a column's rows lie in distinct row blocks, so a shift keeps their
+        # order and each edge its slot
+        np.take_along_axis(moved[orbit, shift], place[orbit] // gamma, axis=1) * gamma
+        + place[orbit] % gamma,
     )
+    ends = np.cumsum(period)[np.searchsorted(which[by_shape], np.arange(len(shapes)), "right") - 1]
+    for shape, lo, hi in zip(shapes.tolist(), [0] + ends[:-1].tolist(), ends.tolist()):
+        checks = tuple(tuple(i for i in range(a) if m >> i & 1) for m in shape)
+        for part, x in zip(found.setdefault(checks, (matching, [], [], [], []))[1:], parts):
+            part.append(x[lo:hi])
 
 
 def _grow_family(code, targets: list[tuple], a_max: int) -> list[_Group]:
@@ -751,69 +790,81 @@ def _grow_family(code, targets: list[tuple], a_max: int) -> list[_Group]:
         by_label.setdefault(t if len(t) == 4 else t[:1] + t[2:], []).append(t)
     # a subset larger than every target can never match
     a_max = min(a_max, max(t[0] for t in targets))
-    gamma, p = code.gamma, code.p
+    gamma, p, edges = code.gamma, code.p, code.edges
     need_majority = math.floor(gamma / 2) + 1
+    n_rows, n_cols = edges.n_rows, len(edges.rows)
+    # the columns of every row, padded with column n_cols
+    order, ptr = edges.row_order
+    row_cols = np.full((n_rows, int(np.diff(ptr).max(initial=1))), n_cols)
+    row_cols[_expand(np.diff(ptr))] = order // gamma
+    # an added node lowers d1 by at most gamma: reach[a] is the largest d1
+    # of a size-a subset from which a larger target is reachable
+    reach = [max((t[-3] + gamma * (t[0] - a) for t in targets if t[0] > a), default=-1)
+             for a in range(a_max + 2)]
 
-    seeds, has4 = _6cycle_orbits(code)
+    level, has4 = _6cycle_orbits(code)
     convert_bound = gamma if has4 else 1
-
-    # per check structure: its targets, the representatives and their rows
-    found: dict[tuple, tuple[list, list, list]] = {}
-    queue: list[tuple[int, ...]] = sorted(seeds)
-    visited = set(queue)
-
-    rows_of = code.edges.columns
-    cols_of = code.edges.row_lists
-
-    head = 0
-    while head < len(queue):
-        subset = queue[head]
-        head += 1
-        a = len(subset)
-        row_members: dict[int, list[int]] = {}
-        for v in subset:
-            for r in rows_of[v]:
-                row_members.setdefault(r, []).append(v)
-        deg_in = dict.fromkeys(subset, 0)
-        d2 = d3 = 0
-        for members in row_members.values():
-            if len(members) >= 2:
-                if len(members) == 2:
-                    d2 += 1
-                else:
-                    d3 += 1
-                for v in members:
-                    deg_in[v] += 1
-        least = min(deg_in.values())
-        if d2 > d3 and least >= need_majority:
-            matching = by_label.get((a, a * gamma - sum(deg_in.values()), d2, d3))
-            if matching:
-                index = {v: i for i, v in enumerate(subset)}
-                shared = sorted(
-                    (tuple(index[v] for v in ms), r) for r, ms in row_members.items() if len(ms) >= 2
-                )
-                _, reps, rows = found.setdefault(tuple(ms for ms, _ in shared), (matching, [], []))
-                reps.append(subset)
-                rows.append([r for _, r in shared])
-        if a >= a_max:
-            continue
-        remaining = a_max - a
-        # each node needs >= need_majority shared checks; an added node can
-        # convert at most convert_bound hanging checks of any existing node
-        if need_majority - least > remaining * convert_bound:
-            continue
-        # a candidate's shared degree is the number of its rows that hold a
-        # member; a set of a_max nodes is never grown, so for the last node
-        # that degree is final and must already reach the majority
-        shared_with = Counter(itertools.chain.from_iterable(map(cols_of.__getitem__, row_members)))
-        floor = need_majority if remaining == 1 else 1
-        for c, n in shared_with.items():
-            if n >= floor and c not in deg_in:
-                nxt = _canonical(tuple(sorted(subset + (c,))), p)
-                if nxt not in visited:
-                    visited.add(nxt)
-                    queue.append(nxt)
-    return [_group(code, checks, *entry) for checks, entry in found.items()]
+    # per check structure: its targets and the parts of its group's arrays
+    found: dict[tuple, tuple[list, ...]] = {}
+    for a in range(3, a_max + 1):
+        w = a * gamma
+        # a set of a_max nodes is never grown, so the last node's shared
+        # degree is final and must already reach the majority
+        floor = need_majority if a + 1 == a_max else 1
+        # a child is kept only with a d1 of a target of its size, or in reach
+        wanted = np.arange(w + gamma + 1) <= reach[a + 1]
+        wanted[[t[1] for t in by_label if t[0] == a + 1 and t[1] <= w + gamma]] = True
+        children = []
+        step = max(1, GROW_CELLS // (w * row_cols.shape[1]))
+        for sub in (level[lo : lo + step] for lo in range(0, len(level), step)):
+            n = len(sub)
+            # row hits: runs of equal (subset, row) keys, in sorted order
+            keys = (np.arange(n)[:, None] * n_rows + edges.rows[sub].reshape(n, w)).ravel()
+            at = np.argsort(keys, kind="stable")
+            hit = keys[at]
+            start = np.flatnonzero(np.concatenate(([True], hit[1:] != hit[:-1])))
+            size = np.diff(np.append(start, len(hit)))
+            owner = hit[start] // n_rows
+            mult = np.empty(len(keys), dtype=np.int64)
+            mult[at] = np.repeat(size, size)
+            deg_in = (mult >= 2).reshape(n, a, gamma).sum(axis=2)
+            least, d1 = deg_in.min(axis=1), w - deg_in.sum(axis=1)
+            d2 = np.bincount(owner[size == 2], minlength=n)
+            d3 = np.bincount(owner[size > 2], minlength=n)
+            ugast = (d2 > d3) & (least >= need_majority)
+            for label, matching in by_label.items():
+                if label[0] != a:
+                    continue
+                hits = np.flatnonzero(ugast & (d1 == label[1]) & (d2 == label[2]) & (d3 == label[3]))
+                if hits.size:
+                    _emit(found, code, matching, sub, hits, (at, hit, start, size, owner))
+            if a == a_max:
+                continue
+            # each node needs need_majority shared checks; an added node can
+            # convert at most convert_bound hanging checks of any existing node
+            runs = np.flatnonzero(
+                ((need_majority - least <= (a_max - a) * convert_bound) & (d1 <= reach[a]))[owner]
+            )
+            # a (subset, candidate) pair per row of the subset the candidate
+            # lies on, doubled, plus 1 where the row is a hanging check
+            pairs = owner[runs, None] * (n_cols + 1) + row_cols[hit[start[runs]] % n_rows]
+            pairs = np.sort((pairs * 2 + (size[runs, None] == 1)).ravel())
+            first = np.flatnonzero(np.concatenate(([True], pairs[1:] >> 1 != pairs[:-1] >> 1)))
+            # the candidate's shared degree, then the child's d1
+            shared = np.diff(np.append(first, len(pairs)))
+            first, shared = first[shared >= floor], shared[shared >= floor]
+            hanging = np.concatenate(([0], np.cumsum(pairs & 1)))
+            s, c = np.divmod(pairs[first] >> 1, n_cols + 1)
+            child_d1 = d1[s] + gamma - shared - hanging[first + shared] + hanging[first]
+            keep = (c < n_cols) & wanted.take(child_d1, mode="clip")
+            s, c = s[keep], c[keep]
+            fresh = ~(sub[s] == c[:, None]).any(axis=1)
+            child = np.sort(np.concatenate([sub[s[fresh]], c[fresh, None]], axis=1), axis=1)
+            children.append(_canonical_rows(child, p, n_cols))
+        if a == a_max or not children:
+            break
+        level = _unique_rows(np.concatenate(children), n_cols)[0]
+    return [_Group(gamma, k, m, *map(np.concatenate, parts)) for k, (m, *parts) in found.items()]
 
 
 def _test_family(
@@ -895,42 +946,37 @@ def gast_scan(
 ) -> list[GastInstance]:
     """Find absorbing-set instances matching the target labels.
 
-    ``code`` is an SCCode or a RawTanner; both are read through their edge
-    array, taken once as Python lists.  The lifted graph is invariant under
-    the shift sigma that adds 1 mod p to the offset of every row and column
-    inside its circulant block, and so are pruning, the majority floor and
-    every label; a RawTanner has p = 1.  So only one subset per sigma-orbit
-    is grown: the canonical one, the smallest of its translates as a sorted
-    tuple.
+    ``code`` is an SCCode or a RawTanner, read through its edge array.  The
+    lifted graph is invariant under the shift sigma that adds 1 mod p to the
+    offset of every row and column inside its circulant block, and so are
+    pruning and every label; a RawTanner has p = 1.  So only one subset per
+    sigma-orbit is grown: the smallest of its translates as a sorted row.
 
-    Subsets grow outward from the 6-cycle orbits by adding variable nodes
-    that share a check with the current set, up to ``a_max`` nodes, an
-    upper bound clamped to the largest target size (a larger subset can
-    never match), and each child is put into canonical form before it is
-    looked up among the subsets already seen.  Growth is pruned once the
-    per-node majority condition is unreachable within the remaining
-    additions.  A node that would complete a subset of that size is added
-    only if it shares at least floor(gamma/2)+1 checks with the subset: that
-    set is never grown, so the node's shared degree is final, and a set
-    failing it can never be an absorbing set.
+    Growth runs by levels, one numpy pass per subset size a, from the
+    6-cycle orbits up to ``a_max`` nodes, an upper bound clamped to the
+    largest target size (a larger subset can never match).  A level's
+    children add a node that shares a check with the subset; they are put
+    into canonical form and deduplicated.  Each subset's label (a, d1, d2,
+    d3), d2 > d3 and the majority condition are read off sorted row hits.
+    A subset is grown only while the majority condition is reachable within
+    the remaining additions and, since an added node lowers d1 by at most
+    gamma, while some larger target T has d1 - gamma (a_T - a) <= d1_T; a
+    child of neither a target's d1 nor such a reach is dropped.  A node that
+    completes a subset of a_max nodes must share floor(gamma/2)+1 checks
+    with it: that set is never grown, so the node's shared degree is final.
 
-    The scan runs in two steps.  Growth, which does not read the weights,
-    reads each subset's label (a, d1, d2, d3), d2 > d3 and the majority
-    condition off its row hits, and emits every subset whose label matches
-    a target, expanded to its distinct translates, into a family of arrays:
-    per check structure, each translate's columns, check rows, node order
-    and edge indices into the label bytes.  The test gathers the weights of
-    the family from the label bytes once.  4-entry targets (a, d1, d2, d3)
-    match topologies only; 5-entry targets (a, b, d1, d2, d3) additionally
-    require an oracle witness with exactly b unsatisfied checks, which
-    needs a field, and are decided for every translate of a check structure
-    in one oracle pass, over the assignments with x_0 = 1.  Per translate
-    the first target in list order wins, and the witness is the
-    lexicographically first valid assignment in the translate's own sorted
-    ``vn_ids`` order.  Instances are built only for hits.  A target entry
-    that is not a non-negative int, a target with a < 3 or an ``a_max``
-    below 3 (no subset grown from a 6-cycle is that small), and a labelled
-    code whose field differs from ``field``, are refused.
+    Growth does not read the weights.  It emits every subset whose label
+    matches a target, expanded to its distinct translates, into a family of
+    arrays per check structure.  The test gathers the family's weights from
+    the label bytes once.  4-entry targets (a, d1, d2, d3) match topologies
+    only; 5-entry targets (a, b, d1, d2, d3) also need an oracle witness
+    with exactly b unsatisfied checks, and a field, and are decided for
+    every translate of a check structure in one oracle pass, over the
+    assignments with x_0 = 1.  Per translate the first target in list order
+    wins, and the witness is the lexicographically first valid assignment
+    in the translate's own sorted ``vn_ids`` order.  A target entry that is
+    not a non-negative int, a target with a < 3, an ``a_max`` below 3, and a
+    labelled code whose field differs from ``field``, are refused.
     """
     targets = _check_targets(targets, a_max)
     if not targets:

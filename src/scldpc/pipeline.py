@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -91,7 +91,8 @@ class DesignReport:
     code_json: str = ""
 
     def to_json(self) -> str:
-        d = asdict(self)
+        # a shallow copy: json.dumps walks the lists itself
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["config"] = asdict(self.config)
         return json.dumps(d, sort_keys=True, indent=1)
 

@@ -150,9 +150,8 @@ class TannerEdges:
 
     ``rows`` is an (n_cols, gamma) integer array, ascending in each column;
     edge ``c * gamma + k`` joins column c to row ``rows[c, k]``, and edge
-    labels are stored in that order.  The row-major (CSR) edge order, and
-    the Python-list views used by the absorbing-set scan, are built once, on
-    first use.
+    labels are stored in that order.  The row-major (CSR) edge order and
+    the per-column row lists are built once, on first use.
     """
 
     def __init__(self, rows: np.ndarray, n_rows: int):
@@ -177,14 +176,6 @@ class TannerEdges:
         order = np.argsort(flat, kind="stable")
         ptr = np.concatenate(([0], np.bincount(flat, minlength=self.n_rows).cumsum()))
         return order, ptr
-
-    @functools.cached_property
-    def row_lists(self) -> list[list[int]]:
-        """Columns of every row, ascending: the CSR inverse of ``rows``."""
-        order, ptr = self.row_order
-        cols = (order // self.gamma).tolist()
-        ptr = ptr.tolist()
-        return [cols[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
     def index(self, row: int, col: int) -> int:
         """Position of the edge (row, col) in the column-major edge order."""

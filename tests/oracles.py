@@ -13,12 +13,15 @@ representatives.  ``enumerate_cycles`` runs the set-based row-triple loops
 kept here as the reference for that enumerator; the DFS counts pin them.
 ``EntryCycles`` is the optimizer's earlier per-circulant and per-pair cycle
 index, built one cycle kind at a time with sorts of its own; it is the
-reference for the index the optimizer builds over one cycle set.
+reference for the index the optimizer builds over one cycle set, and
+``compress_loads`` tallies the active 6-cycles' visits one by one, the
+reference for the circulant loads it reads off its move table.
 
 The section after the references holds helpers that only the tests use: a
 cycle object with its window tag, the per-circulant census, the window
-4-cycle test, the mask generator of one overlap vector and the absorbing-set
-scan's 6-cycle seeds expanded over their translates.  The window helpers
+4-cycle test, the mask generator of one overlap vector, the row lists of an
+edge array and the absorbing-set scan's 6-cycle seeds expanded over their
+translates.  The window helpers
 read :class:`ReferenceWindow`, not the optimizer's window.
 """
 
@@ -805,6 +808,13 @@ class EntryCycles:
         return EntryCycles(*_csr(ents[lo] * n + ents[hi], n * n, cycles[lo], pair_coefs))
 
 
+def compress_loads(window, b6: np.ndarray) -> np.ndarray:
+    """Each circulant's visits from the window's active 6-cycles, those of
+    balance 0 in ``b6``, tallied visit by visit."""
+    active = np.compress(b6 == 0, window.ids6, axis=0)
+    return np.bincount(active.ravel(), minlength=window.n_entries)
+
+
 def exhaustive_witnesses(topology, weights: dict, field):
     """(assignment matrix, valid mask, unsatisfied totals) of one topology.
 
@@ -982,6 +992,14 @@ def serial_gast_scan(code, field, targets, a_max: int = 8) -> list:
 # -- helpers only the tests use -----------------------------------------------
 
 
+def row_lists(edges) -> list[list[int]]:
+    """Columns of every row of a Tanner edge array, ascending, read off its
+    row-major edge order."""
+    order, ptr = edges.row_order
+    cols = (order // edges.gamma).tolist()
+    return [cols[a:b] for a, b in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
+
+
 def lifted_6cycle_vn_sets(code) -> list[tuple[int, ...]]:
     """Variable-node triples of every lifted 6-cycle: the scan's seed orbits,
     each expanded over the p lift offsets."""
@@ -989,7 +1007,7 @@ def lifted_6cycle_vn_sets(code) -> list[tuple[int, ...]]:
     return sorted(
         {
             tuple(sorted(_shift(c, s, p) for c in rep))
-            for rep in _6cycle_orbits(code)[0]
+            for rep in _6cycle_orbits(code)[0].tolist()
             for s in range(p)
         }
     )

@@ -17,6 +17,7 @@ from oracles import (
     EntryCycles,
     ReferenceWindow,
     active_census,
+    compress_loads,
     has_active_4cycle,
     serial_cpo_optimize,
 )
@@ -501,3 +502,27 @@ def test_walk_rows_match_full_table(case, steps):
     fresh = _State(window, state.flat, L)
     assert state.f_sc == fresh.f_sc
     assert (state.f_after == fresh.f_after).all() and (state.hits4 == fresh.hits4).all()
+
+
+def _oo_state(kappa: int):
+    """The optimizer's start on the OO mask at L = 20, as a table state."""
+    proto = build_ab_powers(3, kappa)
+    return build_window(proto, _oo_mask(kappa, 20)), None, np.ravel(proto.powers), 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(_table_states(), st.lists(st.tuples(st.integers(0, 20), st.integers(0, 6)), max_size=8))
+@example(_oo_state(7), [(0, 3), (9, 1), (20, 5), (4, 6)])
+@example(_oo_state(13), [(1, 2), (17, 4), (30, 0), (38, 6)])
+@example(_oo_state(19), [(2, 5), (25, 1), (40, 3), (56, 2)])
+@example(_oo_state(31), [(3, 4), (47, 6), (60, 2), (92, 1)])
+def test_loads_match_active_visits(case, moves):
+    # the optimizer ranks circulants by the loads its move table holds at
+    # their current powers: against the active 6-cycles' visits, tallied
+    # one by one, at the start and after each move
+    window, _, flat, L = case
+    state = _State(window, flat, L)
+    assert (state.loads == compress_loads(window, state.b6)).all()
+    for e, v in moves:
+        state.apply([(e % state.n, v % state.p)])
+        assert (state.loads == compress_loads(window, state.b6)).all()

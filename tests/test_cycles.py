@@ -39,6 +39,7 @@ from oracles import (
     lift_count,
     loop_census_active_counts,
     proto_cycles6,
+    row_lists,
     six_cycles,
     union_active_4cycles,
 )
@@ -124,7 +125,7 @@ def _row_sets(draw):
     n_rows = draw(st.integers(gamma, 10))
     col_rows = st.lists(st.integers(0, n_rows - 1), min_size=gamma, max_size=gamma, unique=True)
     graph = RawTanner(draw(st.lists(col_rows, min_size=1, max_size=11)), gamma)
-    return [set(cols) for cols in graph.edges.row_lists], len(graph.edges.rows)
+    return [set(cols) for cols in row_lists(graph.edges)], len(graph.edges.rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -149,7 +150,7 @@ def test_array_enumerators_on_a_lifted_code(cells, monkeypatch):
     # 45 check rows, 50 columns: many triple chunks at a small cap
     proto = build_ab_powers(3, 5)
     code = couple(proto, PartitionMask(((0, 0, 1, 1, 0), (1, 0, 0, 1, 1), (0, 1, 0, 1, 0))), 2)
-    rows = [set(cols) for cols in code.edges.row_lists]
+    rows = [set(cols) for cols in row_lists(code.edges)]
     inc = _incidence(rows, code.n_cols)
     six, four = _reference_arrays(rows)
     assert len(six) and len(four) == 0

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -26,8 +28,10 @@ from scldpc.gast import (
 )
 from scldpc.cycles import count_ugast_3330, girth_check
 from scldpc.overlap import realize_mask, solve_optimal_overlap
+from scldpc.pipeline import DesignConfig, run_pipeline
 from scldpc.qc import (
-    PartitionMask, ProtoMatrix, apply_edge_changes, build_ab_powers, couple, label_edges
+    PartitionMask, ProtoMatrix, apply_edge_changes, build_ab_powers, code_from_json, couple,
+    label_edges,
 )
 
 from oracles import (
@@ -37,6 +41,7 @@ from oracles import (
     exhaustive_witnesses,
     lifted_6cycle_vn_sets,
     naive_ugast_subsets,
+    row_lists,
     serial_gast_scan,
     serial_remove_gast_weights,
 )
@@ -612,8 +617,7 @@ class TestScan:
         for c in range(small_code.n_cols):
             for r in small_code.column_rows(c):
                 adj[r].add(c)
-        for r in range(small_code.n_rows):
-            assert small_code.edges.row_lists[r] == sorted(adj[r])
+        assert row_lists(small_code.edges) == [sorted(cols) for cols in adj]
 
     def test_ugast_target_count_equals_census(self, small_code):
         found = gast_scan(small_code, GF4, [(3, 3, 3, 0)], a_max=3)
@@ -627,19 +631,7 @@ class TestScan:
             gast_scan(small_code, GF4, [(1, 2, 3)], a_max=4)
 
     def test_planted_prism_found_exactly_once(self):
-        # 6 VNs wired as a prism, plus filler VNs on fresh checks
-        prism_edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
-        col_adj = [[] for _ in range(10)]
-        for c, (u, v) in enumerate(prism_edges):
-            col_adj[u].append(c)
-            col_adj[v].append(c)
-        nxt = len(prism_edges)
-        for filler in range(6, 10):
-            for _ in range(3):
-                col_adj[filler].append(nxt)
-                nxt += 1
-        graph = RawTanner(col_adj, gamma=3)
-        found = gast_scan(graph, GF4, [(6, 0, 9, 0)], a_max=6)
+        found = gast_scan(_planted_prism(), GF4, [(6, 0, 9, 0)], a_max=6)
         assert len(found) == 1
         assert found[0].topology.vn_ids == (0, 1, 2, 3, 4, 5)
 
@@ -753,8 +745,16 @@ def _gamma4_graphs(draw):
     return [[i * 5 + (c % 5 + i * (c // 5)) % 5 for i in range(4)] for c in cols]
 
 
+# the whole array code with p = 5: girth 6, so an added node converts at
+# most one hanging check, and a 4-node subset grown from a 6-cycle by a node
+# on one of its rows holds that node with one shared check; with one
+# addition left at a_max = 5 it cannot reach 3 and is not grown
+ARRAY_CODE_P5 = [[i * 5 + (c % 5 + i * (c // 5)) % 5 for i in range(4)] for c in range(25)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(_gamma4_graphs(), st.integers(3, 5))
+@example(ARRAY_CODE_P5, 5)
 def test_scan_matches_brute_force_gamma4(col_adj, a_max):
     # at gamma = 4 a member needs 3 shared checks, so a subset one node short
     # of a_max whose weakest member shares one check is pruned unless an added
@@ -796,7 +796,25 @@ def _bridged_triangles() -> RawTanner:
     return RawTanner(col_adj, 3, labels=bytes([1] * 18))
 
 
+def _planted_prism() -> RawTanner:
+    """6 VNs wired as a prism, plus filler VNs on fresh checks, all weights
+    1: the last node of the prism closes three hanging checks at once."""
+    prism_edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    col_adj = [[] for _ in range(10)]
+    for c, (u, v) in enumerate(prism_edges):
+        col_adj[u].append(c)
+        col_adj[v].append(c)
+    nxt = len(prism_edges)
+    for filler in range(6, 10):
+        for _ in range(3):
+            col_adj[filler].append(nxt)
+            nxt += 1
+    return RawTanner(col_adj, 3, labels=bytes([1] * 30))
+
+
 TWO_B_CASE = (_bridged_triangles(), GF4, [(6, 5, 4, 7, 0), (6, 4, 4, 7, 0)], 6)
+# a node lowering d1 by gamma, the most the d1 bound allows
+PRISM_CASE = (_planted_prism(), GF4, [(6, 0, 0, 9, 0), (6, 0, 9, 0)], 6)
 MIXED_CASE = (_small_code(), GF4, MIXED_TARGETS, 5)
 
 
@@ -883,12 +901,13 @@ def _orbit_scan_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_orbit_scan_cases())
-# random draws rarely reach a subset fixed by a shorter shift or one with
-# witnesses for two b, and reach translates whose witness depends on their
-# own node order only sometimes
+# random draws rarely reach a subset fixed by a shorter shift, one with
+# witnesses for two b or a node that lowers d1 by gamma, and reach
+# translates whose witness depends on their own node order only sometimes
 @example(SHORT_PERIOD_CASE)
 @example(TWO_B_CASE)
 @example(MIXED_CASE)
+@example(PRISM_CASE)
 def test_orbit_scan_matches_serial_scan(case):
     # subsets, checks, weights, b and witnesses, in order, on both paths
     code, field, targets, a_max = case
@@ -915,3 +934,82 @@ def test_family_rescan_matches_fresh_scan(case):
     assert _test_family(family, changed.labels, field) == gast_scan(
         changed, field, targets, a_max=a_max
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _design_code(kappa: int, L: int, seed: int):
+    """The pipeline's code (CPO budget 20 000, CPO seed 1) before removal,
+    labelled over GF(4) with label seed ``seed``."""
+    config = DesignConfig(kappa=kappa, p=kappa, L=L, seed_labels=seed, seed_cpo=1,
+                          cpo_budget=20000, gast_targets=())
+    return code_from_json(run_pipeline(config).code_json)
+
+
+def _digest(found) -> str:
+    """sha256 of every instance's columns, rows, checks, weights, b and witness."""
+    text = repr([
+        (i.topology.vn_ids, i.topology.cn_ids, i.topology.shared_cns, sorted(i.weights.items()),
+         i.b, i.witness)
+        for i in found
+    ])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# per depth, targets that reach it: 5-entry ones that run the oracle and a
+# 4-entry one that does not
+DEPTH_TARGETS = {
+    4: [(4, 2, 2, 5, 0), (3, 3, 3, 3, 0), (4, 4, 4, 0)],
+    5: [(5, 3, 3, 6, 0), (5, 3, 6, 0), (4, 2, 2, 5, 0)],
+}
+
+
+@pytest.mark.parametrize(
+    "kappa, L, seed, a_max",
+    [(13, 10, seed, 4) for seed in (1, 2, 3)]
+    + [pytest.param(*case, marks=pytest.mark.long)
+       for case in [(13, 10, 1, 5), (13, 10, 2, 5), (13, 10, 3, 5), (19, 20, 1, 4)]],
+)
+def test_level_growth_matches_serial_scan(kappa, L, seed, a_max):
+    code, targets = _design_code(kappa, L, seed), DEPTH_TARGETS[a_max]
+    assert gast_scan(code, GF4, targets, a_max=a_max) == serial_gast_scan(
+        code, GF4, targets, a_max=a_max
+    )
+
+
+# (count, digest) of the breadth-first orbit scan, without the d1 bound, that
+# the level growth replaced: a serial scan of every 5-node subset of these
+# codes, about 7 M of them, is out of reach
+DEPTH6_SCANS = {
+    (1, 2): (44, "03a9ff55dbfdbe264d8dd4fe4dc0d14354084e97832dccd931496a5b4874b9ec"),
+    (2, 2): (54, "3ee68d5dd937a2f20e83d7b748973c16e0820d1d6c60fcfd8a6ee0fb18a04dfe"),
+    (3, 2): (42, "e55aee390252bd5689cc775afc58877ef020bb62fde7cb6f05a6dc9ac9c98c66"),
+    (1, 3): (343, "8ed1fd02c5525a01e976a83d8909e1ac76815d1330522672634da928e3a64808"),
+}
+
+
+@pytest.mark.parametrize(
+    "seed, n_targets",
+    [(1, 2), (2, 2), (3, 2), pytest.param(1, 3, marks=pytest.mark.slow)],
+)
+def test_depth6_scan_matches_breadth_first_scan(seed, n_targets):
+    # the CLI's default targets, where the d1 bound keeps level 5 small, and
+    # a 6-node GAST of d1 = 2 that 299 of the hits match, where it does not
+    targets = [(4, 2, 2, 5, 0), (6, 0, 0, 9, 0), (6, 2, 2, 8, 0)][:n_targets]
+    found = gast_scan(_design_code(13, 10, seed), GF4, targets, a_max=6)
+    assert (len(found), _digest(found)) == DEPTH6_SCANS[seed, n_targets]
+
+
+@pytest.mark.parametrize("case", [MIXED_CASE, SHORT_PERIOD_CASE, TWO_B_CASE], ids=["mixed", "period", "two-b"])
+def test_one_subset_chunks_grow_the_same_family(case, monkeypatch):
+    # every level cut into chunks of one subset: each check structure holds
+    # the same translates in the same order
+    code, _, targets, a_max = case
+    whole = {g.checks: g for g in _grow_family(code, targets, a_max)}
+    monkeypatch.setattr("scldpc.gast.GROW_CELLS", 1)
+    chunked = {g.checks: g for g in _grow_family(code, targets, a_max)}
+    assert whole and whole.keys() == chunked.keys()
+    for checks, g in whole.items():
+        h = chunked[checks]
+        assert (g.gamma, g.matching) == (h.gamma, h.matching)
+        for part in ("vn", "perm", "cn", "edges"):
+            assert np.array_equal(getattr(g, part), getattr(h, part))

@@ -28,6 +28,7 @@ from oracles import (
     build_lifted_dense,
     dfs_count_cycles,
     naive_column_rows,
+    row_lists,
     serial_code_to_json,
     serial_export_code_alist,
     serial_label_edges,
@@ -343,7 +344,7 @@ class TestSerialization:
         assert lines[0] == f"{code.n_cols} {code.n_rows}"
         max_col, max_row = map(int, lines[1].split())
         assert max_col == 3
-        assert max_row == max(map(len, code.edges.row_lists))
+        assert max_row == max(map(len, row_lists(code.edges)))
 
 
 @st.composite
@@ -410,8 +411,9 @@ def test_edge_array_matches_coupling_formula(code):
     # girth-4 draws included: the scan's 4-cycle bound must agree on both paths
     columns = [naive_column_rows(code, c) for c in range(code.n_cols)]
     assert code.edges.rows.tolist() == columns
-    for r in range(code.n_rows):
-        assert code.edges.row_lists[r] == [c for c in range(code.n_cols) if r in columns[c]]
+    assert row_lists(code.edges) == [
+        [c for c in range(code.n_cols) if r in columns[c]] for r in range(code.n_rows)
+    ]
     targets = [(3, 3, 3, 3, 0), (4, 2, 2, 5, 0)] + all_ugast_labels(3, 4)
     raw = RawTanner(columns, 3, labels=code.labels)
     assert gast_scan(raw, FieldGF(2), targets, a_max=4) == gast_scan(
