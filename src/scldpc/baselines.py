@@ -46,16 +46,18 @@ def cv_exhaustive_best(proto: ProtoMatrix, L: int) -> tuple[tuple[int, ...], int
 
     Returns (zeta, lifted (3,3,3,0) count).  Ties break toward the
     lexicographically smallest vector.  All C(kappa+3, 3) masks are scored in
-    one batch against the census table of the union window.
+    one batch against the census table of the union window and ranked in
+    numpy (:meth:`CensusTable.best`); only the winner's count is a Python int.
     """
     if proto.gamma != 3:
         raise ValueError("baselines are defined for column weight 3")
-    zetas = np.array(list(itertools.combinations_with_replacement(range(proto.kappa + 1), 3)))
+    # the ascending vectors in lexicographic order
+    zetas = np.indices((proto.kappa + 1,) * 3).reshape(3, -1).T
+    zetas = zetas[(zetas[:, 0] <= zetas[:, 1]) & (zetas[:, 1] <= zetas[:, 2])]
     # circulant (i, j) goes to H1 iff j >= zeta[i], as in cv_mask
     grids = np.arange(proto.kappa) >= zetas[:, :, None]
-    counts = union_census(proto).lifted_counts(grids, L)
-    best = min(range(len(counts)), key=counts.__getitem__)
-    return tuple(zetas[best].tolist()), counts[best]
+    best, count = union_census(proto).best(grids, L)
+    return tuple(zetas[best].tolist()), count
 
 
 def mo_admissible_vectors(kappa: int) -> list[OverlapVector]:
@@ -201,7 +203,8 @@ def mo_search(
     the reduced space still exceeds ``max_masks`` the search falls back to a
     seeded uniform sample of pattern shuffles and the result is flagged
     non-exhaustive.  Masks stream in chunks against one census table of the
-    union window; the first mask with the least count wins.
+    union window, each chunk ranked in numpy (:meth:`CensusTable.best`); the
+    first mask with the least count wins.
     """
     if proto.gamma != 3:
         raise ValueError("baselines are defined for column weight 3")
@@ -239,10 +242,9 @@ def mo_search(
     scored = 0
     while chunk := list(itertools.islice(arrangements, MO_CHUNK)):
         # (mask, column, row) patterns -> (mask, row, column) grids
-        counts = table.lifted_counts(np.array(chunk, dtype=np.uint8).transpose(0, 2, 1), L)
-        i = min(range(len(counts)), key=counts.__getitem__)
-        if best is None or counts[i] < best[0]:
-            best = (counts[i], chunk[i])
+        i, count = table.best(np.array(chunk, dtype=np.uint8).transpose(0, 2, 1), L)
+        if best is None or count < best[0]:
+            best = (count, chunk[i])
         scored += len(chunk)
     return MoSearchResult(_mask_of(best[1]), best[0], exhaustive=exhaustive, masks_scored=scored)
 

@@ -24,7 +24,9 @@ each group holding its cycle counts per H0/H1 pattern of those circulants.
 A mask is scored by gathering its bits at every group and summing the counts
 they look up.  A partition search builds the table once on the union window,
 where every circulant may sit in H0 or H1: at kappa = 17 its 5 440 active
-cycles fall into 272 groups.  A single mask counts its own window directly.
+cycles fall into 272 groups; the search keeps the first mask of least
+lifted count (:meth:`CensusTable.best`).  A single mask counts its own
+window directly.
 
 On an array-based protograph (kappa = p) the union window has a kappa-fold
 symmetry: shifting every column one place within its replica maps active
@@ -34,7 +36,10 @@ nonzero shift, so each orbit has kappa members and exactly one with a at
 offset 0.  The enumerator then lists only those representatives, and the
 table is built from theirs by rotating its supports; the union-window
 4-cycle test lists the 4-cycles whose smaller column sits at offset 0, which
-meet every orbit.  Every other window takes the same code with no shift.
+meet every orbit.  A single mask's window has the same symmetry when each of
+its rows sits wholly in H0 or wholly in H1 (the uncoupled all-H0 mask among
+them): its census counts the representatives and multiplies by kappa.  Every
+other window takes the same code with no shift.
 """
 
 from __future__ import annotations
@@ -241,8 +246,16 @@ def _window_incidence(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
     and in H1: row (b, i) holds replica t's column t*kappa + j when
     circulant (i, j) may sit in H_{b-t}.
     """
-    zero = np.zeros_like(h0)
-    return np.block([[h0, zero], [h1, h0], [zero, h1]])
+    g, k = h0.shape
+    inc = np.zeros((3 * g, 2 * k), dtype=h0.dtype)
+    inc[:g, :k] = inc[g : 2 * g, k:] = h0
+    inc[g : 2 * g, :k] = inc[2 * g :, k:] = h1
+    return inc
+
+
+def _check_shapes(proto: ProtoMatrix, mask: PartitionMask) -> None:
+    if proto.gamma != mask.gamma or proto.kappa != mask.kappa:
+        raise ValueError("protograph and mask shapes differ")
 
 
 def _mask_incidence(mask: PartitionMask) -> np.ndarray:
@@ -293,8 +306,7 @@ class TwoReplicaWindow:
     """
 
     def __init__(self, proto: ProtoMatrix, mask: PartitionMask):
-        if proto.gamma != mask.gamma or proto.kappa != mask.kappa:
-            raise ValueError("protograph and mask shapes differ")
+        _check_shapes(proto, mask)
         g, k = proto.gamma, proto.kappa
         self.p = proto.p
         self.n_entries = g * k
@@ -444,11 +456,16 @@ class CensusTable:
     def active_counts(self, assign) -> np.ndarray:
         """(n, 2) per-replica and two-replica active counts of n masks.
 
-        ``assign`` holds the masks' 0/1 grids, shape (n, gamma, kappa).
+        ``assign`` holds the masks' 0/1 grids, shape (n, gamma, kappa); a
+        grid of any other shape is refused.
         """
-        grids = np.asarray(assign, dtype=np.uint8).reshape(-1, self.gamma * self.kappa)
+        grids = np.asarray(assign, dtype=np.uint8)
+        if grids.shape[-2:] != (self.gamma, self.kappa):
+            raise ValueError(
+                f"mask grids must be {self.gamma} x {self.kappa}, got shape {grids.shape}"
+            )
         # a row per circulant, so each group's gather copies whole rows
-        grids = np.ascontiguousarray(grids.T)
+        grids = np.ascontiguousarray(grids.reshape(-1, self.gamma * self.kappa).T)
         out = np.empty((grids.shape[1], 2), dtype=np.int64)
         base = 64 * np.arange(len(self.support))[:, None]
         step = max(1, SCORE_CELLS // max(1, len(self.support)))
@@ -461,10 +478,23 @@ class CensusTable:
             out[lo : lo + step, 0], out[lo : lo + step, 1] = total & 0xFFFFFFFF, total >> 32
         return out
 
-    def lifted_counts(self, assign, L: int) -> list[int]:
-        """p times the active counts weighted (L, L-1), one Python int per mask."""
+    def best(self, assign, L: int) -> tuple[int, int]:
+        """(index, lifted count) of the first of n masks with the least
+        lifted count p * (L * fs + (L-1) * fd), formed as a Python int.
+
+        With t = fs + fd that count is p * (L * t - fd).  The masks are
+        ranked by the int64 key min(L, M + 1) * t - fd, M the largest fd
+        among them: it is the count over p while L <= M + 1, and beyond, a
+        smaller t wins at either multiplier since it outweighs any fd gap of
+        at most M, while equal t leave fd alone to decide.  So the key
+        orders and ties the masks as the count does at every L.
+        """
         _check_coupling_length(L)
-        return [(L * s + (L - 1) * d) * self.p for s, d in self.active_counts(assign).tolist()]
+        counts = self.active_counts(assign)
+        total, dual = counts.sum(axis=1), counts[:, 1]
+        i = int(np.argmin(min(L, int(dual.max()) + 1) * total - dual))
+        fs, fd = counts[i].tolist()
+        return i, (L * fs + (L - 1) * fd) * self.p
 
 
 def _has_active_4cycle(proto: ProtoMatrix, inc: np.ndarray) -> bool:
@@ -495,23 +525,31 @@ def union_census(proto: ProtoMatrix) -> CensusTable:
 
 
 def census_active_counts(proto: ProtoMatrix, mask: PartitionMask) -> tuple[int, int]:
-    """(per-replica, two-replica) active 6-cycle counts of the window.
+    """(per-replica, two-replica) active 6-cycle counts of the mask's window.
 
-    A single-replica cycle counts once for its R1/R2 mirror pair.
+    A single-replica cycle counts once for its R1/R2 mirror pair.  A
+    shift-symmetric window (:func:`_shift_order` = s > 1) is counted on the
+    cycles with column a at offset 0: each orbit has s members, exactly one
+    of them such, and a within-replica shift keeps which replicas a cycle
+    reaches, so s times their counts are the window's.  A mask whose shape
+    differs from the protograph's is refused.
     """
+    _check_shapes(proto, mask)
+    inc = _mask_incidence(mask)
+    s = _shift_order(proto, inc)
     n_kept, n_dual = 0, 0
-    for six in _six_cycle_chunks(_mask_incidence(mask), _window_powers(proto)):
+    for six in _six_cycle_chunks(inc, _window_powers(proto), s):
         kept, dual = _replica1(six, proto.kappa)
         n_kept += int(np.count_nonzero(kept))
         n_dual += int(np.count_nonzero(dual))
-    return n_kept - n_dual, n_dual
+    return s * (n_kept - n_dual), s * n_dual
 
 
 def count_ugast_3330_for(proto: ProtoMatrix, mask: PartitionMask, L: int) -> int:
     """p times the active window 6-cycles weighted (L, L-1).
 
     Unchecked: equals the (3,3,3,0) count only when no 4-cycle is active.
-    Raises when L < 2.
+    Raises when L < 2 or the mask's shape differs from the protograph's.
     """
     _check_coupling_length(L)
     fs, fd = census_active_counts(proto, mask)

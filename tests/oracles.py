@@ -16,6 +16,8 @@ index, built one cycle kind at a time with sorts of its own; it is the
 reference for the index the optimizer builds over one cycle set, and
 ``compress_loads`` tallies the active 6-cycles' visits one by one, the
 reference for the circulant loads it reads off its move table.
+``python_best`` ranks a census table's masks by their lifted counts as
+Python ints, the reference for the partition searches' ranking in numpy.
 
 The section after the references holds helpers that only the tests use: a
 cycle object with its window tag, the per-circulant census, the window
@@ -528,6 +530,19 @@ def loop_census_active_counts(proto, mask) -> tuple[int, int]:
                             duals += 1
     assert singles % 2 == 0
     return singles // 2, duals
+
+
+def lifted_counts(table: CensusTable, assign, L: int) -> list[int]:
+    """p times the table's active counts weighted (L, L-1), one Python int
+    per mask: the reference for the searches' ranking in numpy."""
+    return [(L * s + (L - 1) * d) * table.p for s, d in table.active_counts(assign).tolist()]
+
+
+def python_best(table: CensusTable, assign, L: int) -> tuple[int, int]:
+    """(index, count) of the first mask of least :func:`lifted_counts`."""
+    counts = lifted_counts(table, assign, L)
+    i = min(range(len(counts)), key=counts.__getitem__)
+    return i, counts[i]
 
 
 def union_active_4cycles(proto) -> int:

@@ -1,8 +1,10 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
+from scldpc import baselines
 from scldpc.baselines import (
     cv_exhaustive_best,
     cv_mask,
@@ -11,12 +13,18 @@ from scldpc.baselines import (
     mo_best,
     mo_search,
 )
-from scldpc.cycles import count_ugast_3330_for, union_census
+from scldpc.cycles import CensusTable, count_ugast_3330_for, union_census
 from scldpc.overlap import count_partition_choices
 from scldpc.pipeline import table1_report
 from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers
 
-from oracles import loop_census_active_counts, masks_for_vector, measure_overlaps
+from oracles import (
+    lifted_counts,
+    loop_census_active_counts,
+    masks_for_vector,
+    measure_overlaps,
+    python_best,
+)
 
 
 def oracle_count(proto, mask, L):
@@ -64,7 +72,7 @@ class TestCvSearch:
         proto = build_ab_powers(3, kappa)
         zetas = list(itertools.combinations_with_replacement(range(kappa + 1), 3))
         masks = [cv_mask(z, kappa) for z in zetas]
-        batched = union_census(proto).lifted_counts([m.assign for m in masks], 30)
+        batched = lifted_counts(union_census(proto), [m.assign for m in masks], 30)
         assert batched == [oracle_count(proto, m, 30) for m in masks]
         # ties break toward the lexicographically smallest vector
         count, zeta = min(zip(batched, zetas))
@@ -85,6 +93,68 @@ class TestCvSearch:
     def test_counts_are_exact_python_ints(self):
         table = table1_report(30, [7], ("uncoupled", "cv"))
         assert json.loads(json.dumps(table))["counts"] == {"uncoupled": [8820], "cv": [3290]}
+
+
+class TestRanking:
+    """Both searches rank their masks in numpy; the reference ranks their
+    lifted counts as Python ints."""
+
+    LENGTHS = [2, 3, 30, 10**18]
+
+    @pytest.mark.parametrize("L", LENGTHS)
+    @pytest.mark.parametrize("kappa", [5, 7, 11, 13])
+    def test_cv_search_matches_python_ranking(self, kappa, L):
+        # kappa = 5 at L = 2 and kappa = 13 at L = 3 tie at the minimum
+        # between masks of different (fs, fd)
+        proto = build_ab_powers(3, kappa)
+        zetas = list(itertools.combinations_with_replacement(range(kappa + 1), 3))
+        i, count = python_best(union_census(proto), [cv_mask(z, kappa).assign for z in zetas], L)
+        assert cv_exhaustive_best(proto, L) == (zetas[i], count)
+
+    @pytest.mark.parametrize("L", LENGTHS)
+    @pytest.mark.parametrize("kappa,chunk", [(5, 1024), (7, 1024), (7, 7)])
+    def test_mo_search_matches_python_ranking(self, kappa, chunk, L, monkeypatch):
+        proto = build_ab_powers(3, kappa)
+        monkeypatch.setattr(baselines, "MO_CHUNK", chunk)
+        got = mo_search(proto, L)
+        monkeypatch.setattr(CensusTable, "best", python_best)
+        assert got == mo_search(proto, L)
+
+    @pytest.mark.parametrize("L", LENGTHS)
+    def test_sampled_mo_search_matches_python_ranking(self, L, monkeypatch):
+        proto = build_ab_powers(3, 11)
+        got = mo_search(proto, L, max_masks=2000, seed=5)
+        assert not got.exhaustive
+        monkeypatch.setattr(CensusTable, "best", python_best)
+        assert got == mo_search(proto, L, max_masks=2000, seed=5)
+
+    def test_ties_go_to_the_first_mask(self):
+        # (fs, fd) = (1, 7) and (2, 5) lift to 2*1 + 7 = 2*2 + 5 at L = 2,
+        # while at L = 3 the second is smaller in either order
+        table = union_census(build_ab_powers(3, 5))
+        grids = [cv_mask(z, 5).assign for z in ((1, 3, 3), (0, 2, 3))]
+        assert table.active_counts(grids).tolist() == [[1, 7], [2, 5]]
+        assert table.best(grids, 2) == table.best(grids[::-1], 2) == (0, 45)
+        assert table.best(grids, 3) == (1, 80)
+        assert table.best(grids[::-1], 3) == (0, 80)
+        for L in self.LENGTHS:
+            assert table.best(grids, L) == python_best(table, grids, L)
+            assert table.best(grids * 3, L) == python_best(table, grids * 3, L)
+
+    def test_key_orders_as_the_lifted_count_at_every_L(self):
+        # a one-group table whose two masks have (fs, fd) = (6, 5) and
+        # (10, 0): t = 11 against 10 with the largest fd gap, M = 5, so they
+        # tie at L = M and the second wins from L = M + 1 on
+        counts = np.zeros(64, dtype=np.int64)
+        counts[0], counts[63] = 10, 5 << 32 | 6
+        table = CensusTable(1, 2, 3, np.zeros((1, 6), dtype=np.int64), counts)
+        grids = [[[1, 0]], [[0, 0]]]
+        assert table.active_counts(grids).tolist() == [[6, 5], [10, 0]]
+        assert table.best(grids, 5) == (0, 150)
+        assert table.best(grids, 6) == (1, 180)
+        for L in [*range(2, 12), 10**18, 2**62, 2**70]:
+            for order in (grids, grids[::-1], grids * 2):
+                assert table.best(order, L) == python_best(table, order, L)
 
 
 class TestColumnWeight:

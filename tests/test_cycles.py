@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -21,7 +22,7 @@ from scldpc.cycles import (
 )
 from scldpc.gast import RawTanner
 from scldpc.overlap import cycle6_census, realize_mask, solve_optimal_overlap
-from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers, couple
+from scldpc.qc import PartitionMask, ProtoMatrix, build_ab_powers, couple, protograph_of
 
 from oracles import (
     SPAN_DUAL,
@@ -37,6 +38,7 @@ from oracles import (
     full_census_table,
     has_active_4cycle,
     lift_count,
+    lifted_counts,
     loop_census_active_counts,
     proto_cycles6,
     row_lists,
@@ -447,7 +449,8 @@ class TestBatchedCensus:
         got = count_ugast_3330_for(proto, mask, L)
         assert type(got) is int
         assert got == (L * fs + (L - 1) * fd) * 7
-        assert union_census(proto).lifted_counts([mask.assign], L) == [got]
+        assert lifted_counts(union_census(proto), [mask.assign], L) == [got]
+        assert union_census(proto).best([mask.assign], L) == (0, got)
 
 
 @st.composite
@@ -515,6 +518,75 @@ class TestOrbitCensus:
         proto = build_ab_powers(3, 7)
         assert cycles._shift_order(proto, cycles._mask_incidence(PartitionMask.all_h0(3, 7))) == 7
         assert cycles._shift_order(proto, cycles._mask_incidence(cv_mask((0, 3, 5), 7))) == 1
+
+
+def orbit_census(proto, mask, monkeypatch) -> tuple[int, int]:
+    """``census_active_counts`` and the shift order its enumerator was given."""
+    calls, enumerate_chunks = [], cycles._six_cycle_chunks
+
+    def spy(inc, powers=None, s=1):
+        calls.append(s)
+        return enumerate_chunks(inc, powers, s)
+
+    with monkeypatch.context() as m:
+        m.setattr(cycles, "_six_cycle_chunks", spy)
+        got = census_active_counts(proto, mask)
+    assert len(calls) == 1
+    return got, calls[0]
+
+
+class TestSingleMaskOrbits:
+    @pytest.mark.parametrize("kappa", [5, 7, 11, 13])
+    def test_row_constant_masks_count_on_orbits(self, kappa, monkeypatch):
+        # the uncoupled all-H0 mask among them
+        proto = build_ab_powers(3, kappa)
+        for sides in itertools.product((0, 1), repeat=3):
+            mask = PartitionMask(tuple((side,) * kappa for side in sides))
+            got, s = orbit_census(proto, mask, monkeypatch)
+            assert s == kappa
+            assert got == loop_census_active_counts(proto, mask)
+
+    def test_p1_protograph_of_the_cycles6_count(self, monkeypatch):
+        # the coupled protograph that ``scldpc count --what cycles6`` counts,
+        # with its own mask and with row-constant ones
+        mask = realize_mask(solve_optimal_overlap(7, 30).optima[0], 7, seed=1)
+        pg = protograph_of(couple(build_ab_powers(3, 7), mask, 30))
+        got, s = orbit_census(pg.proto, pg.mask, monkeypatch)
+        assert s == 1
+        assert got == loop_census_active_counts(pg.proto, pg.mask)
+        assert count_ugast_3330_for(pg.proto, pg.mask, pg.L) == 1170
+        for side in (0, 1):
+            mask = PartitionMask(((side,) * 7, (0,) * 7, (1,) * 7))
+            got, s = orbit_census(pg.proto, mask, monkeypatch)
+            assert s == 7
+            assert got == loop_census_active_counts(pg.proto, mask)
+
+    def test_non_symmetric_mask_counts_every_cycle(self, monkeypatch):
+        proto = build_ab_powers(3, 7)
+        mask = cv_mask((1, 3, 5), 7)
+        got, s = orbit_census(proto, mask, monkeypatch)
+        assert s == 1
+        assert got == loop_census_active_counts(proto, mask) == (6, 10)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 7), (4, 7)])
+    def test_mask_of_another_shape_refused(self, shape):
+        # at L = 30 these counted 4550, 0 and 17640 before
+        proto, mask = build_ab_powers(3, 7), PartitionMask.all_h0(*shape)
+        for count in (census_active_counts, lambda pr, m: count_ugast_3330_for(pr, m, 30)):
+            with pytest.raises(ValueError, match="protograph and mask shapes differ"):
+                count(proto, mask)
+
+    @pytest.mark.parametrize("shape", [(7, 3, 5), (7, 5, 3), (7, 7, 3), (21,), (7, 21), (3, 7, 1)])
+    def test_grids_of_another_shape_refused(self, shape):
+        # seven 3 x 5 grids came back as five counts of 8820
+        table = union_census(build_ab_powers(3, 7))
+        with pytest.raises(ValueError, match="mask grids must be 3 x 7"):
+            table.active_counts(np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(ValueError, match="mask grids must be 3 x 7"):
+            table.best(np.zeros(shape, dtype=np.uint8), 30)
+        # one grid alone, or stacked in any leading shape, is scored
+        assert table.active_counts(np.zeros((3, 7))).tolist() == [[42, 0]]
+        assert table.active_counts(np.zeros((2, 2, 3, 7))).shape == (4, 2)
 
 
 class TestWindowDecomposition:
