@@ -45,8 +45,6 @@ from .gast import (
     enumerate_candidate_sets,
     gast_scan,
     is_gast,
-    remove_gast,
-    remove_gast_weights,
     remove_gasts,
     removal_budget,
 )

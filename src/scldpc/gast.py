@@ -21,18 +21,21 @@ Shifting every offset by one inside every circulant maps the lifted graph
 onto itself, so one subset per shift orbit is grown, one level of subsets
 per size as numpy arrays.  Growth does not depend on the weights: it emits
 the label-matched orbits, expanded to their distinct translates, into a
-family of arrays grouped by check structure.  A test of the family gathers
-the weights from the label bytes once, decides each group in one oracle
-pass and builds instances only for the hits.
+family of arrays with one group per check-structure shape (a structure of
+up to CANON_MAX_A nodes is relabelled once to a canonical node order).  A
+test of the family gathers the weights from the label bytes once, decides
+each group in one oracle pass and returns a hit table: group, translate,
+matched target and witness.
 
 Removal works on edges of degree-2 checks only.  When the unsatisfied checks
 are exactly the degree-1 checks, the number of weight changes needed has a
 closed-form topological bound and the minimum-cardinality candidate sets can
 be enumerated outright; otherwise a brute-force candidate stream is used.
-All instances are removed together, in rounds that score every open
-instance's next candidates with one oracle pass per check structure.
-Removal returns (check, node, weight) changes, which an outcome lifts to
-(row, col, weight); a caller collects them and writes the code once.
+Streams are cached per literal structure as (edge, rank) templates, which
+the label bytes fill in.  All hits are removed together on the table, in
+rounds that score every open hit's next candidates with one oracle pass per
+shape.  The design flow reads the table alone; instance and outcome objects
+are built only where :func:`gast_scan` and :func:`remove_gasts` return them.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,12 +59,9 @@ __all__ = [
     "RemovalBudget",
     "RawTanner",
     "is_gast",
-    "gast_witnesses",
     "removal_budget",
     "count_candidate_sets",
     "enumerate_candidate_sets",
-    "remove_gast",
-    "remove_gast_weights",
     "remove_gasts",
     "RemovalOutcome",
     "gast_scan",
@@ -75,6 +75,11 @@ ORACLE_BATCH_ROWS = MAX_ORACLE_ASSIGNMENTS
 MAX_CHANGES = 2
 # subset x row-degree cells one chunk of scan growth holds
 GROW_CELLS = 1 << 16
+# largest subset whose check structures are brought to a canonical node
+# order, by trying all a! orders
+CANON_MAX_A = 6
+# most instances gast_scan builds; the pipeline's hit table builds none
+MAX_SCAN_INSTANCES = 1 << 18
 
 
 @functools.lru_cache(maxsize=1024)
@@ -296,22 +301,6 @@ def _edge_weights(topology: UgastTopology, weights: dict, field: FieldGF) -> np.
     return np.array([[weights[(c, v)] for c, cn in enumerate(cns) for v in cn]], dtype=np.uint8)
 
 
-def gast_witnesses(
-    topology: UgastTopology, weights: dict, field: FieldGF
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(assignment matrix, valid mask, unsatisfied totals) of the full scan."""
-    n = _assignment_count(topology.a, field.q)
-    ok, b = _oracle_pass(
-        topology.gamma,
-        topology.shared_cns,
-        _edge_weights(topology, weights, field),
-        np.arange(topology.a)[None],
-        field,
-        n,
-    )
-    return _assignments(topology.a, field.q), ok[0], b[0]
-
-
 def is_gast(
     topology: UgastTopology, weights: dict, field: FieldGF
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -351,9 +340,12 @@ def removal_budget(instance: GastInstance) -> RemovalBudget:
     Requires b = d1 (every unsatisfied check is a degree-1 check) and that
     each maximally-loaded variable node touches only checks of degree <= 2.
     """
-    top = instance.topology
-    b = instance.b if instance.b is not None else top.d1
-    if b != top.d1:
+    return _budget(instance.topology, instance.b in (None, instance.topology.d1))
+
+
+def _budget(top: UgastTopology, b_is_d1: bool) -> RemovalBudget:
+    """:func:`removal_budget` of an instance on ``top``."""
+    if not b_is_d1:
         raise ValueError(
             "closed-form removal budget needs b = d1; use the generic remover"
         )
@@ -401,6 +393,12 @@ def count_candidate_sets(budget: RemovalBudget, q: int) -> int:
     return (budget.a_vm * ((gamma + 2) // 2) - budget.n_co) * 2 * (q - 2)
 
 
+def _weight(rank, current):
+    """The new weight of a change's ``rank``, its index among the nonzero
+    weights other than the edge's ``current`` one."""
+    return rank + 1 + (rank + 1 >= current)
+
+
 def enumerate_candidate_sets(
     instance: GastInstance, budget: RemovalBudget, field: FieldGF
 ) -> Iterator[tuple[tuple[int, int, int], ...]]:
@@ -411,31 +409,24 @@ def enumerate_candidate_sets(
     and new weights exclude zero and the current weight.  Yields exactly
     count_candidate_sets(...) distinct sets, in deterministic order.
     """
-    top = instance.topology
-    vm_nodes = [v for v, d in enumerate(top.deg1_per_vn) if d == budget.d1_vm]
+    for changes in _closed_candidates(instance.topology, budget, field.q):
+        yield tuple((c, v, _weight(r, instance.weights[(c, v)])) for c, v, r in changes)
+
+
+def _closed_candidates(
+    top: UgastTopology, budget: RemovalBudget, q: int
+) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """The sets of :func:`enumerate_candidate_sets` as (check, node, rank)
+    changes (see :func:`_weight`), sorted by check."""
     seen: set = set()
-    for v in vm_nodes:
-        cns = [
-            c
-            for c, cn in enumerate(top.shared_cns)
-            if v in cn and len(cn) == 2
-        ]
+    for v in [v for v, d in enumerate(top.deg1_per_vn) if d == budget.d1_vm]:
+        cns = [c for c, cn in enumerate(top.shared_cns) if v in cn and len(cn) == 2]
         for chosen in itertools.combinations(cns, budget.e_mu):
-            edge_options = []
-            for c in chosen:
-                opts = []
-                for u in sorted(top.shared_cns[c]):
-                    cur = instance.weights[(c, u)]
-                    for w in field.nonzero_elements():
-                        if w != cur:
-                            opts.append((c, u, w))
-                edge_options.append(opts)
-            for combo in itertools.product(*edge_options):
-                key = frozenset(combo)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield tuple(sorted(combo))
+            options = [[(c, u, r) for u in sorted(top.shared_cns[c]) for r in range(q - 2)] for c in chosen]
+            for combo in itertools.product(*options):
+                if frozenset(combo) not in seen:
+                    seen.add(frozenset(combo))
+                    yield tuple(sorted(combo))
 
 
 @dataclass(frozen=True)
@@ -454,71 +445,103 @@ class RemovalOutcome:
         return [(top.cn_ids[c], top.vn_ids[v], w) for c, v, w in self.changes or ()]
 
 
-def _generic_candidates(
-    instance: GastInstance, field: FieldGF
-) -> Iterator[tuple[tuple[int, int, int], ...]]:
-    """All change sets on degree-2 check edges of up to MAX_CHANGES changes."""
-    top = instance.topology
-    edges = [
-        (c, v)
-        for c, cn in enumerate(top.shared_cns)
-        if len(cn) == 2
-        for v in sorted(cn)
-    ]
+def _generic_candidates(top: UgastTopology, q: int) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """All sets of up to MAX_CHANGES (check, node, rank) changes (see
+    :func:`_weight`) on edges of distinct degree-2 checks, sorted by check."""
+    edges = [(c, v) for c, cn in enumerate(top.shared_cns) if len(cn) == 2 for v in sorted(cn)]
     for size in range(1, MAX_CHANGES + 1):
         for edge_set in itertools.combinations(edges, size):
-            if len({c for c, _ in edge_set}) != size:
-                continue
-            pools = []
-            for c, v in edge_set:
-                cur = instance.weights[(c, v)]
-                pools.append([(c, v, w) for w in field.nonzero_elements() if w != cur])
-            for combo in itertools.product(*pools):
-                yield tuple(sorted(combo))
+            if len({c for c, _ in edge_set}) == size:
+                yield from itertools.product(*[[(c, v, r) for r in range(q - 2)] for c, v in edge_set])
 
 
-def _candidate_stream(
-    instance: GastInstance, field: FieldGF
-) -> Iterator[tuple[tuple[int, int, int], ...]]:
-    """The closed-form stream when b = d1 and the budget assumptions hold,
-    otherwise the generic brute-force one."""
+@functools.lru_cache(maxsize=1024)
+def _template(gamma: int, a: int, shared_cns: tuple, b_is_d1: bool, check: bool, q: int,
+              max_changes: int) -> np.ndarray:
+    """The candidate stream of an instance on the topology (gamma, a,
+    shared_cns), as (sets, changes, 2) (edge, rank) pairs padded with -1:
+    the closed-form stream when b = d1 and the budget assumptions hold,
+    otherwise the generic one, after a set of no changes when ``check``.
+    Edges are numbered check by check as ``shared_cns`` lists them, and
+    ``max_changes`` is the MAX_CHANGES the generic stream reads.  In ranks
+    a stream does not depend on the weights.
+    """
+    top = UgastTopology(gamma, a, shared_cns)
     try:
-        budget = removal_budget(instance)
+        stream = _closed_candidates(top, _budget(top, b_is_d1), q)
     except ValueError:
-        return _generic_candidates(instance, field)
-    return enumerate_candidate_sets(instance, budget, field)
+        stream = _generic_candidates(top, q)
+    index = {edge: e for e, edge in enumerate((c, v) for c, cn in enumerate(shared_cns) for v in cn)}
+    sets = [[(index[c, v], r) for c, v, r in changes] for changes in stream]
+    out = np.full((check + len(sets), max(map(len, sets), default=1), 2), -1)
+    for i, changes in enumerate(sets, check):
+        out[i, : len(changes)] = changes
+    return out
 
 
-def _score_round(
-    instances: Sequence[GastInstance], chunks: dict[int, list], field: FieldGF
-) -> dict[int, list[bool]]:
-    """Per instance ``i`` in ``chunks``, whether its topology is still an
-    absorbing set under each change set of ``chunks[i]``; one oracle pass
-    per check structure scores them all, and a topology failing d2 > d3 or
-    the majority condition is none under any weights."""
-    structures: dict[tuple, tuple[UgastTopology, list, list]] = {}
-    for i, chunk in chunks.items():
-        top, weights = instances[i].topology, instances[i].weights
-        _, rows, owners = structures.setdefault((top.gamma, top.a, top.shared_cns), (top, [], []))
-        edges = [(c, v) for c, cn in enumerate(top.shared_cns) for v in cn]
-        for changes in chunk:
-            changed = {(c, v): w for c, v, w in changes}
-            rows.append([changed.get(edge, weights[edge]) for edge in edges])
-            owners.append(i)
-    still: dict[int, list[bool]] = {i: [] for i in chunks}
-    for top, rows, owners in structures.values():
-        verdicts = [False] * len(rows)
-        if top.is_ugast():
-            weights = np.array(rows, dtype=np.int64)
-            bad = weights[(weights <= 0) | (weights >= field.q)]
-            if bad.size:
-                raise ValueError(f"edge weight {bad[0]} out of GF({field.q}) nonzero range")
-            perm = np.broadcast_to(np.arange(top.a), (len(rows), top.a))
-            won, _ = _first_witnesses(top.gamma, top.shared_cns, weights.astype(np.uint8), perm, field)
-            verdicts = (won >= 0).tolist()
-        for i, verdict in zip(owners, verdicts):
-            still[i].append(verdict)
-    return still
+def _remove_table(family: list[_Group], group: np.ndarray, translate: np.ndarray, buf: np.ndarray,
+                  witnessed: np.ndarray, generic: np.ndarray, field: FieldGF) -> tuple[np.ndarray, ...]:
+    """Removal of every hit of a table (its ``group`` and ``translate``
+    columns), each on its own topology under the weights ``buf[edges]``;
+    ``witnessed`` marks the hits whose weights are known to hold a witness,
+    ``generic`` those with b != d1.  Per hit: the stream row that removes it
+    (-1 when its weights hold no witness, -2 when its stream runs out) and
+    the candidates tried; and the changes, as (hit, weight index, weight)
+    rows, hit by hit and check by check.
+
+    An unwitnessed hit first checks its weights.  Then it tries candidates
+    in stream order, in rounds of its next 1, 2, 4, ...; one oracle pass per
+    shape scores a round over the assignments with x_0 = 1.  The outcomes
+    are those of trying the candidates one at a time.
+    """
+    pick, tried = np.full(len(group), -2), np.zeros(len(group), dtype=np.int64)
+    parts = [np.zeros((0, 3), dtype=np.int64)]
+    for i, g in enumerate(family):
+        at = np.flatnonzero(group == i)
+        if not at.size:
+            continue
+        a, n_checks, edges = g.perm.shape[1], len(g.checks), g.edges[translate[at]]
+        key, to_shape = _literal(g, translate[at])
+        # a stream per literal structure, kind and check, one stack of them
+        skip = (~witnessed[at]).astype(np.int64)
+        structures, which = _unique_rows(np.c_[generic[at], skip, key], max(2, a * n_checks))
+        templates = [_template(g.gamma, a, _shared(row[2:], a, n_checks), not row[0], bool(row[1]), field.q,
+                               MAX_CHANGES) for row in structures.tolist()]
+        lens = np.array([len(t) for t in templates])
+        length, start = lens[which], (np.cumsum(lens) - lens)[which]
+        stack = np.full((lens.sum(), max(t.shape[1] for t in templates), 2), -1)
+        for t, lo in zip(templates, (np.cumsum(lens) - lens).tolist()):
+            stack[lo : lo + len(t), : t.shape[1]] = t
+        ugast = UgastTopology(g.gamma, a, g.checks).is_ugast()
+        pos, won, pending = np.zeros(len(at), dtype=np.int64), np.full(len(at), -1), np.arange(len(at))
+        while pending.size:
+            size = np.maximum(pos[pending] - skip[pending], 0) + 1
+            count = np.clip(length[pending] - pos[pending], 0, size)
+            owner, k = _expand(count)
+            h = pending[owner]
+            # each set's changes, patched into its hit's weights
+            rows, pairs = buf[edges[h]], stack[start[h] + pos[h] + k]
+            r, j = np.nonzero(pairs[:, :, 0] >= 0)
+            edge = to_shape[h[r], pairs[r, j, 0]]
+            rows[r, edge] = _weight(pairs[r, j, 1], rows[r, edge])
+            still = np.zeros(len(rows), dtype=bool)
+            if ugast and len(rows):
+                perm = np.broadcast_to(np.arange(a), (len(rows), a))
+                still = _first_witnesses(g.gamma, g.checks, rows, perm, field)[0] >= 0
+            # each open hit's first set under which no witness is left
+            gone, first = np.unique(owner[~still], return_index=True)
+            won[pending[gone]] = pos[pending[gone]] + k[~still][first]
+            pos[pending] += count
+            pending = pending[(won[pending] < 0) & (count == size)]
+        pick[at] = np.where(won < 0, -2, won - skip)
+        tried[at] = np.where(won < 0, length - skip, np.maximum(won - skip + 1, 0))
+        ok = np.flatnonzero(won >= 0)
+        pairs = stack[start[ok] + won[ok]]
+        h, j = np.nonzero(pairs[:, :, 0] >= 0)
+        index = edges[ok[h], to_shape[ok[h], pairs[h, j, 0]]]
+        parts.append(np.stack([at[ok[h]], index, _weight(pairs[h, j, 1], buf[index])], axis=1))
+    changes = np.concatenate(parts)
+    return pick, tried, changes[np.argsort(changes[:, 0], kind="stable")]
 
 
 def remove_gasts(instances: Sequence[GastInstance], field: FieldGF) -> list[RemovalOutcome]:
@@ -534,75 +557,45 @@ def remove_gasts(instances: Sequence[GastInstance], field: FieldGF) -> list[Remo
     first set under which the oracle finds no witness on the same topology;
     it fails once its stream is used up.  The stream is the closed-form one
     when b = d1 and the budget assumptions hold, otherwise the generic
-    brute-force one.  The work goes in rounds: every open instance takes
-    its check, or its next 1, 2, 4, ... candidates, and one oracle pass per
-    check structure scores the round, over the assignments with x_0 = 1.
-    The outcomes, ``tried`` included, are those of trying the candidates
-    one at a time.
+    brute-force one.  The instances become one hit table, a group per
+    check-structure shape; the work goes in rounds that score every open
+    instance's check, or its next 1, 2, 4, ... candidates, with one oracle
+    pass per shape, and the outcome objects are built from the table.  The
+    outcomes, ``tried`` included, are those of trying the candidates one at
+    a time.
     """
-    streams = [_candidate_stream(inst, field) for inst in instances]
-    # per instance: candidates tried, and the size of its next chunk, 0
-    # while its current weights are still to be checked
-    tried = [0] * len(instances)
-    size = [0 if inst.witness is None else 1 for inst in instances]
-    outcomes: list = [None] * len(instances)
-    pending = list(range(len(instances)))
-    while pending:
-        chunks = {
-            i: [()] if size[i] == 0 else list(itertools.islice(streams[i], size[i]))
-            for i in pending
-        }
-        still = _score_round(instances, chunks, field)
-        left = []
-        for i in pending:
-            inst, chunk = instances[i], chunks[i]
-            if False in still[i] and size[i] == 0:
-                outcomes[i] = RemovalOutcome(success=True, changes=(), instance=inst)
-            elif False in still[i]:
-                j = still[i].index(False)
-                outcomes[i] = RemovalOutcome(
-                    success=True,
-                    changes=chunk[j],
-                    instance=inst.with_weights({(c, v): w for c, v, w in chunk[j]}),
-                    tried=tried[i] + j + 1,
-                )
-            elif len(chunk) < size[i]:
-                outcomes[i] = RemovalOutcome(
-                    success=False, changes=None, instance=inst, tried=tried[i] + len(chunk)
-                )
-            else:
-                tried[i] += size[i]
-                size[i] = 2 * size[i] or 1
-                left.append(i)
-        pending = left
+    # one buffer of every instance's weights, each instance's edges in its
+    # own order; an instance is a translate of its shape's group, whose
+    # perm and cn give each canonical node and check its own index
+    edges = [[(c, v) for c, cn in enumerate(inst.topology.shared_cns) for v in cn] for inst in instances]
+    buf = np.array([inst.weights[e] for inst, own in zip(instances, edges) for e in own], dtype=np.int64)
+    bad = buf[(buf <= 0) | (buf >= field.q)]
+    if bad.size:
+        raise ValueError(f"edge weight {bad[0]} out of GF({field.q}) nonzero range")
+    start = np.cumsum([0] + [len(own) for own in edges])
+    shapes: dict[tuple, list] = {}
+    for h, inst in enumerate(instances):
+        top = inst.topology
+        checks, node, check, edge = _canonical(top.a, top.shared_cns)
+        shapes.setdefault((top.gamma, top.a, checks), []).append((h, node, check, edge + start[h]))
+    family, group, translate = [], np.zeros(len(instances), np.int64), np.zeros(len(instances), np.int64)
+    for i, ((gamma, _, checks), rows) in enumerate(shapes.items()):
+        h, node, check, edge = map(np.array, zip(*rows))
+        family.append(_Group(gamma, checks, [], None, node, check, edge))
+        group[h], translate[h] = i, np.arange(len(h))
+    witnessed = np.array([inst.witness is not None for inst in instances], dtype=bool)
+    generic = np.array([inst.b not in (None, inst.topology.d1) for inst in instances], dtype=bool)
+    buf = buf.astype(np.uint8)
+    pick, tried, changes = _remove_table(family, group, translate, buf, witnessed, generic, field)
+    flat, rows = [e for own in edges for e in own], changes.tolist()
+    bounds = np.searchsorted(changes[:, 0], np.arange(len(instances) + 1)).tolist()
+    outcomes = []
+    for h, inst in enumerate(instances):
+        mine = tuple((*flat[x], w) for _, x, w in rows[bounds[h] : bounds[h + 1]])
+        new = inst.with_weights({(c, v): w for c, v, w in mine}) if mine else inst
+        ok = bool(pick[h] > -2)
+        outcomes.append(RemovalOutcome(ok, mine if ok else None, new, int(tried[h])))
     return outcomes
-
-
-def remove_gast_weights(instance: GastInstance, field: FieldGF) -> RemovalOutcome:
-    """Remove the absorbing set by reweighting edges of the instance alone.
-
-    The one-instance form of :func:`remove_gasts`, on the same path: the
-    check of an unwitnessed instance, then its candidates in rounds of 1, 2,
-    4, ... per oracle pass over the assignments with x_0 = 1; the outcome is
-    the one trying the candidates one at a time gives.
-    """
-    return remove_gasts([instance], field)[0]
-
-
-def remove_gast(
-    instance: GastInstance, field: FieldGF
-) -> tuple[RemovalOutcome, list[tuple[int, int, int]]]:
-    """Config-level removal lifted to the code's coordinates.
-
-    The instance must carry lifted row/column ids.  Returns the outcome of
-    :func:`remove_gasts` for the one instance and its
-    :meth:`RemovalOutcome.lifted_changes`.
-    """
-    top = instance.topology
-    if top.vn_ids is None or top.cn_ids is None:
-        raise ValueError("instance is not tied to lifted code coordinates")
-    outcome = remove_gast_weights(instance, field)
-    return outcome, outcome.lifted_changes()
 
 
 # -- scanning a lifted code ------------------------------------------------
@@ -679,9 +672,10 @@ def _canonical_rows(cols: np.ndarray, p: int, n: int) -> np.ndarray:
     return moved[np.arange(len(cols)), alive.argmax(axis=1)]
 
 
-def _6cycle_orbits(code) -> tuple[np.ndarray, bool]:
+def _6cycle_orbits(code, has4: Optional[bool] = None) -> tuple[np.ndarray, bool]:
     """Canonical variable-node triples of the 6-cycles, one row per orbit,
-    and whether the graph has a (lifted) 4-cycle.
+    and whether the graph has a (lifted) 4-cycle; a coupled code's is tested
+    unless the caller gives it as ``has4``.
 
     A RawTanner's cycles are enumerated on its own incidence.  An SCCode's
     are its active window 6-cycles, the ones the census counts, lifted at
@@ -706,20 +700,45 @@ def _6cycle_orbits(code) -> tuple[np.ndarray, bool]:
     cols = np.stack([a * p, b * p + off_b % p, c * p + (off_b + f[r3, b] - f[r3, c]) % p], axis=1)
     owner, shift = _expand(L - dual[kept])
     vns = np.sort(cols[owner] + (shift * k * p)[:, None], axis=1)
-    return _unique_rows(_canonical_rows(vns, p, n), n)[0], _has_active_4cycle(code.proto, inc)
+    has4 = _has_active_4cycle(code.proto, inc) if has4 is None else has4
+    return _unique_rows(_canonical_rows(vns, p, n), n)[0], has4
+
+
+@functools.lru_cache(maxsize=1024)
+def _canonical(a: int, checks: tuple[tuple[int, ...], ...]) -> tuple:
+    """The check structure ``checks`` (node lists over nodes 0..a-1) in
+    canonical form: relabelled by the first node order, in itertools order,
+    whose check bit masks, sorted, are least, its checks listed by mask and
+    their nodes ascending.  All a! orders are tried up to CANON_MAX_A nodes,
+    above it the identity alone.  Also, per canonical node, check and edge
+    (check by check), the node, check and edge of ``checks`` that it is."""
+    orders = np.array(list(itertools.permutations(range(a)))) if a <= CANON_MAX_A else np.arange(a)[None]
+    inc = np.zeros((len(checks), a), dtype=np.int64)
+    for c, members in enumerate(checks):
+        inc[c, list(members)] = 1
+    masks = (1 << orders) @ inc.T
+    best = np.lexsort(np.sort(masks, axis=1).T[::-1])[0] if checks else 0
+    check, node = np.argsort(masks[best], kind="stable"), np.argsort(orders[best])
+    out = tuple(tuple(sorted(orders[best][list(checks[c])].tolist())) for c in check.tolist())
+    start = np.cumsum([0] + [len(members) for members in checks])
+    edge = [start[c] + checks[c].index(node[i]) for c, members in zip(check.tolist(), out) for i in members]
+    return out, node, check, np.array(edge, dtype=np.intp)
 
 
 @dataclass(frozen=True)
 class _Group:
-    """The label-matched subsets of a scan that share one check structure.
+    """The label-matched subsets of a scan that share one check-structure
+    shape.
 
-    ``checks`` lists the nodes of each shared check, numbered in the orbit
-    representative's ascending column order, and ``matching`` the targets
-    of their label in list order.  Per translate (one row each): ``vn``
-    holds its columns ascending, ``perm[t, i]`` the position of node i in
-    ``vn[t]``, ``cn`` the row of each check, and ``edges`` the index of each
-    edge, check by check, into the code's label bytes.  None of it depends
-    on the weights.
+    ``checks`` lists the nodes of each shared check in the shape's canonical
+    form (:func:`_canonical`), and ``matching`` the targets of their label in
+    list order.  Per translate (one row each, ascending by columns): ``vn``
+    holds its columns ascending, ``perm[t, i]`` the position of canonical
+    node i in ``vn[t]``, ``cn`` the row of each check, and ``edges`` the
+    index of each edge, check by check, into the code's label bytes.  None
+    of it depends on the weights.  The table :func:`remove_gasts` builds has
+    instances for translates: no ``vn``, and their own node and check
+    indices for positions and rows.
     """
 
     gamma: int
@@ -733,8 +752,8 @@ class _Group:
 
 def _emit(found: dict, code, matching: list, sub, hits, runs: tuple) -> None:
     """Add the representatives ``sub[hits]``, all of one label, to ``found``:
-    per check structure, the arrays of a :class:`_Group` for their distinct
-    translates, read off the chunk's row-hit ``runs`` (see
+    per canonical check structure, the arrays of a :class:`_Group` for their
+    distinct translates, read off the chunk's row-hit ``runs`` (see
     :func:`_grow_family`)."""
     at, hit, start, size, owner = runs
     p, gamma, n_rows, a = code.p, code.gamma, code.edges.n_rows, sub.shape[1]
@@ -777,14 +796,20 @@ def _emit(found: dict, code, matching: list, sub, hits, runs: tuple) -> None:
     )
     ends = np.cumsum(period)[np.searchsorted(which[by_shape], np.arange(len(shapes)), "right") - 1]
     for shape, lo, hi in zip(shapes.tolist(), [0] + ends[:-1].tolist(), ends.tolist()):
-        checks = tuple(tuple(i for i in range(a) if m >> i & 1) for m in shape)
-        for part, x in zip(found.setdefault(checks, (matching, [], [], [], []))[1:], parts):
-            part.append(x[lo:hi])
+        # the structure in canonical form: its nodes, checks and edges reordered
+        literal = tuple(tuple(i for i in range(a) if m >> i & 1) for m in shape)
+        checks, node, check, edge = _canonical(a, literal)
+        vn, perm, cn, edges = (x[lo:hi] for x in parts)
+        for part, x in zip(found.setdefault(checks, (matching, [], [], [], []))[1:],
+                           (vn, perm[:, node], cn[:, check], edges[:, edge])):
+            part.append(x)
 
 
-def _grow_family(code, targets: list[tuple], a_max: int) -> list[_Group]:
+def _grow_family(code, targets: list[tuple], a_max: int, has4: Optional[bool] = None) -> list[_Group]:
     """The subsets of ``code`` whose label matches a target, grouped by check
-    structure; ``targets`` is non-empty and checked.  See :func:`gast_scan`."""
+    structure shape; ``targets`` is non-empty and checked, and ``has4`` is
+    the code's 4-cycle verdict when the caller has it.  See
+    :func:`gast_scan`."""
     by_label: dict[tuple, list[tuple]] = {}
     for t in targets:
         by_label.setdefault(t if len(t) == 4 else t[:1] + t[2:], []).append(t)
@@ -802,7 +827,7 @@ def _grow_family(code, targets: list[tuple], a_max: int) -> list[_Group]:
     reach = [max((t[-3] + gamma * (t[0] - a) for t in targets if t[0] > a), default=-1)
              for a in range(a_max + 2)]
 
-    level, has4 = _6cycle_orbits(code)
+    level, has4 = _6cycle_orbits(code, has4)
     convert_bound = gamma if has4 else 1
     # per check structure: its targets and the parts of its group's arrays
     found: dict[tuple, tuple[list, ...]] = {}
@@ -864,62 +889,110 @@ def _grow_family(code, targets: list[tuple], a_max: int) -> list[_Group]:
         if a == a_max or not children:
             break
         level = _unique_rows(np.concatenate(children), n_cols)[0]
-    return [_Group(gamma, k, m, *map(np.concatenate, parts)) for k, (m, *parts) in found.items()]
+    family = []
+    for checks, (matching, *parts) in found.items():
+        vn, perm, cn, edges = map(np.concatenate, parts)
+        # by columns, so that the order does not depend on the chunks or shapes
+        order = np.lexsort(_pack(vn, n_cols).T[::-1])
+        family.append(_Group(gamma, checks, matching, vn[order], perm[order], cn[order], edges[order]))
+    return family
 
 
-def _test_family(
-    family: list[_Group], labels: Optional[bytes], field: Optional[FieldGF]
-) -> list[GastInstance]:
-    """The instances of a grown family under the edge weights ``labels``
-    (the code's label bytes; None weighs every edge 1), by ``vn_ids``.
+class _Hits(NamedTuple):
+    """The hit table of a family test, one entry per hit, by ``vn_ids``: its
+    group in the family, its translate there, the index in the group's
+    ``matching`` of the target it matched, and its witness row of the
+    assignment table (0 for a 4-entry target)."""
+
+    group: np.ndarray
+    translate: np.ndarray
+    target: np.ndarray
+    first: np.ndarray
+
+
+def _test_family(family: list[_Group], labels: Optional[bytes], field: Optional[FieldGF]) -> _Hits:
+    """The hits of a grown family under the edge weights ``labels`` (the
+    code's label bytes; None weighs every edge 1).
 
     Per group, the weights are gathered once and one oracle pass decides
     the 5-entry targets listed before its first 4-entry one, for every
-    translate.  Instances are built only for hits.
+    translate; a translate none of them holds matches that 4-entry target.
     """
     buf = None if labels is None else np.frombuffer(labels, dtype=np.uint8)
-    out = []
-    for g in family:
-        weights = np.ones(g.edges.shape, dtype=np.uint8) if buf is None else buf[g.edges]
+    parts = [[np.zeros(0, dtype=np.int64)] * 4]
+    for i, g in enumerate(family):
         lead = list(itertools.takewhile(lambda t: len(t) == 5, g.matching))
-        won = np.full(len(g.vn), -1)
+        won, first = np.full(len(g.vn), -1), np.zeros(len(g.vn), dtype=np.int64)
         if lead:
-            won, first = _first_witnesses(
-                g.gamma, g.checks, weights, g.perm, field, [t[1] for t in lead]
-            )
-        hits = np.flatnonzero(won >= 0) if len(lead) == len(g.matching) else np.arange(len(won))
-        if hits.size == 0:
-            continue
-        a = g.vn.shape[1]
-        witnesses = _assignments(a, field.q)[first[hits]].tolist() if lead else None
-        # each hit's checks in ascending row order, each check's nodes ascending
-        nodes, owners = _edge_ends(g.checks)
-        cn = g.cn[hits]
-        check = np.argsort(np.argsort(cn, axis=1), axis=1)[:, owners]
-        node = g.perm[hits][:, nodes]
-        order = np.argsort(check * a + node, axis=1)
-        check, node, w = (
-            np.take_along_axis(x, order, axis=1).tolist() for x in (check, node, weights[hits])
-        )
-        vn, cn = g.vn[hits].tolist(), np.sort(cn, axis=1).tolist()
-        for h, t in enumerate(won[hits].tolist()):
-            shared: list[list[int]] = [[] for _ in g.checks]
-            for c, v in zip(check[h], node[h]):
-                shared[c].append(v)
-            top = UgastTopology(
-                gamma=g.gamma,
-                a=a,
-                shared_cns=tuple(map(tuple, shared)),
-                vn_ids=tuple(vn[h]),
-                cn_ids=tuple(cn[h]),
-            )
-            edge_weights = dict(zip(zip(check[h], node[h]), w[h]))
-            if t < 0:
-                out.append(GastInstance(topology=top, weights=edge_weights))
-            else:
-                out.append(GastInstance(top, edge_weights, b=lead[t][1], witness=tuple(witnesses[h])))
-    out.sort(key=lambda inst: inst.topology.vn_ids)
+            weights = np.ones(g.edges.shape, dtype=np.uint8) if buf is None else buf[g.edges]
+            won, first = _first_witnesses(g.gamma, g.checks, weights, g.perm, field, [t[1] for t in lead])
+        target = np.where(won < 0, len(lead), won)
+        t = np.flatnonzero(target < len(g.matching))
+        parts.append([np.full(len(t), i), t, target[t], first[t]])
+    hits = _Hits(*map(np.concatenate, zip(*parts)))
+    # by vn_ids, padded with -1: a tuple ranks before the longer ones it begins
+    vn = np.full((len(hits.group), max((g.vn.shape[1] for g in family), default=1)), -1)
+    for i, g in enumerate(family):
+        vn[hits.group == i, : g.vn.shape[1]] = g.vn[hits.translate[hits.group == i]]
+    return _Hits(*(x[np.lexsort(vn.T[::-1])] for x in hits))
+
+
+def _literal(g: _Group, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per translate ``t`` of ``g``, its own structure, with checks in
+    ascending row order and nodes in ascending column order: check * a +
+    node of each edge, in that order, and the edge of ``g`` each edge is."""
+    nodes, owners = _edge_ends(g.checks)
+    a = g.perm.shape[1]
+    key = np.argsort(np.argsort(g.cn[t], axis=1), axis=1)[:, owners] * a + g.perm[t][:, nodes]
+    order = np.argsort(key, axis=1)
+    return np.take_along_axis(key, order, axis=1), order
+
+
+def _shared(key: list[int], a: int, n_checks: int) -> tuple[tuple[int, ...], ...]:
+    """The shared checks of a structure given as check * a + node per edge."""
+    shared: list[list[int]] = [[] for _ in range(n_checks)]
+    for x in key:
+        shared[x // a].append(x % a)
+    return tuple(map(tuple, shared))
+
+
+def _instances(family: list[_Group], hits: _Hits, labels: Optional[bytes],
+               field: Optional[FieldGF]) -> list[GastInstance]:
+    """The hits as :class:`GastInstance` objects, in table order."""
+    buf = None if labels is None else np.frombuffer(labels, dtype=np.uint8)
+    out: list = [None] * len(hits.group)
+    for i, g in enumerate(family):
+        at = np.flatnonzero(hits.group == i)
+        t, a = hits.translate[at], g.vn.shape[1]
+        key, order = _literal(g, t)
+        weights = np.ones(key.shape, int) if buf is None else np.take_along_axis(buf[g.edges[t]], order, 1)
+        # an oracle pass ran, within its limit, when a 5-entry target leads
+        witness = _assignments(a, field.q)[hits.first[at]].tolist() if len(g.matching[0]) == 5 else None
+        vn, cn = g.vn[t].tolist(), np.sort(g.cn[t], axis=1).tolist()
+        for h, (k, w, m) in enumerate(zip(key.tolist(), weights.tolist(), hits.target[at].tolist())):
+            top = UgastTopology(g.gamma, a, _shared(k, a, len(g.checks)), tuple(vn[h]), tuple(cn[h]))
+            edge_weights = dict(zip(((x // a, x % a) for x in k), w))
+            target = g.matching[m]
+            b, known = (target[1], tuple(witness[h])) if len(target) == 5 else (None, None)
+            out[at[h]] = GastInstance(top, edge_weights, b, known)
     return out
+
+
+def _remove_hits(code, family: list[_Group], hits: _Hits, field: FieldGF) -> tuple[int, list[list[int]]]:
+    """How many hits removal removes, and its lifted [row, col, weight]
+    changes hit by hit: what :func:`remove_gasts` gives for the instances of
+    :func:`gast_scan`, read off the hit table without building them."""
+    # a 5-entry target carries a witness, and its b may differ from d1
+    kinds = np.zeros((2, len(hits.group)), dtype=bool)
+    for i, g in enumerate(family):
+        at = hits.group == i
+        kind = np.array([[len(t) == 5, len(t) == 5 and t[1] != t[2]] for t in g.matching])
+        kinds[:, at] = kind[hits.target[at]].T
+    buf = np.frombuffer(code.labels, dtype=np.uint8)
+    pick, _, changes = _remove_table(family, hits.group, hits.translate, buf, *kinds, field)
+    index = changes[:, 1]
+    lifted = np.stack([code.edges.rows.ravel()[index], index // code.gamma, changes[:, 2]], axis=1)
+    return int((pick > -2).sum()), lifted.tolist()
 
 
 def _check_targets(targets: Sequence[tuple], a_max: int) -> list[tuple]:
@@ -976,11 +1049,25 @@ def gast_scan(
     wins, and the witness is the lexicographically first valid assignment
     in the translate's own sorted ``vn_ids`` order.  A target entry that is
     not a non-negative int, a target with a < 3, an ``a_max`` below 3, and a
-    labelled code whose field differs from ``field``, are refused.
+    labelled code whose field differs from ``field``, are refused, and so is
+    a scan of more than MAX_SCAN_INSTANCES hits, before any object is built.
     """
+    family, hits = _scan_table(code, field, targets, a_max)
+    if len(hits.group) > MAX_SCAN_INSTANCES:
+        raise ValueError(
+            f"scan found {len(hits.group)} instances, more than the {MAX_SCAN_INSTANCES} "
+            "it builds; narrow the targets"
+        )
+    return _instances(family, hits, code.labels, field)
+
+
+def _scan_table(code, field: Optional[FieldGF], targets: Sequence[tuple], a_max: int,
+                has4: Optional[bool] = None) -> tuple[list[_Group], _Hits]:
+    """The grown family and its hit table, with :func:`gast_scan`'s checks;
+    ``has4`` is the code's 4-cycle verdict when the caller has it."""
     targets = _check_targets(targets, a_max)
     if not targets:
-        return []
+        return [], _test_family([], None, field)
     if any(len(t) == 5 for t in targets) and field is None:
         raise ValueError("5-entry targets need a field for the oracle")
     if code.labels is not None and field is not None:
@@ -993,4 +1080,5 @@ def gast_scan(
         bad = labels[(labels == 0) | (labels >= field.q)]
         if bad.size:
             raise ValueError(f"edge weight {bad[0]} out of GF({field.q}) nonzero range")
-    return _test_family(_grow_family(code, targets, a_max), code.labels, field)
+    family = _grow_family(code, targets, a_max, has4)
+    return family, _test_family(family, code.labels, field)

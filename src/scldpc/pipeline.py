@@ -19,7 +19,7 @@ from .alist import export_code_alist
 from .baselines import cv_exhaustive_best, mo_best
 from .cpo import cpo_optimize
 from .cycles import count_ugast_3330, count_ugast_3330_for
-from .gast import _check_targets, gast_scan, remove_gasts
+from .gast import _check_targets, _remove_hits, _scan_table
 from .gf import FieldGF
 from .overlap import realize_mask, solve_optimal_overlap
 from .qc import (
@@ -163,15 +163,15 @@ def run_pipeline(config: DesignConfig, out_dir: Optional[str] = None) -> DesignR
         report.girth_at_least_6 = True
 
         stage = "absorbing-set-removal"
-        found = gast_scan(code, fld, config.gast_targets, a_max=config.gast_a_max)
-        report.gasts_found = len(found)
-        outcomes = remove_gasts(found, fld)
-        changes = [change for outcome in outcomes for change in outcome.lifted_changes()]
+        # on the hit table, without instance objects; the count above has
+        # already refused an active 4-cycle
+        family, hits = _scan_table(code, fld, config.gast_targets, config.gast_a_max, has4=False)
+        report.gasts_found = len(hits.group)
+        report.gasts_removed, changes = _remove_hits(code, family, hits, fld)
         if changes:
             code = apply_edge_changes(code, changes)
-        report.gasts_removed = sum(outcome.success for outcome in outcomes)
-        report.gasts_remaining = len(found) - report.gasts_removed
-        report.edge_changes = [list(change) for change in changes]
+        report.gasts_remaining = report.gasts_found - report.gasts_removed
+        report.edge_changes = changes
         report.code_json = code_to_json(code)
     except Exception as exc:  # noqa: BLE001 - abort with stage context
         raise PipelineError(stage, exc, partial=json.loads(report.to_json())) from exc

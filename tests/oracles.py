@@ -22,8 +22,9 @@ Python ints, the reference for the partition searches' ranking in numpy.
 The section after the references holds helpers that only the tests use: a
 cycle object with its window tag, the per-circulant census, the window
 4-cycle test, the mask generator of one overlap vector, the row lists of an
-edge array and the absorbing-set scan's 6-cycle seeds expanded over their
-translates.  The window helpers
+edge array, the library oracle's full assignment scan, one-instance forms
+of the library's removal, and the absorbing-set scan's 6-cycle seeds
+expanded over their translates.  The window helpers
 read :class:`ReferenceWindow`, not the optimizer's window.
 """
 
@@ -854,6 +855,27 @@ def exhaustive_witnesses(topology, weights: dict, field):
     return vals, ok, unsat.sum(axis=1) + int(d1.sum())
 
 
+def serial_generic_candidates(instance, field):
+    """Every change set of up to ``scldpc.gast.MAX_CHANGES`` changes on
+    edges of distinct degree-2 checks, new weights in ascending order per
+    edge, each set sorted: the library's generic stream, built from the
+    weights themselves rather than from ranks."""
+    from scldpc import gast
+
+    top = instance.topology
+    edges = [(c, v) for c, cn in enumerate(top.shared_cns) if len(cn) == 2 for v in sorted(cn)]
+    for size in range(1, gast.MAX_CHANGES + 1):
+        for edge_set in itertools.combinations(edges, size):
+            if len({c for c, _ in edge_set}) != size:
+                continue
+            pools = []
+            for c, v in edge_set:
+                cur = instance.weights[(c, v)]
+                pools.append([(c, v, w) for w in field.nonzero_elements() if w != cur])
+            for combo in itertools.product(*pools):
+                yield tuple(sorted(combo))
+
+
 def serial_remove_gast_weights(instance, field):
     """Removal trying one candidate at a time: the reference for the
     library's batched ``remove_gasts``.
@@ -864,9 +886,7 @@ def serial_remove_gast_weights(instance, field):
     generic one is checked on its own with ``exhaustive_witnesses``, and the
     first under which the topology has no witness wins.
     """
-    from scldpc.gast import (
-        RemovalOutcome, _generic_candidates, enumerate_candidate_sets, removal_budget
-    )
+    from scldpc.gast import RemovalOutcome, enumerate_candidate_sets, removal_budget
 
     def absorbing(weights: dict) -> bool:
         if not instance.topology.is_ugast():
@@ -878,7 +898,7 @@ def serial_remove_gast_weights(instance, field):
     try:
         stream = enumerate_candidate_sets(instance, removal_budget(instance), field)
     except ValueError:
-        stream = _generic_candidates(instance, field)
+        stream = serial_generic_candidates(instance, field)
     tried = 0
     for changes in stream:
         tried += 1
@@ -1013,6 +1033,40 @@ def row_lists(edges) -> list[list[int]]:
     order, ptr = edges.row_order
     cols = (order // edges.gamma).tolist()
     return [cols[a:b] for a, b in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
+
+
+def gast_witnesses(topology, weights: dict, field):
+    """(assignment matrix, valid mask, unsatisfied totals) of the library
+    oracle's full scan of one topology, every (q-1)^a assignment."""
+    from scldpc.gast import _assignment_count, _assignments, _edge_weights, _oracle_pass
+
+    n = _assignment_count(topology.a, field.q)
+    ok, b = _oracle_pass(
+        topology.gamma,
+        topology.shared_cns,
+        _edge_weights(topology, weights, field),
+        np.arange(topology.a)[None],
+        field,
+        n,
+    )
+    return _assignments(topology.a, field.q), ok[0], b[0]
+
+
+def remove_gast_weights(instance, field):
+    """The outcome of the library's ``remove_gasts`` for one instance."""
+    from scldpc.gast import remove_gasts
+
+    return remove_gasts([instance], field)[0]
+
+
+def remove_gast(instance, field):
+    """``remove_gast_weights`` and the outcome's lifted changes; the
+    instance must carry lifted row and column ids."""
+    top = instance.topology
+    if top.vn_ids is None or top.cn_ids is None:
+        raise ValueError("instance is not tied to lifted code coordinates")
+    outcome = remove_gast_weights(instance, field)
+    return outcome, outcome.lifted_changes()
 
 
 def lifted_6cycle_vn_sets(code) -> list[tuple[int, ...]]:

@@ -17,7 +17,6 @@ from scldpc.gast import (
     count_candidate_sets,
     enumerate_candidate_sets,
     is_gast,
-    remove_gast_weights,
     removal_budget,
 )
 from scldpc.overlap import (
@@ -37,6 +36,7 @@ from oracles import (
     enumerate_cycles,
     lift_count,
     measure_overlaps,
+    remove_gast_weights,
 )
 from test_gast import example_7_9_9_13, example_8_0_0_16, synthesize_instances
 

@@ -10,20 +10,22 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from scldpc.gf import FieldGF
 from scldpc.gast import (
+    CANON_MAX_A,
     GastInstance,
     RawTanner,
     UgastTopology,
     count_candidate_sets,
     enumerate_candidate_sets,
     gast_scan,
-    gast_witnesses,
     is_gast,
-    remove_gast,
-    remove_gast_weights,
     remove_gasts,
     removal_budget,
+    _canonical,
     _first_witnesses,
     _grow_family,
+    _instances,
+    _remove_hits,
+    _scan_table,
     _test_family,
 )
 from scldpc.cycles import count_ugast_3330, girth_check
@@ -39,8 +41,11 @@ from oracles import (
     build_lifted_dense,
     enumerate_cycles,
     exhaustive_witnesses,
+    gast_witnesses,
     lifted_6cycle_vn_sets,
     naive_ugast_subsets,
+    remove_gast,
+    remove_gast_weights,
     row_lists,
     serial_gast_scan,
     serial_remove_gast_weights,
@@ -927,13 +932,99 @@ def test_family_rescan_matches_fresh_scan(case):
     code, field, targets, a_max = case
     assume(targets)
     family = _grow_family(code, targets, a_max)
-    found = _test_family(family, code.labels, field)
+
+    def test(labels):
+        return _instances(family, _test_family(family, labels, field), labels, field)
+
+    found = test(code.labels)
     assert found == gast_scan(code, field, targets, a_max=a_max)
     outcomes = remove_gasts(found, field)
     changed = apply_edge_changes(code, [c for out in outcomes for c in out.lifted_changes()])
-    assert _test_family(family, changed.labels, field) == gast_scan(
-        changed, field, targets, a_max=a_max
-    )
+    assert test(changed.labels) == gast_scan(changed, field, targets, a_max=a_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_orbit_scan_cases())
+@example(SHORT_PERIOD_CASE)
+@example(TWO_B_CASE)
+@example(MIXED_CASE)
+@example(PRISM_CASE)
+def test_table_removal_matches_serial_removal(case):
+    # the pipeline's stage on the hit table finds and removes what gast_scan
+    # and the one-candidate-at-a-time reference do, with the same lifted
+    # changes in the same order
+    code, field, targets, a_max = case
+    found = gast_scan(code, field, targets, a_max=a_max)
+    want = [serial_remove_gast_weights(inst, field) for inst in found]
+    family, hits = _scan_table(code, field, targets, a_max)
+    removed, changes = _remove_hits(code, family, hits, field)
+    assert len(hits.group) == len(found)
+    assert removed == sum(w.success for w in want)
+    assert changes == [list(c) for w in want for c in w.lifted_changes()]
+
+
+def _relabelled(inst: GastInstance, rng: random.Random) -> GastInstance:
+    """The instance with its nodes renumbered, its checks reordered and each
+    check's nodes listed in a random order: the same shape, literally new."""
+    top = inst.topology
+    new = list(range(top.a))
+    rng.shuffle(new)
+    order = list(range(len(top.shared_cns)))
+    rng.shuffle(order)
+    shared = []
+    for c in order:
+        members = [new[v] for v in top.shared_cns[c]]
+        rng.shuffle(members)
+        shared.append(tuple(members))
+    weights = {(i, new[v]): inst.weights[(c, v)] for i, c in enumerate(order) for v in top.shared_cns[c]}
+    witness = None if inst.witness is None else tuple(inst.witness[new.index(v)] for v in range(top.a))
+    return GastInstance(UgastTopology(top.gamma, top.a, tuple(shared)), weights, inst.b, witness)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_prefix_cases(), st.randoms(use_true_random=False))
+def test_canonical_form_ignores_node_and_check_order(case, rng):
+    # every relabelling of a structure of at most CANON_MAX_A nodes has one
+    # canonical form, and the maps it returns carry a structure onto it
+    top, weights, _, _ = case
+    moved = _relabelled(GastInstance(top, weights), rng).topology
+    checks, node, check, edge = _canonical(top.a, top.shared_cns)
+    if top.a <= CANON_MAX_A:
+        assert _canonical(moved.a, moved.shared_cns)[0] == checks
+    ends = [(c, v) for c, cn in enumerate(top.shared_cns) for v in cn]
+    canon = [(c, i) for c, cn in enumerate(checks) for i in cn]
+    assert sorted(node.tolist()) == list(range(top.a))
+    for (c, i), e in zip(canon, edge.tolist()):
+        assert ends[e] == (check[c], node[i])
+
+
+def test_relabelled_instances_share_oracle_passes(monkeypatch):
+    # one shape in many literal orders: removal merges them into one table
+    # per shape, so a round makes one oracle pass per shape, and the
+    # outcomes stay those of the serial loop on each literal instance
+    import scldpc.gast as gast_module
+
+    rng = random.Random(3)
+    corpus = synthesize_instances(20, seed=11) + generic_instances(3, seed=5)
+    instances = [_relabelled(inst, rng) for inst in corpus for _ in range(3)]
+    shapes = {_canonical(i.topology.a, i.topology.shared_cns)[0] for i in instances}
+    literal = {i.topology.shared_cns for i in instances}
+    assert len(literal) > 2 * len(shapes)
+    calls = []
+    first_witnesses = gast_module._first_witnesses
+
+    def counting(gamma, checks, *args, **kwargs):
+        calls.append(checks)
+        return first_witnesses(gamma, checks, *args, **kwargs)
+
+    monkeypatch.setattr(gast_module, "_first_witnesses", counting)
+    want = assert_removals_match_serial(instances, GF4)
+    # every pass is on a canonical shape, one per round: a check, then sets
+    # of 1, 2, 4, ... candidates, and one more round to find a stream used
+    # up; a pass per literal structure would take at least one each
+    assert set(calls) == shapes
+    assert max(calls.count(c) for c in shapes) <= 2 + max(w.tried for w in want).bit_length()
+    assert len(calls) < len(literal)
 
 
 @functools.lru_cache(maxsize=None)
@@ -985,6 +1076,63 @@ DEPTH6_SCANS = {
     (3, 2): (42, "e55aee390252bd5689cc775afc58877ef020bb62fde7cb6f05a6dc9ac9c98c66"),
     (1, 3): (343, "8ed1fd02c5525a01e976a83d8909e1ac76815d1330522672634da928e3a64808"),
 }
+
+
+@pytest.mark.parametrize("kappa, L", [(13, 10), pytest.param(19, 20, marks=pytest.mark.long)])
+def test_one_group_per_shape(kappa, L):
+    # the (4, 2, 2, 5, 0) hits are all K4 minus an edge, in several literal
+    # check orders: one group of the family holds them all
+    code = _design_code(kappa, L, 1)
+    family = _grow_family(code, [(4, 2, 2, 5, 0)], 4)
+    assert len(family) == 1
+    found = gast_scan(code, GF4, [(4, 2, 2, 5, 0)], a_max=4)
+    assert len({inst.topology.shared_cns for inst in found}) > 1
+
+
+def test_design_stage_builds_no_instances(monkeypatch):
+    # the design-k13-gast unit removes its 44 hits on the hit table: no
+    # instance object, one oracle pass for the scan's group and one for the
+    # removal round that removes them all
+    import scldpc.gast as gast_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance object was built")
+
+    calls = []
+    first_witnesses = gast_module._first_witnesses
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return first_witnesses(*args, **kwargs)
+
+    monkeypatch.setattr(gast_module, "GastInstance", refuse)
+    monkeypatch.setattr(gast_module, "_first_witnesses", counting)
+    config = DesignConfig(kappa=13, p=13, L=10, cpo_budget=20_000, seed_partition=1, seed_labels=1,
+                          seed_cpo=1, gast_targets=((4, 2, 2, 5, 0),), gast_a_max=4)
+    report = run_pipeline(config)
+    assert (report.gasts_found, report.gasts_removed) == (44, 44)
+    assert len(calls) == 2
+
+
+def test_scan_refuses_more_instances_than_it_builds(monkeypatch):
+    # the kappa = 7 smoke code's 678 hexagons, against a lowered bound: one
+    # error line before any instance is built
+    proto = build_ab_powers(3, 7)
+    mask = realize_mask(solve_optimal_overlap(7, 30).optima[0], 7, 1)
+    code = label_edges(couple(proto, mask, 30), GF4, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance object was built")
+
+    monkeypatch.setattr("scldpc.gast.MAX_SCAN_INSTANCES", 677)
+    monkeypatch.setattr("scldpc.gast.GastInstance", refuse)
+    with pytest.raises(ValueError) as err:
+        gast_scan(code, GF4, [(3, 3, 3, 3, 0)], a_max=3)
+    want = "scan found 678 instances, more than the 677 it builds; narrow the targets"
+    assert str(err.value) == want
+    # the design stage reads the table and is not bounded
+    family, hits = _scan_table(code, GF4, [(3, 3, 3, 3, 0)], 3)
+    assert len(hits.group) == 678
 
 
 @pytest.mark.parametrize(
