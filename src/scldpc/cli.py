@@ -102,9 +102,9 @@ def _parse_targets(text: str) -> list[tuple]:
 
 def _cmd_gast(args) -> None:
     code = _load_code(args.code)
+    if not 2 <= args.q <= 256 or args.q & (args.q - 1):
+        raise ValueError(f"q must be a power of two from 2 to 256, got {args.q}")
     field = FieldGF(args.q.bit_length() - 1)
-    if field.q != args.q:
-        raise ValueError(f"q must be a power of two, got {args.q}")
     targets = _parse_targets(args.targets)
     found = gast_scan(code, field, targets, a_max=args.amax)
     if args.action == "scan":

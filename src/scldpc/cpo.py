@@ -95,26 +95,33 @@ class _State:
       movers:  per circulant e, the cycles whose balance e's power moves,
                cycle ids ascending (CSR ``ptr``, with ``cycles`` and
                ``coefs``; ``ptr4`` marks where e's 4-cycles start).  One
-               sort of the (circulant, cycle) keys builds it.  A circulant
-               that a cycle visits twice, once with each sign, cancels and
-               is not listed (no mask window has one).
+               sort of the (circulant, cycle) keys builds it.
       pairs:   per circulant pair ``lo * n + hi``, every position pair of
                every cycle that visits both (CSR ``pair_ptr``), with each
-               position's net coefficient, 0 for a cancelled visit, and the
-               cycle's class.
+               position's coefficient and the cycle's class.
+
+    No window cycle visits a circulant twice.  Window position (r, c) is
+    circulant (r mod gamma, c mod kappa) on side r // gamma - c // kappa,
+    and a mask puts each circulant on one side, so two visits of one
+    circulant would sit at (r, c) and (r + gamma, c + kappa).  Rows r and
+    r + gamma never share a column: a shared column x would put circulant
+    (r mod gamma, x mod kappa) in both H0 and H1.  Yet any two rows of a
+    window 4-cycle or 6-cycle share a column.  So no cycle that
+    :func:`~scldpc.cycles.build_window` lists visits a circulant twice, and
+    every coefficient is +-1.
 
     A cycle's class is 0 for a single-replica 6-cycle (weight L), 1 for a
-    two-replica one (weight L - 1) and 2 for a 4-cycle.  Every coefficient
-    is +-1, so a cycle is active under e -> v exactly at v = f[e] - b * coef
-    (mod p).  Each mover keeps its cell ``base``, class * 2np + e * 2p +
-    f[e], plus p for coefficient +1, which :meth:`move` shifts with f[e];
-    the cell ``base - b * coef`` then lies in e's block [0, 2p).  One integer
-    bincount, folded over the two p-blocks, counts per class the cycles
-    each circulant activates at each power.  The move table holds, for every
-    circulant e and power v, the f_sc after e -> v (``f_after``) and the
-    number of kept window 4-cycles that move activates (``hits4``, zero
-    exactly when it activates none of the window's); both are
-    (gamma*kappa, p) and exact in int64 (see :func:`cpo_optimize`).
+    two-replica one (weight L - 1) and 2 for a 4-cycle.  A cycle is active
+    under e -> v exactly at v = f[e] - b * coef (mod p).  Each mover keeps
+    its cell ``base``, class * 2np + e * 2p + f[e], plus p for coefficient
+    +1, which :meth:`move` shifts with f[e]; the cell ``base - b * coef``
+    then lies in e's block [0, 2p).  One integer bincount, folded over the
+    two p-blocks, counts per class the cycles each circulant activates at
+    each power.  The move table holds, for every circulant e and power v,
+    the f_sc after e -> v (``f_after``) and the number of kept window
+    4-cycles that move activates (``hits4``, zero exactly when it activates
+    none of the window's); both are (gamma*kappa, p) and exact in int64 (see
+    :func:`cpo_optimize`).
     ``loads`` holds each circulant's visits from active 6-cycles.
     """
 
@@ -130,16 +137,10 @@ class _State:
         visits = np.concatenate([window.ids6.ravel(), window.ids4.ravel()])
         cycles = np.concatenate([np.repeat(np.arange(m6), 6), np.repeat(np.arange(m6, m), 4)])
         signs = np.concatenate([np.tile([1, -1], 3 * m6), np.tile([1, -1], 2 * m4)])
-        # cycles ascend, so a stable sort by circulant orders the keys; a
-        # key met twice, once with each sign, cancels
+        # cycles ascend, so a stable sort by circulant orders the keys
         order = np.argsort(visits.astype(_key_type(n)), kind="stable")
         keys = (visits * m + cycles)[order]
-        twice = np.zeros(len(keys) + 1, dtype=bool)
-        twice[1:-1] = keys[1:] == keys[:-1]
-        cancelled = twice[1:] | twice[:-1]
-        signs[order[cancelled]] = 0
-        kept, keys = order[~cancelled], keys[~cancelled]
-        ents, self.cycles, self.coefs = visits[kept], cycles[kept], signs[kept]
+        ents, self.cycles, self.coefs = visits[order], cycles[order], signs[order]
         self.ptr = np.searchsorted(keys, np.arange(n + 1) * m)
         self.ptr4 = np.searchsorted(keys, np.arange(n) * m + m6)
         self.b = np.bincount(self.cycles, self.coefs * self.flat[ents], m).astype(np.int64) % p
@@ -152,8 +153,8 @@ class _State:
         self.refresh()
 
     def _index_pairs(self, visits: np.ndarray, m6: int, m4: int, kinds: np.ndarray) -> None:
-        """The per-pair index, from every visit's 4 * circulant + net
-        coefficient + 1, cycle by cycle."""
+        """The per-pair index, from every visit's 4 * circulant + coefficient
+        + 1, cycle by cycle; every coefficient is +-1."""
         n, lo, hi, cycles = self.n, [], [], []
         visits = visits.astype(_key_type(n * n))
         for width, first, count in ((6, 0, m6), (4, m6, m4)):
@@ -190,7 +191,7 @@ class _State:
         self.f_after = after - (after[now] - self.f_sc)[:, None]
         self.hits4 = table[2]
         # the active 6-cycles each circulant moves, which are its visits from
-        # active 6-cycles, as no mask window's cycle visits a circulant twice
+        # active 6-cycles, as no window cycle visits a circulant twice
         self.loads = table[0][now] + table[1][now]
 
     def hits4_row(self, e: int) -> np.ndarray:

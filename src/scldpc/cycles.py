@@ -301,8 +301,8 @@ class TwoReplicaWindow:
     The optimizer indexes these cycles itself, as one cycle set.  Circulants
     are numbered row-major, e = row * kappa + col, so position (r, c) is
     circulant (r mod gamma) * kappa + c mod kappa.  A cycle visits each
-    circulant at most once, since two visits would place it in H0 and in H1,
-    so every alternating-sum coefficient is +-1.
+    circulant at most once (``scldpc.cpo._State`` gives the proof), so every
+    alternating-sum coefficient is +-1.
     """
 
     def __init__(self, proto: ProtoMatrix, mask: PartitionMask):

@@ -291,14 +291,22 @@ def _first_witnesses(
     return won, first
 
 
+def _weights_of(topology: UgastTopology, weights: dict) -> list:
+    """The weights of the topology's edges, check by check; every edge must
+    have one."""
+    try:
+        return [weights[(c, v)] for c, cn in enumerate(topology.shared_cns) for v in cn]
+    except KeyError as missing:
+        raise ValueError(f"no weight given for the (check, node) edge {missing.args[0]}") from None
+
+
 def _edge_weights(topology: UgastTopology, weights: dict, field: FieldGF) -> np.ndarray:
     """``weights`` as a (1, edges) array, edges check by check; every weight
     must be a nonzero field element."""
     for w in weights.values():
         if not 0 < w < field.q:
             raise ValueError(f"edge weight {w} out of GF({field.q}) nonzero range")
-    cns = topology.shared_cns
-    return np.array([[weights[(c, v)] for c, cn in enumerate(cns) for v in cn]], dtype=np.uint8)
+    return np.array([_weights_of(topology, weights)], dtype=np.uint8)
 
 
 def is_gast(
@@ -568,7 +576,7 @@ def remove_gasts(instances: Sequence[GastInstance], field: FieldGF) -> list[Remo
     # own order; an instance is a translate of its shape's group, whose
     # perm and cn give each canonical node and check its own index
     edges = [[(c, v) for c, cn in enumerate(inst.topology.shared_cns) for v in cn] for inst in instances]
-    buf = np.array([inst.weights[e] for inst, own in zip(instances, edges) for e in own], dtype=np.int64)
+    buf = np.array([w for inst in instances for w in _weights_of(inst.topology, inst.weights)], dtype=np.int64)
     bad = buf[(buf <= 0) | (buf >= field.q)]
     if bad.size:
         raise ValueError(f"edge weight {bad[0]} out of GF({field.q}) nonzero range")
@@ -672,10 +680,9 @@ def _canonical_rows(cols: np.ndarray, p: int, n: int) -> np.ndarray:
     return moved[np.arange(len(cols)), alive.argmax(axis=1)]
 
 
-def _6cycle_orbits(code, has4: Optional[bool] = None) -> tuple[np.ndarray, bool]:
+def _6cycle_orbits(code) -> tuple[np.ndarray, bool]:
     """Canonical variable-node triples of the 6-cycles, one row per orbit,
-    and whether the graph has a (lifted) 4-cycle; a coupled code's is tested
-    unless the caller gives it as ``has4``.
+    and whether the graph has a (lifted) 4-cycle.
 
     A RawTanner's cycles are enumerated on its own incidence.  An SCCode's
     are its active window 6-cycles, the ones the census counts, lifted at
@@ -700,8 +707,7 @@ def _6cycle_orbits(code, has4: Optional[bool] = None) -> tuple[np.ndarray, bool]
     cols = np.stack([a * p, b * p + off_b % p, c * p + (off_b + f[r3, b] - f[r3, c]) % p], axis=1)
     owner, shift = _expand(L - dual[kept])
     vns = np.sort(cols[owner] + (shift * k * p)[:, None], axis=1)
-    has4 = _has_active_4cycle(code.proto, inc) if has4 is None else has4
-    return _unique_rows(_canonical_rows(vns, p, n), n)[0], has4
+    return _unique_rows(_canonical_rows(vns, p, n), n)[0], _has_active_4cycle(code.proto, inc)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -805,10 +811,9 @@ def _emit(found: dict, code, matching: list, sub, hits, runs: tuple) -> None:
             part.append(x)
 
 
-def _grow_family(code, targets: list[tuple], a_max: int, has4: Optional[bool] = None) -> list[_Group]:
+def _grow_family(code, targets: list[tuple], a_max: int) -> list[_Group]:
     """The subsets of ``code`` whose label matches a target, grouped by check
-    structure shape; ``targets`` is non-empty and checked, and ``has4`` is
-    the code's 4-cycle verdict when the caller has it.  See
+    structure shape; ``targets`` is non-empty and checked.  See
     :func:`gast_scan`."""
     by_label: dict[tuple, list[tuple]] = {}
     for t in targets:
@@ -827,7 +832,7 @@ def _grow_family(code, targets: list[tuple], a_max: int, has4: Optional[bool] = 
     reach = [max((t[-3] + gamma * (t[0] - a) for t in targets if t[0] > a), default=-1)
              for a in range(a_max + 2)]
 
-    level, has4 = _6cycle_orbits(code, has4)
+    level, has4 = _6cycle_orbits(code)
     convert_bound = gamma if has4 else 1
     # per check structure: its targets and the parts of its group's arrays
     found: dict[tuple, tuple[list, ...]] = {}
@@ -1061,10 +1066,9 @@ def gast_scan(
     return _instances(family, hits, code.labels, field)
 
 
-def _scan_table(code, field: Optional[FieldGF], targets: Sequence[tuple], a_max: int,
-                has4: Optional[bool] = None) -> tuple[list[_Group], _Hits]:
-    """The grown family and its hit table, with :func:`gast_scan`'s checks;
-    ``has4`` is the code's 4-cycle verdict when the caller has it."""
+def _scan_table(code, field: Optional[FieldGF], targets: Sequence[tuple],
+                a_max: int) -> tuple[list[_Group], _Hits]:
+    """The grown family and its hit table, with :func:`gast_scan`'s checks."""
     targets = _check_targets(targets, a_max)
     if not targets:
         return [], _test_family([], None, field)
@@ -1080,5 +1084,5 @@ def _scan_table(code, field: Optional[FieldGF], targets: Sequence[tuple], a_max:
         bad = labels[(labels == 0) | (labels >= field.q)]
         if bad.size:
             raise ValueError(f"edge weight {bad[0]} out of GF({field.q}) nonzero range")
-    family = _grow_family(code, targets, a_max, has4)
+    family = _grow_family(code, targets, a_max)
     return family, _test_family(family, code.labels, field)

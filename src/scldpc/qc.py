@@ -150,8 +150,8 @@ class TannerEdges:
 
     ``rows`` is an (n_cols, gamma) integer array, ascending in each column;
     edge ``c * gamma + k`` joins column c to row ``rows[c, k]``, and edge
-    labels are stored in that order.  The row-major (CSR) edge order and
-    the per-column row lists are built once, on first use.
+    labels are stored in that order.  The row-major (CSR) edge order is
+    built once, on first use.
     """
 
     def __init__(self, rows: np.ndarray, n_rows: int):
@@ -160,11 +160,6 @@ class TannerEdges:
         self.rows = rows
         self.n_rows = n_rows
         self.gamma = rows.shape[1]
-
-    @functools.cached_property
-    def columns(self) -> list[list[int]]:
-        """Check rows of every column, ascending."""
-        return self.rows.tolist()
 
     @functools.cached_property
     def row_order(self) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +174,7 @@ class TannerEdges:
 
     def index(self, row: int, col: int) -> int:
         """Position of the edge (row, col) in the column-major edge order."""
-        rows = self.columns[col] if 0 <= col < len(self.columns) else ()
+        rows = self.rows[col].tolist() if 0 <= col < len(self.rows) else ()
         if row in rows:
             return col * self.gamma + rows.index(row)
         raise ValueError(f"({row}, {col}) is not a nonzero entry of the code")

@@ -4,7 +4,6 @@ import itertools
 import json
 import random
 import re
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -371,27 +370,15 @@ def test_move_table_matches_dense_recompute(case):
         assert ((hits == 0) == (want_hits == 0)).all()
 
 
-@st.composite
-def _revisiting_windows(draw):
-    # no cycle of a mask window visits a circulant twice (the visits would
-    # put it in H0 and H1 at once), so these windows are built by hand: rows
-    # of distinct circulants, some of which copy one visit onto a position
-    # of the other sign, where the two cancel
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    n = draw(st.integers(6, 9))
-    ids = {}
-    for width in (6, 4):
-        rows = draw(st.lists(st.permutations(range(n)), max_size=8))
-        ids[width] = np.array([row[:width] for row in rows], dtype=np.int64).reshape(-1, width)
-        for row in ids[width]:
-            i, j = draw(st.integers(0, width - 1)), draw(st.integers(0, width // 2 - 1))
-            if draw(st.booleans()):
-                row[(i + 2 * j + 1) % width] = row[i]
-    m6 = len(ids[6])
-    dual6 = np.array(draw(st.lists(st.booleans(), min_size=m6, max_size=m6)), bool)
-    flat = np.array(draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)), np.int64)
-    window = SimpleNamespace(p=p, n_entries=n, ids6=ids[6], ids4=ids[4], dual6=dual6)
-    return window, flat, draw(st.integers(2, 30))
+@settings(max_examples=100, deadline=None)
+@given(_cpo_problems())
+def test_window_cycles_visit_distinct_circulants(problem):
+    # the optimizer's indexes take every coefficient as +-1, which holds
+    # because no window cycle visits a circulant twice
+    proto, mask, _ = problem
+    window = build_window(proto, mask)
+    for ids in (window.ids6, window.ids4):
+        assert all(len(set(row)) == len(row) for row in ids.tolist())
 
 
 def _coefficients(ids, n):
@@ -414,27 +401,10 @@ def _ab_window(p, assign):
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    st.one_of(_table_states().map(lambda case: (case[0], *case[2:])), _revisiting_windows()),
-    st.booleans(),
-)
-# no cycle at all; 4-cycles alone; a cancelled visit in each cycle kind
+@given(_table_states().map(lambda case: (case[0], *case[2:])), st.booleans())
+# no cycle at all; 4-cycles alone
 @example(_ab_window(3, ((0,), (1,), (0,))), False)
 @example(_ab_window(3, ((0, 0), (0, 0), (0, 1))), True)
-@example(
-    (
-        SimpleNamespace(
-            p=5,
-            n_entries=6,
-            ids6=np.array([[0, 1, 2, 3, 4, 5], [3, 1, 2, 3, 4, 0]]),
-            ids4=np.array([[0, 2, 2, 4]]),
-            dual6=np.array([False, True]),
-        ),
-        np.array([0, 1, 2, 3, 4, 0]),
-        7,
-    ),
-    True,
-)
 def test_cycle_indexes_match_reference(case, int64_keys):
     # the mover and pair indexes over one cycle set (6-cycles, then
     # 4-cycles) against the per-kind reference; int64_keys sorts the keys
@@ -453,7 +423,7 @@ def test_cycle_indexes_match_reference(case, int64_keys):
     assert (state.b == coef @ flat % p).all()
 
     # every position pair once; the reference lists the cycles both
-    # circulants move, which are the entries with two nonzero coefficients
+    # circulants move, one position pair each
     assert state.pair_ptr[-1] == 15 * m6 + 6 * m4
     kinds = np.concatenate([window.dual6.astype(int), np.full(m4, 2)]).tolist()
     columns = (state.pair_cycles, state.pair_lo, state.pair_hi, state.pair_kinds)
@@ -461,14 +431,13 @@ def test_cycle_indexes_match_reference(case, int64_keys):
     for lo, hi in itertools.combinations(range(n), 2):
         key = lo * n + hi
         at = slice(state.pair_ptr[key], state.pair_ptr[key + 1])
-        got = sorted(row for row in zip(*(a[at].tolist() for a in columns)) if row[1] and row[2])
+        got = sorted(zip(*(a[at].tolist() for a in columns)))
         listed = _listed(pairs[0], key, 0) + _listed(pairs[1], key, m6)
         assert got == sorted((c, a, b, kinds[c]) for c, (a, b) in listed)
 
-    # a cancelled visit adds nothing to a pair move: every pair at every
-    # power against the balances recomputed from scratch.  The 4-cycle count
-    # covers those that either circulant moves, and holds where none is
-    # active before the move, as along every descent
+    # every pair at every power against the balances recomputed from
+    # scratch.  The 4-cycle count covers those that either circulant moves,
+    # and holds where none is active before the move, as along every descent
     e1, e2 = np.array(list(itertools.permutations(range(n), 2))).reshape(-1, 2).T
     v1, v2 = np.divmod(np.arange(p * p), p)
     v1, v2 = np.tile(v1, e1.size), np.tile(v2, e1.size)

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -435,6 +436,17 @@ class TestRemoval:
             for changes in enumerate_candidate_sets(inst, bud, GF4):
                 trial = inst.with_weights({(c, v): w for c, v, w in changes})
                 assert is_gast(trial.topology, trial.weights, GF4)[0]
+
+    @pytest.mark.parametrize("kept, edge", [(0, (0, 0)), (4, (2, 0))], ids=["empty", "partial"])
+    def test_missing_weight_refused(self, kept, edge):
+        # named as the (check, node) edge it belongs to, not a bare KeyError
+        top = k4_minus_edge()
+        weights = dict(list(uniform_weights(top).items())[:kept])
+        message = re.escape(f"no weight given for the (check, node) edge {edge}")
+        with pytest.raises(ValueError, match=message):
+            is_gast(top, weights, GF4)
+        with pytest.raises(ValueError, match=message):
+            remove_gasts([GastInstance(top, weights)], GF4)
 
 
 def test_remove_refuses_instance_without_lifted_ids():

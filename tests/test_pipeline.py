@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from scldpc import cycles
 from scldpc.cycles import count_ugast_3330
 from scldpc.gf import FieldGF
 from scldpc.pipeline import (
@@ -104,14 +106,17 @@ class TestRunPipeline:
         assert int(alist[0]) == code.n_cols and int(alist[1]) == code.n_rows
 
 
+# the design-k13-gast benchmark unit at the reference seed
+K13 = DesignConfig(
+    kappa=13, p=13, L=10, cpo_budget=20_000, seed_partition=1, seed_labels=1,
+    seed_cpo=1, gast_targets=((4, 2, 2, 5, 0),), gast_a_max=4,
+)
+
+
 def test_pinned_design_outputs(tmp_path):
     # the files a design at fixed seeds writes; any change to labeling, JSON,
     # alist, scan or removal that moves a byte shows here
-    config = DesignConfig(
-        kappa=13, p=13, L=10, cpo_budget=20_000, seed_partition=1, seed_labels=1,
-        seed_cpo=1, gast_targets=((4, 2, 2, 5, 0),), gast_a_max=4,
-    )
-    run_pipeline(config, out_dir=str(tmp_path))
+    run_pipeline(K13, out_dir=str(tmp_path))
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("code.json", "code.alist", "report.json")
@@ -121,6 +126,22 @@ def test_pinned_design_outputs(tmp_path):
         "code.alist": "c06c0491490ae7fe857068399ade6ef9fa7139a3361edfebeaa73753b63d6554",
         "report.json": "c51af042dfd63abdf32b09dc11378e3606174b9ff56ea5a8013ef7ca51e97ee2",
     }
+
+
+@pytest.mark.parametrize("targets, listings", [(K13.gast_targets, 1), ((), 0)], ids=["gast", "no-gast"])
+def test_active_6cycles_listed_once(monkeypatch, targets, listings):
+    # the census is the optimizer's final count, so only the scan's seeds
+    # list the active window 6-cycles (the enumerator given powers)
+    calls, enumerate_chunks = [], cycles._six_cycle_chunks
+
+    def spy(inc, powers=None, s=1):
+        calls.append(powers is not None)
+        return enumerate_chunks(inc, powers, s)
+
+    monkeypatch.setattr(cycles, "_six_cycle_chunks", spy)
+    report = run_pipeline(replace(K13, gast_targets=targets))
+    assert calls.count(True) == listings
+    assert (report.ugast_3330, report.girth_at_least_6) == (1963, True)
 
 
 @pytest.mark.slow
@@ -320,13 +341,15 @@ class TestCliErrors:
         assert "girth 4" in err
         assert "Traceback" not in err
 
-    def test_bad_field_size_reported(self, tmp_path, capsys):
+    @pytest.mark.parametrize("q", [6, 0, 1, 512])
+    def test_bad_field_size_reported(self, tmp_path, capsys, q):
+        # q itself is named, not the field degree it would give
         from scldpc import cli
 
-        rc = cli.main(["gast", "scan", "--code", _girth4_code_file(tmp_path), "--q", "6"])
+        rc = cli.main(["gast", "scan", "--code", _girth4_code_file(tmp_path), "--q", str(q)])
         out, err = capsys.readouterr()
         assert rc == 2
-        assert err == "scldpc: error: q must be a power of two, got 6\n"
+        assert err == f"scldpc: error: q must be a power of two from 2 to 256, got {q}\n"
 
     @pytest.mark.parametrize(
         "argv",
