@@ -8,7 +8,6 @@ compared against them on equal footing.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -16,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .cycles import union_census
-from .overlap import OverlapVector, enumerate_valid_overlaps
+from .overlap import OverlapVector, _multinomial, enumerate_valid_overlaps, pattern_counts
 from .qc import PartitionMask, ProtoMatrix
 
 __all__ = [
@@ -66,6 +65,8 @@ def mo_admissible_vectors(kappa: int) -> list[OverlapVector]:
     Balanced split (inherited from the vector validity chains), per-row
     populations of both halves within floor(kappa/2) +/- 1, and minimal
     (max, total) pairwise overlap across the six row pairs of both halves.
+    Never empty: rows (m, m, m) at kappa = 2m and (m, m, m + 1) at kappa =
+    2m + 1 pass the population rule.
     """
     lo, hi = kappa // 2 - 1, kappa // 2 + 1
     scored = []
@@ -76,8 +77,6 @@ def mo_admissible_vectors(kappa: int) -> list[OverlapVector]:
         c = v.complement(kappa)
         ovl = (v.o01, v.o02, v.o12, c.o01, c.o02, c.o12)
         scored.append(((max(ovl), sum(ovl)), v))
-    if not scored:
-        return []
     best = min(s for s, _ in scored)
     return [v for s, v in scored if s == best]
 
@@ -86,28 +85,6 @@ PATTERNS = tuple(itertools.product((0, 1), repeat=3))
 
 # masks drawn from the search's stream per call of the batched census
 MO_CHUNK = 1024
-
-
-def pattern_counts(vector: OverlapVector, kappa: int) -> dict[tuple[int, int, int], int]:
-    """Column-pattern multiset of any mask realizing the vector.
-
-    A pattern is the mask column read downward (0 = H0); e.g. (0, 0, 1) are
-    the columns counted by o01 but not o012.
-    """
-    v = vector
-    counts = {
-        (0, 0, 0): v.o012,
-        (0, 0, 1): v.o01 - v.o012,
-        (0, 1, 0): v.o02 - v.o012,
-        (1, 0, 0): v.o12 - v.o012,
-        (0, 1, 1): v.r0 - v.o01 - v.o02 + v.o012,
-        (1, 0, 1): v.r1 - v.o01 - v.o12 + v.o012,
-        (1, 1, 0): v.r2 - v.o02 - v.o12 + v.o012,
-    }
-    counts[(1, 1, 1)] = kappa - sum(counts.values())
-    if any(c < 0 for c in counts.values()):
-        raise ValueError(f"vector {v.as_list()} is not realizable at kappa={kappa}")
-    return counts
 
 
 def _arrangements_from_counts(
@@ -151,11 +128,7 @@ def _constrained_mask_count(counts: dict, fixed_patterns: Sequence[tuple]) -> in
         if remaining.get(pat, 0) <= 0:
             return 0
         remaining[pat] -= 1
-    total = sum(remaining.values())
-    out = math.factorial(total)
-    for c in remaining.values():
-        out //= math.factorial(c)
-    return out
+    return _multinomial(remaining.values())
 
 
 def _symmetry_anchors(counts: dict) -> Optional[tuple[tuple, tuple]]:
@@ -211,13 +184,9 @@ def mo_search(
     kappa = proto.kappa
     ab = tuple(tuple((i * j) % proto.p for j in range(kappa)) for i in range(3))
     symmetric = kappa == proto.p and proto.powers == ab
-    vectors = mo_admissible_vectors(kappa)
-    if not vectors:
-        raise ValueError(f"no admissible minimum-overlap vector at kappa={kappa}")
-
     plans = []
     total = 0
-    for vec in vectors:
+    for vec in mo_admissible_vectors(kappa):
         counts = pattern_counts(vec, kappa)
         anchors = _symmetry_anchors(counts) if symmetric else None
         if anchors is not None:

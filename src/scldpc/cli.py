@@ -139,7 +139,7 @@ def _cmd_gast(args) -> None:
 def _cmd_pipeline(args) -> None:
     config = pipeline.DesignConfig(
         kappa=args.kappa,
-        p=args.p if args.p else args.kappa,
+        p=args.kappa,
         L=args.L,
         field_lam=args.field_lam,
         seed_partition=args.seed_partition,
@@ -230,7 +230,6 @@ def main(argv=None) -> int:
 
     s = sub.add_parser("pipeline", help="run the full design flow")
     s.add_argument("--kappa", type=int, required=True)
-    s.add_argument("--p", type=int, default=0)
     s.add_argument("--L", type=int, required=True)
     s.add_argument("--field-lam", type=int, default=2)
     s.add_argument("--seed-partition", type=int, default=1)

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cycles import TwoReplicaWindow, build_window
+from .cycles import TwoReplicaWindow, _expand, build_window
 from .qc import PartitionMask, ProtoMatrix, _check_coupling_length, is_prime
 from .words import WordStream
 
@@ -241,8 +241,8 @@ class _State:
         d_lo, d_hi = np.where(swap, d2, d1), np.where(swap, d1, d2)
         starts = self.pair_ptr[lo * self.n + hi]
         lens = self.pair_ptr[lo * self.n + hi + 1] - starts
-        rows = np.repeat(np.arange(m), lens)
-        at = np.arange(len(rows)) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        rows, rank = _expand(lens)
+        at = starts[rows] + rank
         # balances offset by 2p: every sum below lies in [0, 5p)
         t = self.b[self.pair_cycles[at]] + 2 * p
         t_lo = t + self.pair_lo[at] * d_lo[rows]

@@ -50,7 +50,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .qc import PartitionMask, ProtoMatrix, SCCode, _check_coupling_length
+from .qc import PartitionMask, ProtoMatrix, SCCode, _check_coupling_length, _check_shapes
 
 __all__ = [
     "TwoReplicaWindow",
@@ -251,11 +251,6 @@ def _window_incidence(h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
     inc[:g, :k] = inc[g : 2 * g, k:] = h0
     inc[g : 2 * g, :k] = inc[2 * g :, k:] = h1
     return inc
-
-
-def _check_shapes(proto: ProtoMatrix, mask: PartitionMask) -> None:
-    if proto.gamma != mask.gamma or proto.kappa != mask.kappa:
-        raise ValueError("protograph and mask shapes differ")
 
 
 def _mask_incidence(mask: PartitionMask) -> np.ndarray:

@@ -51,7 +51,7 @@ import numpy as np
 from .cycles import _expand, _four_cycle_array, _has_active_4cycle, _mask_incidence, _replica1
 from .cycles import _six_cycle_array, _window_powers
 from .gf import FieldGF
-from .qc import SCCode, TannerEdges
+from .qc import SCCode, TannerEdges, _check_weights
 
 __all__ = [
     "UgastTopology",
@@ -301,12 +301,11 @@ def _weights_of(topology: UgastTopology, weights: dict) -> list:
 
 
 def _edge_weights(topology: UgastTopology, weights: dict, field: FieldGF) -> np.ndarray:
-    """``weights`` as a (1, edges) array, edges check by check; every weight
-    must be a nonzero field element."""
-    for w in weights.values():
-        if not 0 < w < field.q:
-            raise ValueError(f"edge weight {w} out of GF({field.q}) nonzero range")
-    return np.array([_weights_of(topology, weights)], dtype=np.uint8)
+    """The topology's edge weights as a (1, edges) array, edges check by
+    check; each must be a nonzero field element."""
+    edge_weights = [_weights_of(topology, weights)]
+    _check_weights(edge_weights, field.q)
+    return np.array(edge_weights, dtype=np.uint8)
 
 
 def is_gast(
@@ -576,10 +575,8 @@ def remove_gasts(instances: Sequence[GastInstance], field: FieldGF) -> list[Remo
     # own order; an instance is a translate of its shape's group, whose
     # perm and cn give each canonical node and check its own index
     edges = [[(c, v) for c, cn in enumerate(inst.topology.shared_cns) for v in cn] for inst in instances]
-    buf = np.array([w for inst in instances for w in _weights_of(inst.topology, inst.weights)], dtype=np.int64)
-    bad = buf[(buf <= 0) | (buf >= field.q)]
-    if bad.size:
-        raise ValueError(f"edge weight {bad[0]} out of GF({field.q}) nonzero range")
+    buf = [w for inst in instances for w in _weights_of(inst.topology, inst.weights)]
+    _check_weights(buf, field.q)
     start = np.cumsum([0] + [len(own) for own in edges])
     shapes: dict[tuple, list] = {}
     for h, inst in enumerate(instances):
@@ -593,7 +590,7 @@ def remove_gasts(instances: Sequence[GastInstance], field: FieldGF) -> list[Remo
         group[h], translate[h] = i, np.arange(len(h))
     witnessed = np.array([inst.witness is not None for inst in instances], dtype=bool)
     generic = np.array([inst.b not in (None, inst.topology.d1) for inst in instances], dtype=bool)
-    buf = buf.astype(np.uint8)
+    buf = np.array(buf, dtype=np.uint8)
     pick, tried, changes = _remove_table(family, group, translate, buf, witnessed, generic, field)
     flat, rows = [e for own in edges for e in own], changes.tolist()
     bounds = np.searchsorted(changes[:, 0], np.arange(len(instances) + 1)).tolist()
@@ -756,11 +753,11 @@ class _Group:
     edges: np.ndarray
 
 
-def _emit(found: dict, code, matching: list, sub, hits, runs: tuple) -> None:
+def _emit(found: dict, code, matching: list, sub, hits, runs: tuple) -> int:
     """Add the representatives ``sub[hits]``, all of one label, to ``found``:
     per canonical check structure, the arrays of a :class:`_Group` for their
     distinct translates, read off the chunk's row-hit ``runs`` (see
-    :func:`_grow_family`)."""
+    :func:`_grow_family`).  Returns how many translates it added."""
     at, hit, start, size, owner = runs
     p, gamma, n_rows, a = code.p, code.gamma, code.edges.n_rows, sub.shape[1]
     # each hit's shared checks, as node sets, ordered by node set, then row:
@@ -809,9 +806,10 @@ def _emit(found: dict, code, matching: list, sub, hits, runs: tuple) -> None:
         for part, x in zip(found.setdefault(checks, (matching, [], [], [], []))[1:],
                            (vn, perm[:, node], cn[:, check], edges[:, edge])):
             part.append(x)
+    return len(orbit)
 
 
-def _grow_family(code, targets: list[tuple], a_max: int) -> list[_Group]:
+def _grow_family(code, targets: list[tuple]) -> list[_Group]:
     """The subsets of ``code`` whose label matches a target, grouped by check
     structure shape; ``targets`` is non-empty and checked.  See
     :func:`gast_scan`."""
@@ -819,7 +817,7 @@ def _grow_family(code, targets: list[tuple], a_max: int) -> list[_Group]:
     for t in targets:
         by_label.setdefault(t if len(t) == 4 else t[:1] + t[2:], []).append(t)
     # a subset larger than every target can never match
-    a_max = min(a_max, max(t[0] for t in targets))
+    a_max = max(t[0] for t in targets)
     gamma, p, edges = code.gamma, code.p, code.edges
     need_majority = math.floor(gamma / 2) + 1
     n_rows, n_cols = edges.n_rows, len(edges.rows)
@@ -834,8 +832,10 @@ def _grow_family(code, targets: list[tuple], a_max: int) -> list[_Group]:
 
     level, has4 = _6cycle_orbits(code)
     convert_bound = gamma if has4 else 1
-    # per check structure: its targets and the parts of its group's arrays
+    # per check structure: its targets and the parts of its group's arrays;
+    # a translate of a label with a 4-entry target is a hit for sure
     found: dict[tuple, tuple[list, ...]] = {}
+    sure = 0
     for a in range(3, a_max + 1):
         w = a * gamma
         # a set of a_max nodes is never grown, so the last node's shared
@@ -867,7 +867,13 @@ def _grow_family(code, targets: list[tuple], a_max: int) -> list[_Group]:
                     continue
                 hits = np.flatnonzero(ugast & (d1 == label[1]) & (d2 == label[2]) & (d3 == label[3]))
                 if hits.size:
-                    _emit(found, code, matching, sub, hits, (at, hit, start, size, owner))
+                    added = _emit(found, code, matching, sub, hits, (at, hit, start, size, owner))
+                    sure += added * any(len(t) == 4 for t in matching)
+                    if sure > MAX_SCAN_INSTANCES:
+                        raise ValueError(
+                            f"scan would find more than the {MAX_SCAN_INSTANCES} instances it "
+                            "builds; narrow the targets"
+                        )
             if a == a_max:
                 continue
             # each node needs need_majority shared checks; an added node can
@@ -915,22 +921,28 @@ class _Hits(NamedTuple):
     first: np.ndarray
 
 
-def _test_family(family: list[_Group], labels: Optional[bytes], field: Optional[FieldGF]) -> _Hits:
-    """The hits of a grown family under the edge weights ``labels`` (the
-    code's label bytes; None weighs every edge 1).
+def _weight_bytes(code) -> np.ndarray:
+    """The code's edge weights as a uint8 buffer in edge order, all ones when
+    the code is unlabeled."""
+    if code.labels is None:
+        return np.ones(code.edges.rows.size, dtype=np.uint8)
+    return np.frombuffer(code.labels, dtype=np.uint8)
+
+
+def _test_family(family: list[_Group], code, field: Optional[FieldGF]) -> _Hits:
+    """The hits of a grown family under the edge weights of ``code``.
 
     Per group, the weights are gathered once and one oracle pass decides
     the 5-entry targets listed before its first 4-entry one, for every
     translate; a translate none of them holds matches that 4-entry target.
     """
-    buf = None if labels is None else np.frombuffer(labels, dtype=np.uint8)
+    buf = _weight_bytes(code)
     parts = [[np.zeros(0, dtype=np.int64)] * 4]
     for i, g in enumerate(family):
         lead = list(itertools.takewhile(lambda t: len(t) == 5, g.matching))
         won, first = np.full(len(g.vn), -1), np.zeros(len(g.vn), dtype=np.int64)
         if lead:
-            weights = np.ones(g.edges.shape, dtype=np.uint8) if buf is None else buf[g.edges]
-            won, first = _first_witnesses(g.gamma, g.checks, weights, g.perm, field, [t[1] for t in lead])
+            won, first = _first_witnesses(g.gamma, g.checks, buf[g.edges], g.perm, field, [t[1] for t in lead])
         target = np.where(won < 0, len(lead), won)
         t = np.flatnonzero(target < len(g.matching))
         parts.append([np.full(len(t), i), t, target[t], first[t]])
@@ -961,16 +973,16 @@ def _shared(key: list[int], a: int, n_checks: int) -> tuple[tuple[int, ...], ...
     return tuple(map(tuple, shared))
 
 
-def _instances(family: list[_Group], hits: _Hits, labels: Optional[bytes],
-               field: Optional[FieldGF]) -> list[GastInstance]:
-    """The hits as :class:`GastInstance` objects, in table order."""
-    buf = None if labels is None else np.frombuffer(labels, dtype=np.uint8)
+def _instances(family: list[_Group], hits: _Hits, code, field: Optional[FieldGF]) -> list[GastInstance]:
+    """The hits as :class:`GastInstance` objects, in table order, under the
+    edge weights of ``code``."""
+    buf = _weight_bytes(code)
     out: list = [None] * len(hits.group)
     for i, g in enumerate(family):
         at = np.flatnonzero(hits.group == i)
         t, a = hits.translate[at], g.vn.shape[1]
         key, order = _literal(g, t)
-        weights = np.ones(key.shape, int) if buf is None else np.take_along_axis(buf[g.edges[t]], order, 1)
+        weights = np.take_along_axis(buf[g.edges[t]], order, 1)
         # an oracle pass ran, within its limit, when a 5-entry target leads
         witness = _assignments(a, field.q)[hits.first[at]].tolist() if len(g.matching[0]) == 5 else None
         vn, cn = g.vn[t].tolist(), np.sort(g.cn[t], axis=1).tolist()
@@ -993,16 +1005,15 @@ def _remove_hits(code, family: list[_Group], hits: _Hits, field: FieldGF) -> tup
         at = hits.group == i
         kind = np.array([[len(t) == 5, len(t) == 5 and t[1] != t[2]] for t in g.matching])
         kinds[:, at] = kind[hits.target[at]].T
-    buf = np.frombuffer(code.labels, dtype=np.uint8)
-    pick, _, changes = _remove_table(family, hits.group, hits.translate, buf, *kinds, field)
+    pick, _, changes = _remove_table(family, hits.group, hits.translate, _weight_bytes(code), *kinds, field)
     index = changes[:, 1]
     lifted = np.stack([code.edges.rows.ravel()[index], index // code.gamma, changes[:, 2]], axis=1)
     return int((pick > -2).sum()), lifted.tolist()
 
 
 def _check_targets(targets: Sequence[tuple], a_max: int) -> list[tuple]:
-    """The targets as tuples; each must be 4 or 5 non-negative ints, a >= 3,
-    and the subset size bound ``a_max`` at least 3."""
+    """The targets as tuples; each must be 4 or 5 non-negative ints with
+    3 <= a <= ``a_max``, and ``a_max`` at least 3."""
     if a_max < 3:
         raise ValueError(f"a_max must be >= 3, scan subsets grow from 6-cycles, got {a_max}")
     targets = [tuple(t) for t in targets]
@@ -1013,6 +1024,8 @@ def _check_targets(targets: Sequence[tuple], a_max: int) -> list[tuple]:
             raise ValueError(f"target entries must be non-negative integers, got {t}")
         if t[0] < 3:
             raise ValueError(f"target size a must be >= 3, scan subsets grow from 6-cycles, got {t}")
+        if t[0] > a_max:
+            raise ValueError(f"target size a must be <= a_max = {a_max}, scan subsets grow no larger, got {t}")
     return targets
 
 
@@ -1053,9 +1066,12 @@ def gast_scan(
     assignments with x_0 = 1.  Per translate the first target in list order
     wins, and the witness is the lexicographically first valid assignment
     in the translate's own sorted ``vn_ids`` order.  A target entry that is
-    not a non-negative int, a target with a < 3, an ``a_max`` below 3, and a
-    labelled code whose field differs from ``field``, are refused, and so is
-    a scan of more than MAX_SCAN_INSTANCES hits, before any object is built.
+    not a non-negative int, a target with a < 3 or a > ``a_max``, an
+    ``a_max`` below 3, and a labelled code whose field differs from
+    ``field``, are refused, and so is a scan of more than MAX_SCAN_INSTANCES
+    hits, before any object is built: during growth once the translates of
+    labels with a 4-entry target, each a sure hit, pass it, else after the
+    test.
     """
     family, hits = _scan_table(code, field, targets, a_max)
     if len(hits.group) > MAX_SCAN_INSTANCES:
@@ -1063,7 +1079,7 @@ def gast_scan(
             f"scan found {len(hits.group)} instances, more than the {MAX_SCAN_INSTANCES} "
             "it builds; narrow the targets"
         )
-    return _instances(family, hits, code.labels, field)
+    return _instances(family, hits, code, field)
 
 
 def _scan_table(code, field: Optional[FieldGF], targets: Sequence[tuple],
@@ -1071,7 +1087,7 @@ def _scan_table(code, field: Optional[FieldGF], targets: Sequence[tuple],
     """The grown family and its hit table, with :func:`gast_scan`'s checks."""
     targets = _check_targets(targets, a_max)
     if not targets:
-        return [], _test_family([], None, field)
+        return [], _test_family([], code, field)
     if any(len(t) == 5 for t in targets) and field is None:
         raise ValueError("5-entry targets need a field for the oracle")
     if code.labels is not None and field is not None:
@@ -1080,9 +1096,6 @@ def _scan_table(code, field: Optional[FieldGF], targets: Sequence[tuple],
                 f"code is labelled over GF({1 << code.field_lam}), "
                 f"the scan field is GF({field.q})"
             )
-        labels = np.frombuffer(code.labels, dtype=np.uint8)
-        bad = labels[(labels == 0) | (labels >= field.q)]
-        if bad.size:
-            raise ValueError(f"edge weight {bad[0]} out of GF({field.q}) nonzero range")
-    family = _grow_family(code, targets, a_max)
-    return family, _test_family(family, code.labels, field)
+        _check_weights(_weight_bytes(code), field.q)
+    family = _grow_family(code, targets)
+    return family, _test_family(family, code, field)

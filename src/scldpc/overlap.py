@@ -40,6 +40,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .cycles import _expand
 from .qc import PartitionMask, _check_coupling_length
 
 __all__ = [
@@ -55,6 +56,7 @@ __all__ = [
     "solve_optimal_overlap",
     "OOSolution",
     "count_partition_choices",
+    "pattern_counts",
     "realize_mask",
 ]
 
@@ -291,15 +293,13 @@ def cycle6_census(vector: OverlapVector, kappa: int, L: int) -> CycleCensus:
     return CycleCensus(single=single, cross=cross, L=L)
 
 
-def _expand(cols: list, start: np.ndarray, stop: np.ndarray) -> list:
+def _nest(cols: list, start: np.ndarray, stop: np.ndarray) -> list:
     """Repeat each row once per value of a new column ranging over [start, stop).
 
     Rows keep their order and the new values ascend within each row, so the
     result is the order of a loop nested one level deeper.
     """
-    count = np.maximum(stop - start, 0)
-    row = np.repeat(np.arange(count.size), count)
-    offset = np.arange(row.size) - (np.cumsum(count) - count)[row]
+    row, offset = _expand(np.maximum(stop - start, 0))
     return [c[row] for c in cols] + [start[row] + offset]
 
 
@@ -339,16 +339,16 @@ def _overlap_slabs(kappa: int, canonical: bool = False) -> Iterator[np.ndarray]:
         if canonical:
             r1_lo = np.maximum(o01, max(r0, r1_floor))
             r1_hi = np.minimum(r1_hi, (bal_lo - r0) // 2)
-        o01, r1 = _expand([o01], r1_lo, r1_hi + 1)
-        o01, r1, o012 = _expand([o01, r1], np.zeros_like(o01), o01 + 1)
-        o01, r1, o012, o02 = _expand([o01, r1, o012], o012, o012 + r0 - o01 + 1)
+        o01, r1 = _nest([o01], r1_lo, r1_hi + 1)
+        o01, r1, o012 = _nest([o01, r1], np.zeros_like(o01), o01 + 1)
+        o01, r1, o012, o02 = _nest([o01, r1, o012], o012, o012 + r0 - o01 + 1)
         # o12 is clipped to the values that leave r2 a nonempty range
         o12_lo = np.maximum(o012, bal_lo - kappa - o01 - o02 + o012)
         o12_hi = np.minimum(o012 + r1 - o01, bal_hi - r0 - r1 - o02 + o012)
-        o01, r1, o012, o02, o12 = _expand([o01, r1, o012, o02], o12_lo, o12_hi + 1)
+        o01, r1, o012, o02, o12 = _nest([o01, r1, o012, o02], o12_lo, o12_hi + 1)
         lo = np.maximum(o02 + o12 - o012, bal_lo - r0 - r1)
         hi = np.minimum(kappa - r0 - r1 + o01 + o02 + o12 - o012, bal_hi - r0 - r1)
-        o01, r1, o012, o02, o12, r2 = _expand([o01, r1, o012, o02, o12], lo, hi + 1)
+        o01, r1, o012, o02, o12, r2 = _nest([o01, r1, o012, o02, o12], lo, hi + 1)
         yield np.stack([np.full_like(r2, r0), r1, r2, o01, o02, o12, o012])
 
 
@@ -449,23 +449,42 @@ def solve_optimal_overlap(kappa: int, L: int) -> OOSolution:
     return OOSolution(f_star=best, optima=vectors, kappa=kappa, L=L)
 
 
-def count_partition_choices(vector: OverlapVector, kappa: int) -> int:
-    """Number of masks realizing the vector.
+def pattern_counts(vector: OverlapVector, kappa: int) -> dict[tuple[int, int, int], int]:
+    """Column-pattern multiset of any mask realizing the vector.
 
-    Product of seven binomials: place row 0's H0 columns, then row 1's split
-    against row 0, then row 2's split against the four regions carved out by
-    rows 0 and 1.
+    A pattern is the mask column read downward (0 = H0); e.g. (0, 0, 1) are
+    the columns counted by o01 but not o012.  The eight patterns are the
+    regions rows 0, 1 and 2 carve the columns into.
     """
     v = vector
-    return (
-        math.comb(kappa, v.r0)
-        * math.comb(v.r0, v.o01)
-        * math.comb(kappa - v.r0, v.r1 - v.o01)
-        * math.comb(v.o01, v.o012)
-        * math.comb(v.r0 - v.o01, v.o02 - v.o012)
-        * math.comb(v.r1 - v.o01, v.o12 - v.o012)
-        * math.comb(kappa - v.r0 - v.r1 + v.o01, v.r2 - v.o02 - v.o12 + v.o012)
-    )
+    counts = {
+        (0, 0, 0): v.o012,
+        (0, 0, 1): v.o01 - v.o012,
+        (0, 1, 0): v.o02 - v.o012,
+        (1, 0, 0): v.o12 - v.o012,
+        (0, 1, 1): v.r0 - v.o01 - v.o02 + v.o012,
+        (1, 0, 1): v.r1 - v.o01 - v.o12 + v.o012,
+        (1, 1, 0): v.r2 - v.o02 - v.o12 + v.o012,
+    }
+    counts[(1, 1, 1)] = kappa - sum(counts.values())
+    if any(c < 0 for c in counts.values()):
+        raise ValueError(f"vector {v.as_list()} is not realizable at kappa={kappa}")
+    return counts
+
+
+def _multinomial(counts: Iterable[int]) -> int:
+    """Ways to split sum(counts) labelled columns into classes of these sizes."""
+    out, total = 1, 0
+    for c in counts:
+        total += c
+        out *= math.comb(total, c)
+    return out
+
+
+def count_partition_choices(vector: OverlapVector, kappa: int) -> int:
+    """Number of masks realizing the vector: the ways to deal the kappa
+    columns out to its column patterns (:func:`pattern_counts`)."""
+    return _multinomial(pattern_counts(vector, kappa).values())
 
 
 def realize_mask(vector: OverlapVector, kappa: int, seed: int) -> PartitionMask:
@@ -482,12 +501,10 @@ def realize_mask(vector: OverlapVector, kappa: int, seed: int) -> PartitionMask:
     rest0 = [c for c in cols if c not in row0]
     in01 = set(rng.sample(sorted(row0), v.o01))
     row1 = in01 | set(rng.sample(rest0, v.r1 - v.o01))
-    both = sorted(row0 & row1)
-    only0 = sorted(row0 - row1)
-    only1 = sorted(row1 - row0)
-    neither = sorted(set(cols) - row0 - row1)
-    row2 = set(rng.sample(both, v.o012))
-    row2 |= set(rng.sample(only0, v.o02 - v.o012))
-    row2 |= set(rng.sample(only1, v.o12 - v.o012))
-    row2 |= set(rng.sample(neither, v.r2 - v.o02 - v.o12 + v.o012))
+    counts = pattern_counts(vector, kappa)
+    row2 = set()
+    # row 2's H0 columns in each region of rows 0 and 1: pattern (*bits, 0)
+    for bits, region in (((0, 0), row0 & row1), ((0, 1), row0 - row1), ((1, 0), row1 - row0),
+                         ((1, 1), set(cols) - row0 - row1)):
+        row2 |= set(rng.sample(sorted(region), counts[(*bits, 0)]))
     return PartitionMask.from_h0_support(3, kappa, [row0, row1, row2])

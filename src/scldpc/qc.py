@@ -65,6 +65,19 @@ def _check_coupling_length(L: int) -> None:
         raise ValueError("coupling length L must be >= 2")
 
 
+def _check_shapes(proto: "ProtoMatrix", mask: "PartitionMask") -> None:
+    if proto.gamma != mask.gamma or proto.kappa != mask.kappa:
+        raise ValueError("protograph and mask shapes differ")
+
+
+def _check_weights(weights, q: int) -> None:
+    """Refuse any edge weight that is not a nonzero element of GF(q)."""
+    weights = np.asarray(weights)
+    bad = weights[(weights < 1) | (weights >= q)]
+    if bad.size:
+        raise ValueError(f"edge weight {bad[0]} outside 1..{q - 1}, the nonzero elements of GF({q})")
+
+
 def _freeze(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in r) for r in rows)
 
@@ -199,8 +212,7 @@ class SCCode:
 
     def __post_init__(self):
         _check_coupling_length(self.L)
-        if self.mask.gamma != self.proto.gamma or self.mask.kappa != self.proto.kappa:
-            raise ValueError("mask shape does not match protograph shape")
+        _check_shapes(self.proto, self.mask)
 
     @property
     def gamma(self) -> int:
@@ -305,13 +317,10 @@ def apply_edge_changes(
     """
     if code.labels is None:
         raise ValueError("cannot change edge weights of an unlabeled code")
-    q = 1 << code.field_lam
+    _check_weights([w for _, _, w in changes], 1 << code.field_lam)
     new_labels = bytearray(code.labels)
     for row, col, w in changes:
-        i = code.edges.index(row, col)
-        if not 0 < w < q:
-            raise ValueError(f"edge weight {w} outside 1..{q - 1}")
-        new_labels[i] = w
+        new_labels[code.edges.index(row, col)] = w
     return replace(code, labels=bytes(new_labels))
 
 
@@ -441,11 +450,8 @@ def _aligned_labels(code: SCCode, entries: list) -> bytes:
         raise ValueError(f"label list repeats entry ({r}, {c})")
     if code.field_lam is None:
         raise ValueError("a labelled code needs field_lam")
-    q = 1 << code.field_lam
     weights = table[:, 2]
-    bad = weights[(weights < 1) | (weights >= q)]
-    if bad.size:
-        raise ValueError(f"label weight {bad[0]} outside 1..{q - 1}")
+    _check_weights(weights, 1 << code.field_lam)
     # the pairs are distinct and as many as the edges, so they are the edge
     # set exactly when every one of them is an edge
     rows, cols = pairs[:, 0], pairs[:, 1]

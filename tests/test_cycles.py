@@ -426,6 +426,13 @@ class TestBatchedCensus:
         for name in ("ids6", "dual6", "ids4"):
             assert (getattr(capped_win, name) == getattr(win, name)).all()
 
+    def test_oversize_census_refused(self):
+        # from 1449 circulants on, six-circulant group keys leave int64:
+        # refused before the window is read
+        proto = ProtoMatrix(3, 483, 1, ((0,) * 483,) * 3)
+        with pytest.raises(ValueError, match="the census needs gamma \\* kappa < 1449"):
+            CensusTable.of_window(proto, np.zeros((9, 966), dtype=bool))
+
     def test_girth4_protograph_refused(self):
         # two all-zero rows: every column pair of them closes an active
         # 4-cycle; the CV search used to return ((0, 0, 0), 0) here

@@ -116,6 +116,8 @@ class TestTopology:
         with pytest.raises(ValueError):
             # VN 0 would need 4 shared checks with gamma=3
             UgastTopology(gamma=3, a=5, shared_cns=((0, 1), (0, 2), (0, 3), (0, 4)))
+        with pytest.raises(ValueError, match="check neighbor index out of range"):
+            UgastTopology(gamma=3, a=2, shared_cns=((0, 2),))
 
 
 class TestOracle:
@@ -448,12 +450,28 @@ class TestRemoval:
         with pytest.raises(ValueError, match=message):
             remove_gasts([GastInstance(top, weights)], GF4)
 
+    def test_weight_outside_field_refused(self):
+        # one message wherever weights are read; a dict entry off the
+        # topology's edges is not read, so it is not refused
+        top = k4_minus_edge()
+        weights = uniform_weights(top)
+        assert is_gast(top, {**weights, (9, 9): 0}, GF4) == is_gast(top, weights, GF4)
+        message = re.escape("edge weight 4 outside 1..3, the nonzero elements of GF(4)")
+        bad = {**weights, (1, 0): 4}
+        with pytest.raises(ValueError, match=message):
+            is_gast(top, bad, GF4)
+        with pytest.raises(ValueError, match=message):
+            remove_gasts([GastInstance(top, weights), GastInstance(top, bad)], GF4)
+
 
 def test_remove_refuses_instance_without_lifted_ids():
     top = hexagon()
     inst = GastInstance(topology=top, weights=uniform_weights(top))
     with pytest.raises(ValueError, match="not tied to lifted code coordinates"):
         remove_gast(inst, GF4)
+    (outcome,) = remove_gasts([inst], GF4)
+    with pytest.raises(ValueError, match="not tied to lifted code coordinates"):
+        outcome.lifted_changes()
 
 
 def test_witnessed_instance_skips_the_first_oracle_call(monkeypatch):
@@ -646,6 +664,13 @@ class TestScan:
     def test_bad_target_shape_rejected(self, small_code):
         with pytest.raises(ValueError):
             gast_scan(small_code, GF4, [(1, 2, 3)], a_max=4)
+        with pytest.raises(ValueError, match="5-entry targets need a field for the oracle"):
+            gast_scan(small_code, None, [(3, 3, 3, 3, 0)], a_max=3)
+
+    @pytest.mark.parametrize("rows", [[0, 1], [0, 1, 1], [0, 1, 2, 3]], ids=["short", "repeat", "four"])
+    def test_raw_column_degree_refused(self, rows):
+        with pytest.raises(ValueError, match="column 1 must touch exactly gamma distinct rows"):
+            RawTanner([[0, 1, 2], rows], 3)
 
     def test_planted_prism_found_exactly_once(self):
         found = gast_scan(_planted_prism(), GF4, [(6, 0, 9, 0)], a_max=6)
@@ -880,7 +905,7 @@ class TestOrbitOracle:
 
     def test_raw_labels_outside_field_refused(self, small_code):
         raw = RawTanner(small_code.edges.rows.tolist(), 3, labels=small_code.labels)
-        with pytest.raises(ValueError, match="out of GF\\(2\\) nonzero range"):
+        with pytest.raises(ValueError, match=r"^edge weight 2 outside 1\.\.1, the nonzero elements of GF\(2\)$"):
             gast_scan(raw, FieldGF(1), [(3, 3, 3, 3, 0)], a_max=3)
 
 
@@ -943,16 +968,16 @@ def test_family_rescan_matches_fresh_scan(case):
     # labels of the code the removal wrote, it finds what a new scan finds
     code, field, targets, a_max = case
     assume(targets)
-    family = _grow_family(code, targets, a_max)
+    family = _grow_family(code, targets)
 
-    def test(labels):
-        return _instances(family, _test_family(family, labels, field), labels, field)
+    def test(labelled):
+        return _instances(family, _test_family(family, labelled, field), labelled, field)
 
-    found = test(code.labels)
+    found = test(code)
     assert found == gast_scan(code, field, targets, a_max=a_max)
     outcomes = remove_gasts(found, field)
     changed = apply_edge_changes(code, [c for out in outcomes for c in out.lifted_changes()])
-    assert test(changed.labels) == gast_scan(changed, field, targets, a_max=a_max)
+    assert test(changed) == gast_scan(changed, field, targets, a_max=a_max)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1095,7 +1120,7 @@ def test_one_group_per_shape(kappa, L):
     # the (4, 2, 2, 5, 0) hits are all K4 minus an edge, in several literal
     # check orders: one group of the family holds them all
     code = _design_code(kappa, L, 1)
-    family = _grow_family(code, [(4, 2, 2, 5, 0)], 4)
+    family = _grow_family(code, [(4, 2, 2, 5, 0)])
     assert len(family) == 1
     found = gast_scan(code, GF4, [(4, 2, 2, 5, 0)], a_max=4)
     assert len({inst.topology.shared_cns for inst in found}) > 1
@@ -1126,12 +1151,17 @@ def test_design_stage_builds_no_instances(monkeypatch):
     assert len(calls) == 2
 
 
+def _smoke_code():
+    """The kappa = 7 L = 30 code of the CLI smoke test (make-code, GF(4), seed 1)."""
+    proto = build_ab_powers(3, 7)
+    mask = realize_mask(solve_optimal_overlap(7, 30).optima[0], 7, 1)
+    return label_edges(couple(proto, mask, 30), GF4, 1)
+
+
 def test_scan_refuses_more_instances_than_it_builds(monkeypatch):
     # the kappa = 7 smoke code's 678 hexagons, against a lowered bound: one
     # error line before any instance is built
-    proto = build_ab_powers(3, 7)
-    mask = realize_mask(solve_optimal_overlap(7, 30).optima[0], 7, 1)
-    code = label_edges(couple(proto, mask, 30), GF4, 1)
+    code = _smoke_code()
 
     def refuse(*args, **kwargs):
         raise AssertionError("an instance object was built")
@@ -1145,6 +1175,37 @@ def test_scan_refuses_more_instances_than_it_builds(monkeypatch):
     # the design stage reads the table and is not bounded
     family, hits = _scan_table(code, GF4, [(3, 3, 3, 3, 0)], 3)
     assert len(hits.group) == 678
+
+
+def test_growth_refuses_more_sure_hits_than_it_builds(monkeypatch):
+    # with a 4-entry target every grown translate is a hit: the smoke code's
+    # 2058 (3,3,3,0) sets are counted during growth and refused above the
+    # bound, before the family is tested, on the library and design paths
+    code = _smoke_code()
+    monkeypatch.setattr("scldpc.gast.MAX_SCAN_INSTANCES", 2058)
+    assert len(gast_scan(code, GF4, [(3, 3, 3, 0)], a_max=3)) == 2058
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the family was tested")
+
+    monkeypatch.setattr("scldpc.gast.MAX_SCAN_INSTANCES", 2057)
+    monkeypatch.setattr("scldpc.gast._test_family", refuse)
+    want = "scan would find more than the 2057 instances it builds; narrow the targets"
+    for scan in (gast_scan, _scan_table):
+        with pytest.raises(ValueError) as err:
+            scan(code, GF4, [(3, 3, 3, 3, 0), (3, 3, 3, 0)], 3)
+        assert str(err.value) == want
+
+
+def test_target_above_amax_refused():
+    # a_max = 3 used to scan for the 4-node target and find nothing, while
+    # a_max = 4 finds 89 hits
+    code = _smoke_code()
+    assert len(gast_scan(code, GF4, [(4, 2, 2, 5, 0)], a_max=4)) == 89
+    want = "target size a must be <= a_max = 3, scan subsets grow no larger, got (4, 2, 2, 5, 0)"
+    with pytest.raises(ValueError) as err:
+        gast_scan(code, GF4, [(4, 2, 2, 5, 0)], a_max=3)
+    assert str(err.value) == want
 
 
 @pytest.mark.parametrize(
@@ -1163,10 +1224,10 @@ def test_depth6_scan_matches_breadth_first_scan(seed, n_targets):
 def test_one_subset_chunks_grow_the_same_family(case, monkeypatch):
     # every level cut into chunks of one subset: each check structure holds
     # the same translates in the same order
-    code, _, targets, a_max = case
-    whole = {g.checks: g for g in _grow_family(code, targets, a_max)}
+    code, _, targets, _ = case
+    whole = {g.checks: g for g in _grow_family(code, targets)}
     monkeypatch.setattr("scldpc.gast.GROW_CELLS", 1)
-    chunked = {g.checks: g for g in _grow_family(code, targets, a_max)}
+    chunked = {g.checks: g for g in _grow_family(code, targets)}
     assert whole and whole.keys() == chunked.keys()
     for checks, g in whole.items():
         h = chunked[checks]

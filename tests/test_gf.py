@@ -127,5 +127,7 @@ def test_gf256_commutes_and_stays_in_range(a, b):
 def test_rejects_bad_degrees_and_polys():
     with pytest.raises(ValueError):
         FieldGF(0)
+    with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+        smallest_irreducible_poly(0)
     with pytest.raises(ValueError):
         FieldGF(9)

@@ -15,6 +15,7 @@ from scldpc.overlap import (
     count_cycles_two_replica_band,
     count_cycles_two_replica_corner,
     count_partition_choices,
+    pattern_counts,
     cycle6_census,
     enumerate_valid_overlaps,
     realize_mask,
@@ -162,6 +163,17 @@ class TestCensusFormula:
         vec = OverlapVector(3, 0, 0, 2, 0, 0, 0)  # o01 > r1
         with pytest.raises(OverlapConstraintError, match="o01 <= r1"):
             cycle6_census(vec, 4, 2)
+        with pytest.raises(ValueError, match=r"vector \[3, 0, 0, 2, 0, 0, 0\] is not realizable at kappa=4"):
+            pattern_counts(vec, 4)
+        for fields, chain in [
+            ((5, 2, 0, 0, 0, 0, 0), "0 <= r0 <= kappa"),
+            ((1, 2, 3, 2, 0, 0, 0), "0 <= o01 <= r0"),
+            ((2, 2, 2, 0, 0, 0, 1), "0 <= o012 <= o01"),
+            ((1, 2, 3, 0, 2, 0, 0), "o012 <= o02 <= r0 - o01 + o012"),
+            ((2, 1, 3, 0, 0, 2, 0), "o012 <= o12 <= r1 - o01 + o012"),
+            ((2, 2, 0, 0, 1, 1, 0), "o02 + o12 - o012 <= r2 <= kappa - r0 - r1 + o01 + o02 + o12 - o012"),
+        ]:
+            assert chain in OverlapVector(*fields).violated_chains(4)
 
 
 class TestEnumeration:
@@ -191,6 +203,10 @@ class TestEnumeration:
             next(enumerate_valid_overlaps(65))
         with pytest.raises(ValueError, match="kappa above 64"):
             solve_optimal_overlap(65, 2)
+        with pytest.raises(ValueError, match="kappa must be >= 1"):
+            next(enumerate_valid_overlaps(0))
+        with pytest.raises(ValueError, match="kappa must be >= 2"):
+            solve_optimal_overlap(1, 2)
 
 
 class TestSolve:

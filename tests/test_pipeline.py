@@ -76,9 +76,11 @@ class TestRunPipeline:
             ({"gast_a_max": 0, "gast_targets": ()},
              "a_max must be >= 3, scan subsets grow from 6-cycles, got 0"),
             ({"optimum_index": -1}, "optimum_index must be >= 0, got -1"),
+            ({"gast_targets": ((6, 0, 0, 9, 0),)},
+             "target size a must be <= a_max = 5, scan subsets grow no larger, got (6, 0, 0, 9, 0)"),
         ],
         ids=["negative-entry", "bool-entry", "short-target", "negative-budget", "amax2",
-             "amax0-no-targets", "negative-optimum-index"],
+             "amax0-no-targets", "negative-optimum-index", "target-above-amax"],
     )
     def test_bad_config_refused_on_construction(self, fields, message):
         # refused before any stage runs, with the message the stage would give
@@ -440,8 +442,8 @@ class TestCliErrors:
             ("dropped", "label list holds 220 distinct entries, the code has 225"),
             ("extra", "label list holds 226 distinct entries, the code has 225"),
             ("duplicated", "label list repeats entry"),
-            ("out-of-field", "label weight 4 outside 1..3"),
-            ("zero", "label weight 0 outside 1..3"),
+            ("out-of-field", "edge weight 4 outside 1..3, the nonzero elements of GF(4)"),
+            ("zero", "edge weight 0 outside 1..3, the nonzero elements of GF(4)"),
             ("misplaced", "label at"),
             ("no-field", "a labelled code needs field_lam"),
             ("overflow", "label list holds an integer outside the 64-bit range"),
@@ -584,8 +586,12 @@ class TestCliErrors:
                 "(2,2,2,0)",
                 "target size a must be >= 3, scan subsets grow from 6-cycles, got (2, 2, 2, 0)",
             ),
+            (
+                "(5,2,2,6,0)",
+                "target size a must be <= a_max = 4, scan subsets grow no larger, got (5, 2, 2, 6, 0)",
+            ),
         ],
-        ids=["bare-int", "unclosed", "name", "float", "negative", "a2"],
+        ids=["bare-int", "unclosed", "name", "float", "negative", "a2", "above-amax"],
     )
     def test_malformed_targets_reported(self, tmp_path, capsys, command, targets, message):
         # a target the scan cannot match is refused, not scanned for nothing
@@ -640,8 +646,9 @@ class TestCliErrors:
     def test_pipeline_error_reported(self, capsys):
         from scldpc import cli
 
-        rc = cli.main(["pipeline", "--kappa", "5", "--p", "7", "--L", "3"])
+        # the array-based start needs kappa = p prime
+        rc = cli.main(["pipeline", "--kappa", "4", "--L", "3"])
         out, err = capsys.readouterr()
         assert rc == 2
         assert err.startswith("scldpc: error: pipeline stage 'parameters' failed")
-        assert "kappa must equal p" in err
+        assert "array-based construction requires a prime p, got 4" in err

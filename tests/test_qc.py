@@ -154,6 +154,22 @@ class TestCoupling:
         with pytest.raises(ValueError):
             couple(proto, PartitionMask.all_h0(3, 5), 1)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ProtoMatrix(0, 1, 1, ()), "gamma, kappa, p must be positive"),
+            (lambda: ProtoMatrix(2, 2, 3, ((0, 1),)), "powers must be a gamma x kappa grid"),
+            (lambda: ProtoMatrix(1, 2, 3, ((0, 3),)), r"circulant power 3 out of range \[0, 3\)"),
+            (lambda: PartitionMask(((0, 2),)), "mask entries must be 0 or 1"),
+            (lambda: qc.SCCode(build_ab_powers(3, 5), PartitionMask.all_h0(3, 7), 2),
+             "protograph and mask shapes differ"),
+        ],
+        ids=["non-positive", "ragged", "power-range", "mask-entry", "mask-shape"],
+    )
+    def test_malformed_grid_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_memory_other_than_one_refused(self):
         proto = build_ab_powers(3, 5)
         payload = json.loads(code_to_json(couple(proto, PartitionMask.all_h0(3, 5), 3)))
@@ -318,6 +334,8 @@ class TestSerialization:
             ("2 1\n1 2\n1 1\n2\n1\n1\n1 -3\n", "row 0 has an index out of range"),
             # the column side is held to the same rule
             ("1 1\n2 1\n2\n1\n1 1\n1\n", "column 0 repeats an index"),
+            # the degree lists stop short
+            ("2 2\n1 1\n1", "truncated alist file"),
         ],
         ids=[
             "column-past-end",
@@ -325,6 +343,7 @@ class TestSerialization:
             "repeated-column",
             "negative-entry",
             "column-repeats-row",
+            "truncated",
         ],
     )
     def test_malformed_adjacency_refused(self, text, message):
