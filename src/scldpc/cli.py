@@ -106,7 +106,7 @@ def _cmd_gast(args) -> None:
         raise ValueError(f"q must be a power of two from 2 to 256, got {args.q}")
     field = FieldGF(args.q.bit_length() - 1)
     targets = _parse_targets(args.targets)
-    found = gast_scan(code, field, targets, a_max=args.amax)
+    found = gast_scan(code, field, targets)
     if args.action == "scan":
         _emit(
             [
@@ -224,7 +224,6 @@ def main(argv=None) -> int:
     s.add_argument("--code", required=True)
     s.add_argument("--q", type=int, default=4)
     s.add_argument("--targets", default="(4,2,2,5,0),(6,0,0,9,0)")
-    s.add_argument("--amax", type=int, default=8)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_gast)
 

@@ -83,9 +83,10 @@ MAX_SCAN_INSTANCES = 1 << 18
 
 
 @functools.lru_cache(maxsize=1024)
-def _check_shape(gamma: int, a: int, shared_cns: tuple[tuple[int, ...], ...]) -> None:
-    """Refuse shared checks a topology cannot have; a scan builds the same
-    few shapes thousands of times, so each is checked once."""
+def _check_shape(gamma: int, a: int, shared_cns: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Each node's shared-check degree, after refusing shared checks a
+    topology cannot have; a scan builds the same few shapes thousands of
+    times, so each is checked and counted once."""
     deg = [0] * a
     for cn in shared_cns:
         if len(cn) < 2:
@@ -100,6 +101,7 @@ def _check_shape(gamma: int, a: int, shared_cns: tuple[tuple[int, ...], ...]) ->
         raise ValueError(
             "shared-check degrees exceed gamma for some variable node"
         )
+    return tuple(deg)
 
 
 @dataclass(frozen=True)
@@ -124,11 +126,7 @@ class UgastTopology:
 
     @property
     def shared_deg_per_vn(self) -> tuple[int, ...]:
-        deg = [0] * self.a
-        for cn in self.shared_cns:
-            for v in cn:
-                deg[v] += 1
-        return tuple(deg)
+        return _check_shape(self.gamma, self.a, tuple(map(tuple, self.shared_cns)))
 
     @property
     def deg1_per_vn(self) -> tuple[int, ...]:
@@ -1011,11 +1009,9 @@ def _remove_hits(code, family: list[_Group], hits: _Hits, field: FieldGF) -> tup
     return int((pick > -2).sum()), lifted.tolist()
 
 
-def _check_targets(targets: Sequence[tuple], a_max: int) -> list[tuple]:
+def _check_targets(targets: Sequence[tuple]) -> list[tuple]:
     """The targets as tuples; each must be 4 or 5 non-negative ints with
-    3 <= a <= ``a_max``, and ``a_max`` at least 3."""
-    if a_max < 3:
-        raise ValueError(f"a_max must be >= 3, scan subsets grow from 6-cycles, got {a_max}")
+    a >= 3."""
     targets = [tuple(t) for t in targets]
     if any(len(t) not in (4, 5) for t in targets):
         raise ValueError("targets must be 4-tuples (UGAST) or 5-tuples (GAST)")
@@ -1024,17 +1020,10 @@ def _check_targets(targets: Sequence[tuple], a_max: int) -> list[tuple]:
             raise ValueError(f"target entries must be non-negative integers, got {t}")
         if t[0] < 3:
             raise ValueError(f"target size a must be >= 3, scan subsets grow from 6-cycles, got {t}")
-        if t[0] > a_max:
-            raise ValueError(f"target size a must be <= a_max = {a_max}, scan subsets grow no larger, got {t}")
     return targets
 
 
-def gast_scan(
-    code,
-    field: Optional[FieldGF],
-    targets: Sequence[tuple],
-    a_max: int = 8,
-) -> list[GastInstance]:
+def gast_scan(code, field: Optional[FieldGF], targets: Sequence[tuple]) -> list[GastInstance]:
     """Find absorbing-set instances matching the target labels.
 
     ``code`` is an SCCode or a RawTanner, read through its edge array.  The
@@ -1044,10 +1033,10 @@ def gast_scan(
     sigma-orbit is grown: the smallest of its translates as a sorted row.
 
     Growth runs by levels, one numpy pass per subset size a, from the
-    6-cycle orbits up to ``a_max`` nodes, an upper bound clamped to the
-    largest target size (a larger subset can never match).  A level's
-    children add a node that shares a check with the subset; they are put
-    into canonical form and deduplicated.  Each subset's label (a, d1, d2,
+    6-cycle orbits up to a_max nodes, the largest target size (a larger
+    subset can never match).  A level's children add a node that shares a
+    check with the subset; they are put into canonical form and
+    deduplicated.  Each subset's label (a, d1, d2,
     d3), d2 > d3 and the majority condition are read off sorted row hits.
     A subset is grown only while the majority condition is reachable within
     the remaining additions and, since an added node lowers d1 by at most
@@ -1066,14 +1055,13 @@ def gast_scan(
     assignments with x_0 = 1.  Per translate the first target in list order
     wins, and the witness is the lexicographically first valid assignment
     in the translate's own sorted ``vn_ids`` order.  A target entry that is
-    not a non-negative int, a target with a < 3 or a > ``a_max``, an
-    ``a_max`` below 3, and a labelled code whose field differs from
-    ``field``, are refused, and so is a scan of more than MAX_SCAN_INSTANCES
-    hits, before any object is built: during growth once the translates of
-    labels with a 4-entry target, each a sure hit, pass it, else after the
-    test.
+    not a non-negative int, a target with a < 3, and a labelled code whose
+    field differs from ``field``, are refused, and so is a scan of more
+    than MAX_SCAN_INSTANCES hits, before any object is built: during growth
+    once the translates of labels with a 4-entry target, each a sure hit,
+    pass it, else after the test.
     """
-    family, hits = _scan_table(code, field, targets, a_max)
+    family, hits = _scan_table(code, field, targets)
     if len(hits.group) > MAX_SCAN_INSTANCES:
         raise ValueError(
             f"scan found {len(hits.group)} instances, more than the {MAX_SCAN_INSTANCES} "
@@ -1082,10 +1070,10 @@ def gast_scan(
     return _instances(family, hits, code, field)
 
 
-def _scan_table(code, field: Optional[FieldGF], targets: Sequence[tuple],
-                a_max: int) -> tuple[list[_Group], _Hits]:
+def _scan_table(code, field: Optional[FieldGF],
+                targets: Sequence[tuple]) -> tuple[list[_Group], _Hits]:
     """The grown family and its hit table, with :func:`gast_scan`'s checks."""
-    targets = _check_targets(targets, a_max)
+    targets = _check_targets(targets)
     if not targets:
         return [], _test_family([], code, field)
     if any(len(t) == 5 for t in targets) and field is None:

@@ -69,6 +69,11 @@ def smallest_irreducible_poly(degree: int) -> int:
     return _POLY_CACHE[degree]
 
 
+def _check_field_degree(lam: int) -> None:
+    if not 1 <= lam <= _MAX_LAMBDA:
+        raise ValueError(f"field degree must be in [1, {_MAX_LAMBDA}], got {lam}")
+
+
 class FieldGF:
     """The finite field GF(2^lam).
 
@@ -77,8 +82,7 @@ class FieldGF:
     """
 
     def __init__(self, lam: int):
-        if not 1 <= lam <= _MAX_LAMBDA:
-            raise ValueError(f"field degree must be in [1, {_MAX_LAMBDA}], got {lam}")
+        _check_field_degree(lam)
         self.lam = lam
         self.q = 1 << lam
         self.poly = smallest_irreducible_poly(lam)

@@ -20,7 +20,7 @@ from .baselines import cv_exhaustive_best, mo_best
 from .cpo import cpo_optimize
 from .cycles import count_ugast_3330_for
 from .gast import _check_targets, _remove_hits, _scan_table
-from .gf import FieldGF
+from .gf import FieldGF, _check_field_degree
 from .overlap import realize_mask, solve_optimal_overlap
 from .qc import (
     PartitionMask, _check_coupling_length, apply_edge_changes, build_ab_powers, code_to_json,
@@ -53,9 +53,17 @@ class DesignConfig:
         _check_coupling_length(self.L)
         if self.field_lam < 2:
             raise ValueError("code design requires a field with q >= 4")
+        _check_field_degree(self.field_lam)
         if self.cpo_budget < 0:
             raise ValueError(f"CPO budget must be >= 0, got {self.cpo_budget}")
-        _check_targets(self.gast_targets, self.gast_a_max)
+        # a_max only bounds the targets: the scan grows to the largest one
+        a_max = self.gast_a_max
+        if a_max < 3:
+            raise ValueError(f"a_max must be >= 3, scan subsets grow from 6-cycles, got {a_max}")
+        for t in _check_targets(self.gast_targets):
+            if t[0] > a_max:
+                raise ValueError(f"target size a must be <= a_max = {a_max}, "
+                                 f"scan subsets grow no larger, got {t}")
         if self.optimum_index < 0:
             raise ValueError(f"optimum_index must be >= 0, got {self.optimum_index}")
 
@@ -165,7 +173,7 @@ def run_pipeline(config: DesignConfig, out_dir: Optional[str] = None) -> DesignR
 
         stage = "absorbing-set-removal"
         # on the hit table, without instance objects
-        family, hits = _scan_table(code, fld, config.gast_targets, config.gast_a_max)
+        family, hits = _scan_table(code, fld, config.gast_targets)
         report.gasts_found = len(hits.group)
         report.gasts_removed, changes = _remove_hits(code, family, hits, fld)
         if changes:

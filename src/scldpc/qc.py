@@ -200,7 +200,9 @@ class SCCode:
     ``labels`` holds one nonzero GF(q) weight per lifted edge, as bytes in
     the column-major order of ``edges``; it is None for unlabeled (binary)
     codes.  ``field_lam`` records the field degree and ``label_seed`` the
-    RNG seed used for labeling, for reproducibility.
+    RNG seed used for labeling, for reproducibility.  A code of more than
+    MAX_LIFTED_COLS lifted columns is refused on construction, before its
+    edge array is built.
     """
 
     proto: ProtoMatrix
@@ -213,6 +215,8 @@ class SCCode:
     def __post_init__(self):
         _check_coupling_length(self.L)
         _check_shapes(self.proto, self.mask)
+        if self.n_cols > MAX_LIFTED_COLS:
+            raise ValueError(f"lifted code would have {self.n_cols} columns, limit is {MAX_LIFTED_COLS}")
 
     @property
     def gamma(self) -> int:
@@ -262,11 +266,6 @@ def _coupled_edges(proto: ProtoMatrix, mask: PartitionMask, L: int) -> TannerEdg
 
 def couple(proto: ProtoMatrix, mask: PartitionMask, L: int) -> SCCode:
     """Couple the partitioned block code L times (memory 1)."""
-    if L * proto.kappa * proto.p > MAX_LIFTED_COLS:
-        raise ValueError(
-            f"lifted code would have {L * proto.kappa * proto.p} columns, "
-            f"limit is {MAX_LIFTED_COLS}"
-        )
     return SCCode(proto=proto, mask=mask, L=L)
 
 

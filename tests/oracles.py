@@ -334,20 +334,6 @@ def build_lifted_dense(gamma: int, kappa: int, p: int, powers, mask, L: int):
     return H
 
 
-def mask_overlap_tuple(mask_rows: list[tuple[int, ...]], kappa: int) -> tuple[int, ...]:
-    """Overlap 7-tuple of a 3-row 0/1 mask (0 means H0), measured naively."""
-    sets = [set(j for j in range(kappa) if mask_rows[i][j] == 0) for i in range(3)]
-    return (
-        len(sets[0]),
-        len(sets[1]),
-        len(sets[2]),
-        len(sets[0] & sets[1]),
-        len(sets[0] & sets[2]),
-        len(sets[1] & sets[2]),
-        len(sets[0] & sets[1] & sets[2]),
-    )
-
-
 def gf_log_tables(lam: int, poly: int) -> tuple[list[int], list[int]]:
     """Exp/log tables built by repeated shift-and-reduce multiplication by x."""
     q = 1 << lam

@@ -574,7 +574,7 @@ def test_batched_removal_matches_serial_loop_on_code():
     proto = build_ab_powers(3, 7)
     mask = realize_mask(solve_optimal_overlap(7, 30).optima[0], 7, 1)
     code = label_edges(couple(proto, mask, 30), GF4, 1)
-    found = gast_scan(code, GF4, [(3, 3, 3, 3, 0)], a_max=3)
+    found = gast_scan(code, GF4, [(3, 3, 3, 3, 0)])
     assert len(found) == 678
     assert_removals_match_serial(found, GF4)
 
@@ -655,17 +655,17 @@ class TestScan:
         assert row_lists(small_code.edges) == [sorted(cols) for cols in adj]
 
     def test_ugast_target_count_equals_census(self, small_code):
-        found = gast_scan(small_code, GF4, [(3, 3, 3, 0)], a_max=3)
+        found = gast_scan(small_code, GF4, [(3, 3, 3, 0)])
         assert len(found) == count_ugast_3330(small_code)
 
     def test_empty_targets(self, small_code):
-        assert gast_scan(small_code, GF4, [], a_max=4) == []
+        assert gast_scan(small_code, GF4, []) == []
 
     def test_bad_target_shape_rejected(self, small_code):
         with pytest.raises(ValueError):
-            gast_scan(small_code, GF4, [(1, 2, 3)], a_max=4)
+            gast_scan(small_code, GF4, [(1, 2, 3)])
         with pytest.raises(ValueError, match="5-entry targets need a field for the oracle"):
-            gast_scan(small_code, None, [(3, 3, 3, 3, 0)], a_max=3)
+            gast_scan(small_code, None, [(3, 3, 3, 3, 0)])
 
     @pytest.mark.parametrize("rows", [[0, 1], [0, 1, 1], [0, 1, 2, 3]], ids=["short", "repeat", "four"])
     def test_raw_column_degree_refused(self, rows):
@@ -673,7 +673,7 @@ class TestScan:
             RawTanner([[0, 1, 2], rows], 3)
 
     def test_planted_prism_found_exactly_once(self):
-        found = gast_scan(_planted_prism(), GF4, [(6, 0, 9, 0)], a_max=6)
+        found = gast_scan(_planted_prism(), GF4, [(6, 0, 9, 0)])
         assert len(found) == 1
         assert found[0].topology.vn_ids == (0, 1, 2, 3, 4, 5)
 
@@ -686,21 +686,14 @@ class TestScan:
             3,
             labels=small_code.labels,
         )
-        from_code = gast_scan(small_code, GF4, targets, a_max=4)
+        from_code = gast_scan(small_code, GF4, targets)
         assert from_code
-        assert from_code == gast_scan(raw, GF4, targets, a_max=4)
-
-    def test_depth_beyond_largest_target_changes_nothing(self, small_code):
-        # a_max is an upper bound: subsets larger than every target never match
-        targets = [(3, 3, 3, 3, 0), (4, 2, 2, 5, 0), (4, 2, 5, 0), (4, 4, 4, 0)]
-        at_target = gast_scan(small_code, GF4, targets, a_max=4)
-        assert {inst.topology.a for inst in at_target} == {3, 4}
-        assert gast_scan(small_code, GF4, targets, a_max=6) == at_target
+        assert from_code == gast_scan(raw, GF4, targets)
 
     def test_unfielded_scan_reads_the_code_labels(self, small_code):
         # no oracle runs without a field, yet every hit carries the weights
         # gathered from the code's labels, one per edge of its shared checks
-        found = gast_scan(small_code, None, [(3, 3, 3, 0)], a_max=3)
+        found = gast_scan(small_code, None, [(3, 3, 3, 0)])
         assert len(found) == count_ugast_3330(small_code)
         assert found == serial_gast_scan(small_code, None, [(3, 3, 3, 0)], a_max=3)
         edges = small_code.edges
@@ -712,30 +705,24 @@ class TestScan:
         assert {w for inst in found for w in inst.weights.values()} == {1, 2, 3}
 
     @pytest.mark.parametrize(
-        "target, a_max, match",
+        "target, match",
         [
-            ((4, 2, 2, 5, 0.5), 4, "non-negative integers"),
-            ((4, 2, 2, 5, -1), 4, "non-negative integers"),
-            ((4, 2, 2, 5, True), 4, "non-negative integers"),
-            ((4, 2, "5", 0), 4, "non-negative integers"),
-            ((2, 2, 2, 0), 4, "size a must be >= 3"),
-            ((2, 2, 2, 2, 0), 4, "size a must be >= 3"),
-            ((0, 0, 0, 0), 4, "size a must be >= 3"),
-            # an upper bound on subsets grown from 6-cycles, which the
-            # scan used to exceed
-            ((3, 3, 3, 3, 0), 2, r"a_max must be >= 3, scan subsets grow from 6-cycles, got 2"),
-            ((3, 3, 3, 3, 0), 0, r"a_max must be >= 3, scan subsets grow from 6-cycles, got 0"),
-            ((3, 3, 3, 3, 0), -5, r"a_max must be >= 3, scan subsets grow from 6-cycles, got -5"),
+            ((4, 2, 2, 5, 0.5), "non-negative integers"),
+            ((4, 2, 2, 5, -1), "non-negative integers"),
+            ((4, 2, 2, 5, True), "non-negative integers"),
+            ((4, 2, "5", 0), "non-negative integers"),
+            ((2, 2, 2, 0), "size a must be >= 3"),
+            ((2, 2, 2, 2, 0), "size a must be >= 3"),
+            ((0, 0, 0, 0), "size a must be >= 3"),
         ],
-        ids=["float", "negative", "bool", "str", "a2-ugast", "a2-gast", "a0", "amax2", "amax0",
-             "amax-5"],
+        ids=["float", "negative", "bool", "str", "a2-ugast", "a2-gast", "a0"],
     )
-    def test_target_entries_must_be_non_negative_ints(self, small_code, target, a_max, match):
+    def test_target_entries_must_be_non_negative_ints(self, small_code, target, match):
         with pytest.raises(ValueError, match=match):
-            gast_scan(small_code, GF4, [(3, 3, 3, 3, 0), target], a_max=a_max)
+            gast_scan(small_code, GF4, [(3, 3, 3, 3, 0), target])
 
     def test_gast_targets_carry_witness_and_b(self, small_code):
-        found = gast_scan(small_code, GF4, [(3, 3, 3, 3, 0)], a_max=3)
+        found = gast_scan(small_code, GF4, [(3, 3, 3, 3, 0)])
         for inst in found:
             assert inst.b == 3
             assert inst.witness is not None
@@ -743,14 +730,14 @@ class TestScan:
             assert ok
 
     def test_scan_then_remove_on_code(self, small_code):
-        found = gast_scan(small_code, GF4, [(3, 3, 3, 3, 0)], a_max=3)
+        found = gast_scan(small_code, GF4, [(3, 3, 3, 3, 0)])
         if not found:
             pytest.skip("no labeled hexagon present under this seed")
         inst = found[0]
         outcome, lifted = remove_gast(inst, GF4)
         if outcome.success and outcome.changes:
             code = apply_edge_changes(small_code, lifted)
-            refreshed = gast_scan(code, GF4, [(3, 3, 3, 3, 0)], a_max=3)
+            refreshed = gast_scan(code, GF4, [(3, 3, 3, 3, 0)])
             assert all(
                 r.topology.vn_ids != inst.topology.vn_ids for r in refreshed
             )
@@ -769,7 +756,7 @@ def _raw_graphs(draw):
 def test_scan_matches_brute_force(col_adj, a_max):
     # 4-cycles allowed: dense random graphs exercise convert_bound = gamma
     labels = all_ugast_labels(3, a_max)
-    found = gast_scan(RawTanner(col_adj, 3), None, labels, a_max=a_max)
+    found = gast_scan(RawTanner(col_adj, 3), None, labels)
     got = [inst.topology.vn_ids for inst in found]
     assert len(got) == len(set(got))
     assert set(got) == naive_ugast_subsets(col_adj, 3, labels, a_max)
@@ -802,7 +789,7 @@ def test_scan_matches_brute_force_gamma4(col_adj, a_max):
     # of a_max whose weakest member shares one check is pruned unless an added
     # node may convert two of its checks, which only a 4-cycle allows
     labels = all_ugast_labels(4, a_max)
-    found = gast_scan(RawTanner(col_adj, 4), None, labels, a_max=a_max)
+    found = gast_scan(RawTanner(col_adj, 4), None, labels)
     got = [inst.topology.vn_ids for inst in found]
     assert len(got) == len(set(got))
     assert set(got) == naive_ugast_subsets(col_adj, 4, labels, a_max)
@@ -866,26 +853,26 @@ class TestOrbitOracle:
         gf64 = FieldGF(6)
         code = label_edges(small_code, gf64, seed=2)
         with pytest.raises(ValueError) as err:
-            gast_scan(code, gf64, [(4, 2, 2, 5, 0)], a_max=4)
+            gast_scan(code, gf64, [(4, 2, 2, 5, 0)])
         assert str(err.value) == (
             "oracle would scan (q-1)^a = 63^4 = 15752961 assignments, limit is 1048576"
         )
         # a 4-entry target listed first wins every translate, so no oracle runs
-        found = gast_scan(code, gf64, [(4, 2, 5, 0), (4, 2, 2, 5, 0)], a_max=4)
+        found = gast_scan(code, gf64, [(4, 2, 5, 0), (4, 2, 2, 5, 0)])
         assert len(found) == 25 and all(inst.b is None for inst in found)
 
     def test_batch_cap_does_not_change_results(self, small_code, monkeypatch):
-        full = gast_scan(small_code, GF4, MIXED_TARGETS, a_max=5)
+        full = gast_scan(small_code, GF4, MIXED_TARGETS)
         assert full == serial_gast_scan(small_code, GF4, MIXED_TARGETS, a_max=5)
         assert sum(inst.b is not None for inst in full) > 0
         monkeypatch.setattr("scldpc.gast.ORACLE_BATCH_ROWS", 1)
-        assert gast_scan(small_code, GF4, MIXED_TARGETS, a_max=5) == full
+        assert gast_scan(small_code, GF4, MIXED_TARGETS) == full
 
     def test_short_period_orbit_reported_once(self):
         # each of these (6, 4, 4, 2) subsets is two translates of a 6-cycle,
         # fixed by the shift by 3, so its orbit has 3 members, not 6
         code, _, targets, _ = SHORT_PERIOD_CASE
-        found = gast_scan(code, GF4, targets, a_max=6)
+        found = gast_scan(code, GF4, targets)
         assert found == serial_gast_scan(code, GF4, targets, a_max=6)
         vn_sets = [inst.topology.vn_ids for inst in found]
         assert len(vn_sets) == len(set(vn_sets)) == 6
@@ -895,18 +882,18 @@ class TestOrbitOracle:
     def test_first_listed_b_wins(self):
         graph, _, targets, _ = TWO_B_CASE
         for order in (targets, targets[::-1]):
-            (inst,) = gast_scan(graph, GF4, order, a_max=6)
+            (inst,) = gast_scan(graph, GF4, order)
             assert inst.b == order[0][1]
             assert inst.topology.vn_ids == tuple(range(6))
 
     def test_field_mismatch_refused(self, small_code):
         with pytest.raises(ValueError, match=r"labelled over GF\(4\), the scan field is GF\(8\)"):
-            gast_scan(small_code, GF8, [(3, 3, 3, 0)], a_max=3)
+            gast_scan(small_code, GF8, [(3, 3, 3, 0)])
 
     def test_raw_labels_outside_field_refused(self, small_code):
         raw = RawTanner(small_code.edges.rows.tolist(), 3, labels=small_code.labels)
         with pytest.raises(ValueError, match=r"^edge weight 2 outside 1\.\.1, the nonzero elements of GF\(2\)$"):
-            gast_scan(raw, FieldGF(1), [(3, 3, 3, 3, 0)], a_max=3)
+            gast_scan(raw, FieldGF(1), [(3, 3, 3, 3, 0)])
 
 
 @st.composite
@@ -954,9 +941,9 @@ def test_orbit_scan_matches_serial_scan(case):
     # subsets, checks, weights, b and witnesses, in order, on both paths
     code, field, targets, a_max = case
     want = serial_gast_scan(code, field, targets, a_max=a_max)
-    assert gast_scan(code, field, targets, a_max=a_max) == want
+    assert gast_scan(code, field, targets) == want
     raw = RawTanner(code.edges.rows.tolist(), 3, labels=code.labels)
-    assert gast_scan(raw, field, targets, a_max=a_max) == want
+    assert gast_scan(raw, field, targets) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -966,7 +953,7 @@ def test_orbit_scan_matches_serial_scan(case):
 def test_family_rescan_matches_fresh_scan(case):
     # the grown family does not depend on the weights: tested against the
     # labels of the code the removal wrote, it finds what a new scan finds
-    code, field, targets, a_max = case
+    code, field, targets, _ = case
     assume(targets)
     family = _grow_family(code, targets)
 
@@ -974,10 +961,10 @@ def test_family_rescan_matches_fresh_scan(case):
         return _instances(family, _test_family(family, labelled, field), labelled, field)
 
     found = test(code)
-    assert found == gast_scan(code, field, targets, a_max=a_max)
+    assert found == gast_scan(code, field, targets)
     outcomes = remove_gasts(found, field)
     changed = apply_edge_changes(code, [c for out in outcomes for c in out.lifted_changes()])
-    assert test(changed) == gast_scan(changed, field, targets, a_max=a_max)
+    assert test(changed) == gast_scan(changed, field, targets)
 
 
 @settings(max_examples=40, deadline=None)
@@ -990,10 +977,10 @@ def test_table_removal_matches_serial_removal(case):
     # the pipeline's stage on the hit table finds and removes what gast_scan
     # and the one-candidate-at-a-time reference do, with the same lifted
     # changes in the same order
-    code, field, targets, a_max = case
-    found = gast_scan(code, field, targets, a_max=a_max)
+    code, field, targets, _ = case
+    found = gast_scan(code, field, targets)
     want = [serial_remove_gast_weights(inst, field) for inst in found]
-    family, hits = _scan_table(code, field, targets, a_max)
+    family, hits = _scan_table(code, field, targets)
     removed, changes = _remove_hits(code, family, hits, field)
     assert len(hits.group) == len(found)
     assert removed == sum(w.success for w in want)
@@ -1099,7 +1086,7 @@ DEPTH_TARGETS = {
 )
 def test_level_growth_matches_serial_scan(kappa, L, seed, a_max):
     code, targets = _design_code(kappa, L, seed), DEPTH_TARGETS[a_max]
-    assert gast_scan(code, GF4, targets, a_max=a_max) == serial_gast_scan(
+    assert gast_scan(code, GF4, targets) == serial_gast_scan(
         code, GF4, targets, a_max=a_max
     )
 
@@ -1122,7 +1109,7 @@ def test_one_group_per_shape(kappa, L):
     code = _design_code(kappa, L, 1)
     family = _grow_family(code, [(4, 2, 2, 5, 0)])
     assert len(family) == 1
-    found = gast_scan(code, GF4, [(4, 2, 2, 5, 0)], a_max=4)
+    found = gast_scan(code, GF4, [(4, 2, 2, 5, 0)])
     assert len({inst.topology.shared_cns for inst in found}) > 1
 
 
@@ -1169,11 +1156,11 @@ def test_scan_refuses_more_instances_than_it_builds(monkeypatch):
     monkeypatch.setattr("scldpc.gast.MAX_SCAN_INSTANCES", 677)
     monkeypatch.setattr("scldpc.gast.GastInstance", refuse)
     with pytest.raises(ValueError) as err:
-        gast_scan(code, GF4, [(3, 3, 3, 3, 0)], a_max=3)
+        gast_scan(code, GF4, [(3, 3, 3, 3, 0)])
     want = "scan found 678 instances, more than the 677 it builds; narrow the targets"
     assert str(err.value) == want
     # the design stage reads the table and is not bounded
-    family, hits = _scan_table(code, GF4, [(3, 3, 3, 3, 0)], 3)
+    family, hits = _scan_table(code, GF4, [(3, 3, 3, 3, 0)])
     assert len(hits.group) == 678
 
 
@@ -1183,7 +1170,7 @@ def test_growth_refuses_more_sure_hits_than_it_builds(monkeypatch):
     # bound, before the family is tested, on the library and design paths
     code = _smoke_code()
     monkeypatch.setattr("scldpc.gast.MAX_SCAN_INSTANCES", 2058)
-    assert len(gast_scan(code, GF4, [(3, 3, 3, 0)], a_max=3)) == 2058
+    assert len(gast_scan(code, GF4, [(3, 3, 3, 0)])) == 2058
 
     def refuse(*args, **kwargs):
         raise AssertionError("the family was tested")
@@ -1193,19 +1180,8 @@ def test_growth_refuses_more_sure_hits_than_it_builds(monkeypatch):
     want = "scan would find more than the 2057 instances it builds; narrow the targets"
     for scan in (gast_scan, _scan_table):
         with pytest.raises(ValueError) as err:
-            scan(code, GF4, [(3, 3, 3, 3, 0), (3, 3, 3, 0)], 3)
+            scan(code, GF4, [(3, 3, 3, 3, 0), (3, 3, 3, 0)])
         assert str(err.value) == want
-
-
-def test_target_above_amax_refused():
-    # a_max = 3 used to scan for the 4-node target and find nothing, while
-    # a_max = 4 finds 89 hits
-    code = _smoke_code()
-    assert len(gast_scan(code, GF4, [(4, 2, 2, 5, 0)], a_max=4)) == 89
-    want = "target size a must be <= a_max = 3, scan subsets grow no larger, got (4, 2, 2, 5, 0)"
-    with pytest.raises(ValueError) as err:
-        gast_scan(code, GF4, [(4, 2, 2, 5, 0)], a_max=3)
-    assert str(err.value) == want
 
 
 @pytest.mark.parametrize(
@@ -1216,7 +1192,7 @@ def test_depth6_scan_matches_breadth_first_scan(seed, n_targets):
     # the CLI's default targets, where the d1 bound keeps level 5 small, and
     # a 6-node GAST of d1 = 2 that 299 of the hits match, where it does not
     targets = [(4, 2, 2, 5, 0), (6, 0, 0, 9, 0), (6, 2, 2, 8, 0)][:n_targets]
-    found = gast_scan(_design_code(13, 10, seed), GF4, targets, a_max=6)
+    found = gast_scan(_design_code(13, 10, seed), GF4, targets)
     assert (len(found), _digest(found)) == DEPTH6_SCANS[seed, n_targets]
 
 

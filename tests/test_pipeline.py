@@ -78,9 +78,11 @@ class TestRunPipeline:
             ({"optimum_index": -1}, "optimum_index must be >= 0, got -1"),
             ({"gast_targets": ((6, 0, 0, 9, 0),)},
              "target size a must be <= a_max = 5, scan subsets grow no larger, got (6, 0, 0, 9, 0)"),
+            # FieldGF's refusal, before the overlap solve and CPO run
+            ({"field_lam": 9}, "field degree must be in [1, 8], got 9"),
         ],
         ids=["negative-entry", "bool-entry", "short-target", "negative-budget", "amax2",
-             "amax0-no-targets", "negative-optimum-index", "target-above-amax"],
+             "amax0-no-targets", "negative-optimum-index", "target-above-amax", "field-degree"],
     )
     def test_bad_config_refused_on_construction(self, fields, message):
         # refused before any stage runs, with the message the stage would give
@@ -274,7 +276,7 @@ class TestCli:
         )
         res = run_cli(
             "gast", "scan", "--code", str(code_path), "--q", "4",
-            "--targets", "(3,3,3,3,0)", "--amax", "3",
+            "--targets", "(3,3,3,3,0)",
         )
         assert res.returncode == 0, res.stderr
         payload = json.loads(res.stdout)
@@ -288,7 +290,7 @@ class TestCli:
         )
         res = run_cli(
             "gast", "remove", "--code", str(code_path), "--q", "4",
-            "--targets", "(3,3,3,3,0)", "--amax", "3",
+            "--targets", "(3,3,3,3,0)",
         )
         assert res.returncode == 0, res.stderr
         payload = json.loads(res.stdout)
@@ -308,6 +310,18 @@ class TestCli:
 
 
 SCAN_TARGET = (3, 3, 3, 3, 0)
+
+# (id, --targets, message) of targets refused by the scan and the pipeline
+MALFORMED_TARGETS = [
+    ("bare-int", "5", "--targets must be a comma-separated list of tuples, got '5'"),
+    ("unclosed", "(4,2", "--targets must be a comma-separated list of tuples, got '(4,2'"),
+    ("name", "a", "--targets must be a comma-separated list of tuples, got 'a'"),
+    ("float", "(4,2,2,5,0.5)", "target entries must be non-negative integers, got (4, 2, 2, 5, 0.5)"),
+    ("negative", "(4,2,2,5,-1)", "target entries must be non-negative integers, got (4, 2, 2, 5, -1)"),
+    ("a2", "(2,2,2,0)", "target size a must be >= 3, scan subsets grow from 6-cycles, got (2, 2, 2, 0)"),
+    ("above-amax", "(5,2,2,6,0)",
+     "target size a must be <= a_max = 4, scan subsets grow no larger, got (5, 2, 2, 6, 0)"),
+]
 
 
 def _labelled_code_file(tmp_path):
@@ -399,7 +413,7 @@ class TestCliErrors:
         assert cli.main(argv) == 0
         rc = cli.main(
             ["gast", action, "--code", str(path), "--q", str(q),
-             "--targets", str(SCAN_TARGET), "--amax", "3"]
+             "--targets", str(SCAN_TARGET)]
         )
         out, err = capsys.readouterr()
         assert rc == 2
@@ -501,7 +515,7 @@ class TestCliErrors:
         assert str(err.value) == message
         # every command that reads a code file refuses it the same way
         for argv in (
-            ["gast", "scan", "--targets", str(SCAN_TARGET), "--amax", "3"],
+            ["gast", "scan", "--targets", str(SCAN_TARGET)],
             ["count", "--what", "ugast3330"],
             ["count", "--what", "cycles6"],
             ["export-alist", "--out", str(tmp_path / "code.alist")],
@@ -573,25 +587,15 @@ class TestCliErrors:
         assert out == ""
         assert err == f"scldpc: error: {os.strerror(errno.ENOENT)}: {target}\n"
 
-    @pytest.mark.parametrize("command", ["scan", "pipeline"])
     @pytest.mark.parametrize(
-        "targets, message",
+        "command, targets, message",
         [
-            ("5", "--targets must be a comma-separated list of tuples, got '5'"),
-            ("(4,2", "--targets must be a comma-separated list of tuples, got '(4,2'"),
-            ("a", "--targets must be a comma-separated list of tuples, got 'a'"),
-            ("(4,2,2,5,0.5)", "target entries must be non-negative integers, got (4, 2, 2, 5, 0.5)"),
-            ("(4,2,2,5,-1)", "target entries must be non-negative integers, got (4, 2, 2, 5, -1)"),
-            (
-                "(2,2,2,0)",
-                "target size a must be >= 3, scan subsets grow from 6-cycles, got (2, 2, 2, 0)",
-            ),
-            (
-                "(5,2,2,6,0)",
-                "target size a must be <= a_max = 4, scan subsets grow no larger, got (5, 2, 2, 6, 0)",
-            ),
+            pytest.param(command, targets, message, id=f"{name}-{command}")
+            for name, targets, message in MALFORMED_TARGETS
+            for command in ("scan", "pipeline")
+            # only the pipeline takes --amax; the scan grows to its largest target
+            if name != "above-amax" or command == "pipeline"
         ],
-        ids=["bare-int", "unclosed", "name", "float", "negative", "a2", "above-amax"],
     )
     def test_malformed_targets_reported(self, tmp_path, capsys, command, targets, message):
         # a target the scan cannot match is refused, not scanned for nothing
@@ -600,24 +604,20 @@ class TestCliErrors:
         if command == "scan":
             argv = ["gast", "scan", "--code", _labelled_code_file(tmp_path)]
         else:
-            argv = ["pipeline", "--kappa", "5", "--L", "3", "--budget", "200"]
-        rc = cli.main(argv + ["--targets", targets, "--amax", "4"])
+            argv = ["pipeline", "--kappa", "5", "--L", "3", "--budget", "200", "--amax", "4"]
+        rc = cli.main(argv + ["--targets", targets])
         out, err = capsys.readouterr()
         assert rc == 2
         assert out == ""
         assert err == f"scldpc: error: {message}\n"
 
-    @pytest.mark.parametrize("amax", ["2", "0", "-5"])
-    @pytest.mark.parametrize("command", ["scan", "remove", "pipeline"])
-    def test_small_amax_reported(self, tmp_path, capsys, command, amax):
+    @pytest.mark.parametrize("amax", ["2", "0", "-5"], ids=lambda amax: f"pipeline-{amax}")
+    def test_small_amax_reported(self, capsys, amax):
         # subsets grow from the three columns of a 6-cycle, so no bound below
-        # 3 can hold; the scan used to return 3-node instances regardless
+        # 3 can hold
         from scldpc import cli
 
-        if command == "pipeline":
-            argv = ["pipeline", "--kappa", "5", "--L", "3", "--budget", "200"]
-        else:
-            argv = ["gast", command, "--code", _labelled_code_file(tmp_path)]
+        argv = ["pipeline", "--kappa", "5", "--L", "3", "--budget", "200"]
         rc = cli.main(argv + ["--targets", "(3,3,3,3,0)", "--amax", amax])
         out, err = capsys.readouterr()
         assert rc == 2

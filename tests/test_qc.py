@@ -146,7 +146,7 @@ class TestCoupling:
 
     def test_oversize_coupling_refused(self):
         proto = build_ab_powers(3, 97)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^lifted code would have 9409000 columns, limit is 2000000$"):
             couple(proto, PartitionMask.all_h0(3, 97), 1000)
 
     def test_l_below_two_refused(self):
@@ -169,6 +169,21 @@ class TestCoupling:
     def test_malformed_grid_refused(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    def test_oversize_code_file_refused(self, monkeypatch):
+        # a short unlabelled document whose L gives 7 * 7 * 50 000 columns:
+        # refused as couple refuses it, before any edge array is built
+        proto = build_ab_powers(3, 7)
+        payload = json.loads(code_to_json(couple(proto, PartitionMask.all_h0(3, 7), 2)))
+        payload["L"] = 50_000
+
+        def refuse(*args):
+            raise AssertionError("an edge array was built")
+
+        monkeypatch.setattr(qc, "_coupled_edges", refuse)
+        with pytest.raises(ValueError) as err:
+            code_from_json(json.dumps(payload))
+        assert str(err.value) == "lifted code would have 2450000 columns, limit is 2000000"
 
     def test_memory_other_than_one_refused(self):
         proto = build_ab_powers(3, 5)
@@ -435,6 +450,4 @@ def test_edge_array_matches_coupling_formula(code):
     ]
     targets = [(3, 3, 3, 3, 0), (4, 2, 2, 5, 0)] + all_ugast_labels(3, 4)
     raw = RawTanner(columns, 3, labels=code.labels)
-    assert gast_scan(raw, FieldGF(2), targets, a_max=4) == gast_scan(
-        code, FieldGF(2), targets, a_max=4
-    )
+    assert gast_scan(raw, FieldGF(2), targets) == gast_scan(code, FieldGF(2), targets)
