@@ -92,9 +92,7 @@ def _arrangements_from_counts(
 ) -> Iterator[tuple[tuple[int, int, int], ...]]:
     """Column patterns, one per column, of every mask with these pattern counts."""
     remaining = dict(counts)
-    for col, pat in fixed.items():
-        if remaining.get(pat, 0) <= 0:
-            return
+    for pat in fixed.values():
         remaining[pat] -= 1
     cols: list = [fixed.get(c) for c in range(kappa)]
     classes = [(pat, remaining[pat]) for pat in PATTERNS if remaining[pat] > 0]
@@ -125,8 +123,6 @@ def _mask_of(arrangement: Sequence[tuple[int, int, int]]) -> PartitionMask:
 def _constrained_mask_count(counts: dict, fixed_patterns: Sequence[tuple]) -> int:
     remaining = dict(counts)
     for pat in fixed_patterns:
-        if remaining.get(pat, 0) <= 0:
-            return 0
         remaining[pat] -= 1
     return _multinomial(remaining.values())
 

@@ -200,29 +200,18 @@ class _State:
         row = np.bincount(cells, minlength=2 * self.p)
         return row[: self.p] + row[self.p :]
 
-    def best_singles(self) -> tuple[np.ndarray, np.ndarray]:
+    def best_singles(self, limit: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
         """(f_sc after, power) of every circulant's best improving single
-        move, ties to the lowest power; f_sc after is f_sc where none is."""
-        scores = np.where((self.hits4 == 0) & (self.f_after < self.f_sc), self.f_after, self.f_sc)
+        move, ties to the lowest power; f_sc after is f_sc where none is.
+        With ``limit``, circulant e takes only its first ``limit[e]`` powers
+        other than its current one."""
+        take = (self.hits4 == 0) & (self.f_after < self.f_sc)
+        if limit is not None:
+            v = np.arange(self.p)
+            take &= v - (v > self.flat[:, None]) < limit[:, None]
+        scores = np.where(take, self.f_after, self.f_sc)
         v = scores.argmin(axis=1)
         return scores[np.arange(self.n), v], v
-
-    def clipped_single(
-        self, ents: np.ndarray, counts: np.ndarray
-    ) -> Optional[list[tuple[int, int]]]:
-        """Best improving move [(e, v)] among the first ``counts[i]`` powers
-        other than the current one of each circulant ``ents[i]``; ties go to
-        the lowest (e, v)."""
-        v = np.arange(self.p)
-        cur = self.flat[ents][:, None]
-        f = self.f_after[ents]
-        take = (v != cur) & (v - (v > cur) < counts[:, None])
-        take &= (self.hits4[ents] == 0) & (f < self.f_sc)
-        if not take.any():
-            return None
-        scores = np.full((self.n, self.p), self.f_sc)
-        scores[ents] = np.where(take, f, self.f_sc)
-        return [divmod(int(np.argmin(scores)), self.p)]
 
     def pair_moves(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(f_sc after, 4-cycles activated) of each move (e1, e2, v1, v2), e1 != e2.
@@ -358,16 +347,19 @@ def cpo_optimize(
         # single_at are drawn up front and scored in one pass.
         pairs: list[int] = []  # flattened (e1, e2, v1, v2)
         batches: list[tuple[int, int, int]] = []  # (pairs, stream position, evals) at each end
-        clipped = single = None
         for width in range(TOP_B, n_entries + 1, TOP_B):
+            newest = order[width - TOP_B : width]
             if evals + (p - 1) * width > budget:
-                clipped = width
+                # the narrower pool has no improving single move, so only the
+                # width's newest circulants are scored, each up to the budget
+                left = budget - evals - (p - 1) * (width - TOP_B)
+                limit = np.zeros(n_entries, dtype=np.int64)
+                limit[newest] = (left - (p - 1) * np.arange(TOP_B)).clip(0, p - 1)
+                f_single, v_single = state.best_singles(limit)
+                evals = budget
                 break
             evals += (p - 1) * width
             if width == single_at:
-                # the lowest (f_sc, circulant) among the pool's newest ones
-                e = min(order[width - TOP_B : width], key=lambda e: (f_single[e], e))
-                single = [(e, int(v_single[e]))]
                 break
             pool = order[:width]
             drawn = min(PAIR_SAMPLES, budget - evals)
@@ -391,16 +383,12 @@ def cpo_optimize(
                 _, words.pos, evals = batches[j]
                 start = ends[j - 1] if j else 0
                 move = _best_pair(batch[start : ends[j]], f[start : ends[j]], k)
-        if move is None and clipped is not None:
-            # the narrower pool has no improving single move, so only the
-            # width's newest circulants are scored, each up to the budget
-            fresh = np.array(order[clipped - TOP_B : clipped], dtype=np.int64)
-            left = budget - evals - (p - 1) * (clipped - TOP_B)
-            counts = (left - (p - 1) * np.arange(TOP_B)).clip(0, p - 1)
-            move = state.clipped_single(fresh, counts)
-            evals = budget
-        elif move is None:
-            move = single
+        if move is None:
+            # the lowest (f_sc, circulant) among the last width's newest ones;
+            # a width before single_at holds no improving single move
+            e = min(newest, key=lambda e: (f_single[e], e))
+            if f_single[e] < state.f_sc:
+                move = [(e, int(v_single[e]))]
         if move is not None:
             state.apply(move)
             record_if_best()

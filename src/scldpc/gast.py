@@ -733,13 +733,13 @@ class _Group:
 
     ``checks`` lists the nodes of each shared check in the shape's canonical
     form (:func:`_canonical`), and ``matching`` the targets of their label in
-    list order.  Per translate (one row each, ascending by columns): ``vn``
-    holds its columns ascending, ``perm[t, i]`` the position of canonical
-    node i in ``vn[t]``, ``cn`` the row of each check, and ``edges`` the
-    index of each edge, check by check, into the code's label bytes.  None
-    of it depends on the weights.  The table :func:`remove_gasts` builds has
-    instances for translates: no ``vn``, and their own node and check
-    indices for positions and rows.
+    list order.  Per translate (one row each, in the order growth emits
+    them): ``vn`` holds its columns ascending, ``perm[t, i]`` the position
+    of canonical node i in ``vn[t]``, ``cn`` the row of each check, and
+    ``edges`` the index of each edge, check by check, into the code's label
+    bytes.  None of it depends on the weights.  The table
+    :func:`remove_gasts` builds has instances for translates: no ``vn``, and
+    their own node and check indices for positions and rows.
     """
 
     gamma: int
@@ -898,13 +898,8 @@ def _grow_family(code, targets: list[tuple]) -> list[_Group]:
         if a == a_max or not children:
             break
         level = _unique_rows(np.concatenate(children), n_cols)[0]
-    family = []
-    for checks, (matching, *parts) in found.items():
-        vn, perm, cn, edges = map(np.concatenate, parts)
-        # by columns, so that the order does not depend on the chunks or shapes
-        order = np.lexsort(_pack(vn, n_cols).T[::-1])
-        family.append(_Group(gamma, checks, matching, vn[order], perm[order], cn[order], edges[order]))
-    return family
+    return [_Group(gamma, checks, matching, *map(np.concatenate, parts))
+            for checks, (matching, *parts) in found.items()]
 
 
 class _Hits(NamedTuple):

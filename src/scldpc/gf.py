@@ -40,11 +40,7 @@ def _polymod(a: int, mod: int) -> int:
 def _is_irreducible(poly: int) -> bool:
     """Exhaustive trial division by every lower-degree polynomial."""
     deg = poly.bit_length() - 1
-    if deg < 1:
-        return False
     for d in range(2, (1 << (deg // 2 + 1))):
-        if d.bit_length() - 1 < 1:
-            continue
         if _polymod(poly, d) == 0:
             return False
     return True

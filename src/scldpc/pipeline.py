@@ -23,8 +23,8 @@ from .gast import _check_targets, _remove_hits, _scan_table
 from .gf import FieldGF, _check_field_degree
 from .overlap import realize_mask, solve_optimal_overlap
 from .qc import (
-    PartitionMask, _check_coupling_length, apply_edge_changes, build_ab_powers, code_to_json,
-    couple, label_edges,
+    PartitionMask, _check_coupling_length, _check_lifted_size, apply_edge_changes, build_ab_powers,
+    code_to_json, couple, label_edges,
 )
 
 __all__ = ["DesignConfig", "DesignReport", "PipelineError", "run_pipeline", "table1_report"]
@@ -51,6 +51,7 @@ class DesignConfig:
         # refused here, before any stage runs, with the messages of the
         # stages that would refuse them
         _check_coupling_length(self.L)
+        _check_lifted_size(self.L * self.kappa * self.p)
         if self.field_lam < 2:
             raise ValueError("code design requires a field with q >= 4")
         _check_field_degree(self.field_lam)

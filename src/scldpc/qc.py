@@ -65,6 +65,11 @@ def _check_coupling_length(L: int) -> None:
         raise ValueError("coupling length L must be >= 2")
 
 
+def _check_lifted_size(n_cols: int) -> None:
+    if n_cols > MAX_LIFTED_COLS:
+        raise ValueError(f"lifted code would have {n_cols} columns, limit is {MAX_LIFTED_COLS}")
+
+
 def _check_shapes(proto: "ProtoMatrix", mask: "PartitionMask") -> None:
     if proto.gamma != mask.gamma or proto.kappa != mask.kappa:
         raise ValueError("protograph and mask shapes differ")
@@ -215,8 +220,7 @@ class SCCode:
     def __post_init__(self):
         _check_coupling_length(self.L)
         _check_shapes(self.proto, self.mask)
-        if self.n_cols > MAX_LIFTED_COLS:
-            raise ValueError(f"lifted code would have {self.n_cols} columns, limit is {MAX_LIFTED_COLS}")
+        _check_lifted_size(self.n_cols)
 
     @property
     def gamma(self) -> int:

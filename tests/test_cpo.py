@@ -263,6 +263,52 @@ def _ab_problem(p, assign, L):
     8730,
     0,
 )
+# the budget ends inside a width's singles, whose newest circulants are scored
+# only up to it, and that clipped scoring picks a move the whole row would not:
+# in the first width (2618 -> 2123), and at the end of a 5-move descent
+# (1738 -> 495) and of a 2-move one (4070 -> 2497)
+@example(
+    _ab_problem(
+        11,
+        (
+            (1, 0, 0, 0, 1, 1, 0, 0, 1, 0),
+            (1, 1, 0, 0, 0, 1, 0, 0, 0, 0),
+            (0, 0, 0, 1, 0, 1, 1, 1, 0, 1),
+        ),
+        12,
+    ),
+    10,
+    48345,
+    0,
+)
+@example(
+    _ab_problem(
+        11,
+        (
+            (1, 1, 1, 1, 1, 0, 0, 1, 0),
+            (0, 0, 0, 0, 1, 1, 1, 1, 0),
+            (0, 0, 1, 0, 0, 0, 1, 1, 1),
+        ),
+        10,
+    ),
+    228,
+    56999,
+    0,
+)
+@example(
+    _ab_problem(
+        11,
+        (
+            (1, 1, 1, 0, 0, 1, 0, 0, 1),
+            (1, 0, 1, 0, 1, 0, 0, 0, 0),
+            (0, 1, 0, 1, 1, 1, 1, 1, 1),
+        ),
+        29,
+    ),
+    37,
+    24218,
+    0,
+)
 def test_batched_matches_serial(problem, budget, seed, target):
     # the budget stops most runs part of the way through an entry's powers
     # or a pair batch, and lets about a quarter of those near kappa = p

@@ -80,14 +80,17 @@ class TestRunPipeline:
              "target size a must be <= a_max = 5, scan subsets grow no larger, got (6, 0, 0, 9, 0)"),
             # FieldGF's refusal, before the overlap solve and CPO run
             ({"field_lam": 9}, "field degree must be in [1, 8], got 9"),
+            # SCCode's refusal, before the overlap solve and CPO run
+            ({"L": 80_001}, "lifted code would have 2000025 columns, limit is 2000000"),
         ],
         ids=["negative-entry", "bool-entry", "short-target", "negative-budget", "amax2",
-             "amax0-no-targets", "negative-optimum-index", "target-above-amax", "field-degree"],
+             "amax0-no-targets", "negative-optimum-index", "target-above-amax", "field-degree",
+             "lifted-size"],
     )
     def test_bad_config_refused_on_construction(self, fields, message):
         # refused before any stage runs, with the message the stage would give
         with pytest.raises(ValueError) as err:
-            DesignConfig(kappa=5, p=5, L=3, **fields)
+            DesignConfig(**{"kappa": 5, "p": 5, "L": 3, **fields})
         assert str(err.value) == message
 
     def test_optimum_index_past_the_optima_refused(self):
