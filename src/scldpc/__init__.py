@@ -45,7 +45,6 @@ from .gast import (
     enumerate_candidate_sets,
     gast_scan,
     is_gast,
-    remove_gasts,
     removal_budget,
 )
 from .pipeline import DesignConfig, DesignReport, run_pipeline, table1_report

@@ -20,7 +20,7 @@ from . import baselines, pipeline
 from .alist import export_code_alist
 from .cpo import cpo_optimize
 from .cycles import count_ugast_3330, count_ugast_3330_for, girth_check
-from .gast import gast_scan, remove_gasts
+from .gast import _bounded_table, _remove_hits, gast_scan
 from .gf import FieldGF
 from .overlap import realize_mask, solve_optimal_overlap
 from .qc import (
@@ -106,7 +106,6 @@ def _cmd_gast(args) -> None:
         raise ValueError(f"q must be a power of two from 2 to 256, got {args.q}")
     field = FieldGF(args.q.bit_length() - 1)
     targets = _parse_targets(args.targets)
-    found = gast_scan(code, field, targets)
     if args.action == "scan":
         _emit(
             [
@@ -115,24 +114,33 @@ def _cmd_gast(args) -> None:
                     "vns": list(inst.topology.vn_ids),
                     "witness": list(inst.witness) if inst.witness else None,
                 }
-                for inst in found
+                for inst in gast_scan(code, field, targets)
             ],
             args.out,
         )
         return
-    applied, changes = [], []
-    for inst, outcome in zip(found, remove_gasts(found, field)):
-        changes += outcome.lifted_changes()
+    # removal on the hit table, as the design flow removes; each hit's
+    # changes are (check, node, weight) by its ascending rows and columns
+    family, hits = _bounded_table(code, field, targets)
+    removed, lifted = _remove_hits(code, family, hits, field)
+    mine: dict[int, list] = {}
+    for h, row, col, w in lifted.tolist():
+        mine.setdefault(h, []).append((row, col, w))
+    applied = []
+    for h, (i, t, m) in enumerate(zip(hits.group.tolist(), hits.translate.tolist(), hits.target.tolist())):
+        g = family[i]
+        label, vns, rows = g.matching[m], g.vn[t].tolist(), sorted(g.cn[t].tolist())
         applied.append(
             {
-                "label": list(inst.label),
-                "vns": list(inst.topology.vn_ids),
-                "removed": outcome.success,
-                "changes": [list(c) for c in outcome.changes or ()],
+                # a 4-entry target names no b: d1 stands in, as in GastInstance.label
+                "label": list(label) if len(label) == 5 else [label[0], label[1], *label[1:]],
+                "vns": vns,
+                "removed": bool(removed[h]),
+                "changes": [[rows.index(r), vns.index(c), w] for r, c, w in mine.get(h, [])],
             }
         )
-    if changes:
-        code = apply_edge_changes(code, changes)
+    if len(lifted):
+        code = apply_edge_changes(code, lifted[:, 1:].tolist())
     _emit({"results": applied, "code": json.loads(code_to_json(code))}, args.out)
 
 

@@ -34,8 +34,8 @@ be enumerated outright; otherwise a brute-force candidate stream is used.
 Streams are cached per literal structure as (edge, rank) templates, which
 the label bytes fill in.  All hits are removed together on the table, in
 rounds that score every open hit's next candidates with one oracle pass per
-shape.  The design flow reads the table alone; instance and outcome objects
-are built only where :func:`gast_scan` and :func:`remove_gasts` return them.
+shape.  The design flow and the command-line removal read the table alone;
+instance objects are built only where :func:`gast_scan` returns them.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -62,8 +62,6 @@ __all__ = [
     "removal_budget",
     "count_candidate_sets",
     "enumerate_candidate_sets",
-    "remove_gasts",
-    "RemovalOutcome",
     "gast_scan",
 ]
 
@@ -78,7 +76,8 @@ GROW_CELLS = 1 << 16
 # largest subset whose check structures are brought to a canonical node
 # order, by trying all a! orders
 CANON_MAX_A = 6
-# most instances gast_scan builds; the pipeline's hit table builds none
+# most hits gast_scan and `scldpc gast remove` report one by one, and most
+# sure hits (of a 4-entry target) any scan grows
 MAX_SCAN_INSTANCES = 1 << 18
 
 
@@ -176,11 +175,6 @@ class GastInstance:
         """(a, b, d1, d2, d3); b falls back to d1 when no witness is known."""
         a, d1, d2, d3 = self.topology.label
         return (a, self.b if self.b is not None else d1, d1, d2, d3)
-
-    def with_weights(self, overrides: dict) -> "GastInstance":
-        merged = dict(self.weights)
-        merged.update(overrides)
-        return replace(self, weights=merged, b=None, witness=None)
 
 
 @functools.lru_cache(maxsize=8)
@@ -289,19 +283,13 @@ def _first_witnesses(
     return won, first
 
 
-def _weights_of(topology: UgastTopology, weights: dict) -> list:
-    """The weights of the topology's edges, check by check; every edge must
-    have one."""
-    try:
-        return [weights[(c, v)] for c, cn in enumerate(topology.shared_cns) for v in cn]
-    except KeyError as missing:
-        raise ValueError(f"no weight given for the (check, node) edge {missing.args[0]}") from None
-
-
 def _edge_weights(topology: UgastTopology, weights: dict, field: FieldGF) -> np.ndarray:
     """The topology's edge weights as a (1, edges) array, edges check by
-    check; each must be a nonzero field element."""
-    edge_weights = [_weights_of(topology, weights)]
+    check; every edge must have one, a nonzero field element."""
+    try:
+        edge_weights = [[weights[(c, v)] for c, cn in enumerate(topology.shared_cns) for v in cn]]
+    except KeyError as missing:
+        raise ValueError(f"no weight given for the (check, node) edge {missing.args[0]}") from None
     _check_weights(edge_weights, field.q)
     return np.array(edge_weights, dtype=np.uint8)
 
@@ -434,22 +422,6 @@ def _closed_candidates(
                     yield tuple(sorted(combo))
 
 
-@dataclass(frozen=True)
-class RemovalOutcome:
-    success: bool
-    changes: Optional[tuple[tuple[int, int, int], ...]]
-    instance: GastInstance
-    tried: int = 0
-
-    def lifted_changes(self) -> list[tuple[int, int, int]]:
-        """The changes as lifted (row, col, weight) triples, empty when nothing
-        changes; :func:`scldpc.qc.apply_edge_changes` writes them into a code."""
-        top = self.instance.topology
-        if top.vn_ids is None or top.cn_ids is None:
-            raise ValueError("instance is not tied to lifted code coordinates")
-        return [(top.cn_ids[c], top.vn_ids[v], w) for c, v, w in self.changes or ()]
-
-
 def _generic_candidates(top: UgastTopology, q: int) -> Iterator[tuple[tuple[int, int, int], ...]]:
     """All sets of up to MAX_CHANGES (check, node, rank) changes (see
     :func:`_weight`) on edges of distinct degree-2 checks, sorted by check."""
@@ -547,58 +519,6 @@ def _remove_table(family: list[_Group], group: np.ndarray, translate: np.ndarray
         parts.append(np.stack([at[ok[h]], index, _weight(pairs[h, j, 1], buf[index])], axis=1))
     changes = np.concatenate(parts)
     return pick, tried, changes[np.argsort(changes[:, 0], kind="stable")]
-
-
-def remove_gasts(instances: Sequence[GastInstance], field: FieldGF) -> list[RemovalOutcome]:
-    """Remove each absorbing set by reweighting edges of its instance alone.
-
-    An instance without a witness is first checked with the oracle, and one
-    that is no absorbing set succeeds with no changes.  An instance that
-    carries a witness, as every instance from :func:`gast_scan` does, is
-    taken as proven: ``GastInstance.with_weights`` clears the witness, so a
-    witness always belongs to the instance's current weights.
-
-    Each instance tries candidates in stream order and succeeds with the
-    first set under which the oracle finds no witness on the same topology;
-    it fails once its stream is used up.  The stream is the closed-form one
-    when b = d1 and the budget assumptions hold, otherwise the generic
-    brute-force one.  The instances become one hit table, a group per
-    check-structure shape; the work goes in rounds that score every open
-    instance's check, or its next 1, 2, 4, ... candidates, with one oracle
-    pass per shape, and the outcome objects are built from the table.  The
-    outcomes, ``tried`` included, are those of trying the candidates one at
-    a time.
-    """
-    # one buffer of every instance's weights, each instance's edges in its
-    # own order; an instance is a translate of its shape's group, whose
-    # perm and cn give each canonical node and check its own index
-    edges = [[(c, v) for c, cn in enumerate(inst.topology.shared_cns) for v in cn] for inst in instances]
-    buf = [w for inst in instances for w in _weights_of(inst.topology, inst.weights)]
-    _check_weights(buf, field.q)
-    start = np.cumsum([0] + [len(own) for own in edges])
-    shapes: dict[tuple, list] = {}
-    for h, inst in enumerate(instances):
-        top = inst.topology
-        checks, node, check, edge = _canonical(top.a, top.shared_cns)
-        shapes.setdefault((top.gamma, top.a, checks), []).append((h, node, check, edge + start[h]))
-    family, group, translate = [], np.zeros(len(instances), np.int64), np.zeros(len(instances), np.int64)
-    for i, ((gamma, _, checks), rows) in enumerate(shapes.items()):
-        h, node, check, edge = map(np.array, zip(*rows))
-        family.append(_Group(gamma, checks, [], None, node, check, edge))
-        group[h], translate[h] = i, np.arange(len(h))
-    witnessed = np.array([inst.witness is not None for inst in instances], dtype=bool)
-    generic = np.array([inst.b not in (None, inst.topology.d1) for inst in instances], dtype=bool)
-    buf = np.array(buf, dtype=np.uint8)
-    pick, tried, changes = _remove_table(family, group, translate, buf, witnessed, generic, field)
-    flat, rows = [e for own in edges for e in own], changes.tolist()
-    bounds = np.searchsorted(changes[:, 0], np.arange(len(instances) + 1)).tolist()
-    outcomes = []
-    for h, inst in enumerate(instances):
-        mine = tuple((*flat[x], w) for _, x, w in rows[bounds[h] : bounds[h + 1]])
-        new = inst.with_weights({(c, v): w for c, v, w in mine}) if mine else inst
-        ok = bool(pick[h] > -2)
-        outcomes.append(RemovalOutcome(ok, mine if ok else None, new, int(tried[h])))
-    return outcomes
 
 
 # -- scanning a lifted code ------------------------------------------------
@@ -737,9 +657,7 @@ class _Group:
     them): ``vn`` holds its columns ascending, ``perm[t, i]`` the position
     of canonical node i in ``vn[t]``, ``cn`` the row of each check, and
     ``edges`` the index of each edge, check by check, into the code's label
-    bytes.  None of it depends on the weights.  The table
-    :func:`remove_gasts` builds has instances for translates: no ``vn``, and
-    their own node and check indices for positions and rows.
+    bytes.  None of it depends on the weights.
     """
 
     gamma: int
@@ -988,10 +906,11 @@ def _instances(family: list[_Group], hits: _Hits, code, field: Optional[FieldGF]
     return out
 
 
-def _remove_hits(code, family: list[_Group], hits: _Hits, field: FieldGF) -> tuple[int, list[list[int]]]:
-    """How many hits removal removes, and its lifted [row, col, weight]
-    changes hit by hit: what :func:`remove_gasts` gives for the instances of
-    :func:`gast_scan`, read off the hit table without building them."""
+def _remove_hits(code, family: list[_Group], hits: _Hits, field: FieldGF) -> tuple[np.ndarray, np.ndarray]:
+    """Removal of every hit of a scan table, each on its own topology under
+    the weights of ``code``: per hit, whether it was removed, and the
+    changes as lifted [hit, row, col, weight] rows, in table order and each
+    hit's check by check."""
     # a 5-entry target carries a witness, and its b may differ from d1
     kinds = np.zeros((2, len(hits.group)), dtype=bool)
     for i, g in enumerate(family):
@@ -1000,8 +919,8 @@ def _remove_hits(code, family: list[_Group], hits: _Hits, field: FieldGF) -> tup
         kinds[:, at] = kind[hits.target[at]].T
     pick, _, changes = _remove_table(family, hits.group, hits.translate, _weight_bytes(code), *kinds, field)
     index = changes[:, 1]
-    lifted = np.stack([code.edges.rows.ravel()[index], index // code.gamma, changes[:, 2]], axis=1)
-    return int((pick > -2).sum()), lifted.tolist()
+    rows = code.edges.rows.ravel()[index]
+    return pick > -2, np.stack([changes[:, 0], rows, index // code.gamma, changes[:, 2]], axis=1)
 
 
 def _check_targets(targets: Sequence[tuple]) -> list[tuple]:
@@ -1056,13 +975,21 @@ def gast_scan(code, field: Optional[FieldGF], targets: Sequence[tuple]) -> list[
     once the translates of labels with a 4-entry target, each a sure hit,
     pass it, else after the test.
     """
+    family, hits = _bounded_table(code, field, targets)
+    return _instances(family, hits, code, field)
+
+
+def _bounded_table(code, field: Optional[FieldGF],
+                   targets: Sequence[tuple]) -> tuple[list[_Group], _Hits]:
+    """:func:`_scan_table`, refused above MAX_SCAN_INSTANCES hits: the scan
+    and removal that give a result per hit go through here."""
     family, hits = _scan_table(code, field, targets)
     if len(hits.group) > MAX_SCAN_INSTANCES:
         raise ValueError(
             f"scan found {len(hits.group)} instances, more than the {MAX_SCAN_INSTANCES} "
             "it builds; narrow the targets"
         )
-    return _instances(family, hits, code, field)
+    return family, hits
 
 
 def _scan_table(code, field: Optional[FieldGF],

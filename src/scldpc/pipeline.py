@@ -95,6 +95,7 @@ class DesignReport:
     girth_at_least_6: bool = False
     gasts_found: int = 0
     gasts_removed: int = 0
+    # found - removed, as removal flags its hits: not a rescan of the code
     gasts_remaining: int = 0
     edge_changes: list = field(default_factory=list)
     code_json: str = ""
@@ -176,7 +177,9 @@ def run_pipeline(config: DesignConfig, out_dir: Optional[str] = None) -> DesignR
         # on the hit table, without instance objects
         family, hits = _scan_table(code, fld, config.gast_targets)
         report.gasts_found = len(hits.group)
-        report.gasts_removed, changes = _remove_hits(code, family, hits, fld)
+        removed, lifted = _remove_hits(code, family, hits, fld)
+        report.gasts_removed = int(removed.sum())
+        changes = lifted[:, 1:].tolist()
         if changes:
             code = apply_edge_changes(code, changes)
         report.gasts_remaining = report.gasts_found - report.gasts_removed

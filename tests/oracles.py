@@ -22,9 +22,12 @@ Python ints, the reference for the partition searches' ranking in numpy.
 The section after the references holds helpers that only the tests use: a
 cycle object with its window tag, the per-circulant census, the window
 4-cycle test, the mask generator of one overlap vector, the row lists of an
-edge array, the library oracle's full assignment scan, one-instance forms
-of the library's removal, and the absorbing-set scan's 6-cycle seeds
-expanded over their translates.  The window helpers
+edge array, the library oracle's full assignment scan, the instance-list
+removal (``remove_gasts`` with its ``RemovalOutcome`` and ``with_weights``: a
+test-only reference that runs the library's removal table on instance
+objects, where the library removes on its scan's hit table) and its
+one-instance forms, and the absorbing-set scan's 6-cycle seeds expanded
+over their translates.  The window helpers
 read :class:`ReferenceWindow`, not the optimizer's window.
 """
 
@@ -43,7 +46,7 @@ from scldpc import cycles
 from scldpc.baselines import _arrangements_from_counts, _mask_of, pattern_counts
 from scldpc.cpo import PAIR_SAMPLES, TOP_B, CpoResult
 from scldpc.cycles import CensusTable, _equal_pairs
-from scldpc.gast import _6cycle_orbits, _shift
+from scldpc.gast import GastInstance, _6cycle_orbits, _shift
 from scldpc.overlap import (
     OOSolution,
     OverlapVector,
@@ -864,7 +867,7 @@ def serial_generic_candidates(instance, field):
 
 def serial_remove_gast_weights(instance, field):
     """Removal trying one candidate at a time: the reference for the
-    library's batched ``remove_gasts``.
+    library's batched removal (through ``remove_gasts``).
 
     An instance without a witness is first checked, and one that is no
     absorbing set succeeds with no changes.  Then every candidate of the
@@ -872,7 +875,7 @@ def serial_remove_gast_weights(instance, field):
     generic one is checked on its own with ``exhaustive_witnesses``, and the
     first under which the topology has no witness wins.
     """
-    from scldpc.gast import RemovalOutcome, enumerate_candidate_sets, removal_budget
+    from scldpc.gast import enumerate_candidate_sets, removal_budget
 
     def absorbing(weights: dict) -> bool:
         if not instance.topology.is_ugast():
@@ -888,7 +891,7 @@ def serial_remove_gast_weights(instance, field):
     tried = 0
     for changes in stream:
         tried += 1
-        candidate = instance.with_weights({(c, v): w for c, v, w in changes})
+        candidate = with_weights(instance, {(c, v): w for c, v, w in changes})
         if not absorbing(candidate.weights):
             return RemovalOutcome(success=True, changes=changes, instance=candidate, tried=tried)
     return RemovalOutcome(success=False, changes=None, instance=instance, tried=tried)
@@ -907,7 +910,7 @@ def serial_gast_scan(code, field, targets, a_max: int = 8) -> list:
     from collections import Counter
     from dataclasses import replace
 
-    from scldpc.gast import GastInstance, UgastTopology
+    from scldpc.gast import UgastTopology
 
     targets = [tuple(t) for t in targets]
     if not targets:
@@ -1038,10 +1041,77 @@ def gast_witnesses(topology, weights: dict, field):
     return _assignments(topology.a, field.q), ok[0], b[0]
 
 
-def remove_gast_weights(instance, field):
-    """The outcome of the library's ``remove_gasts`` for one instance."""
-    from scldpc.gast import remove_gasts
+def with_weights(instance, overrides: dict):
+    """``instance`` with the weights ``overrides`` sets; its b and witness
+    are cleared, so a witness always belongs to an instance's weights."""
+    return replace(instance, weights={**instance.weights, **overrides}, b=None, witness=None)
 
+
+@dataclass(frozen=True)
+class RemovalOutcome:
+    success: bool
+    changes: Optional[tuple[tuple[int, int, int], ...]]
+    instance: GastInstance
+    tried: int = 0
+
+    def lifted_changes(self) -> list[tuple[int, int, int]]:
+        """The changes as lifted (row, col, weight) triples, empty when nothing
+        changes; :func:`scldpc.qc.apply_edge_changes` writes them into a code."""
+        top = self.instance.topology
+        if top.vn_ids is None or top.cn_ids is None:
+            raise ValueError("instance is not tied to lifted code coordinates")
+        return [(top.cn_ids[c], top.vn_ids[v], w) for c, v, w in self.changes or ()]
+
+
+def remove_gasts(instances, field) -> list[RemovalOutcome]:
+    """Remove each absorbing set by reweighting edges of its instance alone,
+    on the library's removal table built from instance objects.
+
+    An instance without a witness is first checked with the oracle, and one
+    that is no absorbing set succeeds with no changes.  An instance that
+    carries a witness, as every instance from ``gast_scan`` does, is taken
+    as proven.  Each instance tries candidates in stream order and succeeds
+    with the first set under which the oracle finds no witness on the same
+    topology; it fails once its stream is used up.  The instances become one
+    table, a group per check-structure shape, so the outcomes, ``tried``
+    included, are those of ``serial_remove_gast_weights``.
+    """
+    from scldpc.gast import _Group, _canonical, _edge_weights, _remove_table
+
+    # one buffer of every instance's weights, each instance's edges in its
+    # own order; an instance is a translate of its shape's group, whose
+    # perm and cn give each canonical node and check its own index, and
+    # removal reads no vn
+    edges = [[(c, v) for c, cn in enumerate(inst.topology.shared_cns) for v in cn] for inst in instances]
+    buf = [w for inst in instances for w in _edge_weights(inst.topology, inst.weights, field)[0].tolist()]
+    start = np.cumsum([0] + [len(own) for own in edges])
+    shapes: dict[tuple, list] = {}
+    for h, inst in enumerate(instances):
+        top = inst.topology
+        checks, node, check, edge = _canonical(top.a, top.shared_cns)
+        shapes.setdefault((top.gamma, top.a, checks), []).append((h, node, check, edge + start[h]))
+    family, group, translate = [], np.zeros(len(instances), np.int64), np.zeros(len(instances), np.int64)
+    for i, ((gamma, _, checks), rows) in enumerate(shapes.items()):
+        h, node, check, edge = map(np.array, zip(*rows))
+        family.append(_Group(gamma, checks, [], None, node, check, edge))
+        group[h], translate[h] = i, np.arange(len(h))
+    witnessed = np.array([inst.witness is not None for inst in instances], dtype=bool)
+    generic = np.array([inst.b not in (None, inst.topology.d1) for inst in instances], dtype=bool)
+    buf = np.array(buf, dtype=np.uint8)
+    pick, tried, changes = _remove_table(family, group, translate, buf, witnessed, generic, field)
+    flat, rows = [e for own in edges for e in own], changes.tolist()
+    bounds = np.searchsorted(changes[:, 0], np.arange(len(instances) + 1)).tolist()
+    outcomes = []
+    for h, inst in enumerate(instances):
+        mine = tuple((*flat[x], w) for _, x, w in rows[bounds[h] : bounds[h + 1]])
+        new = with_weights(inst, {(c, v): w for c, v, w in mine}) if mine else inst
+        ok = bool(pick[h] > -2)
+        outcomes.append(RemovalOutcome(ok, mine if ok else None, new, int(tried[h])))
+    return outcomes
+
+
+def remove_gast_weights(instance, field):
+    """The outcome of ``remove_gasts`` for one instance."""
     return remove_gasts([instance], field)[0]
 
 

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import json
 import random
 import re
 from dataclasses import replace
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from scldpc import cli
 from scldpc.gf import FieldGF
 from scldpc.gast import (
     CANON_MAX_A,
@@ -19,7 +21,6 @@ from scldpc.gast import (
     enumerate_candidate_sets,
     gast_scan,
     is_gast,
-    remove_gasts,
     removal_budget,
     _canonical,
     _first_witnesses,
@@ -33,8 +34,8 @@ from scldpc.cycles import count_ugast_3330, girth_check
 from scldpc.overlap import realize_mask, solve_optimal_overlap
 from scldpc.pipeline import DesignConfig, run_pipeline
 from scldpc.qc import (
-    PartitionMask, ProtoMatrix, apply_edge_changes, build_ab_powers, code_from_json, couple,
-    label_edges,
+    PartitionMask, ProtoMatrix, apply_edge_changes, build_ab_powers, code_from_json, code_to_json,
+    couple, label_edges,
 )
 
 from oracles import (
@@ -47,9 +48,11 @@ from oracles import (
     naive_ugast_subsets,
     remove_gast,
     remove_gast_weights,
+    remove_gasts,
     row_lists,
     serial_gast_scan,
     serial_remove_gast_weights,
+    with_weights,
 )
 
 GF4 = FieldGF(2)
@@ -436,7 +439,7 @@ class TestRemoval:
         else:
             bud = removal_budget(inst)
             for changes in enumerate_candidate_sets(inst, bud, GF4):
-                trial = inst.with_weights({(c, v): w for c, v, w in changes})
+                trial = with_weights(inst, {(c, v): w for c, v, w in changes})
                 assert is_gast(trial.topology, trial.weights, GF4)[0]
 
     @pytest.mark.parametrize("kept, edge", [(0, (0, 0)), (4, (2, 0))], ids=["empty", "partial"])
@@ -499,7 +502,7 @@ def test_witnessed_instance_skips_the_first_oracle_call(monkeypatch):
         assert (out.success, out.changes, out.tried) == (plain.success, plain.changes, plain.tried)
         assert out.instance.weights == plain.instance.weights
     # with_weights drops the witness, so a changed instance is checked again
-    assert witnessed.with_weights({}).witness is None
+    assert with_weights(witnessed, {}).witness is None
 
 
 def synthesize_instances(n: int, seed: int) -> list[GastInstance]:
@@ -590,7 +593,7 @@ def test_removal_soundness_on_synthesized_corpus():
             # every candidate must provably fail
             bud = removal_budget(inst)
             for changes in enumerate_candidate_sets(inst, bud, GF4):
-                trial = inst.with_weights({(c, v): w for c, v, w in changes})
+                trial = with_weights(inst, {(c, v): w for c, v, w in changes})
                 assert is_gast(trial.topology, trial.weights, GF4)[0]
 
 
@@ -983,8 +986,8 @@ def test_table_removal_matches_serial_removal(case):
     family, hits = _scan_table(code, field, targets)
     removed, changes = _remove_hits(code, family, hits, field)
     assert len(hits.group) == len(found)
-    assert removed == sum(w.success for w in want)
-    assert changes == [list(c) for w in want for c in w.lifted_changes()]
+    assert removed.tolist() == [w.success for w in want]
+    assert changes.tolist() == [[h, *c] for h, w in enumerate(want) for c in w.lifted_changes()]
 
 
 def _relabelled(inst: GastInstance, rng: random.Random) -> GastInstance:
@@ -1145,16 +1148,19 @@ def _smoke_code():
     return label_edges(couple(proto, mask, 30), GF4, 1)
 
 
+def _refuse_instances(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance object was built")
+
+    monkeypatch.setattr("scldpc.gast.GastInstance", refuse)
+
+
 def test_scan_refuses_more_instances_than_it_builds(monkeypatch):
     # the kappa = 7 smoke code's 678 hexagons, against a lowered bound: one
     # error line before any instance is built
     code = _smoke_code()
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("an instance object was built")
-
     monkeypatch.setattr("scldpc.gast.MAX_SCAN_INSTANCES", 677)
-    monkeypatch.setattr("scldpc.gast.GastInstance", refuse)
+    _refuse_instances(monkeypatch)
     with pytest.raises(ValueError) as err:
         gast_scan(code, GF4, [(3, 3, 3, 3, 0)])
     want = "scan found 678 instances, more than the 677 it builds; narrow the targets"
@@ -1162,6 +1168,51 @@ def test_scan_refuses_more_instances_than_it_builds(monkeypatch):
     # the design stage reads the table and is not bounded
     family, hits = _scan_table(code, GF4, [(3, 3, 3, 3, 0)])
     assert len(hits.group) == 678
+
+
+def test_gast_remove_refuses_more_hits_than_it_reports(monkeypatch, tmp_path, capsys):
+    # the command-line removal has gast_scan's bound and message, and
+    # refuses before any instance is built
+    path = tmp_path / "code.json"
+    path.write_text(code_to_json(_smoke_code()))
+    monkeypatch.setattr("scldpc.gast.MAX_SCAN_INSTANCES", 677)
+    _refuse_instances(monkeypatch)
+    assert cli.main(["gast", "remove", "--code", str(path), "--targets", "(3,3,3,3,0)"]) == 2
+    want = "scan found 678 instances, more than the 677 it builds; narrow the targets"
+    assert capsys.readouterr().err == f"scldpc: error: {want}\n"
+
+
+@pytest.mark.parametrize(
+    "targets, hits",
+    [((3, 3, 3, 3, 0), 678), ((4, 2, 2, 5, 0), 89), ((4, 2, 5, 0), 840)],
+    ids=["hexagon", "k4-edge", "k4-edge-ugast"],
+)
+def test_gast_remove_matches_instance_removal(monkeypatch, tmp_path, targets, hits):
+    # the command line removes on the hit table and builds no instance; its
+    # results and written code are those of gast_scan's instances through
+    # the instance-list removal of the test oracles
+    code = _smoke_code()
+    found = gast_scan(code, GF4, [targets])
+    outcomes = remove_gasts(found, GF4)
+    assert len(found) == hits and any(out.changes for out in outcomes)
+    want = [
+        {
+            "label": list(inst.label),
+            "vns": list(inst.topology.vn_ids),
+            "removed": out.success,
+            "changes": [list(c) for c in out.changes or ()],
+        }
+        for inst, out in zip(found, outcomes)
+    ]
+    changed = apply_edge_changes(code, [c for out in outcomes for c in out.lifted_changes()])
+    path, dest = tmp_path / "code.json", tmp_path / "remove.json"
+    path.write_text(code_to_json(code))
+    _refuse_instances(monkeypatch)
+    argv = ["gast", "remove", "--code", str(path), "--targets", str(targets), "--out", str(dest)]
+    assert cli.main(argv) == 0
+    got = json.loads(dest.read_text())
+    assert got["results"] == want
+    assert got["code"] == json.loads(code_to_json(changed))
 
 
 def test_growth_refuses_more_sure_hits_than_it_builds(monkeypatch):
