@@ -24,8 +24,8 @@ from .gast import _bounded_table, _remove_hits, gast_scan
 from .gf import FieldGF
 from .overlap import realize_mask, solve_optimal_overlap
 from .qc import (
-    apply_edge_changes, build_ab_powers, code_from_json, code_to_json, couple, label_edges,
-    protograph_of,
+    _check_labelled, apply_edge_changes, build_ab_powers, code_from_json, code_to_json, couple,
+    label_edges, protograph_of,
 )
 
 
@@ -112,7 +112,7 @@ def _cmd_gast(args) -> None:
                 {
                     "label": list(inst.label),
                     "vns": list(inst.topology.vn_ids),
-                    "witness": list(inst.witness) if inst.witness else None,
+                    "witness": list(inst.witness),
                 }
                 for inst in gast_scan(code, field, targets)
             ],
@@ -120,7 +120,9 @@ def _cmd_gast(args) -> None:
         )
         return
     # removal on the hit table, as the design flow removes; each hit's
-    # changes are (check, node, weight) by its ascending rows and columns
+    # changes are (check, node, weight) by its ascending rows and columns.
+    # An unlabeled code has no weights to change, so it is refused unscanned
+    _check_labelled(code)
     family, hits = _bounded_table(code, field, targets)
     removed, lifted = _remove_hits(code, family, hits, field)
     mine: dict[int, list] = {}
@@ -129,11 +131,10 @@ def _cmd_gast(args) -> None:
     applied = []
     for h, (i, t, m) in enumerate(zip(hits.group.tolist(), hits.translate.tolist(), hits.target.tolist())):
         g = family[i]
-        label, vns, rows = g.matching[m], g.vn[t].tolist(), sorted(g.cn[t].tolist())
+        vns, rows = g.vn[t].tolist(), sorted(g.cn[t].tolist())
         applied.append(
             {
-                # a 4-entry target names no b: d1 stands in, as in GastInstance.label
-                "label": list(label) if len(label) == 5 else [label[0], label[1], *label[1:]],
+                "label": list(g.matching[m]),
                 "vns": vns,
                 "removed": bool(removed[h]),
                 "changes": [[rows.index(r), vns.index(c), w] for r, c, w in mine.get(h, [])],

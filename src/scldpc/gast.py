@@ -19,13 +19,15 @@ Candidates in a code are found by growing variable-node subsets outward from
 counts, lifted in numpy; for a hand-built graph, those of its own incidence.
 Shifting every offset by one inside every circulant maps the lifted graph
 onto itself, so one subset per shift orbit is grown, one level of subsets
-per size as numpy arrays.  Growth does not depend on the weights: it emits
+per size as numpy arrays.  A target is a GAST label (a, b, d1, d2, d3).
+Growth does not depend on the weights: it keys on (a, d1, d2, d3) and emits
 the label-matched orbits, expanded to their distinct translates, into a
 family of arrays with one group per check-structure shape (a structure of
 up to CANON_MAX_A nodes is relabelled once to a canonical node order).  A
 test of the family gathers the weights from the label bytes once, decides
-each group in one oracle pass and returns a hit table: group, translate,
-matched target and witness.
+each group in one oracle pass, which asks for a witness with exactly b
+unsatisfied checks, and returns a hit table: group, translate, matched
+target and witness.
 
 Removal works on edges of degree-2 checks only.  When the unsatisfied checks
 are exactly the degree-1 checks, the number of weight changes needed has a
@@ -76,8 +78,7 @@ GROW_CELLS = 1 << 16
 # largest subset whose check structures are brought to a canonical node
 # order, by trying all a! orders
 CANON_MAX_A = 6
-# most hits gast_scan and `scldpc gast remove` report one by one, and most
-# sure hits (of a 4-entry target) any scan grows
+# most hits gast_scan and `scldpc gast remove` report one by one
 MAX_SCAN_INSTANCES = 1 << 18
 
 
@@ -433,15 +434,14 @@ def _generic_candidates(top: UgastTopology, q: int) -> Iterator[tuple[tuple[int,
 
 
 @functools.lru_cache(maxsize=1024)
-def _template(gamma: int, a: int, shared_cns: tuple, b_is_d1: bool, check: bool, q: int,
+def _template(gamma: int, a: int, shared_cns: tuple, b_is_d1: bool, q: int,
               max_changes: int) -> np.ndarray:
     """The candidate stream of an instance on the topology (gamma, a,
     shared_cns), as (sets, changes, 2) (edge, rank) pairs padded with -1:
     the closed-form stream when b = d1 and the budget assumptions hold,
-    otherwise the generic one, after a set of no changes when ``check``.
-    Edges are numbered check by check as ``shared_cns`` lists them, and
-    ``max_changes`` is the MAX_CHANGES the generic stream reads.  In ranks
-    a stream does not depend on the weights.
+    otherwise the generic one.  Edges are numbered check by check as
+    ``shared_cns`` lists them, and ``max_changes`` is the MAX_CHANGES the
+    generic stream reads.  In ranks a stream does not depend on the weights.
     """
     top = UgastTopology(gamma, a, shared_cns)
     try:
@@ -450,28 +450,27 @@ def _template(gamma: int, a: int, shared_cns: tuple, b_is_d1: bool, check: bool,
         stream = _generic_candidates(top, q)
     index = {edge: e for e, edge in enumerate((c, v) for c, cn in enumerate(shared_cns) for v in cn)}
     sets = [[(index[c, v], r) for c, v, r in changes] for changes in stream]
-    out = np.full((check + len(sets), max(map(len, sets), default=1), 2), -1)
-    for i, changes in enumerate(sets, check):
+    out = np.full((len(sets), max(map(len, sets), default=1), 2), -1)
+    for i, changes in enumerate(sets):
         out[i, : len(changes)] = changes
     return out
 
 
 def _remove_table(family: list[_Group], group: np.ndarray, translate: np.ndarray, buf: np.ndarray,
-                  witnessed: np.ndarray, generic: np.ndarray, field: FieldGF) -> tuple[np.ndarray, ...]:
+                  generic: np.ndarray, field: FieldGF) -> tuple[np.ndarray, ...]:
     """Removal of every hit of a table (its ``group`` and ``translate``
-    columns), each on its own topology under the weights ``buf[edges]``;
-    ``witnessed`` marks the hits whose weights are known to hold a witness,
-    ``generic`` those with b != d1.  Per hit: the stream row that removes it
-    (-1 when its weights hold no witness, -2 when its stream runs out) and
-    the candidates tried; and the changes, as (hit, weight index, weight)
-    rows, hit by hit and check by check.
+    columns), each a GAST on its own topology under the weights
+    ``buf[edges]``; ``generic`` marks the hits with b != d1.  Per hit: the
+    stream row that removes it (-1 when its stream runs out) and the
+    candidates tried; and the changes, as (hit, weight index, weight) rows,
+    hit by hit and check by check.
 
-    An unwitnessed hit first checks its weights.  Then it tries candidates
-    in stream order, in rounds of its next 1, 2, 4, ...; one oracle pass per
-    shape scores a round over the assignments with x_0 = 1.  The outcomes
-    are those of trying the candidates one at a time.
+    Each hit tries candidates in stream order, in rounds of its next 1, 2,
+    4, ...; one oracle pass per shape scores a round over the assignments
+    with x_0 = 1.  The outcomes are those of trying the candidates one at a
+    time.
     """
-    pick, tried = np.full(len(group), -2), np.zeros(len(group), dtype=np.int64)
+    pick, tried = np.full(len(group), -1), np.zeros(len(group), dtype=np.int64)
     parts = [np.zeros((0, 3), dtype=np.int64)]
     for i, g in enumerate(family):
         at = np.flatnonzero(group == i)
@@ -479,20 +478,18 @@ def _remove_table(family: list[_Group], group: np.ndarray, translate: np.ndarray
             continue
         a, n_checks, edges = g.perm.shape[1], len(g.checks), g.edges[translate[at]]
         key, to_shape = _literal(g, translate[at])
-        # a stream per literal structure, kind and check, one stack of them
-        skip = (~witnessed[at]).astype(np.int64)
-        structures, which = _unique_rows(np.c_[generic[at], skip, key], max(2, a * n_checks))
-        templates = [_template(g.gamma, a, _shared(row[2:], a, n_checks), not row[0], bool(row[1]), field.q,
-                               MAX_CHANGES) for row in structures.tolist()]
+        # a stream per literal structure and kind, one stack of them
+        structures, which = _unique_rows(np.c_[generic[at], key], max(2, a * n_checks))
+        templates = [_template(g.gamma, a, _shared(row[1:], a, n_checks), not row[0], field.q, MAX_CHANGES)
+                     for row in structures.tolist()]
         lens = np.array([len(t) for t in templates])
         length, start = lens[which], (np.cumsum(lens) - lens)[which]
         stack = np.full((lens.sum(), max(t.shape[1] for t in templates), 2), -1)
         for t, lo in zip(templates, (np.cumsum(lens) - lens).tolist()):
             stack[lo : lo + len(t), : t.shape[1]] = t
-        ugast = UgastTopology(g.gamma, a, g.checks).is_ugast()
         pos, won, pending = np.zeros(len(at), dtype=np.int64), np.full(len(at), -1), np.arange(len(at))
         while pending.size:
-            size = np.maximum(pos[pending] - skip[pending], 0) + 1
+            size = pos[pending] + 1
             count = np.clip(length[pending] - pos[pending], 0, size)
             owner, k = _expand(count)
             h = pending[owner]
@@ -501,17 +498,15 @@ def _remove_table(family: list[_Group], group: np.ndarray, translate: np.ndarray
             r, j = np.nonzero(pairs[:, :, 0] >= 0)
             edge = to_shape[h[r], pairs[r, j, 0]]
             rows[r, edge] = _weight(pairs[r, j, 1], rows[r, edge])
-            still = np.zeros(len(rows), dtype=bool)
-            if ugast and len(rows):
-                perm = np.broadcast_to(np.arange(a), (len(rows), a))
-                still = _first_witnesses(g.gamma, g.checks, rows, perm, field)[0] >= 0
+            perm = np.broadcast_to(np.arange(a), (len(rows), a))
+            still = _first_witnesses(g.gamma, g.checks, rows, perm, field)[0] >= 0
             # each open hit's first set under which no witness is left
             gone, first = np.unique(owner[~still], return_index=True)
             won[pending[gone]] = pos[pending[gone]] + k[~still][first]
             pos[pending] += count
             pending = pending[(won[pending] < 0) & (count == size)]
-        pick[at] = np.where(won < 0, -2, won - skip)
-        tried[at] = np.where(won < 0, length - skip, np.maximum(won - skip + 1, 0))
+        pick[at] = won
+        tried[at] = np.where(won < 0, length, won + 1)
         ok = np.flatnonzero(won >= 0)
         pairs = stack[start[ok] + won[ok]]
         h, j = np.nonzero(pairs[:, :, 0] >= 0)
@@ -669,11 +664,11 @@ class _Group:
     edges: np.ndarray
 
 
-def _emit(found: dict, code, matching: list, sub, hits, runs: tuple) -> int:
+def _emit(found: dict, code, matching: list, sub, hits, runs: tuple) -> None:
     """Add the representatives ``sub[hits]``, all of one label, to ``found``:
     per canonical check structure, the arrays of a :class:`_Group` for their
     distinct translates, read off the chunk's row-hit ``runs`` (see
-    :func:`_grow_family`).  Returns how many translates it added."""
+    :func:`_grow_family`)."""
     at, hit, start, size, owner = runs
     p, gamma, n_rows, a = code.p, code.gamma, code.edges.n_rows, sub.shape[1]
     # each hit's shared checks, as node sets, ordered by node set, then row:
@@ -722,7 +717,6 @@ def _emit(found: dict, code, matching: list, sub, hits, runs: tuple) -> int:
         for part, x in zip(found.setdefault(checks, (matching, [], [], [], []))[1:],
                            (vn, perm[:, node], cn[:, check], edges[:, edge])):
             part.append(x)
-    return len(orbit)
 
 
 def _grow_family(code, targets: list[tuple]) -> list[_Group]:
@@ -731,7 +725,7 @@ def _grow_family(code, targets: list[tuple]) -> list[_Group]:
     :func:`gast_scan`."""
     by_label: dict[tuple, list[tuple]] = {}
     for t in targets:
-        by_label.setdefault(t if len(t) == 4 else t[:1] + t[2:], []).append(t)
+        by_label.setdefault(t[:1] + t[2:], []).append(t)
     # a subset larger than every target can never match
     a_max = max(t[0] for t in targets)
     gamma, p, edges = code.gamma, code.p, code.edges
@@ -748,10 +742,8 @@ def _grow_family(code, targets: list[tuple]) -> list[_Group]:
 
     level, has4 = _6cycle_orbits(code)
     convert_bound = gamma if has4 else 1
-    # per check structure: its targets and the parts of its group's arrays;
-    # a translate of a label with a 4-entry target is a hit for sure
+    # per check structure: its targets and the parts of its group's arrays
     found: dict[tuple, tuple[list, ...]] = {}
-    sure = 0
     for a in range(3, a_max + 1):
         w = a * gamma
         # a set of a_max nodes is never grown, so the last node's shared
@@ -783,13 +775,7 @@ def _grow_family(code, targets: list[tuple]) -> list[_Group]:
                     continue
                 hits = np.flatnonzero(ugast & (d1 == label[1]) & (d2 == label[2]) & (d3 == label[3]))
                 if hits.size:
-                    added = _emit(found, code, matching, sub, hits, (at, hit, start, size, owner))
-                    sure += added * any(len(t) == 4 for t in matching)
-                    if sure > MAX_SCAN_INSTANCES:
-                        raise ValueError(
-                            f"scan would find more than the {MAX_SCAN_INSTANCES} instances it "
-                            "builds; narrow the targets"
-                        )
+                    _emit(found, code, matching, sub, hits, (at, hit, start, size, owner))
             if a == a_max:
                 continue
             # each node needs need_majority shared checks; an added node can
@@ -824,7 +810,7 @@ class _Hits(NamedTuple):
     """The hit table of a family test, one entry per hit, by ``vn_ids``: its
     group in the family, its translate there, the index in the group's
     ``matching`` of the target it matched, and its witness row of the
-    assignment table (0 for a 4-entry target)."""
+    assignment table."""
 
     group: np.ndarray
     translate: np.ndarray
@@ -844,19 +830,14 @@ def _test_family(family: list[_Group], code, field: Optional[FieldGF]) -> _Hits:
     """The hits of a grown family under the edge weights of ``code``.
 
     Per group, the weights are gathered once and one oracle pass decides
-    the 5-entry targets listed before its first 4-entry one, for every
-    translate; a translate none of them holds matches that 4-entry target.
+    the group's targets, in list order, for every translate.
     """
     buf = _weight_bytes(code)
     parts = [[np.zeros(0, dtype=np.int64)] * 4]
     for i, g in enumerate(family):
-        lead = list(itertools.takewhile(lambda t: len(t) == 5, g.matching))
-        won, first = np.full(len(g.vn), -1), np.zeros(len(g.vn), dtype=np.int64)
-        if lead:
-            won, first = _first_witnesses(g.gamma, g.checks, buf[g.edges], g.perm, field, [t[1] for t in lead])
-        target = np.where(won < 0, len(lead), won)
-        t = np.flatnonzero(target < len(g.matching))
-        parts.append([np.full(len(t), i), t, target[t], first[t]])
+        won, first = _first_witnesses(g.gamma, g.checks, buf[g.edges], g.perm, field, [t[1] for t in g.matching])
+        t = np.flatnonzero(won >= 0)
+        parts.append([np.full(len(t), i), t, won[t], first[t]])
     hits = _Hits(*map(np.concatenate, zip(*parts)))
     # by vn_ids, padded with -1: a tuple ranks before the longer ones it begins
     vn = np.full((len(hits.group), max((g.vn.shape[1] for g in family), default=1)), -1)
@@ -894,15 +875,12 @@ def _instances(family: list[_Group], hits: _Hits, code, field: Optional[FieldGF]
         t, a = hits.translate[at], g.vn.shape[1]
         key, order = _literal(g, t)
         weights = np.take_along_axis(buf[g.edges[t]], order, 1)
-        # an oracle pass ran, within its limit, when a 5-entry target leads
-        witness = _assignments(a, field.q)[hits.first[at]].tolist() if len(g.matching[0]) == 5 else None
+        witness = _assignments(a, field.q)[hits.first[at]].tolist()
         vn, cn = g.vn[t].tolist(), np.sort(g.cn[t], axis=1).tolist()
         for h, (k, w, m) in enumerate(zip(key.tolist(), weights.tolist(), hits.target[at].tolist())):
             top = UgastTopology(g.gamma, a, _shared(k, a, len(g.checks)), tuple(vn[h]), tuple(cn[h]))
             edge_weights = dict(zip(((x // a, x % a) for x in k), w))
-            target = g.matching[m]
-            b, known = (target[1], tuple(witness[h])) if len(target) == 5 else (None, None)
-            out[at[h]] = GastInstance(top, edge_weights, b, known)
+            out[at[h]] = GastInstance(top, edge_weights, g.matching[m][1], tuple(witness[h]))
     return out
 
 
@@ -911,25 +889,24 @@ def _remove_hits(code, family: list[_Group], hits: _Hits, field: FieldGF) -> tup
     the weights of ``code``: per hit, whether it was removed, and the
     changes as lifted [hit, row, col, weight] rows, in table order and each
     hit's check by check."""
-    # a 5-entry target carries a witness, and its b may differ from d1
-    kinds = np.zeros((2, len(hits.group)), dtype=bool)
+    # a hit whose target has b != d1 takes the generic stream
+    generic = np.zeros(len(hits.group), dtype=bool)
     for i, g in enumerate(family):
         at = hits.group == i
-        kind = np.array([[len(t) == 5, len(t) == 5 and t[1] != t[2]] for t in g.matching])
-        kinds[:, at] = kind[hits.target[at]].T
-    pick, _, changes = _remove_table(family, hits.group, hits.translate, _weight_bytes(code), *kinds, field)
+        generic[at] = np.array([t[1] != t[2] for t in g.matching])[hits.target[at]]
+    pick, _, changes = _remove_table(family, hits.group, hits.translate, _weight_bytes(code), generic, field)
     index = changes[:, 1]
     rows = code.edges.rows.ravel()[index]
-    return pick > -2, np.stack([changes[:, 0], rows, index // code.gamma, changes[:, 2]], axis=1)
+    return pick >= 0, np.stack([changes[:, 0], rows, index // code.gamma, changes[:, 2]], axis=1)
 
 
 def _check_targets(targets: Sequence[tuple]) -> list[tuple]:
-    """The targets as tuples; each must be 4 or 5 non-negative ints with
-    a >= 3."""
+    """The targets as tuples; each must be 5 non-negative ints (a, b, d1,
+    d2, d3) with a >= 3."""
     targets = [tuple(t) for t in targets]
-    if any(len(t) not in (4, 5) for t in targets):
-        raise ValueError("targets must be 4-tuples (UGAST) or 5-tuples (GAST)")
     for t in targets:
+        if len(t) != 5:
+            raise ValueError(f"targets must be 5-tuples (a, b, d1, d2, d3), got {t}")
         if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in t):
             raise ValueError(f"target entries must be non-negative integers, got {t}")
         if t[0] < 3:
@@ -962,18 +939,17 @@ def gast_scan(code, field: Optional[FieldGF], targets: Sequence[tuple]) -> list[
     Growth does not read the weights.  It emits every subset whose label
     matches a target, expanded to its distinct translates, into a family of
     arrays per check structure.  The test gathers the family's weights from
-    the label bytes once.  4-entry targets (a, d1, d2, d3) match topologies
-    only; 5-entry targets (a, b, d1, d2, d3) also need an oracle witness
-    with exactly b unsatisfied checks, and a field, and are decided for
-    every translate of a check structure in one oracle pass, over the
-    assignments with x_0 = 1.  Per translate the first target in list order
-    wins, and the witness is the lexicographically first valid assignment
-    in the translate's own sorted ``vn_ids`` order.  A target entry that is
-    not a non-negative int, a target with a < 3, and a labelled code whose
-    field differs from ``field``, are refused, and so is a scan of more
-    than MAX_SCAN_INSTANCES hits, before any object is built: during growth
-    once the translates of labels with a 4-entry target, each a sure hit,
-    pass it, else after the test.
+    the label bytes once.  A target (a, b, d1, d2, d3) matches a subset of
+    label (a, d1, d2, d3) that has an oracle witness with exactly b
+    unsatisfied checks; the targets of a check structure are decided for
+    every translate in one oracle pass, over the assignments with x_0 = 1.
+    Per translate the first target in list order wins, and the witness is
+    the lexicographically first valid assignment in the translate's own
+    sorted ``vn_ids`` order.  A target that is not a 5-tuple of
+    non-negative ints, a target with a < 3, a non-empty target list without
+    a field, and a labelled code whose field differs from ``field``, are
+    refused before growth; a scan of more than MAX_SCAN_INSTANCES hits is
+    refused after the test, before any object is built.
     """
     family, hits = _bounded_table(code, field, targets)
     return _instances(family, hits, code, field)
@@ -986,8 +962,8 @@ def _bounded_table(code, field: Optional[FieldGF],
     family, hits = _scan_table(code, field, targets)
     if len(hits.group) > MAX_SCAN_INSTANCES:
         raise ValueError(
-            f"scan found {len(hits.group)} instances, more than the {MAX_SCAN_INSTANCES} "
-            "it builds; narrow the targets"
+            f"scan found {len(hits.group)} hits, more than the {MAX_SCAN_INSTANCES} "
+            "it reports one by one; narrow the targets"
         )
     return family, hits
 
@@ -998,9 +974,9 @@ def _scan_table(code, field: Optional[FieldGF],
     targets = _check_targets(targets)
     if not targets:
         return [], _test_family([], code, field)
-    if any(len(t) == 5 for t in targets) and field is None:
-        raise ValueError("5-entry targets need a field for the oracle")
-    if code.labels is not None and field is not None:
+    if field is None:
+        raise ValueError("a non-empty target list needs a field")
+    if code.labels is not None:
         if code.field_lam is not None and code.field_lam != field.lam:
             raise ValueError(
                 f"code is labelled over GF({1 << code.field_lam}), "

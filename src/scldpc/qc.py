@@ -310,6 +310,12 @@ def label_edges(code: SCCode, field: FieldGF, seed: int) -> SCCode:
     return replace(code, labels=labels, field_lam=field.lam, label_seed=seed)
 
 
+def _check_labelled(code: SCCode) -> None:
+    """Refuse a code whose edge weights cannot be changed: it has none."""
+    if code.labels is None:
+        raise ValueError("cannot change edge weights of an unlabeled code")
+
+
 def apply_edge_changes(
     code: SCCode, changes: Sequence[tuple[int, int, int]]
 ) -> SCCode:
@@ -318,8 +324,7 @@ def apply_edge_changes(
     Topology is unchanged; every target must be an existing nonzero entry and
     every new weight a nonzero element of the code's field.
     """
-    if code.labels is None:
-        raise ValueError("cannot change edge weights of an unlabeled code")
+    _check_labelled(code)
     _check_weights([w for _, _, w in changes], 1 << code.field_lam)
     new_labels = bytearray(code.labels)
     for row, col, w in changes:

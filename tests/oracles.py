@@ -865,6 +865,13 @@ def serial_generic_candidates(instance, field):
                 yield tuple(sorted(combo))
 
 
+def _absorbing(instance, field) -> bool:
+    """Whether the instance's weights hold a witness of some b, by the
+    exhaustive scan; a topology that is no UGAST holds none."""
+    top = instance.topology
+    return top.is_ugast() and bool(exhaustive_witnesses(top, instance.weights, field)[1].any())
+
+
 def serial_remove_gast_weights(instance, field):
     """Removal trying one candidate at a time: the reference for the
     library's batched removal (through ``remove_gasts``).
@@ -877,12 +884,7 @@ def serial_remove_gast_weights(instance, field):
     """
     from scldpc.gast import enumerate_candidate_sets, removal_budget
 
-    def absorbing(weights: dict) -> bool:
-        if not instance.topology.is_ugast():
-            return False
-        return bool(exhaustive_witnesses(instance.topology, weights, field)[1].any())
-
-    if instance.witness is None and not absorbing(instance.weights):
+    if instance.witness is None and not _absorbing(instance, field):
         return RemovalOutcome(success=True, changes=(), instance=instance)
     try:
         stream = enumerate_candidate_sets(instance, removal_budget(instance), field)
@@ -892,7 +894,7 @@ def serial_remove_gast_weights(instance, field):
     for changes in stream:
         tried += 1
         candidate = with_weights(instance, {(c, v): w for c, v, w in changes})
-        if not absorbing(candidate.weights):
+        if not _absorbing(candidate, field):
             return RemovalOutcome(success=True, changes=changes, instance=candidate, tried=tried)
     return RemovalOutcome(success=False, changes=None, instance=instance, tried=tried)
 
@@ -969,7 +971,7 @@ def serial_gast_scan(code, field, targets, a_max: int = 8) -> list:
             label = (a, a * gamma - sum(deg_in.values()), d2, d3)
             inst = None
             for t in targets:
-                if (t if len(t) == 4 else t[:1] + t[2:]) != label:
+                if t[:1] + t[2:] != label:
                     continue
                 if inst is None:
                     vn_ids = tuple(sorted(subset))
@@ -988,9 +990,6 @@ def serial_gast_scan(code, field, targets, a_max: int = 8) -> list:
                         for v in cn
                     }
                     inst = GastInstance(topology=top, weights=weights)
-                if len(t) == 4:
-                    results.append(inst)
-                    break
                 vals, ok, b_tot = exhaustive_witnesses(top, weights, field)
                 hits = np.flatnonzero(ok & (b_tot == t[1]))
                 if hits.size:
@@ -1067,8 +1066,9 @@ def remove_gasts(instances, field) -> list[RemovalOutcome]:
     """Remove each absorbing set by reweighting edges of its instance alone,
     on the library's removal table built from instance objects.
 
-    An instance without a witness is first checked with the oracle, and one
-    that is no absorbing set succeeds with no changes.  An instance that
+    An instance without a witness is first checked with
+    ``exhaustive_witnesses``, and one that is no absorbing set succeeds
+    with no changes and is not handed to the table.  An instance that
     carries a witness, as every instance from ``gast_scan`` does, is taken
     as proven.  Each instance tries candidates in stream order and succeeds
     with the first set under which the oracle finds no witness on the same
@@ -1085,27 +1085,30 @@ def remove_gasts(instances, field) -> list[RemovalOutcome]:
     edges = [[(c, v) for c, cn in enumerate(inst.topology.shared_cns) for v in cn] for inst in instances]
     buf = [w for inst in instances for w in _edge_weights(inst.topology, inst.weights, field)[0].tolist()]
     start = np.cumsum([0] + [len(own) for own in edges])
+    gast = [inst.witness is not None or _absorbing(inst, field) for inst in instances]
     shapes: dict[tuple, list] = {}
     for h, inst in enumerate(instances):
+        if not gast[h]:
+            continue
         top = inst.topology
         checks, node, check, edge = _canonical(top.a, top.shared_cns)
         shapes.setdefault((top.gamma, top.a, checks), []).append((h, node, check, edge + start[h]))
-    family, group, translate = [], np.zeros(len(instances), np.int64), np.zeros(len(instances), np.int64)
+    # a non-absorbing instance is in no group, so the table leaves it alone
+    family, group, translate = [], np.full(len(instances), -1), np.zeros(len(instances), np.int64)
     for i, ((gamma, _, checks), rows) in enumerate(shapes.items()):
         h, node, check, edge = map(np.array, zip(*rows))
         family.append(_Group(gamma, checks, [], None, node, check, edge))
         group[h], translate[h] = i, np.arange(len(h))
-    witnessed = np.array([inst.witness is not None for inst in instances], dtype=bool)
     generic = np.array([inst.b not in (None, inst.topology.d1) for inst in instances], dtype=bool)
     buf = np.array(buf, dtype=np.uint8)
-    pick, tried, changes = _remove_table(family, group, translate, buf, witnessed, generic, field)
+    pick, tried, changes = _remove_table(family, group, translate, buf, generic, field)
     flat, rows = [e for own in edges for e in own], changes.tolist()
     bounds = np.searchsorted(changes[:, 0], np.arange(len(instances) + 1)).tolist()
     outcomes = []
     for h, inst in enumerate(instances):
         mine = tuple((*flat[x], w) for _, x, w in rows[bounds[h] : bounds[h + 1]])
         new = with_weights(inst, {(c, v): w for c, v, w in mine}) if mine else inst
-        ok = bool(pick[h] > -2)
+        ok = bool(pick[h] >= 0 or not gast[h])
         outcomes.append(RemovalOutcome(ok, mine if ok else None, new, int(tried[h])))
     return outcomes
 

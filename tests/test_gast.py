@@ -477,34 +477,6 @@ def test_remove_refuses_instance_without_lifted_ids():
         outcome.lifted_changes()
 
 
-def test_witnessed_instance_skips_the_first_oracle_call(monkeypatch):
-    # a witness proves the instance's current weights, so removal starts at
-    # the candidates: the oracle scores one weight row fewer, and the
-    # outcome is the one the check gives
-    import scldpc.gast as gast_module
-
-    rows = []
-    oracle_pass = gast_module._oracle_pass
-
-    def counting_pass(gamma, checks, weights, perm, field, n):
-        rows.append(len(weights))
-        return oracle_pass(gamma, checks, weights, perm, field, n)
-
-    monkeypatch.setattr(gast_module, "_oracle_pass", counting_pass)
-    for inst in synthesize_instances(12, seed=7):
-        witnessed = replace(inst, witness=is_gast(inst.topology, inst.weights, GF4)[1])
-        rows.clear()
-        plain = remove_gast_weights(inst, GF4)
-        checked = sum(rows)
-        rows.clear()
-        out = remove_gast_weights(witnessed, GF4)
-        assert sum(rows) == checked - 1
-        assert (out.success, out.changes, out.tried) == (plain.success, plain.changes, plain.tried)
-        assert out.instance.weights == plain.instance.weights
-    # with_weights drops the witness, so a changed instance is checked again
-    assert with_weights(witnessed, {}).witness is None
-
-
 def synthesize_instances(n: int, seed: int) -> list[GastInstance]:
     """Random weighted instances (with witnesses) across the shape corpus."""
     shapes = [hexagon, k4_minus_edge, prism, example_8_0_0_16, example_7_9_9_13]
@@ -658,8 +630,10 @@ class TestScan:
         assert row_lists(small_code.edges) == [sorted(cols) for cols in adj]
 
     def test_ugast_target_count_equals_census(self, small_code):
-        found = gast_scan(small_code, GF4, [(3, 3, 3, 0)])
-        assert len(found) == count_ugast_3330(small_code)
+        # growth keys on (a, d1, d2, d3), so its family holds every (3,3,3,0)
+        # set, whatever the weights
+        family = _grow_family(small_code, [(3, 3, 3, 3, 0)])
+        assert sum(len(g.vn) for g in family) == count_ugast_3330(small_code)
 
     def test_empty_targets(self, small_code):
         assert gast_scan(small_code, GF4, []) == []
@@ -667,8 +641,14 @@ class TestScan:
     def test_bad_target_shape_rejected(self, small_code):
         with pytest.raises(ValueError):
             gast_scan(small_code, GF4, [(1, 2, 3)])
-        with pytest.raises(ValueError, match="5-entry targets need a field for the oracle"):
+        # a topology-only target: weights cannot remove a topology
+        with pytest.raises(ValueError) as err:
+            gast_scan(small_code, GF4, [(3, 3, 3, 3, 0), (4, 2, 5, 0)])
+        assert str(err.value) == "targets must be 5-tuples (a, b, d1, d2, d3), got (4, 2, 5, 0)"
+        with pytest.raises(ValueError) as err:
             gast_scan(small_code, None, [(3, 3, 3, 3, 0)])
+        assert str(err.value) == "a non-empty target list needs a field"
+        assert gast_scan(small_code, None, []) == []
 
     @pytest.mark.parametrize("rows", [[0, 1], [0, 1, 1], [0, 1, 2, 3]], ids=["short", "repeat", "four"])
     def test_raw_column_degree_refused(self, rows):
@@ -676,7 +656,7 @@ class TestScan:
             RawTanner([[0, 1, 2], rows], 3)
 
     def test_planted_prism_found_exactly_once(self):
-        found = gast_scan(_planted_prism(), GF4, [(6, 0, 9, 0)])
+        found = gast_scan(_planted_prism(), GF4, [(6, 0, 0, 9, 0)])
         assert len(found) == 1
         assert found[0].topology.vn_ids == (0, 1, 2, 3, 4, 5)
 
@@ -694,18 +674,16 @@ class TestScan:
         assert from_code == gast_scan(raw, GF4, targets)
 
     def test_unfielded_scan_reads_the_code_labels(self, small_code):
-        # no oracle runs without a field, yet every hit carries the weights
-        # gathered from the code's labels, one per edge of its shared checks
-        found = gast_scan(small_code, None, [(3, 3, 3, 0)])
-        assert len(found) == count_ugast_3330(small_code)
-        assert found == serial_gast_scan(small_code, None, [(3, 3, 3, 0)], a_max=3)
-        edges = small_code.edges
-        for inst in found:
-            top = inst.topology
-            assert list(inst.weights) == [(c, v) for c, cn in enumerate(top.shared_cns) for v in cn]
-            for (c, v), w in inst.weights.items():
-                assert w == small_code.labels[edges.index(top.cn_ids[c], top.vn_ids[v])]
-        assert {w for inst in found for w in inst.weights.values()} == {1, 2, 3}
+        # growth needs no field, yet each translate's edges index the code's
+        # label bytes, one per edge of its shared checks, check by check
+        family = _grow_family(small_code, [(3, 3, 3, 3, 0)])
+        assert sum(len(g.vn) for g in family) == count_ugast_3330(small_code)
+        edges, labels = small_code.edges, np.frombuffer(small_code.labels, dtype=np.uint8)
+        for g in family:
+            ends = [(c, i) for c, members in enumerate(g.checks) for i in members]
+            for vn, perm, cn, own in zip(g.vn.tolist(), g.perm.tolist(), g.cn.tolist(), g.edges.tolist()):
+                assert own == [edges.index(cn[c], vn[perm[i]]) for c, i in ends]
+        assert set(np.concatenate([labels[g.edges].ravel() for g in family]).tolist()) == {1, 2, 3}
 
     @pytest.mark.parametrize(
         "target, match",
@@ -713,10 +691,10 @@ class TestScan:
             ((4, 2, 2, 5, 0.5), "non-negative integers"),
             ((4, 2, 2, 5, -1), "non-negative integers"),
             ((4, 2, 2, 5, True), "non-negative integers"),
-            ((4, 2, "5", 0), "non-negative integers"),
-            ((2, 2, 2, 0), "size a must be >= 3"),
+            ((4, 2, 2, "5", 0), "non-negative integers"),
+            ((2, 2, 2, 0), "must be 5-tuples"),
             ((2, 2, 2, 2, 0), "size a must be >= 3"),
-            ((0, 0, 0, 0), "size a must be >= 3"),
+            ((0, 0, 0, 0, 0), "size a must be >= 3"),
         ],
         ids=["float", "negative", "bool", "str", "a2-ugast", "a2-gast", "a0"],
     )
@@ -754,13 +732,20 @@ def _raw_graphs(draw):
     return draw(st.lists(col_rows, min_size=n_cols, max_size=n_cols))
 
 
+def _family_vn_sets(code, labels) -> list[tuple[int, ...]]:
+    """The columns of every translate that growth emits for the unlabeled
+    ``labels``, each as a target with b = d1: growth keys on (a, d1, d2,
+    d3), so these are the topology matches, whatever the weights."""
+    family = _grow_family(code, [(a, d1, d1, d2, d3) for a, d1, d2, d3 in labels])
+    return [tuple(vn) for g in family for vn in g.vn.tolist()]
+
+
 @settings(max_examples=60, deadline=None)
 @given(_raw_graphs(), st.integers(3, 5))
 def test_scan_matches_brute_force(col_adj, a_max):
     # 4-cycles allowed: dense random graphs exercise convert_bound = gamma
     labels = all_ugast_labels(3, a_max)
-    found = gast_scan(RawTanner(col_adj, 3), None, labels)
-    got = [inst.topology.vn_ids for inst in found]
+    got = _family_vn_sets(RawTanner(col_adj, 3), labels)
     assert len(got) == len(set(got))
     assert set(got) == naive_ugast_subsets(col_adj, 3, labels, a_max)
 
@@ -792,27 +777,31 @@ def test_scan_matches_brute_force_gamma4(col_adj, a_max):
     # of a_max whose weakest member shares one check is pruned unless an added
     # node may convert two of its checks, which only a 4-cycle allows
     labels = all_ugast_labels(4, a_max)
-    found = gast_scan(RawTanner(col_adj, 4), None, labels)
-    got = [inst.topology.vn_ids for inst in found]
+    got = _family_vn_sets(RawTanner(col_adj, 4), labels)
     assert len(got) == len(set(got))
     assert set(got) == naive_ugast_subsets(col_adj, 4, labels, a_max)
 
 
 # every unlabeled label present in small_code up to a = 5, each with all its
-# b in [d1, d1 + d2] after the 4-entry target
+# b in [d1, d1 + d2], largest first
 MIXED_TARGETS = [
-    t
+    (a, b, d1, d2, d3)
     for a, d1, d2, d3 in [(3, 3, 3, 0), (4, 2, 5, 0), (5, 3, 6, 0), (5, 4, 4, 1), (5, 2, 5, 1)]
-    for t in [(a, b, d1, d2, d3) for b in range(d1 + d2, d1 - 1, -1)] + [(a, d1, d2, d3)]
+    for b in range(d1 + d2, d1 - 1, -1)
 ]
 
 
 def _short_period_case():
-    """A p = 6 girth-4 code whose (6, 4, 4, 2) subsets are fixed by a shift."""
+    """A p = 6 girth-4 code whose (6, 4, 4, 2) subsets are fixed by a shift.
+    Each circulant has one weight, so the shift keeps the weights too, and
+    every translate of a GAST is one."""
     proto = ProtoMatrix(gamma=3, kappa=3, p=6, powers=((5, 0, 1), (0, 4, 1), (3, 3, 1)))
     mask = PartitionMask(((0, 0, 1), (1, 1, 1), (0, 0, 0)))
-    code = label_edges(couple(proto, mask, 2), GF4, seed=1)
-    return code, GF4, [(6, b, 4, 4, 2) for b in range(4, 9)] + [(6, 4, 4, 2)], 6
+    code = couple(proto, mask, 2)
+    rng, weight = random.Random(0), {}
+    blocks = zip((code.edges.rows // 6).ravel().tolist(), (np.arange(code.edges.rows.size) // 18).tolist())
+    labels = bytes(weight.setdefault(block, rng.randrange(1, 4)) for block in blocks)
+    return replace(code, labels=labels, field_lam=2), GF4, [(6, b, 4, 4, 2) for b in range(4, 9)], 6
 
 
 SHORT_PERIOD_CASE = _short_period_case()
@@ -846,7 +835,7 @@ def _planted_prism() -> RawTanner:
 
 TWO_B_CASE = (_bridged_triangles(), GF4, [(6, 5, 4, 7, 0), (6, 4, 4, 7, 0)], 6)
 # a node lowering d1 by gamma, the most the d1 bound allows
-PRISM_CASE = (_planted_prism(), GF4, [(6, 0, 0, 9, 0), (6, 0, 9, 0)], 6)
+PRISM_CASE = (_planted_prism(), GF4, [(6, 0, 0, 9, 0)], 6)
 MIXED_CASE = (_small_code(), GF4, MIXED_TARGETS, 5)
 
 
@@ -860,9 +849,6 @@ class TestOrbitOracle:
         assert str(err.value) == (
             "oracle would scan (q-1)^a = 63^4 = 15752961 assignments, limit is 1048576"
         )
-        # a 4-entry target listed first wins every translate, so no oracle runs
-        found = gast_scan(code, gf64, [(4, 2, 5, 0), (4, 2, 2, 5, 0)])
-        assert len(found) == 25 and all(inst.b is None for inst in found)
 
     def test_batch_cap_does_not_change_results(self, small_code, monkeypatch):
         full = gast_scan(small_code, GF4, MIXED_TARGETS)
@@ -891,7 +877,7 @@ class TestOrbitOracle:
 
     def test_field_mismatch_refused(self, small_code):
         with pytest.raises(ValueError, match=r"labelled over GF\(4\), the scan field is GF\(8\)"):
-            gast_scan(small_code, GF8, [(3, 3, 3, 0)])
+            gast_scan(small_code, GF8, [(3, 3, 3, 3, 0)])
 
     def test_raw_labels_outside_field_refused(self, small_code):
         raw = RawTanner(small_code.edges.rows.tolist(), 3, labels=small_code.labels)
@@ -902,9 +888,9 @@ class TestOrbitOracle:
 @st.composite
 def _orbit_scan_cases(draw):
     """A coupled gamma = 3 code with random powers and mask (girth 4
-    allowed) labelled over GF(4) or GF(8), and targets that list 4- and
-    5-entry versions of one unlabeled label in random order.  p is prime or
-    composite and may be at most a_max."""
+    allowed) labelled over GF(4) or GF(8), and targets that list several b
+    of one unlabeled label in random order.  p is prime or composite and may
+    be at most a_max."""
     p = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 9]))
     kappa = draw(st.integers(2, p))
 
@@ -924,7 +910,7 @@ def _orbit_scan_cases(draw):
     rng = random.Random(draw(st.integers(0, 2**16)))
     targets = []
     for a, d1, d2, d3 in all_ugast_labels(3, a_max):
-        options = [(a, d1, d2, d3)] + [(a, b, d1, d2, d3) for b in range(d1, d1 + d2 + 1)]
+        options = [(a, b, d1, d2, d3) for b in range(d1, d1 + d2 + 1)]
         rng.shuffle(options)
         targets += options[: rng.randrange(len(options) + 1)]
     rng.shuffle(targets)
@@ -959,6 +945,8 @@ def test_family_rescan_matches_fresh_scan(case):
     code, field, targets, _ = case
     assume(targets)
     family = _grow_family(code, targets)
+    # growth's d2 > d3 and majority filter: removal reads every group as one
+    assert all(UgastTopology(g.gamma, g.perm.shape[1], g.checks).is_ugast() for g in family)
 
     def test(labelled):
         return _instances(family, _test_family(family, labelled, field), labelled, field)
@@ -1046,11 +1034,11 @@ def test_relabelled_instances_share_oracle_passes(monkeypatch):
 
     monkeypatch.setattr(gast_module, "_first_witnesses", counting)
     want = assert_removals_match_serial(instances, GF4)
-    # every pass is on a canonical shape, one per round: a check, then sets
-    # of 1, 2, 4, ... candidates, and one more round to find a stream used
-    # up; a pass per literal structure would take at least one each
+    # every pass is on a canonical shape, one per round: sets of 1, 2, 4,
+    # ... candidates, and one more round to find a stream used up; a pass
+    # per literal structure would take at least one each
     assert set(calls) == shapes
-    assert max(calls.count(c) for c in shapes) <= 2 + max(w.tried for w in want).bit_length()
+    assert max(calls.count(c) for c in shapes) <= 1 + max(w.tried for w in want).bit_length()
     assert len(calls) < len(literal)
 
 
@@ -1073,11 +1061,10 @@ def _digest(found) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# per depth, targets that reach it: 5-entry ones that run the oracle and a
-# 4-entry one that does not
+# per depth, targets that reach it, some with b = d1 and some above it
 DEPTH_TARGETS = {
-    4: [(4, 2, 2, 5, 0), (3, 3, 3, 3, 0), (4, 4, 4, 0)],
-    5: [(5, 3, 3, 6, 0), (5, 3, 6, 0), (4, 2, 2, 5, 0)],
+    4: [(4, 2, 2, 5, 0), (3, 3, 3, 3, 0), (4, 5, 4, 4, 0)],
+    5: [(5, 3, 3, 6, 0), (5, 4, 3, 6, 0), (4, 2, 2, 5, 0)],
 }
 
 
@@ -1163,7 +1150,7 @@ def test_scan_refuses_more_instances_than_it_builds(monkeypatch):
     _refuse_instances(monkeypatch)
     with pytest.raises(ValueError) as err:
         gast_scan(code, GF4, [(3, 3, 3, 3, 0)])
-    want = "scan found 678 instances, more than the 677 it builds; narrow the targets"
+    want = "scan found 678 hits, more than the 677 it reports one by one; narrow the targets"
     assert str(err.value) == want
     # the design stage reads the table and is not bounded
     family, hits = _scan_table(code, GF4, [(3, 3, 3, 3, 0)])
@@ -1178,14 +1165,14 @@ def test_gast_remove_refuses_more_hits_than_it_reports(monkeypatch, tmp_path, ca
     monkeypatch.setattr("scldpc.gast.MAX_SCAN_INSTANCES", 677)
     _refuse_instances(monkeypatch)
     assert cli.main(["gast", "remove", "--code", str(path), "--targets", "(3,3,3,3,0)"]) == 2
-    want = "scan found 678 instances, more than the 677 it builds; narrow the targets"
+    want = "scan found 678 hits, more than the 677 it reports one by one; narrow the targets"
     assert capsys.readouterr().err == f"scldpc: error: {want}\n"
 
 
 @pytest.mark.parametrize(
     "targets, hits",
-    [((3, 3, 3, 3, 0), 678), ((4, 2, 2, 5, 0), 89), ((4, 2, 5, 0), 840)],
-    ids=["hexagon", "k4-edge", "k4-edge-ugast"],
+    [((3, 3, 3, 3, 0), 678), ((4, 2, 2, 5, 0), 89)],
+    ids=["hexagon", "k4-edge"],
 )
 def test_gast_remove_matches_instance_removal(monkeypatch, tmp_path, targets, hits):
     # the command line removes on the hit table and builds no instance; its
@@ -1215,24 +1202,22 @@ def test_gast_remove_matches_instance_removal(monkeypatch, tmp_path, targets, hi
     assert got["code"] == json.loads(code_to_json(changed))
 
 
-def test_growth_refuses_more_sure_hits_than_it_builds(monkeypatch):
-    # with a 4-entry target every grown translate is a hit: the smoke code's
-    # 2058 (3,3,3,0) sets are counted during growth and refused above the
-    # bound, before the family is tested, on the library and design paths
+@pytest.mark.parametrize("targets", ["(3,3,3,3,0)", "(9,0,0,14,0)"], ids=["hits", "no-hits"])
+def test_gast_remove_refuses_unlabeled_code(monkeypatch, tmp_path, capsys, targets):
+    # an unlabeled code has no weights to change: refused before the scan,
+    # whether or not the targets have hits in it
+    path = tmp_path / "code.json"
     code = _smoke_code()
-    monkeypatch.setattr("scldpc.gast.MAX_SCAN_INSTANCES", 2058)
-    assert len(gast_scan(code, GF4, [(3, 3, 3, 0)])) == 2058
+    path.write_text(code_to_json(replace(code, labels=None, field_lam=None, label_seed=None)))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the family was tested")
+        raise AssertionError("the code was scanned")
 
-    monkeypatch.setattr("scldpc.gast.MAX_SCAN_INSTANCES", 2057)
-    monkeypatch.setattr("scldpc.gast._test_family", refuse)
-    want = "scan would find more than the 2057 instances it builds; narrow the targets"
-    for scan in (gast_scan, _scan_table):
-        with pytest.raises(ValueError) as err:
-            scan(code, GF4, [(3, 3, 3, 3, 0), (3, 3, 3, 0)])
-        assert str(err.value) == want
+    monkeypatch.setattr("scldpc.gast._grow_family", refuse)
+    assert cli.main(["gast", "remove", "--code", str(path), "--targets", targets]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "scldpc: error: cannot change edge weights of an unlabeled code\n"
 
 
 @pytest.mark.parametrize(

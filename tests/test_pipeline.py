@@ -68,10 +68,12 @@ class TestRunPipeline:
         [
             ({"gast_targets": ((4, 2, 2, 5, -1),)},
              "target entries must be non-negative integers, got (4, 2, 2, 5, -1)"),
-            ({"gast_targets": ((4, 2, 2, True),)},
-             "target entries must be non-negative integers, got (4, 2, 2, True)"),
+            ({"gast_targets": ((4, 2, 2, 5, True),)},
+             "target entries must be non-negative integers, got (4, 2, 2, 5, True)"),
             ({"gast_targets": ((4, 2, 2),)},
-             "targets must be 4-tuples (UGAST) or 5-tuples (GAST)"),
+             "targets must be 5-tuples (a, b, d1, d2, d3), got (4, 2, 2)"),
+            ({"gast_targets": ((4, 2, 2, 5, 0), (4, 2, 5, 0))},
+             "targets must be 5-tuples (a, b, d1, d2, d3), got (4, 2, 5, 0)"),
             ({"cpo_budget": -1}, "CPO budget must be >= 0, got -1"),
             ({"gast_a_max": 2}, "a_max must be >= 3, scan subsets grow from 6-cycles, got 2"),
             ({"gast_a_max": 0, "gast_targets": ()},
@@ -84,7 +86,7 @@ class TestRunPipeline:
             # SCCode's refusal, before the overlap solve and CPO run
             ({"L": 80_001}, "lifted code would have 2000025 columns, limit is 2000000"),
         ],
-        ids=["negative-entry", "bool-entry", "short-target", "negative-budget", "amax2",
+        ids=["negative-entry", "bool-entry", "short-target", "ugast-target", "negative-budget", "amax2",
              "amax0-no-targets", "negative-optimum-index", "target-above-amax", "field-degree",
              "lifted-size"],
     )
@@ -334,14 +336,16 @@ class TestCli:
 
 SCAN_TARGET = (3, 3, 3, 3, 0)
 
-# (id, --targets, message) of targets refused by the scan and the pipeline
+# (id, --targets, message) of targets refused by the scan, the removal and
+# the pipeline
 MALFORMED_TARGETS = [
     ("bare-int", "5", "--targets must be a comma-separated list of tuples, got '5'"),
     ("unclosed", "(4,2", "--targets must be a comma-separated list of tuples, got '(4,2'"),
     ("name", "a", "--targets must be a comma-separated list of tuples, got 'a'"),
     ("float", "(4,2,2,5,0.5)", "target entries must be non-negative integers, got (4, 2, 2, 5, 0.5)"),
     ("negative", "(4,2,2,5,-1)", "target entries must be non-negative integers, got (4, 2, 2, 5, -1)"),
-    ("a2", "(2,2,2,0)", "target size a must be >= 3, scan subsets grow from 6-cycles, got (2, 2, 2, 0)"),
+    ("a2", "(2,2,2,2,0)", "target size a must be >= 3, scan subsets grow from 6-cycles, got (2, 2, 2, 2, 0)"),
+    ("ugast", "(4,2,5,0)", "targets must be 5-tuples (a, b, d1, d2, d3), got (4, 2, 5, 0)"),
     ("above-amax", "(5,2,2,6,0)",
      "target size a must be <= a_max = 4, scan subsets grow no larger, got (5, 2, 2, 6, 0)"),
 ]
@@ -615,7 +619,7 @@ class TestCliErrors:
         [
             pytest.param(command, targets, message, id=f"{name}-{command}")
             for name, targets, message in MALFORMED_TARGETS
-            for command in ("scan", "pipeline")
+            for command in ("scan", "remove", "pipeline")
             # only the pipeline takes --amax; the scan grows to its largest target
             if name != "above-amax" or command == "pipeline"
         ],
@@ -624,8 +628,8 @@ class TestCliErrors:
         # a target the scan cannot match is refused, not scanned for nothing
         from scldpc import cli
 
-        if command == "scan":
-            argv = ["gast", "scan", "--code", _labelled_code_file(tmp_path)]
+        if command != "pipeline":
+            argv = ["gast", command, "--code", _labelled_code_file(tmp_path)]
         else:
             argv = ["pipeline", "--kappa", "5", "--L", "3", "--budget", "200", "--amax", "4"]
         rc = cli.main(argv + ["--targets", targets])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scldpc.alist import export_code_alist, read_alist
-from scldpc.gast import RawTanner, gast_scan
+from scldpc.gast import RawTanner, _grow_family, gast_scan
 from scldpc.gf import FieldGF
 from scldpc.qc import (
     PartitionMask,
@@ -448,6 +448,14 @@ def test_edge_array_matches_coupling_formula(code):
     assert row_lists(code.edges) == [
         [c for c in range(code.n_cols) if r in columns[c]] for r in range(code.n_rows)
     ]
-    targets = [(3, 3, 3, 3, 0), (4, 2, 2, 5, 0)] + all_ugast_labels(3, 4)
+    # every label up to a = 4, at b = d1: both paths grow the same
+    # translates, and find the same GASTs among them (over GF(2) every
+    # weight is 1, so those with d3 = 0)
+    targets = [(a, d1, d1, d2, d3) for a, d1, d2, d3 in all_ugast_labels(3, 4)]
     raw = RawTanner(columns, 3, labels=code.labels)
+
+    def translates(graph):
+        return sorted(tuple(vn) for g in _grow_family(graph, targets) for vn in g.vn.tolist())
+
+    assert translates(raw) == translates(code)
     assert gast_scan(raw, FieldGF(2), targets) == gast_scan(code, FieldGF(2), targets)
