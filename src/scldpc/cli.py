@@ -102,9 +102,6 @@ def _parse_targets(text: str) -> list[tuple]:
 
 def _cmd_gast(args) -> None:
     code = _load_code(args.code)
-    if not 2 <= args.q <= 256 or args.q & (args.q - 1):
-        raise ValueError(f"q must be a power of two from 2 to 256, got {args.q}")
-    field = FieldGF(args.q.bit_length() - 1)
     targets = _parse_targets(args.targets)
     if args.action == "scan":
         _emit(
@@ -114,7 +111,7 @@ def _cmd_gast(args) -> None:
                     "vns": list(inst.topology.vn_ids),
                     "witness": list(inst.witness),
                 }
-                for inst in gast_scan(code, field, targets)
+                for inst in gast_scan(code, targets)
             ],
             args.out,
         )
@@ -123,8 +120,8 @@ def _cmd_gast(args) -> None:
     # changes are (check, node, weight) by its ascending rows and columns.
     # An unlabeled code has no weights to change, so it is refused unscanned
     _check_labelled(code)
-    family, hits = _bounded_table(code, field, targets)
-    removed, lifted = _remove_hits(code, family, hits, field)
+    family, hits = _bounded_table(code, targets)
+    removed, lifted = _remove_hits(code, family, hits)
     mine: dict[int, list] = {}
     for h, row, col, w in lifted.tolist():
         mine.setdefault(h, []).append((row, col, w))
@@ -231,7 +228,6 @@ def main(argv=None) -> int:
     s = sub.add_parser("gast", help="scan for or remove absorbing sets")
     s.add_argument("action", choices=("scan", "remove"))
     s.add_argument("--code", required=True)
-    s.add_argument("--q", type=int, default=4)
     s.add_argument("--targets", default="(4,2,2,5,0),(6,0,0,9,0)")
     s.add_argument("--out")
     s.set_defaults(func=_cmd_gast)

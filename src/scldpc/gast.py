@@ -24,10 +24,11 @@ Growth does not depend on the weights: it keys on (a, d1, d2, d3) and emits
 the label-matched orbits, expanded to their distinct translates, into a
 family of arrays with one group per check-structure shape (a structure of
 up to CANON_MAX_A nodes is relabelled once to a canonical node order).  A
-test of the family gathers the weights from the label bytes once, decides
-each group in one oracle pass, which asks for a witness with exactly b
-unsatisfied checks, and returns a hit table: group, translate, matched
-target and witness.
+test of the family gathers the weights from the label bytes once, over the
+code's own field GF(2^field_lam) (an unlabeled code has no weights and is
+not tested), decides each group in one oracle pass, which asks for a
+witness with exactly b unsatisfied checks, and returns a hit table: group,
+translate, matched target and witness.
 
 Removal works on edges of degree-2 checks only.  When the unsatisfied checks
 are exactly the degree-1 checks, the number of weight changes needed has a
@@ -53,7 +54,7 @@ import numpy as np
 from .cycles import _expand, _four_cycle_array, _has_active_4cycle, _mask_incidence, _replica1
 from .cycles import _six_cycle_array, _window_powers
 from .gf import FieldGF
-from .qc import SCCode, TannerEdges, _check_weights
+from .qc import SCCode, TannerEdges, _check_labels, _check_weights
 
 __all__ = [
     "UgastTopology",
@@ -394,17 +395,19 @@ def _weight(rank, current):
 
 
 def enumerate_candidate_sets(
-    instance: GastInstance, budget: RemovalBudget, field: FieldGF
+    instance: GastInstance, field: FieldGF
 ) -> Iterator[tuple[tuple[int, int, int], ...]]:
     """Candidate sets of (check, variable node, new weight), deduplicated.
 
     Every change targets an edge of a degree-2 check incident to some
     maximally-loaded variable node, no two changes in a set share a check,
     and new weights exclude zero and the current weight.  Yields exactly
-    count_candidate_sets(...) distinct sets, in deterministic order.
+    count_candidate_sets(removal_budget(instance), field.q) distinct sets,
+    in deterministic order; an instance that :func:`removal_budget` refuses
+    is refused here, on the call.
     """
-    for changes in _closed_candidates(instance.topology, budget, field.q):
-        yield tuple((c, v, _weight(r, instance.weights[(c, v)])) for c, v, r in changes)
+    stream = _closed_candidates(instance.topology, removal_budget(instance), field.q)
+    return (tuple((c, v, _weight(r, instance.weights[(c, v)])) for c, v, r in changes) for changes in stream)
 
 
 def _closed_candidates(
@@ -524,23 +527,26 @@ class RawTanner:
 
     ``col_adj`` lists the check rows of each variable column; every column
     must have exactly gamma distinct rows.  Optional ``labels`` holds one
-    weight per edge as bytes, column by column with each column's rows
-    ascending (the order of ``edges``); without it every weight is 1.  The
-    graph has no lift, so its shift is the identity (p = 1).
+    nonzero GF(2^field_lam) weight per edge as bytes, column by column with
+    each column's rows ascending (the order of ``edges``), and is refused,
+    as an SCCode's is, without ``field_lam``, at another length or with a
+    weight outside the field.  Without labels the graph can be grown but
+    not scanned for targets.  It has no lift, so its shift is the identity
+    (p = 1).
     """
 
     p = 1
-    field_lam = None
 
     def __init__(self, col_adj: Sequence[Sequence[int]], gamma: int,
-                 labels: Optional[bytes] = None):
+                 labels: Optional[bytes] = None, field_lam: Optional[int] = None):
         for c, rows in enumerate(col_adj):
             if len(rows) != gamma or len(set(rows)) != gamma:
                 raise ValueError(f"column {c} must touch exactly gamma distinct rows")
         rows = np.sort(np.array(col_adj, dtype=np.int64).reshape(len(col_adj), gamma), axis=1)
+        _check_labels(labels, field_lam, rows.size)
         self.gamma = gamma
         self.edges = TannerEdges(rows, 1 + int(rows.max(initial=0)))
-        self.labels = labels
+        self.labels, self.field_lam = labels, field_lam
 
 
 def _shift(x, s: int, p: int):
@@ -819,15 +825,13 @@ class _Hits(NamedTuple):
 
 
 def _weight_bytes(code) -> np.ndarray:
-    """The code's edge weights as a uint8 buffer in edge order, all ones when
-    the code is unlabeled."""
-    if code.labels is None:
-        return np.ones(code.edges.rows.size, dtype=np.uint8)
+    """The labelled code's edge weights as a uint8 buffer in edge order."""
     return np.frombuffer(code.labels, dtype=np.uint8)
 
 
-def _test_family(family: list[_Group], code, field: Optional[FieldGF]) -> _Hits:
-    """The hits of a grown family under the edge weights of ``code``.
+def _test_family(family: list[_Group], code, field: FieldGF) -> _Hits:
+    """The hits of a grown family under the edge weights of ``code``, over
+    its field ``field``.
 
     Per group, the weights are gathered once and one oracle pass decides
     the group's targets, in list order, for every translate.
@@ -865,17 +869,16 @@ def _shared(key: list[int], a: int, n_checks: int) -> tuple[tuple[int, ...], ...
     return tuple(map(tuple, shared))
 
 
-def _instances(family: list[_Group], hits: _Hits, code, field: Optional[FieldGF]) -> list[GastInstance]:
+def _instances(family: list[_Group], hits: _Hits, code) -> list[GastInstance]:
     """The hits as :class:`GastInstance` objects, in table order, under the
     edge weights of ``code``."""
-    buf = _weight_bytes(code)
     out: list = [None] * len(hits.group)
     for i, g in enumerate(family):
         at = np.flatnonzero(hits.group == i)
         t, a = hits.translate[at], g.vn.shape[1]
         key, order = _literal(g, t)
-        weights = np.take_along_axis(buf[g.edges[t]], order, 1)
-        witness = _assignments(a, field.q)[hits.first[at]].tolist()
+        weights = np.take_along_axis(_weight_bytes(code)[g.edges[t]], order, 1)
+        witness = _assignments(a, 1 << code.field_lam)[hits.first[at]].tolist()
         vn, cn = g.vn[t].tolist(), np.sort(g.cn[t], axis=1).tolist()
         for h, (k, w, m) in enumerate(zip(key.tolist(), weights.tolist(), hits.target[at].tolist())):
             top = UgastTopology(g.gamma, a, _shared(k, a, len(g.checks)), tuple(vn[h]), tuple(cn[h]))
@@ -884,17 +887,18 @@ def _instances(family: list[_Group], hits: _Hits, code, field: Optional[FieldGF]
     return out
 
 
-def _remove_hits(code, family: list[_Group], hits: _Hits, field: FieldGF) -> tuple[np.ndarray, np.ndarray]:
+def _remove_hits(code, family: list[_Group], hits: _Hits) -> tuple[np.ndarray, np.ndarray]:
     """Removal of every hit of a scan table, each on its own topology under
-    the weights of ``code``: per hit, whether it was removed, and the
-    changes as lifted [hit, row, col, weight] rows, in table order and each
-    hit's check by check."""
+    the weights of the labelled ``code`` and over its field: per hit,
+    whether it was removed, and the changes as lifted [hit, row, col,
+    weight] rows, in table order and each hit's check by check."""
     # a hit whose target has b != d1 takes the generic stream
     generic = np.zeros(len(hits.group), dtype=bool)
     for i, g in enumerate(family):
         at = hits.group == i
         generic[at] = np.array([t[1] != t[2] for t in g.matching])[hits.target[at]]
-    pick, _, changes = _remove_table(family, hits.group, hits.translate, _weight_bytes(code), generic, field)
+    pick, _, changes = _remove_table(family, hits.group, hits.translate, _weight_bytes(code), generic,
+                                     FieldGF(code.field_lam))
     index = changes[:, 1]
     rows = code.edges.rows.ravel()[index]
     return pick >= 0, np.stack([changes[:, 0], rows, index // code.gamma, changes[:, 2]], axis=1)
@@ -914,10 +918,11 @@ def _check_targets(targets: Sequence[tuple]) -> list[tuple]:
     return targets
 
 
-def gast_scan(code, field: Optional[FieldGF], targets: Sequence[tuple]) -> list[GastInstance]:
+def gast_scan(code, targets: Sequence[tuple]) -> list[GastInstance]:
     """Find absorbing-set instances matching the target labels.
 
-    ``code`` is an SCCode or a RawTanner, read through its edge array.  The
+    ``code`` is an SCCode or a RawTanner, read through its edge array, and
+    its weights are read over its own field, GF(2^field_lam).  The
     lifted graph is invariant under the shift sigma that adds 1 mod p to the
     offset of every row and column inside its circulant block, and so are
     pruning and every label; a RawTanner has p = 1.  So only one subset per
@@ -946,20 +951,19 @@ def gast_scan(code, field: Optional[FieldGF], targets: Sequence[tuple]) -> list[
     Per translate the first target in list order wins, and the witness is
     the lexicographically first valid assignment in the translate's own
     sorted ``vn_ids`` order.  A target that is not a 5-tuple of
-    non-negative ints, a target with a < 3, a non-empty target list without
-    a field, and a labelled code whose field differs from ``field``, are
-    refused before growth; a scan of more than MAX_SCAN_INSTANCES hits is
-    refused after the test, before any object is built.
+    non-negative ints, a target with a < 3, and a non-empty target list on
+    an unlabeled code, are refused before growth; a scan of more than
+    MAX_SCAN_INSTANCES hits is refused after the test, before any object is
+    built.
     """
-    family, hits = _bounded_table(code, field, targets)
-    return _instances(family, hits, code, field)
+    family, hits = _bounded_table(code, targets)
+    return _instances(family, hits, code)
 
 
-def _bounded_table(code, field: Optional[FieldGF],
-                   targets: Sequence[tuple]) -> tuple[list[_Group], _Hits]:
+def _bounded_table(code, targets: Sequence[tuple]) -> tuple[list[_Group], _Hits]:
     """:func:`_scan_table`, refused above MAX_SCAN_INSTANCES hits: the scan
     and removal that give a result per hit go through here."""
-    family, hits = _scan_table(code, field, targets)
+    family, hits = _scan_table(code, targets)
     if len(hits.group) > MAX_SCAN_INSTANCES:
         raise ValueError(
             f"scan found {len(hits.group)} hits, more than the {MAX_SCAN_INSTANCES} "
@@ -968,20 +972,12 @@ def _bounded_table(code, field: Optional[FieldGF],
     return family, hits
 
 
-def _scan_table(code, field: Optional[FieldGF],
-                targets: Sequence[tuple]) -> tuple[list[_Group], _Hits]:
+def _scan_table(code, targets: Sequence[tuple]) -> tuple[list[_Group], _Hits]:
     """The grown family and its hit table, with :func:`gast_scan`'s checks."""
     targets = _check_targets(targets)
     if not targets:
-        return [], _test_family([], code, field)
-    if field is None:
-        raise ValueError("a non-empty target list needs a field")
-    if code.labels is not None:
-        if code.field_lam is not None and code.field_lam != field.lam:
-            raise ValueError(
-                f"code is labelled over GF({1 << code.field_lam}), "
-                f"the scan field is GF({field.q})"
-            )
-        _check_weights(_weight_bytes(code), field.q)
+        return [], _Hits(*[np.zeros(0, dtype=np.int64)] * 4)
+    if code.labels is None:
+        raise ValueError("a non-empty target list needs a labelled code")
     family = _grow_family(code, targets)
-    return family, _test_family(family, code, field)
+    return family, _test_family(family, code, FieldGF(code.field_lam))

@@ -166,8 +166,7 @@ def run_pipeline(config: DesignConfig, out_dir: Optional[str] = None) -> DesignR
 
         stage = "edge-labeling"
         code = couple(proto, mask, config.L)
-        fld = FieldGF(config.field_lam)
-        code = label_edges(code, fld, config.seed_labels)
+        code = label_edges(code, FieldGF(config.field_lam), config.seed_labels)
         # the optimizer's final count is the census of this code, and it
         # keeps every window 4-cycle inactive from its start on
         report.ugast_3330 = cpo.f_sc
@@ -175,9 +174,9 @@ def run_pipeline(config: DesignConfig, out_dir: Optional[str] = None) -> DesignR
 
         stage = "absorbing-set-removal"
         # on the hit table, without instance objects
-        family, hits = _scan_table(code, fld, config.gast_targets)
+        family, hits = _scan_table(code, config.gast_targets)
         report.gasts_found = len(hits.group)
-        removed, lifted = _remove_hits(code, family, hits, fld)
+        removed, lifted = _remove_hits(code, family, hits)
         report.gasts_removed = int(removed.sum())
         changes = lifted[:, 1:].tolist()
         if changes:

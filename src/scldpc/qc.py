@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gf import FieldGF
+from .gf import FieldGF, _check_field_degree
 from .words import read_words
 
 __all__ = [
@@ -81,6 +81,19 @@ def _check_weights(weights, q: int) -> None:
     bad = weights[(weights < 1) | (weights >= q)]
     if bad.size:
         raise ValueError(f"edge weight {bad[0]} outside 1..{q - 1}, the nonzero elements of GF({q})")
+
+
+def _check_labels(labels: Optional[bytes], field_lam: Optional[int], n_edges: int) -> None:
+    """Refuse labels without a field degree, that are not one weight per
+    edge, or that hold a weight outside the field."""
+    if labels is None:
+        return
+    if field_lam is None:
+        raise ValueError("a labelled code needs field_lam")
+    _check_field_degree(field_lam)
+    if len(labels) != n_edges:
+        raise ValueError(f"labels hold {len(labels)} weights, the code has {n_edges} edges")
+    _check_weights(np.frombuffer(labels, dtype=np.uint8), 1 << field_lam)
 
 
 def _freeze(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -207,7 +220,8 @@ class SCCode:
     codes.  ``field_lam`` records the field degree and ``label_seed`` the
     RNG seed used for labeling, for reproducibility.  A code of more than
     MAX_LIFTED_COLS lifted columns is refused on construction, before its
-    edge array is built.
+    edge array is built, and so are labels without ``field_lam``, of another
+    length than the edge count, or with a weight outside GF(2^field_lam).
     """
 
     proto: ProtoMatrix
@@ -221,6 +235,7 @@ class SCCode:
         _check_coupling_length(self.L)
         _check_shapes(self.proto, self.mask)
         _check_lifted_size(self.n_cols)
+        _check_labels(self.labels, self.field_lam, self.n_cols * self.gamma)
 
     @property
     def gamma(self) -> int:

@@ -882,12 +882,12 @@ def serial_remove_gast_weights(instance, field):
     generic one is checked on its own with ``exhaustive_witnesses``, and the
     first under which the topology has no witness wins.
     """
-    from scldpc.gast import enumerate_candidate_sets, removal_budget
+    from scldpc.gast import enumerate_candidate_sets
 
     if instance.witness is None and not _absorbing(instance, field):
         return RemovalOutcome(success=True, changes=(), instance=instance)
     try:
-        stream = enumerate_candidate_sets(instance, removal_budget(instance), field)
+        stream = enumerate_candidate_sets(instance, field)
     except ValueError:
         stream = serial_generic_candidates(instance, field)
     tried = 0
@@ -944,7 +944,7 @@ def serial_gast_scan(code, field, targets, a_max: int = 8) -> list:
                         seeds.add(frozenset((x, y, z)))
 
     def weight(r: int, c: int) -> int:
-        return 1 if code.labels is None else code.labels[c * gamma + rows_of[c].index(r)]
+        return code.labels[c * gamma + rows_of[c].index(r)]
 
     results = []
     visited = set(seeds)

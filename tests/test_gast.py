@@ -387,7 +387,7 @@ class TestCandidateSets:
         for top in (example_7_9_9_13(), example_8_0_0_16()):
             inst = GastInstance(topology=top, weights=uniform_weights(top))
             bud = removal_budget(inst)
-            sets = list(enumerate_candidate_sets(inst, bud, GF4))
+            sets = list(enumerate_candidate_sets(inst, GF4))
             assert len(sets) == count_candidate_sets(bud, 4)
             assert len(set(sets)) == len(sets)
 
@@ -395,7 +395,7 @@ class TestCandidateSets:
         top = example_7_9_9_13()
         inst = GastInstance(topology=top, weights=uniform_weights(top))
         bud = removal_budget(inst)
-        for changes in enumerate_candidate_sets(inst, bud, GF4):
+        for changes in enumerate_candidate_sets(inst, GF4):
             cns = [c for c, _, _ in changes]
             assert len(set(cns)) == len(cns)  # no shared check inside a set
             for c, v, w in changes:
@@ -438,7 +438,7 @@ class TestRemoval:
             assert not is_gast(top, out.instance.weights, GF4)[0]
         else:
             bud = removal_budget(inst)
-            for changes in enumerate_candidate_sets(inst, bud, GF4):
+            for changes in enumerate_candidate_sets(inst, GF4):
                 trial = with_weights(inst, {(c, v): w for c, v, w in changes})
                 assert is_gast(trial.topology, trial.weights, GF4)[0]
 
@@ -549,7 +549,7 @@ def test_batched_removal_matches_serial_loop_on_code():
     proto = build_ab_powers(3, 7)
     mask = realize_mask(solve_optimal_overlap(7, 30).optima[0], 7, 1)
     code = label_edges(couple(proto, mask, 30), GF4, 1)
-    found = gast_scan(code, GF4, [(3, 3, 3, 3, 0)])
+    found = gast_scan(code, [(3, 3, 3, 3, 0)])
     assert len(found) == 678
     assert_removals_match_serial(found, GF4)
 
@@ -564,7 +564,7 @@ def test_removal_soundness_on_synthesized_corpus():
         else:
             # every candidate must provably fail
             bud = removal_budget(inst)
-            for changes in enumerate_candidate_sets(inst, bud, GF4):
+            for changes in enumerate_candidate_sets(inst, GF4):
                 trial = with_weights(inst, {(c, v): w for c, v, w in changes})
                 assert is_gast(trial.topology, trial.weights, GF4)[0]
 
@@ -636,19 +636,21 @@ class TestScan:
         assert sum(len(g.vn) for g in family) == count_ugast_3330(small_code)
 
     def test_empty_targets(self, small_code):
-        assert gast_scan(small_code, GF4, []) == []
+        assert gast_scan(small_code, []) == []
 
     def test_bad_target_shape_rejected(self, small_code):
         with pytest.raises(ValueError):
-            gast_scan(small_code, GF4, [(1, 2, 3)])
+            gast_scan(small_code, [(1, 2, 3)])
         # a topology-only target: weights cannot remove a topology
         with pytest.raises(ValueError) as err:
-            gast_scan(small_code, GF4, [(3, 3, 3, 3, 0), (4, 2, 5, 0)])
+            gast_scan(small_code, [(3, 3, 3, 3, 0), (4, 2, 5, 0)])
         assert str(err.value) == "targets must be 5-tuples (a, b, d1, d2, d3), got (4, 2, 5, 0)"
+        # an unlabeled code has no weights to test: refused before growth
+        unlabeled = replace(small_code, labels=None, field_lam=None, label_seed=None)
         with pytest.raises(ValueError) as err:
-            gast_scan(small_code, None, [(3, 3, 3, 3, 0)])
-        assert str(err.value) == "a non-empty target list needs a field"
-        assert gast_scan(small_code, None, []) == []
+            gast_scan(unlabeled, [(3, 3, 3, 3, 0)])
+        assert str(err.value) == "a non-empty target list needs a labelled code"
+        assert gast_scan(unlabeled, []) == []
 
     @pytest.mark.parametrize("rows", [[0, 1], [0, 1, 1], [0, 1, 2, 3]], ids=["short", "repeat", "four"])
     def test_raw_column_degree_refused(self, rows):
@@ -656,7 +658,7 @@ class TestScan:
             RawTanner([[0, 1, 2], rows], 3)
 
     def test_planted_prism_found_exactly_once(self):
-        found = gast_scan(_planted_prism(), GF4, [(6, 0, 0, 9, 0)])
+        found = gast_scan(_planted_prism(), [(6, 0, 0, 9, 0)])
         assert len(found) == 1
         assert found[0].topology.vn_ids == (0, 1, 2, 3, 4, 5)
 
@@ -668,10 +670,11 @@ class TestScan:
             [small_code.column_rows(c) for c in range(small_code.n_cols)],
             3,
             labels=small_code.labels,
+            field_lam=small_code.field_lam,
         )
-        from_code = gast_scan(small_code, GF4, targets)
+        from_code = gast_scan(small_code, targets)
         assert from_code
-        assert from_code == gast_scan(raw, GF4, targets)
+        assert from_code == gast_scan(raw, targets)
 
     def test_unfielded_scan_reads_the_code_labels(self, small_code):
         # growth needs no field, yet each translate's edges index the code's
@@ -700,10 +703,10 @@ class TestScan:
     )
     def test_target_entries_must_be_non_negative_ints(self, small_code, target, match):
         with pytest.raises(ValueError, match=match):
-            gast_scan(small_code, GF4, [(3, 3, 3, 3, 0), target])
+            gast_scan(small_code, [(3, 3, 3, 3, 0), target])
 
     def test_gast_targets_carry_witness_and_b(self, small_code):
-        found = gast_scan(small_code, GF4, [(3, 3, 3, 3, 0)])
+        found = gast_scan(small_code, [(3, 3, 3, 3, 0)])
         for inst in found:
             assert inst.b == 3
             assert inst.witness is not None
@@ -711,14 +714,14 @@ class TestScan:
             assert ok
 
     def test_scan_then_remove_on_code(self, small_code):
-        found = gast_scan(small_code, GF4, [(3, 3, 3, 3, 0)])
+        found = gast_scan(small_code, [(3, 3, 3, 3, 0)])
         if not found:
             pytest.skip("no labeled hexagon present under this seed")
         inst = found[0]
         outcome, lifted = remove_gast(inst, GF4)
         if outcome.success and outcome.changes:
             code = apply_edge_changes(small_code, lifted)
-            refreshed = gast_scan(code, GF4, [(3, 3, 3, 3, 0)])
+            refreshed = gast_scan(code, [(3, 3, 3, 3, 0)])
             assert all(
                 r.topology.vn_ids != inst.topology.vn_ids for r in refreshed
             )
@@ -814,7 +817,7 @@ def _bridged_triangles() -> RawTanner:
     col_adj = [[r for r, cn in enumerate(checks) if v in cn] for v in range(6)]
     for v, hanging in ((1, 7), (2, 8), (4, 9), (5, 10)):
         col_adj[v].append(hanging)
-    return RawTanner(col_adj, 3, labels=bytes([1] * 18))
+    return RawTanner(col_adj, 3, labels=bytes([1] * 18), field_lam=2)
 
 
 def _planted_prism() -> RawTanner:
@@ -830,7 +833,7 @@ def _planted_prism() -> RawTanner:
         for _ in range(3):
             col_adj[filler].append(nxt)
             nxt += 1
-    return RawTanner(col_adj, 3, labels=bytes([1] * 30))
+    return RawTanner(col_adj, 3, labels=bytes([1] * 30), field_lam=2)
 
 
 TWO_B_CASE = (_bridged_triangles(), GF4, [(6, 5, 4, 7, 0), (6, 4, 4, 7, 0)], 6)
@@ -845,23 +848,23 @@ class TestOrbitOracle:
         gf64 = FieldGF(6)
         code = label_edges(small_code, gf64, seed=2)
         with pytest.raises(ValueError) as err:
-            gast_scan(code, gf64, [(4, 2, 2, 5, 0)])
+            gast_scan(code, [(4, 2, 2, 5, 0)])
         assert str(err.value) == (
             "oracle would scan (q-1)^a = 63^4 = 15752961 assignments, limit is 1048576"
         )
 
     def test_batch_cap_does_not_change_results(self, small_code, monkeypatch):
-        full = gast_scan(small_code, GF4, MIXED_TARGETS)
+        full = gast_scan(small_code, MIXED_TARGETS)
         assert full == serial_gast_scan(small_code, GF4, MIXED_TARGETS, a_max=5)
         assert sum(inst.b is not None for inst in full) > 0
         monkeypatch.setattr("scldpc.gast.ORACLE_BATCH_ROWS", 1)
-        assert gast_scan(small_code, GF4, MIXED_TARGETS) == full
+        assert gast_scan(small_code, MIXED_TARGETS) == full
 
     def test_short_period_orbit_reported_once(self):
         # each of these (6, 4, 4, 2) subsets is two translates of a 6-cycle,
         # fixed by the shift by 3, so its orbit has 3 members, not 6
         code, _, targets, _ = SHORT_PERIOD_CASE
-        found = gast_scan(code, GF4, targets)
+        found = gast_scan(code, targets)
         assert found == serial_gast_scan(code, GF4, targets, a_max=6)
         vn_sets = [inst.topology.vn_ids for inst in found]
         assert len(vn_sets) == len(set(vn_sets)) == 6
@@ -871,18 +874,13 @@ class TestOrbitOracle:
     def test_first_listed_b_wins(self):
         graph, _, targets, _ = TWO_B_CASE
         for order in (targets, targets[::-1]):
-            (inst,) = gast_scan(graph, GF4, order)
+            (inst,) = gast_scan(graph, order)
             assert inst.b == order[0][1]
             assert inst.topology.vn_ids == tuple(range(6))
 
-    def test_field_mismatch_refused(self, small_code):
-        with pytest.raises(ValueError, match=r"labelled over GF\(4\), the scan field is GF\(8\)"):
-            gast_scan(small_code, GF8, [(3, 3, 3, 3, 0)])
-
     def test_raw_labels_outside_field_refused(self, small_code):
-        raw = RawTanner(small_code.edges.rows.tolist(), 3, labels=small_code.labels)
         with pytest.raises(ValueError, match=r"^edge weight 2 outside 1\.\.1, the nonzero elements of GF\(2\)$"):
-            gast_scan(raw, FieldGF(1), [(3, 3, 3, 3, 0)])
+            RawTanner(small_code.edges.rows.tolist(), 3, labels=small_code.labels, field_lam=1)
 
 
 @st.composite
@@ -930,9 +928,9 @@ def test_orbit_scan_matches_serial_scan(case):
     # subsets, checks, weights, b and witnesses, in order, on both paths
     code, field, targets, a_max = case
     want = serial_gast_scan(code, field, targets, a_max=a_max)
-    assert gast_scan(code, field, targets) == want
-    raw = RawTanner(code.edges.rows.tolist(), 3, labels=code.labels)
-    assert gast_scan(raw, field, targets) == want
+    assert gast_scan(code, targets) == want
+    raw = RawTanner(code.edges.rows.tolist(), 3, labels=code.labels, field_lam=code.field_lam)
+    assert gast_scan(raw, targets) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -949,13 +947,13 @@ def test_family_rescan_matches_fresh_scan(case):
     assert all(UgastTopology(g.gamma, g.perm.shape[1], g.checks).is_ugast() for g in family)
 
     def test(labelled):
-        return _instances(family, _test_family(family, labelled, field), labelled, field)
+        return _instances(family, _test_family(family, labelled, field), labelled)
 
     found = test(code)
-    assert found == gast_scan(code, field, targets)
+    assert found == gast_scan(code, targets)
     outcomes = remove_gasts(found, field)
     changed = apply_edge_changes(code, [c for out in outcomes for c in out.lifted_changes()])
-    assert test(changed) == gast_scan(changed, field, targets)
+    assert test(changed) == gast_scan(changed, targets)
 
 
 @settings(max_examples=40, deadline=None)
@@ -969,10 +967,10 @@ def test_table_removal_matches_serial_removal(case):
     # and the one-candidate-at-a-time reference do, with the same lifted
     # changes in the same order
     code, field, targets, _ = case
-    found = gast_scan(code, field, targets)
+    found = gast_scan(code, targets)
     want = [serial_remove_gast_weights(inst, field) for inst in found]
-    family, hits = _scan_table(code, field, targets)
-    removed, changes = _remove_hits(code, family, hits, field)
+    family, hits = _scan_table(code, targets)
+    removed, changes = _remove_hits(code, family, hits)
     assert len(hits.group) == len(found)
     assert removed.tolist() == [w.success for w in want]
     assert changes.tolist() == [[h, *c] for h, w in enumerate(want) for c in w.lifted_changes()]
@@ -1076,7 +1074,7 @@ DEPTH_TARGETS = {
 )
 def test_level_growth_matches_serial_scan(kappa, L, seed, a_max):
     code, targets = _design_code(kappa, L, seed), DEPTH_TARGETS[a_max]
-    assert gast_scan(code, GF4, targets) == serial_gast_scan(
+    assert gast_scan(code, targets) == serial_gast_scan(
         code, GF4, targets, a_max=a_max
     )
 
@@ -1099,7 +1097,7 @@ def test_one_group_per_shape(kappa, L):
     code = _design_code(kappa, L, 1)
     family = _grow_family(code, [(4, 2, 2, 5, 0)])
     assert len(family) == 1
-    found = gast_scan(code, GF4, [(4, 2, 2, 5, 0)])
+    found = gast_scan(code, [(4, 2, 2, 5, 0)])
     assert len({inst.topology.shared_cns for inst in found}) > 1
 
 
@@ -1128,11 +1126,12 @@ def test_design_stage_builds_no_instances(monkeypatch):
     assert len(calls) == 2
 
 
-def _smoke_code():
-    """The kappa = 7 L = 30 code of the CLI smoke test (make-code, GF(4), seed 1)."""
+def _smoke_code(field=GF4):
+    """The kappa = 7 L = 30 code of the CLI smoke test (make-code, seed 1),
+    labelled over ``field``: GF(4) for code.json, GF(8) for code8.json."""
     proto = build_ab_powers(3, 7)
     mask = realize_mask(solve_optimal_overlap(7, 30).optima[0], 7, 1)
-    return label_edges(couple(proto, mask, 30), GF4, 1)
+    return label_edges(couple(proto, mask, 30), field, 1)
 
 
 def _refuse_instances(monkeypatch):
@@ -1149,11 +1148,11 @@ def test_scan_refuses_more_instances_than_it_builds(monkeypatch):
     monkeypatch.setattr("scldpc.gast.MAX_SCAN_INSTANCES", 677)
     _refuse_instances(monkeypatch)
     with pytest.raises(ValueError) as err:
-        gast_scan(code, GF4, [(3, 3, 3, 3, 0)])
+        gast_scan(code, [(3, 3, 3, 3, 0)])
     want = "scan found 678 hits, more than the 677 it reports one by one; narrow the targets"
     assert str(err.value) == want
     # the design stage reads the table and is not bounded
-    family, hits = _scan_table(code, GF4, [(3, 3, 3, 3, 0)])
+    family, hits = _scan_table(code, [(3, 3, 3, 3, 0)])
     assert len(hits.group) == 678
 
 
@@ -1170,17 +1169,18 @@ def test_gast_remove_refuses_more_hits_than_it_reports(monkeypatch, tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "targets, hits",
-    [((3, 3, 3, 3, 0), 678), ((4, 2, 2, 5, 0), 89)],
-    ids=["hexagon", "k4-edge"],
+    "field, targets, hits",
+    [(GF4, (3, 3, 3, 3, 0), 678), (GF4, (4, 2, 2, 5, 0), 89), (GF8, (3, 3, 3, 3, 0), 323)],
+    ids=["hexagon", "k4-edge", "hexagon-gf8"],
 )
-def test_gast_remove_matches_instance_removal(monkeypatch, tmp_path, targets, hits):
+def test_gast_remove_matches_instance_removal(monkeypatch, tmp_path, field, targets, hits):
     # the command line removes on the hit table and builds no instance; its
     # results and written code are those of gast_scan's instances through
-    # the instance-list removal of the test oracles
-    code = _smoke_code()
-    found = gast_scan(code, GF4, [targets])
-    outcomes = remove_gasts(found, GF4)
+    # the instance-list removal of the test oracles, over the field the
+    # code file records
+    code = _smoke_code(field)
+    found = gast_scan(code, [targets])
+    outcomes = remove_gasts(found, field)
     assert len(found) == hits and any(out.changes for out in outcomes)
     want = [
         {
@@ -1202,18 +1202,42 @@ def test_gast_remove_matches_instance_removal(monkeypatch, tmp_path, targets, hi
     assert got["code"] == json.loads(code_to_json(changed))
 
 
+def _unlabeled_smoke_code():
+    return replace(_smoke_code(), labels=None, field_lam=None, label_seed=None)
+
+
+def _refuse_growth(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the code was scanned")
+
+    monkeypatch.setattr("scldpc.gast._grow_family", refuse)
+
+
+@pytest.mark.parametrize("targets", ["(3,3,3,3,0)", "(9,0,0,14,0)"], ids=["hits", "no-hits"])
+def test_gast_scan_refuses_unlabeled_code(monkeypatch, tmp_path, capsys, targets):
+    # an unlabeled code has no weights to test, so reading each as 1 would
+    # report absorbing sets of weights the code does not have: the library
+    # and the command line refuse it before growth
+    code = _unlabeled_smoke_code()
+    _refuse_growth(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        gast_scan(code, cli._parse_targets(targets))
+    assert str(err.value) == "a non-empty target list needs a labelled code"
+    path = tmp_path / "code.json"
+    path.write_text(code_to_json(code))
+    assert cli.main(["gast", "scan", "--code", str(path), "--targets", targets]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "scldpc: error: a non-empty target list needs a labelled code\n"
+
+
 @pytest.mark.parametrize("targets", ["(3,3,3,3,0)", "(9,0,0,14,0)"], ids=["hits", "no-hits"])
 def test_gast_remove_refuses_unlabeled_code(monkeypatch, tmp_path, capsys, targets):
     # an unlabeled code has no weights to change: refused before the scan,
     # whether or not the targets have hits in it
     path = tmp_path / "code.json"
-    code = _smoke_code()
-    path.write_text(code_to_json(replace(code, labels=None, field_lam=None, label_seed=None)))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the code was scanned")
-
-    monkeypatch.setattr("scldpc.gast._grow_family", refuse)
+    path.write_text(code_to_json(_unlabeled_smoke_code()))
+    _refuse_growth(monkeypatch)
     assert cli.main(["gast", "remove", "--code", str(path), "--targets", targets]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -1228,7 +1252,7 @@ def test_depth6_scan_matches_breadth_first_scan(seed, n_targets):
     # the CLI's default targets, where the d1 bound keeps level 5 small, and
     # a 6-node GAST of d1 = 2 that 299 of the hits match, where it does not
     targets = [(4, 2, 2, 5, 0), (6, 0, 0, 9, 0), (6, 2, 2, 8, 0)][:n_targets]
-    found = gast_scan(_design_code(13, 10, seed), GF4, targets)
+    found = gast_scan(_design_code(13, 10, seed), targets)
     assert (len(found), _digest(found)) == DEPTH6_SCANS[seed, n_targets]
 
 

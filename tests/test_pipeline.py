@@ -152,7 +152,7 @@ def test_rescan_finds_the_reported_remainder(tmp_path):
         out = tmp_path / str(seed)
         report = run_pipeline(replace(K13, seed_labels=seed), out_dir=str(out))
         code = code_from_json((out / "code.json").read_text())
-        found.append(len(gast_scan(code, FieldGF(K13.field_lam), K13.gast_targets)))
+        found.append(len(gast_scan(code, K13.gast_targets)))
         reported.append(report.gasts_remaining)
     assert found == reported
 
@@ -300,7 +300,7 @@ class TestCli:
             "--out", str(code_path),
         )
         res = run_cli(
-            "gast", "scan", "--code", str(code_path), "--q", "4",
+            "gast", "scan", "--code", str(code_path),
             "--targets", "(3,3,3,3,0)",
         )
         assert res.returncode == 0, res.stderr
@@ -314,7 +314,7 @@ class TestCli:
             "--out", str(code_path),
         )
         res = run_cli(
-            "gast", "remove", "--code", str(code_path), "--q", "4",
+            "gast", "remove", "--code", str(code_path),
             "--targets", "(3,3,3,3,0)",
         )
         assert res.returncode == 0, res.stderr
@@ -384,16 +384,6 @@ class TestCliErrors:
         assert "girth 4" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("q", [6, 0, 1, 512])
-    def test_bad_field_size_reported(self, tmp_path, capsys, q):
-        # q itself is named, not the field degree it would give
-        from scldpc import cli
-
-        rc = cli.main(["gast", "scan", "--code", _girth4_code_file(tmp_path), "--q", str(q)])
-        out, err = capsys.readouterr()
-        assert rc == 2
-        assert err == f"scldpc: error: q must be a power of two from 2 to 256, got {q}\n"
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -427,25 +417,6 @@ class TestCliErrors:
         assert rc == 2
         assert out == ""
         assert err == f"scldpc: error: CPO counts at L={L} would leave the exact int64 range\n"
-
-    @pytest.mark.parametrize("q", [4, 16])
-    @pytest.mark.parametrize("action", ["scan", "remove"])
-    def test_field_mismatch_reported(self, tmp_path, capsys, action, q):
-        # the scan reads the label bytes directly, so a code labelled over
-        # another field is refused before any weight is read
-        from scldpc import cli
-
-        path = tmp_path / "code8.json"
-        argv = ["make-code", "--kappa", "5", "--L", "3", "--field-lam", "3", "--out", str(path)]
-        assert cli.main(argv) == 0
-        rc = cli.main(
-            ["gast", action, "--code", str(path), "--q", str(q),
-             "--targets", str(SCAN_TARGET)]
-        )
-        out, err = capsys.readouterr()
-        assert rc == 2
-        assert out == ""
-        assert err == f"scldpc: error: code is labelled over GF(8), the scan field is GF({q})\n"
 
     def test_negative_cpo_budget_reported(self, tmp_path, capsys):
         from scldpc import cli

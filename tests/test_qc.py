@@ -245,6 +245,36 @@ class TestLabels:
         with pytest.raises(ValueError):
             label_edges(self.code, FieldGF(1), seed=0)
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("short", "labels hold 224 weights, the code has 225 edges"),
+            ("long", "labels hold 226 weights, the code has 225 edges"),
+            ("no-field", "a labelled code needs field_lam"),
+            ("past-gf256", "field degree must be in [1, 8], got 9"),
+        ],
+        ids=["short", "long", "no-field", "past-gf256"],
+    )
+    @pytest.mark.parametrize("graph", ["sccode", "raw"])
+    def test_bad_labels_refused_on_construction(self, graph, fault, message):
+        # one nonzero weight of the recorded field per edge, or no labels:
+        # the GAST scan and removal read the field off the code
+        labels, lam = label_edges(self.code, self.gf, seed=1).labels, 2
+        if fault == "short":
+            labels = labels[:-1]
+        elif fault == "long":
+            labels = labels + b"\x01"
+        elif fault == "no-field":
+            lam = None
+        else:
+            lam = 9
+        with pytest.raises(ValueError) as err:
+            if graph == "sccode":
+                qc.SCCode(self.code.proto, self.code.mask, self.code.L, labels=labels, field_lam=lam)
+            else:
+                RawTanner(self.code.edges.rows.tolist(), 3, labels=labels, field_lam=lam)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("lam", range(2, 9))
     def test_bulk_draw_crosses_chunk_boundaries(self, monkeypatch, lam):
         # a few words per chunk, so dozens of chunks end mid-stream
@@ -449,13 +479,12 @@ def test_edge_array_matches_coupling_formula(code):
         [c for c in range(code.n_cols) if r in columns[c]] for r in range(code.n_rows)
     ]
     # every label up to a = 4, at b = d1: both paths grow the same
-    # translates, and find the same GASTs among them (over GF(2) every
-    # weight is 1, so those with d3 = 0)
+    # translates, and find the same GASTs among them over the code's GF(4)
     targets = [(a, d1, d1, d2, d3) for a, d1, d2, d3 in all_ugast_labels(3, 4)]
-    raw = RawTanner(columns, 3, labels=code.labels)
+    raw = RawTanner(columns, 3, labels=code.labels, field_lam=code.field_lam)
 
     def translates(graph):
         return sorted(tuple(vn) for g in _grow_family(graph, targets) for vn in g.vn.tolist())
 
     assert translates(raw) == translates(code)
-    assert gast_scan(raw, FieldGF(2), targets) == gast_scan(code, FieldGF(2), targets)
+    assert gast_scan(raw, targets) == gast_scan(code, targets)
