@@ -31,8 +31,8 @@ __all__ = [
 
 def cv_mask(zeta: Sequence[int], kappa: int) -> PartitionMask:
     """Cutting-vector split: circulant (i, j) goes to H0 iff j < zeta[i]."""
-    if list(zeta) != sorted(zeta):
-        raise ValueError(f"cutting vector must be ascending, got {list(zeta)}")
+    if not len(zeta) or list(zeta) != sorted(zeta):
+        raise ValueError(f"cutting vector must be non-empty and ascending, got {list(zeta)}")
     if zeta[-1] > kappa or zeta[0] < 0:
         raise ValueError("cutting vector entries must lie in [0, kappa]")
     return PartitionMask(

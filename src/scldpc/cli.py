@@ -20,7 +20,7 @@ from . import baselines, pipeline
 from .alist import export_code_alist
 from .cpo import cpo_optimize
 from .cycles import count_ugast_3330, count_ugast_3330_for, girth_check
-from .gast import _bounded_table, _remove_hits, gast_scan
+from .gast import _bounded_table, _check_targets, _remove_hits, gast_scan
 from .gf import FieldGF
 from .overlap import realize_mask, solve_optimal_overlap
 from .qc import (
@@ -59,7 +59,7 @@ def _cmd_cpo(args) -> None:
     res = cpo_optimize(
         code.proto,
         code.mask,
-        code.L if args.L is None else args.L,
+        code.L,
         budget=args.budget,
         seed=args.seed,
         target=args.target,
@@ -143,6 +143,9 @@ def _cmd_gast(args) -> None:
 
 
 def _cmd_pipeline(args) -> None:
+    # the scan grows to the largest target, so that size is the design's
+    # a_max; 3, the least DesignConfig accepts, when there is no target
+    targets = _check_targets(_parse_targets(args.targets))
     config = pipeline.DesignConfig(
         kappa=args.kappa,
         p=args.kappa,
@@ -153,8 +156,8 @@ def _cmd_pipeline(args) -> None:
         seed_cpo=args.seed_cpo,
         cpo_budget=args.budget,
         cpo_target=args.target,
-        gast_targets=tuple(_parse_targets(args.targets)),
-        gast_a_max=args.amax,
+        gast_targets=tuple(targets),
+        gast_a_max=max([3] + [t[0] for t in targets]),
         optimum_index=args.optimum_index,
     )
     report = pipeline.run_pipeline(config, out_dir=args.out_dir)
@@ -205,7 +208,6 @@ def main(argv=None) -> int:
 
     s = sub.add_parser("cpo", help="run the circulant power optimizer on a code")
     s.add_argument("--code", required=True)
-    s.add_argument("--L", type=int)
     s.add_argument("--budget", type=int, default=100_000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--target", type=int, default=0)
@@ -242,7 +244,6 @@ def main(argv=None) -> int:
     s.add_argument("--budget", type=int, default=100_000)
     s.add_argument("--target", type=int, default=0)
     s.add_argument("--targets", default="(4,2,2,5,0)")
-    s.add_argument("--amax", type=int, default=5)
     s.add_argument("--optimum-index", type=int, default=0)
     s.add_argument("--out-dir")
     s.set_defaults(func=_cmd_pipeline)

@@ -437,14 +437,13 @@ def _generic_candidates(top: UgastTopology, q: int) -> Iterator[tuple[tuple[int,
 
 
 @functools.lru_cache(maxsize=1024)
-def _template(gamma: int, a: int, shared_cns: tuple, b_is_d1: bool, q: int,
-              max_changes: int) -> np.ndarray:
+def _template(gamma: int, a: int, shared_cns: tuple, b_is_d1: bool, q: int) -> np.ndarray:
     """The candidate stream of an instance on the topology (gamma, a,
     shared_cns), as (sets, changes, 2) (edge, rank) pairs padded with -1:
     the closed-form stream when b = d1 and the budget assumptions hold,
-    otherwise the generic one.  Edges are numbered check by check as
-    ``shared_cns`` lists them, and ``max_changes`` is the MAX_CHANGES the
-    generic stream reads.  In ranks a stream does not depend on the weights.
+    otherwise the generic one, of up to MAX_CHANGES changes.  Edges are
+    numbered check by check as ``shared_cns`` lists them.  In ranks a stream
+    does not depend on the weights.
     """
     top = UgastTopology(gamma, a, shared_cns)
     try:
@@ -459,11 +458,11 @@ def _template(gamma: int, a: int, shared_cns: tuple, b_is_d1: bool, q: int,
     return out
 
 
-def _remove_table(family: list[_Group], group: np.ndarray, translate: np.ndarray, buf: np.ndarray,
-                  generic: np.ndarray, field: FieldGF) -> tuple[np.ndarray, ...]:
-    """Removal of every hit of a table (its ``group`` and ``translate``
-    columns), each a GAST on its own topology under the weights
-    ``buf[edges]``; ``generic`` marks the hits with b != d1.  Per hit: the
+def _remove_table(family: list[_Group], hits: _Hits, buf: np.ndarray,
+                  field: FieldGF) -> tuple[np.ndarray, ...]:
+    """Removal of every hit of a table, each a GAST on its own topology
+    under the weights ``buf[edges]``; a hit whose matched target has b = d1
+    takes the closed-form stream, any other the generic one.  Per hit: the
     stream row that removes it (-1 when its stream runs out) and the
     candidates tried; and the changes, as (hit, weight index, weight) rows,
     hit by hit and check by check.
@@ -473,17 +472,18 @@ def _remove_table(family: list[_Group], group: np.ndarray, translate: np.ndarray
     with x_0 = 1.  The outcomes are those of trying the candidates one at a
     time.
     """
-    pick, tried = np.full(len(group), -1), np.zeros(len(group), dtype=np.int64)
+    pick, tried = np.full(len(hits.group), -1), np.zeros(len(hits.group), dtype=np.int64)
     parts = [np.zeros((0, 3), dtype=np.int64)]
     for i, g in enumerate(family):
-        at = np.flatnonzero(group == i)
+        at = np.flatnonzero(hits.group == i)
         if not at.size:
             continue
-        a, n_checks, edges = g.perm.shape[1], len(g.checks), g.edges[translate[at]]
-        key, to_shape = _literal(g, translate[at])
+        a, n_checks, edges = g.perm.shape[1], len(g.checks), g.edges[hits.translate[at]]
+        key, to_shape = _literal(g, hits.translate[at])
+        generic = np.array([m[1] != m[2] for m in g.matching])[hits.target[at]]
         # a stream per literal structure and kind, one stack of them
-        structures, which = _unique_rows(np.c_[generic[at], key], max(2, a * n_checks))
-        templates = [_template(g.gamma, a, _shared(row[1:], a, n_checks), not row[0], field.q, MAX_CHANGES)
+        structures, which = _unique_rows(np.c_[generic, key], max(2, a * n_checks))
+        templates = [_template(g.gamma, a, _shared(row[1:], a, n_checks), not row[0], field.q)
                      for row in structures.tolist()]
         lens = np.array([len(t) for t in templates])
         length, start = lens[which], (np.cumsum(lens) - lens)[which]
@@ -892,13 +892,7 @@ def _remove_hits(code, family: list[_Group], hits: _Hits) -> tuple[np.ndarray, n
     the weights of the labelled ``code`` and over its field: per hit,
     whether it was removed, and the changes as lifted [hit, row, col,
     weight] rows, in table order and each hit's check by check."""
-    # a hit whose target has b != d1 takes the generic stream
-    generic = np.zeros(len(hits.group), dtype=bool)
-    for i, g in enumerate(family):
-        at = hits.group == i
-        generic[at] = np.array([t[1] != t[2] for t in g.matching])[hits.target[at]]
-    pick, _, changes = _remove_table(family, hits.group, hits.translate, _weight_bytes(code), generic,
-                                     FieldGF(code.field_lam))
+    pick, _, changes = _remove_table(family, hits, _weight_bytes(code), FieldGF(code.field_lam))
     index = changes[:, 1]
     rows = code.edges.rows.ravel()[index]
     return pick >= 0, np.stack([changes[:, 0], rows, index // code.gamma, changes[:, 2]], axis=1)

@@ -141,7 +141,8 @@ def build_ab_powers(gamma: int, p: int) -> ProtoMatrix:
 class PartitionMask:
     """Per-circulant assignment: 0 sends the circulant to H0, 1 to H1.
 
-    Every circulant is assigned exactly once, so H0 + H1 = H by construction.
+    Every circulant is assigned exactly once, so H0 + H1 = H by construction;
+    ``assign`` must be a non-empty grid with rows of equal length.
     """
 
     assign: tuple[tuple[int, ...], ...]
@@ -152,6 +153,9 @@ class PartitionMask:
                 if v not in (0, 1):
                     raise ValueError("mask entries must be 0 or 1")
         object.__setattr__(self, "assign", _freeze(self.assign))
+        widths = {len(r) for r in self.assign}
+        if len(widths) != 1 or 0 in widths:
+            raise ValueError("mask must be a non-empty grid with rows of equal length")
 
     @property
     def gamma(self) -> int:

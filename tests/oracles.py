@@ -1073,10 +1073,12 @@ def remove_gasts(instances, field) -> list[RemovalOutcome]:
     as proven.  Each instance tries candidates in stream order and succeeds
     with the first set under which the oracle finds no witness on the same
     topology; it fails once its stream is used up.  The instances become one
-    table, a group per check-structure shape, so the outcomes, ``tried``
-    included, are those of ``serial_remove_gast_weights``.
+    hit table, a group per check-structure shape whose ``matching`` lists
+    its instances' own labels (b falls back to d1), so each hit takes the
+    stream of its label's b and the outcomes, ``tried`` included, are those
+    of ``serial_remove_gast_weights``.
     """
-    from scldpc.gast import _Group, _canonical, _edge_weights, _remove_table
+    from scldpc.gast import _Group, _Hits, _canonical, _edge_weights, _remove_table
 
     # one buffer of every instance's weights, each instance's edges in its
     # own order; an instance is a translate of its shape's group, whose
@@ -1093,15 +1095,16 @@ def remove_gasts(instances, field) -> list[RemovalOutcome]:
         top = inst.topology
         checks, node, check, edge = _canonical(top.a, top.shared_cns)
         shapes.setdefault((top.gamma, top.a, checks), []).append((h, node, check, edge + start[h]))
-    # a non-absorbing instance is in no group, so the table leaves it alone
+    # a non-absorbing instance is in no group, so the table leaves it alone;
+    # translate i of a group matched entry i of its matching
     family, group, translate = [], np.full(len(instances), -1), np.zeros(len(instances), np.int64)
     for i, ((gamma, _, checks), rows) in enumerate(shapes.items()):
         h, node, check, edge = map(np.array, zip(*rows))
-        family.append(_Group(gamma, checks, [], None, node, check, edge))
+        labels = [instances[x].label for x in h.tolist()]
+        family.append(_Group(gamma, checks, labels, None, node, check, edge))
         group[h], translate[h] = i, np.arange(len(h))
-    generic = np.array([inst.b not in (None, inst.topology.d1) for inst in instances], dtype=bool)
-    buf = np.array(buf, dtype=np.uint8)
-    pick, tried, changes = _remove_table(family, group, translate, buf, generic, field)
+    hits = _Hits(group, translate, translate, np.zeros(len(instances), np.int64))
+    pick, tried, changes = _remove_table(family, hits, np.array(buf, dtype=np.uint8), field)
     flat, rows = [e for own in edges for e in own], changes.tolist()
     bounds = np.searchsorted(changes[:, 0], np.arange(len(instances) + 1)).tolist()
     outcomes = []

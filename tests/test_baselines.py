@@ -53,6 +53,10 @@ class TestCvMask:
         with pytest.raises(ValueError):
             cv_mask([0, 1, 8], 7)
 
+    def test_empty_vector_rejected(self):
+        with pytest.raises(ValueError, match=r"cutting vector must be non-empty and ascending, got \[\]"):
+            cv_mask([], 7)
+
     def test_masks_are_valid_partitions(self):
         for zeta in ([0, 0, 7], [1, 2, 3], [5, 6, 7]):
             mask = cv_mask(zeta, 7)

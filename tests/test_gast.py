@@ -28,6 +28,7 @@ from scldpc.gast import (
     _instances,
     _remove_hits,
     _scan_table,
+    _template,
     _test_family,
 )
 from scldpc.cycles import count_ugast_3330, girth_check
@@ -521,11 +522,14 @@ def assert_removals_match_serial(instances, field) -> list:
 
 
 @pytest.mark.parametrize("max_changes", [2, 1])
-def test_batched_removal_matches_serial_loop(monkeypatch, max_changes):
+def test_batched_removal_matches_serial_loop(monkeypatch, request, max_changes):
     # closed-form and generic streams, with and without witnesses, over
     # rounds of up to 32 candidates; with one change per set some prisms
     # use up the generic stream
     monkeypatch.setattr("scldpc.gast.MAX_CHANGES", max_changes)
+    # the cached streams were built at the MAX_CHANGES of their time
+    _template.cache_clear()
+    request.addfinalizer(_template.cache_clear)
     closed = synthesize_instances(30, seed=11)
     generic = generic_instances(6, seed=5)
     witnessed = [

@@ -146,9 +146,10 @@ def test_pinned_design_outputs(tmp_path):
 def test_rescan_finds_the_reported_remainder(tmp_path):
     # gasts_remaining is found - removed as removal flags its hits; a fresh
     # scan of the written code.json must find exactly that many, at label
-    # seeds 1-3 (it finds 5, 4 and 6 where 0 are reported)
+    # seeds 1-10 (it finds 5, 4, 6, 4, 5, 1, 3, 3, 5 and 11 where 0 are
+    # reported)
     found, reported = [], []
-    for seed in (1, 2, 3):
+    for seed in range(1, 11):
         out = tmp_path / str(seed)
         report = run_pipeline(replace(K13, seed_labels=seed), out_dir=str(out))
         code = code_from_json((out / "code.json").read_text())
@@ -289,6 +290,15 @@ class TestCli:
         assert cpo["f_sc_initial"] == cpo["f_sc"] == count == 203
         assert (cpo["evals"], cpo["trace"]) == (0, [])
 
+    def test_pipeline_grows_to_its_largest_target(self, capsys):
+        # a_max is the largest target size, so a 6-node target needs no flag
+        from scldpc import cli
+
+        argv = ["pipeline", "--kappa", "7", "--L", "30", "--budget", "2000", "--seed-cpo", "1"]
+        assert cli.main([*argv, "--targets", "(6,0,0,9,0)"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["gast_targets"], config["gast_a_max"]) == ([[6, 0, 0, 9, 0]], 6)
+
     def test_baseline_command(self):
         res = run_cli("baseline", "--method", "cv", "--kappa", "7", "--L", "30")
         assert json.loads(res.stdout)["count"] == 3290
@@ -346,8 +356,6 @@ MALFORMED_TARGETS = [
     ("negative", "(4,2,2,5,-1)", "target entries must be non-negative integers, got (4, 2, 2, 5, -1)"),
     ("a2", "(2,2,2,2,0)", "target size a must be >= 3, scan subsets grow from 6-cycles, got (2, 2, 2, 2, 0)"),
     ("ugast", "(4,2,5,0)", "targets must be 5-tuples (a, b, d1, d2, d3), got (4, 2, 5, 0)"),
-    ("above-amax", "(5,2,2,6,0)",
-     "target size a must be <= a_max = 4, scan subsets grow no larger, got (5, 2, 2, 6, 0)"),
 ]
 
 
@@ -390,33 +398,24 @@ class TestCliErrors:
             ["baseline", "--method", "cv", "--kappa", "7", "--L", "1"],
             ["baseline", "--method", "mo", "--kappa", "7", "--L", "1"],
             ["table1", "--L", "1", "--sizes", "7"],
-            ["cpo", "--L", "1", "--budget", "200"],
-            # 0 is a given L, not "use the code's own"
-            ["cpo", "--L", "0", "--budget", "200"],
+            ["cpo", "--budget", "200"],
         ],
-        ids=["cv", "mo", "table1", "cpo", "cpo-L0"],
+        ids=["cv", "mo", "table1", "cpo"],
     )
     def test_short_coupling_reported(self, tmp_path, capsys, argv):
         from scldpc import cli
 
         if argv[0] == "cpo":
-            argv = argv + ["--code", _labelled_code_file(tmp_path)]
+            # the optimizer runs at the code file's L, here 1
+            doc = json.loads(Path(_labelled_code_file(tmp_path)).read_text())
+            path = tmp_path / "short.json"
+            path.write_text(json.dumps({**doc, "L": 1}))
+            argv = argv + ["--code", str(path)]
         rc = cli.main(argv)
         out, err = capsys.readouterr()
         assert rc == 2
         assert out == ""
         assert err == "scldpc: error: coupling length L must be >= 2\n"
-
-    def test_cpo_coupling_beyond_exact_range_reported(self, tmp_path, capsys):
-        # the optimizer's counts must stay exact in int64
-        from scldpc import cli
-
-        L = 10**17
-        rc = cli.main(["cpo", "--L", str(L), "--budget", "200", "--code", _labelled_code_file(tmp_path)])
-        out, err = capsys.readouterr()
-        assert rc == 2
-        assert out == ""
-        assert err == f"scldpc: error: CPO counts at L={L} would leave the exact int64 range\n"
 
     def test_negative_cpo_budget_reported(self, tmp_path, capsys):
         from scldpc import cli
@@ -438,15 +437,15 @@ class TestCliErrors:
         assert err == "scldpc: error: initial powers activate a 4-cycle; cannot start\n"
 
     def test_cpo_omitted_length_means_code_length(self, tmp_path, capsys):
-        # the code file's L is 3; a given --L 0 is refused (test_short_coupling_reported)
+        # the command takes no L: the optimizer runs at the code file's L, 3
         from scldpc import cli
+        from scldpc.cpo import cpo_optimize
 
         path = _labelled_code_file(tmp_path)
-        outputs = []
-        for extra in ([], ["--L", "3"]):
-            assert cli.main(["cpo", "--code", path, "--budget", "300", *extra]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        assert cli.main(["cpo", "--code", path, "--budget", "300"]) == 0
+        code = code_from_json(Path(path).read_text())
+        want = cpo_optimize(code.proto, code.mask, 3, budget=300, seed=0).as_dict()
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(want))
 
     @pytest.mark.parametrize(
         "fault, message",
@@ -533,8 +532,9 @@ class TestCliErrors:
             ("missing-key", "code file has no key 'kappa'"),
             ("string-header", "gamma must be an integer, got '3'"),
             ("float-power", "powers must be a list of integer lists"),
+            ("ragged-mask", "mask must be a non-empty grid with rows of equal length"),
         ],
-        ids=["top-level-list", "missing-key", "string-header", "float-power"],
+        ids=["top-level-list", "missing-key", "string-header", "float-power", "ragged-mask"],
     )
     def test_malformed_code_document_reported(self, tmp_path, capsys, fault, message):
         from scldpc import cli
@@ -546,6 +546,8 @@ class TestCliErrors:
             payload = {"gamma": 3}
         elif fault == "string-header":
             payload["gamma"] = "3"
+        elif fault == "ragged-mask":
+            payload["mask"][1].pop()
         else:
             payload["powers"][1][2] = 2.5
         path = tmp_path / "code.json"
@@ -591,8 +593,6 @@ class TestCliErrors:
             pytest.param(command, targets, message, id=f"{name}-{command}")
             for name, targets, message in MALFORMED_TARGETS
             for command in ("scan", "remove", "pipeline")
-            # only the pipeline takes --amax; the scan grows to its largest target
-            if name != "above-amax" or command == "pipeline"
         ],
     )
     def test_malformed_targets_reported(self, tmp_path, capsys, command, targets, message):
@@ -602,26 +602,12 @@ class TestCliErrors:
         if command != "pipeline":
             argv = ["gast", command, "--code", _labelled_code_file(tmp_path)]
         else:
-            argv = ["pipeline", "--kappa", "5", "--L", "3", "--budget", "200", "--amax", "4"]
+            argv = ["pipeline", "--kappa", "5", "--L", "3", "--budget", "200"]
         rc = cli.main(argv + ["--targets", targets])
         out, err = capsys.readouterr()
         assert rc == 2
         assert out == ""
         assert err == f"scldpc: error: {message}\n"
-
-    @pytest.mark.parametrize("amax", ["2", "0", "-5"], ids=lambda amax: f"pipeline-{amax}")
-    def test_small_amax_reported(self, capsys, amax):
-        # subsets grow from the three columns of a 6-cycle, so no bound below
-        # 3 can hold
-        from scldpc import cli
-
-        argv = ["pipeline", "--kappa", "5", "--L", "3", "--budget", "200"]
-        rc = cli.main(argv + ["--targets", "(3,3,3,3,0)", "--amax", amax])
-        out, err = capsys.readouterr()
-        assert rc == 2
-        assert out == ""
-        reason = f"a_max must be >= 3, scan subsets grow from 6-cycles, got {amax}"
-        assert err == f"scldpc: error: {reason}\n"
 
     @pytest.mark.parametrize(
         "index, message",

@@ -161,10 +161,14 @@ class TestCoupling:
             (lambda: ProtoMatrix(2, 2, 3, ((0, 1),)), "powers must be a gamma x kappa grid"),
             (lambda: ProtoMatrix(1, 2, 3, ((0, 3),)), r"circulant power 3 out of range \[0, 3\)"),
             (lambda: PartitionMask(((0, 2),)), "mask entries must be 0 or 1"),
+            (lambda: PartitionMask(((0, 1, 0), (1, 0))), "mask must be a non-empty grid with rows"),
+            (lambda: PartitionMask(()), "mask must be a non-empty grid with rows"),
+            (lambda: PartitionMask(((), ())), "mask must be a non-empty grid with rows"),
             (lambda: qc.SCCode(build_ab_powers(3, 5), PartitionMask.all_h0(3, 7), 2),
              "protograph and mask shapes differ"),
         ],
-        ids=["non-positive", "ragged", "power-range", "mask-entry", "mask-shape"],
+        ids=["non-positive", "ragged", "power-range", "mask-entry", "mask-ragged", "mask-empty",
+             "mask-empty-rows", "mask-shape"],
     )
     def test_malformed_grid_refused(self, build, message):
         with pytest.raises(ValueError, match=message):
